@@ -5,7 +5,6 @@ loop nests."""
 from .components import (
     CalibrationError,
     builtin_components,
-    calibrate,
     calibration_factors,
     scale_library,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "analyze",
     "breakdown_error",
     "builtin_components",
-    "calibrate",
     "calibration_factors",
     "canonical_json",
     "evaluate",

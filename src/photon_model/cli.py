@@ -13,15 +13,23 @@ import sys
 from pathlib import Path
 
 from . import albireo
-from .components import CalibrationError, builtin_components
+from .components import PROFILES, CalibrationError, builtin_components
 from .evaluator import EvaluationError, evaluate
 from .experiments import (
+    EXPERIMENTS,
     FusionInfeasible,
     SweepInfeasible,
     parse_experiment_config,
     run_experiment,
 )
-from .mapper import NoValidMapping, SearchConfig, SearchError, search
+from .mapper import (
+    OBJECTIVES,
+    STRATEGIES,
+    NoValidMapping,
+    SearchConfig,
+    SearchError,
+    search,
+)
 from .oracle import OracleCapExceeded, simulate
 from .reuse import analyze
 from .spec_model import (
@@ -228,8 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_spec)
 
     sp = sub.add_parser("components", help="list a component library")
-    sp.add_argument("--profile", default="aggressive",
-                    choices=("aggressive", "conservative"))
+    sp.add_argument("--profile", default="aggressive", choices=PROFILES)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_components)
 
@@ -241,12 +248,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("map", help="search a mapping for one layer")
     add_spec_args(sp)
-    sp.add_argument("--objective", default="energy",
-                    choices=("energy", "delay", "edp"))
+    sp.add_argument("--objective", default="energy", choices=OBJECTIVES)
     sp.add_argument("--budget", type=int, default=600)
     sp.add_argument("--seed", type=int, default=7)
-    sp.add_argument("--strategy", default="pruned_random",
-                    choices=("pruned_random", "random", "exhaustive"))
+    sp.add_argument("--strategy", default="pruned_random", choices=STRATEGIES)
     sp.add_argument("--batch-size", type=int, default=1)
     sp.add_argument("--albireo-pins", action="store_true",
                     help="pin spatial factors to the bundled array geometry")
@@ -260,12 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("experiment", help="run a bundled experiment")
     sp.add_argument("--config", help="experiment config document")
-    sp.add_argument("--experiment",
-                    choices=("breakdown", "throughput", "memory",
-                             "reuse_sweep"))
+    sp.add_argument("--experiment", choices=EXPERIMENTS)
     sp.add_argument("--arch", help="architecture spec name or path")
     sp.add_argument("--workload", help="workload spec name or path")
-    sp.add_argument("--profile", choices=("aggressive", "conservative"))
+    sp.add_argument("--profile", choices=PROFILES)
     sp.add_argument("--budget", type=int)
     sp.add_argument("--seed", type=int)
     sp.add_argument("--output-dir", dest="output_dir",

@@ -206,21 +206,3 @@ def scale_library(base: dict[str, ComponentSpec],
         )
     return out
 
-
-def calibrate(reference_breakdown: dict[str, float],
-              base: dict[str, ComponentSpec]) -> dict[str, ComponentSpec]:
-    """Scale `base` so the bundled accelerator running the bundled first
-    workload reproduces the reference fractions. The heavy lifting lives in
-    experiments.breakdown_contributions; this wrapper exists so the library
-    can be calibrated without touching the experiment drivers directly."""
-
-    from .experiments import breakdown_contributions
-
-    total = sum(reference_breakdown.values())
-    if total <= 0:
-        raise CalibrationError("BadFractions", "*",
-                               "reference breakdown has no energy")
-    fractions = {c: v / total for c, v in reference_breakdown.items()}
-    contributions = breakdown_contributions(base)
-    factors = calibration_factors(fractions, contributions)
-    return scale_library(base, factors)

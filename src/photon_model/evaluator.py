@@ -23,6 +23,7 @@ from .spec_model import (
     Mapping,
     active_instances,
     mapping_digest,
+    temporal_steps,
 )
 
 
@@ -76,18 +77,9 @@ def peak_spatial_macs(arch: Architecture) -> int:
     return n
 
 
-def compute_cycles_of(counts: AccessCounts, mapping: Mapping, layer: Layer) -> int:
-    steps = 1
-    for lm in mapping.levels:
-        for ext in lm.temporal.values():
-            steps *= ext
-    return steps
-
-
 def latency_and_utilization(
     counts: AccessCounts,
     arch: Architecture,
-    layer: Layer,
     mapping: Mapping,
 ) -> tuple[int, int, float, float]:
     """Returns (cycles, compute_cycles, latency_s, utilization).
@@ -97,7 +89,7 @@ def latency_and_utilization(
     reduce utilization but never speed anything up.
     """
 
-    compute_cycles = compute_cycles_of(counts, mapping, layer)
+    compute_cycles = temporal_steps(mapping)
     cycles = compute_cycles
 
     per_level: dict[int, int] = {}
@@ -198,7 +190,7 @@ def evaluate(
 ) -> EvaluationResult:
     counts = analyze(arch, layer, mapping)
     cycles, compute_cycles, latency_s, util = latency_and_utilization(
-        counts, arch, layer, mapping)
+        counts, arch, mapping)
     per_comp = energy(counts, arch, latency_s, lib)
     total = sum(per_comp[k] for k in sorted(per_comp))
     macs_per_s = counts.real_macs / latency_s if latency_s > 0 else 0.0

@@ -7,6 +7,7 @@ repeated runs can be diffed directly.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, replace
 
 from . import albireo
@@ -37,6 +38,7 @@ from .spec_model import (
     SpecError,
     Workload,
     parse_architecture,
+    serialize_architecture,
     tile_values,
 )
 from .workloads import load_reference_breakdown, load_spec, load_workload
@@ -207,39 +209,24 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
 # Energy breakdown and calibration
 # ----------------------------------------------------------------------------
 
-_BREAKDOWN_RUNS: dict[tuple, tuple] = {}
 
+def breakdown_contributions(cfg: ExperimentConfig
+                            ) -> Callable[[dict], dict[str, float]]:
+    """Search the breakdown workload once and return a pricing function:
+    given a component library, it gives the accelerator-scope energy per
+    component of the searched counts. The search prices with the
+    architecture's own library, so one search serves every calibration
+    round."""
 
-def _breakdown_runs(cfg: ExperimentConfig):
-    """Searched mappings for the breakdown workload, cached per config key.
+    arch = _architecture(cfg)
+    evals = [_search_layer(arch, layer, cfg, "energy").evaluation
+             for layer in _workload(cfg, "vgg16").layers]
 
-    The search itself always prices with the architecture's own library;
-    callers re-price the resulting counts with whatever library they are
-    calibrating, so one search serves every calibration round."""
+    def price(lib: dict) -> dict[str, float]:
+        return accelerator_scope(_sum_energy(
+            [energy(ev.counts, arch, ev.latency_s, lib) for ev in evals]))
 
-    key = (cfg.arch, cfg.workload, cfg.profile, cfg.budget, cfg.seed)
-    if key not in _BREAKDOWN_RUNS:
-        arch = _architecture(cfg)
-        runs = []
-        for layer in _workload(cfg, "vgg16").layers:
-            runs.append((layer, _search_layer(arch, layer, cfg, "energy")))
-        _BREAKDOWN_RUNS[key] = (arch, tuple(runs))
-    return _BREAKDOWN_RUNS[key]
-
-
-def breakdown_contributions(lib=None, cfg: ExperimentConfig | None = None
-                            ) -> dict[str, float]:
-    """Accelerator-scope per-component energy of the bundled breakdown run,
-    priced with `lib` (default: the architecture's own components)."""
-
-    if cfg is None:
-        cfg = ExperimentConfig(experiment="breakdown")
-    arch, runs = _breakdown_runs(cfg)
-    per = []
-    for _, res in runs:
-        ev = res.evaluation
-        per.append(energy(ev.counts, arch, ev.latency_s, lib))
-    return accelerator_scope(_sum_energy(per))
+    return price
 
 
 def run_breakdown(cfg: ExperimentConfig) -> dict:
@@ -251,10 +238,10 @@ def run_breakdown(cfg: ExperimentConfig) -> dict:
     ref_total = sum(reference.values())
     fractions = {c: v / ref_total for c, v in reference.items()}
 
-    contributions = breakdown_contributions(base, cfg)
-    factors = calibration_factors(fractions, contributions)
+    price = breakdown_contributions(cfg)
+    factors = calibration_factors(fractions, price(base))
     calibrated = scale_library(base, factors)
-    modeled = breakdown_contributions(calibrated, cfg)
+    modeled = price(calibrated)
 
     overall_pct, per_pp = breakdown_error(modeled, reference)
     mod_total = sum(modeled.values())
@@ -393,21 +380,19 @@ def _buffer_level(arch: Architecture) -> int:
 
 def _resized_buffer_arch(cfg: ExperimentConfig, required_bits: int,
                          base_arch: Architecture) -> Architecture:
-    """Architecture with the shared buffer grown to `required_bits` and its
-    access energy scaled by (new/old)^exponent."""
+    """`base_arch` with the shared buffer grown to `required_bits` and its
+    access energy scaled by (new/old)^exponent, re-validated."""
 
-    level = _buffer_level(base_arch)
-    comp = base_arch.levels[level].component
+    comp = base_arch.levels[_buffer_level(base_arch)].component
     factor = (required_bits / comp.capacity_bits) ** cfg.buffer_energy_exponent
-    lib = builtin_components(cfg.profile)
-    lib[comp.name] = replace(
+    resized = replace(
         comp,
         capacity_bits=required_bits,
         energy_per_action={a: e * factor
                            for a, e in comp.energy_per_action.items()},
     )
-    doc = albireo.architecture_doc()
-    return parse_architecture(doc, lib)
+    return parse_architecture(serialize_architecture(base_arch),
+                              {**base_arch.components(), comp.name: resized})
 
 
 def _leg_row(leg: str, b: int, per_layer: list, baseline_total: float | None

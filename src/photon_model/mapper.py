@@ -1,12 +1,23 @@
-"""Mapping search: exhaustive, random, and pruned-random strategies over
-loop factorizations, spatial placements, and loop orders.
+"""Mapping search over loop factorizations, spatial placements, and loop
+orders, with two strategies:
+
+* exhaustive walks every combination of per-dim chains that fits the
+  fanout budgets, with every order of each level's live loops. It is the
+  ground truth for small spaces and raises SearchError past max_space.
+* pruned_random (the default) draws `budget` candidates. It assigns dims
+  one at a time from the chains the running fanout budgets, the capacity
+  condition and the refetch loop-nest condition still allow, then draws
+  loop orders that never revisit a refetch-forbidden tile. A candidate
+  whose refetch-free floor cannot beat the best so far is counted as
+  pruned and never fully evaluated.
 
 The candidate space factors per dimension: each dim contributes a chain
 [t0, s1, t1, ..., s(M-1), t(M-1)] of per-level factors. Strict mode splits
 the exact bound; pad mode picks spatial widths from divisors of the bound
 or of the level fanout, then pads the iterated extent minimally to a
 multiple of the spatial width. Loop orders are searched only over dims with
-more than one iteration at a level.
+more than one iteration at a level. Keeper chains and step counts come
+from spec_model, the definitions the counting engines use.
 
 Ties on the objective break toward the lexicographically smallest mapping
 digest, so every strategy is deterministic for a given seed.
@@ -31,11 +42,14 @@ from .spec_model import (
     LevelMapping,
     Mapping,
     MappingError,
+    effective_keeps,
+    keeper_levels,
+    temporal_steps,
     tile_values,
 )
 
 OBJECTIVES = ("energy", "delay", "energy_delay_product")
-STRATEGIES = ("exhaustive", "random", "pruned_random")
+STRATEGIES = ("exhaustive", "pruned_random")
 
 
 class NoValidMapping(Exception):
@@ -53,7 +67,7 @@ class SearchConfig:
     objective: str = "energy"
     budget: int = 1000
     seed: int = 0
-    strategy: str = "random"
+    strategy: str = "pruned_random"
     pad_mode: str = "strict"
     batch_size: int = 1
     keep_overrides: dict = field(default_factory=dict)
@@ -126,7 +140,7 @@ def _capacity_check(arch: Architecture, layer: Layer, cfg: SearchConfig):
 
     checks = []
     for lvl in range(1, m - 1):
-        keeps = cfg.keep_overrides.get(lvl, arch.levels[lvl].keeps)
+        keeps = effective_keeps(arch, cfg.keep_overrides, lvl)
         if not keeps:
             continue
         checks.append((lvl, tuple(keeps), arch.levels[lvl].component.capacity_bits))
@@ -160,21 +174,20 @@ def _origin_floor(arch: Architecture, cfg: SearchConfig, d: str) -> int:
     for t in TENSORS:
         if d not in TENSOR_DIMS[t]:
             continue
-        keepers = [j for j, lv in enumerate(arch.levels)
-                   if t in cfg.keep_overrides.get(j, lv.keeps)]
+        keepers = keeper_levels(arch, cfg.keep_overrides, t)
         if keepers and keepers[0] > 0:
             floor = max(floor, 2 * keepers[0])
     return floor
 
 
-def _dim_chains(arch: Architecture, layer: Layer, d: str,
-                cfg: SearchConfig) -> list[tuple[int, ...]]:
-    """Candidate factor chains [t0, s1, t1, ...] for one dim."""
+def _dim_chains(arch: Architecture, layer: Layer, d: str, cfg: SearchConfig,
+                cap_ok) -> list[tuple[int, ...]]:
+    """Candidate factor chains [t0, s1, t1, ...] for one dim that pass the
+    search's capacity condition `cap_ok` on their own."""
 
     m = len(arch.levels)
     bound = layer.dims[d] * (cfg.batch_size if d == "N" else 1)
     pins = {lvl: f for (lvl, dd), f in cfg.fixed_spatial.items() if dd == d}
-    cap_ok = _capacity_check(arch, layer, cfg)
     floor = _origin_floor(arch, cfg, d)
     red_floor = (cfg.reduction_floor
                  if cfg.reduction_floor is not None and d in REDUCED_DIMS
@@ -249,8 +262,7 @@ def _refetch_forbidden(arch: Architecture,
 
     out = []
     for t in TENSORS:
-        keepers = [j for j, lv in enumerate(arch.levels)
-                   if t in cfg.keep_overrides.get(j, lv.keeps)]
+        keepers = keeper_levels(arch, cfg.keep_overrides, t)
         for a, b in zip(keepers, keepers[1:]):
             for k in range(a + 1, b + 1):
                 crosses = (arch.levels[k - 1].component.domain_out
@@ -306,16 +318,6 @@ def _valid_perms(live: tuple[str, ...], level: int,
             if all(_block_leads(p, dims) for dims in blocks)]
 
 
-def _fanout_ok(arch: Architecture, chains: dict[str, tuple[int, ...]]) -> bool:
-    for j in range(1, len(arch.levels)):
-        s = 1
-        for d in DIMS:
-            s *= chains[d][2 * j - 1]
-        if s > arch.levels[j].fanout:
-            return False
-    return True
-
-
 def _objective_of(res: EvaluationResult, objective: str) -> float:
     if objective == "energy":
         return res.total_energy_pj
@@ -330,10 +332,7 @@ def _floor_objective(arch: Architecture, layer: Layer, mapping: Mapping,
     all refetch removed, latency with all stalls removed."""
 
     counts = analyze(arch, layer, mapping, optimistic=True)
-    steps = 1
-    for lm in mapping.levels:
-        for ext in lm.temporal.values():
-            steps *= ext
+    steps = temporal_steps(mapping)
     latency_s = steps / (arch.clock_ghz * 1e9)
     if objective == "delay":
         return float(steps)
@@ -369,7 +368,8 @@ def search(arch: Architecture, layer: Layer, cfg: SearchConfig) -> SearchResult:
     """Find the best mapping of `layer` onto `arch` under the configured
     objective. Raises NoValidMapping when nothing valid was found."""
 
-    chain_menu = {d: _dim_chains(arch, layer, d, cfg) for d in DIMS}
+    cap_ok = _capacity_check(arch, layer, cfg)
+    chain_menu = {d: _dim_chains(arch, layer, d, cfg, cap_ok) for d in DIMS}
     for d, menu in chain_menu.items():
         if not menu:
             raise NoValidMapping(
@@ -415,7 +415,7 @@ def search(arch: Architecture, layer: Layer, cfg: SearchConfig) -> SearchResult:
                     if space > cfg.max_space:
                         raise SearchError(
                             f"exhaustive space exceeds {cfg.max_space}; use "
-                            "a sampling strategy")
+                            "pruned_random")
                     consider(chains, list(perm_combo))
                 return
             d = DIMS[di]
@@ -433,19 +433,6 @@ def search(arch: Architecture, layer: Layer, cfg: SearchConfig) -> SearchResult:
                     del chains[d]
 
         assign(0, {}, [1] * m)
-    elif cfg.strategy == "random":
-        rng = random.Random(cfg.seed)
-        for _ in range(cfg.budget):
-            chains = {d: rng.choice(chain_menu[d]) for d in DIMS}
-            if not _fanout_ok(arch, chains):
-                invalid += 1
-                continue
-            perms = []
-            for j in range(len(arch.levels)):
-                ps = _perm_menu(chains, j)
-                rng.shuffle(ps)
-                perms.append(tuple(ps))
-            consider(chains, perms)
     else:
         # pruned_random: assign dims one at a time, keeping only chains the
         # running fanout budgets and capacity condition still allow. Every
@@ -454,7 +441,6 @@ def search(arch: Architecture, layer: Layer, cfg: SearchConfig) -> SearchResult:
         rng = random.Random(cfg.seed)
         m = len(arch.levels)
         fanouts = [lv.fanout for lv in arch.levels]
-        cap_ok = _capacity_check(arch, layer, cfg)
         forbidden = _refetch_forbidden(arch, cfg)
         perm_cache: dict[tuple[int, tuple[str, ...]], list] = {}
         feas_cache: dict[tuple, list] = {}

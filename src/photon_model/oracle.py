@@ -243,7 +243,7 @@ def simulate(arch: Architecture, layer: Layer, mapping: Mapping,
     counts = AccessCounts(macs=macs, real_macs=real)
     for i in range(compute):
         for t in TENSORS:
-            if t in effective_keeps(arch, mapping, i):
+            if t in effective_keeps(arch, mapping.keep_overrides, i):
                 counts.per_level[(i, t)] = LevelCounts()
     for cv in arch.converters:
         for t in cv.tensors:

@@ -32,7 +32,6 @@ from .spec_model import (
     DIMS,
     INPUTS,
     OUTPUTS,
-    REDUCED_DIMS,
     TENSOR_DIMS,
     TENSORS,
     WEIGHTS,
@@ -42,6 +41,7 @@ from .spec_model import (
     MappingError,
     active_instances,
     effective_bounds,
+    effective_keeps,
     keeper_levels,
     multicast_width,
     padded_bounds,
@@ -168,7 +168,7 @@ def tensor_hops(arch: Architecture, mapping: Mapping, tensor: str) -> list[Hop]:
     """Descending chain for a tensor, ending at compute for operands read
     by the MACs. For Outputs the chain stops at the accumulation level."""
 
-    keepers = keeper_levels(arch, mapping, tensor)
+    keepers = keeper_levels(arch, mapping.keep_overrides, tensor)
     ends = keepers + ([] if tensor == OUTPUTS else [len(arch.levels) - 1])
     hops = []
     for outer, inner in zip(ends, ends[1:]):
@@ -177,7 +177,7 @@ def tensor_hops(arch: Architecture, mapping: Mapping, tensor: str) -> list[Hop]:
 
 
 def accumulation_level(arch: Architecture, mapping: Mapping) -> int:
-    return keeper_levels(arch, mapping, OUTPUTS)[-1]
+    return keeper_levels(arch, mapping.keep_overrides, OUTPUTS)[-1]
 
 
 def _edge_crosses_domain(arch: Architecture, edge: int) -> bool:
@@ -252,7 +252,7 @@ def analyze(arch: Architecture, layer: Layer, mapping: Mapping,
     counts = AccessCounts(macs=macs, real_macs=real)
     for i in range(compute):
         for t in TENSORS:
-            if t in _keeps(arch, mapping, i):
+            if t in effective_keeps(arch, mapping.keep_overrides, i):
                 counts.per_level[(i, t)] = LevelCounts()
     for cv in arch.converters:
         for t in cv.tensors:
@@ -283,11 +283,6 @@ def analyze(arch: Architecture, layer: Layer, mapping: Mapping,
                         f"converter", tensor=OUTPUTS,
                         level=arch.levels[k].name)
                 raise AssertionError("uncovered domain crossing")
-
-    def add_demand(hop: Hop, amount: int) -> None:
-        for k in hop.edges:
-            key = (k, hop.tensor, DOWN if hop.tensor != OUTPUTS else UP)
-            counts.edge_demand[key] = counts.edge_demand.get(key, 0) + amount
 
     # Operand tensors flow down their keeper chains.
     for tensor in (WEIGHTS, INPUTS):
@@ -355,12 +350,6 @@ def analyze(arch: Architecture, layer: Layer, mapping: Mapping,
     return counts
 
 
-def _keeps(arch: Architecture, mapping: Mapping, level: int) -> tuple[str, ...]:
-    from .spec_model import effective_keeps
-
-    return effective_keeps(arch, mapping, level)
-
-
 # ----------------------------------------------------------------------------
 # Reuse factor report
 # ----------------------------------------------------------------------------
@@ -395,7 +384,7 @@ def reuse_factors(counts: AccessCounts, arch: Architecture,
 
 def _hop_crossing(arch: Architecture, mapping: Mapping, edge: int, tensor: str) -> Hop:
     compute = len(arch.levels) - 1
-    keepers = keeper_levels(arch, mapping, tensor)
+    keepers = keeper_levels(arch, mapping.keep_overrides, tensor)
     if tensor != OUTPUTS:
         keepers = keepers + [compute]
     elif edge > keepers[-1]:

@@ -13,8 +13,9 @@ A system is described by three documents (JSON object trees):
 
 A mapping assigns every level temporal and spatial factors per dim plus a
 loop order. This module also owns the loop-nest geometry (tile bounds,
-tile sizes, instance counts, keeper chains) that the counting engines
-build on, so that "what a tile is" has exactly one definition.
+tile sizes, instance counts, keeper chains, step counts) that the counting
+engines, the evaluator and the mapper build on, so that "what a tile is"
+has exactly one definition.
 """
 
 from __future__ import annotations
@@ -338,20 +339,36 @@ def active_instances(mapping: Mapping, level: int) -> int:
     return n
 
 
-def effective_keeps(arch: Architecture, mapping: Mapping, level: int) -> tuple[str, ...]:
-    if level in mapping.keep_overrides:
-        return mapping.keep_overrides[level]
+def temporal_steps(mapping: Mapping) -> int:
+    """Steps of the whole nest: the product of every temporal factor. Each
+    step issues one MAC per active compute instance."""
+
+    steps = 1
+    for lm in mapping.levels:
+        for ext in lm.temporal.values():
+            steps *= ext
+    return steps
+
+
+def effective_keeps(arch: Architecture, keep_overrides: dict[int, tuple[str, ...]],
+                    level: int) -> tuple[str, ...]:
+    """Tensors a level holds once a mapping's (or a search's) keep
+    overrides apply."""
+
+    if level in keep_overrides:
+        return keep_overrides[level]
     return arch.levels[level].keeps
 
 
-def keeper_levels(arch: Architecture, mapping: Mapping, tensor: str) -> list[int]:
+def keeper_levels(arch: Architecture, keep_overrides: dict[int, tuple[str, ...]],
+                  tensor: str) -> list[int]:
     """Storage levels holding the tensor, outermost first. Validation
     guarantees at least one keeper per tensor."""
 
     return [
         i
         for i in range(len(arch.levels) - 1)
-        if tensor in effective_keeps(arch, mapping, i)
+        if tensor in effective_keeps(arch, keep_overrides, i)
     ]
 
 
@@ -595,7 +612,7 @@ def validate_mapping(mapping: Mapping, layer: Layer, arch: Architecture) -> None
     # it. The origin's own temporal loops stay legal; they walk the tensor
     # in place.
     for t in TENSORS:
-        chain = keeper_levels(arch, mapping, t)
+        chain = keeper_levels(arch, mapping.keep_overrides, t)
         if not chain:
             raise MappingError("FactorMismatch",
                                f"no level keeps tensor {t}", tensor=t)
@@ -615,7 +632,7 @@ def validate_mapping(mapping: Mapping, layer: Layer, arch: Architecture) -> None
 
     for i in range(len(arch.levels) - 1):
         lv = arch.levels[i]
-        keeps = effective_keeps(arch, mapping, i)
+        keeps = effective_keeps(arch, mapping.keep_overrides, i)
         if not keeps:
             continue
         if i == 0:

@@ -1,9 +1,10 @@
-"""Bundled workloads and bundled-file resolution.
+"""Bundled workloads and bundled-spec resolution.
 
 Two classic image classifiers are shipped as workload documents: one deep
 13-conv/3-fc network dominated by 3x3 convolutions, and one shallower
 5-conv/3-fc network with large strided early filters. Both use 8-bit
-values throughout.
+values throughout. The bundled accelerator's document is generated from
+its geometry (albireo.architecture_doc), so it has a single source.
 """
 
 from __future__ import annotations
@@ -11,12 +12,20 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .spec_model import Spec, Workload, load_document, parse_spec
+from . import albireo
+from .spec_model import (
+    SPEC_VERSION,
+    Spec,
+    Workload,
+    load_document,
+    parse_spec,
+)
 
 DATA_DIR = Path(__file__).parent / "data"
 
+BUNDLED_ARCHITECTURE = "albireo"
+
 BUNDLED_SPECS = {
-    "albireo": "albireo.spec",
     "vgg16": "vgg16.spec",
     "alexnet": "alexnet.spec",
 }
@@ -24,21 +33,17 @@ BUNDLED_SPECS = {
 BUNDLED_REFERENCE = "albireo_reference.breakdown"
 
 
-def bundled_path(name: str) -> Path:
-    try:
-        return DATA_DIR / BUNDLED_SPECS[name]
-    except KeyError:
-        raise KeyError(f"no bundled spec named {name!r}; "
-                       f"have {sorted(BUNDLED_SPECS)}") from None
-
-
 def resolve_spec_path(name_or_path: str) -> Path:
     if name_or_path in BUNDLED_SPECS:
-        return bundled_path(name_or_path)
+        return DATA_DIR / BUNDLED_SPECS[name_or_path]
     return Path(name_or_path)
 
 
 def load_spec(name_or_path: str) -> Spec:
+    if name_or_path == BUNDLED_ARCHITECTURE:
+        return parse_spec({"spec_version": SPEC_VERSION,
+                           "use_builtin_components": "aggressive",
+                           "architecture": albireo.architecture_doc()})
     return parse_spec(load_document(str(resolve_spec_path(name_or_path))))
 
 
@@ -61,47 +66,3 @@ def load_reference_breakdown(path: str | Path | None = None
     doc = json.loads(Path(path or reference_breakdown_path()).read_text())
     return {str(k): float(v) for k, v in doc["breakdown"].items()}
 
-
-def _conv(name, k, c, pq, r=3, stride=1):
-    return {"name": name, "kind": "conv",
-            "dims": {"N": 1, "K": k, "C": c, "P": pq, "Q": pq, "R": r, "S": r},
-            "stride": stride, "bits": 8}
-
-
-def _fc(name, k, c):
-    return {"name": name, "kind": "fully_connected",
-            "dims": {"N": 1, "K": k, "C": c}, "bits": 8}
-
-
-def vgg16_doc() -> dict:
-    return {"name": "vgg16", "layers": [
-        _conv("conv1_1", 64, 3, 224),
-        _conv("conv1_2", 64, 64, 224),
-        _conv("conv2_1", 128, 64, 112),
-        _conv("conv2_2", 128, 128, 112),
-        _conv("conv3_1", 256, 128, 56),
-        _conv("conv3_2", 256, 256, 56),
-        _conv("conv3_3", 256, 256, 56),
-        _conv("conv4_1", 512, 256, 28),
-        _conv("conv4_2", 512, 512, 28),
-        _conv("conv4_3", 512, 512, 28),
-        _conv("conv5_1", 512, 512, 14),
-        _conv("conv5_2", 512, 512, 14),
-        _conv("conv5_3", 512, 512, 14),
-        _fc("fc6", 4096, 25088),
-        _fc("fc7", 4096, 4096),
-        _fc("fc8", 1000, 4096),
-    ]}
-
-
-def alexnet_doc() -> dict:
-    return {"name": "alexnet", "layers": [
-        _conv("conv1", 96, 3, 55, r=11, stride=4),
-        _conv("conv2", 256, 48, 27, r=5),
-        _conv("conv3", 384, 256, 13),
-        _conv("conv4", 384, 192, 13),
-        _conv("conv5", 256, 192, 13),
-        _fc("fc6", 4096, 9216),
-        _fc("fc7", 4096, 4096),
-        _fc("fc8", 1000, 4096),
-    ]}

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -9,6 +10,7 @@ from photon_model.experiments import (
     FusionInfeasible,
     _buffer_level,
     _insert_batch_loop,
+    _resized_buffer_arch,
     _sweep_layer,
     accelerator_scope,
     check_fusible,
@@ -157,6 +159,27 @@ def test_check_fusible_gates_on_buffer_capacity():
     assert check_fusible(small, nxt, capacity) == 8 * 16 * 16 * 8
     with pytest.raises(FusionInfeasible):
         check_fusible(small, nxt, 8 * 16 * 16 * 8, batch_size=2)
+
+
+def test_auto_fusion_buffer_resizes_the_configured_architecture():
+    base = albireo.architecture("aggressive")
+    level = _buffer_level(base)
+    sram = replace(base.levels[level].component, name="my_sram")
+    levels = list(base.levels)
+    levels[level] = replace(levels[level], component=sram)
+    custom = replace(base, name="custom", clock_ghz=2.0, levels=tuple(levels))
+    cfg = ExperimentConfig(experiment="memory", fusion_buffer="auto")
+
+    got = _resized_buffer_arch(cfg, 1 << 26, custom)
+
+    assert (got.name, got.clock_ghz) == ("custom", 2.0)
+    buf = got.levels[level].component
+    assert (buf.name, buf.capacity_bits) == ("my_sram", 1 << 26)
+    factor = ((1 << 26) / sram.capacity_bits) ** cfg.buffer_energy_exponent
+    assert buf.energy("read") == pytest.approx(sram.energy("read") * factor)
+    assert got == replace(custom, levels=tuple(
+        replace(lv, component=buf) if i == level else lv
+        for i, lv in enumerate(custom.levels)))
 
 
 def test_memory_identity_configuration(tiny_workload):

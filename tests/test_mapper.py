@@ -15,6 +15,7 @@ from photon_model.mapper import (
 from photon_model.spec_model import (
     DIMS,
     Architecture,
+    Converter,
     Layer,
     Level,
     LevelMapping,
@@ -60,35 +61,38 @@ def _splits(bound, slots):
     return out
 
 
-def brute_force_best(arch, layer, objective="energy"):
-    """Full enumeration of two-level mappings: every (t0, s1, t1) split of
-    every dim, every permutation of the active temporal dims per level."""
+def brute_force_best(arch, layer, objective="energy", keep_overrides=None):
+    """Full enumeration: every (t0, s1, t1, s2, ...) split of every dim over
+    the architecture's levels, every permutation of the active temporal
+    dims per level."""
 
+    m = len(arch.levels)
     active = [d for d in DIMS if layer.dims[d] > 1]
     best = None
     count = 0
-    for combo in itertools.product(*(_splits(layer.dims[d], 3)
+    for combo in itertools.product(*(_splits(layer.dims[d], 2 * m - 1)
                                      for d in active)):
-        t0 = {d: c[0] for d, c in zip(active, combo)}
-        s1 = {d: c[1] for d, c in zip(active, combo)}
-        t1 = {d: c[2] for d, c in zip(active, combo)}
-        live0 = [d for d in active if t0[d] > 1]
-        live1 = [d for d in active if t1[d] > 1]
-        for p0 in itertools.permutations(live0):
-            for p1 in itertools.permutations(live1):
-                m = Mapping(levels=(
-                    LevelMapping(temporal=t0, permutation=p0),
-                    LevelMapping(temporal=t1, spatial=s1, permutation=p1)))
-                try:
-                    validate_mapping(m, layer, arch)
-                    res = evaluate(arch, layer, m)
-                except MappingError:
-                    continue
-                count += 1
-                val = (res.total_energy_pj if objective == "energy"
-                       else float(res.cycles))
-                if best is None or val < best:
-                    best = val
+        temporal = [{d: c[2 * j] for d, c in zip(active, combo)}
+                    for j in range(m)]
+        spatial = [{}] + [{d: c[2 * j - 1] for d, c in zip(active, combo)}
+                          for j in range(1, m)]
+        live = [[d for d in active if temporal[j][d] > 1] for j in range(m)]
+        for perms in itertools.product(*(itertools.permutations(ds)
+                                         for ds in live)):
+            mp = Mapping(levels=tuple(
+                LevelMapping(temporal=temporal[j], spatial=spatial[j],
+                             permutation=perms[j]) for j in range(m)),
+                keep_overrides=dict(keep_overrides or {}))
+            try:
+                validate_mapping(mp, layer, arch)
+                res = evaluate(arch, layer, mp)
+            except MappingError:
+                continue
+            count += 1
+            val = (res.total_energy_pj if objective == "energy"
+                   else float(res.cycles))
+            if best is None or val < best:
+                best = val
     return best, count
 
 
@@ -149,6 +153,64 @@ def test_pruned_random_matches_exhaustive_with_budget():
         assert res.objective >= want or res.objective == pytest.approx(want)
         hits += res.objective == pytest.approx(want)
     assert hits >= len(TOY_CASES) - 1
+
+
+def refetch_toy(buf_bits):
+    """Store (DE) over a small buffer (AE) over a MAC array (AE). Partial
+    sums drain up through an ADC, but no converter carries Outputs back
+    down, so a buffered output tile may never be refetched."""
+
+    wio = ("Weights", "Inputs", "Outputs")
+    a = Architecture(
+        name="refetch", clock_ghz=1.0,
+        levels=(Level("store", toys.storage("sram", "DE", 1 << 24,
+                                            read=10.0), 1, wio),
+                Level("buf", toys.storage("reg", "AE", buf_bits), 2, wio),
+                Level("pe", toys.compute("amac", "AE"), 2, ())),
+        meshes=(Mesh(), Mesh(may_multicast=True, may_reduce=True)),
+        converters=(Converter("dn", toys.converter("dac", "DE", "AE"), 1,
+                              ("Weights", "Inputs"), 2),
+                    Converter("up", toys.converter("adc", "AE", "DE"), 1,
+                              ("Outputs",), 2)))
+    validate_architecture(a)
+    return a
+
+
+# (buffer bits, layer dims, keep overrides). Without an override the
+# buffered Outputs may not be refetched; the consumer override makes Inputs
+# a fused intermediate born in the buffer, the producer override Outputs.
+KEEPER_CASES = [
+    (96, {"K": 4, "C": 4}, {}),
+    (96, {"K": 4, "C": 4}, {0: ("Weights", "Outputs")}),
+    (96, {"K": 4, "C": 4}, {0: ("Weights", "Inputs")}),
+    (128, {"K": 2, "C": 4, "P": 2}, {}),
+    (128, {"K": 2, "C": 4, "P": 2}, {0: ("Weights", "Outputs")}),
+]
+
+
+def test_keeper_chain_filters_keep_the_optimum_under_keep_overrides():
+    for bits, dims, overrides in KEEPER_CASES:
+        arch = refetch_toy(bits)
+        layer = toy_layer(dims)
+        want, space = brute_force_best(arch, layer, keep_overrides=overrides)
+        # The sampler's budget exceeds the number of valid mappings.
+        assert 1 <= space < 500
+        ex = search(arch, layer, SearchConfig(
+            objective="energy", budget=1, strategy="exhaustive",
+            keep_overrides=overrides))
+        pr = search(arch, layer, SearchConfig(
+            objective="energy", budget=500, seed=11,
+            strategy="pruned_random", keep_overrides=overrides))
+        for res in (ex, pr):
+            validate_mapping(res.mapping, layer, arch)
+            assert res.mapping.keep_overrides == overrides
+        assert ex.objective == pytest.approx(want)
+        assert pr.objective == pytest.approx(ex.objective)
+        # Exhaustive evaluates every chain combination, so it meets
+        # mappings the origin, refetch and capacity rules reject; the
+        # pruned sampler's filters drop all of them before evaluation.
+        assert ex.invalid > 0
+        assert pr.invalid == 0
 
 
 def test_single_candidate_space():
