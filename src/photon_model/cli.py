@@ -141,8 +141,11 @@ def cmd_map(args) -> int:
     arch = _arch_for(args)
     layer = _layer_for(args)
     pins = albireo.geometry_pins(layer) if args.albireo_pins else {}
+    # The pins are array widths, not divisors of the layer: pad, as the
+    # experiments do, so every layer maps.
     cfg = SearchConfig(objective=args.objective, budget=args.budget,
                        seed=args.seed, strategy=args.strategy,
+                       pad_mode="pad" if args.albireo_pins else "strict",
                        batch_size=args.batch_size, fixed_spatial=pins)
     res = search(arch, layer, cfg)
     ev = res.evaluation
@@ -254,7 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--strategy", default="pruned_random", choices=STRATEGIES)
     sp.add_argument("--batch-size", type=int, default=1)
     sp.add_argument("--albireo-pins", action="store_true",
-                    help="pin spatial factors to the bundled array geometry")
+                    help="pin spatial factors to the bundled array "
+                         "geometry, padding dims the pins do not divide")
     sp.add_argument("--emit-mapping", metavar="PATH",
                     help="write the found mapping ('-' for stdout)")
     sp.set_defaults(func=cmd_map)

@@ -11,6 +11,17 @@ orders, with two strategies:
   whose refetch-free floor cannot beat the best so far is counted as
   pruned and never fully evaluated.
 
+A pruned_random search builds its feasibility tables once from the chain
+menus: per dim and chain, the spatial row, the tile extent at each
+capacity-checked level, and bitmasks of the levels where the chain
+iterates, OR-ed per refetch-forbidden keeper into the tensor's own dims
+and the other dims. The conditions read only the running spatial
+products, the assigned dims' extent rows and those masks, so the feasible
+list of the next dim is cached under that state rather than under the
+chains already drawn: prefixes that differ only in what no condition reads
+share one list. Lists keep menu order, so the draws are those of an
+uncached filter.
+
 The candidate space factors per dimension: each dim contributes a chain
 [t0, s1, t1, ..., s(M-1), t(M-1)] of per-level factors. Strict mode splits
 the exact bound; pad mode picks spatial widths from divisors of the bound
@@ -121,48 +132,47 @@ def enumerate_factorizations(bound: int, slots: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _capacity_check(arch: Architecture, layer: Layer, cfg: SearchConfig):
-    """Necessary capacity condition over a partial chain assignment: dims
-    not yet assigned sit at their minimum (their spatial pins). A partial
+class _CapacityCheck:
+    """Necessary capacity condition over extent rows. A dim's row is its
+    tile extent at each capacity-checked level; a dim not yet assigned sits
+    at its minimum row (`mins`, from its spatial pins). A partial
     assignment that already overflows a storage level can never extend to a
     valid mapping, so filtering on it preserves completeness."""
 
-    m = len(arch.levels)
-    mins = {}
-    for lvl in range(1, m - 1):
-        row = {}
-        for dd in DIMS:
-            p = 1
-            for j in range(lvl + 1, m):
-                p *= cfg.fixed_spatial.get((j, dd), 1)
-            row[dd] = p
-        mins[lvl] = row
+    def __init__(self, arch: Architecture, layer: Layer, cfg: SearchConfig):
+        m = len(arch.levels)
+        self.layer = layer
+        self.checks = []
+        for lvl in range(1, m - 1):
+            keeps = effective_keeps(arch, cfg.keep_overrides, lvl)
+            if keeps:
+                self.checks.append(
+                    (lvl, tuple(keeps), arch.levels[lvl].component.capacity_bits))
+        self.mins = tuple(
+            tuple(math.prod(cfg.fixed_spatial.get((j, d), 1)
+                            for j in range(lvl + 1, m))
+                  for lvl, _, _ in self.checks)
+            for d in DIMS)
+        self.verdicts: dict[tuple, bool] = {}
 
-    checks = []
-    for lvl in range(1, m - 1):
-        keeps = effective_keeps(arch, cfg.keep_overrides, lvl)
-        if not keeps:
-            continue
-        checks.append((lvl, tuple(keeps), arch.levels[lvl].component.capacity_bits))
+    def row(self, chain: tuple[int, ...]) -> tuple[int, ...]:
+        """Tile extent of one dim's chain at each checked level: the
+        product of its factors below that level."""
 
-    def ok(assigned: dict[str, tuple[int, ...]]) -> bool:
-        for lvl, keeps, cap in checks:
-            tb = {}
-            for dd in DIMS:
-                chain = assigned.get(dd)
-                if chain is None:
-                    tb[dd] = mins[lvl][dd]
-                else:
-                    e = 1
-                    for j in range(lvl + 1, m):
-                        e *= chain[2 * j - 1] * chain[2 * j]
-                    tb[dd] = e
-            bits = sum(tile_values(layer, tb, t) * layer.bits[t] for t in keeps)
-            if bits > cap:
-                return False
-        return True
+        return tuple(math.prod(chain[2 * lvl + 1:]) for lvl, _, _ in self.checks)
 
-    return ok
+    def ok(self, rows: tuple[tuple[int, ...], ...]) -> bool:
+        """The condition over one extent row per dim, in DIMS order.
+        Verdicts are kept for the search: chains that differ only in their
+        factors above the checked levels have the same rows."""
+
+        verdict = self.verdicts.get(rows)
+        if verdict is None:
+            verdict = self.verdicts[rows] = all(
+                sum(tile_values(self.layer, dict(zip(DIMS, tbs)), t)
+                    * self.layer.bits[t] for t in keeps) <= cap
+                for (_, keeps, cap), tbs in zip(self.checks, zip(*rows)))
+        return verdict
 
 
 def _origin_floor(arch: Architecture, cfg: SearchConfig, d: str) -> int:
@@ -181,11 +191,16 @@ def _origin_floor(arch: Architecture, cfg: SearchConfig, d: str) -> int:
 
 
 def _dim_chains(arch: Architecture, layer: Layer, d: str, cfg: SearchConfig,
-                cap_ok) -> list[tuple[int, ...]]:
+                cap: _CapacityCheck) -> list[tuple[int, ...]]:
     """Candidate factor chains [t0, s1, t1, ...] for one dim that pass the
-    search's capacity condition `cap_ok` on their own."""
+    search's capacity condition `cap` on their own."""
 
     m = len(arch.levels)
+    di = DIMS.index(d)
+
+    def cap_ok(chain: tuple[int, ...]) -> bool:
+        return cap.ok(cap.mins[:di] + (cap.row(chain),) + cap.mins[di + 1:])
+
     bound = layer.dims[d] * (cfg.batch_size if d == "N" else 1)
     pins = {lvl: f for (lvl, dd), f in cfg.fixed_spatial.items() if dd == d}
     floor = _origin_floor(arch, cfg, d)
@@ -203,7 +218,7 @@ def _dim_chains(arch: Architecture, layer: Layer, d: str, cfg: SearchConfig,
                 return False
             if chain[2 * j - 1] > arch.levels[j].fanout:
                 return False
-        return cap_ok({d: chain})
+        return cap_ok(chain)
 
     if cfg.pad_mode == "strict":
         return [c for c in enumerate_factorizations(bound, 2 * m - 1) if pin_ok(c)]
@@ -235,7 +250,7 @@ def _dim_chains(arch: Architecture, layer: Layer, d: str, cfg: SearchConfig,
             for j in range(1, m):
                 chain.append(svals[j - 1])
                 chain.append(tvals[j])
-            if cap_ok({d: tuple(chain)}):
+            if cap_ok(tuple(chain)):
                 chains.append(tuple(chain))
     return chains
 
@@ -273,25 +288,62 @@ def _refetch_forbidden(arch: Architecture,
     return tuple(out)
 
 
-def _nest_ok(chains: dict[str, tuple[int, ...]],
-             forbidden: tuple[tuple[int, str], ...]) -> bool:
-    """Cross-level loop-order condition for refetch-forbidden keepers: one
-    of the tensor's dims iterating at a level inside another dim's loop at
-    an outer level would revisit evicted tiles. Checking a partial chain
-    assignment is sound because adding dims only adds loops. Within-level
-    order is enforced when permutations are drawn."""
+def _nest_ok(own: int, other: int) -> bool:
+    """Cross-level loop-order condition for one refetch-forbidden keeper at
+    level b. `own` has bit j set where one of the tensor's dims iterates at
+    level j (1 <= j <= b), `other` where another dim iterates at level j
+    (j < b). A tensor dim iterating inside another dim's loop at an outer
+    level would revisit evicted tiles. Checking a partial chain assignment
+    is sound because adding dims only sets bits. Within-level order is
+    enforced when permutations are drawn."""
 
-    for b, t in forbidden:
-        tdims = TENSOR_DIMS[t]
-        for j2 in range(1, b + 1):
-            if not any(c[2 * j2] > 1 for d, c in chains.items()
-                       if d in tdims):
-                continue
-            for j in range(j2):
-                if any(c[2 * j] > 1 for d, c in chains.items()
-                       if d not in tdims):
-                    return False
-    return True
+    return not own or not other & ((1 << (own.bit_length() - 1)) - 1)
+
+
+def _chain_table(chains: list[tuple[int, ...]], d: str, cap: _CapacityCheck,
+                 forbidden: tuple[tuple[int, str], ...]
+                 ) -> tuple[list[tuple], list[tuple[tuple, list[int]]]]:
+    """What the feasibility filter reads of each chain of dim d's menu: its
+    spatial row s1..s(M-1), its extent row at the capacity-checked levels,
+    and the bits it adds to each refetch-forbidden keeper's (own, other)
+    masks. Returns that row per chain, in menu order, and the menu grouped
+    by row, each group listing its chains' menu indices."""
+
+    table = []
+    groups: dict[tuple, list[int]] = {}
+    for i, chain in enumerate(chains):
+        bits = sum(1 << j for j, f in enumerate(chain[0::2]) if f > 1)
+        nest = tuple((bits & ((1 << (b + 1)) - 2), 0) if d in TENSOR_DIMS[t]
+                     else (0, bits & ((1 << b) - 1))
+                     for b, t in forbidden)
+        row = (chain[1::2], cap.row(chain), nest)
+        table.append(row)
+        groups.setdefault(row, []).append(i)
+    return table, list(groups.items())
+
+
+def _feasible(groups: list[tuple[tuple, list[int]]], di: int,
+              sprod: tuple[int, ...], rows: tuple[tuple[int, ...], ...],
+              nest: tuple[tuple[int, int], ...], fanouts: list[int],
+              cap: _CapacityCheck) -> list[int]:
+    """Menu indices, in menu order, of the chains of dim DIMS[di] that the
+    fanout budgets, the capacity condition and the loop-nest condition
+    still allow once the dims before it are assigned. `sprod` holds their
+    spatial products at levels 1..M-1, `rows` one extent row per dim (the
+    minimum row for dims not yet assigned) and `nest` their OR-ed masks:
+    exactly what the predicates read."""
+
+    out = []
+    for (spatial, extent, adds), members in groups:
+        if any(p * s > f for p, s, f in zip(sprod, spatial, fanouts)):
+            continue
+        if not all(_nest_ok(o | a, x | b)
+                   for (o, x), (a, b) in zip(nest, adds)):
+            continue
+        if cap.ok(rows[:di] + (extent,) + rows[di + 1:]):
+            out.extend(members)
+    out.sort()
+    return out
 
 
 def _block_leads(perm: tuple[str, ...], dims: frozenset) -> bool:
@@ -368,8 +420,8 @@ def search(arch: Architecture, layer: Layer, cfg: SearchConfig) -> SearchResult:
     """Find the best mapping of `layer` onto `arch` under the configured
     objective. Raises NoValidMapping when nothing valid was found."""
 
-    cap_ok = _capacity_check(arch, layer, cfg)
-    chain_menu = {d: _dim_chains(arch, layer, d, cfg, cap_ok) for d in DIMS}
+    cap = _CapacityCheck(arch, layer, cfg)
+    chain_menu = {d: _dim_chains(arch, layer, d, cfg, cap) for d in DIMS}
     for d, menu in chain_menu.items():
         if not menu:
             raise NoValidMapping(
@@ -435,40 +487,42 @@ def search(arch: Architecture, layer: Layer, cfg: SearchConfig) -> SearchResult:
         assign(0, {}, [1] * m)
     else:
         # pruned_random: assign dims one at a time, keeping only chains the
-        # running fanout budgets and capacity condition still allow. Every
-        # valid complete assignment stays reachable (the condition is
-        # necessary), so with enough budget this covers the same space.
+        # running fanout budgets, capacity and loop-nest conditions still
+        # allow. Every valid complete assignment stays reachable (the
+        # conditions are necessary), so with enough budget this covers the
+        # same space. The feasible lists are cached under the state the
+        # conditions read, which many chain prefixes share.
         rng = random.Random(cfg.seed)
         m = len(arch.levels)
-        fanouts = [lv.fanout for lv in arch.levels]
+        fanouts = [lv.fanout for lv in arch.levels[1:]]
         forbidden = _refetch_forbidden(arch, cfg)
+        tables = [_chain_table(chain_menu[d], d, cap, forbidden) for d in DIMS]
         perm_cache: dict[tuple[int, tuple[str, ...]], list] = {}
-        feas_cache: dict[tuple, list] = {}
+        feas_cache: dict[tuple, list[int]] = {}
         for _ in range(cfg.budget):
             chains: dict[str, tuple[int, ...]] = {}
-            sprod = [1] * m
+            sprod = (1,) * (m - 1)
+            rows = cap.mins
+            nest = ((0, 0),) * len(forbidden)
             dead = False
             for di, d in enumerate(DIMS):
-                prefix = (d,) + tuple(chains[dd] for dd in DIMS[:di])
-                feasible = feas_cache.get(prefix)
+                table, groups = tables[di]
+                key = (di, sprod, rows, nest)
+                feasible = feas_cache.get(key)
                 if feasible is None:
-                    feasible = []
-                    for chain in chain_menu[d]:
-                        if any(sprod[j] * chain[2 * j - 1] > fanouts[j]
-                               for j in range(1, m)):
-                            continue
-                        chains[d] = chain
-                        if cap_ok(chains) and _nest_ok(chains, forbidden):
-                            feasible.append(chain)
-                        del chains[d]
-                    feas_cache[prefix] = feasible
+                    feasible = _feasible(groups, di, sprod, rows, nest,
+                                         fanouts, cap)
+                    feas_cache[key] = feasible
                 if not feasible:
                     dead = True
                     break
                 pick = rng.choice(feasible)
-                chains[d] = pick
-                for j in range(1, m):
-                    sprod[j] *= pick[2 * j - 1]
+                chains[d] = chain_menu[d][pick]
+                spatial, extent, adds = table[pick]
+                sprod = tuple(p * s for p, s in zip(sprod, spatial))
+                rows = rows[:di] + (extent,) + rows[di + 1:]
+                nest = tuple((o | a, x | b)
+                             for (o, x), (a, b) in zip(nest, adds))
             if not dead:
                 perms = []
                 for j in range(m):

@@ -15,35 +15,15 @@ from photon_model.experiments import (
     accelerator_scope,
     check_fusible,
     parse_experiment_config,
+    run_breakdown,
     run_experiment,
     run_memory_experiment,
     run_reuse_sweep,
+    run_throughput,
 )
 from photon_model.mapper import SearchConfig, search
 from photon_model.reuse import analyze
 from photon_model.spec_model import Layer, Mapping, SpecError, canonical_json
-
-TINY_WORKLOAD = {
-    "spec_version": 1,
-    "workload": {
-        "name": "tiny",
-        "layers": [
-            {"name": "a", "kind": "conv",
-             "dims": {"N": 1, "K": 8, "C": 4, "P": 7, "Q": 7, "R": 3,
-                      "S": 3}},
-            {"name": "b", "kind": "conv",
-             "dims": {"N": 1, "K": 8, "C": 8, "P": 7, "Q": 7, "R": 3,
-                      "S": 3}},
-        ],
-    },
-}
-
-
-@pytest.fixture
-def tiny_workload(tmp_path):
-    p = tmp_path / "tiny.spec"
-    p.write_text(json.dumps(TINY_WORKLOAD))
-    return str(p)
 
 
 def small_layer():
@@ -180,6 +160,26 @@ def test_auto_fusion_buffer_resizes_the_configured_architecture():
     assert got == replace(custom, levels=tuple(
         replace(lv, component=buf) if i == level else lv
         for i, lv in enumerate(custom.levels)))
+
+
+def test_throughput_end_to_end(tiny_workload):
+    cfg = ExperimentConfig(experiment="throughput", workload=tiny_workload,
+                           budget=60)
+    report = run_throughput(cfg)
+    assert [r["layer"] for r in report["tables"]["layers"]] == ["a", "b"]
+    assert 0 < report["workloads"][tiny_workload]["ratio"] <= 1
+    assert canonical_json(run_throughput(cfg)) == canonical_json(report)
+
+
+def test_breakdown_end_to_end(tiny_workload):
+    cfg = ExperimentConfig(experiment="breakdown", workload=tiny_workload,
+                           budget=60)
+    report = run_breakdown(cfg)
+    rows = report["tables"]["breakdown"]
+    assert len({r["component"] for r in rows}) == len(rows)
+    assert 0 < report["modeled_total_pj"]
+    assert sum(r["modeled_fraction"] for r in rows) == pytest.approx(1.0)
+    assert canonical_json(run_breakdown(cfg)) == canonical_json(report)
 
 
 def test_memory_identity_configuration(tiny_workload):

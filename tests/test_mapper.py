@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+from photon_model import albireo
 from photon_model.evaluator import evaluate
 from photon_model.mapper import (
     NoValidMapping,
@@ -26,6 +27,8 @@ from photon_model.spec_model import (
     validate_architecture,
     validate_mapping,
 )
+
+from photon_model.workloads import load_workload
 
 import toys
 
@@ -312,3 +315,48 @@ def test_search_config_validation():
         SearchConfig(budget=0)
     with pytest.raises(ValueError):
         SearchConfig(pad_mode="round")
+
+
+# Searches on the bundled Albireo with its geometry pins in pad mode, and
+# what each returned: (mapping digest, objective, visited, pruned,
+# invalid). Frozen from the filter that re-checked every chain prefix; the
+# cached filter must draw exactly the same candidates.
+FROZEN_SEARCHES = {
+    "vgg16-conv3_1-delay": (
+        "vgg16", "conv3_1", {"objective": "delay"},
+        ("b1p L0[t:P2|s:|o:P] L1[t:K2,P2,Q2|s:|o:KPQ] "
+         "L2[t:K16,C32,P2,Q4|s:|o:PKQC] L3[t:P7,S3|s:K8,C4,Q7,R3|o:SP]",
+         1376256.0, 39, 161, 0)),
+    "vgg16-conv5_2-fused-consumer": (
+        "vgg16", "conv5_2", {"keep_overrides": {0: ("Weights", "Outputs")}},
+        ("b1p L0[t:K16|s:|o:K|k:Outputs,Weights] L1[t:|s:|o:] "
+         "L2[t:K4,C128,P2,Q2|s:|o:KPQC] L3[t:P7,S3|s:K8,C4,Q7,R3|o:SP]",
+         600050434.048, 189, 0, 11)),
+    "vgg16-conv4_1-batch16": (
+        "vgg16", "conv4_1", {"batch_size": 16},
+        ("b16p L0[t:|s:|o:] L1[t:N4,P2,Q2|s:|o:PNQ] "
+         "L2[t:N4,K64,C64,P7,Q2|s:|o:NPQKC] L3[t:P2,S3|s:K8,C4,Q7,R3|o:SP]",
+         11952092348.416, 197, 3, 0)),
+    "vgg16-conv2_1-reduction-floor": (
+        "vgg16", "conv2_1", {"reduction_floor": 2},
+        ("b1p L0[t:P4,Q4|s:|o:PQ] L1[t:|s:|o:] "
+         "L2[t:K4,C16,P14,Q4,S3|s:|o:QPKSC] L3[t:K4,P2|s:K8,C4,Q7,R3|o:PK]",
+         979108765.6959999, 168, 32, 0)),
+    "alexnet-fc6": (
+        "alexnet", "fc6", {},
+        ("b1p L0[t:K16|s:|o:K] L1[t:K2|s:|o:K] L2[t:K2,C768|s:|o:KC] "
+         "L3[t:K8,C3|s:K8,C4|o:CK]",
+         4994162143.232, 106, 0, 94)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FROZEN_SEARCHES))
+def test_pruned_random_draws_are_frozen(case):
+    workload, name, fields, expected = FROZEN_SEARCHES[case]
+    arch = albireo.architecture("aggressive")
+    layer = next(l for l in load_workload(workload).layers if l.name == name)
+    cfg = SearchConfig(budget=200, seed=7, pad_mode="pad",
+                       fixed_spatial=albireo.geometry_pins(layer), **fields)
+    res = search(arch, layer, cfg)
+    assert (res.evaluation.mapping_digest, res.objective, res.visited,
+            res.pruned, res.invalid) == expected
