@@ -100,6 +100,19 @@ def architecture(profile="aggressive", ao_per_ae_weight: int = 1,
     return parse_architecture(doc, lib)
 
 
+def pin_widths(ao_per_ae_weight: int = 1, ao_input_fanout: int = 1,
+               ae_output_fanout: int = 1) -> dict[str, int]:
+    """Spatial width of each stencil axis of the array at one geometry
+    point."""
+
+    return {
+        "K": BASE_K * ao_input_fanout,
+        "Q": BASE_Q * ao_per_ae_weight,
+        "C": BASE_C * ae_output_fanout,
+        "R": BASE_R,
+    }
+
+
 def geometry_pins(layer: Layer, ao_per_ae_weight: int = 1,
                   ao_input_fanout: int = 1,
                   ae_output_fanout: int = 1) -> dict[tuple[int, str], int]:
@@ -107,12 +120,7 @@ def geometry_pins(layer: Layer, ao_per_ae_weight: int = 1,
     layer lacks entirely (the stencil axes of a fully connected layer) stay
     unpinned so no lanes run pure padding."""
 
-    pins = {
-        "K": BASE_K * ao_input_fanout,
-        "Q": BASE_Q * ao_per_ae_weight,
-        "C": BASE_C * ae_output_fanout,
-        "R": BASE_R,
-    }
+    pins = pin_widths(ao_per_ae_weight, ao_input_fanout, ae_output_fanout)
     level = 3
     out = {}
     for d, width in pins.items():

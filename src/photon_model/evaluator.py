@@ -21,9 +21,7 @@ from .spec_model import (
     ComponentSpec,
     Layer,
     Mapping,
-    active_instances,
     mapping_digest,
-    temporal_steps,
 )
 
 
@@ -89,7 +87,8 @@ def latency_and_utilization(
     reduce utilization but never speed anything up.
     """
 
-    compute_cycles = temporal_steps(mapping)
+    nest = mapping.nest
+    compute_cycles = nest.steps
     cycles = compute_cycles
 
     per_level: dict[int, int] = {}
@@ -97,8 +96,8 @@ def latency_and_utilization(
         per_level[level] = per_level.get(level, 0) + lc.total()
     for level, actions in per_level.items():
         comp = arch.levels[level].component
-        inst = active_instances(mapping, level)
-        cycles = max(cycles, math.ceil(actions / (comp.bandwidth * inst)))
+        cycles = max(cycles, math.ceil(
+            actions / (comp.bandwidth * nest.instances[level])))
 
     per_conv: dict[str, int] = {}
     for (name, _tensor), n in counts.conversions.items():

@@ -37,9 +37,9 @@ from .spec_model import (
     MappingError,
     SpecError,
     Workload,
+    kept_bits,
     parse_architecture,
     serialize_architecture,
-    tile_values,
 )
 from .workloads import load_reference_breakdown, load_spec, load_workload
 
@@ -352,8 +352,7 @@ def _insert_batch_loop(mapping: Mapping, level: int, b: int) -> Mapping:
 
 
 def _intermediate_bits(producer: Layer) -> int:
-    out_values = tile_values(producer, dict(producer.dims), OUTPUTS)
-    return out_values * producer.bits[OUTPUTS]
+    return kept_bits(producer, producer.dims, (OUTPUTS,))[OUTPUTS]
 
 
 def check_fusible(producer: Layer, consumer: Layer, capacity_bits: int,
@@ -460,25 +459,26 @@ def run_memory_experiment(cfg: ExperimentConfig) -> dict:
     base_evals = [r.evaluation for r in baseline]
     rows = []
     comp_rows = []
-    base_row, base_comps = _leg_row("baseline", 1, base_evals, None)
+
+    def add_leg(leg: str, b: int, evs: list,
+                baseline_total: float | None) -> dict:
+        row, comps = _leg_row(leg, b, evs, baseline_total)
+        rows.append(row)
+        comp_rows.extend({"leg": leg, "batch_size": b, "component": k,
+                          "pj_per_inference": v}
+                         for k, v in sorted(comps.items()))
+        return row
+
+    base_row = add_leg("baseline", 1, base_evals, None)
     baseline_total = base_row["energy_per_inference_pj"]
-    base_row["improvement_vs_baseline"] = 1.0
-    rows.append(base_row)
-    comp_rows.extend({"leg": "baseline", "batch_size": 1, "component": k,
-                      "pj_per_inference": v}
-                     for k, v in sorted(base_comps.items()))
 
     def batched_eval(i: int, b: int):
         mapping = _insert_batch_loop(baseline[i].mapping, buffer_level, b)
         return evaluate(arch, layers[i], mapping)
 
     for b in cfg.batch_sizes:
-        evs = [batched_eval(i, b) for i in range(len(layers))]
-        row, comps = _leg_row("batched", b, evs, baseline_total)
-        rows.append(row)
-        comp_rows.extend({"leg": "batched", "batch_size": b, "component": k,
-                          "pj_per_inference": v}
-                         for k, v in sorted(comps.items()))
+        add_leg("batched", b, [batched_eval(i, b) for i in range(len(layers))],
+                baseline_total)
 
     pair_rows = []
 
@@ -549,21 +549,11 @@ def run_memory_experiment(cfg: ExperimentConfig) -> dict:
         return evs, pairs
 
     if cfg.fusion == "on":
-        evs, pairs = fused_legs(1)
-        pair_rows.extend(pairs)
-        row, comps = _leg_row("fused", 1, evs, baseline_total)
-        rows.append(row)
-        comp_rows.extend({"leg": "fused", "batch_size": 1, "component": k,
-                          "pj_per_inference": v}
-                         for k, v in sorted(comps.items()))
-        for b in cfg.batch_sizes:
+        for leg, b in [("fused", 1)] + [("batched_fused", b)
+                                         for b in cfg.batch_sizes]:
             evs, pairs = fused_legs(b)
             pair_rows.extend(pairs)
-            row, comps = _leg_row("batched_fused", b, evs, baseline_total)
-            rows.append(row)
-            comp_rows.extend({"leg": "batched_fused", "batch_size": b,
-                              "component": k, "pj_per_inference": v}
-                             for k, v in sorted(comps.items()))
+            add_leg(leg, b, evs, baseline_total)
 
     best = max(rows, key=lambda r: r["improvement_vs_baseline"])
     fused_bits = [p["required_bits"] for p in pair_rows if p["fused"]]
@@ -599,26 +589,21 @@ AXIS_TARGETS = {
 CONVERTER_COMPONENTS = ("dac", "adc", "mzm_modulator", "photodiode")
 
 
+def _sweep_point(cfg: ExperimentConfig, value: int) -> tuple[int, int, int]:
+    """Geometry axes with `value` on the swept axis and 1 elsewhere, in
+    SWEEP_AXES order (the order albireo takes them in)."""
+
+    return tuple(value if a == cfg.sweep_axis else 1 for a in SWEEP_AXES)
+
+
 def _sweep_layer(cfg: ExperimentConfig) -> Layer:
     """The busiest layer whose dims admit every swept pin exactly: sweep
     deltas then measure reuse, not padding artifacts."""
 
-    candidates = []
     vmax = max(cfg.sweep_values)
-    for layer in _workload(cfg, "vgg16").layers:
-        axes = {
-            "ao_per_ae_weight": vmax if cfg.sweep_axis == "ao_per_ae_weight" else 1,
-            "ao_input_fanout": vmax if cfg.sweep_axis == "ao_input_fanout" else 1,
-            "ae_output_fanout": vmax if cfg.sweep_axis == "ae_output_fanout" else 1,
-        }
-        pins = {
-            "K": albireo.BASE_K * axes["ao_input_fanout"],
-            "Q": albireo.BASE_Q * axes["ao_per_ae_weight"],
-            "C": albireo.BASE_C * axes["ae_output_fanout"],
-            "R": albireo.BASE_R,
-        }
-        if all(layer.dims[d] % w == 0 for d, w in pins.items()):
-            candidates.append(layer)
+    pins = albireo.pin_widths(*_sweep_point(cfg, vmax))
+    candidates = [layer for layer in _workload(cfg, "vgg16").layers
+                  if all(layer.dims[d] % w == 0 for d, w in pins.items())]
     if not candidates:
         raise SweepInfeasible(cfg.sweep_axis, vmax,
                               "no workload layer admits the swept pins")
@@ -634,9 +619,7 @@ def run_reuse_sweep(cfg: ExperimentConfig) -> dict:
     target = AXIS_TARGETS[cfg.sweep_axis]
     rows = []
     for value in cfg.sweep_values:
-        axes_d = {a: (value if a == cfg.sweep_axis else 1) for a in SWEEP_AXES}
-        axes = (axes_d["ao_per_ae_weight"], axes_d["ao_input_fanout"],
-                axes_d["ae_output_fanout"])
+        axes = _sweep_point(cfg, value)
         arch = _architecture(cfg, axes)
         try:
             res = _search_layer(arch, layer, cfg, "energy", axes=axes)

@@ -27,8 +27,9 @@ The candidate space factors per dimension: each dim contributes a chain
 the exact bound; pad mode picks spatial widths from divisors of the bound
 or of the level fanout, then pads the iterated extent minimally to a
 multiple of the spatial width. Loop orders are searched only over dims with
-more than one iteration at a level. Keeper chains and step counts come
-from spec_model, the definitions the counting engines use.
+more than one iteration at a level. Keeper chains and the capacity demand
+come from spec_model, and step counts from the candidate's `mapping.nest`:
+the definitions the counting engines use.
 
 Ties on the objective break toward the lexicographically smallest mapping
 digest, so every strategy is deterministic for a given seed.
@@ -55,8 +56,7 @@ from .spec_model import (
     MappingError,
     effective_keeps,
     keeper_levels,
-    temporal_steps,
-    tile_values,
+    kept_bits,
 )
 
 OBJECTIVES = ("energy", "delay", "energy_delay_product")
@@ -169,8 +169,8 @@ class _CapacityCheck:
         verdict = self.verdicts.get(rows)
         if verdict is None:
             verdict = self.verdicts[rows] = all(
-                sum(tile_values(self.layer, dict(zip(DIMS, tbs)), t)
-                    * self.layer.bits[t] for t in keeps) <= cap
+                sum(kept_bits(self.layer, dict(zip(DIMS, tbs)), keeps).values())
+                <= cap
                 for (_, keeps, cap), tbs in zip(self.checks, zip(*rows)))
         return verdict
 
@@ -384,7 +384,7 @@ def _floor_objective(arch: Architecture, layer: Layer, mapping: Mapping,
     all refetch removed, latency with all stalls removed."""
 
     counts = analyze(arch, layer, mapping, optimistic=True)
-    steps = temporal_steps(mapping)
+    steps = mapping.nest.steps
     latency_s = steps / (arch.clock_ghz * 1e9)
     if objective == "delay":
         return float(steps)

@@ -19,8 +19,8 @@ from .reuse import (
     UP,
     AccessCounts,
     LevelCounts,
-    accumulation_level,
     converter_at,
+    output_stream,
     tensor_hops,
     _edge_crosses_domain,
 )
@@ -38,7 +38,6 @@ from .spec_model import (
     MappingError,
     effective_bounds,
     effective_keeps,
-    tile_bounds,
     tile_values,
     validate_mapping,
 )
@@ -139,11 +138,8 @@ def simulate(arch: Architecture, layer: Layer, mapping: Mapping,
                                for i in range(len(incl))))
         return len(distinct)
 
-    sizes = {}
-    for i in range(compute):
-        tb = tile_bounds(mapping, i)
-        for t in TENSORS:
-            sizes[(i, t)] = tile_values(layer, tb, t)
+    sizes = {(i, t): tile_values(layer, mapping.nest.tiles[i], t)
+             for i in range(compute) for t in TENSORS}
 
     def relevant_positions(level: int, tensor: str) -> list[int]:
         dims = TENSOR_DIMS[tensor]
@@ -167,7 +163,8 @@ def simulate(arch: Architecture, layer: Layer, mapping: Mapping,
                 wi_events.append(1)
                 wi_hops.append((hop, len(wi_events) - 1))
 
-    acc = accumulation_level(arch, mapping)
+    stream = output_stream(arch, mapping)
+    acc = stream.outer
     o_monitors = []
     for hop in tensor_hops(arch, mapping, OUTPUTS):
         rel = relevant_positions(hop.inner, OUTPUTS)
@@ -305,9 +302,6 @@ def simulate(arch: Architecture, layer: Layer, mapping: Mapping,
                 counts.edge_demand[key] = counts.edge_demand.get(key, 0) + demand
 
     # MAC partials stream into the accumulation level every step.
-    from .reuse import Hop
-
-    stream = Hop(OUTPUTS, acc, compute, tuple(range(acc + 1, compute + 1)))
     arrivals = steps * masked_count(compute, stream.edges[0], OUTPUTS, UP)
     counts.per_level[(acc, OUTPUTS)].updates += arrivals
     counts.per_level[(acc, OUTPUTS)].reads += arrivals

@@ -39,14 +39,11 @@ from .spec_model import (
     Layer,
     Mapping,
     MappingError,
-    active_instances,
     effective_bounds,
     effective_keeps,
     keeper_levels,
     multicast_width,
-    padded_bounds,
     reduce_width,
-    tile_bounds,
     tile_values,
     validate_mapping,
 )
@@ -180,6 +177,15 @@ def accumulation_level(arch: Architecture, mapping: Mapping) -> int:
     return keeper_levels(arch, mapping.keep_overrides, OUTPUTS)[-1]
 
 
+def output_stream(arch: Architecture, mapping: Mapping) -> Hop:
+    """The leg MAC partials take up from the compute level to the
+    accumulation level, where they are read, modified and updated."""
+
+    acc = accumulation_level(arch, mapping)
+    compute = len(arch.levels) - 1
+    return Hop(OUTPUTS, acc, compute, tuple(range(acc + 1, compute + 1)))
+
+
 def _edge_crosses_domain(arch: Architecture, edge: int) -> bool:
     return (arch.levels[edge - 1].component.domain_out
             != arch.levels[edge].component.domain_in)
@@ -241,7 +247,8 @@ def analyze(arch: Architecture, layer: Layer, mapping: Mapping,
 
     loops = loop_list(mapping)
     compute = len(arch.levels) - 1
-    padded = padded_bounds(mapping)
+    nest = mapping.nest
+    padded = nest.padded
     bounds = effective_bounds(layer, mapping)
     macs = 1
     real = 1
@@ -259,11 +266,8 @@ def analyze(arch: Architecture, layer: Layer, mapping: Mapping,
             counts.conversions[(cv.name, t)] = 0
     counts.compute_reads = {t: macs for t in TENSORS}
 
-    sizes = {}
-    for i in range(compute):
-        tb = tile_bounds(mapping, i)
-        for t in TENSORS:
-            sizes[(i, t)] = tile_values(layer, tb, t)
+    sizes = {(i, t): tile_values(layer, nest.tiles[i], t)
+             for i in range(compute) for t in TENSORS}
 
     def record_crossings(hop: Hop, base: int, direction: str) -> None:
         for k in hop.edges:
@@ -294,7 +298,7 @@ def analyze(arch: Architecture, layer: Layer, mapping: Mapping,
             else:
                 base = (resid(loops, hop.inner, tensor)
                         * sizes[(hop.inner, tensor)]
-                        * active_instances(mapping, hop.inner))
+                        * nest.instances[hop.inner])
             bases.append(base)
         for i, hop in enumerate(hops):
             base = bases[i]
@@ -309,14 +313,12 @@ def analyze(arch: Architecture, layer: Layer, mapping: Mapping,
                 counts.edge_demand[key] = counts.edge_demand.get(key, 0) + demand
 
     # Outputs: MAC partials ascend to the accumulation level...
-    acc = accumulation_level(arch, mapping)
-    stream = Hop(OUTPUTS, acc, compute, tuple(range(acc + 1, compute + 1)))
-    arrivals = macs
-    if stream.edges:
-        arrivals = div(macs, _collapse(arch, mapping, stream, stream.edges[0], UP))
-        record_crossings(stream, macs, UP)
-        for k in stream.edges:
-            counts.edge_demand[(k, OUTPUTS, UP)] = macs
+    stream = output_stream(arch, mapping)
+    acc = stream.outer
+    arrivals = div(macs, _collapse(arch, mapping, stream, stream.edges[0], UP))
+    record_crossings(stream, macs, UP)
+    for k in stream.edges:
+        counts.edge_demand[(k, OUTPUTS, UP)] = macs
     counts.per_level[(acc, OUTPUTS)].updates += arrivals
     counts.per_level[(acc, OUTPUTS)].reads += arrivals
 
@@ -327,7 +329,7 @@ def analyze(arch: Architecture, layer: Layer, mapping: Mapping,
         inner, outer = hop.inner, hop.outer
         tc = resid(loops, inner, OUTPUTS)
         size = sizes[(inner, OUTPUTS)]
-        inst = active_instances(mapping, inner)
+        inst = nest.instances[inner]
         drained = tc * size * inst
         counts.per_level[(inner, OUTPUTS)].drains += drained
         merged = div(drained, _collapse(arch, mapping, hop, hop.edges[0], UP))
@@ -383,14 +385,10 @@ def reuse_factors(counts: AccessCounts, arch: Architecture,
 
 
 def _hop_crossing(arch: Architecture, mapping: Mapping, edge: int, tensor: str) -> Hop:
-    compute = len(arch.levels) - 1
-    keepers = keeper_levels(arch, mapping.keep_overrides, tensor)
-    if tensor != OUTPUTS:
-        keepers = keepers + [compute]
-    elif edge > keepers[-1]:
-        return Hop(tensor, keepers[-1], compute,
-                   tuple(range(keepers[-1] + 1, compute + 1)))
-    for outer, inner in zip(keepers, keepers[1:]):
-        if outer < edge <= inner:
-            return Hop(tensor, outer, inner, tuple(range(outer + 1, inner + 1)))
+    hops = tensor_hops(arch, mapping, tensor)
+    if tensor == OUTPUTS:
+        hops.append(output_stream(arch, mapping))
+    for hop in hops:
+        if edge in hop.edges:
+            return hop
     raise KeyError((edge, tensor))

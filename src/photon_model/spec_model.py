@@ -12,16 +12,21 @@ A system is described by three documents (JSON object trees):
   strides and per-tensor value widths.
 
 A mapping assigns every level temporal and spatial factors per dim plus a
-loop order. This module also owns the loop-nest geometry (tile bounds,
-tile sizes, instance counts, keeper chains, step counts) that the counting
+loop order. This module also owns the loop-nest geometry that the counting
 engines, the evaluator and the mapper build on, so that "what a tile is"
-has exactly one definition.
+has exactly one definition: a mapping's LoopNest (padded bounds, per-level
+tile bounds, spatial copies, instance counts and step count, built in one
+pass and cached as Mapping.nest), the tile footprint (tile_values), the
+capacity demand (kept_bits) and the keeper chains (keeper_levels).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import accumulate
+from operator import mul
 
 SPEC_VERSION = 1
 
@@ -252,6 +257,13 @@ class Mapping:
     keep_overrides: dict[int, tuple[str, ...]] = field(default_factory=dict)
     pad: bool = False
 
+    @cached_property
+    def nest(self) -> LoopNest:
+        """The loop-nest geometry, built once per mapping. Read it only once
+        every factor is known to be a positive integer of a known dim."""
+
+        return LoopNest.of(self.levels)
+
 
 def mapping_digest(m: Mapping) -> str:
     """Canonical one-line form; equal digests mean equal schedules."""
@@ -274,6 +286,46 @@ def mapping_digest(m: Mapping) -> str:
 # ============================================================================
 
 
+@dataclass(frozen=True)
+class LoopNest:
+    """Geometry of a mapped loop nest, from one pass over its levels.
+
+    padded[d] is the product of every factor of dim d (the iterated space);
+    tiles[i][d] the product of every factor strictly inside level i (the
+    tile one level-i instance holds); spatial[i] the spatial copies mapped
+    at level i; instances[i] the mapped instances of level i (the product
+    of spatial copies at or above it); steps the product of every temporal
+    factor, each step issuing one MAC per active compute instance.
+    """
+
+    padded: dict[str, int]
+    tiles: tuple[dict[str, int], ...]
+    spatial: tuple[int, ...]
+    instances: tuple[int, ...]
+    steps: int
+
+    @classmethod
+    def of(cls, levels: tuple[LevelMapping, ...]) -> LoopNest:
+        run = dict.fromkeys(DIMS, 1)
+        tiles = []
+        spatial = []
+        steps = 1
+        for lm in reversed(levels):
+            tiles.append(dict(run))
+            for d, f in lm.temporal.items():
+                run[d] *= f
+                steps *= f
+            s = 1
+            for d, f in lm.spatial.items():
+                run[d] *= f
+                s *= f
+            spatial.append(s)
+        spatial.reverse()
+        return cls(padded=run, tiles=tuple(reversed(tiles)),
+                   spatial=tuple(spatial),
+                   instances=tuple(accumulate(spatial, mul)), steps=steps)
+
+
 def effective_bounds(layer: Layer, mapping: Mapping) -> dict[str, int]:
     """True iteration bounds, with batch_size folded into N."""
 
@@ -282,33 +334,8 @@ def effective_bounds(layer: Layer, mapping: Mapping) -> dict[str, int]:
     return out
 
 
-def padded_bounds(mapping: Mapping) -> dict[str, int]:
-    """Per-dim product of all mapped factors (the iterated space)."""
-
-    out = {}
-    for d in DIMS:
-        p = 1
-        for lm in mapping.levels:
-            p *= lm.t(d) * lm.s(d)
-        out[d] = p
-    return out
-
-
 def input_extent(p_ext: int, r_ext: int, stride: int) -> int:
     return (p_ext - 1) * stride + r_ext
-
-
-def tile_bounds(mapping: Mapping, level: int) -> dict[str, int]:
-    """Per-dim extent of the tile a level-`level` instance holds: the
-    product of every factor strictly inside that level."""
-
-    out = {}
-    for d in DIMS:
-        p = 1
-        for lm in mapping.levels[level + 1:]:
-            p *= lm.t(d) * lm.s(d)
-        out[d] = p
-    return out
 
 
 def tile_values(layer: Layer, tb: dict[str, int], tensor: str) -> int:
@@ -323,31 +350,12 @@ def tile_values(layer: Layer, tb: dict[str, int], tensor: str) -> int:
     return tb["N"] * tb["C"] * h * w
 
 
-def tensor_values(layer: Layer, mapping: Mapping, tensor: str) -> int:
-    """Full (padded) tensor size in values."""
+def kept_bits(layer: Layer, tb: dict[str, int],
+              keeps: tuple[str, ...]) -> dict[str, int]:
+    """Bits each kept tensor's tile occupies at a level whose tile has
+    per-dim extents tb: the capacity demand of that level."""
 
-    return tile_values(layer, padded_bounds(mapping), tensor)
-
-
-def active_instances(mapping: Mapping, level: int) -> int:
-    """Mapped instances of a level: product of spatial factors at or above."""
-
-    n = 1
-    for lm in mapping.levels[: level + 1]:
-        for d in DIMS:
-            n *= lm.s(d)
-    return n
-
-
-def temporal_steps(mapping: Mapping) -> int:
-    """Steps of the whole nest: the product of every temporal factor. Each
-    step issues one MAC per active compute instance."""
-
-    steps = 1
-    for lm in mapping.levels:
-        for ext in lm.temporal.values():
-            steps *= ext
-    return steps
+    return {t: tile_values(layer, tb, t) * layer.bits[t] for t in keeps}
 
 
 def effective_keeps(arch: Architecture, keep_overrides: dict[int, tuple[str, ...]],
@@ -574,7 +582,8 @@ def validate_mapping(mapping: Mapping, layer: Layer, arch: Architecture) -> None
             seen.add(d)
 
     bounds = effective_bounds(layer, mapping)
-    padded = padded_bounds(mapping)
+    nest = mapping.nest
+    padded = nest.padded
     for d in DIMS:
         if mapping.pad:
             if padded[d] < bounds[d]:
@@ -588,10 +597,7 @@ def validate_mapping(mapping: Mapping, layer: Layer, arch: Architecture) -> None
                 f"dim {d}: factors cover {padded[d]}, bound is {bounds[d]}",
                 dim=d)
 
-    for i, (lm, lv) in enumerate(zip(mapping.levels, arch.levels)):
-        s = 1
-        for d in DIMS:
-            s *= lm.s(d)
+    for s, lv in zip(nest.spatial, arch.levels):
         if s > lv.fanout:
             raise MappingError("FanoutExceeded",
                                f"level {lv.name!r} maps {s} spatial copies, "
@@ -618,11 +624,9 @@ def validate_mapping(mapping: Mapping, layer: Layer, arch: Architecture) -> None
                                f"no level keeps tensor {t}", tensor=t)
         origin = chain[0]
         if origin > 0:
+            lm, tile = mapping.levels[origin], nest.tiles[origin]
             for d in TENSOR_DIMS[t]:
-                outside = mapping.levels[origin].s(d)
-                for lm in mapping.levels[:origin]:
-                    outside *= lm.t(d) * lm.s(d)
-                if outside != 1:
+                if padded[d] != lm.t(d) * tile[d]:
                     raise MappingError(
                         "FactorMismatch",
                         f"tensor {t} originates at level {origin} but dim {d} "
@@ -630,17 +634,13 @@ def validate_mapping(mapping: Mapping, layer: Layer, arch: Architecture) -> None
                         dim=d, tensor=t,
                         level=arch.levels[origin].name)
 
+    # The backing store holds whole tensors, its own loops included.
     for i in range(len(arch.levels) - 1):
         lv = arch.levels[i]
         keeps = effective_keeps(arch, mapping.keep_overrides, i)
         if not keeps:
             continue
-        if i == 0:
-            sizes = {t: tensor_values(layer, mapping, t) * layer.bits[t]
-                     for t in keeps}
-        else:
-            tb = tile_bounds(mapping, i)
-            sizes = {t: tile_values(layer, tb, t) * layer.bits[t] for t in keeps}
+        sizes = kept_bits(layer, padded if i == 0 else nest.tiles[i], keeps)
         total = sum(sizes.values())
         if total > lv.component.capacity_bits:
             worst = max(sizes, key=lambda t: (sizes[t], t))

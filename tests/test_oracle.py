@@ -1,5 +1,9 @@
+import ast
+from pathlib import Path
+
 import pytest
 
+from photon_model import oracle
 from photon_model.oracle import OracleCapExceeded, simulate
 from photon_model.reuse import analyze
 from photon_model.spec_model import Layer, LevelMapping, Mapping
@@ -65,3 +69,29 @@ def test_oracle_matches_analyze_on_fixed_instances():
         a = analyze(arch, toys.conv_k4(), m)
         s = simulate(arch, toys.conv_k4(), m)
         assert a == s
+
+
+# The interpreter is the independent check on reuse.analyze: it may share
+# the structural vocabulary (hops, converters, count containers), never the
+# closed-form counting.
+ORACLE_MAY_IMPORT_FROM_REUSE = {
+    "DOWN", "UP", "AccessCounts", "LevelCounts", "Hop", "tensor_hops",
+    "output_stream", "accumulation_level", "converter_at",
+    "_edge_crosses_domain",
+}
+
+
+def test_oracle_imports_only_structure_from_reuse():
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.endswith("reuse") for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert "reuse" not in {a.name for a in node.names}
+            if (node.module or "").split(".")[-1] == "reuse":
+                imported.update(a.name for a in node.names)
+    assert imported
+    assert imported <= ORACLE_MAY_IMPORT_FROM_REUSE
+    assert not imported & {"analyze", "residencies", "distinct_tiles",
+                           "loop_list", "_collapse"}

@@ -4,9 +4,13 @@ the same mappings for the same reason."""
 
 import random
 
+import pytest
+
+from photon_model import albireo
+from photon_model.mapper import SearchConfig, search
 from photon_model.oracle import simulate
 from photon_model.reuse import analyze
-from photon_model.spec_model import MappingError
+from photon_model.spec_model import DIMS, Layer, MappingError
 
 from randgen import random_instance
 
@@ -67,3 +71,36 @@ def test_equivalence_covers_padded_and_batched():
             assert a == s
     assert padded >= 5
     assert batched >= 5
+
+
+# Shrunken layers on the bundled Albireo geometry (four levels, multicast
+# plus reduce into the array, converter banks on two edges, spatial pins),
+# small enough for the interpreter. K12 C6 P3 Q5 pads every pinned axis.
+SHIPPED_SHAPES = {
+    "conv-K8C4P2Q7R3S3": ("conv", {"K": 8, "C": 4, "P": 2, "Q": 7, "R": 3,
+                                   "S": 3}),
+    "conv-K12C6P3Q5R3S3-padded": ("conv", {"K": 12, "C": 6, "P": 3, "Q": 5,
+                                           "R": 3, "S": 3}),
+    "conv-N2K16C8P2Q2": ("conv", {"N": 2, "K": 16, "C": 8, "P": 2, "Q": 2}),
+    "fc-K10C3": ("fully_connected", {"K": 10, "C": 3}),
+}
+SHIPPED_SETTINGS = {
+    "default": {},
+    "inputs-hoisted": {"keep_overrides": {0: ("Weights", "Outputs")}},
+    "batch2": {"batch_size": 2},
+    "delay": {"objective": "delay"},
+}
+
+
+@pytest.mark.parametrize("setting", sorted(SHIPPED_SETTINGS))
+@pytest.mark.parametrize("shape", sorted(SHIPPED_SHAPES))
+def test_engines_agree_on_searched_albireo_mappings(shape, setting):
+    kind, dims = SHIPPED_SHAPES[shape]
+    layer = Layer(name=shape, kind=kind,
+                  dims={d: dims.get(d, 1) for d in DIMS})
+    arch = albireo.architecture("aggressive")
+    cfg = SearchConfig(budget=60, seed=7, pad_mode="pad",
+                       fixed_spatial=albireo.geometry_pins(layer),
+                       **SHIPPED_SETTINGS[setting])
+    mapping = search(arch, layer, cfg).mapping
+    assert analyze(arch, layer, mapping) == simulate(arch, layer, mapping)

@@ -224,6 +224,51 @@ def test_capacity_overflow_rejected():
     assert e.value.tensor == "Weights"
 
 
+def test_backing_store_capacity_counts_its_own_loops():
+    # The store holds whole tensors: 1024 weight values at 8 bits overflow
+    # 4096 bits even though every factor is a store-level loop, so the
+    # tile strictly inside the store would be a single value per tensor.
+    arch = Architecture(
+        name="small_store", clock_ghz=1.0,
+        levels=(Level("store", toys.storage("sram", "DE", 4096), 1,
+                      ("Weights", "Inputs", "Outputs")),
+                Level("pe", toys.compute("mac", "DE"), 1, ())),
+        meshes=(Mesh(),), converters=())
+    validate_architecture(arch)
+    layer = Layer(name="fc", kind="fully_connected",
+                  dims={"N": 1, "K": 32, "C": 32, "R": 1, "S": 1, "P": 1,
+                        "Q": 1})
+    m = Mapping(levels=(LevelMapping(temporal={"K": 32, "C": 32}),
+                        LevelMapping()))
+    with pytest.raises(MappingError) as e:
+        validate_mapping(m, layer, arch)
+    assert e.value.kind == "CapacityExceeded"
+    assert e.value.level == "store"
+    assert e.value.tensor == "Weights"
+
+
+def test_hoisted_tensor_dim_may_not_split_spatially_into_origin():
+    # Outputs originate at the buffer; splitting K across its two
+    # instances would need a staging level above it.
+    arch = Architecture(
+        name="hoist2", clock_ghz=1.0,
+        levels=(Level("store", toys.storage("sram", "DE", 1 << 20), 1,
+                      ("Weights", "Inputs", "Outputs")),
+                Level("buf", toys.storage("buf", "DE", 1 << 16), 2,
+                      ("Weights", "Inputs", "Outputs")),
+                Level("pe", toys.compute("mac", "DE"), 1, ())),
+        meshes=(Mesh(), Mesh()), converters=())
+    validate_architecture(arch)
+    m = Mapping(levels=(LevelMapping(temporal={"C": 3}),
+                        LevelMapping(spatial={"K": 2}),
+                        LevelMapping()),
+                keep_overrides={0: ("Weights", "Inputs")})
+    with pytest.raises(MappingError) as e:
+        validate_mapping(m, toys.fc_k2c3(), arch)
+    assert e.value.kind == "FactorMismatch"
+    assert (e.value.tensor, e.value.dim) == ("Outputs", "K")
+
+
 def test_keep_override_cannot_add_tensors():
     arch = toys.fc_weight_buffer()
     m = Mapping(levels=(LevelMapping(temporal={"K": 2, "C": 3}),
