@@ -37,6 +37,7 @@ from .spec_model import (
     MappingError,
     SpecError,
     Workload,
+    check_fields,
     kept_bits,
     parse_architecture,
     serialize_architecture,
@@ -123,14 +124,8 @@ class ExperimentConfig:
 
 
 def parse_experiment_config(doc: dict) -> ExperimentConfig:
-    if not isinstance(doc, dict):
-        raise SpecError("MalformedDocument", "experiment",
-                        "config must be an object")
-    known = {f.name for f in ExperimentConfig.__dataclass_fields__.values()}
-    extra = set(doc) - known
-    if extra:
-        raise SpecError("MalformedDocument", "experiment",
-                        f"unknown fields {sorted(extra)}")
+    check_fields(doc, frozenset(ExperimentConfig.__dataclass_fields__),
+                 "experiment")
     if "experiment" not in doc:
         raise SpecError("MalformedDocument", "experiment.experiment",
                         "config must name an experiment")
@@ -482,14 +477,6 @@ def run_memory_experiment(cfg: ExperimentConfig) -> dict:
 
     pair_rows = []
 
-    searched_batched: dict[tuple[int, int], object] = {}
-
-    def free_batched_eval(i: int, b: int):
-        if (i, b) not in searched_batched:
-            res = _search_layer(arch, layers[i], cfg, "energy", batch_size=b)
-            searched_batched[(i, b)] = res.evaluation
-        return searched_batched[(i, b)]
-
     def fused_legs(b: int) -> tuple[list, list[dict]]:
         """Greedy non-overlapping consecutive pairs that fit on chip at
         batch b. Unfused layers ride along: at b=1 they reuse the baseline
@@ -545,7 +532,8 @@ def run_memory_experiment(cfg: ExperimentConfig) -> dict:
             i += 2
         for i, ev in enumerate(evs):
             if ev is None:
-                evs[i] = base_evals[i] if b == 1 else free_batched_eval(i, b)
+                evs[i] = (base_evals[i] if b == 1 else _search_layer(
+                    arch, layers[i], cfg, "energy", batch_size=b).evaluation)
         return evs, pairs
 
     if cfg.fusion == "on":

@@ -33,6 +33,20 @@ the definitions the counting engines use.
 
 Ties on the objective break toward the lexicographically smallest mapping
 digest, so every strategy is deterministic for a given seed.
+
+`search` memoises its successful results, keeping a fixed number and
+dropping the least recently used. The key is the architecture's full
+content (its repr, which covers every field of every component), the
+layer's kind, dims, stride and bits but not its name, and the whole
+SearchConfig. Layers of one shape, in one network or two, are searched
+once; a reused result carries the statistics of the search that made it.
+Failures are not memoised: a repeat searches afresh, so NoValidMapping
+names the caller's layer.
+
+Under the delay objective the pruning floor is the candidate's step count,
+read from its loop nest once `validate_mapping` accepts it: the latency
+floor needs no access counts, and the optimistic count of the energy and
+EDP floors can reject a candidate only where that validation does.
 """
 
 from __future__ import annotations
@@ -40,6 +54,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from .evaluator import EvaluationResult, energy, evaluate
@@ -57,6 +72,7 @@ from .spec_model import (
     effective_keeps,
     keeper_levels,
     kept_bits,
+    validate_mapping,
 )
 
 OBJECTIVES = ("energy", "delay", "energy_delay_product")
@@ -99,7 +115,7 @@ class SearchConfig:
             raise ValueError("reduction_floor must be >= 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SearchResult:
     mapping: Mapping
     objective: float
@@ -381,13 +397,14 @@ def _objective_of(res: EvaluationResult, objective: str) -> float:
 def _floor_objective(arch: Architecture, layer: Layer, mapping: Mapping,
                      objective: str) -> float:
     """A value never exceeding the candidate's true objective: counts with
-    all refetch removed, latency with all stalls removed."""
+    all refetch removed, latency with all stalls removed. The delay floor
+    is the step count alone, once the mapping validates."""
 
-    counts = analyze(arch, layer, mapping, optimistic=True)
-    steps = mapping.nest.steps
-    latency_s = steps / (arch.clock_ghz * 1e9)
     if objective == "delay":
-        return float(steps)
+        validate_mapping(mapping, layer, arch)
+        return float(mapping.nest.steps)
+    counts = analyze(arch, layer, mapping, optimistic=True)
+    latency_s = mapping.nest.steps / (arch.clock_ghz * 1e9)
     per_comp = energy(counts, arch, latency_s)
     total = sum(per_comp[k] for k in sorted(per_comp))
     if objective == "energy":
@@ -416,9 +433,42 @@ class _Best:
             self.mapping, self.evaluation = mapping, res
 
 
+# Successful searches by _memo_key, least recently used first.
+_MEMO: OrderedDict[tuple[str, str, str], SearchResult] = OrderedDict()
+_MEMO_SIZE = 256
+
+
+def _memo_key(arch: Architecture, layer: Layer,
+              cfg: SearchConfig) -> tuple[str, str, str]:
+    """Everything a search reads. The reprs cover every field, so inputs
+    that differ anywhere never share a key; equal content built in another
+    dict order only misses."""
+
+    return (repr(arch),
+            repr((layer.kind, layer.dims, layer.stride, layer.bits)),
+            repr(cfg))
+
+
 def search(arch: Architecture, layer: Layer, cfg: SearchConfig) -> SearchResult:
     """Find the best mapping of `layer` onto `arch` under the configured
-    objective. Raises NoValidMapping when nothing valid was found."""
+    objective. Raises NoValidMapping when nothing valid was found. A
+    repeated search returns the memoised result (see the module
+    docstring)."""
+
+    key = _memo_key(arch, layer, cfg)
+    result = _MEMO.get(key)
+    if result is not None:
+        _MEMO.move_to_end(key)
+        return result
+    result = _search(arch, layer, cfg)
+    _MEMO[key] = result
+    if len(_MEMO) > _MEMO_SIZE:
+        _MEMO.popitem(last=False)
+    return result
+
+
+def _search(arch: Architecture, layer: Layer, cfg: SearchConfig) -> SearchResult:
+    """The search itself, unmemoised."""
 
     cap = _CapacityCheck(arch, layer, cfg)
     chain_menu = {d: _dim_chains(arch, layer, d, cfg, cap) for d in DIMS}

@@ -665,6 +665,37 @@ class Spec:
     workload: Workload | None = None
 
 
+def check_fields(doc, known: frozenset[str], path: str) -> None:
+    """The known-field check every document object passes: `doc` must be
+    an object and name no field outside `known`, so a typo is an error
+    rather than a silent default."""
+
+    if not isinstance(doc, dict):
+        raise SpecError("MalformedDocument", path, "must be an object")
+    extra = set(doc) - known
+    if extra:
+        raise SpecError("MalformedDocument", path,
+                        f"unknown fields {sorted(extra)}")
+
+
+_SPEC_FIELDS = frozenset({"spec_version", "components",
+                          "use_builtin_components", "architecture",
+                          "workload", "include"})
+_COMPONENT_FIELDS = frozenset({
+    "name", "class", "domain", "domain_in", "domain_out",
+    "energy_per_action", "static_power_mw", "area_um2", "capacity_bits",
+    "width_bits", "bandwidth"})
+_ARCHITECTURE_FIELDS = frozenset({"name", "clock_ghz", "levels", "meshes",
+                                  "converters", "extras"})
+_LEVEL_FIELDS = frozenset({"name", "component", "fanout", "keeps"})
+_MESH_FIELDS = frozenset({"between", "may_multicast", "may_reduce"})
+_CONVERTER_FIELDS = frozenset({"name", "component", "between", "tensors",
+                               "instances"})
+_EXTRA_FIELDS = frozenset({"name", "component", "instances"})
+_WORKLOAD_FIELDS = frozenset({"name", "layers"})
+_LAYER_FIELDS = frozenset({"name", "kind", "dims", "stride", "bits"})
+
+
 def _req(doc: dict, key: str, path: str):
     if key not in doc:
         raise SpecError("MalformedDocument", path, f"missing field {key!r}")
@@ -680,8 +711,7 @@ def _as_int(v, path: str, key: str) -> int:
 
 
 def parse_component(doc: dict, path: str) -> ComponentSpec:
-    if not isinstance(doc, dict):
-        raise SpecError("MalformedDocument", path, "component must be an object")
+    check_fields(doc, _COMPONENT_FIELDS, path)
     name = _req(doc, "name", path)
     cls = _req(doc, "class", path)
     if "domain" in doc:
@@ -716,8 +746,7 @@ def _resolve_component(name: str, library: dict[str, ComponentSpec], path: str) 
 
 def parse_architecture(doc: dict, library: dict[str, ComponentSpec]) -> Architecture:
     path = "architecture"
-    if not isinstance(doc, dict):
-        raise SpecError("MalformedDocument", path, "architecture must be an object")
+    check_fields(doc, _ARCHITECTURE_FIELDS, path)
     lvdocs = _req(doc, "levels", path)
     if not isinstance(lvdocs, list) or not lvdocs:
         raise SpecError("MalformedDocument", path, "levels must be a non-empty list")
@@ -725,6 +754,7 @@ def parse_architecture(doc: dict, library: dict[str, ComponentSpec]) -> Architec
     levels = []
     for i, ld in enumerate(lvdocs):
         lpath = f"{path}.levels[{i}]"
+        check_fields(ld, _LEVEL_FIELDS, lpath)
         comp = _resolve_component(_req(ld, "component", lpath), library, lpath)
         levels.append(Level(
             name=_req(ld, "name", lpath),
@@ -749,6 +779,7 @@ def parse_architecture(doc: dict, library: dict[str, ComponentSpec]) -> Architec
     meshes = [Mesh() for _ in range(len(levels) - 1)]
     for j, md in enumerate(doc.get("meshes", ())):
         mpath = f"{path}.meshes[{j}]"
+        check_fields(md, _MESH_FIELDS, mpath)
         e = edge_of(_req(md, "between", mpath), mpath)
         meshes[e - 1] = Mesh(
             may_multicast=bool(md.get("may_multicast", False)),
@@ -758,6 +789,7 @@ def parse_architecture(doc: dict, library: dict[str, ComponentSpec]) -> Architec
     converters = []
     for j, cd in enumerate(doc.get("converters", ())):
         cpath = f"{path}.converters[{j}]"
+        check_fields(cd, _CONVERTER_FIELDS, cpath)
         comp = _resolve_component(_req(cd, "component", cpath), library, cpath)
         edge = edge_of(_req(cd, "between", cpath), cpath)
         converters.append(Converter(
@@ -775,6 +807,7 @@ def parse_architecture(doc: dict, library: dict[str, ComponentSpec]) -> Architec
     extras = []
     for j, ed in enumerate(doc.get("extras", ())):
         epath = f"{path}.extras[{j}]"
+        check_fields(ed, _EXTRA_FIELDS, epath)
         comp = _resolve_component(_req(ed, "component", epath), library, epath)
         extras.append(Extra(
             name=ed.get("name", comp.name),
@@ -795,6 +828,7 @@ def parse_architecture(doc: dict, library: dict[str, ComponentSpec]) -> Architec
 
 
 def parse_layer(doc: dict, path: str) -> Layer:
+    check_fields(doc, _LAYER_FIELDS, path)
     dims = dict(_req(doc, "dims", path))
     for d in DIMS:
         dims.setdefault(d, 1)
@@ -805,6 +839,7 @@ def parse_layer(doc: dict, path: str) -> Layer:
     given_bits = doc.get("bits", {})
     if isinstance(given_bits, int):
         given_bits = {t: given_bits for t in TENSORS}
+    check_fields(given_bits, frozenset(TENSORS), f"{path}.bits")
     bits = {t: 8 for t in TENSORS}
     bits.update(given_bits)
     layer = Layer(
@@ -820,6 +855,7 @@ def parse_layer(doc: dict, path: str) -> Layer:
 
 def parse_workload(doc: dict) -> Workload:
     path = "workload"
+    check_fields(doc, _WORKLOAD_FIELDS, path)
     layers = _req(doc, "layers", path)
     if not isinstance(layers, list) or not layers:
         raise SpecError("MalformedDocument", path, "layers must be a non-empty list")
@@ -834,16 +870,11 @@ def parse_spec(doc: dict) -> Spec:
     """Parse a document tree into a Spec bundle.
 
     Recognized top-level fields: spec_version, components, use_builtin_components,
-    architecture, workload. Unknown fields are rejected so typos surface.
+    architecture, workload. Unknown fields are rejected at every level of
+    the tree (check_fields) so typos surface.
     """
 
-    if not isinstance(doc, dict):
-        raise SpecError("MalformedDocument", "$", "document must be an object")
-    known = {"spec_version", "components", "use_builtin_components",
-             "architecture", "workload", "include"}
-    extra = set(doc) - known
-    if extra:
-        raise SpecError("MalformedDocument", "$", f"unknown fields {sorted(extra)}")
+    check_fields(doc, _SPEC_FIELDS, "$")
     version = doc.get("spec_version")
     if version != SPEC_VERSION:
         raise SpecError("MalformedDocument", "$.spec_version",

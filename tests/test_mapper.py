@@ -1,9 +1,10 @@
 import itertools
-from dataclasses import replace
+import random
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
-from photon_model import albireo
+from photon_model import albireo, mapper
 from photon_model.evaluator import evaluate
 from photon_model.mapper import (
     NoValidMapping,
@@ -27,10 +28,11 @@ from photon_model.spec_model import (
     validate_architecture,
     validate_mapping,
 )
-
+from photon_model.reuse import analyze
 from photon_model.workloads import load_workload
 
 import toys
+from randgen import random_instance
 
 
 def test_divisors():
@@ -232,6 +234,113 @@ def test_search_is_deterministic():
     assert mapping_digest(r1.mapping) == mapping_digest(r2.mapping)
     assert r1.objective == r2.objective
     assert r1.visited == r2.visited
+
+
+def test_search_result_is_frozen():
+    res = search(toys.fc_direct(), toys.ones_layer(),
+                 SearchConfig(strategy="exhaustive", budget=10))
+    with pytest.raises(FrozenInstanceError):
+        res.objective = 0.0
+
+
+def test_memo_shares_one_result_across_layer_names():
+    arch = toys.fanout_converter_arch(4)
+    first = toy_layer({"K": 8, "C": 4, "P": 2})
+    second = replace(first, name="same_shape")
+    cfg = SearchConfig(objective="delay", budget=150, seed=5)
+    res = search(arch, first, cfg)
+    assert search(arch, second, cfg) is res
+    assert res == mapper._search(arch, second, cfg)
+
+
+def test_memo_never_shares_across_component_content():
+    # Same component names, different contents: a key built from
+    # serialize_architecture, which names components, would share one entry.
+    base = toys.fc_weight_buffer(buf_bits=1 << 10)
+    wbuf = base.levels[1]
+    small = replace(base, levels=(base.levels[0], replace(
+        wbuf, component=replace(wbuf.component, capacity_bits=16)),
+        base.levels[2]))
+    dear = replace(base, levels=(base.levels[0], replace(
+        wbuf, component=replace(wbuf.component, energy_per_action={
+            a: 7 * e for a, e in wbuf.component.energy_per_action.items()})),
+        base.levels[2]))
+    layer = toy_layer({"K": 4, "C": 8})
+    cfg = SearchConfig(objective="energy", budget=1, strategy="exhaustive")
+    results = [search(a, layer, cfg) for a in (base, small, dear)]
+    for arch, res in zip((base, small, dear), results):
+        assert res == mapper._search(arch, layer, cfg)
+    assert len({(r.evaluation.mapping_digest, r.objective)
+                for r in results}) == 3
+
+
+def test_failed_search_is_not_memoised():
+    arch = toys.fanout_converter_arch(4)
+    cfg = SearchConfig(strategy="exhaustive", budget=10,
+                       fixed_spatial={(1, "K"): 8})
+    for name in ("first", "second"):
+        layer = replace(toy_layer({"K": 8}), name=name)
+        with pytest.raises(NoValidMapping) as err:
+            search(arch, layer, cfg)
+        assert err.value.layer == name
+
+
+def test_memo_holds_at_most_its_bound():
+    arch, layer = toys.fc_direct(), toys.ones_layer()
+    n = mapper._MEMO_SIZE + 10
+    keys = []
+    for seed in range(n):
+        cfg = SearchConfig(strategy="exhaustive", budget=1, seed=seed)
+        search(arch, layer, cfg)
+        keys.append(mapper._memo_key(arch, layer, cfg))
+        assert len(mapper._MEMO) <= mapper._MEMO_SIZE
+    assert len(mapper._MEMO) == mapper._MEMO_SIZE
+    assert not any(k in mapper._MEMO for k in keys[:10])
+    assert all(k in mapper._MEMO for k in keys[10:])
+
+
+def _invalid_variant(rng, arch, mapping, which):
+    """The instance as drawn, with one level's factor of a dim doubled, or
+    with a backing store too small for anything."""
+
+    if which == 1:
+        j = rng.randrange(len(mapping.levels))
+        lm = mapping.levels[j]
+        d = rng.choice(DIMS)
+        lm = replace(lm, temporal={**lm.temporal, d: 2 * lm.t(d)})
+        levels = mapping.levels[:j] + (lm,) + mapping.levels[j + 1:]
+        return arch, replace(mapping, levels=levels)
+    if which == 2:
+        top = arch.levels[0]
+        top = replace(top, component=replace(top.component, capacity_bits=1))
+        return replace(arch, levels=(top,) + arch.levels[1:]), mapping
+    return arch, mapping
+
+
+def test_delay_floor_rejects_exactly_what_the_optimistic_count_rejects():
+    # The delay floor reads only the step count. It must put every
+    # candidate in the bucket the optimistic analyze would: rejected with
+    # the same error kind, or kept with the nest's step count as its value.
+    rng = random.Random(2024)
+    seen = {}
+    for i in range(300):
+        arch, layer, mapping = random_instance(rng)
+        arch, mapping = _invalid_variant(rng, arch, mapping, i % 3)
+        try:
+            analyze(arch, layer, mapping, optimistic=True)
+            want = "ok"
+        except MappingError as err:
+            want = err.kind
+        try:
+            got = mapper._floor_objective(arch, layer, mapping, "delay")
+        except MappingError as err:
+            assert err.kind == want
+        else:
+            assert want == "ok"
+            assert got == float(mapping.nest.steps)
+        seen[want] = seen.get(want, 0) + 1
+    assert set(seen) >= {"ok", "FactorMismatch", "CapacityExceeded"}
+    assert seen["ok"] >= 100
 
 
 def test_objective_scale_invariance():

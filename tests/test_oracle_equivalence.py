@@ -5,6 +5,8 @@ the same mappings for the same reason."""
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from photon_model import albireo
 from photon_model.mapper import SearchConfig, search
@@ -73,31 +75,35 @@ def test_equivalence_covers_padded_and_batched():
     assert batched >= 5
 
 
-# Shrunken layers on the bundled Albireo geometry (four levels, multicast
-# plus reduce into the array, converter banks on two edges, spatial pins),
-# small enough for the interpreter. K12 C6 P3 Q5 pads every pinned axis.
-SHIPPED_SHAPES = {
-    "conv-K8C4P2Q7R3S3": ("conv", {"K": 8, "C": 4, "P": 2, "Q": 7, "R": 3,
-                                   "S": 3}),
-    "conv-K12C6P3Q5R3S3-padded": ("conv", {"K": 12, "C": 6, "P": 3, "Q": 5,
-                                           "R": 3, "S": 3}),
-    "conv-N2K16C8P2Q2": ("conv", {"N": 2, "K": 16, "C": 8, "P": 2, "Q": 2}),
-    "fc-K10C3": ("fully_connected", {"K": 10, "C": 3}),
-}
 SHIPPED_SETTINGS = {
     "default": {},
     "inputs-hoisted": {"keep_overrides": {0: ("Weights", "Outputs")}},
     "batch2": {"batch_size": 2},
     "delay": {"objective": "delay"},
 }
+# Shrunken layers on the bundled Albireo geometry (four levels, multicast
+# plus reduce into the array, converter banks on two edges, spatial pins),
+# small enough for the interpreter. Dims are drawn below and above the pins
+# (K8, C4, Q7, R3), so drawn shapes both divide and pad them.
+SHRUNKEN_DIMS = st.fixed_dictionaries({
+    "N": st.integers(1, 2), "K": st.integers(1, 16), "C": st.integers(1, 8),
+    "P": st.integers(1, 4), "Q": st.integers(1, 8), "R": st.integers(1, 3),
+    "S": st.integers(1, 3)})
 
 
 @pytest.mark.parametrize("setting", sorted(SHIPPED_SETTINGS))
-@pytest.mark.parametrize("shape", sorted(SHIPPED_SHAPES))
-def test_engines_agree_on_searched_albireo_mappings(shape, setting):
-    kind, dims = SHIPPED_SHAPES[shape]
-    layer = Layer(name=shape, kind=kind,
-                  dims={d: dims.get(d, 1) for d in DIMS})
+@settings(max_examples=12, derandomize=True, database=None, deadline=None)
+@given(dims=SHRUNKEN_DIMS)
+@example(dims={"K": 8, "C": 4, "P": 2, "Q": 7, "R": 3, "S": 3})
+# K12 C6 P3 Q5 pads every pinned axis.
+@example(dims={"K": 12, "C": 6, "P": 3, "Q": 5, "R": 3, "S": 3})
+@example(dims={"N": 2, "K": 16, "C": 8, "P": 2, "Q": 2})
+@example(dims={"K": 10, "C": 3})
+def test_engines_agree_on_searched_albireo_mappings(setting, dims):
+    dims = {d: dims.get(d, 1) for d in DIMS}
+    window = all(dims[d] == 1 for d in ("R", "S", "P", "Q"))
+    layer = Layer(name="shrunken",
+                  kind="fully_connected" if window else "conv", dims=dims)
     arch = albireo.architecture("aggressive")
     cfg = SearchConfig(budget=60, seed=7, pad_mode="pad",
                        fixed_spatial=albireo.geometry_pins(layer),

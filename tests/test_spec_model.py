@@ -1,5 +1,6 @@
 import pytest
 
+from photon_model import albireo
 from photon_model.spec_model import (
     Architecture,
     Converter,
@@ -121,6 +122,81 @@ def test_unknown_top_level_field_rejected():
     with pytest.raises(SpecError) as e:
         parse_spec(doc)
     assert "architectures" in str(e.value)
+
+
+def full_doc():
+    """minimal_doc with every kind of nested object: a converter pair, a
+    mesh, an extra and a one-layer workload."""
+
+    doc = minimal_doc(mac_domain="AE", converters=[
+        {"name": "dn", "component": "dac", "between": ["store", "pe"],
+         "tensors": ["Weights", "Inputs"]},
+        {"name": "up", "component": "adc", "between": ["store", "pe"],
+         "tensors": ["Outputs"]},
+    ])
+    arch = doc["architecture"]
+    arch["meshes"] = [{"between": ["store", "pe"], "may_multicast": True}]
+    arch["extras"] = [{"name": "laser", "component": "sram", "instances": 2}]
+    doc["workload"] = {"name": "w", "layers": [
+        {"name": "l", "kind": "conv", "dims": {"K": 2, "C": 2, "P": 2,
+                                              "R": 2},
+         "stride": 1, "bits": {"Weights": 4}}]}
+    return doc
+
+
+def _typo(where, old, new):
+    """Rename field `old` to `new` in the object `where` picks."""
+
+    def edit(doc):
+        obj = where(doc)
+        obj[new] = obj.pop(old)
+    return edit
+
+
+# (edit, path of the object the error must name)
+NESTED_TYPOS = {
+    "component": (_typo(lambda d: d["components"][0], "capacity_bits",
+                        "capacity"), "$.components[0]"),
+    "architecture": (_typo(lambda d: d["architecture"], "name", "title"),
+                     "architecture"),
+    "level keep": (_typo(lambda d: d["architecture"]["levels"][0], "keeps",
+                         "keep"), "architecture.levels[0]"),
+    "mesh": (_typo(lambda d: d["architecture"]["meshes"][0],
+                   "may_multicast", "multicast"), "architecture.meshes[0]"),
+    "converter": (_typo(lambda d: d["architecture"]["converters"][1],
+                        "tensors", "tensor"), "architecture.converters[1]"),
+    "extra": (_typo(lambda d: d["architecture"]["extras"][0], "instances",
+                    "count"), "architecture.extras[0]"),
+    "workload": (_typo(lambda d: d["workload"], "name", "label"), "workload"),
+    "layer strid": (_typo(lambda d: d["workload"]["layers"][0], "stride",
+                          "strid"), "workload.layers[0]"),
+    "layer bits": (_typo(lambda d: d["workload"]["layers"][0]["bits"],
+                         "Weights", "Weight"), "workload.layers[0].bits"),
+}
+
+
+def test_every_nested_object_parses_when_spelled_right():
+    spec = parse_spec(full_doc())
+    assert spec.architecture.meshes[0].may_multicast
+    assert spec.architecture.extras[0].instances == 2
+    assert spec.workload.layers[0].bits["Weights"] == 4
+
+
+@pytest.mark.parametrize("case", sorted(NESTED_TYPOS))
+def test_unknown_nested_field_rejected(case):
+    edit, path = NESTED_TYPOS[case]
+    doc = full_doc()
+    edit(doc)
+    with pytest.raises(SpecError) as e:
+        parse_spec(doc)
+    assert (e.value.kind, e.value.path) == ("MalformedDocument", path)
+
+
+def test_bundled_documents_pass_the_field_checks():
+    for name in ("albireo", "vgg16", "alexnet"):
+        load_spec(name)
+    parse_spec({"spec_version": 1, "use_builtin_components": "conservative",
+                "architecture": albireo.architecture_doc(2, 2, 2)})
 
 
 def test_unknown_component_reference():
