@@ -149,8 +149,8 @@ def cmd_map(args) -> int:
                        batch_size=args.batch_size, fixed_spatial=pins)
     res = search(arch, layer, cfg)
     ev = res.evaluation
-    print(f"{layer.name}: visited {res.visited}, invalid {res.invalid}, "
-          f"best {args.objective} after search:")
+    print(f"{layer.name}: visited {res.visited}, pruned {res.pruned}, "
+          f"invalid {res.invalid}, best {args.objective} after search:")
     print(f"  energy {ev.total_energy_pj:.1f} pJ, cycles {ev.cycles}, "
           f"latency {ev.latency_s*1e6:.3f} us, utilization {ev.utilization:.3f}")
     if args.emit_mapping:

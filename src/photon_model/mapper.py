@@ -7,9 +7,9 @@ orders, with two strategies:
 * pruned_random (the default) draws `budget` candidates. It assigns dims
   one at a time from the chains the running fanout budgets, the capacity
   condition and the refetch loop-nest condition still allow, then draws
-  loop orders that never revisit a refetch-forbidden tile. A candidate
-  whose refetch-free floor cannot beat the best so far is counted as
-  pruned and never fully evaluated.
+  loop orders that never revisit a refetch-forbidden tile. Under the
+  delay objective, a candidate whose step count cannot beat the best so
+  far is counted as pruned and never fully evaluated.
 
 A pruned_random search builds its feasibility tables once from the chain
 menus: per dim and chain, the spatial row, the tile extent at each
@@ -32,7 +32,9 @@ come from spec_model, and step counts from the candidate's `mapping.nest`:
 the definitions the counting engines use.
 
 Ties on the objective break toward the lexicographically smallest mapping
-digest, so every strategy is deterministic for a given seed.
+digest among evaluated candidates, so every strategy is deterministic for a
+given seed. The delay floor prunes on `>=`, so a later candidate whose step
+count equals the best cycles so far is never evaluated, whatever its digest.
 
 `search` memoises its successful results, keeping a fixed number and
 dropping the least recently used. The key is the architecture's full
@@ -43,10 +45,11 @@ once; a reused result carries the statistics of the search that made it.
 Failures are not memoised: a repeat searches afresh, so NoValidMapping
 names the caller's layer.
 
-Under the delay objective the pruning floor is the candidate's step count,
-read from its loop nest once `validate_mapping` accepts it: the latency
-floor needs no access counts, and the optimistic count of the energy and
-EDP floors can reject a candidate only where that validation does.
+Only the delay objective prunes. Its floor is the candidate's step count,
+read from its loop nest once `validate_mapping` accepts it: cycles never
+fall below it, and it needs no access counts. The energy and EDP
+objectives evaluate every feasible candidate in full: a sound floor for
+them costs about as much as the evaluation it would save.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ import random
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
+# analyze and energy go unused here; perfbench/tracer.py rebinds both.
 from .evaluator import EvaluationResult, energy, evaluate
 from .reuse import DOWN, analyze, converter_at
 from .spec_model import (
@@ -111,6 +115,8 @@ class SearchConfig:
             raise ValueError(f"unknown pad_mode {self.pad_mode!r}")
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
         if self.reduction_floor is not None and self.reduction_floor < 0:
             raise ValueError("reduction_floor must be >= 0")
 
@@ -394,22 +400,12 @@ def _objective_of(res: EvaluationResult, objective: str) -> float:
     return res.total_energy_pj * res.latency_s
 
 
-def _floor_objective(arch: Architecture, layer: Layer, mapping: Mapping,
-                     objective: str) -> float:
-    """A value never exceeding the candidate's true objective: counts with
-    all refetch removed, latency with all stalls removed. The delay floor
-    is the step count alone, once the mapping validates."""
+def _delay_floor(arch: Architecture, layer: Layer, mapping: Mapping) -> int:
+    """A value never exceeding the candidate's cycles: its step count, once
+    the mapping validates. Raises MappingError where evaluation would."""
 
-    if objective == "delay":
-        validate_mapping(mapping, layer, arch)
-        return float(mapping.nest.steps)
-    counts = analyze(arch, layer, mapping, optimistic=True)
-    latency_s = mapping.nest.steps / (arch.clock_ghz * 1e9)
-    per_comp = energy(counts, arch, latency_s)
-    total = sum(per_comp[k] for k in sorted(per_comp))
-    if objective == "energy":
-        return total
-    return total * latency_s
+    validate_mapping(mapping, layer, arch)
+    return mapping.nest.steps
 
 
 def _perm_menu(chains: dict[str, tuple[int, ...]], level: int) -> list[str]:
@@ -479,21 +475,17 @@ def _search(arch: Architecture, layer: Layer, cfg: SearchConfig) -> SearchResult
 
     best = _Best(cfg.objective)
     visited = pruned = invalid = 0
-    prune = cfg.strategy == "pruned_random"
+    prune = cfg.strategy == "pruned_random" and cfg.objective == "delay"
 
     def consider(chains: dict[str, tuple[int, ...]],
                  perms: list[tuple[str, ...]]) -> None:
         nonlocal visited, pruned, invalid
         mapping = _build_mapping(arch, chains, perms, cfg)
-        if prune and best.value is not None:
-            try:
-                if _floor_objective(arch, layer, mapping, cfg.objective) >= best.value:
-                    pruned += 1
-                    return
-            except MappingError:
-                invalid += 1
-                return
         try:
+            if (prune and best.value is not None
+                    and _delay_floor(arch, layer, mapping) >= best.value):
+                pruned += 1
+                return
             res = evaluate(arch, layer, mapping)
         except MappingError:
             invalid += 1

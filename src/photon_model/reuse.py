@@ -231,19 +231,10 @@ def _div(n: int, d: int) -> int:
 # ----------------------------------------------------------------------------
 
 
-def analyze(arch: Architecture, layer: Layer, mapping: Mapping,
-            optimistic: bool = False) -> AccessCounts:
-    """Count every access implied by the mapping, in closed form.
-
-    With optimistic=True every residency count is replaced by the distinct
-    tile count and collapses floor-divide, yielding a refetch-free bound
-    that never exceeds any true count (used as a search pruning floor).
-    """
+def analyze(arch: Architecture, layer: Layer, mapping: Mapping) -> AccessCounts:
+    """Count every access implied by the mapping, in closed form."""
 
     validate_mapping(mapping, layer, arch)
-
-    resid = distinct_tiles if optimistic else residencies
-    div = (lambda n, d: n // d) if optimistic else _div
 
     loops = loop_list(mapping)
     compute = len(arch.levels) - 1
@@ -271,7 +262,7 @@ def analyze(arch: Architecture, layer: Layer, mapping: Mapping,
 
     def record_crossings(hop: Hop, base: int, direction: str) -> None:
         for k in hop.edges:
-            n = div(base, _collapse(arch, mapping, hop, k, direction))
+            n = _div(base, _collapse(arch, mapping, hop, k, direction))
             key = (k, hop.tensor, direction)
             counts.edge_crossings[key] = counts.edge_crossings.get(key, 0) + n
             cv = converter_at(arch, k, hop.tensor, direction)
@@ -296,13 +287,13 @@ def analyze(arch: Architecture, layer: Layer, mapping: Mapping,
             if hop.inner == compute:
                 base = macs
             else:
-                base = (resid(loops, hop.inner, tensor)
+                base = (residencies(loops, hop.inner, tensor)
                         * sizes[(hop.inner, tensor)]
                         * nest.instances[hop.inner])
             bases.append(base)
         for i, hop in enumerate(hops):
             base = bases[i]
-            delivered = div(base, _collapse(arch, mapping, hop, hop.edges[0], DOWN))
+            delivered = _div(base, _collapse(arch, mapping, hop, hop.edges[0], DOWN))
             counts.per_level[(hop.outer, tensor)].reads += delivered
             if hop.inner != compute:
                 counts.per_level[(hop.inner, tensor)].fills += delivered
@@ -315,7 +306,7 @@ def analyze(arch: Architecture, layer: Layer, mapping: Mapping,
     # Outputs: MAC partials ascend to the accumulation level...
     stream = output_stream(arch, mapping)
     acc = stream.outer
-    arrivals = div(macs, _collapse(arch, mapping, stream, stream.edges[0], UP))
+    arrivals = _div(macs, _collapse(arch, mapping, stream, stream.edges[0], UP))
     record_crossings(stream, macs, UP)
     for k in stream.edges:
         counts.edge_demand[(k, OUTPUTS, UP)] = macs
@@ -327,12 +318,12 @@ def analyze(arch: Architecture, layer: Layer, mapping: Mapping,
     demand_into = arrivals
     for hop in reversed(tensor_hops(arch, mapping, OUTPUTS)):
         inner, outer = hop.inner, hop.outer
-        tc = resid(loops, inner, OUTPUTS)
+        tc = residencies(loops, inner, OUTPUTS)
         size = sizes[(inner, OUTPUTS)]
         inst = nest.instances[inner]
         drained = tc * size * inst
         counts.per_level[(inner, OUTPUTS)].drains += drained
-        merged = div(drained, _collapse(arch, mapping, hop, hop.edges[0], UP))
+        merged = _div(drained, _collapse(arch, mapping, hop, hop.edges[0], UP))
         counts.per_level[(outer, OUTPUTS)].updates += merged
         record_crossings(hop, drained, UP)
         for k in hop.edges:
@@ -341,7 +332,7 @@ def analyze(arch: Architecture, layer: Layer, mapping: Mapping,
         refetch = tc - distinct_tiles(loops, inner, OUTPUTS)
         if refetch:
             base = refetch * size * inst
-            filled = div(base, _collapse(arch, mapping, hop, hop.edges[0], DOWN))
+            filled = _div(base, _collapse(arch, mapping, hop, hop.edges[0], DOWN))
             counts.per_level[(inner, OUTPUTS)].fills += filled
             counts.per_level[(outer, OUTPUTS)].reads += filled
             record_crossings(hop, base, DOWN)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -18,6 +19,22 @@ def test_map_rejects_removed_random_strategy(capsys):
         cli.main(["map", "--layer", "fc8", "--strategy", "random"])
     assert e.value.code == 2
     assert "invalid choice: 'random'" in capsys.readouterr().err
+
+
+def test_map_rejects_batch_size_zero(capsys):
+    rc = cli.main(["map", "--layer", "conv1_1", "--batch-size", "0"])
+    assert rc == 2
+    assert "batch_size must be >= 1" in capsys.readouterr().err
+
+
+def test_map_counts_add_up_to_the_budget(capsys):
+    rc = cli.main(["map", "--layer", "conv1_1", "--objective", "delay",
+                   "--budget", "20", "--albireo-pins"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    m = re.search(r"visited (\d+), pruned (\d+), invalid (\d+),", out)
+    visited, pruned, invalid = map(int, m.groups())
+    assert pruned > 0 and visited + pruned + invalid == 20
 
 
 def test_map_albireo_pins_pads_dims_the_pins_do_not_divide(capsys):
