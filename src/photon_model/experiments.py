@@ -42,7 +42,12 @@ from .spec_model import (
     parse_architecture,
     serialize_architecture,
 )
-from .workloads import load_reference_breakdown, load_spec, load_workload
+from .workloads import (
+    BUNDLED_ARCHITECTURE,
+    load_reference_breakdown,
+    load_spec,
+    load_workload,
+)
 
 EXPERIMENTS = ("breakdown", "throughput", "memory", "reuse_sweep")
 SWEEP_AXES = ("ao_per_ae_weight", "ao_input_fanout", "ae_output_fanout")
@@ -112,6 +117,11 @@ class ExperimentConfig:
         if self.sweep_axis not in SWEEP_AXES:
             raise SpecError("MalformedDocument", "experiment.sweep_axis",
                             f"unknown sweep axis {self.sweep_axis!r}")
+        if self.experiment == "reuse_sweep" and self.arch not in (
+                None, BUNDLED_ARCHITECTURE):
+            raise SpecError("MalformedDocument", "experiment.arch",
+                            "reuse_sweep varies the bundled geometry; it "
+                            f"cannot sweep {self.arch!r}")
         if self.experiment == "reuse_sweep" and not self.sweep_values:
             raise SpecError("MalformedDocument", "experiment.sweep_values",
                             "reuse_sweep needs at least one sweep value")
@@ -153,7 +163,7 @@ def accelerator_scope(energies: dict[str, float]) -> dict[str, float]:
 
 def _architecture(cfg: ExperimentConfig,
                   axes: tuple[int, int, int] = (1, 1, 1)) -> Architecture:
-    if cfg.arch is not None:
+    if cfg.arch not in (None, BUNDLED_ARCHITECTURE):
         spec = load_spec(cfg.arch)
         if spec.architecture is None:
             raise SpecError("MalformedDocument", cfg.arch,
@@ -195,6 +205,7 @@ def _sum_energy(maps: list[dict[str, float]]) -> dict[str, float]:
 
 def _config_echo(cfg: ExperimentConfig) -> dict:
     doc = asdict(cfg)
+    del doc["output_dir"]  # a report's bytes do not depend on where it goes
     doc["batch_sizes"] = list(cfg.batch_sizes)
     doc["sweep_values"] = list(cfg.sweep_values)
     return doc

@@ -62,9 +62,10 @@ from dataclasses import dataclass, field
 
 # analyze and energy go unused here; perfbench/tracer.py rebinds both.
 from .evaluator import EvaluationResult, energy, evaluate
-from .reuse import DOWN, analyze, converter_at
+from .reuse import analyze
 from .spec_model import (
     DIMS,
+    DOWN,
     REDUCED_DIMS,
     TENSOR_DIMS,
     TENSORS,
@@ -302,9 +303,7 @@ def _refetch_forbidden(arch: Architecture,
         keepers = keeper_levels(arch, cfg.keep_overrides, t)
         for a, b in zip(keepers, keepers[1:]):
             for k in range(a + 1, b + 1):
-                crosses = (arch.levels[k - 1].component.domain_out
-                           != arch.levels[k].component.domain_in)
-                if crosses and converter_at(arch, k, t, DOWN) is None:
+                if arch.crosses(k) and (k, t, DOWN) not in arch.edge_converters:
                     out.append((b, t))
                     break
     return tuple(out)

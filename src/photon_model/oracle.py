@@ -14,23 +14,16 @@ from __future__ import annotations
 import itertools
 from math import prod
 
-from .reuse import (
-    DOWN,
-    UP,
-    AccessCounts,
-    LevelCounts,
-    converter_at,
-    output_stream,
-    tensor_hops,
-    _edge_crosses_domain,
-)
+from .reuse import AccessCounts, LevelCounts, output_stream, tensor_hops
 from .spec_model import (
     DIMS,
+    DOWN,
     INPUTS,
     OUTPUTS,
     REDUCED_DIMS,
     TENSOR_DIMS,
     TENSORS,
+    UP,
     WEIGHTS,
     Architecture,
     Layer,
@@ -247,16 +240,17 @@ def simulate(arch: Architecture, layer: Layer, mapping: Mapping,
             counts.conversions[(cv.name, t)] = 0
     counts.compute_reads = {t: macs for t in TENSORS}
 
-    def cross_down(hop, events, size):
+    def cross(hop, events, size, direction):
         for k in hop.edges:
-            cnt = events * masked_count(hop.inner, k, hop.tensor, DOWN) * size
-            key = (k, hop.tensor, DOWN)
+            cnt = (events * masked_count(hop.inner, k, hop.tensor, direction)
+                   * size)
+            key = (k, hop.tensor, direction)
             counts.edge_crossings[key] = counts.edge_crossings.get(key, 0) + cnt
-            cv = converter_at(arch, k, hop.tensor, DOWN)
+            cv = arch.edge_converters.get(key)
             if cv is not None:
                 counts.conversions[(cv.name, hop.tensor)] += cnt
-            elif _edge_crosses_domain(arch, k):
-                if hop.tensor == OUTPUTS:
+            elif arch.crosses(k):
+                if direction == DOWN and hop.tensor == OUTPUTS:
                     raise MappingError(
                         "ConverterMissing",
                         f"partial {OUTPUTS} refetched across the "
@@ -264,17 +258,6 @@ def simulate(arch: Architecture, layer: Layer, mapping: Mapping,
                         f"{arch.levels[k].name!r} with no descending "
                         f"converter", tensor=OUTPUTS,
                         level=arch.levels[k].name)
-                raise AssertionError("uncovered domain crossing")
-
-    def cross_up(hop, events, size):
-        for k in hop.edges:
-            cnt = events * masked_count(hop.inner, k, hop.tensor, UP) * size
-            key = (k, hop.tensor, UP)
-            counts.edge_crossings[key] = counts.edge_crossings.get(key, 0) + cnt
-            cv = converter_at(arch, k, hop.tensor, UP)
-            if cv is not None:
-                counts.conversions[(cv.name, hop.tensor)] += cnt
-            elif _edge_crosses_domain(arch, k):
                 raise AssertionError("uncovered domain crossing")
 
     for tensor in (WEIGHTS, INPUTS):
@@ -295,7 +278,7 @@ def simulate(arch: Architecture, layer: Layer, mapping: Mapping,
             counts.per_level[(hop.outer, tensor)].reads += delivered
             if mi is not None:
                 counts.per_level[(hop.inner, tensor)].fills += delivered
-            cross_down(hop, events, size)
+            cross(hop, events, size, DOWN)
             demand = bases[i + 1] if i + 1 < len(hops) else macs
             for k in hop.edges:
                 key = (k, tensor, DOWN)
@@ -305,7 +288,7 @@ def simulate(arch: Architecture, layer: Layer, mapping: Mapping,
     arrivals = steps * masked_count(compute, stream.edges[0], OUTPUTS, UP)
     counts.per_level[(acc, OUTPUTS)].updates += arrivals
     counts.per_level[(acc, OUTPUTS)].reads += arrivals
-    cross_up(stream, steps, 1)
+    cross(stream, steps, 1, UP)
     for k in stream.edges:
         counts.edge_demand[(k, OUTPUTS, UP)] = macs
 
@@ -319,7 +302,7 @@ def simulate(arch: Architecture, layer: Layer, mapping: Mapping,
         merged = (residencies * size
                   * masked_count(inner, hop.edges[0], OUTPUTS, UP))
         counts.per_level[(outer, OUTPUTS)].updates += merged
-        cross_up(hop, residencies, size)
+        cross(hop, residencies, size, UP)
         for k in hop.edges:
             counts.edge_demand[(k, OUTPUTS, UP)] = demand_into
         if m["refetch"]:
@@ -327,7 +310,7 @@ def simulate(arch: Architecture, layer: Layer, mapping: Mapping,
                       * masked_count(inner, hop.edges[0], OUTPUTS, DOWN))
             counts.per_level[(inner, OUTPUTS)].fills += filled
             counts.per_level[(outer, OUTPUTS)].reads += filled
-            cross_down(hop, m["refetch"], size)
+            cross(hop, m["refetch"], size, DOWN)
             for k in hop.edges:
                 counts.edge_demand[(k, OUTPUTS, DOWN)] = (
                     m["refetch"] * size * inst(inner))

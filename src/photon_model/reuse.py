@@ -30,10 +30,12 @@ from fractions import Fraction
 
 from .spec_model import (
     DIMS,
+    DOWN,
     INPUTS,
     OUTPUTS,
     TENSOR_DIMS,
     TENSORS,
+    UP,
     WEIGHTS,
     Architecture,
     Layer,
@@ -47,9 +49,6 @@ from .spec_model import (
     tile_values,
     validate_mapping,
 )
-
-DOWN = "down"
-UP = "up"
 
 
 @dataclass(eq=True)
@@ -186,22 +185,6 @@ def output_stream(arch: Architecture, mapping: Mapping) -> Hop:
     return Hop(OUTPUTS, acc, compute, tuple(range(acc + 1, compute + 1)))
 
 
-def _edge_crosses_domain(arch: Architecture, edge: int) -> bool:
-    return (arch.levels[edge - 1].component.domain_out
-            != arch.levels[edge].component.domain_in)
-
-
-def converter_at(arch: Architecture, edge: int, tensor: str, direction: str):
-    outer = arch.levels[edge - 1].component.domain_out
-    for cv in arch.converters:
-        if cv.edge != edge or tensor not in cv.tensors:
-            continue
-        descending = cv.component.domain_in == outer
-        if (direction == DOWN) == descending:
-            return cv
-    return None
-
-
 def _collapse(arch: Architecture, mapping: Mapping, hop: Hop, edge: int,
               direction: str) -> int:
     """Width of the transmission merge seen by edge `edge` of a hop: forks
@@ -265,10 +248,10 @@ def analyze(arch: Architecture, layer: Layer, mapping: Mapping) -> AccessCounts:
             n = _div(base, _collapse(arch, mapping, hop, k, direction))
             key = (k, hop.tensor, direction)
             counts.edge_crossings[key] = counts.edge_crossings.get(key, 0) + n
-            cv = converter_at(arch, k, hop.tensor, direction)
+            cv = arch.edge_converters.get(key)
             if cv is not None:
                 counts.conversions[(cv.name, hop.tensor)] += n
-            elif _edge_crosses_domain(arch, k):
+            elif arch.crosses(k):
                 if direction == DOWN and hop.tensor == OUTPUTS:
                     raise MappingError(
                         "ConverterMissing",
@@ -362,7 +345,7 @@ def reuse_factors(counts: AccessCounts, arch: Architecture,
         sm = _collapse(arch, mapping, hop, edge, direction)
         demand = counts.edge_demand[(edge, tensor, direction)]
         tr = Fraction(demand, crossing * sm)
-        cv = converter_at(arch, edge, tensor, direction)
+        cv = arch.edge_converters.get((edge, tensor, direction))
         out.append(ReuseFactor(
             edge=edge,
             tensor=tensor,

@@ -53,6 +53,11 @@ TENSOR_DIMS = {
 # Dims reduced away when producing Outputs.
 REDUCED_DIMS = frozenset({"C", "R", "S"})
 
+# Directions a tensor crosses an edge in: DOWN from levels[edge-1] into
+# levels[edge], UP back out.
+DOWN = "down"
+UP = "up"
+
 
 # ============================================================================
 # Errors
@@ -139,8 +144,9 @@ class Converter:
     """A converter bank on the edge between levels[edge-1] and levels[edge].
 
     Direction follows the component domains: domain_in matching the outer
-    level's domain makes it descending (fills side), matching the inner
-    level's domain makes it ascending (drains side).
+    level's domain makes it carry its tensors DOWN (fills side), matching
+    the inner level's domain UP (drains side). Architecture.edge_converters
+    resolves every bank's direction once.
     """
 
     name: str
@@ -171,11 +177,30 @@ class Architecture:
     def mesh_into(self, inner: int) -> Mesh:
         return self.meshes[inner - 1]
 
-    def level_index(self, name: str) -> int:
-        for i, lv in enumerate(self.levels):
-            if lv.name == name:
-                return i
-        raise KeyError(name)
+    def crosses(self, edge: int) -> bool:
+        """Whether the edge into levels[edge] changes signal domain."""
+
+        return (self.levels[edge - 1].component.domain_out
+                != self.levels[edge].component.domain_in)
+
+    @cached_property
+    def edge_converters(self) -> dict[tuple[int, str, str], Converter]:
+        """The converter carrying each (edge, tensor, DOWN|UP): the one
+        definition of which bank a tensor crosses an edge through."""
+
+        table: dict[tuple[int, str, str], Converter] = {}
+        for cv in self.converters:
+            dirn = _converter_direction(self.levels, cv)
+            for t in cv.tensors:
+                key = (cv.edge, t, dirn)
+                if key in table:
+                    raise SpecError(
+                        "MalformedDocument",
+                        f"architecture[{self.name}].converters[{cv.name}]",
+                        f"edge {cv.edge} already has a converter carrying "
+                        f"{t} {dirn}")
+                table[key] = cv
+        return table
 
     def components(self) -> dict[str, ComponentSpec]:
         out: dict[str, ComponentSpec] = {}
@@ -437,14 +462,14 @@ def _validate_component(c: ComponentSpec, path: str) -> None:
 
 
 def _converter_direction(arch_levels: tuple[Level, ...], cv: Converter) -> str:
-    """"descending" (outer -> inner) or "ascending" (inner -> outer)."""
+    """DOWN (outer -> inner) or UP (inner -> outer)."""
 
     outer = arch_levels[cv.edge - 1].component.domain_out
     inner = arch_levels[cv.edge].component.domain_in
     if cv.component.domain_in == outer and cv.component.domain_out == inner:
-        return "descending"
+        return DOWN
     if cv.component.domain_in == inner and cv.component.domain_out == outer:
-        return "ascending"
+        return UP
     raise SpecError(
         "MalformedDocument",
         f"architecture.converters[{cv.name}]",
@@ -483,7 +508,6 @@ def validate_architecture(arch: Architecture) -> None:
         raise SpecError("MalformedDocument", path,
                         "need exactly one mesh entry per adjacent-level edge")
 
-    claimed: set[tuple[int, str, str]] = set()
     for cv in arch.converters:
         cpath = f"{path}.converters[{cv.name}]"
         if not 1 <= cv.edge < len(arch.levels):
@@ -496,36 +520,22 @@ def validate_architecture(arch: Architecture) -> None:
         bad = set(cv.tensors) - set(TENSORS)
         if bad:
             raise SpecError("MalformedDocument", cpath, f"unknown tensors {sorted(bad)}")
-        dirn = _converter_direction(arch.levels, cv)
-        for t in cv.tensors:
-            key = (cv.edge, t, dirn)
-            if key in claimed:
-                raise SpecError("MalformedDocument", cpath,
-                                f"edge {cv.edge} already has a {dirn} "
-                                f"converter for {t}")
-            claimed.add(key)
 
     # Every tensor travels across every edge (the hierarchy is a chain), so a
-    # domain-changing edge needs converters for all three: descending ones for
-    # Weights and Inputs, an ascending one for Outputs.
+    # domain-changing edge needs converters for all three: DOWN ones for
+    # Weights and Inputs, an UP one for Outputs.
+    table = arch.edge_converters
     for e in range(1, len(arch.levels)):
+        if not arch.crosses(e):
+            continue
         outer = arch.levels[e - 1].component.domain_out
         inner = arch.levels[e].component.domain_in
-        if outer == inner:
-            continue
-        covered: set[tuple[str, str]] = set()
-        for cv in arch.converters:
-            if cv.edge == e:
-                dirn = _converter_direction(arch.levels, cv)
-                covered.update((t, dirn) for t in cv.tensors)
         epath = f"{path}.edge[{arch.levels[e - 1].name}->{arch.levels[e].name}]"
-        for t in (WEIGHTS, INPUTS):
-            if (t, "descending") not in covered:
+        for t, dirn in ((WEIGHTS, DOWN), (INPUTS, DOWN), (OUTPUTS, UP)):
+            if (e, t, dirn) not in table:
+                src, dst = (outer, inner) if dirn == DOWN else (inner, outer)
                 raise SpecError("MissingConverter", epath,
-                                f"no {outer}->{inner} converter for {t}")
-        if (OUTPUTS, "ascending") not in covered:
-            raise SpecError("MissingConverter", epath,
-                            f"no {inner}->{outer} converter for {OUTPUTS}")
+                                f"no {src}->{dst} converter for {t}")
 
 
 def validate_layer(layer: Layer, path: str = "workload") -> None:

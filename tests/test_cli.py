@@ -4,6 +4,8 @@ import re
 import pytest
 
 from photon_model import cli
+from photon_model.spec_model import parse_spec
+from photon_model.workloads import load_spec
 
 
 def test_map_accepts_energy_delay_product_objective(capsys):
@@ -112,3 +114,25 @@ def test_infeasible_sweep_exits_3(tiny_workload, tmp_path, capsys):
                                 "sweep_values": [1, 64]}))
     assert cli.main(["experiment", "--config", str(path)]) == 3
     assert "infeasible" in capsys.readouterr().err
+
+
+def test_spec_json_reparses_to_the_same_converters(capsys):
+    assert cli.main(["spec", "albireo", "--json"]) == 0
+    arch = parse_spec(json.loads(capsys.readouterr().out)).architecture
+    want = load_spec("albireo").architecture
+    names = {k: cv.name for k, cv in arch.edge_converters.items()}
+    assert names == {k: cv.name for k, cv in want.edge_converters.items()}
+    assert len(names) == 6
+
+
+def test_report_bytes_do_not_depend_on_the_output_dir(tiny_workload,
+                                                      tmp_path, capsys):
+    reports = []
+    for name in ("one", "two"):
+        out = tmp_path / name
+        rc = cli.main(["experiment", "--experiment", "throughput",
+                       "--workload", tiny_workload, "--budget", "20",
+                       "--output-dir", str(out)])
+        assert rc == 0
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]

@@ -3,11 +3,12 @@ from dataclasses import replace
 
 import pytest
 
-from photon_model import albireo
+from photon_model import albireo, cli
 from photon_model.evaluator import evaluate
 from photon_model.experiments import (
     ExperimentConfig,
     FusionInfeasible,
+    _architecture,
     _buffer_level,
     _insert_batch_loop,
     _resized_buffer_arch,
@@ -23,7 +24,14 @@ from photon_model.experiments import (
 )
 from photon_model.mapper import SearchConfig, search
 from photon_model.reuse import analyze
-from photon_model.spec_model import Layer, Mapping, SpecError, canonical_json
+from photon_model.spec_model import (
+    Layer,
+    Mapping,
+    SpecError,
+    canonical_json,
+    serialize_spec,
+)
+from photon_model.workloads import load_spec
 
 
 def small_layer():
@@ -248,3 +256,33 @@ def test_report_schema(tiny_workload):
     assert report["config"]["workload"] == tiny_workload
     assert {"legs", "fusion_pairs", "components"} <= set(report["tables"])
     json.dumps(report)
+
+
+def test_bundled_arch_name_follows_the_profile():
+    cfg = ExperimentConfig(experiment="throughput", arch="albireo",
+                           profile="conservative")
+    assert _architecture(cfg) == albireo.architecture("conservative")
+    assert _architecture(cfg) == _architecture(replace(cfg, arch=None))
+
+
+def test_bundled_arch_name_follows_the_sweep_geometry():
+    unset = ExperimentConfig(experiment="reuse_sweep", sweep_values=(1, 2),
+                             budget=50)
+    named = replace(unset, arch="albireo")
+    assert _architecture(named, (2, 1, 1)) == albireo.architecture(
+        "aggressive", 2, 1, 1)
+    assert run_reuse_sweep(named)["tables"] == \
+        run_reuse_sweep(unset)["tables"]
+
+
+def test_reuse_sweep_rejects_any_other_architecture(tmp_path, capsys):
+    path = tmp_path / "arch.spec"
+    path.write_text(canonical_json(serialize_spec(load_spec("albireo"))))
+    with pytest.raises(SpecError) as e:
+        ExperimentConfig(experiment="reuse_sweep", arch=str(path))
+    assert (e.value.kind, e.value.path) == ("MalformedDocument",
+                                            "experiment.arch")
+    rc = cli.main(["experiment", "--experiment", "reuse_sweep",
+                   "--arch", str(path), "--budget", "20"])
+    assert rc == 2
+    assert "experiment.arch" in capsys.readouterr().err

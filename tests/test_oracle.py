@@ -72,12 +72,10 @@ def test_oracle_matches_analyze_on_fixed_instances():
 
 
 # The interpreter is the independent check on reuse.analyze: it may share
-# the structural vocabulary (hops, converters, count containers), never the
-# closed-form counting.
+# the structural vocabulary (hops and count containers), never the
+# closed-form counting. Converters it reads from spec_model.
 ORACLE_MAY_IMPORT_FROM_REUSE = {
-    "DOWN", "UP", "AccessCounts", "LevelCounts", "Hop", "tensor_hops",
-    "output_stream", "accumulation_level", "converter_at",
-    "_edge_crosses_domain",
+    "AccessCounts", "LevelCounts", "output_stream", "tensor_hops",
 }
 
 

@@ -1,7 +1,22 @@
+import ast
+import random
+from pathlib import Path
+
 import pytest
 
-from photon_model import albireo
+from photon_model import albireo, spec_model
+from photon_model.experiments import (
+    SWEEP_AXES,
+    ExperimentConfig,
+    _architecture,
+    _sweep_point,
+)
 from photon_model.spec_model import (
+    DOWN,
+    INPUTS,
+    OUTPUTS,
+    UP,
+    WEIGHTS,
     Architecture,
     Converter,
     Layer,
@@ -26,6 +41,7 @@ from photon_model.spec_model import (
 from photon_model.workloads import load_spec
 
 import toys
+from randgen import random_architecture
 
 
 def minimal_doc(mac_domain="DE", converters=()):
@@ -436,3 +452,77 @@ def test_mapping_roundtrip_and_digest():
     assert mapping_digest(m) != mapping_digest(
         Mapping(levels=m.levels, batch_size=1,
                 keep_overrides=m.keep_overrides))
+
+
+def test_duplicate_coverage_names_the_second_bank_and_its_tensor():
+    doc = minimal_doc(mac_domain="AE", converters=[
+        {"name": "dn", "component": "dac", "between": ["store", "pe"],
+         "tensors": ["Weights", "Inputs"]},
+        {"name": "dn2", "component": "dac", "between": ["store", "pe"],
+         "tensors": ["Inputs"]},
+        {"name": "up", "component": "adc", "between": ["store", "pe"],
+         "tensors": ["Outputs"]},
+    ])
+    with pytest.raises(SpecError) as e:
+        parse_spec(doc)
+    assert e.value.path == "architecture[mini].converters[dn2]"
+    assert "converter carrying Inputs down" in str(e.value)
+
+
+def sweep_architectures():
+    """Every geometry the reuse sweep builds at its default values."""
+
+    for axis in SWEEP_AXES:
+        cfg = ExperimentConfig(experiment="reuse_sweep", sweep_axis=axis)
+        for v in cfg.sweep_values:
+            yield _architecture(cfg, _sweep_point(cfg, v))
+
+
+def test_edge_converters_resolve_every_bank_once():
+    archs = list(sweep_architectures())
+    archs += [random_architecture(random.Random(s)) for s in range(50)]
+    crossing_edges = 0
+    for arch in archs:
+        table = arch.edge_converters
+        for cv in arch.converters:
+            outer = arch.levels[cv.edge - 1].component.domain_out
+            dirn = DOWN if cv.component.domain_in == outer else UP
+            for t in cv.tensors:
+                assert table[(cv.edge, t, dirn)] is cv
+        assert len(table) == sum(len(cv.tensors) for cv in arch.converters)
+        assert all(arch.crosses(e) for e, _, _ in table)
+        for e in range(1, len(arch.levels)):
+            if arch.crosses(e):
+                crossing_edges += 1
+                assert {(e, WEIGHTS, DOWN), (e, INPUTS, DOWN),
+                        (e, OUTPUTS, UP)} <= set(table)
+    assert crossing_edges > len(archs)
+
+
+# Signal domains are read in spec_model alone, which resolves them into
+# Architecture.crosses and Architecture.edge_converters. The one exception
+# prints each component's domains.
+DOMAIN_READS_OUTSIDE_SPEC_MODEL = {("cli.py", "cmd_components")}
+
+
+def domain_reads(path: Path) -> set[tuple[str, str | None]]:
+    """(file, top-level definition) of every .domain_in/.domain_out read."""
+
+    found = set()
+    for top in ast.parse(path.read_text()).body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Attribute)
+                    and node.attr in ("domain_in", "domain_out")):
+                found.add((path.name, getattr(top, "name", None)))
+    return found
+
+
+def test_only_spec_model_reads_signal_domains():
+    package = Path(spec_model.__file__).parent
+    found = set()
+    for path in sorted(package.rglob("*.py")):
+        if path.name != "spec_model.py":
+            found |= domain_reads(path)
+    assert found <= DOMAIN_READS_OUTSIDE_SPEC_MODEL
+    assert ("spec_model.py", "_converter_direction") in domain_reads(
+        package / "spec_model.py")
