@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from .reuse import AccessCounts, analyze
 from .spec_model import (
     Architecture,
-    ComponentSpec,
     Layer,
     Mapping,
     mapping_digest,
@@ -26,7 +25,7 @@ from .spec_model import (
 
 
 class EvaluationError(Exception):
-    """kind is "UnknownComponent" or "ZeroReference"."""
+    """kind is "ZeroReference"."""
 
     def __init__(self, kind: str, message: str):
         self.kind = kind
@@ -53,26 +52,8 @@ class EvaluationResult:
         return {k: v / total for k, v in self.energy_pj.items()}
 
 
-def _lookup(lib: dict[str, ComponentSpec], name: str) -> ComponentSpec:
-    try:
-        return lib[name]
-    except KeyError:
-        raise EvaluationError("UnknownComponent",
-                              f"component {name!r} not in library") from None
-
-
-def full_instances(arch: Architecture, level: int) -> int:
-    n = 1
-    for lv in arch.levels[: level + 1]:
-        n *= lv.fanout
-    return n
-
-
 def peak_spatial_macs(arch: Architecture) -> int:
-    n = 1
-    for lv in arch.levels:
-        n *= lv.fanout
-    return n
+    return arch.parts[len(arch.levels) - 1][1]
 
 
 def latency_and_utilization(
@@ -99,12 +80,8 @@ def latency_and_utilization(
         cycles = max(cycles, math.ceil(
             actions / (comp.bandwidth * nest.instances[level])))
 
-    per_conv: dict[str, int] = {}
-    for (name, _tensor), n in counts.conversions.items():
-        per_conv[name] = per_conv.get(name, 0) + n
-    by_name = {cv.name: cv for cv in arch.converters}
-    for name, actions in per_conv.items():
-        cv = by_name[name]
+    for cv in arch.converters:
+        actions = sum(counts.conversions[(cv.name, t)] for t in cv.tensors)
         cycles = max(cycles,
                      math.ceil(actions / (cv.component.bandwidth * cv.instances)))
 
@@ -113,24 +90,17 @@ def latency_and_utilization(
     return cycles, compute_cycles, latency_s, utilization
 
 
-_ACTION_OF = {"reads": "read", "fills": "write", "drains": "read"}
-
-
 def energy(
     counts: AccessCounts,
     arch: Architecture,
     latency_s: float,
-    lib: dict[str, ComponentSpec] | None = None,
 ) -> dict[str, float]:
     """Per-component energy in pJ, keyed by component name.
 
-    `lib` overrides component parameters by name (the calibration hook);
-    by default each part prices itself. Static power is charged to every
-    physical instance for the full latency.
+    Each part prices itself as the architecture holds it. Static power is
+    charged to every physical instance (Architecture.parts) for the full
+    latency.
     """
-
-    if lib is None:
-        lib = {c.name: c for c in arch.components().values()}
 
     out: dict[str, float] = {}
 
@@ -138,7 +108,7 @@ def energy(
         out[name] = out.get(name, 0.0) + pj
 
     for (level, _tensor), lc in sorted(counts.per_level.items()):
-        comp = _lookup(lib, arch.levels[level].component.name)
+        comp = arch.levels[level].component
         add(comp.name,
             lc.reads * comp.energy("read")
             + lc.fills * comp.energy("write")
@@ -147,50 +117,32 @@ def energy(
 
     by_name = {cv.name: cv for cv in arch.converters}
     for (name, _tensor), n in sorted(counts.conversions.items()):
-        comp = _lookup(lib, by_name[name].component.name)
+        comp = by_name[name].component
         add(comp.name, n * comp.energy("convert"))
 
-    compute_comp = _lookup(lib, arch.levels[-1].component.name)
+    compute_comp = arch.levels[-1].component
     add(compute_comp.name, counts.real_macs * compute_comp.energy("compute"))
 
-    for level, lv in enumerate(arch.levels):
-        comp = _lookup(lib, lv.component.name)
-        static = comp.static_power_mw * full_instances(arch, level)
-        if static:
-            add(comp.name, static * latency_s * 1e9)
-    for cv in arch.converters:
-        comp = _lookup(lib, cv.component.name)
+    for comp, n in arch.parts:
         if comp.static_power_mw:
-            add(comp.name, comp.static_power_mw * cv.instances * latency_s * 1e9)
-    for ex in arch.extras:
-        comp = _lookup(lib, ex.component.name)
-        if comp.static_power_mw:
-            add(comp.name, comp.static_power_mw * ex.instances * latency_s * 1e9)
+            add(comp.name, comp.static_power_mw * n * latency_s * 1e9)
 
     return out
 
 
 def area(arch: Architecture) -> float:
-    total = 0.0
-    for level, lv in enumerate(arch.levels):
-        total += full_instances(arch, level) * lv.component.area_um2
-    for cv in arch.converters:
-        total += cv.instances * cv.component.area_um2
-    for ex in arch.extras:
-        total += ex.instances * ex.component.area_um2
-    return total
+    return sum(n * comp.area_um2 for comp, n in arch.parts)
 
 
 def evaluate(
     arch: Architecture,
     layer: Layer,
     mapping: Mapping,
-    lib: dict[str, ComponentSpec] | None = None,
 ) -> EvaluationResult:
     counts = analyze(arch, layer, mapping)
     cycles, compute_cycles, latency_s, util = latency_and_utilization(
         counts, arch, mapping)
-    per_comp = energy(counts, arch, latency_s, lib)
+    per_comp = energy(counts, arch, latency_s)
     total = sum(per_comp[k] for k in sorted(per_comp))
     macs_per_s = counts.real_macs / latency_s if latency_s > 0 else 0.0
     return EvaluationResult(

@@ -23,7 +23,7 @@ from .evaluator import (
     evaluate,
     peak_spatial_macs,
 )
-from .mapper import SearchConfig, SearchResult, search
+from .mapper import NoValidMapping, SearchConfig, SearchResult, search
 from .reuse import analyze
 from .spec_model import (
     INPUTS,
@@ -181,6 +181,7 @@ def _search_layer(arch: Architecture, layer: Layer, cfg: ExperimentConfig,
                   batch_size: int = 1,
                   keep_overrides: dict | None = None,
                   reduction_floor: int | None = None) -> SearchResult:
+    # Only the bundled architecture has the Albireo stencil to pin.
     sc = SearchConfig(
         objective=objective,
         budget=cfg.budget,
@@ -189,7 +190,8 @@ def _search_layer(arch: Architecture, layer: Layer, cfg: ExperimentConfig,
         pad_mode="pad",
         batch_size=batch_size,
         keep_overrides=keep_overrides or {},
-        fixed_spatial=albireo.geometry_pins(layer, *axes),
+        fixed_spatial=(albireo.geometry_pins(layer, *axes)
+                       if cfg.arch in (None, BUNDLED_ARCHITECTURE) else {}),
         reduction_floor=reduction_floor,
     )
     return search(arch, layer, sc)
@@ -219,8 +221,9 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
 def breakdown_contributions(cfg: ExperimentConfig
                             ) -> Callable[[dict], dict[str, float]]:
     """Search the breakdown workload once and return a pricing function:
-    given a component library, it gives the accelerator-scope energy per
-    component of the searched counts. The search prices with the
+    given a component library, it binds the library into the architecture
+    and gives the accelerator-scope energy per component of the searched
+    counts. The search prices with the
     architecture's own library, so one search serves every calibration
     round."""
 
@@ -229,8 +232,9 @@ def breakdown_contributions(cfg: ExperimentConfig
              for layer in _workload(cfg, "vgg16").layers]
 
     def price(lib: dict) -> dict[str, float]:
+        priced = parse_architecture(serialize_architecture(arch), lib)
         return accelerator_scope(_sum_energy(
-            [energy(ev.counts, arch, ev.latency_s, lib) for ev in evals]))
+            [energy(ev.counts, priced, ev.latency_s) for ev in evals]))
 
     return price
 
@@ -524,7 +528,7 @@ def run_memory_experiment(cfg: ExperimentConfig) -> dict:
                                    batch_size=b, keep_overrides=keep_p)
                 rc = _search_layer(pair_arch, consumer, cfg, "energy",
                                    batch_size=b, keep_overrides=keep_c)
-            except Exception as err:
+            except NoValidMapping as err:
                 pairs.append({
                     "producer": producer.name, "consumer": consumer.name,
                     "batch_size": b, "required_bits": required,
@@ -622,7 +626,7 @@ def run_reuse_sweep(cfg: ExperimentConfig) -> dict:
         arch = _architecture(cfg, axes)
         try:
             res = _search_layer(arch, layer, cfg, "energy", axes=axes)
-        except Exception as err:
+        except NoValidMapping as err:
             raise SweepInfeasible(cfg.sweep_axis, value, str(err)) from err
         ev = res.evaluation
         accel = accelerator_scope(ev.energy_pj)

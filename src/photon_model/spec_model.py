@@ -202,6 +202,17 @@ class Architecture:
                 table[key] = cv
         return table
 
+    @cached_property
+    def parts(self) -> tuple[tuple[ComponentSpec, int], ...]:
+        """Every part with its physical instance count: each level (the
+        fanout product down to it), then each converter bank, then each
+        extra. The one count static power and area are charged by."""
+
+        fanned = accumulate((lv.fanout for lv in self.levels), mul)
+        return (tuple(zip((lv.component for lv in self.levels), fanned))
+                + tuple((cv.component, cv.instances) for cv in self.converters)
+                + tuple((ex.component, ex.instances) for ex in self.extras))
+
     def components(self) -> dict[str, ComponentSpec]:
         out: dict[str, ComponentSpec] = {}
         for lv in self.levels:
@@ -704,6 +715,10 @@ _CONVERTER_FIELDS = frozenset({"name", "component", "between", "tensors",
 _EXTRA_FIELDS = frozenset({"name", "component", "instances"})
 _WORKLOAD_FIELDS = frozenset({"name", "layers"})
 _LAYER_FIELDS = frozenset({"name", "kind", "dims", "stride", "bits"})
+_MAPPING_DOC_FIELDS = frozenset({"spec_version", "mapping"})
+_MAPPING_FIELDS = frozenset({"levels", "batch_size", "pad", "keep_overrides"})
+_LEVEL_MAPPING_FIELDS = frozenset({"level", "temporal", "spatial",
+                                   "permutation"})
 
 
 def _req(doc: dict, key: str, path: str):
@@ -1060,15 +1075,23 @@ def serialize_mapping(m: Mapping, arch: Architecture) -> dict:
 
 def parse_mapping(doc: dict, arch: Architecture) -> Mapping:
     path = "mapping"
-    body = doc.get("mapping", doc)
+    body = doc
+    if "mapping" in doc:
+        check_fields(doc, _MAPPING_DOC_FIELDS, "$")
+        body = doc["mapping"]
+    check_fields(body, _MAPPING_FIELDS, path)
     lvdocs = _req(body, "levels", path)
     by_name = {lv.name: i for i, lv in enumerate(arch.levels)}
     lms: list[LevelMapping | None] = [None] * len(arch.levels)
     for j, ld in enumerate(lvdocs):
         lpath = f"{path}.levels[{j}]"
+        check_fields(ld, _LEVEL_MAPPING_FIELDS, lpath)
         name = _req(ld, "level", lpath)
         if name not in by_name:
             raise SpecError("MalformedDocument", lpath, f"unknown level {name!r}")
+        if lms[by_name[name]] is not None:
+            raise SpecError("MalformedDocument", lpath,
+                            f"level {name!r} is mapped twice")
         lms[by_name[name]] = LevelMapping(
             temporal={d: _as_int(v, lpath, d) for d, v in ld.get("temporal", {}).items()},
             spatial={d: _as_int(v, lpath, d) for d, v in ld.get("spatial", {}).items()},

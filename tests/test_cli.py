@@ -1,9 +1,10 @@
 import json
 import re
+from pathlib import Path
 
 import pytest
 
-from photon_model import cli
+from photon_model import albireo, cli
 from photon_model.spec_model import parse_spec
 from photon_model.workloads import load_spec
 
@@ -86,6 +87,46 @@ def test_evaluate_prices_the_mapping(tiny_workload, tiny_mapping, capsys):
     assert doc["total_energy_pj"] == pytest.approx(
         sum(doc["energy_pj"].values()))
     assert 0 < doc["utilization"] <= 1
+
+
+def test_evaluate_rejects_a_misspelled_mapping_field(
+        tiny_workload, tiny_mapping, tmp_path, capsys):
+    doc = json.loads(Path(tiny_mapping).read_text())
+    doc["mapping"]["batchsize"] = 4
+    path = tmp_path / "typo.mapping"
+    path.write_text(json.dumps(doc))
+    rc = cli.main(["evaluate", "--workload", tiny_workload, "--layer", "a",
+                   "--mapping", str(path)])
+    assert rc == 2
+    assert "unknown fields ['batchsize']" in capsys.readouterr().err
+
+
+@pytest.fixture
+def small_arch(tmp_path):
+    """The bundled document with a 16-lane array, converter and optical
+    banks scaled to match: too small for the Albireo stencil."""
+
+    doc = albireo.architecture_doc()
+    doc["levels"][-1]["fanout"] = 16
+    for part in doc["converters"] + doc["extras"]:
+        if part["name"] in ("mzm_bank", "ring_banks"):
+            part["instances"] = 16
+        elif part["name"] in ("pd_bank", "star_couplers"):
+            part["instances"] = 4
+    path = tmp_path / "small.spec"
+    path.write_text(json.dumps({"spec_version": 1,
+                                "use_builtin_components": "aggressive",
+                                "architecture": doc}))
+    return str(path)
+
+
+@pytest.mark.parametrize("experiment", ["throughput", "memory", "breakdown"])
+def test_studies_search_another_architecture_unpinned(
+        experiment, small_arch, tiny_workload, capsys):
+    rc = cli.main(["experiment", "--experiment", experiment,
+                   "--arch", small_arch, "--workload", tiny_workload,
+                   "--budget", "20"])
+    assert rc == 0, capsys.readouterr().err
 
 
 def test_experiment_writes_report_and_tables(tiny_workload, tmp_path,

@@ -45,14 +45,6 @@ def test_energy_linear_in_reads():
     assert out["sram"] == pytest.approx(20.0)
 
 
-def test_unknown_component_in_library():
-    arch = toys.fc_direct()
-    counts = AccessCounts(per_level={(0, "Weights"): LevelCounts(reads=1)})
-    with pytest.raises(EvaluationError) as e:
-        energy(counts, arch, 0.0, lib={"mac": arch.levels[1].component})
-    assert e.value.kind == "UnknownComponent"
-
-
 def test_static_power_charged_for_latency():
     comp = replace(toys.storage("sram", "DE", 1 << 20), static_power_mw=5.0)
     arch = Architecture(
@@ -165,11 +157,12 @@ def test_component_energy_scaling_is_isolated():
                                                "P": 4, "Q": 4}),
                         LevelMapping(spatial={"K": 4})))
     base = evaluate(arch, toys.conv_k4(), m)
-    lib = {c.name: c for c in arch.components().values()}
-    sram = lib["sram"]
-    lib["sram"] = replace(sram, energy_per_action={
-        a: 2 * e for a, e in sram.energy_per_action.items()})
-    doubled = evaluate(arch, toys.conv_k4(), m, lib=lib)
+    store = arch.levels[0]
+    sram = replace(store.component, energy_per_action={
+        a: 2 * e for a, e in store.component.energy_per_action.items()})
+    arch2 = replace(arch, levels=(replace(store, component=sram),)
+                    + arch.levels[1:])
+    doubled = evaluate(arch2, toys.conv_k4(), m)
     assert doubled.energy_pj["sram"] == pytest.approx(
         2 * base.energy_pj["sram"])
     for name in ("dac", "adc", "amac"):

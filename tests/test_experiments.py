@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from photon_model import albireo, cli
+from photon_model import albireo, cli, experiments
 from photon_model.evaluator import evaluate
 from photon_model.experiments import (
     ExperimentConfig,
@@ -216,6 +216,38 @@ def test_memory_batching_amortizes(tiny_workload):
     assert batched["dram_weight_reads_per_batch"] == \
         base["dram_weight_reads_per_batch"]
     assert batched["latency_per_batch_ms"] > base["latency_per_batch_ms"]
+
+
+def _raise_on(monkeypatch, when):
+    """Make the studies' search raise an AssertionError whenever
+    `when(SearchConfig)` holds: a bug, not an infeasible search."""
+
+    real = experiments.search
+
+    def search(arch, layer, sc):
+        if when(sc):
+            raise AssertionError("inexact collapse")
+        return real(arch, layer, sc)
+
+    monkeypatch.setattr(experiments, "search", search)
+
+
+def test_memory_study_propagates_a_bug_in_a_fused_search(tiny_workload,
+                                                         monkeypatch):
+    _raise_on(monkeypatch, lambda sc: bool(sc.keep_overrides))
+    cfg = ExperimentConfig(experiment="memory", workload=tiny_workload,
+                           batch_sizes=(2,), budget=20)
+    with pytest.raises(AssertionError, match="inexact collapse"):
+        run_memory_experiment(cfg)
+
+
+def test_reuse_sweep_propagates_a_bug_in_its_search(tiny_workload,
+                                                    monkeypatch):
+    _raise_on(monkeypatch, lambda sc: True)
+    cfg = ExperimentConfig(experiment="reuse_sweep", workload=tiny_workload,
+                           sweep_values=(1,), budget=20)
+    with pytest.raises(AssertionError, match="inexact collapse"):
+        run_reuse_sweep(cfg)
 
 
 def test_sweep_layer_selection():

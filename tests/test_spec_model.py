@@ -1,4 +1,5 @@
 import ast
+import math
 import random
 from pathlib import Path
 
@@ -454,6 +455,62 @@ def test_mapping_roundtrip_and_digest():
                 keep_overrides=m.keep_overrides))
 
 
+def mapping_doc():
+    arch = toys.fc_weight_buffer()
+    m = Mapping(levels=(LevelMapping(temporal={"K": 2}),
+                        LevelMapping(temporal={"C": 3},
+                                     permutation=("C",)),
+                        LevelMapping()),
+                batch_size=2, keep_overrides={1: ("Weights",)})
+    return arch, serialize_mapping(m, arch)
+
+
+# (edit, path of the object the error must name)
+MAPPING_TYPOS = {
+    "wrapper": (_typo(lambda d: d, "spec_version", "version"), "$"),
+    "batch_size": (_typo(lambda d: d["mapping"], "batch_size", "batchsize"),
+                   "mapping"),
+    "keep_overrides": (_typo(lambda d: d["mapping"], "keep_overrides",
+                             "keep_override"), "mapping"),
+    "level permutation": (_typo(lambda d: d["mapping"]["levels"][1],
+                                "permutation", "permutaion"),
+                          "mapping.levels[1]"),
+    "level temporal": (_typo(lambda d: d["mapping"]["levels"][0],
+                             "temporal", "temporals"), "mapping.levels[0]"),
+    "pad": (_typo(lambda d: d["mapping"], "pad", "pads"), "mapping"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MAPPING_TYPOS))
+def test_unknown_mapping_field_rejected(case):
+    arch, doc = mapping_doc()
+    edit, path = MAPPING_TYPOS[case]
+    edit(doc)
+    with pytest.raises(SpecError) as e:
+        parse_mapping(doc, arch)
+    assert (e.value.kind, e.value.path) == ("MalformedDocument", path)
+
+
+def test_bare_mapping_body_is_checked():
+    arch, doc = mapping_doc()
+    body = doc["mapping"]
+    assert parse_mapping(body, arch) == parse_mapping(doc, arch)
+    body["batchsize"] = body.pop("batch_size")
+    with pytest.raises(SpecError) as e:
+        parse_mapping(body, arch)
+    assert "batchsize" in str(e.value)
+
+
+def test_mapping_level_named_twice_rejected():
+    arch, doc = mapping_doc()
+    levels = doc["mapping"]["levels"]
+    levels.append(dict(levels[0], temporal={}))
+    with pytest.raises(SpecError) as e:
+        parse_mapping(doc, arch)
+    assert (e.value.kind, e.value.path) == ("MalformedDocument",
+                                            "mapping.levels[3]")
+
+
 def test_duplicate_coverage_names_the_second_bank_and_its_tensor():
     doc = minimal_doc(mac_domain="AE", converters=[
         {"name": "dn", "component": "dac", "between": ["store", "pe"],
@@ -497,6 +554,22 @@ def test_edge_converters_resolve_every_bank_once():
                 assert {(e, WEIGHTS, DOWN), (e, INPUTS, DOWN),
                         (e, OUTPUTS, UP)} <= set(table)
     assert crossing_edges > len(archs)
+
+
+def test_parts_count_every_physical_instance():
+    archs = list(sweep_architectures())
+    archs += [random_architecture(random.Random(s)) for s in range(50)]
+    assert any(arch.extras for arch in archs)
+    for arch in archs:
+        parts = arch.parts
+        n = len(arch.levels)
+        assert len(parts) == n + len(arch.converters) + len(arch.extras)
+        for i, (comp, count) in enumerate(parts[:n]):
+            assert comp is arch.levels[i].component
+            assert count == math.prod(lv.fanout for lv in arch.levels[:i + 1])
+        for (comp, count), part in zip(parts[n:],
+                                       arch.converters + arch.extras):
+            assert (comp, count) == (part.component, part.instances)
 
 
 # Signal domains are read in spec_model alone, which resolves them into
