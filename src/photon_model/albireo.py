@@ -29,8 +29,6 @@ BASE_Q = 7   # output columns sharing one modulated weight
 BASE_C = 4   # channel partial products merged optically
 BASE_R = 3   # filter-row partial products merged optically
 
-CONVERTER_NAMES = ("input_dac", "weight_adc_return", "mzm_bank", "pd_bank")
-
 
 def architecture_doc(ao_per_ae_weight: int = 1, ao_input_fanout: int = 1,
                      ae_output_fanout: int = 1) -> dict:

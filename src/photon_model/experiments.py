@@ -11,12 +11,7 @@ from collections.abc import Callable
 from dataclasses import asdict, dataclass, replace
 
 from . import albireo
-from .components import (
-    PROFILES,
-    builtin_components,
-    calibration_factors,
-    scale_library,
-)
+from .components import PROFILES, calibration_factors, scale_library
 from .evaluator import (
     breakdown_error,
     energy,
@@ -51,10 +46,6 @@ from .workloads import (
 
 EXPERIMENTS = ("breakdown", "throughput", "memory", "reuse_sweep")
 SWEEP_AXES = ("ao_per_ae_weight", "ao_input_fanout", "ae_output_fanout")
-
-# The backing store is outside the accelerator boundary in every study that
-# talks about "accelerator energy"; the full-system studies keep it.
-DRAM_COMPONENT = "dram"
 
 SCHEMA_VERSION = 1
 
@@ -155,10 +146,13 @@ def parse_experiment_config(doc: dict) -> ExperimentConfig:
 # ----------------------------------------------------------------------------
 
 
-def accelerator_scope(energies: dict[str, float]) -> dict[str, float]:
-    """Drop the backing store; everything else is the accelerator."""
+def accelerator_scope(energies: dict[str, float],
+                      arch: Architecture) -> dict[str, float]:
+    """The accelerator's energies: all but the backing store's, which is
+    the outermost level's part."""
 
-    return {k: v for k, v in energies.items() if k != DRAM_COMPONENT}
+    store = arch.levels[0].component.name
+    return {k: v for k, v in energies.items() if k != store}
 
 
 def _architecture(cfg: ExperimentConfig,
@@ -218,37 +212,36 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
 # ----------------------------------------------------------------------------
 
 
-def breakdown_contributions(cfg: ExperimentConfig
+def breakdown_contributions(cfg: ExperimentConfig, arch: Architecture
                             ) -> Callable[[dict], dict[str, float]]:
-    """Search the breakdown workload once and return a pricing function:
-    given a component library, it binds the library into the architecture
-    and gives the accelerator-scope energy per component of the searched
-    counts. The search prices with the
-    architecture's own library, so one search serves every calibration
-    round."""
+    """Search the breakdown workload on `arch` once and return a pricing
+    function: given a component library, it binds the library into the
+    architecture and gives the accelerator-scope energy per component of
+    the searched counts. The search prices with the architecture's own
+    parts, so one search serves every calibration round."""
 
-    arch = _architecture(cfg)
     evals = [_search_layer(arch, layer, cfg, "energy").evaluation
              for layer in _workload(cfg, "vgg16").layers]
 
     def price(lib: dict) -> dict[str, float]:
         priced = parse_architecture(serialize_architecture(arch), lib)
         return accelerator_scope(_sum_energy(
-            [energy(ev.counts, priced, ev.latency_s) for ev in evals]))
+            [energy(ev.counts, priced, ev.latency_s) for ev in evals]), arch)
 
     return price
 
 
 def run_breakdown(cfg: ExperimentConfig) -> dict:
-    """Calibrate the component library against the bundled reference
+    """Calibrate the architecture's own parts against the bundled reference
     breakdown, then report modeled-vs-reference energies."""
 
-    base = builtin_components(cfg.profile)
+    arch = _architecture(cfg)
+    base = arch.components()
     reference = load_reference_breakdown()
     ref_total = sum(reference.values())
     fractions = {c: v / ref_total for c, v in reference.items()}
 
-    price = breakdown_contributions(cfg)
+    price = breakdown_contributions(cfg, arch)
     factors = calibration_factors(fractions, price(base))
     calibrated = scale_library(base, factors)
     modeled = price(calibrated)
@@ -349,7 +342,7 @@ def _insert_batch_loop(mapping: Mapping, level: int, b: int) -> Mapping:
     lm = mapping.levels[level]
     temporal = dict(lm.temporal)
     temporal["N"] = lm.t("N") * b
-    order = [d for d, e in lm.loops() if e > 1 and d != "N"]
+    order = [d for d, _ in lm.loops() if d != "N"]
     cut = len(order)
     for i, d in enumerate(order):
         if d in REDUCED_DIMS:
@@ -404,14 +397,15 @@ def _resized_buffer_arch(cfg: ExperimentConfig, required_bits: int,
                               {**base_arch.components(), comp.name: resized})
 
 
-def _leg_row(leg: str, b: int, per_layer: list, baseline_total: float | None
-             ) -> tuple[dict, dict[str, float]]:
-    """Aggregate per-layer evaluations into one report row (per inference)."""
+def _leg_row(leg: str, b: int, per_layer: list, baseline_total: float | None,
+             store: str) -> tuple[dict, dict[str, float]]:
+    """Aggregate per-layer evaluations into one report row (per inference);
+    `store` names the backing store's part."""
 
     comps = _sum_energy([ev.energy_pj for ev in per_layer])
     comps = {k: v / b for k, v in comps.items()}
     total = sum(comps[k] for k in sorted(comps))
-    dram = comps.get(DRAM_COMPONENT, 0.0)
+    dram = comps.get(store, 0.0)
     latency_s = sum(ev.latency_s for ev in per_layer)
     weight_reads = sum(ev.counts.per_level[(0, WEIGHTS)].reads
                        for ev in per_layer)
@@ -472,7 +466,8 @@ def run_memory_experiment(cfg: ExperimentConfig) -> dict:
 
     def add_leg(leg: str, b: int, evs: list,
                 baseline_total: float | None) -> dict:
-        row, comps = _leg_row(leg, b, evs, baseline_total)
+        row, comps = _leg_row(leg, b, evs, baseline_total,
+                              arch.levels[0].component.name)
         rows.append(row)
         comp_rows.extend({"leg": leg, "batch_size": b, "component": k,
                           "pj_per_inference": v}
@@ -589,8 +584,6 @@ AXIS_TARGETS = {
     "ae_output_fanout": ("pd_bank", OUTPUTS),
 }
 
-CONVERTER_COMPONENTS = ("dac", "adc", "mzm_modulator", "photodiode")
-
 
 def _sweep_point(cfg: ExperimentConfig, value: int) -> tuple[int, int, int]:
     """Geometry axes with `value` on the swept axis and 1 elsewhere, in
@@ -629,8 +622,9 @@ def run_reuse_sweep(cfg: ExperimentConfig) -> dict:
         except NoValidMapping as err:
             raise SweepInfeasible(cfg.sweep_axis, value, str(err)) from err
         ev = res.evaluation
-        accel = accelerator_scope(ev.energy_pj)
-        converter = sum(accel.get(c, 0.0) for c in CONVERTER_COMPONENTS)
+        accel = accelerator_scope(ev.energy_pj, arch)
+        converter = sum(accel.get(c, 0.0) for c in dict.fromkeys(
+            cv.component.name for cv in arch.converters))
         rows.append({
             "axis": cfg.sweep_axis,
             "value": value,

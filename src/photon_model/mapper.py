@@ -27,9 +27,10 @@ The candidate space factors per dimension: each dim contributes a chain
 the exact bound; pad mode picks spatial widths from divisors of the bound
 or of the level fanout, then pads the iterated extent minimally to a
 multiple of the spatial width. Loop orders are searched only over dims with
-more than one iteration at a level. Keeper chains and the capacity demand
-come from spec_model, and step counts from the candidate's `mapping.nest`:
-the definitions the counting engines use.
+more than one iteration at a level. Keeper chains, the capacity demand and
+the refetch-forbidden keepers come from spec_model, and step counts from
+the candidate's `mapping.nest`: the definitions validation and the
+counting engines use.
 
 Ties on the objective break toward the lexicographically smallest mapping
 digest among evaluated candidates, so every strategy is deterministic for a
@@ -65,7 +66,6 @@ from .evaluator import EvaluationResult, energy, evaluate
 from .reuse import analyze
 from .spec_model import (
     DIMS,
-    DOWN,
     REDUCED_DIMS,
     TENSOR_DIMS,
     TENSORS,
@@ -77,6 +77,7 @@ from .spec_model import (
     effective_keeps,
     keeper_levels,
     kept_bits,
+    refetch_forbidden,
     validate_mapping,
 )
 
@@ -292,23 +293,6 @@ def _build_mapping(arch: Architecture, chains: dict[str, tuple[int, ...]],
                    pad=cfg.pad_mode == "pad")
 
 
-def _refetch_forbidden(arch: Architecture,
-                       cfg: SearchConfig) -> tuple[tuple[int, str], ...]:
-    """Keeper levels whose tile can never be refetched: an edge on the
-    refill path crosses signal domains with no descending converter for
-    the tensor, so any mapping that revisits an evicted tile is invalid."""
-
-    out = []
-    for t in TENSORS:
-        keepers = keeper_levels(arch, cfg.keep_overrides, t)
-        for a, b in zip(keepers, keepers[1:]):
-            for k in range(a + 1, b + 1):
-                if arch.crosses(k) and (k, t, DOWN) not in arch.edge_converters:
-                    out.append((b, t))
-                    break
-    return tuple(out)
-
-
 def _nest_ok(own: int, other: int) -> bool:
     """Cross-level loop-order condition for one refetch-forbidden keeper at
     level b. `own` has bit j set where one of the tensor's dims iterates at
@@ -322,7 +306,7 @@ def _nest_ok(own: int, other: int) -> bool:
 
 
 def _chain_table(chains: list[tuple[int, ...]], d: str, cap: _CapacityCheck,
-                 forbidden: tuple[tuple[int, str], ...]
+                 forbidden: tuple[tuple[int, str, int], ...]
                  ) -> tuple[list[tuple], list[tuple[tuple, list[int]]]]:
     """What the feasibility filter reads of each chain of dim d's menu: its
     spatial row s1..s(M-1), its extent row at the capacity-checked levels,
@@ -336,7 +320,7 @@ def _chain_table(chains: list[tuple[int, ...]], d: str, cap: _CapacityCheck,
         bits = sum(1 << j for j, f in enumerate(chain[0::2]) if f > 1)
         nest = tuple((bits & ((1 << (b + 1)) - 2), 0) if d in TENSOR_DIMS[t]
                      else (0, bits & ((1 << b) - 1))
-                     for b, t in forbidden)
+                     for b, t, _ in forbidden)
         row = (chain[1::2], cap.row(chain), nest)
         table.append(row)
         groups.setdefault(row, []).append(i)
@@ -379,12 +363,13 @@ def _block_leads(perm: tuple[str, ...], dims: frozenset) -> bool:
 
 
 def _valid_perms(live: tuple[str, ...], level: int,
-                 forbidden: tuple[tuple[int, str], ...]) -> list[tuple[str, ...]]:
+                 forbidden: tuple[tuple[int, str, int], ...]
+                 ) -> list[tuple[str, ...]]:
     """Orderings of this level's live loops that keep every
     refetch-forbidden tensor's dims ahead of other dims. The keeper level's
     own loops take part: its temporal loops also cycle the kept tile."""
 
-    blocks = [TENSOR_DIMS[t] for b, t in forbidden if level <= b]
+    blocks = [TENSOR_DIMS[t] for b, t, _ in forbidden if level <= b]
     if not blocks:
         return list(itertools.permutations(live))
     return [p for p in itertools.permutations(live)
@@ -536,7 +521,8 @@ def _search(arch: Architecture, layer: Layer, cfg: SearchConfig) -> SearchResult
         rng = random.Random(cfg.seed)
         m = len(arch.levels)
         fanouts = [lv.fanout for lv in arch.levels[1:]]
-        forbidden = _refetch_forbidden(arch, cfg)
+        forbidden = refetch_forbidden(arch, {
+            t: keeper_levels(arch, cfg.keep_overrides, t) for t in TENSORS})
         tables = [_chain_table(chain_menu[d], d, cap, forbidden) for d in DIMS]
         perm_cache: dict[tuple[int, tuple[str, ...]], list] = {}
         feas_cache: dict[tuple, list[int]] = {}

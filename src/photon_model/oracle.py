@@ -28,7 +28,6 @@ from .spec_model import (
     Architecture,
     Layer,
     Mapping,
-    MappingError,
     effective_bounds,
     effective_keeps,
     tile_values,
@@ -88,11 +87,8 @@ def simulate(arch: Architecture, layer: Layer, mapping: Mapping,
     validate_mapping(mapping, layer, arch)
     compute = len(arch.levels) - 1
 
-    loops: list[tuple[int, str, int]] = []
-    for j, lm in enumerate(mapping.levels):
-        for d, e in lm.loops():
-            if e > 1:
-                loops.append((j, d, e))
+    loops = [(j, d, e) for j, lm in enumerate(mapping.levels)
+             for d, e in lm.loops()]
     axes: list[tuple[int, str, int]] = []
     for j, lm in enumerate(mapping.levels):
         for d in DIMS:
@@ -249,16 +245,6 @@ def simulate(arch: Architecture, layer: Layer, mapping: Mapping,
             cv = arch.edge_converters.get(key)
             if cv is not None:
                 counts.conversions[(cv.name, hop.tensor)] += cnt
-            elif arch.crosses(k):
-                if direction == DOWN and hop.tensor == OUTPUTS:
-                    raise MappingError(
-                        "ConverterMissing",
-                        f"partial {OUTPUTS} refetched across the "
-                        f"domain-crossing edge into level "
-                        f"{arch.levels[k].name!r} with no descending "
-                        f"converter", tensor=OUTPUTS,
-                        level=arch.levels[k].name)
-                raise AssertionError("uncovered domain crossing")
 
     for tensor in (WEIGHTS, INPUTS):
         hops = [(h, mi) for h, mi in wi_hops if h.tensor == tensor]

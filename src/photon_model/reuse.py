@@ -21,6 +21,9 @@ Counting conventions (shared verbatim by the interpreter in oracle):
   including the first touch of a tile;
 * a tile is identified by its loop indices, not its contents, so
   overlapping convolution halos are re-sent (documented overcount).
+
+Counting assumes a mapping validate_mapping accepted and rejects none: in
+particular, partials are refetched only down edges that convert them.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ from .spec_model import (
     Architecture,
     Layer,
     Mapping,
-    MappingError,
     effective_bounds,
     effective_keeps,
     keeper_levels,
@@ -100,23 +102,12 @@ class ReuseFactor:
 
 
 # ----------------------------------------------------------------------------
-# Nest structure shared with the interpreter oracle
+# Nest structure
 # ----------------------------------------------------------------------------
 
 
-def loop_list(mapping: Mapping) -> list[tuple[int, str, int]]:
-    """Global temporal loops, outermost first: (level, dim, extent), extent > 1.
-    Level blocks are contiguous; within a level the permutation rules."""
-
-    loops = []
-    for j, lm in enumerate(mapping.levels):
-        for d, e in lm.loops():
-            if e > 1:
-                loops.append((j, d, e))
-    return loops
-
-
-def innermost_relevant(loops: list[tuple[int, str, int]], level: int, tensor: str) -> int:
+def innermost_relevant(loops: tuple[tuple[int, str, int], ...],
+                       level: int, tensor: str) -> int:
     """Position of the innermost temporal loop at or above `level` whose dim
     moves this tensor's tile; -1 if none (the tile never changes)."""
 
@@ -128,7 +119,8 @@ def innermost_relevant(loops: list[tuple[int, str, int]], level: int, tensor: st
     return -1
 
 
-def residencies(loops: list[tuple[int, str, int]], level: int, tensor: str) -> int:
+def residencies(loops: tuple[tuple[int, str, int], ...],
+                level: int, tensor: str) -> int:
     """Times the (level, tensor) tile changes over the walk, counting the
     initial fill: the product of loop extents at or outside the innermost
     relevant loop, because any of them advancing resets or moves it."""
@@ -140,7 +132,8 @@ def residencies(loops: list[tuple[int, str, int]], level: int, tensor: str) -> i
     return n
 
 
-def distinct_tiles(loops: list[tuple[int, str, int]], level: int, tensor: str) -> int:
+def distinct_tiles(loops: tuple[tuple[int, str, int], ...],
+                   level: int, tensor: str) -> int:
     dims = TENSOR_DIMS[tensor]
     n = 1
     for lj, d, e in loops:
@@ -219,9 +212,9 @@ def analyze(arch: Architecture, layer: Layer, mapping: Mapping) -> AccessCounts:
 
     validate_mapping(mapping, layer, arch)
 
-    loops = loop_list(mapping)
     compute = len(arch.levels) - 1
     nest = mapping.nest
+    loops = nest.loops
     padded = nest.padded
     bounds = effective_bounds(layer, mapping)
     macs = 1
@@ -251,16 +244,6 @@ def analyze(arch: Architecture, layer: Layer, mapping: Mapping) -> AccessCounts:
             cv = arch.edge_converters.get(key)
             if cv is not None:
                 counts.conversions[(cv.name, hop.tensor)] += n
-            elif arch.crosses(k):
-                if direction == DOWN and hop.tensor == OUTPUTS:
-                    raise MappingError(
-                        "ConverterMissing",
-                        f"partial {OUTPUTS} refetched across the "
-                        f"domain-crossing edge into level "
-                        f"{arch.levels[k].name!r} with no descending "
-                        f"converter", tensor=OUTPUTS,
-                        level=arch.levels[k].name)
-                raise AssertionError("uncovered domain crossing")
 
     # Operand tensors flow down their keeper chains.
     for tensor in (WEIGHTS, INPUTS):

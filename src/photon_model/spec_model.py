@@ -17,7 +17,9 @@ engines, the evaluator and the mapper build on, so that "what a tile is"
 has exactly one definition: a mapping's LoopNest (padded bounds, per-level
 tile bounds, spatial copies, instance counts and step count, built in one
 pass and cached as Mapping.nest), the tile footprint (tile_values), the
-capacity demand (kept_bits) and the keeper chains (keeper_levels).
+capacity demand (kept_bits) and the keeper chains (keeper_levels). So has
+a valid mapping: validate_mapping, the refetch rule (refetch_forbidden)
+included, so the counting engines never reject a mapping it accepted.
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ class MappingError(Exception):
     """A mapping is invalid for a given architecture and layer.
 
     kind is one of: FactorMismatch, FanoutExceeded, CapacityExceeded,
-    ConverterMissing.
+    ConverterMissing (the refetch rule, see refetch_forbidden).
     """
 
     def __init__(self, kind: str, message: str, *, dim: str | None = None,
@@ -274,9 +276,11 @@ class LevelMapping:
         return self.spatial.get(d, 1)
 
     def loops(self) -> list[tuple[str, int]]:
-        order = list(self.permutation)
-        order += [d for d in DIMS if d not in order]
-        return [(d, self.t(d)) for d in order]
+        """This level's temporal loops with extent > 1, outermost first."""
+
+        t, perm = self.temporal, self.permutation
+        order = [*perm, *(d for d in DIMS if d not in perm)]
+        return [(d, t[d]) for d in order if t.get(d, 1) > 1]
 
 
 @dataclass(frozen=True)
@@ -308,7 +312,7 @@ def mapping_digest(m: Mapping) -> str:
     for i, lm in enumerate(m.levels):
         t = ",".join(f"{d}{lm.t(d)}" for d in DIMS if lm.t(d) > 1)
         s = ",".join(f"{d}{lm.s(d)}" for d in DIMS if lm.s(d) > 1)
-        perm = "".join(d for d, e in lm.loops() if e > 1)
+        perm = "".join(d for d, _ in lm.loops())
         keep = ""
         if i in m.keep_overrides:
             keep = "|k:" + ",".join(sorted(m.keep_overrides[i]))
@@ -331,7 +335,9 @@ class LoopNest:
     tile one level-i instance holds); spatial[i] the spatial copies mapped
     at level i; instances[i] the mapped instances of level i (the product
     of spatial copies at or above it); steps the product of every temporal
-    factor, each step issuing one MAC per active compute instance.
+    factor, each step issuing one MAC per active compute instance; loops
+    the temporal loops with extent > 1, outermost first, as (level, dim,
+    extent), each level's block in its permutation's order.
     """
 
     padded: dict[str, int]
@@ -339,6 +345,7 @@ class LoopNest:
     spatial: tuple[int, ...]
     instances: tuple[int, ...]
     steps: int
+    loops: tuple[tuple[int, str, int], ...]
 
     @classmethod
     def of(cls, levels: tuple[LevelMapping, ...]) -> LoopNest:
@@ -359,7 +366,9 @@ class LoopNest:
         spatial.reverse()
         return cls(padded=run, tiles=tuple(reversed(tiles)),
                    spatial=tuple(spatial),
-                   instances=tuple(accumulate(spatial, mul)), steps=steps)
+                   instances=tuple(accumulate(spatial, mul)), steps=steps,
+                   loops=tuple((j, d, e) for j, lm in enumerate(levels)
+                               for d, e in lm.loops()))
 
 
 def effective_bounds(layer: Layer, mapping: Mapping) -> dict[str, int]:
@@ -414,6 +423,22 @@ def keeper_levels(arch: Architecture, keep_overrides: dict[int, tuple[str, ...]]
         for i in range(len(arch.levels) - 1)
         if tensor in effective_keeps(arch, keep_overrides, i)
     ]
+
+
+def refetch_forbidden(arch: Architecture, chains: dict[str, list[int]]
+                      ) -> tuple[tuple[int, str, int], ...]:
+    """Keepers whose tile may never be refetched, as (keeper, tensor, edge):
+    the refill from the next keeper out (`chains` holds each tensor's
+    keeper_levels) crosses a domain at `edge` with no descending converter."""
+
+    out = []
+    for t in TENSORS:
+        for a, b in zip(chains[t], chains[t][1:]):
+            for k in range(a + 1, b + 1):
+                if arch.crosses(k) and (k, t, DOWN) not in arch.edge_converters:
+                    out.append((b, t, k))
+                    break
+    return tuple(out)
 
 
 def multicast_width(arch: Architecture, mapping: Mapping, inner: int, tensor: str) -> int:
@@ -574,8 +599,9 @@ def validate_mapping(mapping: Mapping, layer: Layer, arch: Architecture) -> None
     """Raise MappingError unless the mapping is valid for (layer, arch).
 
     Checks factor coverage per dim (exact in strict mode, >= bound in pad
-    mode), per-level fanout budgets, keep overrides, and storage capacity
-    against kept-tile footprints.
+    mode), per-level fanout budgets, keep overrides, storage capacity
+    against kept-tile footprints and, last, that no refetch_forbidden
+    keeper's tile is evicted and brought back.
     """
 
     if len(mapping.levels) != len(arch.levels):
@@ -638,8 +664,9 @@ def validate_mapping(mapping: Mapping, layer: Layer, arch: Architecture) -> None
     # its dims may not factor above the origin, nor split spatially into
     # it. The origin's own temporal loops stay legal; they walk the tensor
     # in place.
+    chains = {}
     for t in TENSORS:
-        chain = keeper_levels(arch, mapping.keep_overrides, t)
+        chain = chains[t] = keeper_levels(arch, mapping.keep_overrides, t)
         if not chain:
             raise MappingError("FactorMismatch",
                                f"no level keeps tensor {t}", tensor=t)
@@ -670,6 +697,24 @@ def validate_mapping(mapping: Mapping, layer: Layer, arch: Architecture) -> None
                 f"level {lv.name!r} needs {total} bits for {sorted(keeps)}, "
                 f"capacity is {lv.component.capacity_bits}",
                 level=lv.name, tensor=worst)
+
+    # A keeper's tile returns after eviction exactly when, among the loops
+    # at or above it, a loop over another dim runs outside a loop over one
+    # of the tensor's dims: that loop revisits tiles already drained.
+    for b, t, k in refetch_forbidden(arch, chains):
+        dims = TENSOR_DIMS[t]
+        other = False
+        for j, d, _ in nest.loops:
+            if j > b:
+                break
+            if d not in dims:
+                other = True
+            elif other:
+                name = arch.levels[k].name
+                raise MappingError("ConverterMissing",
+                                   f"{t} refetched into level {name!r} "
+                                   "with no descending converter",
+                                   tensor=t, level=name)
 
 
 # ============================================================================

@@ -29,6 +29,7 @@ from photon_model.spec_model import (
     Mapping,
     SpecError,
     canonical_json,
+    serialize_component,
     serialize_spec,
 )
 from photon_model.workloads import load_spec
@@ -79,7 +80,8 @@ def test_parse_experiment_config():
 
 
 def test_accelerator_scope_drops_dram():
-    scoped = accelerator_scope({"dram": 5.0, "register": 1.0})
+    arch = albireo.architecture("aggressive")
+    scoped = accelerator_scope({"dram": 5.0, "register": 1.0}, arch)
     assert scoped == {"register": 1.0}
 
 
@@ -188,6 +190,83 @@ def test_breakdown_end_to_end(tiny_workload):
     assert 0 < report["modeled_total_pj"]
     assert sum(r["modeled_fraction"] for r in rows) == pytest.approx(1.0)
     assert canonical_json(run_breakdown(cfg)) == canonical_json(report)
+
+
+def _spec_file(tmp_path, name, arch_doc, parts=()):
+    """A spec file holding `arch_doc` over the builtin library, with
+    `parts` added to it (replacing builtin parts of the same name)."""
+
+    path = tmp_path / f"{name}.spec"
+    path.write_text(json.dumps({
+        "spec_version": 1, "use_builtin_components": "aggressive",
+        "components": [serialize_component(c) for c in parts],
+        "architecture": arch_doc}))
+    return str(path)
+
+
+def test_breakdown_calibrates_the_architectures_own_parts(tiny_workload,
+                                                          tmp_path):
+    # A spec whose own library doubles the DAC's convert energy must be
+    # calibrated from that library, so the DAC needs a smaller factor.
+    dac = albireo.architecture("aggressive").components()["dac"]
+    doubled = replace(dac, energy_per_action={
+        **dac.energy_per_action, "convert": 2 * dac.energy("convert")})
+    factors = {}
+    for name, parts in (("plain", ()), ("doubled", (doubled,))):
+        arch = _spec_file(tmp_path, name, albireo.architecture_doc(), parts)
+        cfg = ExperimentConfig(experiment="breakdown", arch=arch,
+                               workload=tiny_workload, budget=60)
+        factors[name] = run_breakdown(cfg)["calibration_factors"]["dac"]
+    assert factors["doubled"] < 0.75 * factors["plain"]
+
+
+def test_studies_find_the_backing_store_by_role(tiny_workload, tmp_path,
+                                               capsys):
+    # Renaming the backing store's part moves no number: the studies take
+    # the outermost level's part as the backing store, whatever its name.
+    dram = albireo.architecture("aggressive").components()["dram"]
+    doc = albireo.architecture_doc()
+    doc["levels"][0]["component"] = "hbm"
+    paths = {"plain": _spec_file(tmp_path, "plain", albireo.architecture_doc()),
+             "hbm": _spec_file(tmp_path, "hbm", doc,
+                               (replace(dram, name="hbm"),))}
+    shares = {}
+    for name, path in paths.items():
+        cfg = ExperimentConfig(experiment="memory", arch=path,
+                               workload=tiny_workload, fusion="off",
+                               budget=30)
+        shares[name] = run_memory_experiment(cfg)["baseline_dram_share"]
+    assert shares["hbm"] == shares["plain"] > 0
+    rc = cli.main(["experiment", "--experiment", "breakdown", "--arch",
+                   paths["hbm"], "--workload", tiny_workload,
+                   "--budget", "20"])
+    assert rc == 0, capsys.readouterr().err
+
+
+def test_auto_fusion_buffer_fuses_the_pairs_fixed_rejects(tmp_path):
+    # The intermediate of a (64 x 192 x 192 outputs at 8 bits) outgrows the
+    # 16,777,216-bit buffer alone at batch 1 and twice over at batch 2.
+    dims = {"N": 1, "P": 192, "Q": 192, "R": 3, "S": 3}
+    path = tmp_path / "wide.spec"
+    path.write_text(json.dumps({"spec_version": 1, "workload": {
+        "name": "wide", "layers": [
+            {"name": "a", "dims": {**dims, "K": 64, "C": 4}},
+            {"name": "b", "dims": {**dims, "K": 8, "C": 64}}]}}))
+    pairs = {}
+    for mode in ("fixed", "auto"):
+        cfg = ExperimentConfig(experiment="memory", workload=str(path),
+                               batch_sizes=(2,), fusion_buffer=mode,
+                               budget=20)
+        pairs[mode] = run_memory_experiment(cfg)["tables"]["fusion_pairs"]
+    required = [18_874_368, 37_748_736]
+    assert [(p["batch_size"], p["required_bits"], p["capacity_bits"],
+             p["fused"]) for p in pairs["fixed"]] == [
+        (1, required[0], 16_777_216, False),
+        (2, required[1], 16_777_216, False)]
+    assert [(p["batch_size"], p["required_bits"], p["capacity_bits"],
+             p["fused"]) for p in pairs["auto"]] == [
+        (1, required[0], required[0], True),
+        (2, required[1], required[1], True)]
 
 
 def test_memory_identity_configuration(tiny_workload):

@@ -318,9 +318,10 @@ def _invalid_variant(rng, arch, mapping, which):
 
 
 def test_delay_floor_is_sound_against_evaluate():
-    # The delay floor reads only the step count. A candidate it rejects,
-    # evaluate rejects with the same error kind; a candidate evaluate
-    # accepts gets the nest's step count, which never exceeds its cycles.
+    # The delay floor reads only the step count. It rejects exactly the
+    # candidates evaluate rejects, with the same error kind; a candidate
+    # evaluate accepts gets the nest's step count, which never exceeds its
+    # cycles.
     rng = random.Random(2024)
     seen = {}
     for i in range(300):
@@ -336,10 +337,8 @@ def test_delay_floor_is_sound_against_evaluate():
         except MappingError as err:
             assert err.kind == want
         else:
-            # Only counting sees a partial refetched with no converter.
-            assert want in ("ok", "ConverterMissing")
-            if want == "ok":
-                assert got == mapping.nest.steps <= ev.cycles
+            assert want == "ok"
+            assert got == mapping.nest.steps <= ev.cycles
         seen[want] = seen.get(want, 0) + 1
     assert set(seen) >= {"ok", "FactorMismatch", "CapacityExceeded"}
     assert seen["ok"] >= 100

@@ -1,18 +1,32 @@
 """Randomized equivalence between the analytical counts and the loop-nest
 interpreter. Both engines must agree on every count field, and must reject
-the same mappings for the same reason."""
+the same mappings for the same reason. The interpreter also checks
+validation's refetch rule independently."""
 
+import os
 import random
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import photon_model
 from photon_model import albireo
 from photon_model.mapper import SearchConfig, search
 from photon_model.oracle import simulate
 from photon_model.reuse import analyze
-from photon_model.spec_model import DIMS, Layer, MappingError
+from photon_model.spec_model import (
+    DIMS,
+    DOWN,
+    OUTPUTS,
+    Layer,
+    MappingError,
+    validate_mapping,
+)
 
 from randgen import random_instance
 
@@ -55,8 +69,62 @@ def test_engines_agree_on_random_instances():
     assert stats["mismatches"] == []
     # The generator must actually exercise the interesting corners.
     assert stats["hoisted"] >= 5
-    assert stats["rejected"] >= 1
+    # randgen keeps only mappings validate_mapping accepts, and counting
+    # rejects none of those; test_refetch_rule_matches_the_interpreter
+    # exercises the rejections.
+    assert stats["rejected"] == 0
     assert stats["instances"] - stats["rejected"] >= 80
+
+
+def test_random_instances_do_not_depend_on_the_hash_seed():
+    code = ("import random, randgen\n"
+            "from photon_model.spec_model import mapping_digest\n"
+            "rng = random.Random(1234)\n"
+            "for _ in range(120):\n"
+            "    print(mapping_digest(randgen.random_instance(rng)[2]))\n")
+    path = os.pathsep.join([str(Path(__file__).parent),
+                            str(Path(photon_model.__file__).parents[1])])
+    outs = {subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": path,
+                         "PYTHONHASHSEED": seed}).stdout
+        for seed in ("0", "1", "2")}
+    assert len(outs) == 1
+
+
+def _strip_descending_outputs(arch):
+    """The architecture without its converters carrying Outputs down, and
+    the edges that lost one."""
+
+    stripped = {k for k, t, dirn in arch.edge_converters
+                if (t, dirn) == (OUTPUTS, DOWN)}
+    kept = []
+    for cv in arch.converters:
+        if arch.edge_converters.get((cv.edge, OUTPUTS, DOWN)) is cv:
+            cv = replace(cv, tensors=tuple(t for t in cv.tensors
+                                           if t != OUTPUTS))
+        if cv.tensors:
+            kept.append(cv)
+    return replace(arch, converters=tuple(kept)), stripped
+
+
+def test_refetch_rule_matches_the_interpreter():
+    # Validation rejects the stripped architecture exactly when the
+    # interpreter, walking the original, sends Outputs down a stripped edge.
+    rng = random.Random(4321)
+    seen = {"ConverterMissing": 0, "ok": 0}
+    for _ in range(150):
+        arch, layer, mapping = random_instance(rng)
+        bare, stripped = _strip_descending_outputs(arch)
+        if not stripped:
+            continue
+        sim = simulate(arch, layer, mapping)
+        refetched = any(sim.edge_crossings.get((k, OUTPUTS, DOWN))
+                        for k in stripped)
+        kind, _ = outcome(validate_mapping, mapping, layer, bare)
+        assert kind == ("ConverterMissing" if refetched else "ok")
+        seen[kind] += 1
+    assert min(seen.values()) >= 5
 
 
 def test_equivalence_covers_padded_and_batched():

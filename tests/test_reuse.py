@@ -182,10 +182,12 @@ def test_partial_sum_refetch_needs_descending_converter():
                         "Q": 1})
     m = _partial_sum_mapping()
     arch = _partial_sum_arch(with_down_converter=False)
-    validate_mapping(m, layer, arch)
-    with pytest.raises(MappingError) as e:
-        analyze(arch, layer, m)
-    assert e.value.kind == "ConverterMissing"
+    for check in (lambda: validate_mapping(m, layer, arch),
+                  lambda: analyze(arch, layer, m)):
+        with pytest.raises(MappingError) as e:
+            check()
+        assert e.value.kind == "ConverterMissing"
+        assert (e.value.tensor, e.value.level) == ("Outputs", "obuf")
 
     covered = _partial_sum_arch(with_down_converter=True)
     c = analyze(covered, layer, m)

@@ -1,11 +1,12 @@
 import ast
+import json
 import math
 import random
 from pathlib import Path
 
 import pytest
 
-from photon_model import albireo, spec_model
+from photon_model import albireo, cli, spec_model
 from photon_model.experiments import (
     SWEEP_AXES,
     ExperimentConfig,
@@ -29,6 +30,7 @@ from photon_model.spec_model import (
     SpecError,
     canonical_json,
     input_extent,
+    load_document,
     mapping_digest,
     parse_layer,
     parse_mapping,
@@ -214,6 +216,61 @@ def test_bundled_documents_pass_the_field_checks():
         load_spec(name)
     parse_spec({"spec_version": 1, "use_builtin_components": "conservative",
                 "architecture": albireo.architecture_doc(2, 2, 2)})
+
+
+def _write_documents(tmp_path, docs):
+    for name, doc in docs.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    return str(tmp_path / "main.spec")
+
+
+def _split_minimal_doc(main_extra=None):
+    """minimal_doc as a library document and a spec that includes it."""
+
+    doc = minimal_doc()
+    library = {"spec_version": 1, "components": doc.pop("components")}
+    doc["include"] = ["lib/parts.json"]
+    doc.update(main_extra or {})
+    return {"lib/parts.json": library, "main.spec": doc}
+
+
+def test_spec_includes_a_library_document(tmp_path, capsys):
+    (tmp_path / "lib").mkdir()
+    path = _write_documents(tmp_path, _split_minimal_doc())
+    spec = load_spec(path)
+    assert spec.library.keys() == {"sram", "mac", "dac", "adc"}
+    assert [lv.component.name for lv in spec.architecture.levels] == [
+        "sram", "mac"]
+    assert cli.main(["spec", path]) == 0
+    assert "architecture mini" in capsys.readouterr().out
+
+
+BAD_INCLUDES = {
+    "circular": {"main.spec": {"spec_version": 1, "include": ["b.spec"]},
+                 "b.spec": {"include": ["main.spec"]}},
+    "duplicate_component": _split_minimal_doc({"components": [
+        {"name": "sram", "class": "storage", "domain": "DE",
+         "capacity_bits": 8}]}),
+    "conflicting_section": {
+        "main.spec": {"spec_version": 1, "include": ["a.spec", "b.spec"]},
+        "a.spec": {"workload": {"name": "a", "layers": []}},
+        "b.spec": {"workload": {"name": "b", "layers": []}}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INCLUDES))
+def test_bad_include_is_a_spec_error(case, tmp_path, capsys):
+    (tmp_path / "lib").mkdir()
+    path = _write_documents(tmp_path, BAD_INCLUDES[case])
+    with pytest.raises(SpecError) as e:
+        load_document(path)
+    assert e.value.kind == "MalformedDocument"
+    want = {"circular": "circular include",
+            "duplicate_component": "duplicate component 'sram'",
+            "conflicting_section": "conflicting 'workload' sections"}[case]
+    assert want in str(e.value)
+    assert cli.main(["spec", path]) == 2
+    assert want in capsys.readouterr().err
 
 
 def test_unknown_component_reference():
