@@ -11,16 +11,18 @@ orders, with two strategies:
   delay objective, a candidate whose step count cannot beat the best so
   far is counted as pruned and never fully evaluated.
 
-A pruned_random search builds its feasibility tables once from the chain
-menus: per dim and chain, the spatial row, the tile extent at each
-capacity-checked level, and bitmasks of the levels where the chain
-iterates, OR-ed per refetch-forbidden keeper into the tensor's own dims
-and the other dims. The conditions read only the running spatial
-products, the assigned dims' extent rows and those masks, so the feasible
-list of the next dim is cached under that state rather than under the
-chains already drawn: prefixes that differ only in what no condition reads
-share one list. Lists keep menu order, so the draws are those of an
-uncached filter.
+A pruned_random search filters each dim's chain menu with bitsets over
+menu indices, built once per search. Per constrained axis (the spatial
+factor at each level 1..M-1, the tile extent at each capacity-checked
+level) the bitset of chains at or below each distinct value answers "every
+chain within this limit" with one bisect. The limits come from the dims
+already drawn: each level's fanout over their spatial product, and the
+largest extent whose capacity demand still fits beside their tiles
+(_CapacityCheck.limits, from kept_bits). Per refetch-forbidden keeper and
+running mask pair, the chains the loop-nest condition allows form one more
+bitset. A draw ANDs them and picks from the result's index list, kept per
+bitset in menu order, so the draws are those of a filter that rechecks
+every chain.
 
 The candidate space factors per dimension: each dim contributes a chain
 [t0, s1, t1, ..., s(M-1), t(M-1)] of per-level factors. Strict mode splits
@@ -55,6 +57,7 @@ them costs about as much as the evaluation it would save.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
@@ -75,9 +78,7 @@ from .spec_model import (
     Mapping,
     MappingError,
     effective_keeps,
-    keeper_levels,
     kept_bits,
-    refetch_forbidden,
     validate_mapping,
 )
 
@@ -177,7 +178,7 @@ class _CapacityCheck:
                             for j in range(lvl + 1, m))
                   for lvl, _, _ in self.checks)
             for d in DIMS)
-        self.verdicts: dict[tuple, bool] = {}
+        self.memo: dict[tuple, tuple[float, ...]] = {}
 
     def row(self, chain: tuple[int, ...]) -> tuple[int, ...]:
         """Tile extent of one dim's chain at each checked level: the
@@ -185,18 +186,36 @@ class _CapacityCheck:
 
         return tuple(math.prod(chain[2 * lvl + 1:]) for lvl, _, _ in self.checks)
 
-    def ok(self, rows: tuple[tuple[int, ...], ...]) -> bool:
-        """The condition over one extent row per dim, in DIMS order.
-        Verdicts are kept for the search: chains that differ only in their
-        factors above the checked levels have the same rows."""
+    def limits(self, rows: tuple[tuple[int, ...], ...], di: int
+               ) -> tuple[float, ...]:
+        """Per checked level, the largest tile extent of dim DIMS[di] that
+        fits with every other dim at its extent in `rows` (one row per dim,
+        in DIMS order). Each tensor's tile_values is affine in any one
+        dim's extent, the Inputs halo (P-1)*stride + R included, so the
+        demands at extents 1 and 2 give the level's demand a + b*e
+        exactly. Kept for the search, as the same rows recur."""
 
-        verdict = self.verdicts.get(rows)
-        if verdict is None:
-            verdict = self.verdicts[rows] = all(
-                sum(kept_bits(self.layer, dict(zip(DIMS, tbs)), keeps).values())
-                <= cap
-                for (_, keeps, cap), tbs in zip(self.checks, zip(*rows)))
-        return verdict
+        key = (di, rows)
+        limits = self.memo.get(key)
+        if limits is not None:
+            return limits
+        d = DIMS[di]
+        out = []
+        for c, (_, keeps, cap) in enumerate(self.checks):
+            tb = {dd: r[c] for dd, r in zip(DIMS, rows)}
+            tb[d] = 1
+            one = sum(kept_bits(self.layer, tb, keeps).values())
+            tb[d] = 2
+            slope = sum(kept_bits(self.layer, tb, keeps).values()) - one
+            if slope:
+                out.append(1 + (cap - one) // slope)
+            else:
+                out.append(math.inf if one <= cap else 0)
+        limits = self.memo[key] = tuple(out)
+        return limits
+
+    def fits(self, row: tuple[int, ...], limits: tuple[float, ...]) -> bool:
+        return all(e <= lim for e, lim in zip(row, limits))
 
 
 def _origin_floor(arch: Architecture, cfg: SearchConfig, d: str) -> int:
@@ -205,10 +224,11 @@ def _origin_floor(arch: Architecture, cfg: SearchConfig, d: str) -> int:
     spatially into it. Its own temporal slot stays open."""
 
     floor = 0
+    chains = arch.keepers(cfg.keep_overrides)[0]
     for t in TENSORS:
         if d not in TENSOR_DIMS[t]:
             continue
-        keepers = keeper_levels(arch, cfg.keep_overrides, t)
+        keepers = chains[t]
         if keepers and keepers[0] > 0:
             floor = max(floor, 2 * keepers[0])
     return floor
@@ -220,10 +240,10 @@ def _dim_chains(arch: Architecture, layer: Layer, d: str, cfg: SearchConfig,
     search's capacity condition `cap` on their own."""
 
     m = len(arch.levels)
-    di = DIMS.index(d)
+    limits = cap.limits(cap.mins, DIMS.index(d))
 
     def cap_ok(chain: tuple[int, ...]) -> bool:
-        return cap.ok(cap.mins[:di] + (cap.row(chain),) + cap.mins[di + 1:])
+        return cap.fits(cap.row(chain), limits)
 
     bound = layer.dims[d] * (cfg.batch_size if d == "N" else 1)
     pins = {lvl: f for (lvl, dd), f in cfg.fixed_spatial.items() if dd == d}
@@ -305,50 +325,71 @@ def _nest_ok(own: int, other: int) -> bool:
     return not own or not other & ((1 << (own.bit_length() - 1)) - 1)
 
 
-def _chain_table(chains: list[tuple[int, ...]], d: str, cap: _CapacityCheck,
-                 forbidden: tuple[tuple[int, str, int], ...]
-                 ) -> tuple[list[tuple], list[tuple[tuple, list[int]]]]:
-    """What the feasibility filter reads of each chain of dim d's menu: its
-    spatial row s1..s(M-1), its extent row at the capacity-checked levels,
-    and the bits it adds to each refetch-forbidden keeper's (own, other)
-    masks. Returns that row per chain, in menu order, and the menu grouped
-    by row, each group listing its chains' menu indices."""
+class _MenuFilter:
+    """The feasibility filter over one dim's chain menu, as bitsets of menu
+    indices (see the module docstring). The loop-nest bitsets are built on
+    first use of each running mask pair, and the index list once per
+    feasible bitset."""
 
-    table = []
-    groups: dict[tuple, list[int]] = {}
-    for i, chain in enumerate(chains):
-        bits = sum(1 << j for j, f in enumerate(chain[0::2]) if f > 1)
-        nest = tuple((bits & ((1 << (b + 1)) - 2), 0) if d in TENSOR_DIMS[t]
-                     else (0, bits & ((1 << b) - 1))
-                     for b, t, _ in forbidden)
-        row = (chain[1::2], cap.row(chain), nest)
-        table.append(row)
-        groups.setdefault(row, []).append(i)
-    return table, list(groups.items())
+    def __init__(self, arch: Architecture, chains: list[tuple[int, ...]],
+                 d: str, cap: _CapacityCheck,
+                 forbidden: tuple[tuple[int, str, int], ...]):
+        self.fanouts = [lv.fanout for lv in arch.levels[1:]]
+        # Per chain, what the running state absorbs once it is drawn: its
+        # spatial row s1..s(M-1), its extent row at the checked levels,
+        # and the bits it adds to each forbidden keeper's (own, other).
+        self.table = []
+        for chain in chains:
+            bits = sum(1 << j for j, f in enumerate(chain[0::2]) if f > 1)
+            nest = tuple((bits & ((1 << (b + 1)) - 2), 0)
+                         if d in TENSOR_DIMS[t] else (0, bits & ((1 << b) - 1))
+                         for b, t, _ in forbidden)
+            self.table.append((chain[1::2], cap.row(chain), nest))
+        self.axes = [_prefix_bitsets([r[0][j] for r in self.table])
+                     for j in range(len(self.fanouts))]
+        self.axes += [_prefix_bitsets([r[1][c] for r in self.table])
+                      for c in range(len(cap.checks))]
+        self.nest_bits: dict[tuple[int, int, int], int] = {}
+        self.lists: dict[int, list[int]] = {}
+
+    def feasible(self, sprod: tuple[int, ...], limits: tuple[float, ...],
+                 nest: tuple[tuple[int, int], ...]) -> list[int]:
+        """Menu indices, in menu order, of the chains that the fanout
+        budgets left by the spatial products `sprod` (levels 1..M-1) and
+        the capacity `limits` allow, and whose masks keep each forbidden
+        keeper's loop nest legal once OR-ed into `nest`."""
+
+        mask = (1 << len(self.table)) - 1
+        budgets = (f // p for f, p in zip(self.fanouts, sprod))
+        for (values, below), lim in zip(self.axes,
+                                        itertools.chain(budgets, limits)):
+            mask &= below[bisect.bisect_right(values, lim)]
+        for k, (own, other) in enumerate(nest):
+            bits = self.nest_bits.get((k, own, other))
+            if bits is None:
+                bits = self.nest_bits[k, own, other] = sum(
+                    1 << i for i, (_, _, adds) in enumerate(self.table)
+                    if _nest_ok(own | adds[k][0], other | adds[k][1]))
+            mask &= bits
+        out = self.lists.get(mask)
+        if out is None:
+            out = self.lists[mask] = [i for i in range(len(self.table))
+                                      if mask >> i & 1]
+        return out
 
 
-def _feasible(groups: list[tuple[tuple, list[int]]], di: int,
-              sprod: tuple[int, ...], rows: tuple[tuple[int, ...], ...],
-              nest: tuple[tuple[int, int], ...], fanouts: list[int],
-              cap: _CapacityCheck) -> list[int]:
-    """Menu indices, in menu order, of the chains of dim DIMS[di] that the
-    fanout budgets, the capacity condition and the loop-nest condition
-    still allow once the dims before it are assigned. `sprod` holds their
-    spatial products at levels 1..M-1, `rows` one extent row per dim (the
-    minimum row for dims not yet assigned) and `nest` their OR-ed masks:
-    exactly what the predicates read."""
+def _prefix_bitsets(values: list[int]) -> tuple[list[int], list[int]]:
+    """Sorted distinct values of one axis over a menu, and the bitset of
+    menu indices at or below each, led by the empty set: the chains within
+    a limit are below[bisect_right(values, limit)]."""
 
-    out = []
-    for (spatial, extent, adds), members in groups:
-        if any(p * s > f for p, s, f in zip(sprod, spatial, fanouts)):
-            continue
-        if not all(_nest_ok(o | a, x | b)
-                   for (o, x), (a, b) in zip(nest, adds)):
-            continue
-        if cap.ok(rows[:di] + (extent,) + rows[di + 1:]):
-            out.extend(members)
-    out.sort()
-    return out
+    at: dict[int, int] = {}
+    for i, v in enumerate(values):
+        at[v] = at.get(v, 0) | 1 << i
+    below = [0]
+    for v in sorted(at):
+        below.append(below[-1] | at[v])
+    return sorted(at), below
 
 
 def _block_leads(perm: tuple[str, ...], dims: frozenset) -> bool:
@@ -516,16 +557,13 @@ def _search(arch: Architecture, layer: Layer, cfg: SearchConfig) -> SearchResult
         # running fanout budgets, capacity and loop-nest conditions still
         # allow. Every valid complete assignment stays reachable (the
         # conditions are necessary), so with enough budget this covers the
-        # same space. The feasible lists are cached under the state the
-        # conditions read, which many chain prefixes share.
+        # same space.
         rng = random.Random(cfg.seed)
         m = len(arch.levels)
-        fanouts = [lv.fanout for lv in arch.levels[1:]]
-        forbidden = refetch_forbidden(arch, {
-            t: keeper_levels(arch, cfg.keep_overrides, t) for t in TENSORS})
-        tables = [_chain_table(chain_menu[d], d, cap, forbidden) for d in DIMS]
+        forbidden = arch.keepers(cfg.keep_overrides)[1]
+        filters = [_MenuFilter(arch, chain_menu[d], d, cap, forbidden)
+                   for d in DIMS]
         perm_cache: dict[tuple[int, tuple[str, ...]], list] = {}
-        feas_cache: dict[tuple, list[int]] = {}
         for _ in range(cfg.budget):
             chains: dict[str, tuple[int, ...]] = {}
             sprod = (1,) * (m - 1)
@@ -533,19 +571,14 @@ def _search(arch: Architecture, layer: Layer, cfg: SearchConfig) -> SearchResult
             nest = ((0, 0),) * len(forbidden)
             dead = False
             for di, d in enumerate(DIMS):
-                table, groups = tables[di]
-                key = (di, sprod, rows, nest)
-                feasible = feas_cache.get(key)
-                if feasible is None:
-                    feasible = _feasible(groups, di, sprod, rows, nest,
-                                         fanouts, cap)
-                    feas_cache[key] = feasible
+                menu = filters[di]
+                feasible = menu.feasible(sprod, cap.limits(rows, di), nest)
                 if not feasible:
                     dead = True
                     break
                 pick = rng.choice(feasible)
                 chains[d] = chain_menu[d][pick]
-                spatial, extent, adds = table[pick]
+                spatial, extent, adds = menu.table[pick]
                 sprod = tuple(p * s for p, s in zip(sprod, spatial))
                 rows = rows[:di] + (extent,) + rows[di + 1:]
                 nest = tuple((o | a, x | b)

@@ -45,7 +45,6 @@ from .spec_model import (
     Mapping,
     effective_bounds,
     effective_keeps,
-    keeper_levels,
     multicast_width,
     reduce_width,
     tile_values,
@@ -157,8 +156,8 @@ def tensor_hops(arch: Architecture, mapping: Mapping, tensor: str) -> list[Hop]:
     """Descending chain for a tensor, ending at compute for operands read
     by the MACs. For Outputs the chain stops at the accumulation level."""
 
-    keepers = keeper_levels(arch, mapping.keep_overrides, tensor)
-    ends = keepers + ([] if tensor == OUTPUTS else [len(arch.levels) - 1])
+    keepers = arch.keepers(mapping.keep_overrides)[0][tensor]
+    ends = keepers + (() if tensor == OUTPUTS else (len(arch.levels) - 1,))
     hops = []
     for outer, inner in zip(ends, ends[1:]):
         hops.append(Hop(tensor, outer, inner, tuple(range(outer + 1, inner + 1))))
@@ -166,7 +165,7 @@ def tensor_hops(arch: Architecture, mapping: Mapping, tensor: str) -> list[Hop]:
 
 
 def accumulation_level(arch: Architecture, mapping: Mapping) -> int:
-    return keeper_levels(arch, mapping.keep_overrides, OUTPUTS)[-1]
+    return arch.keepers(mapping.keep_overrides)[0][OUTPUTS][-1]
 
 
 def output_stream(arch: Architecture, mapping: Mapping) -> Hop:

@@ -17,7 +17,8 @@ engines, the evaluator and the mapper build on, so that "what a tile is"
 has exactly one definition: a mapping's LoopNest (padded bounds, per-level
 tile bounds, spatial copies, instance counts and step count, built in one
 pass and cached as Mapping.nest), the tile footprint (tile_values), the
-capacity demand (kept_bits) and the keeper chains (keeper_levels). So has
+capacity demand (kept_bits) and the keeper chains (keeper_levels, held
+per keep-override set by Architecture.keepers). So has
 a valid mapping: validate_mapping, the refetch rule (refetch_forbidden)
 included, so the counting engines never reject a mapping it accepted.
 """
@@ -29,6 +30,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 from operator import mul
+from types import MappingProxyType
 
 SPEC_VERSION = 1
 
@@ -214,6 +216,27 @@ class Architecture:
         return (tuple(zip((lv.component for lv in self.levels), fanned))
                 + tuple((cv.component, cv.instances) for cv in self.converters)
                 + tuple((ex.component, ex.instances) for ex in self.extras))
+
+    @cached_property
+    def _keepers(self) -> dict[tuple, tuple]:
+        return {}
+
+    def keepers(self, keep_overrides: dict[int, tuple[str, ...]]
+                ) -> tuple[MappingProxyType[str, tuple[int, ...]],
+                           tuple[tuple[int, str, int], ...]]:
+        """Each tensor's keeper chain (keeper_levels) under the keep
+        overrides, and the refetch_forbidden keepers of those chains. Both
+        depend on nothing else, so they are kept, read-only, per override
+        set: the architecture itself is unhashable."""
+
+        key = tuple(sorted((i, tuple(ov)) for i, ov in keep_overrides.items()))
+        hit = self._keepers.get(key)
+        if hit is None:
+            chains = MappingProxyType({t: keeper_levels(self, keep_overrides, t)
+                                       for t in TENSORS})
+            hit = self._keepers[key] = (chains,
+                                        refetch_forbidden(self, chains))
+        return hit
 
     def components(self) -> dict[str, ComponentSpec]:
         out: dict[str, ComponentSpec] = {}
@@ -414,18 +437,16 @@ def effective_keeps(arch: Architecture, keep_overrides: dict[int, tuple[str, ...
 
 
 def keeper_levels(arch: Architecture, keep_overrides: dict[int, tuple[str, ...]],
-                  tensor: str) -> list[int]:
+                  tensor: str) -> tuple[int, ...]:
     """Storage levels holding the tensor, outermost first. Validation
     guarantees at least one keeper per tensor."""
 
-    return [
-        i
-        for i in range(len(arch.levels) - 1)
-        if tensor in effective_keeps(arch, keep_overrides, i)
-    ]
+    return tuple(i for i in range(len(arch.levels) - 1)
+                 if tensor in effective_keeps(arch, keep_overrides, i))
 
 
-def refetch_forbidden(arch: Architecture, chains: dict[str, list[int]]
+def refetch_forbidden(arch: Architecture,
+                      chains: MappingProxyType[str, tuple[int, ...]]
                       ) -> tuple[tuple[int, str, int], ...]:
     """Keepers whose tile may never be refetched, as (keeper, tensor, edge):
     the refill from the next keeper out (`chains` holds each tensor's
@@ -664,9 +685,9 @@ def validate_mapping(mapping: Mapping, layer: Layer, arch: Architecture) -> None
     # its dims may not factor above the origin, nor split spatially into
     # it. The origin's own temporal loops stay legal; they walk the tensor
     # in place.
-    chains = {}
+    chains, forbidden = arch.keepers(mapping.keep_overrides)
     for t in TENSORS:
-        chain = chains[t] = keeper_levels(arch, mapping.keep_overrides, t)
+        chain = chains[t]
         if not chain:
             raise MappingError("FactorMismatch",
                                f"no level keeps tensor {t}", tensor=t)
@@ -701,7 +722,7 @@ def validate_mapping(mapping: Mapping, layer: Layer, arch: Architecture) -> None
     # A keeper's tile returns after eviction exactly when, among the loops
     # at or above it, a loop over another dim runs outside a loop over one
     # of the tensor's dims: that loop revisits tiles already drained.
-    for b, t, k in refetch_forbidden(arch, chains):
+    for b, t, k in forbidden:
         dims = TENSOR_DIMS[t]
         other = False
         for j, d, _ in nest.loops:

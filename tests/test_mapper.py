@@ -1,8 +1,12 @@
+import functools
 import itertools
+import math
 import random
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from photon_model import albireo, mapper
 from photon_model.evaluator import evaluate
@@ -17,6 +21,10 @@ from photon_model.mapper import (
 )
 from photon_model.spec_model import (
     DIMS,
+    INPUTS,
+    OUTPUTS,
+    TENSOR_DIMS,
+    WEIGHTS,
     Architecture,
     Converter,
     Layer,
@@ -25,6 +33,7 @@ from photon_model.spec_model import (
     Mapping,
     MappingError,
     Mesh,
+    kept_bits,
     mapping_digest,
     validate_architecture,
     validate_mapping,
@@ -486,3 +495,169 @@ def test_pruned_random_draws_are_frozen(case):
     res = search(arch, layer, cfg)
     assert (res.evaluation.mapping_digest, res.objective, res.visited,
             res.pruned, res.invalid) == expected
+
+
+# -- The feasibility filter ---------------------------------------------------
+
+
+def _capacity_fits(layer, cap, rows):
+    """The search's capacity condition summed straight from kept_bits: one
+    extent row per dim, in DIMS order."""
+
+    return all(
+        sum(kept_bits(layer, dict(zip(DIMS, tbs)), keeps).values()) <= bits
+        for (_, keeps, bits), tbs in zip(cap.checks, zip(*rows)))
+
+
+# No override, then the memory study's producer and consumer overrides.
+FUSED_OVERRIDES = ({}, {0: (INPUTS, WEIGHTS)}, {0: (OUTPUTS, WEIGHTS)})
+
+
+@pytest.mark.parametrize("workload", ["vgg16", "alexnet"])
+def test_capacity_limits_match_kept_bits(workload):
+    # AlexNet conv1 (stride 4) puts the strided Inputs halo through the
+    # affine fit. Besides the minimum rows, each layer is checked beside
+    # rows drawn from the other dims' menus, where many chains overflow.
+    arch = albireo.architecture("aggressive")
+    rng = random.Random(5)
+    verdicts = {True: 0, False: 0}
+    for layer in load_workload(workload).layers:
+        for batch, keep in itertools.product((1, 16), FUSED_OVERRIDES):
+            cfg = SearchConfig(pad_mode="pad", batch_size=batch,
+                               keep_overrides=keep,
+                               fixed_spatial=albireo.geometry_pins(layer))
+            cap = mapper._CapacityCheck(arch, layer, cfg)
+            menus = [mapper._dim_chains(arch, layer, d, cfg, cap)
+                     for d in DIMS]
+            contexts = [cap.mins] + [
+                tuple(cap.row(rng.choice(menu)) for menu in menus)
+                for _ in range(3)]
+            for rows, (di, menu) in itertools.product(contexts,
+                                                      enumerate(menus)):
+                limits = cap.limits(rows, di)
+                for chain in menu:
+                    row = cap.row(chain)
+                    fits = cap.fits(row, limits)
+                    assert fits == _capacity_fits(
+                        layer, cap, rows[:di] + (row,) + rows[di + 1:])
+                    verdicts[fits] += 1
+                # Each limit is the largest extent that fits at its level.
+                for (_, keeps, bits), lim, tbs in zip(cap.checks, limits,
+                                                      zip(*rows)):
+                    tb = dict(zip(DIMS, tbs))
+
+                    def demand(e):
+                        return sum(kept_bits(layer, {**tb, DIMS[di]: e},
+                                             keeps).values())
+
+                    if lim == math.inf:
+                        assert demand(1) == demand(1 << 20) <= bits
+                    elif lim >= 1:
+                        assert demand(lim) <= bits < demand(lim + 1)
+                    else:
+                        assert demand(1) > bits
+    assert verdicts[True] > 0 and verdicts[False] > 0
+
+
+def _filter_case(arch, layer, **fields):
+    cfg = SearchConfig(**fields)
+    cap = mapper._CapacityCheck(arch, layer, cfg)
+    menus = [mapper._dim_chains(arch, layer, d, cfg, cap) for d in DIMS]
+    forbidden = arch.keepers(cfg.keep_overrides)[1]
+    filters = [mapper._MenuFilter(arch, menu, d, cap, forbidden)
+               for d, menu in zip(DIMS, menus)]
+    return arch, layer, cap, menus, forbidden, filters
+
+
+@functools.cache
+def _filter_cases():
+    strided = Layer(name="strided", kind="conv", stride=(2, 2), dims={
+        "N": 2, "K": 4, "C": 2, "P": 3, "Q": 2, "R": 3, "S": 2})
+    vgg = {l.name: l for l in load_workload("vgg16").layers}
+    alex = {l.name: l for l in load_workload("alexnet").layers}
+    aggressive = albireo.architecture("aggressive")
+
+    def pinned(layer, **fields):
+        return _filter_case(aggressive, layer, pad_mode="pad",
+                            fixed_spatial=albireo.geometry_pins(layer),
+                            **fields)
+
+    return {
+        # Unpinned, fanout 2 at both levels and a 96-bit buffer whose
+        # Outputs tile may never be refetched.
+        "toy-strict": _filter_case(refetch_toy(96), toys.conv_k4()),
+        "toy-pad": _filter_case(refetch_toy(160), strided, pad_mode="pad"),
+        "toy-pad-fused": _filter_case(refetch_toy(160), strided,
+                                      pad_mode="pad",
+                                      keep_overrides={0: (OUTPUTS, WEIGHTS)}),
+        "albireo-conv3_1": pinned(vgg["conv3_1"]),
+        "albireo-conv5_2-fused": pinned(
+            vgg["conv5_2"], keep_overrides={0: (OUTPUTS, WEIGHTS)}),
+        "albireo-conv1-batch16": pinned(alex["conv1"], batch_size=16),
+    }
+
+
+def _reference_feasible(arch, layer, cap, forbidden, menu, drawn):
+    """Indices of the menu's chains that pass every condition, checked
+    chain by chain from the factors: the fanout budgets, the capacity
+    demand from kept_bits, and _nest_ok on each forbidden keeper's masks.
+    `drawn` holds the chains of the dims before the menu's."""
+
+    m = len(arch.levels)
+    di = len(drawn)
+    out = []
+    for i, chain in enumerate(menu):
+        chains = list(drawn) + [chain]
+        if any(math.prod(c[2 * j - 1] for c in chains) > arch.levels[j].fanout
+               for j in range(1, m)):
+            continue
+        rows = tuple(cap.row(c) for c in chains) + cap.mins[di + 1:]
+        if not _capacity_fits(layer, cap, rows):
+            continue
+        ok = True
+        for b, t, _ in forbidden:
+            own = other = 0
+            for d, c in zip(DIMS, chains):
+                for j in range(m):
+                    if c[2 * j] == 1:
+                        continue
+                    if d in TENSOR_DIMS[t] and 1 <= j <= b:
+                        own |= 1 << j
+                    elif d not in TENSOR_DIMS[t] and j < b:
+                        other |= 1 << j
+            ok = ok and mapper._nest_ok(own, other)
+        if ok:
+            out.append(i)
+    return out
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(case=st.sampled_from(["toy-strict", "toy-pad", "toy-pad-fused",
+                             "albireo-conv3_1", "albireo-conv5_2-fused",
+                             "albireo-conv1-batch16"]),
+       di=st.integers(0, len(DIMS) - 1),
+       picks=st.lists(st.integers(0, 1 << 16), min_size=len(DIMS),
+                      max_size=len(DIMS)),
+       feasible_prefix=st.booleans())
+def test_bitset_filter_matches_a_chain_by_chain_filter(
+        case, di, picks, feasible_prefix):
+    # The prefix is drawn from the reference's feasible lists, as a search
+    # draws, or from the whole menus, which reaches exhausted budgets.
+    arch, layer, cap, menus, forbidden, filters = _filter_cases()[case]
+    drawn = []
+    sprod = (1,) * (len(arch.levels) - 1)
+    rows = cap.mins
+    nest = ((0, 0),) * len(forbidden)
+    for k in range(di):
+        options = (_reference_feasible(arch, layer, cap, forbidden, menus[k],
+                                       drawn) if feasible_prefix else [])
+        pick = (options[picks[k] % len(options)] if options
+                else picks[k] % len(menus[k]))
+        drawn.append(menus[k][pick])
+        spatial, extent, adds = filters[k].table[pick]
+        sprod = tuple(p * s for p, s in zip(sprod, spatial))
+        rows = rows[:k] + (extent,) + rows[k + 1:]
+        nest = tuple((o | a, x | b) for (o, x), (a, b) in zip(nest, adds))
+    got = filters[di].feasible(sprod, cap.limits(rows, di), nest)
+    assert got == _reference_feasible(arch, layer, cap, forbidden, menus[di],
+                                      drawn)
