@@ -7,13 +7,20 @@ compute component pays "compute" once per real (unpadded) MAC. Idle
 instances still pay static power for the whole run, with instance counts
 taken from the full fanout products regardless of how much of the array a
 mapping uses.
+
+The prices are fixed per architecture, so energy reads them from its
+PriceRows, built once and kept on the architecture (price_rows). energy
+adds them in sorted key order, exactly as pricing each part directly
+would. An EvaluationResult builds its mapping digest only when read.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
+from functools import cached_property
+from types import MappingProxyType
 
 from .reuse import AccessCounts, analyze
 from .spec_model import (
@@ -34,6 +41,11 @@ class EvaluationError(Exception):
 
 @dataclass(frozen=True)
 class EvaluationResult:
+    """The priced outcome of one mapping. mapping_digest is built from
+    `mapping` on first read (a search reads it only to break an exact tie
+    on its objective); results compare equal exactly when every other
+    field and the digests are equal."""
+
     energy_pj: dict[str, float]
     total_energy_pj: float
     cycles: int
@@ -43,7 +55,18 @@ class EvaluationResult:
     utilization: float
     area_um2: float
     counts: AccessCounts
-    mapping_digest: str
+    mapping: Mapping = field(repr=False, compare=False)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (all(getattr(self, f.name) == getattr(other, f.name)
+                    for f in fields(self) if f.compare)
+                and self.mapping_digest == other.mapping_digest)
+
+    @cached_property
+    def mapping_digest(self) -> str:
+        return mapping_digest(self.mapping)
 
     def energy_fractions(self) -> dict[str, float]:
         total = sum(self.energy_pj[k] for k in sorted(self.energy_pj))
@@ -90,6 +113,41 @@ def latency_and_utilization(
     return cycles, compute_cycles, latency_s, utilization
 
 
+@dataclass(frozen=True)
+class PriceRows:
+    """Every per-action price energy reads, fixed per architecture: per
+    level index (part name, read, write, update) with update falling back
+    to write; per converter name (part name, convert); the compute part's
+    (name, compute); and (part name, static_power_mw * instances) for each
+    part with static power, in Architecture.parts order."""
+
+    levels: tuple[tuple[str, float, float, float], ...]
+    converters: MappingProxyType[str, tuple[str, float]]
+    compute: tuple[str, float]
+    static: tuple[tuple[str, float], ...]
+
+    @classmethod
+    def of(cls, arch: Architecture) -> PriceRows:
+        comps = [lv.component for lv in arch.levels]
+        return cls(
+            levels=tuple((c.name, c.energy("read"), c.energy("write"),
+                          c.energy("update") or c.energy("write"))
+                         for c in comps),
+            converters=MappingProxyType({
+                cv.name: (cv.component.name, cv.component.energy("convert"))
+                for cv in arch.converters}),
+            compute=(comps[-1].name, comps[-1].energy("compute")),
+            static=tuple((c.name, c.static_power_mw * n)
+                         for c, n in arch.parts if c.static_power_mw),
+        )
+
+
+def price_rows(arch: Architecture) -> PriceRows:
+    """The architecture's PriceRows, kept on it once built."""
+
+    return arch.derived(("price_rows",), lambda: PriceRows.of(arch))
+
+
 def energy(
     counts: AccessCounts,
     arch: Architecture,
@@ -97,35 +155,36 @@ def energy(
 ) -> dict[str, float]:
     """Per-component energy in pJ, keyed by component name.
 
-    Each part prices itself as the architecture holds it. Static power is
-    charged to every physical instance (Architecture.parts) for the full
-    latency.
+    Each part prices itself as the architecture holds it (price_rows).
+    Static power is charged to every physical instance (Architecture.parts)
+    for the full latency.
     """
 
+    rows = price_rows(arch)
     out: dict[str, float] = {}
 
     def add(name: str, pj: float) -> None:
         out[name] = out.get(name, 0.0) + pj
 
+    levels = rows.levels
     for (level, _tensor), lc in sorted(counts.per_level.items()):
-        comp = arch.levels[level].component
-        add(comp.name,
-            lc.reads * comp.energy("read")
-            + lc.fills * comp.energy("write")
-            + lc.drains * comp.energy("read")
-            + lc.updates * (comp.energy("update") or comp.energy("write")))
+        name, read, write, update = levels[level]
+        add(name,
+            lc.reads * read
+            + lc.fills * write
+            + lc.drains * read
+            + lc.updates * update)
 
-    by_name = {cv.name: cv for cv in arch.converters}
-    for (name, _tensor), n in sorted(counts.conversions.items()):
-        comp = by_name[name].component
-        add(comp.name, n * comp.energy("convert"))
+    converters = rows.converters
+    for (cv_name, _tensor), n in sorted(counts.conversions.items()):
+        name, convert = converters[cv_name]
+        add(name, n * convert)
 
-    compute_comp = arch.levels[-1].component
-    add(compute_comp.name, counts.real_macs * compute_comp.energy("compute"))
+    name, compute = rows.compute
+    add(name, counts.real_macs * compute)
 
-    for comp, n in arch.parts:
-        if comp.static_power_mw:
-            add(comp.name, comp.static_power_mw * n * latency_s * 1e9)
+    for name, power in rows.static:
+        add(name, power * latency_s * 1e9)
 
     return out
 
@@ -155,7 +214,7 @@ def evaluate(
         utilization=util,
         area_um2=area(arch),
         counts=counts,
-        mapping_digest=mapping_digest(mapping),
+        mapping=mapping,
     )
 
 

@@ -441,16 +441,18 @@ class _Best:
     def __init__(self, objective: str):
         self.objective = objective
         self.value: float | None = None
-        self.digest: str | None = None
         self.mapping: Mapping | None = None
         self.evaluation: EvaluationResult | None = None
 
     def offer(self, mapping: Mapping, res: EvaluationResult) -> None:
+        """Keep the lower objective; on an exact tie, the smaller digest.
+        Digests are built only for ties."""
+
         val = _objective_of(res, self.objective)
-        dig = res.mapping_digest
         if (self.value is None or val < self.value
-                or (val == self.value and dig < self.digest)):
-            self.value, self.digest = val, dig
+                or (val == self.value and res.mapping_digest
+                    < self.evaluation.mapping_digest)):
+            self.value = val
             self.mapping, self.evaluation = mapping, res
 
 

@@ -24,12 +24,24 @@ Counting conventions (shared verbatim by the interpreter in oracle):
 
 Counting assumes a mapping validate_mapping accepted and rejects none: in
 particular, partials are refetched only down edges that convert them.
+
+What counting reads that depends only on the architecture and the keep
+overrides is planned once per (architecture, override set) as a CountPlan,
+kept on the architecture (count_plan): the AccessCounts keys, each keeper
+chain's hops as legs, the output stream, and per edge crossed the
+converter and the spatial dims its mesh merges (spec_model.merge_dims).
+analyze does per-mapping arithmetic only; a leg's merge widths are one
+suffix product over the mapping's spatial factors (Leg.merge_widths),
+which reuse_factors reads too. The oracle shares only the Hop vocabulary,
+never the plan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .spec_model import (
     DIMS,
@@ -42,11 +54,12 @@ from .spec_model import (
     WEIGHTS,
     Architecture,
     Layer,
+    LevelMapping,
     Mapping,
     effective_bounds,
     effective_keeps,
-    multicast_width,
-    reduce_width,
+    merge_dims,
+    override_key,
     tile_values,
     validate_mapping,
 )
@@ -177,21 +190,107 @@ def output_stream(arch: Architecture, mapping: Mapping) -> Hop:
     return Hop(OUTPUTS, acc, compute, tuple(range(acc + 1, compute + 1)))
 
 
-def _collapse(arch: Architecture, mapping: Mapping, hop: Hop, edge: int,
-              direction: str) -> int:
-    """Width of the transmission merge seen by edge `edge` of a hop: forks
-    (descending) or merges (ascending) at this edge and all deeper ones
-    happen at or after the crossing, so they share one signal."""
+class Crossing(NamedTuple):
+    """One edge of a leg: its (edge, tensor, direction) key, the spatial
+    dims whose copies share one signal there (merge_dims), and the
+    (converter name, tensor) conversion key, or None with no converter."""
 
-    w = 1
-    for m in hop.edges:
-        if m < edge:
-            continue
-        if direction == DOWN:
-            w *= multicast_width(arch, mapping, m, hop.tensor)
-        else:
-            w *= reduce_width(arch, mapping, m)
-    return w
+    key: tuple[int, str, str]
+    dims: tuple[str, ...]
+    conversion: tuple[str, str] | None
+
+
+@dataclass(frozen=True)
+class Leg:
+    """One hop walked in one direction, as counting reads it: its
+    crossings, outermost edge first."""
+
+    outer: int
+    inner: int
+    crossings: tuple[Crossing, ...]
+
+    def merge_widths(self, levels: tuple[LevelMapping, ...]) -> list[int]:
+        """Width of the transmission merge seen at each edge, outermost
+        first: forks (descending) or merges (ascending) at an edge and all
+        deeper ones happen at or after the crossing, so they share one
+        signal. widths[0] merges the whole hop."""
+
+        widths = []
+        w = 1
+        for key, dims, _ in reversed(self.crossings):
+            spatial = levels[key[0]].spatial
+            for d in dims:
+                w *= spatial.get(d, 1)
+            widths.append(w)
+        widths.reverse()
+        return widths
+
+
+def _leg(arch: Architecture, hop: Hop, direction: str) -> Leg:
+    crossings = []
+    for k in hop.edges:
+        key = (k, hop.tensor, direction)
+        cv = arch.edge_converters.get(key)
+        crossings.append(Crossing(
+            key, merge_dims(arch, k, hop.tensor, direction),
+            None if cv is None else (cv.name, hop.tensor)))
+    return Leg(hop.outer, hop.inner, tuple(crossings))
+
+
+@dataclass(frozen=True)
+class CountPlan:
+    """Everything counting reads that depends only on the architecture and
+    a mapping's keep overrides, built once per pair (count_plan).
+
+    level_keys and conversion_keys are the (level, tensor) and (converter
+    name, tensor) keys of AccessCounts, in their order. operands holds the
+    Weights and Inputs legs down their keeper chains; stream the Outputs
+    leg up from compute to the accumulation level; drains, innermost hop
+    first, each Outputs hop's ascending leg and its descending (refetch)
+    leg. A leg's inner level names the tile size its hop counts. leg_at
+    maps each (edge, tensor, direction) a leg crosses to (leg, position).
+    """
+
+    compute: int
+    level_keys: tuple[tuple[int, str], ...]
+    conversion_keys: tuple[tuple[str, str], ...]
+    operands: tuple[tuple[str, tuple[Leg, ...]], ...]
+    stream: Leg
+    drains: tuple[tuple[Leg, Leg], ...]
+    leg_at: MappingProxyType[tuple[int, str, str], tuple[Leg, int]]
+
+    @classmethod
+    def of(cls, arch: Architecture, mapping: Mapping) -> CountPlan:
+        compute = len(arch.levels) - 1
+        overrides = mapping.keep_overrides
+        operands = tuple((t, tuple(_leg(arch, hop, DOWN)
+                                   for hop in tensor_hops(arch, mapping, t)))
+                         for t in (WEIGHTS, INPUTS))
+        stream = _leg(arch, output_stream(arch, mapping), UP)
+        drains = tuple((_leg(arch, hop, UP), _leg(arch, hop, DOWN))
+                       for hop in reversed(tensor_hops(arch, mapping, OUTPUTS)))
+        legs = [leg for _, ls in operands for leg in ls]
+        legs += [stream, *(leg for pair in drains for leg in pair)]
+        return cls(
+            compute=compute,
+            level_keys=tuple((i, t) for i in range(compute) for t in TENSORS
+                             if t in effective_keeps(arch, overrides, i)),
+            conversion_keys=tuple((cv.name, t) for cv in arch.converters
+                                  for t in cv.tensors),
+            operands=operands,
+            stream=stream,
+            drains=drains,
+            leg_at=MappingProxyType({c.key: (leg, i) for leg in legs
+                                     for i, c in enumerate(leg.crossings)}),
+        )
+
+
+def count_plan(arch: Architecture, mapping: Mapping) -> CountPlan:
+    """The CountPlan of the architecture under the mapping's keep
+    overrides, kept on the architecture per override set."""
+
+    return arch.derived(("count_plan", override_key(mapping.keep_overrides)),
+                        lambda: CountPlan.of(arch, mapping))
 
 
 def _div(n: int, d: int) -> int:
@@ -210,10 +309,14 @@ def analyze(arch: Architecture, layer: Layer, mapping: Mapping) -> AccessCounts:
     """Count every access implied by the mapping, in closed form."""
 
     validate_mapping(mapping, layer, arch)
+    plan = count_plan(arch, mapping)
 
-    compute = len(arch.levels) - 1
+    compute = plan.compute
+    levels = mapping.levels
     nest = mapping.nest
     loops = nest.loops
+    tiles = nest.tiles
+    instances = nest.instances
     padded = nest.padded
     bounds = effective_bounds(layer, mapping)
     macs = 1
@@ -222,87 +325,82 @@ def analyze(arch: Architecture, layer: Layer, mapping: Mapping) -> AccessCounts:
         macs *= padded[d]
         real *= min(padded[d], bounds[d])
 
-    counts = AccessCounts(macs=macs, real_macs=real)
-    for i in range(compute):
-        for t in TENSORS:
-            if t in effective_keeps(arch, mapping.keep_overrides, i):
-                counts.per_level[(i, t)] = LevelCounts()
-    for cv in arch.converters:
-        for t in cv.tensors:
-            counts.conversions[(cv.name, t)] = 0
-    counts.compute_reads = {t: macs for t in TENSORS}
+    per_level = {key: LevelCounts() for key in plan.level_keys}
+    conversions = dict.fromkeys(plan.conversion_keys, 0)
+    counts = AccessCounts(per_level=per_level, conversions=conversions,
+                          compute_reads=dict.fromkeys(TENSORS, macs),
+                          macs=macs, real_macs=real)
+    crossings = counts.edge_crossings
+    edge_demand = counts.edge_demand
 
-    sizes = {(i, t): tile_values(layer, nest.tiles[i], t)
-             for i in range(compute) for t in TENSORS}
-
-    def record_crossings(hop: Hop, base: int, direction: str) -> None:
-        for k in hop.edges:
-            n = _div(base, _collapse(arch, mapping, hop, k, direction))
-            key = (k, hop.tensor, direction)
-            counts.edge_crossings[key] = counts.edge_crossings.get(key, 0) + n
-            cv = arch.edge_converters.get(key)
-            if cv is not None:
-                counts.conversions[(cv.name, hop.tensor)] += n
+    def record_crossings(leg: Leg, widths: list[int], base: int) -> None:
+        for (key, _, conv), w in zip(leg.crossings, widths):
+            n = _div(base, w)
+            crossings[key] = crossings.get(key, 0) + n
+            if conv is not None:
+                conversions[conv] += n
 
     # Operand tensors flow down their keeper chains.
-    for tensor in (WEIGHTS, INPUTS):
-        hops = tensor_hops(arch, mapping, tensor)
+    for tensor, legs in plan.operands:
         bases = []
-        for hop in hops:
-            if hop.inner == compute:
+        for leg in legs:
+            if leg.inner == compute:
                 base = macs
             else:
-                base = (residencies(loops, hop.inner, tensor)
-                        * sizes[(hop.inner, tensor)]
-                        * nest.instances[hop.inner])
+                base = (residencies(loops, leg.inner, tensor)
+                        * tile_values(layer, tiles[leg.inner], tensor)
+                        * instances[leg.inner])
             bases.append(base)
-        for i, hop in enumerate(hops):
+        for i, leg in enumerate(legs):
             base = bases[i]
-            delivered = _div(base, _collapse(arch, mapping, hop, hop.edges[0], DOWN))
-            counts.per_level[(hop.outer, tensor)].reads += delivered
-            if hop.inner != compute:
-                counts.per_level[(hop.inner, tensor)].fills += delivered
-            record_crossings(hop, base, DOWN)
-            demand = bases[i + 1] if i + 1 < len(hops) else macs
-            for k in hop.edges:
-                key = (k, tensor, DOWN)
-                counts.edge_demand[key] = counts.edge_demand.get(key, 0) + demand
+            widths = leg.merge_widths(levels)
+            delivered = _div(base, widths[0])
+            per_level[(leg.outer, tensor)].reads += delivered
+            if leg.inner != compute:
+                per_level[(leg.inner, tensor)].fills += delivered
+            record_crossings(leg, widths, base)
+            demand = bases[i + 1] if i + 1 < len(legs) else macs
+            for key, _, _ in leg.crossings:
+                edge_demand[key] = edge_demand.get(key, 0) + demand
 
     # Outputs: MAC partials ascend to the accumulation level...
-    stream = output_stream(arch, mapping)
-    acc = stream.outer
-    arrivals = _div(macs, _collapse(arch, mapping, stream, stream.edges[0], UP))
-    record_crossings(stream, macs, UP)
-    for k in stream.edges:
-        counts.edge_demand[(k, OUTPUTS, UP)] = macs
-    counts.per_level[(acc, OUTPUTS)].updates += arrivals
-    counts.per_level[(acc, OUTPUTS)].reads += arrivals
+    stream = plan.stream
+    widths = stream.merge_widths(levels)
+    arrivals = _div(macs, widths[0])
+    record_crossings(stream, widths, macs)
+    for key, _, _ in stream.crossings:
+        edge_demand[key] = macs
+    acc = per_level[(stream.outer, OUTPUTS)]
+    acc.updates += arrivals
+    acc.reads += arrivals
 
     # ...then finished tiles drain upward hop by hop, and partial tiles whose
     # residency recurs are refetched back down first.
     demand_into = arrivals
-    for hop in reversed(tensor_hops(arch, mapping, OUTPUTS)):
-        inner, outer = hop.inner, hop.outer
+    for up, down in plan.drains:
+        inner, outer = up.inner, up.outer
         tc = residencies(loops, inner, OUTPUTS)
-        size = sizes[(inner, OUTPUTS)]
-        inst = nest.instances[inner]
+        size = tile_values(layer, tiles[inner], OUTPUTS)
+        inst = instances[inner]
         drained = tc * size * inst
-        counts.per_level[(inner, OUTPUTS)].drains += drained
-        merged = _div(drained, _collapse(arch, mapping, hop, hop.edges[0], UP))
-        counts.per_level[(outer, OUTPUTS)].updates += merged
-        record_crossings(hop, drained, UP)
-        for k in hop.edges:
-            counts.edge_demand[(k, OUTPUTS, UP)] = demand_into
+        per_level[(inner, OUTPUTS)].drains += drained
+        widths = up.merge_widths(levels)
+        merged = _div(drained, widths[0])
+        per_level[(outer, OUTPUTS)].updates += merged
+        record_crossings(up, widths, drained)
+        for key, _, _ in up.crossings:
+            edge_demand[key] = demand_into
 
         refetch = tc - distinct_tiles(loops, inner, OUTPUTS)
         if refetch:
             base = refetch * size * inst
-            filled = _div(base, _collapse(arch, mapping, hop, hop.edges[0], DOWN))
-            counts.per_level[(inner, OUTPUTS)].fills += filled
-            counts.per_level[(outer, OUTPUTS)].reads += filled
-            record_crossings(hop, base, DOWN)
-            for k in hop.edges:
-                counts.edge_demand[(k, OUTPUTS, DOWN)] = base
+            widths = down.merge_widths(levels)
+            filled = _div(base, widths[0])
+            per_level[(inner, OUTPUTS)].fills += filled
+            per_level[(outer, OUTPUTS)].reads += filled
+            record_crossings(down, widths, base)
+            for key, _, _ in down.crossings:
+                edge_demand[key] = base
         demand_into = merged
 
     return counts
@@ -319,32 +417,24 @@ def reuse_factors(counts: AccessCounts, arch: Architecture,
     temporal reuse of the delivered values. Entries with zero crossings are
     omitted."""
 
+    plan = count_plan(arch, mapping)
     out = []
-    for (edge, tensor, direction), crossing in sorted(counts.edge_crossings.items()):
+    for key, crossing in sorted(counts.edge_crossings.items()):
         if crossing == 0:
             continue
-        hop = _hop_crossing(arch, mapping, edge, tensor)
-        sm = _collapse(arch, mapping, hop, edge, direction)
-        demand = counts.edge_demand[(edge, tensor, direction)]
+        leg, i = plan.leg_at[key]
+        sm = leg.merge_widths(mapping.levels)[i]
+        demand = counts.edge_demand[key]
         tr = Fraction(demand, crossing * sm)
-        cv = arch.edge_converters.get((edge, tensor, direction))
+        conv = leg.crossings[i].conversion
+        edge, tensor, direction = key
         out.append(ReuseFactor(
             edge=edge,
             tensor=tensor,
             direction=direction,
-            converter=None if cv is None else cv.name,
+            converter=None if conv is None else conv[0],
             conversions=crossing,
             spatial_multicast=sm,
             temporal_reuse=int(tr) if tr.denominator == 1 else tr,
         ))
     return out
-
-
-def _hop_crossing(arch: Architecture, mapping: Mapping, edge: int, tensor: str) -> Hop:
-    hops = tensor_hops(arch, mapping, tensor)
-    if tensor == OUTPUTS:
-        hops.append(output_stream(arch, mapping))
-    for hop in hops:
-        if edge in hop.edges:
-            return hop
-    raise KeyError((edge, tensor))

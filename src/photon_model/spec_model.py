@@ -17,10 +17,12 @@ engines, the evaluator and the mapper build on, so that "what a tile is"
 has exactly one definition: a mapping's LoopNest (padded bounds, per-level
 tile bounds, spatial copies, instance counts and step count, built in one
 pass and cached as Mapping.nest), the tile footprint (tile_values), the
-capacity demand (kept_bits) and the keeper chains (keeper_levels, held
-per keep-override set by Architecture.keepers). So has
-a valid mapping: validate_mapping, the refetch rule (refetch_forbidden)
-included, so the counting engines never reject a mapping it accepted.
+capacity demand (kept_bits), the keeper chains (keeper_levels, held
+per keep-override set by Architecture.keepers) and the spatial dims a mesh
+merges (merge_dims). Tables derived from an architecture alone are kept
+on the instance (Architecture.derived). So has a valid mapping:
+validate_mapping, the refetch rule (refetch_forbidden) included, so the
+counting engines never reject a mapping it accepted.
 """
 
 from __future__ import annotations
@@ -31,6 +33,9 @@ from functools import cached_property
 from itertools import accumulate
 from operator import mul
 from types import MappingProxyType
+from typing import Callable, TypeVar
+
+T = TypeVar("T")
 
 SPEC_VERSION = 1
 
@@ -218,8 +223,21 @@ class Architecture:
                 + tuple((ex.component, ex.instances) for ex in self.extras))
 
     @cached_property
-    def _keepers(self) -> dict[tuple, tuple]:
+    def _derived(self) -> dict[tuple, object]:
         return {}
+
+    def derived(self, key: tuple, build: Callable[[], T]) -> T:
+        """The table `build()` makes from this architecture alone, made on
+        first request and kept per instance under `key` (the architecture
+        itself is unhashable). A copy made with dataclasses.replace is a
+        new instance and starts with no tables, so an edited architecture
+        is never read through another's. Callers hand out only read-only
+        tables."""
+
+        hit = self._derived.get(key)
+        if hit is None:
+            hit = self._derived[key] = build()
+        return hit
 
     def keepers(self, keep_overrides: dict[int, tuple[str, ...]]
                 ) -> tuple[MappingProxyType[str, tuple[int, ...]],
@@ -227,16 +245,14 @@ class Architecture:
         """Each tensor's keeper chain (keeper_levels) under the keep
         overrides, and the refetch_forbidden keepers of those chains. Both
         depend on nothing else, so they are kept, read-only, per override
-        set: the architecture itself is unhashable."""
+        set."""
 
-        key = tuple(sorted((i, tuple(ov)) for i, ov in keep_overrides.items()))
-        hit = self._keepers.get(key)
-        if hit is None:
+        def build():
             chains = MappingProxyType({t: keeper_levels(self, keep_overrides, t)
                                        for t in TENSORS})
-            hit = self._keepers[key] = (chains,
-                                        refetch_forbidden(self, chains))
-        return hit
+            return chains, refetch_forbidden(self, chains)
+
+        return self.derived(("keepers", override_key(keep_overrides)), build)
 
     def components(self) -> dict[str, ComponentSpec]:
         out: dict[str, ComponentSpec] = {}
@@ -426,6 +442,12 @@ def kept_bits(layer: Layer, tb: dict[str, int],
     return {t: tile_values(layer, tb, t) * layer.bits[t] for t in keeps}
 
 
+def override_key(keep_overrides: dict[int, tuple[str, ...]]) -> tuple:
+    """Keep overrides as a hashable key, equal for equal override sets."""
+
+    return tuple(sorted((i, tuple(ov)) for i, ov in keep_overrides.items()))
+
+
 def effective_keeps(arch: Architecture, keep_overrides: dict[int, tuple[str, ...]],
                     level: int) -> tuple[str, ...]:
     """Tensors a level holds once a mapping's (or a search's) keep
@@ -462,29 +484,19 @@ def refetch_forbidden(arch: Architecture,
     return tuple(out)
 
 
-def multicast_width(arch: Architecture, mapping: Mapping, inner: int, tensor: str) -> int:
-    """Instances of level `inner` sharing one transmission across its edge:
-    the spatial factors of dims absent from the tensor, if the mesh there
-    can multicast."""
+def merge_dims(arch: Architecture, inner: int, tensor: str,
+               direction: str) -> tuple[str, ...]:
+    """Spatial dims whose copies at level `inner` share one transmission
+    across its edge: descending, the dims absent from the tensor, if the
+    mesh there can multicast; ascending (partial outputs), the reduced
+    dims, if it can reduce."""
 
-    if not arch.mesh_into(inner).may_multicast:
-        return 1
-    w = 1
-    for d in DIMS:
-        if d not in TENSOR_DIMS[tensor]:
-            w *= mapping.levels[inner].s(d)
-    return w
-
-
-def reduce_width(arch: Architecture, mapping: Mapping, inner: int) -> int:
-    """Partial-output streams merged when ascending through an edge."""
-
-    if not arch.mesh_into(inner).may_reduce:
-        return 1
-    w = 1
-    for d in REDUCED_DIMS:
-        w *= mapping.levels[inner].s(d)
-    return w
+    mesh = arch.mesh_into(inner)
+    if direction == DOWN:
+        return (tuple(d for d in DIMS if d not in TENSOR_DIMS[tensor])
+                if mesh.may_multicast else ())
+    return (tuple(d for d in DIMS if d in REDUCED_DIMS)
+            if mesh.may_reduce else ())
 
 
 # ============================================================================

@@ -19,6 +19,7 @@ from photon_model.spec_model import (
     LevelMapping,
     Mapping,
     Mesh,
+    mapping_digest,
     validate_architecture,
 )
 
@@ -168,6 +169,33 @@ def test_component_energy_scaling_is_isolated():
     for name in ("dac", "adc", "amac"):
         assert doubled.energy_pj[name] == pytest.approx(base.energy_pj[name])
     assert doubled.counts == base.counts
+
+
+def test_mapping_digest_is_built_on_first_read():
+    arch = toys.fanout_converter_arch(fanout=4)
+    m = Mapping(levels=(LevelMapping(temporal={"C": 2, "R": 3, "S": 3,
+                                               "P": 4, "Q": 4}),
+                        LevelMapping(spatial={"K": 4})))
+    res = evaluate(arch, toys.conv_k4(), m)
+    assert "mapping_digest" not in vars(res)
+    assert res.mapping_digest == mapping_digest(m)
+    assert "mapping_digest" in vars(res)
+
+
+def test_results_compare_by_digest_not_by_mapping_object():
+    arch = toys.fanout_converter_arch(fanout=4)
+    outer = LevelMapping(temporal={"C": 2, "R": 3, "S": 3, "P": 4, "Q": 4})
+    inner = LevelMapping(spatial={"K": 4})
+    m = Mapping(levels=(outer, inner))
+    res = evaluate(arch, toys.conv_k4(), m)
+    # A unit factor changes the Mapping, not the schedule or its digest.
+    same = Mapping(levels=(replace(outer, temporal={**outer.temporal,
+                                                    "N": 1}), inner))
+    assert same != m and mapping_digest(same) == mapping_digest(m)
+    assert replace(res, mapping=same) == res
+    other = Mapping(levels=(replace(outer, permutation=("Q", "P")), inner))
+    assert mapping_digest(other) != mapping_digest(m)
+    assert replace(res, mapping=other) != res
 
 
 def test_breakdown_error_fixed_point():

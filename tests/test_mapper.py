@@ -497,6 +497,39 @@ def test_pruned_random_draws_are_frozen(case):
             res.pruned, res.invalid) == expected
 
 
+def test_best_keeps_the_smaller_digest_on_a_tie():
+    arch = toys.fanout_converter_arch(fanout=4)
+    outer = LevelMapping(temporal={"C": 2, "R": 3, "S": 3, "P": 4, "Q": 4})
+    inner = LevelMapping(spatial={"K": 4})
+    res = evaluate(arch, toys.conv_k4(), Mapping(levels=(outer, inner)))
+    # Another order of the store's loops prices the same.
+    tie = evaluate(arch, toys.conv_k4(), Mapping(levels=(
+        replace(outer, permutation=("Q", "P")), inner)))
+    assert tie.total_energy_pj == res.total_energy_pj
+    small, large = sorted((res, tie), key=lambda r: r.mapping_digest)
+    assert small.mapping_digest < large.mapping_digest
+    for order in ((small, large), (large, small)):
+        best = mapper._Best("energy")
+        for r in order:
+            best.offer(r.mapping, r)
+        assert best.evaluation is small and best.mapping is small.mapping
+
+
+def test_best_builds_no_digest_without_a_tie():
+    arch = toys.fanout_converter_arch(fanout=4)
+    outer = LevelMapping(temporal={"C": 2, "R": 3, "S": 3, "P": 4, "Q": 4})
+    offers = [evaluate(arch, toys.conv_k4(), Mapping(levels=(
+        outer, LevelMapping(spatial={"K": 4})))),
+        evaluate(arch, toys.conv_k4(), Mapping(levels=(
+            replace(outer, temporal={**outer.temporal, "K": 2}),
+            LevelMapping(spatial={"K": 2}))))]
+    assert offers[0].total_energy_pj != offers[1].total_energy_pj
+    best = mapper._Best("energy")
+    for r in offers:
+        best.offer(r.mapping, r)
+    assert not any("mapping_digest" in vars(r) for r in offers)
+
+
 # -- The feasibility filter ---------------------------------------------------
 
 

@@ -92,4 +92,26 @@ def test_oracle_imports_only_structure_from_reuse():
     assert imported
     assert imported <= ORACLE_MAY_IMPORT_FROM_REUSE
     assert not imported & {"analyze", "residencies", "distinct_tiles",
-                           "loop_list", "_collapse"}
+                           "loop_list", *COUNT_PLAN_NAMES}
+
+
+# What reuse.analyze plans once per architecture: merge widths, converter
+# keys and hops read from these would share the closed form's derivation.
+COUNT_PLAN_NAMES = {"CountPlan", "count_plan", "Leg", "merge_widths",
+                    "leg_at"}
+
+
+def test_oracle_never_reaches_the_count_plan():
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(a.asname or a.name for a in node.names)
+            names.update(a.name.split(".")[-1] for a in node.names)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    assert not names & COUNT_PLAN_NAMES
