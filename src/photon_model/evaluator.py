@@ -8,10 +8,12 @@ instances still pay static power for the whole run, with instance counts
 taken from the full fanout products regardless of how much of the array a
 mapping uses.
 
-The prices are fixed per architecture, so energy reads them from its
-PriceRows, built once and kept on the architecture (price_rows). energy
-adds them in sorted key order, exactly as pricing each part directly
-would. An EvaluationResult builds its mapping digest only when read.
+The prices, bandwidths and area are fixed per architecture, so energy,
+latency_and_utilization and area read them from its PriceRows, built once
+and kept on the architecture (price_rows). Each expression keeps the order
+of pricing every part directly (energy adds in sorted key order), so every
+float is the same. An EvaluationResult builds its mapping digest only when
+read.
 """
 
 from __future__ import annotations
@@ -91,6 +93,7 @@ def latency_and_utilization(
     reduce utilization but never speed anything up.
     """
 
+    rows = price_rows(arch)
     nest = mapping.nest
     compute_cycles = nest.steps
     cycles = compute_cycles
@@ -98,15 +101,14 @@ def latency_and_utilization(
     per_level: dict[int, int] = {}
     for (level, _tensor), lc in counts.per_level.items():
         per_level[level] = per_level.get(level, 0) + lc.total()
+    bandwidths = rows.bandwidths
     for level, actions in per_level.items():
-        comp = arch.levels[level].component
         cycles = max(cycles, math.ceil(
-            actions / (comp.bandwidth * nest.instances[level])))
+            actions / (bandwidths[level] * nest.instances[level])))
 
-    for cv in arch.converters:
-        actions = sum(counts.conversions[(cv.name, t)] for t in cv.tensors)
-        cycles = max(cycles,
-                     math.ceil(actions / (cv.component.bandwidth * cv.instances)))
+    for keys, rate in rows.conversion_rates:
+        actions = sum(counts.conversions[k] for k in keys)
+        cycles = max(cycles, math.ceil(actions / rate))
 
     latency_s = cycles / (arch.clock_ghz * 1e9)
     utilization = counts.real_macs / (peak_spatial_macs(arch) * compute_cycles)
@@ -115,16 +117,22 @@ def latency_and_utilization(
 
 @dataclass(frozen=True)
 class PriceRows:
-    """Every per-action price energy reads, fixed per architecture: per
-    level index (part name, read, write, update) with update falling back
-    to write; per converter name (part name, convert); the compute part's
-    (name, compute); and (part name, static_power_mw * instances) for each
-    part with static power, in Architecture.parts order."""
+    """Everything energy, latency_and_utilization and area read that is
+    fixed per architecture: per level index (part name, read, write,
+    update) with update falling back to write; per converter name (part
+    name, convert); the compute part's (name, compute); (part name,
+    static_power_mw * instances) for each part with static power, in
+    Architecture.parts order; each level's bandwidth; per converter bank
+    its conversion keys and bandwidth * instances; and the area summed
+    over Architecture.parts."""
 
     levels: tuple[tuple[str, float, float, float], ...]
     converters: MappingProxyType[str, tuple[str, float]]
     compute: tuple[str, float]
     static: tuple[tuple[str, float], ...]
+    bandwidths: tuple[float, ...]
+    conversion_rates: tuple[tuple[tuple[tuple[str, str], ...], float], ...]
+    area_um2: float
 
     @classmethod
     def of(cls, arch: Architecture) -> PriceRows:
@@ -139,6 +147,12 @@ class PriceRows:
             compute=(comps[-1].name, comps[-1].energy("compute")),
             static=tuple((c.name, c.static_power_mw * n)
                          for c, n in arch.parts if c.static_power_mw),
+            bandwidths=tuple(c.bandwidth for c in comps),
+            conversion_rates=tuple(
+                (tuple((cv.name, t) for t in cv.tensors),
+                 cv.component.bandwidth * cv.instances)
+                for cv in arch.converters),
+            area_um2=sum(n * comp.area_um2 for comp, n in arch.parts),
         )
 
 
@@ -190,7 +204,7 @@ def energy(
 
 
 def area(arch: Architecture) -> float:
-    return sum(n * comp.area_um2 for comp, n in arch.parts)
+    return price_rows(arch).area_um2
 
 
 def evaluate(

@@ -7,8 +7,9 @@ repeated runs can be diffed directly.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 from . import albireo
 from .components import PROFILES, calibration_factors, scale_library
@@ -70,6 +71,26 @@ class SweepInfeasible(Exception):
         super().__init__(f"{axis}={value}: {message}")
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# Per ExperimentConfig annotation, the check its value passes and what it
+# expects. A bool is not an int here, and a list is taken as a tuple.
+_FIELD_TYPES = {
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "str | None": (lambda v: v is None or isinstance(v, str),
+                   "a string or null"),
+    "int": (_is_int, "an integer"),
+    "float": (lambda v: _is_int(v) or (isinstance(v, float)
+                                       and math.isfinite(v)),
+              "a finite number"),
+    "tuple[int, ...]": (lambda v: (isinstance(v, tuple)
+                                   and all(map(_is_int, v))),
+                        "a list of integers"),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str
@@ -87,6 +108,15 @@ class ExperimentConfig:
     output_dir: str | None = None
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, list):
+                value = tuple(value)
+                object.__setattr__(self, f.name, value)
+            check, expected = _FIELD_TYPES[f.type]
+            if not check(value):
+                raise SpecError("MalformedDocument", f"experiment.{f.name}",
+                                f"must be {expected}, got {value!r}")
         if self.experiment not in EXPERIMENTS:
             raise SpecError("MalformedDocument", "experiment.experiment",
                             f"unknown experiment {self.experiment!r}")
@@ -130,15 +160,7 @@ def parse_experiment_config(doc: dict) -> ExperimentConfig:
     if "experiment" not in doc:
         raise SpecError("MalformedDocument", "experiment.experiment",
                         "config must name an experiment")
-    kwargs = dict(doc)
-    for key in ("batch_sizes", "sweep_values"):
-        if key in kwargs:
-            val = kwargs[key]
-            if not isinstance(val, (list, tuple)):
-                raise SpecError("MalformedDocument", f"experiment.{key}",
-                                "expected a list")
-            kwargs[key] = tuple(val)
-    return ExperimentConfig(**kwargs)
+    return ExperimentConfig(**doc)
 
 
 # ----------------------------------------------------------------------------

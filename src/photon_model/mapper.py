@@ -9,7 +9,7 @@ orders, with two strategies:
   condition and the refetch loop-nest condition still allow, then draws
   loop orders that never revisit a refetch-forbidden tile. Under the
   delay objective, a candidate whose step count cannot beat the best so
-  far is counted as pruned and never fully evaluated.
+  far is counted as pruned and is never built, validated or evaluated.
 
 A pruned_random search filters each dim's chain menu with bitsets over
 menu indices, built once per search. Per constrained axis (the spatial
@@ -30,9 +30,8 @@ the exact bound; pad mode picks spatial widths from divisors of the bound
 or of the level fanout, then pads the iterated extent minimally to a
 multiple of the spatial width. Loop orders are searched only over dims with
 more than one iteration at a level. Keeper chains, the capacity demand and
-the refetch-forbidden keepers come from spec_model, and step counts from
-the candidate's `mapping.nest`: the definitions validation and the
-counting engines use.
+the refetch-forbidden keepers come from spec_model: the definitions
+validation and the counting engines use.
 
 Ties on the objective break toward the lexicographically smallest mapping
 digest among evaluated candidates, so every strategy is deterministic for a
@@ -48,11 +47,16 @@ once; a reused result carries the statistics of the search that made it.
 Failures are not memoised: a repeat searches afresh, so NoValidMapping
 names the caller's layer.
 
-Only the delay objective prunes. Its floor is the candidate's step count,
-read from its loop nest once `validate_mapping` accepts it: cycles never
-fall below it, and it needs no access counts. The energy and EDP
-objectives evaluate every feasible candidate in full: a sound floor for
-them costs about as much as the evaluation it would save.
+Only the delay objective prunes, and only under pruned_random. Its floor
+is the candidate's step count: the product of every drawn chain's temporal
+factors, which is the `LoopNest.steps` of the mapping the chains build.
+Cycles never fall below it, and it needs no access counts. `pruned` is
+decided before validation: a candidate at or above the best so far counts
+as pruned even if its mapping would be invalid. A candidate that survives
+is built and validated once, inside `evaluate`, where a MappingError counts
+it invalid. The energy and EDP objectives evaluate every feasible candidate
+in full: a sound floor for them costs about as much as the evaluation it
+would save.
 """
 
 from __future__ import annotations
@@ -79,7 +83,6 @@ from .spec_model import (
     MappingError,
     effective_keeps,
     kept_bits,
-    validate_mapping,
 )
 
 OBJECTIVES = ("energy", "delay", "energy_delay_product")
@@ -345,6 +348,9 @@ class _MenuFilter:
                          if d in TENSOR_DIMS[t] else (0, bits & ((1 << b) - 1))
                          for b, t, _ in forbidden)
             self.table.append((chain[1::2], cap.row(chain), nest))
+        # Per chain, the product of its temporal factors: its share of the
+        # step count.
+        self.steps = [math.prod(chain[0::2]) for chain in chains]
         self.axes = [_prefix_bitsets([r[0][j] for r in self.table])
                      for j in range(len(self.fanouts))]
         self.axes += [_prefix_bitsets([r[1][c] for r in self.table])
@@ -425,14 +431,6 @@ def _objective_of(res: EvaluationResult, objective: str) -> float:
     return res.total_energy_pj * res.latency_s
 
 
-def _delay_floor(arch: Architecture, layer: Layer, mapping: Mapping) -> int:
-    """A value never exceeding the candidate's cycles: its step count, once
-    the mapping validates. Raises MappingError where evaluation would."""
-
-    validate_mapping(mapping, layer, arch)
-    return mapping.nest.steps
-
-
 def _perm_menu(chains: dict[str, tuple[int, ...]], level: int) -> list[str]:
     return [d for d in DIMS if chains[d][2 * level] > 1]
 
@@ -502,17 +500,12 @@ def _search(arch: Architecture, layer: Layer, cfg: SearchConfig) -> SearchResult
 
     best = _Best(cfg.objective)
     visited = pruned = invalid = 0
-    prune = cfg.strategy == "pruned_random" and cfg.objective == "delay"
 
     def consider(chains: dict[str, tuple[int, ...]],
                  perms: list[tuple[str, ...]]) -> None:
-        nonlocal visited, pruned, invalid
+        nonlocal visited, invalid
         mapping = _build_mapping(arch, chains, perms, cfg)
         try:
-            if (prune and best.value is not None
-                    and _delay_floor(arch, layer, mapping) >= best.value):
-                pruned += 1
-                return
             res = evaluate(arch, layer, mapping)
         except MappingError:
             invalid += 1
@@ -561,6 +554,7 @@ def _search(arch: Architecture, layer: Layer, cfg: SearchConfig) -> SearchResult
         # conditions are necessary), so with enough budget this covers the
         # same space.
         rng = random.Random(cfg.seed)
+        prune = cfg.objective == "delay"
         m = len(arch.levels)
         forbidden = arch.keepers(cfg.keep_overrides)[1]
         filters = [_MenuFilter(arch, chain_menu[d], d, cap, forbidden)
@@ -571,6 +565,7 @@ def _search(arch: Architecture, layer: Layer, cfg: SearchConfig) -> SearchResult
             sprod = (1,) * (m - 1)
             rows = cap.mins
             nest = ((0, 0),) * len(forbidden)
+            steps = 1
             dead = False
             for di, d in enumerate(DIMS):
                 menu = filters[di]
@@ -582,6 +577,7 @@ def _search(arch: Architecture, layer: Layer, cfg: SearchConfig) -> SearchResult
                 chains[d] = chain_menu[d][pick]
                 spatial, extent, adds = menu.table[pick]
                 sprod = tuple(p * s for p, s in zip(sprod, spatial))
+                steps *= menu.steps[pick]
                 rows = rows[:di] + (extent,) + rows[di + 1:]
                 nest = tuple((o | a, x | b)
                              for (o, x), (a, b) in zip(nest, adds))
@@ -599,6 +595,11 @@ def _search(arch: Architecture, layer: Layer, cfg: SearchConfig) -> SearchResult
                     perms.append(options[rng.randrange(len(options))])
             if dead:
                 invalid += 1
+                continue
+            # The floor is the steps the chains build (LoopNest.steps),
+            # known before the mapping is built or validated.
+            if prune and best.value is not None and steps >= best.value:
+                pruned += 1
                 continue
             consider(chains, perms)
 

@@ -5,7 +5,8 @@ from pathlib import Path
 import pytest
 
 from photon_model import albireo, cli
-from photon_model.spec_model import parse_spec
+from photon_model.experiments import ExperimentConfig
+from photon_model.spec_model import SpecError, parse_spec
 from photon_model.workloads import load_spec
 
 
@@ -146,6 +147,41 @@ def test_malformed_experiment_config_exits_2(tmp_path, capsys):
     path.write_text(json.dumps({"experiment": "memory", "speed": 9}))
     assert cli.main(["experiment", "--config", str(path)]) == 2
     assert "unknown fields ['speed']" in capsys.readouterr().err
+
+
+# One ill-typed value per experiment-config field.
+ILL_TYPED_FIELDS = {
+    "experiment": 3,
+    "arch": 1,
+    "workload": ["vgg16"],
+    "profile": None,
+    "batch_sizes": ["16"],
+    "fusion": True,
+    "fusion_buffer": 0,
+    "buffer_energy_exponent": "a",
+    "sweep_axis": None,
+    "sweep_values": 4,
+    "budget": "10",
+    "seed": "x",
+    "output_dir": 5,
+}
+
+
+@pytest.mark.parametrize("field", sorted(ILL_TYPED_FIELDS))
+def test_ill_typed_experiment_config_exits_2(field, tmp_path, capsys):
+    doc = {"experiment": "memory", field: ILL_TYPED_FIELDS[field]}
+    with pytest.raises(SpecError) as err:
+        ExperimentConfig(**doc)
+    assert (err.value.kind, err.value.path) == ("MalformedDocument",
+                                                f"experiment.{field}")
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["experiment", "--config", str(path)]) == 2
+    assert f"experiment.{field}:" in capsys.readouterr().err
+
+
+def test_ill_typed_fields_cover_the_config():
+    assert set(ILL_TYPED_FIELDS) == set(ExperimentConfig.__dataclass_fields__)
 
 
 def test_infeasible_sweep_exits_3(tiny_workload, tmp_path, capsys):

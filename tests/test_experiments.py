@@ -65,6 +65,16 @@ def test_config_validation():
         ExperimentConfig(experiment="breakdown", fusion="maybe")
     with pytest.raises(SpecError):
         ExperimentConfig(experiment="breakdown", budget=0)
+    with pytest.raises(SpecError):
+        ExperimentConfig(experiment="breakdown", budget=True)
+    with pytest.raises(SpecError):
+        ExperimentConfig(experiment="breakdown", buffer_energy_exponent=False)
+    with pytest.raises(SpecError):
+        ExperimentConfig(experiment="memory",
+                         buffer_energy_exponent=float("nan"))
+    # A list is taken as a tuple.
+    cfg = ExperimentConfig(experiment="memory", batch_sizes=[4, 16])
+    assert cfg.batch_sizes == (4, 16)
 
 
 def test_parse_experiment_config():

@@ -62,6 +62,20 @@ def _converter_instances(arch):
     return replace(arch, converters=tuple(cvs))
 
 
+def _backing_store_bandwidth(arch):
+    top = arch.levels[0]
+    top = replace(top, component=replace(top.component, bandwidth=0.01))
+    return replace(arch, levels=(top,) + arch.levels[1:])
+
+
+def _extra_area(arch):
+    extras = list(arch.extras)
+    comp = extras[-1].component
+    extras[-1] = replace(extras[-1],
+                         component=replace(comp, area_um2=2 * comp.area_um2))
+    return replace(arch, extras=tuple(extras))
+
+
 @pytest.mark.parametrize("edit", [_flip_multicast, _energies_times_7,
                                   _converter_instances])
 def test_an_edited_copy_never_reads_the_originals_tables(edit):
@@ -79,6 +93,23 @@ def test_an_edited_copy_never_reads_the_originals_tables(edit):
             == reuse_factors(counts, _fresh(b), mapping))
     assert price_rows(a) is price_rows(a)
     assert price_rows(b) is not price_rows(a)
+
+
+@pytest.mark.parametrize("edit, moves", [
+    (_backing_store_bandwidth, "cycles"),
+    (_converter_instances, "cycles"),
+    (_extra_area, "area_um2"),
+])
+def test_latency_and_area_follow_an_edited_copy(edit, moves):
+    # The bandwidths, conversion rates and area sum in the price rows are
+    # read per candidate; an edited copy must never see the original's.
+    a, mapping = _searched()
+    b = edit(a)
+    got_a = evaluate(a, LAYER, mapping)
+    got_b = evaluate(b, LAYER, mapping)
+    assert getattr(got_a, moves) != getattr(got_b, moves)
+    assert got_b == evaluate(_fresh(b), LAYER, mapping)
+    assert got_a == evaluate(_fresh(a), LAYER, mapping)
 
 
 def test_each_keep_override_set_gets_its_own_plan():
