@@ -16,13 +16,18 @@ menu indices, built once per search. Per constrained axis (the spatial
 factor at each level 1..M-1, the tile extent at each capacity-checked
 level) the bitset of chains at or below each distinct value answers "every
 chain within this limit" with one bisect. The limits come from the dims
-already drawn: each level's fanout over their spatial product, and the
-largest extent whose capacity demand still fits beside their tiles
-(_CapacityCheck.limits, from kept_bits). Per refetch-forbidden keeper and
-running mask pair, the chains the loop-nest condition allows form one more
-bitset. A draw ANDs them and picks from the result's index list, kept per
-bitset in menu order, so the draws are those of a filter that rechecks
-every chain.
+already drawn: each level's fanout over their spatial product `sprod`, and
+the largest extent whose capacity demand still fits beside their tiles
+(_CapacityCheck.limits, the demand summed as kept_bits sums it). The fanout
+mask is kept per `sprod` and the capacity mask per limits tuple, as they
+read nothing else. Per refetch-forbidden keeper and running mask pair, the
+chains the loop-nest condition allows form one more bitset. A draw ANDs
+them and picks from the result's index list, kept per bitset in menu
+order, so the draws are those of a filter that rechecks every chain. The
+loop orders come from one lookup per draw: a table keyed by the levels
+where each drawn chain iterates (_OrderTable) holds every level's legal
+orders. A candidate is built with only its factors other than 1, which
+every reader of a mapping takes as 1 when missing.
 
 The candidate space factors per dimension: each dim contributes a chain
 [t0, s1, t1, ..., s(M-1), t(M-1)] of per-level factors. Strict mode splits
@@ -67,6 +72,7 @@ import math
 import random
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from operator import mul
 
 # analyze and energy go unused here; perfbench/tracer.py rebinds both.
 from .evaluator import EvaluationResult, energy, evaluate
@@ -82,7 +88,7 @@ from .spec_model import (
     Mapping,
     MappingError,
     effective_keeps,
-    kept_bits,
+    tile_values,
 )
 
 OBJECTIVES = ("energy", "delay", "energy_delay_product")
@@ -125,6 +131,15 @@ class SearchConfig:
             raise ValueError("batch_size must be >= 1")
         if self.reduction_floor is not None and self.reduction_floor < 0:
             raise ValueError("reduction_floor must be >= 0")
+        for (level, d), f in self.fixed_spatial.items():
+            if d not in DIMS:
+                raise ValueError(f"fixed_spatial pins unknown dim {d!r}")
+            if type(level) is not int or level < 1:
+                raise ValueError(f"fixed_spatial pins {d} at level {level!r}; "
+                                 "spatial factors start at level 1")
+            if type(f) is not int or f < 1:
+                raise ValueError(f"fixed_spatial pin {d}={f!r} at level "
+                                 f"{level} not a positive integer")
 
 
 @dataclass(frozen=True)
@@ -182,6 +197,8 @@ class _CapacityCheck:
                   for lvl, _, _ in self.checks)
             for d in DIMS)
         self.memo: dict[tuple, tuple[float, ...]] = {}
+        # One extent dict, refilled by every limits miss.
+        self.tb = dict.fromkeys(DIMS, 1)
 
     def row(self, chain: tuple[int, ...]) -> tuple[int, ...]:
         """Tile extent of one dim's chain at each checked level: the
@@ -202,14 +219,20 @@ class _CapacityCheck:
         limits = self.memo.get(key)
         if limits is not None:
             return limits
-        d = DIMS[di]
+        d, layer, tb, bits = DIMS[di], self.layer, self.tb, self.layer.bits
         out = []
         for c, (_, keeps, cap) in enumerate(self.checks):
-            tb = {dd: r[c] for dd, r in zip(DIMS, rows)}
-            tb[d] = 1
-            one = sum(kept_bits(self.layer, tb, keeps).values())
-            tb[d] = 2
-            slope = sum(kept_bits(self.layer, tb, keeps).values()) - one
+            for dd, r in zip(DIMS, rows):
+                tb[dd] = r[c]
+            # The level's demand at extents 1 and 2, summed as kept_bits
+            # sums it.
+            one = two = 0
+            for t in keeps:
+                tb[d] = 1
+                one += tile_values(layer, tb, t) * bits[t]
+                tb[d] = 2
+                two += tile_values(layer, tb, t) * bits[t]
+            slope = two - one
             if slope:
                 out.append(1 + (cap - one) // slope)
             else:
@@ -304,11 +327,17 @@ def _dim_chains(arch: Architecture, layer: Layer, d: str, cfg: SearchConfig,
 
 def _build_mapping(arch: Architecture, chains: dict[str, tuple[int, ...]],
                    perms: list[tuple[str, ...]], cfg: SearchConfig) -> Mapping:
-    m = len(arch.levels)
+    """The mapping the chains and loop orders describe, with only the
+    factors other than 1 written out."""
+
     lms = []
-    for j in range(m):
-        temporal = {d: chains[d][2 * j] for d in DIMS}
-        spatial = {} if j == 0 else {d: chains[d][2 * j - 1] for d in DIMS}
+    for j in range(len(arch.levels)):
+        temporal, spatial = {}, {}
+        for d, chain in chains.items():
+            if chain[2 * j] != 1:
+                temporal[d] = chain[2 * j]
+            if j and chain[2 * j - 1] != 1:
+                spatial[d] = chain[2 * j - 1]
         lms.append(LevelMapping(temporal=temporal, spatial=spatial,
                                 permutation=perms[j]))
     return Mapping(levels=tuple(lms), batch_size=cfg.batch_size,
@@ -330,8 +359,9 @@ def _nest_ok(own: int, other: int) -> bool:
 
 class _MenuFilter:
     """The feasibility filter over one dim's chain menu, as bitsets of menu
-    indices (see the module docstring). The loop-nest bitsets are built on
-    first use of each running mask pair, and the index list once per
+    indices (see the module docstring). The fanout mask is built on first
+    use of each spatial product, the capacity mask of each limits tuple and
+    the loop-nest bitsets of each running mask pair; the index list once per
     feasible bitset."""
 
     def __init__(self, arch: Architecture, chains: list[tuple[int, ...]],
@@ -342,21 +372,41 @@ class _MenuFilter:
         # spatial row s1..s(M-1), its extent row at the checked levels,
         # and the bits it adds to each forbidden keeper's (own, other).
         self.table = []
+        # Per chain, its part of the draw's loop-order signature: bit
+        # j * len(DIMS) + DIMS.index(d) set where it iterates at level j
+        # (temporal factor > 1). spread moves bit j of a level mask there.
+        self.live = []
+        spread = [sum(1 << (j * len(DIMS)) for j in range(b.bit_length())
+                      if b >> j & 1) << DIMS.index(d)
+                  for b in range(1 << len(arch.levels))]
         for chain in chains:
             bits = sum(1 << j for j, f in enumerate(chain[0::2]) if f > 1)
             nest = tuple((bits & ((1 << (b + 1)) - 2), 0)
                          if d in TENSOR_DIMS[t] else (0, bits & ((1 << b) - 1))
                          for b, t, _ in forbidden)
             self.table.append((chain[1::2], cap.row(chain), nest))
+            self.live.append(spread[bits])
         # Per chain, the product of its temporal factors: its share of the
         # step count.
         self.steps = [math.prod(chain[0::2]) for chain in chains]
-        self.axes = [_prefix_bitsets([r[0][j] for r in self.table])
-                     for j in range(len(self.fanouts))]
-        self.axes += [_prefix_bitsets([r[1][c] for r in self.table])
-                      for c in range(len(cap.checks))]
+        self.everything = (1 << len(chains)) - 1
+        self.fan_axes = [_prefix_bitsets([r[0][j] for r in self.table])
+                         for j in range(len(self.fanouts))]
+        self.cap_axes = [_prefix_bitsets([r[1][c] for r in self.table])
+                         for c in range(len(cap.checks))]
+        self.fan_masks: dict[tuple[int, ...], int] = {}
+        self.cap_masks: dict[tuple[float, ...], int] = {}
         self.nest_bits: dict[tuple[int, int, int], int] = {}
         self.lists: dict[int, list[int]] = {}
+
+    def _within(self, axes: list[tuple[list[int], list[int]]],
+                lims: list[int] | tuple[float, ...]) -> int:
+        """The chains at or below every limit, one per axis."""
+
+        mask = self.everything
+        for (values, below), lim in zip(axes, lims):
+            mask &= below[bisect.bisect_right(values, lim)]
+        return mask
 
     def feasible(self, sprod: tuple[int, ...], limits: tuple[float, ...],
                  nest: tuple[tuple[int, int], ...]) -> list[int]:
@@ -365,11 +415,15 @@ class _MenuFilter:
         the capacity `limits` allow, and whose masks keep each forbidden
         keeper's loop nest legal once OR-ed into `nest`."""
 
-        mask = (1 << len(self.table)) - 1
-        budgets = (f // p for f, p in zip(self.fanouts, sprod))
-        for (values, below), lim in zip(self.axes,
-                                        itertools.chain(budgets, limits)):
-            mask &= below[bisect.bisect_right(values, lim)]
+        mask = self.fan_masks.get(sprod)
+        if mask is None:
+            mask = self.fan_masks[sprod] = self._within(
+                self.fan_axes, [f // p for f, p in zip(self.fanouts, sprod)])
+        cap_mask = self.cap_masks.get(limits)
+        if cap_mask is None:
+            cap_mask = self.cap_masks[limits] = self._within(self.cap_axes,
+                                                             limits)
+        mask &= cap_mask
         for k, (own, other) in enumerate(nest):
             bits = self.nest_bits.get((k, own, other))
             if bits is None:
@@ -421,6 +475,37 @@ def _valid_perms(live: tuple[str, ...], level: int,
         return list(itertools.permutations(live))
     return [p for p in itertools.permutations(live)
             if all(_block_leads(p, dims) for dims in blocks)]
+
+
+class _OrderTable:
+    """Each level's legal loop orders (_valid_perms) for a draw, keyed by
+    its signature: the OR of the drawn chains' _MenuFilter.live words, so
+    bits j * len(DIMS) upward hold the dims live at level j. A signature's
+    lists are built on its first draw, sharing one list per (level, live
+    dims)."""
+
+    def __init__(self, levels: int,
+                 forbidden: tuple[tuple[int, str, int], ...]):
+        self.levels = levels
+        self.forbidden = forbidden
+        self.by_signature: dict[int, list[list]] = {}
+        self.by_level: dict[tuple[int, int], list] = {}
+
+    def options(self, signature: int) -> list[list]:
+        out = self.by_signature.get(signature)
+        if out is None:
+            out = self.by_signature[signature] = []
+            full = (1 << len(DIMS)) - 1
+            for j in range(self.levels):
+                key = (j, signature >> (j * len(DIMS)) & full)
+                perms = self.by_level.get(key)
+                if perms is None:
+                    live = tuple(d for i, d in enumerate(DIMS)
+                                 if key[1] >> i & 1)
+                    perms = self.by_level[key] = _valid_perms(
+                        live, j, self.forbidden)
+                out.append(perms)
+        return out
 
 
 def _objective_of(res: EvaluationResult, objective: str) -> float:
@@ -491,6 +576,10 @@ def search(arch: Architecture, layer: Layer, cfg: SearchConfig) -> SearchResult:
 def _search(arch: Architecture, layer: Layer, cfg: SearchConfig) -> SearchResult:
     """The search itself, unmemoised."""
 
+    for level, d in cfg.fixed_spatial:
+        if level >= len(arch.levels):
+            raise ValueError(f"fixed_spatial pins {d} at level {level}; "
+                             f"the architecture has {len(arch.levels)} levels")
     cap = _CapacityCheck(arch, layer, cfg)
     chain_menu = {d: _dim_chains(arch, layer, d, cfg, cap) for d in DIMS}
     for d, menu in chain_menu.items():
@@ -559,13 +648,14 @@ def _search(arch: Architecture, layer: Layer, cfg: SearchConfig) -> SearchResult
         forbidden = arch.keepers(cfg.keep_overrides)[1]
         filters = [_MenuFilter(arch, chain_menu[d], d, cap, forbidden)
                    for d in DIMS]
-        perm_cache: dict[tuple[int, tuple[str, ...]], list] = {}
+        orders = _OrderTable(m, forbidden)
         for _ in range(cfg.budget):
             chains: dict[str, tuple[int, ...]] = {}
             sprod = (1,) * (m - 1)
             rows = cap.mins
             nest = ((0, 0),) * len(forbidden)
             steps = 1
+            signature = 0
             dead = False
             for di, d in enumerate(DIMS):
                 menu = filters[di]
@@ -576,19 +666,15 @@ def _search(arch: Architecture, layer: Layer, cfg: SearchConfig) -> SearchResult
                 pick = rng.choice(feasible)
                 chains[d] = chain_menu[d][pick]
                 spatial, extent, adds = menu.table[pick]
-                sprod = tuple(p * s for p, s in zip(sprod, spatial))
+                sprod = tuple(map(mul, sprod, spatial))
                 steps *= menu.steps[pick]
+                signature |= menu.live[pick]
                 rows = rows[:di] + (extent,) + rows[di + 1:]
                 nest = tuple((o | a, x | b)
                              for (o, x), (a, b) in zip(nest, adds))
             if not dead:
                 perms = []
-                for j in range(m):
-                    live = tuple(_perm_menu(chains, j))
-                    key = (j, live)
-                    if key not in perm_cache:
-                        perm_cache[key] = _valid_perms(live, j, forbidden)
-                    options = perm_cache[key]
+                for options in orders.options(signature):
                     if not options:
                         dead = True
                         break

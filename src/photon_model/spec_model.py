@@ -301,8 +301,10 @@ class Workload:
 
 @dataclass(frozen=True)
 class LevelMapping:
-    """Per-level loop factors. permutation orders this level's temporal loops
-    outermost-first; dims not listed run innermost in canonical DIMS order."""
+    """Per-level loop factors. A dim missing from temporal or spatial has
+    factor 1 there, and a factor of 1 written out changes nothing.
+    permutation orders this level's temporal loops outermost-first; dims not
+    listed run innermost in canonical DIMS order."""
 
     temporal: dict[str, int] = field(default_factory=dict)
     spatial: dict[str, int] = field(default_factory=dict)
@@ -318,13 +320,23 @@ class LevelMapping:
         """This level's temporal loops with extent > 1, outermost first."""
 
         t, perm = self.temporal, self.permutation
-        order = [*perm, *(d for d in DIMS if d not in perm)]
-        return [(d, t[d]) for d in order if t.get(d, 1) > 1]
+        out = []
+        for d in perm:
+            f = t.get(d, 1)
+            if f > 1:
+                out.append((d, f))
+        for d in DIMS:
+            if d not in perm:
+                f = t.get(d, 1)
+                if f > 1:
+                    out.append((d, f))
+        return out
 
 
 @dataclass(frozen=True)
 class Mapping:
-    """A full schedule: one LevelMapping per architecture level.
+    """A full schedule: one LevelMapping per architecture level. Unit
+    factors may be left out (see LevelMapping).
 
     batch_size multiplies the layer's N bound. keep_overrides replaces a
     storage level's kept-tensor set with a subset (bypassing extra tensors);
@@ -641,8 +653,10 @@ def validate_mapping(mapping: Mapping, layer: Layer, arch: Architecture) -> None
         raise MappingError("FactorMismatch",
                            f"mapping has {len(mapping.levels)} levels, "
                            f"architecture has {len(arch.levels)}")
-    if mapping.batch_size < 1:
-        raise MappingError("FactorMismatch", "batch_size must be >= 1")
+    if type(mapping.batch_size) is not int or mapping.batch_size < 1:
+        raise MappingError("FactorMismatch",
+                           f"batch_size {mapping.batch_size!r} not a positive "
+                           "integer")
 
     for i, lm in enumerate(mapping.levels):
         for src in (lm.temporal, lm.spatial):
@@ -650,7 +664,7 @@ def validate_mapping(mapping: Mapping, layer: Layer, arch: Architecture) -> None
                 if d not in DIMS:
                     raise MappingError("FactorMismatch", f"unknown dim {d!r}",
                                        dim=d, level=arch.levels[i].name)
-                if not isinstance(f, int) or f < 1:
+                if type(f) is not int or f < 1:
                     raise MappingError("FactorMismatch",
                                        f"factor {d}={f!r} at level {i} not a "
                                        "positive integer", dim=d)

@@ -452,6 +452,30 @@ def test_search_config_validation():
         SearchConfig(batch_size=0)
 
 
+@pytest.mark.parametrize("pins", [
+    {(3, "X"): 4},
+    {(0, "K"): 4},
+    {(-1, "K"): 4},
+    {(3, "K"): 0},
+    {(3, "K"): True},
+    {(3, "K"): 2.0},
+], ids=["unknown-dim", "level-0", "level-below-0", "zero-factor",
+        "bool-factor", "float-factor"])
+def test_search_config_rejects_bad_pins(pins):
+    # Each was silently ignored or crashed the menu build.
+    with pytest.raises(ValueError, match="fixed_spatial"):
+        SearchConfig(fixed_spatial=pins)
+
+
+def test_search_rejects_a_pin_below_the_architecture():
+    arch = albireo.architecture("aggressive")
+    layer = next(l for l in load_workload("alexnet").layers
+                 if l.name == "fc8")
+    cfg = SearchConfig(budget=5, fixed_spatial={(len(arch.levels), "K"): 4})
+    with pytest.raises(ValueError, match="fixed_spatial"):
+        search(arch, layer, cfg)
+
+
 # Searches on the bundled Albireo with its geometry pins in pad mode, and
 # what each returned: (mapping digest, objective, visited, pruned,
 # invalid). Frozen from the filter that re-checked every chain prefix; the
@@ -501,6 +525,75 @@ def test_pruned_random_draws_are_frozen(case):
     res = search(arch, layer, cfg)
     assert (res.evaluation.mapping_digest, res.objective, res.visited,
             res.pruned, res.invalid) == expected
+
+
+def _unit_factors(mapping, written):
+    """The mapping with every factor of 1 written out, or with none."""
+
+    def level(lm):
+        if written:
+            return replace(lm, temporal={d: lm.t(d) for d in DIMS},
+                           spatial={d: lm.s(d) for d in DIMS})
+        return replace(lm, temporal={d: f for d, f in lm.temporal.items()
+                                     if f != 1},
+                       spatial={d: f for d, f in lm.spatial.items() if f != 1})
+
+    return replace(mapping, levels=tuple(level(lm) for lm in mapping.levels))
+
+
+def _verdict(arch, layer, mapping):
+    try:
+        validate_mapping(mapping, layer, arch)
+    except MappingError as err:
+        return err.kind
+    return None
+
+
+def _assert_unit_factors_inert(arch, layer, mapping):
+    written = _unit_factors(mapping, True)
+    bare = _unit_factors(mapping, False)
+    verdict = _verdict(arch, layer, written)
+    assert _verdict(arch, layer, bare) == verdict
+    if verdict is None:
+        assert written.nest == bare.nest
+        assert evaluate(arch, layer, written) == evaluate(arch, layer, bare)
+        assert mapping_digest(written) == mapping_digest(bare)
+    return verdict
+
+
+def test_unit_factors_are_inert():
+    # pruned_random builds candidates without their unit factors; nothing
+    # downstream may tell the difference. Random instances, then copies
+    # with one factor doubled or one spatial factor past its fanout, so
+    # rejected mappings are compared too.
+    rng = random.Random(13)
+    verdicts = set()
+    for _ in range(60):
+        arch, layer, mapping = random_instance(rng)
+        j = rng.randrange(len(mapping.levels))
+        d = rng.choice(DIMS)
+        lm = mapping.levels[j]
+        doubled = replace(lm, temporal={**lm.temporal, d: 2 * lm.t(d)})
+        variants = [mapping, replace(mapping, levels=mapping.levels[:j]
+                                     + (doubled,) + mapping.levels[j + 1:])]
+        if j:
+            wide = replace(lm, spatial={**lm.spatial,
+                                        d: arch.levels[j].fanout + 1})
+            variants.append(replace(mapping, levels=mapping.levels[:j]
+                                    + (wide,) + mapping.levels[j + 1:]))
+        for m in variants:
+            verdicts.add(_assert_unit_factors_inert(arch, layer, m))
+    assert {None, "FactorMismatch", "FanoutExceeded"} <= verdicts
+
+
+@pytest.mark.parametrize("workload", ["vgg16", "alexnet"])
+def test_unit_factors_are_inert_on_searched_mappings(workload):
+    arch = albireo.architecture("aggressive")
+    for layer in load_workload(workload).layers:
+        cfg = SearchConfig(budget=30, seed=7, pad_mode="pad",
+                           fixed_spatial=albireo.geometry_pins(layer))
+        best = search(arch, layer, cfg).mapping
+        assert _assert_unit_factors_inert(arch, layer, best) is None
 
 
 def test_best_keeps_the_smaller_digest_on_a_tie():
@@ -634,6 +727,33 @@ def _filter_cases():
             vgg["conv5_2"], keep_overrides={0: (OUTPUTS, WEIGHTS)}),
         "albireo-conv1-batch16": pinned(alex["conv1"], batch_size=16),
     }
+
+
+@functools.cache
+def _order_table(case):
+    arch, _, _, _, forbidden, _ = _filter_cases()[case]
+    return mapper._OrderTable(len(arch.levels), forbidden)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(case=st.sampled_from(["toy-strict", "toy-pad", "toy-pad-fused",
+                             "albireo-conv5_2-fused"]),
+       picks=st.lists(st.integers(0, 1 << 16), min_size=len(DIMS),
+                      max_size=len(DIMS)))
+def test_order_table_matches_valid_perms(case, picks):
+    # One table per case across examples, so signatures repeat and hit.
+    arch, _, _, menus, forbidden, filters = _filter_cases()[case]
+    chains = {}
+    signature = 0
+    for di, (d, menu) in enumerate(zip(DIMS, menus)):
+        pick = picks[di] % len(menu)
+        chains[d] = menu[pick]
+        signature |= filters[di].live[pick]
+    options = _order_table(case).options(signature)
+    assert len(options) == len(arch.levels)
+    for j, got in enumerate(options):
+        assert got == mapper._valid_perms(
+            tuple(mapper._perm_menu(chains, j)), j, forbidden)
 
 
 def _reference_feasible(arch, layer, cap, forbidden, menu, drawn):

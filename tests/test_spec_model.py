@@ -334,6 +334,36 @@ def test_mapping_factor_mismatch_rejected():
     assert e.value.dim == "K"
 
 
+def _fc_k8():
+    return Layer(name="fc", kind="fully_connected",
+                 dims={"N": 1, "K": 8, "C": 1, "R": 1, "S": 1, "P": 1,
+                       "Q": 1})
+
+
+@pytest.mark.parametrize("levels", [
+    (LevelMapping(temporal={"K": 2, "R": True}), LevelMapping(spatial={"K": 4})),
+    (LevelMapping(temporal={"K": 2}), LevelMapping(spatial={"K": 4, "R": True})),
+], ids=["temporal", "spatial"])
+def test_bool_factor_rejected(levels):
+    # True == 1, so a bool factor would otherwise pass as a unit factor;
+    # parse_mapping rejects one too.
+    arch = toys.fanout_converter_arch(fanout=4)
+    with pytest.raises(MappingError) as e:
+        validate_mapping(Mapping(levels=levels), _fc_k8(), arch)
+    assert e.value.kind == "FactorMismatch"
+    assert e.value.dim == "R"
+
+
+def test_bool_batch_size_rejected():
+    arch = toys.fanout_converter_arch(fanout=4)
+    levels = (LevelMapping(temporal={"K": 2}), LevelMapping(spatial={"K": 4}))
+    validate_mapping(Mapping(levels=levels, batch_size=1), _fc_k8(), arch)
+    with pytest.raises(MappingError) as e:
+        validate_mapping(Mapping(levels=levels, batch_size=True), _fc_k8(),
+                         arch)
+    assert e.value.kind == "FactorMismatch"
+
+
 def test_pad_mode_allows_overcoverage():
     arch = toys.fanout_converter_arch(fanout=4)
     layer = Layer(name="fc", kind="fully_connected",

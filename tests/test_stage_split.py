@@ -1,0 +1,28 @@
+"""tools/stage_split.py times the search stages by rebinding names in the
+package; it must reach every stage and leave every name as it found it."""
+
+import importlib.util
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "stage_split.py"
+
+
+def _load_tool():
+    spec = importlib.util.spec_from_file_location("stage_split", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_stage_split_calls_every_stage_and_restores_every_name():
+    tool = _load_tool()
+    owners = {owner for owner, _ in tool.STAGES.values()}
+    before = {owner: dict(vars(owner)) for owner in owners}
+    out = tool.stage_split("throughput", [7], 2)
+    for owner in owners:
+        after = vars(owner)
+        assert after.keys() == before[owner].keys()
+        assert all(after[k] is v for k, v in before[owner].items()), owner
+    assert set(out["stages"]) == set(tool.STAGES)
+    assert all(s["calls"] > 0 for s in out["stages"].values()), out["stages"]
+    assert 0 <= out["search_self_s"] <= out["stages"]["search"]["seconds"]
