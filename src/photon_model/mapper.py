@@ -1,33 +1,34 @@
 """Mapping search over loop factorizations, spatial placements, and loop
 orders, with two strategies:
 
-* exhaustive walks every combination of per-dim chains that fits the
-  fanout budgets, with every order of each level's live loops. It is the
-  ground truth for small spaces and raises SearchError past max_space.
-* pruned_random (the default) draws `budget` candidates. It assigns dims
-  one at a time from the chains the running fanout budgets, the capacity
-  condition and the refetch loop-nest condition still allow, then draws
-  loop orders that never revisit a refetch-forbidden tile. Under the
+* exhaustive walks the filtered space, every legal order of every chain
+  assignment the filter allows, and raises SearchError past max_space.
+  The tests' unfiltered enumeration (brute_force_best) is ground truth.
+* pruned_random (the default) draws `budget` candidates: one random pick
+  per dim from the filter, one random legal order per level. Under the
   delay objective, a candidate whose step count cannot beat the best so
   far is counted as pruned and is never built, validated or evaluated.
 
-A pruned_random search filters each dim's chain menu with bitsets over
-menu indices, built once per search. Per constrained axis (the spatial
-factor at each level 1..M-1, the tile extent at each capacity-checked
-level) the bitset of chains at or below each distinct value answers "every
-chain within this limit" with one bisect. The limits come from the dims
-already drawn: each level's fanout over their spatial product `sprod`, and
-the largest extent whose capacity demand still fits beside their tiles
-(_CapacityCheck.limits, the demand summed as kept_bits sums it). The fanout
-mask is kept per `sprod` and the capacity mask per limits tuple, as they
-read nothing else. Per refetch-forbidden keeper and running mask pair, the
-chains the loop-nest condition allows form one more bitset. A draw ANDs
-them and picks from the result's index list, kept per bitset in menu
-order, so the draws are those of a filter that rechecks every chain. The
-loop orders come from one lookup per draw: a table keyed by the levels
-where each drawn chain iterates (_OrderTable) holds every level's legal
-orders. A candidate is built with only its factors other than 1, which
-every reader of a mapping takes as 1 when missing.
+Both assign dims one at a time from the chains the running fanout budgets,
+the capacity condition and the refetch loop-nest condition still allow; no
+legal order revisits a refetch-forbidden tile. The conditions are
+necessary, so no valid mapping is lost. Each dim's chain menu is filtered
+with bitsets over menu indices, built once per search. Per constrained axis
+(the spatial factor at each level 1..M-1, the tile extent at each
+capacity-checked level) the bitset of chains at or below each distinct
+value answers "every chain within this limit" with one bisect. The limits
+come from the dims already assigned: each level's fanout over their spatial
+product `sprod`, and the largest extent whose capacity demand still fits
+beside their tiles (_CapacityCheck.limits, the demand summed as kept_bits
+sums it). The fanout mask is kept per `sprod` and the capacity mask per
+limits tuple, as they read nothing else. Per refetch-forbidden keeper and
+running mask pair, the chains the loop-nest condition allows form one more
+bitset. Each step ANDs them and picks from the result's index list, kept
+per bitset in menu order, so the picks are those of a filter that rechecks
+every chain. The loop orders come from one lookup per assignment: a table
+keyed by the levels where each picked chain iterates (_OrderTable) holds
+every level's legal orders. A candidate is built with only its factors
+other than 1, which every reader of a mapping takes as 1 when missing.
 
 The candidate space factors per dimension: each dim contributes a chain
 [t0, s1, t1, ..., s(M-1), t(M-1)] of per-level factors. Strict mode splits
@@ -87,6 +88,7 @@ from .spec_model import (
     LevelMapping,
     Mapping,
     MappingError,
+    check_keep_overrides,
     effective_keeps,
     tile_values,
 )
@@ -116,6 +118,7 @@ class SearchConfig:
     keep_overrides: dict = field(default_factory=dict)
     fixed_spatial: dict = field(default_factory=dict)
     reduction_floor: int | None = None
+    # Bounds exhaustive's candidates, counted after the feasibility filter.
     max_space: int = 1_000_000
 
     def __post_init__(self):
@@ -140,6 +143,11 @@ class SearchConfig:
             if type(f) is not int or f < 1:
                 raise ValueError(f"fixed_spatial pin {d}={f!r} at level "
                                  f"{level} not a positive integer")
+        for level, keeps in self.keep_overrides.items():
+            if (type(level) is not int or level < 0 or type(keeps) is not tuple
+                    or not all(t in TENSORS for t in keeps)):
+                raise ValueError(f"keep_overrides {{{level!r}: {keeps!r}}} "
+                                 "needs a level >= 0 and a tuple of tensors")
 
 
 @dataclass(frozen=True)
@@ -478,11 +486,11 @@ def _valid_perms(live: tuple[str, ...], level: int,
 
 
 class _OrderTable:
-    """Each level's legal loop orders (_valid_perms) for a draw, keyed by
-    its signature: the OR of the drawn chains' _MenuFilter.live words, so
-    bits j * len(DIMS) upward hold the dims live at level j. A signature's
-    lists are built on its first draw, sharing one list per (level, live
-    dims)."""
+    """Each level's legal loop orders (_valid_perms) for an assignment,
+    keyed by its signature: the OR of the picked chains' _MenuFilter.live
+    words, so bits j * len(DIMS) upward hold the dims live at level j. A
+    signature's lists are built on its first lookup, sharing one list per
+    (level, live dims)."""
 
     def __init__(self, levels: int,
                  forbidden: tuple[tuple[int, str, int], ...]):
@@ -514,10 +522,6 @@ def _objective_of(res: EvaluationResult, objective: str) -> float:
     if objective == "delay":
         return float(res.cycles)
     return res.total_energy_pj * res.latency_s
-
-
-def _perm_menu(chains: dict[str, tuple[int, ...]], level: int) -> list[str]:
-    return [d for d in DIMS if chains[d][2 * level] > 1]
 
 
 class _Best:
@@ -580,12 +584,48 @@ def _search(arch: Architecture, layer: Layer, cfg: SearchConfig) -> SearchResult
         if level >= len(arch.levels):
             raise ValueError(f"fixed_spatial pins {d} at level {level}; "
                              f"the architecture has {len(arch.levels)} levels")
+    try:
+        check_keep_overrides(arch, cfg.keep_overrides)
+    except MappingError as err:
+        raise ValueError(f"keep_overrides: {err}") from None
     cap = _CapacityCheck(arch, layer, cfg)
     chain_menu = {d: _dim_chains(arch, layer, d, cfg, cap) for d in DIMS}
     for d, menu in chain_menu.items():
         if not menu:
             raise NoValidMapping(
                 layer.name, f"no factor chain satisfies the pins for dim {d}")
+    m = len(arch.levels)
+    forbidden = arch.keepers(cfg.keep_overrides)[1]
+    filters = [_MenuFilter(arch, chain_menu[d], d, cap, forbidden)
+               for d in DIMS]
+    orders = _OrderTable(m, forbidden)
+
+    def walk(choose):
+        """Yields (chains, steps, signature) per complete assignment, dims
+        taken in DIMS order from the picks choose(feasible) names, depth
+        first in menu order. `chains` is one dict, refilled in place."""
+
+        chains: dict[str, tuple[int, ...]] = {}
+        # Depth first: (dims assigned, the last one's pick, the state they
+        # leave). Picks are pushed in reverse, so they pop in choose's order.
+        stack = [(0, None, (1,) * (m - 1), cap.mins,
+                  ((0, 0),) * len(forbidden), 1, 0)]
+        while stack:
+            di, pick, sprod, rows, nest, steps, signature = stack.pop()
+            if di:
+                chains[DIMS[di - 1]] = chain_menu[DIMS[di - 1]][pick]
+            if di == len(DIMS):
+                yield chains, steps, signature
+                continue
+            menu = filters[di]
+            feasible = menu.feasible(sprod, cap.limits(rows, di), nest)
+            for pick in reversed(choose(feasible) if feasible else ()):
+                spatial, extent, adds = menu.table[pick]
+                stack.append((
+                    di + 1, pick, tuple(map(mul, sprod, spatial)),
+                    rows[:di] + (extent,) + rows[di + 1:],
+                    tuple((o | a, x | b) for (o, x), (a, b) in zip(nest, adds)),
+                    steps * menu.steps[pick], signature | menu.live[pick]))
 
     best = _Best(cfg.objective)
     visited = pruned = invalid = 0
@@ -603,83 +643,30 @@ def _search(arch: Architecture, layer: Layer, cfg: SearchConfig) -> SearchResult
         best.offer(mapping, res)
 
     if cfg.strategy == "exhaustive":
-        m = len(arch.levels)
-        fanouts = [lv.fanout for lv in arch.levels]
         space = 0
-
-        def assign(di: int, chains: dict[str, tuple[int, ...]],
-                   sprod: list[int]) -> None:
-            nonlocal space
-            if di == len(DIMS):
-                perm_sets = [_perm_menu(chains, j) for j in range(m)]
-                for perm_combo in itertools.product(
-                        *(itertools.permutations(ps) for ps in perm_sets)):
-                    space += 1
-                    if space > cfg.max_space:
-                        raise SearchError(
-                            f"exhaustive space exceeds {cfg.max_space}; use "
-                            "pruned_random")
-                    consider(chains, list(perm_combo))
-                return
-            d = DIMS[di]
-            for chain in chain_menu[d]:
-                nxt = sprod[:]
-                ok = True
-                for j in range(1, m):
-                    nxt[j] *= chain[2 * j - 1]
-                    if nxt[j] > fanouts[j]:
-                        ok = False
-                        break
-                if ok:
-                    chains[d] = chain
-                    assign(di + 1, chains, nxt)
-                    del chains[d]
-
-        assign(0, {}, [1] * m)
+        for chains, _, signature in walk(lambda feasible: feasible):
+            for perms in itertools.product(*orders.options(signature)):
+                space += 1
+                if space > cfg.max_space:
+                    raise SearchError(f"exhaustive space exceeds "
+                                      f"{cfg.max_space}; use pruned_random")
+                consider(chains, list(perms))
     else:
-        # pruned_random: assign dims one at a time, keeping only chains the
-        # running fanout budgets, capacity and loop-nest conditions still
-        # allow. Every valid complete assignment stays reachable (the
-        # conditions are necessary), so with enough budget this covers the
-        # same space.
         rng = random.Random(cfg.seed)
         prune = cfg.objective == "delay"
-        m = len(arch.levels)
-        forbidden = arch.keepers(cfg.keep_overrides)[1]
-        filters = [_MenuFilter(arch, chain_menu[d], d, cap, forbidden)
-                   for d in DIMS]
-        orders = _OrderTable(m, forbidden)
         for _ in range(cfg.budget):
-            chains: dict[str, tuple[int, ...]] = {}
-            sprod = (1,) * (m - 1)
-            rows = cap.mins
-            nest = ((0, 0),) * len(forbidden)
-            steps = 1
-            signature = 0
-            dead = False
-            for di, d in enumerate(DIMS):
-                menu = filters[di]
-                feasible = menu.feasible(sprod, cap.limits(rows, di), nest)
-                if not feasible:
-                    dead = True
-                    break
-                pick = rng.choice(feasible)
-                chains[d] = chain_menu[d][pick]
-                spatial, extent, adds = menu.table[pick]
-                sprod = tuple(map(mul, sprod, spatial))
-                steps *= menu.steps[pick]
-                signature |= menu.live[pick]
-                rows = rows[:di] + (extent,) + rows[di + 1:]
-                nest = tuple((o | a, x | b)
-                             for (o, x), (a, b) in zip(nest, adds))
-            if not dead:
-                perms = []
+            # The one assignment the draws reach, or None at a dead end: a
+            # dim the filter leaves no chain, or a level with no legal order.
+            leaf = next(walk(lambda feasible: (rng.choice(feasible),)), None)
+            perms = []
+            if leaf is not None:
+                chains, steps, signature = leaf
                 for options in orders.options(signature):
                     if not options:
-                        dead = True
+                        leaf = None
                         break
                     perms.append(options[rng.randrange(len(options))])
-            if dead:
+            if leaf is None:
                 invalid += 1
                 continue
             # The floor is the steps the chains build (LoopNest.steps),

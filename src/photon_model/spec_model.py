@@ -460,6 +460,23 @@ def override_key(keep_overrides: dict[int, tuple[str, ...]]) -> tuple:
     return tuple(sorted((i, tuple(ov)) for i, ov in keep_overrides.items()))
 
 
+def check_keep_overrides(arch: Architecture,
+                         keep_overrides: dict[int, tuple[str, ...]]) -> None:
+    """Raise MappingError unless each override names a level of `arch` and
+    drops tensors it keeps, never adds one."""
+
+    for i, ov in keep_overrides.items():
+        if not 0 <= i < len(arch.levels):
+            raise MappingError("FactorMismatch",
+                               f"keep override for level {i}; the "
+                               f"architecture has {len(arch.levels)} levels")
+        if not set(ov) <= set(arch.levels[i].keeps):
+            raise MappingError("FactorMismatch",
+                               f"keep override at {arch.levels[i].name!r} adds "
+                               "tensors the level does not hold",
+                               level=arch.levels[i].name)
+
+
 def effective_keeps(arch: Architecture, keep_overrides: dict[int, tuple[str, ...]],
                     level: int) -> tuple[str, ...]:
     """Tensors a level holds once a mapping's (or a search's) keep
@@ -697,14 +714,7 @@ def validate_mapping(mapping: Mapping, layer: Layer, arch: Architecture) -> None
                                f"level {lv.name!r} maps {s} spatial copies, "
                                f"fanout is {lv.fanout}", level=lv.name)
 
-    for i, ov in mapping.keep_overrides.items():
-        if not 0 <= i < len(arch.levels):
-            raise MappingError("FactorMismatch", f"keep override for level {i}")
-        if not set(ov) <= set(arch.levels[i].keeps):
-            raise MappingError("FactorMismatch",
-                               f"keep override at {arch.levels[i].name!r} adds "
-                               "tensors the level does not hold",
-                               level=arch.levels[i].name)
+    check_keep_overrides(arch, mapping.keep_overrides)
 
     # A tensor whose outermost keeper is not the backing store (a fused
     # intermediate living in a buffer) has nowhere above to stage from:

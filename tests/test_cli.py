@@ -41,6 +41,13 @@ def test_map_counts_add_up_to_the_budget(capsys):
     assert pruned > 0 and visited + pruned + invalid == 20
 
 
+def test_map_exhaustive_walks_only_valid_candidates(capsys):
+    rc = cli.main(["map", "--layer", "fc8", "--strategy", "exhaustive",
+                   "--albireo-pins"])
+    assert rc == 0
+    assert "fc8: visited 841, pruned 0, invalid 0," in capsys.readouterr().out
+
+
 def test_map_albireo_pins_pads_dims_the_pins_do_not_divide(capsys):
     # AlexNet conv1 has C=3 under a C pin of 4.
     rc = cli.main(["map", "--workload", "alexnet", "--layer", "conv1",

@@ -152,6 +152,8 @@ def test_exhaustive_matches_independent_enumeration():
         res = search(arch, layer, cfg)
         assert res.objective == want
         validate_mapping(res.mapping, layer, arch)
+        # The filtered walk meets every valid mapping and nothing else.
+        assert (res.visited, res.invalid) == (space, 0)
 
 
 def test_pruned_random_matches_exhaustive_with_budget():
@@ -220,10 +222,9 @@ def test_keeper_chain_filters_keep_the_optimum_under_keep_overrides():
             assert res.mapping.keep_overrides == overrides
         assert ex.objective == pytest.approx(want)
         assert pr.objective == pytest.approx(ex.objective)
-        # Exhaustive evaluates every chain combination, so it meets
-        # mappings the origin, refetch and capacity rules reject; the
-        # pruned sampler's filters drop all of them before evaluation.
-        assert ex.invalid > 0
+        # Both walk the filter, which drops every mapping the origin,
+        # refetch and capacity rules reject and keeps every other.
+        assert (ex.visited, ex.invalid) == (space, 0)
         assert pr.invalid == 0
 
 
@@ -465,6 +466,24 @@ def test_search_config_rejects_bad_pins(pins):
     # Each was silently ignored or crashed the menu build.
     with pytest.raises(ValueError, match="fixed_spatial"):
         SearchConfig(fixed_spatial=pins)
+
+
+@pytest.mark.parametrize("overrides", [
+    {7: ("Weights",)},
+    {3: ("Weights",)},
+    {1: ("Wieghts",)},
+    {1: "Weights"},
+    {"1": ("Weights",)},
+], ids=["level-past-the-architecture", "tensor-the-level-lacks",
+        "misspelt-tensor", "bare-string", "string-level"])
+def test_search_rejects_bad_keep_overrides(overrides):
+    # The first two searched to NoValidMapping, the others raised KeyError
+    # or TypeError from inside the search.
+    arch = albireo.architecture("aggressive")
+    layer = next(l for l in load_workload("alexnet").layers
+                 if l.name == "fc8")
+    with pytest.raises(ValueError, match="keep_overrides"):
+        search(arch, layer, SearchConfig(budget=5, keep_overrides=overrides))
 
 
 def test_search_rejects_a_pin_below_the_architecture():
@@ -752,8 +771,8 @@ def test_order_table_matches_valid_perms(case, picks):
     options = _order_table(case).options(signature)
     assert len(options) == len(arch.levels)
     for j, got in enumerate(options):
-        assert got == mapper._valid_perms(
-            tuple(mapper._perm_menu(chains, j)), j, forbidden)
+        live = tuple(d for d in DIMS if chains[d][2 * j] > 1)
+        assert got == mapper._valid_perms(live, j, forbidden)
 
 
 def _reference_feasible(arch, layer, cap, forbidden, menu, drawn):
