@@ -43,15 +43,7 @@ from .spec_model import (
     serialize_mapping,
     serialize_spec,
 )
-from .workloads import load_spec, load_workload
-
-
-def _arch_for(args):
-    spec = load_spec(args.spec)
-    if spec.architecture is None:
-        raise SpecError("MalformedDocument", args.spec,
-                        "spec contains no architecture")
-    return spec.architecture
+from .workloads import load_architecture, load_spec, load_workload
 
 
 def _layer_for(args):
@@ -124,7 +116,7 @@ def cmd_components(args) -> int:
 
 
 def cmd_counts(args) -> int:
-    arch = _arch_for(args)
+    arch = load_architecture(args.spec)
     layer = _layer_for(args)
     mapping = _mapping_for(args, arch)
     counts = analyze(arch, layer, mapping)
@@ -138,7 +130,7 @@ def cmd_counts(args) -> int:
 
 
 def cmd_map(args) -> int:
-    arch = _arch_for(args)
+    arch = load_architecture(args.spec)
     layer = _layer_for(args)
     pins = albireo.geometry_pins(layer) if args.albireo_pins else {}
     # The pins are array widths, not divisors of the layer: pad, as the
@@ -163,7 +155,7 @@ def cmd_map(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    arch = _arch_for(args)
+    arch = load_architecture(args.spec)
     layer = _layer_for(args)
     mapping = _mapping_for(args, arch)
     ev = evaluate(arch, layer, mapping)

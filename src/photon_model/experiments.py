@@ -40,8 +40,8 @@ from .spec_model import (
 )
 from .workloads import (
     BUNDLED_ARCHITECTURE,
+    load_architecture,
     load_reference_breakdown,
-    load_spec,
     load_workload,
 )
 
@@ -180,11 +180,7 @@ def accelerator_scope(energies: dict[str, float],
 def _architecture(cfg: ExperimentConfig,
                   axes: tuple[int, int, int] = (1, 1, 1)) -> Architecture:
     if cfg.arch not in (None, BUNDLED_ARCHITECTURE):
-        spec = load_spec(cfg.arch)
-        if spec.architecture is None:
-            raise SpecError("MalformedDocument", cfg.arch,
-                            "spec contains no architecture")
-        return spec.architecture
+        return load_architecture(cfg.arch)
     return albireo.architecture(cfg.profile, *axes)
 
 

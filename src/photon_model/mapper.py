@@ -4,6 +4,9 @@ orders, with two strategies:
 * exhaustive walks the filtered space, every legal order of every chain
   assignment the filter allows, and raises SearchError past max_space.
   The tests' unfiltered enumeration (brute_force_best) is ground truth.
+  The filter leaves the backing store's capacity to validation, so a
+  candidate that overflows the store is the one kind exhaustive still
+  meets and counts invalid.
 * pruned_random (the default) draws `budget` candidates: one random pick
   per dim from the filter, one random legal order per level. Under the
   delay objective, a candidate whose step count cannot beat the best so
@@ -31,12 +34,21 @@ every level's legal orders. A candidate is built with only its factors
 other than 1, which every reader of a mapping takes as 1 when missing.
 
 The candidate space factors per dimension: each dim contributes a chain
-[t0, s1, t1, ..., s(M-1), t(M-1)] of per-level factors. Strict mode splits
-the exact bound; pad mode picks spatial widths from divisors of the bound
-or of the level fanout, then pads the iterated extent minimally to a
-multiple of the spatial width. Loop orders are searched only over dims with
-more than one iteration at a level. Keeper chains, the capacity demand and
-the refetch-forbidden keepers come from spec_model: the definitions
+[t0, s1, t1, ..., s(M-1), t(M-1)] of per-level factors, and one enumeration
+(_dim_chains) builds every dim's menu in both modes. The dim's origin is the
+outermost keeper of any tensor it indexes; the dim may not split spatially
+into a level at or above it, nor iterate above it, nor, for a reduced dim,
+above the reduction floor. Per level, the spatial factor is its pin, or 1
+at or above the origin, or else 1 or a divisor of the bound within the
+fanout; pad mode also offers the fanout's divisors up to twice the bound. A
+pin other than 1 at or above the origin, or one past its fanout, leaves the
+dim no chain, and the search raises NoValidMapping naming it. Per product
+of spatial factors, the temporal factors split the rest of the bound,
+rounded up, over the open temporal slots. Strict mode is the exact-cover
+case: it keeps only the spatial products that divide the bound and lists
+its chains in lexicographic order. Loop orders are searched only over dims
+with more than one iteration at a level. Keeper chains, the capacity demand
+and the refetch-forbidden keepers come from spec_model: the definitions
 validation and the counting engines use.
 
 Ties on the objective break toward the lexicographically smallest mapping
@@ -174,6 +186,8 @@ def enumerate_factorizations(bound: int, slots: int) -> list[tuple[int, ...]]:
     """All ordered tuples of `slots` positive integers whose product is
     exactly `bound`."""
 
+    if slots == 0:
+        return [()] if bound == 1 else []
     if slots == 1:
         return [(bound,)]
     out = []
@@ -252,85 +266,52 @@ class _CapacityCheck:
         return all(e <= lim for e, lim in zip(row, limits))
 
 
-def _origin_floor(arch: Architecture, cfg: SearchConfig, d: str) -> int:
-    """Leading chain positions forced to 1 for dim d: a tensor born above
-    the backing store may not factor above its origin keeper or split
-    spatially into it. Its own temporal slot stays open."""
-
-    floor = 0
-    chains = arch.keepers(cfg.keep_overrides)[0]
-    for t in TENSORS:
-        if d not in TENSOR_DIMS[t]:
-            continue
-        keepers = chains[t]
-        if keepers and keepers[0] > 0:
-            floor = max(floor, 2 * keepers[0])
-    return floor
-
-
 def _dim_chains(arch: Architecture, layer: Layer, d: str, cfg: SearchConfig,
                 cap: _CapacityCheck) -> list[tuple[int, ...]]:
     """Candidate factor chains [t0, s1, t1, ...] for one dim that pass the
-    search's capacity condition `cap` on their own."""
+    search's capacity condition `cap` on their own (see the module
+    docstring)."""
 
     m = len(arch.levels)
     limits = cap.limits(cap.mins, DIMS.index(d))
-
-    def cap_ok(chain: tuple[int, ...]) -> bool:
-        return cap.fits(cap.row(chain), limits)
-
     bound = layer.dims[d] * (cfg.batch_size if d == "N" else 1)
-    pins = {lvl: f for (lvl, dd), f in cfg.fixed_spatial.items() if dd == d}
-    floor = _origin_floor(arch, cfg, d)
-    red_floor = (cfg.reduction_floor
-                 if cfg.reduction_floor is not None and d in REDUCED_DIMS
-                 else 0)
-
-    def pin_ok(chain: tuple[int, ...]) -> bool:
-        if any(chain[p] != 1 for p in range(floor)):
-            return False
-        if any(chain[2 * j] != 1 for j in range(red_floor)):
-            return False
-        for j in range(1, m):
-            if j in pins and chain[2 * j - 1] != pins[j]:
-                return False
-            if chain[2 * j - 1] > arch.levels[j].fanout:
-                return False
-        return cap_ok(chain)
-
-    if cfg.pad_mode == "strict":
-        return [c for c in enumerate_factorizations(bound, 2 * m - 1) if pin_ok(c)]
-
-    chains = []
+    strict = cfg.pad_mode == "strict"
+    # The outermost keeper of any tensor d indexes: d may not factor above
+    # it or split spatially into it, and a reduced dim may not iterate
+    # temporally above the reduction floor either.
+    keepers = arch.keepers(cfg.keep_overrides)[0]
+    origin = max((keepers[t][0] for t in TENSORS
+                  if d in TENSOR_DIMS[t] and keepers[t]), default=0)
+    t_open = min(m, max(origin, (cfg.reduction_floor or 0)
+                        if d in REDUCED_DIMS else 0))
     menus = []
     for j in range(1, m):
-        if 2 * j - 1 < floor:
-            if pins.get(j, 1) != 1:
-                return []
-            menus.append([1])
-            continue
-        if j in pins:
-            menus.append([pins[j]])
-            continue
         fan = arch.levels[j].fanout
-        vals = {1}
-        vals.update(v for v in divisors(bound) if v <= fan)
-        vals.update(v for v in divisors(fan) if v <= 2 * bound)
+        pin = cfg.fixed_spatial.get((j, d))
+        if j <= origin or pin is not None:
+            # Only 1 splits into the origin or above it; a pin must fit.
+            if (pin or 1) > (1 if j <= origin else fan):
+                return []
+            menus.append([pin or 1])
+            continue
+        vals = {1}.union(v for v in divisors(bound) if v <= fan)
+        if not strict:
+            vals.update(v for v in divisors(fan) if v <= 2 * bound)
         menus.append(sorted(vals))
-    t_floor = max((floor + 1) // 2, red_floor)
+    chains = []
+    # Filled in place; the first t_open temporal slots stay 1.
+    slots = [1] * (2 * m - 1)
     for svals in itertools.product(*menus):
         s_total = math.prod(svals)
-        t_total = -(-bound // s_total)
-        for tvals in enumerate_factorizations(t_total, m):
-            if any(tvals[j] != 1 for j in range(t_floor)):
-                continue
-            chain = [tvals[0]]
-            for j in range(1, m):
-                chain.append(svals[j - 1])
-                chain.append(tvals[j])
-            if cap_ok(tuple(chain)):
-                chains.append(tuple(chain))
-    return chains
+        if strict and bound % s_total:
+            continue
+        slots[1::2] = svals
+        for rest in enumerate_factorizations(-(-bound // s_total), m - t_open):
+            slots[2 * t_open::2] = rest
+            chain = tuple(slots)
+            if cap.fits(cap.row(chain), limits):
+                chains.append(chain)
+    return sorted(chains) if strict else chains
 
 
 def _build_mapping(arch: Architecture, chains: dict[str, tuple[int, ...]],

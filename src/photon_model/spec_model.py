@@ -837,6 +837,19 @@ def _as_int(v, path: str, key: str) -> int:
     return v
 
 
+def _as_number(v, path: str, key: str) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise SpecError("MalformedDocument", path, f"{key} must be a number")
+    return float(v)
+
+
+def _as_bool(v, path: str, key: str) -> bool:
+    if not isinstance(v, bool):
+        raise SpecError("MalformedDocument", path,
+                        f"{key} must be true or false")
+    return v
+
+
 def parse_component(doc: dict, path: str) -> ComponentSpec:
     check_fields(doc, _COMPONENT_FIELDS, path)
     name = _req(doc, "name", path)
@@ -854,12 +867,14 @@ def parse_component(doc: dict, path: str) -> ComponentSpec:
         cls=cls,
         domain_in=din,
         domain_out=dout,
-        energy_per_action={k: float(v) for k, v in epa.items()},
-        static_power_mw=float(doc.get("static_power_mw", 0.0)),
-        area_um2=float(doc.get("area_um2", 0.0)),
+        energy_per_action={k: _as_number(v, path, f"energy_per_action.{k}")
+                           for k, v in epa.items()},
+        static_power_mw=_as_number(doc.get("static_power_mw", 0.0), path,
+                                   "static_power_mw"),
+        area_um2=_as_number(doc.get("area_um2", 0.0), path, "area_um2"),
         capacity_bits=_as_int(doc.get("capacity_bits", 0), path, "capacity_bits"),
         width_bits=_as_int(doc.get("width_bits", 8), path, "width_bits"),
-        bandwidth=float(doc.get("bandwidth", 1.0)),
+        bandwidth=_as_number(doc.get("bandwidth", 1.0), path, "bandwidth"),
     )
     _validate_component(comp, path)
     return comp
@@ -909,8 +924,10 @@ def parse_architecture(doc: dict, library: dict[str, ComponentSpec]) -> Architec
         check_fields(md, _MESH_FIELDS, mpath)
         e = edge_of(_req(md, "between", mpath), mpath)
         meshes[e - 1] = Mesh(
-            may_multicast=bool(md.get("may_multicast", False)),
-            may_reduce=bool(md.get("may_reduce", False)),
+            may_multicast=_as_bool(md.get("may_multicast", False), mpath,
+                                   "may_multicast"),
+            may_reduce=_as_bool(md.get("may_reduce", False), mpath,
+                                "may_reduce"),
         )
 
     converters = []
@@ -944,7 +961,7 @@ def parse_architecture(doc: dict, library: dict[str, ComponentSpec]) -> Architec
 
     arch = Architecture(
         name=doc.get("name", "architecture"),
-        clock_ghz=float(doc.get("clock_ghz", 1.0)),
+        clock_ghz=_as_number(doc.get("clock_ghz", 1.0), path, "clock_ghz"),
         levels=levels,
         meshes=tuple(meshes),
         converters=tuple(converters),
@@ -961,11 +978,14 @@ def parse_layer(doc: dict, path: str) -> Layer:
         dims.setdefault(d, 1)
     dims = {d: _as_int(v, path, f"dims.{d}") for d, v in dims.items()}
     stride = doc.get("stride", [1, 1])
-    if isinstance(stride, int):
+    if not isinstance(stride, (list, tuple)):
         stride = [stride, stride]
+    if len(stride) != 2:
+        raise SpecError("MalformedDocument", path,
+                        "stride must be an integer or [vertical, horizontal]")
     given_bits = doc.get("bits", {})
-    if isinstance(given_bits, int):
-        given_bits = {t: given_bits for t in TENSORS}
+    if not isinstance(given_bits, dict):
+        given_bits = dict.fromkeys(TENSORS, given_bits)
     check_fields(given_bits, frozenset(TENSORS), f"{path}.bits")
     bits = {t: 8 for t in TENSORS}
     bits.update(given_bits)
@@ -973,8 +993,8 @@ def parse_layer(doc: dict, path: str) -> Layer:
         name=_req(doc, "name", path),
         kind=doc.get("kind", "conv"),
         dims=dims,
-        stride=(int(stride[0]), int(stride[1])),
-        bits={t: int(b) for t, b in bits.items()},
+        stride=tuple(_as_int(v, path, "stride") for v in stride),
+        bits={t: _as_int(b, path, f"bits.{t}") for t, b in bits.items()},
     )
     validate_layer(layer, path)
     return layer
@@ -1003,7 +1023,7 @@ def parse_spec(doc: dict) -> Spec:
 
     check_fields(doc, _SPEC_FIELDS, "$")
     version = doc.get("spec_version")
-    if version != SPEC_VERSION:
+    if isinstance(version, bool) or version != SPEC_VERSION:
         raise SpecError("MalformedDocument", "$.spec_version",
                         f"expected spec_version {SPEC_VERSION}, got {version!r}")
     if "include" in doc:
@@ -1015,11 +1035,10 @@ def parse_spec(doc: dict) -> Spec:
         from . import components as _components
 
         profile = doc["use_builtin_components"]
-        try:
-            spec.library.update(_components.builtin_components(profile))
-        except KeyError:
+        if not isinstance(profile, str) or profile not in _components.PROFILES:
             raise SpecError("UnknownComponent", "$.use_builtin_components",
-                            f"unknown profile {profile!r}") from None
+                            f"unknown profile {profile!r}")
+        spec.library.update(_components.builtin_components(profile))
     for i, cd in enumerate(doc.get("components", ())):
         path = f"$.components[{i}]"
         comp = parse_component(cd, path)
@@ -1207,7 +1226,7 @@ def parse_mapping(doc: dict, arch: Architecture) -> Mapping:
         levels=filled,
         batch_size=_as_int(body.get("batch_size", 1), path, "batch_size"),
         keep_overrides=overrides,
-        pad=bool(body.get("pad", False)),
+        pad=_as_bool(body.get("pad", False), path, "pad"),
     )
 
 

@@ -15,7 +15,9 @@ from pathlib import Path
 from . import albireo
 from .spec_model import (
     SPEC_VERSION,
+    Architecture,
     Spec,
+    SpecError,
     Workload,
     load_document,
     parse_spec,
@@ -45,6 +47,14 @@ def load_spec(name_or_path: str) -> Spec:
                            "use_builtin_components": "aggressive",
                            "architecture": albireo.architecture_doc()})
     return parse_spec(load_document(str(resolve_spec_path(name_or_path))))
+
+
+def load_architecture(name_or_path: str) -> Architecture:
+    spec = load_spec(name_or_path)
+    if spec.architecture is None:
+        raise SpecError("MalformedDocument", name_or_path,
+                        "spec contains no architecture")
+    return spec.architecture
 
 
 def load_workload(name_or_path: str) -> Workload:

@@ -5,9 +5,11 @@ from pathlib import Path
 import pytest
 
 from photon_model import albireo, cli
+from photon_model.components import builtin_components
 from photon_model.experiments import ExperimentConfig
+from photon_model.mapper import SearchConfig, search
 from photon_model.spec_model import SpecError, parse_spec
-from photon_model.workloads import load_spec
+from photon_model.workloads import load_architecture, load_spec, load_workload
 
 
 def test_map_accepts_energy_delay_product_objective(capsys):
@@ -65,6 +67,45 @@ def test_spec_and_components(capsys):
                      "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["profile"] == "conservative" and doc["components"]
+
+
+def test_components_lists_the_library_as_text(capsys):
+    assert cli.main(["components", "--profile", "conservative"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("profile: conservative\n")
+    lib = builtin_components("conservative")
+    lines = out.splitlines()[1:]
+    assert [line.split()[0] for line in lines] == sorted(lib)
+    assert all(line.split()[1] == lib[line.split()[0]].cls for line in lines)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["map", "--spec", "vgg16", "--layer", "fc8"],
+     "spec contains no architecture"),
+    (["map", "--layer", "conv9_9"], "no layer named 'conv9_9'"),
+], ids=["spec-without-architecture", "unknown-layer"])
+def test_map_input_errors_exit_2(argv, message, capsys):
+    assert cli.main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_emitted_mapping_evaluates_to_the_searched_digest(tmp_path, capsys):
+    path = tmp_path / "fc8.mapping"
+    rc = cli.main(["map", "--workload", "alexnet", "--layer", "fc8",
+                   "--albireo-pins", "--budget", "20",
+                   "--emit-mapping", str(path)])
+    assert rc == 0
+    capsys.readouterr()
+    layer = next(l for l in load_workload("alexnet").layers
+                 if l.name == "fc8")
+    want = search(load_architecture("albireo"), layer, SearchConfig(
+        budget=20, seed=7, pad_mode="pad",
+        fixed_spatial=albireo.geometry_pins(layer)))
+    assert cli.main(["evaluate", "--workload", "alexnet", "--layer", "fc8",
+                     "--mapping", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["mapping_digest"] == want.evaluation.mapping_digest
+    assert doc["total_energy_pj"] == want.evaluation.total_energy_pj
 
 
 @pytest.fixture

@@ -23,7 +23,9 @@ from photon_model.spec_model import (
     DIMS,
     INPUTS,
     OUTPUTS,
+    REDUCED_DIMS,
     TENSOR_DIMS,
+    TENSORS,
     WEIGHTS,
     Architecture,
     Converter,
@@ -53,6 +55,8 @@ def test_divisors():
 def test_enumerate_factorizations():
     assert set(enumerate_factorizations(4, 2)) == {(1, 4), (2, 2), (4, 1)}
     assert enumerate_factorizations(1, 3) == [(1, 1, 1)]
+    assert enumerate_factorizations(1, 0) == [()]
+    assert enumerate_factorizations(3, 0) == []
     six = enumerate_factorizations(6, 2)
     assert set(six) == {(1, 6), (2, 3), (3, 2), (6, 1)}
     assert len(six) == 4
@@ -424,12 +428,43 @@ def test_keeping_weights_beats_bypassing_them():
 
 
 def test_no_valid_mapping_when_pins_cannot_fit():
+    # A pin past its fanout leaves the dim no chain in either mode; pad
+    # mode used to draw its whole budget and then report nothing found.
     arch = toys.fanout_converter_arch(4)
     layer = toy_layer({"K": 8})
-    cfg = SearchConfig(strategy="exhaustive", budget=10,
-                       fixed_spatial={(1, "K"): 8})
-    with pytest.raises(NoValidMapping):
-        search(arch, layer, cfg)
+    for pad_mode, strategy in itertools.product(("strict", "pad"),
+                                                ("exhaustive",
+                                                 "pruned_random")):
+        cfg = SearchConfig(strategy=strategy, budget=10, pad_mode=pad_mode,
+                           fixed_spatial={(1, "K"): 8})
+        with pytest.raises(NoValidMapping, match="dim K"):
+            search(arch, layer, cfg)
+
+
+def _store_bits(arch, bits):
+    store = arch.levels[0]
+    return replace(arch, levels=(replace(store, component=replace(
+        store.component, capacity_bits=bits)),) + arch.levels[1:])
+
+
+def test_backing_store_overflow_is_counted_invalid():
+    # The filter leaves the backing store's capacity to validation, so
+    # these are the candidates exhaustive still meets and rejects. A
+    # 120-bit store holds the 3x3 fc layer's 72 bits only with small
+    # enough tiles; at 119 bits no candidate fits.
+    layer = toy_layer({"K": 3, "C": 3})
+    roomy = _store_bits(toys.fanout_converter_arch(4), 120)
+    cfgs = (SearchConfig(pad_mode="pad", strategy="exhaustive"),
+            SearchConfig(pad_mode="pad", budget=50, seed=1))
+    got = [search(roomy, layer, cfg) for cfg in cfgs]
+    assert [(r.visited, r.pruned, r.invalid) for r in got] == [
+        (10, 0, 172), (12, 0, 38)]
+    for res in got:
+        validate_mapping(res.mapping, layer, roomy)
+    tight = _store_bits(roomy, 119)
+    for cfg in cfgs:
+        with pytest.raises(NoValidMapping, match="no valid mapping found"):
+            search(tight, layer, cfg)
 
 
 def test_exhaustive_space_bound():
@@ -495,6 +530,81 @@ def test_search_rejects_a_pin_below_the_architecture():
         search(arch, layer, cfg)
 
 
+def _strict_reference(arch, layer, d, cfg, cap):
+    """A strict menu as it was first built: every factorization of the
+    bound over all 2M-1 chain slots, in lexicographic order, kept if each
+    spatial factor meets its pin and fanout, every slot above the dim's
+    origin keeper is 1 (the origin's own temporal slot stays open), so is
+    a reduced dim's every temporal slot above the reduction floor, and the
+    chain passes the capacity condition on its own."""
+
+    m = len(arch.levels)
+    keepers = arch.keepers(cfg.keep_overrides)[0]
+    origin = max([keepers[t][0] for t in TENSORS
+                  if d in TENSOR_DIMS[t] and keepers[t]] + [0])
+    red = (cfg.reduction_floor or 0) if d in REDUCED_DIMS else 0
+    limits = cap.limits(cap.mins, DIMS.index(d))
+    bound = layer.dims[d] * (cfg.batch_size if d == "N" else 1)
+    out = []
+    for chain in enumerate_factorizations(bound, 2 * m - 1):
+        if (any(chain[p] != 1 for p in range(2 * origin))
+                or any(chain[2 * j] != 1 for j in range(red))
+                or any(chain[2 * j - 1] > arch.levels[j].fanout
+                       or chain[2 * j - 1] != cfg.fixed_spatial.get(
+                           (j, d), chain[2 * j - 1])
+                       for j in range(1, m))):
+            continue
+        if cap.fits(cap.row(chain), limits):
+            out.append(chain)
+    return out
+
+
+def _strict_cases():
+    for fanout, crossing, dims in TOY_CASES:
+        yield toy_arch(fanout, crossing), toy_layer(dims), {}
+    for bits, dims, overrides in KEEPER_CASES:
+        yield refetch_toy(bits), toy_layer(dims), {
+            "keep_overrides": overrides}
+        yield refetch_toy(bits), toy_layer(dims), {
+            "keep_overrides": overrides, "reduction_floor": 1,
+            "fixed_spatial": {(2, "K"): 2}}
+    yield refetch_toy(128), toy_layer({"K": 4, "C": 4, "N": 2}), {
+        "batch_size": 3, "fixed_spatial": {(1, "C"): 4}}
+    aggressive = albireo.architecture("aggressive")
+    vgg = {l.name: l for l in load_workload("vgg16").layers}
+    alex = {l.name: l for l in load_workload("alexnet").layers}
+    for layer in (vgg["conv5_1"], alex["conv1"], alex["fc8"]):
+        for pins, keep, floor in itertools.product(
+                (False, True), FUSED_OVERRIDES, (None, 2)):
+            yield aggressive, layer, {
+                "keep_overrides": keep, "reduction_floor": floor,
+                "fixed_spatial": albireo.geometry_pins(layer) if pins else {}}
+
+
+def test_strict_menus_match_the_filtered_factorizations():
+    # Strict mode is pad mode's exact-cover case in _dim_chains; the
+    # reference filters every factorization of the bound instead.
+    sizes = []
+    for arch, layer, fields in _strict_cases():
+        cfg = SearchConfig(**fields)
+        cap = mapper._CapacityCheck(arch, layer, cfg)
+        for d in DIMS:
+            menu = mapper._dim_chains(arch, layer, d, cfg, cap)
+            assert menu == _strict_reference(arch, layer, d, cfg, cap)
+            sizes.append(len(menu))
+    assert 0 in sizes and max(sizes) > 1000
+
+
+def test_reduction_floor_past_the_levels_leaves_only_spatial_chains():
+    # Every temporal slot is held at 1, so the one chain left splits the
+    # whole bound spatially.
+    arch, layer = toy_arch(4, False), toy_layer({"K": 4, "C": 4})
+    for pad_mode in ("strict", "pad"):
+        cfg = SearchConfig(pad_mode=pad_mode, reduction_floor=5)
+        cap = mapper._CapacityCheck(arch, layer, cfg)
+        assert mapper._dim_chains(arch, layer, "C", cfg, cap) == [(1, 4, 1)]
+
+
 # Searches on the bundled Albireo with its geometry pins in pad mode, and
 # what each returned: (mapping digest, objective, visited, pruned,
 # invalid). Frozen from the filter that re-checked every chain prefix; the
@@ -531,6 +641,19 @@ FROZEN_SEARCHES = {
         ("b1p L0[t:K32,P2,Q4|s:|o:PQK] L1[t:|s:|o:] "
          "L2[t:K2,C128,P2|s:|o:PKC] L3[t:P7,S3|s:K8,C4,Q7,R3|o:PS]",
          2752512.0, 29, 160, 11)),
+    # Strict mode, unpinned; frozen from the menus that filtered every
+    # factorization of the bound over all 2M-1 chain slots.
+    "alexnet-fc8-strict": (
+        "alexnet", "fc8", {"pad_mode": "strict", "fixed_spatial": {}},
+        ("b1 L0[t:K20|s:|o:K] L1[t:|s:|o:] L2[t:K2,C128|s:|o:KC] "
+         "L3[t:C2|s:K25,C16|o:C]",
+         540960750.08, 188, 0, 12)),
+    "vgg16-conv5_1-strict-delay": (
+        "vgg16", "conv5_1", {"pad_mode": "strict", "fixed_spatial": {},
+                             "objective": "delay"},
+        ("b1 L0[t:|s:|o:] L1[t:K16,P2,Q2|s:|o:QPK] "
+         "L2[t:K4,C128,S3|s:|o:KCS] L3[t:Q7|s:K8,C4,P7,R3|o:Q]",
+         1069056.0, 16, 168, 16)),
 }
 
 
@@ -539,8 +662,9 @@ def test_pruned_random_draws_are_frozen(case):
     workload, name, fields, expected = FROZEN_SEARCHES[case]
     arch = albireo.architecture("aggressive")
     layer = next(l for l in load_workload(workload).layers if l.name == name)
-    cfg = SearchConfig(budget=200, seed=7, pad_mode="pad",
-                       fixed_spatial=albireo.geometry_pins(layer), **fields)
+    cfg = SearchConfig(**{"budget": 200, "seed": 7, "pad_mode": "pad",
+                          "fixed_spatial": albireo.geometry_pins(layer),
+                          **fields})
     res = search(arch, layer, cfg)
     assert (res.evaluation.mapping_digest, res.objective, res.visited,
             res.pruned, res.invalid) == expected

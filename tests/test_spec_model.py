@@ -2,6 +2,7 @@ import ast
 import json
 import math
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -209,6 +210,179 @@ def test_unknown_nested_field_rejected(case):
     with pytest.raises(SpecError) as e:
         parse_spec(doc)
     assert (e.value.kind, e.value.path) == ("MalformedDocument", path)
+
+
+def _set(where, key, value):
+    """Set field `key` of the object `where` picks to `value`."""
+
+    def edit(doc):
+        where(doc)[key] = value
+    return edit
+
+
+def _component(d):
+    return d["components"][0]
+
+
+def _mesh(d):
+    return d["architecture"]["meshes"][0]
+
+
+def _layer(d):
+    return d["workload"]["layers"][0]
+
+
+# (edit, path of the object the error must name). Each scalar was coerced
+# (a string or bool read as a flag or a number, a fraction truncated) or
+# crashed the parser with IndexError.
+ILL_TYPED_SCALARS = {
+    "spec_version-bool": (_set(lambda d: d, "spec_version", True),
+                          "$.spec_version"),
+    "may_multicast-string": (_set(_mesh, "may_multicast", "false"),
+                             "architecture.meshes[0]"),
+    "may_reduce-string": (_set(_mesh, "may_reduce", "no"),
+                          "architecture.meshes[0]"),
+    "may_reduce-int": (_set(_mesh, "may_reduce", 1),
+                       "architecture.meshes[0]"),
+    "clock_ghz-bool": (_set(lambda d: d["architecture"], "clock_ghz", True),
+                       "architecture"),
+    "fanout-string": (_set(lambda d: d["architecture"]["levels"][1],
+                           "fanout", "2"), "architecture.levels[1]"),
+    "instances-bool": (_set(lambda d: d["architecture"]["converters"][0],
+                            "instances", True), "architecture.converters[0]"),
+    "static_power_mw-string": (_set(_component, "static_power_mw", "5"),
+                               "$.components[0]"),
+    "area_um2-null": (_set(_component, "area_um2", None), "$.components[0]"),
+    "bandwidth-bool": (_set(_component, "bandwidth", True),
+                       "$.components[0]"),
+    "energy-string": (_set(_component, "energy_per_action", {"read": "1"}),
+                      "$.components[0]"),
+    "capacity_bits-fraction": (_set(_component, "capacity_bits", 8.5),
+                               "$.components[0]"),
+    "stride-fraction": (_set(_layer, "stride", [1.5, 1]),
+                        "workload.layers[0]"),
+    "stride-string": (_set(_layer, "stride", "2"), "workload.layers[0]"),
+    "stride-short": (_set(_layer, "stride", [1]), "workload.layers[0]"),
+    "bits-fraction": (_set(_layer, "bits", {"Weights": 8.5}),
+                      "workload.layers[0]"),
+    "bits-bool": (_set(_layer, "bits", True), "workload.layers[0]"),
+    "dims-bool": (_set(_layer, "dims", {"K": True}), "workload.layers[0]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ILL_TYPED_SCALARS))
+def test_ill_typed_scalar_rejected(case):
+    edit, path = ILL_TYPED_SCALARS[case]
+    doc = full_doc()
+    edit(doc)
+    with pytest.raises(SpecError) as e:
+        parse_spec(doc)
+    assert (e.value.kind, e.value.path) == ("MalformedDocument", path)
+
+
+def test_well_typed_scalars_parse():
+    doc = full_doc()
+    _layer(doc).update(stride=[2, 1.0], bits=6)
+    _mesh(doc).update(may_reduce=False)
+    _component(doc).update(static_power_mw=5, area_um2=1.5)
+    spec = parse_spec(doc)
+    assert spec.workload.layers[0].stride == (2, 1)
+    assert spec.workload.layers[0].bits == dict.fromkeys(
+        (WEIGHTS, INPUTS, OUTPUTS), 6)
+    assert spec.library["sram"].static_power_mw == 5.0
+    assert spec.architecture.meshes[0].may_reduce is False
+
+
+def _repeat_the_layer(doc):
+    layers = doc["workload"]["layers"]
+    layers.append(dict(layers[0]))
+
+
+def _name_both_levels_store(doc):
+    # Without meshes or converters, which would name the level first.
+    doc.update(minimal_doc())
+    doc["architecture"]["levels"][1]["name"] = "store"
+
+
+# (edit, kind, path) for every document error the other tests leave
+# unreached: one case per raise in parsing and validation.
+DOCUMENT_ERRORS = {
+    "converter-keeps-domain": (
+        _set(lambda d: d["components"][2], "domain_out", "DE"),
+        "MalformedDocument", "$.components[2]"),
+    "width-not-positive": (_set(_component, "width_bits", 0),
+                           "MalformedDocument", "$.components[0]"),
+    "component-not-object": (
+        _set(lambda d: d, "components", ["sram"]),
+        "MalformedDocument", "$.components[0]"),
+    "component-missing-class": (
+        lambda d: _component(d).pop("class"),
+        "MalformedDocument", "$.components[0]"),
+    "energy-not-map": (_set(_component, "energy_per_action", [1.0]),
+                       "MalformedDocument", "$.components[0]"),
+    "unknown-profile": (
+        _set(lambda d: d, "use_builtin_components", "nope"),
+        "UnknownComponent", "$.use_builtin_components"),
+    "unhashable-profile": (
+        _set(lambda d: d, "use_builtin_components", ["aggressive"]),
+        "UnknownComponent", "$.use_builtin_components"),
+    "include-left-unresolved": (
+        _set(lambda d: d, "include", ["lib.json"]),
+        "MalformedDocument", "$.include"),
+    "levels-empty": (_set(lambda d: d["architecture"], "levels", []),
+                     "MalformedDocument", "architecture"),
+    "level-names-repeat": (_name_both_levels_store, "MalformedDocument",
+                           "architecture[mini]"),
+    "level-wrong-class": (
+        _set(lambda d: d["architecture"]["levels"][0], "component", "mac"),
+        "MalformedDocument", "architecture[mini].levels[0]"),
+    "between-not-a-pair": (_set(_mesh, "between", ["store"]),
+                           "MalformedDocument", "architecture.meshes[0]"),
+    "between-unknown-level": (_set(_mesh, "between", ["store", "nope"]),
+                              "MalformedDocument", "architecture.meshes[0]"),
+    "between-inner-first": (_set(_mesh, "between", ["pe", "store"]),
+                            "MalformedDocument", "architecture.meshes[0]"),
+    "converter-names-repeat": (
+        _set(lambda d: d["architecture"]["converters"][1], "name", "dn"),
+        "MalformedDocument", "architecture.converters"),
+    "layers-empty": (_set(lambda d: d["workload"], "layers", []),
+                     "MalformedDocument", "workload"),
+    "layer-names-repeat": (_repeat_the_layer, "MalformedDocument",
+                           "workload"),
+    "unknown-dim": (_set(_layer, "dims", {"K": 2, "X": 2}),
+                    "MalformedDocument", "workload.layers[0]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DOCUMENT_ERRORS))
+def test_document_error_names_its_kind_and_path(case):
+    edit, kind, path = DOCUMENT_ERRORS[case]
+    doc = full_doc()
+    edit(doc)
+    with pytest.raises(SpecError) as e:
+        parse_spec(doc)
+    assert (e.value.kind, e.value.path) == (kind, path)
+
+
+def test_architecture_needs_one_mesh_per_edge():
+    arch = toys.fc_weight_buffer()
+    with pytest.raises(SpecError) as e:
+        validate_architecture(Architecture(
+            name="short", clock_ghz=1.0, levels=arch.levels,
+            meshes=arch.meshes[:1], converters=()))
+    assert (e.value.kind, e.value.path) == ("MalformedDocument",
+                                            "architecture[short]")
+
+
+@pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"],
+                         ids=["missing", "invalid-json", "not-an-object"])
+def test_unloadable_document_names_its_file(content, tmp_path):
+    path = tmp_path / "doc.spec"
+    if content is not None:
+        path.write_text(content)
+    with pytest.raises(SpecError) as e:
+        load_document(str(path))
+    assert (e.value.kind, e.value.path) == ("MalformedDocument", str(path))
 
 
 def test_bundled_documents_pass_the_field_checks():
@@ -576,6 +750,41 @@ def test_unknown_mapping_field_rejected(case):
     with pytest.raises(SpecError) as e:
         parse_mapping(doc, arch)
     assert (e.value.kind, e.value.path) == ("MalformedDocument", path)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("pad", "false"), ("pad", 0), ("batch_size", True), ("batch_size", 1.5),
+])
+def test_ill_typed_mapping_scalar_rejected(field, value):
+    # "pad": "false" read as True.
+    arch, doc = mapping_doc()
+    doc["mapping"][field] = value
+    with pytest.raises(SpecError) as e:
+        parse_mapping(doc, arch)
+    assert (e.value.kind, e.value.path) == ("MalformedDocument", "mapping")
+
+
+def test_mapping_of_an_unknown_level_rejected():
+    arch, doc = mapping_doc()
+    doc["mapping"]["levels"][0]["level"] = "nope"
+    with pytest.raises(SpecError) as e:
+        parse_mapping(doc, arch)
+    assert (e.value.kind, e.value.path) == ("MalformedDocument",
+                                            "mapping.levels[0]")
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda m: replace(m, levels=m.levels[:2]), "mapping has 2 levels"),
+    (lambda m: replace(m, levels=(replace(m.levels[0], permutation=(
+        "K", "K")),) + m.levels[1:]), "bad permutation"),
+], ids=["level-count", "repeated-loop"])
+def test_malformed_mapping_fails_validation(edit, message):
+    arch, doc = mapping_doc()
+    layer = Layer(name="fc", kind="fully_connected", dims={"K": 2, "C": 3})
+    mapping = parse_mapping(doc, arch)
+    with pytest.raises(MappingError, match=message) as e:
+        validate_mapping(edit(mapping), layer, arch)
+    assert e.value.kind == "FactorMismatch"
 
 
 def test_bare_mapping_body_is_checked():
