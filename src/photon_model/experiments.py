@@ -7,9 +7,8 @@ repeated runs can be diffed directly.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 
 from . import albireo
 from .components import PROFILES, calibration_factors, scale_library
@@ -33,7 +32,7 @@ from .spec_model import (
     MappingError,
     SpecError,
     Workload,
-    check_fields,
+    dataclass_table,
     kept_bits,
     parse_architecture,
     serialize_architecture,
@@ -71,26 +70,6 @@ class SweepInfeasible(Exception):
         super().__init__(f"{axis}={value}: {message}")
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-# Per ExperimentConfig annotation, the check its value passes and what it
-# expects. A bool is not an int here, and a list is taken as a tuple.
-_FIELD_TYPES = {
-    "str": (lambda v: isinstance(v, str), "a string"),
-    "str | None": (lambda v: v is None or isinstance(v, str),
-                   "a string or null"),
-    "int": (_is_int, "an integer"),
-    "float": (lambda v: _is_int(v) or (isinstance(v, float)
-                                       and math.isfinite(v)),
-              "a finite number"),
-    "tuple[int, ...]": (lambda v: (isinstance(v, tuple)
-                                   and all(map(_is_int, v))),
-                        "a list of integers"),
-}
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str
@@ -108,15 +87,8 @@ class ExperimentConfig:
     output_dir: str | None = None
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, list):
-                value = tuple(value)
-                object.__setattr__(self, f.name, value)
-            check, expected = _FIELD_TYPES[f.type]
-            if not check(value):
-                raise SpecError("MalformedDocument", f"experiment.{f.name}",
-                                f"must be {expected}, got {value!r}")
+        for name, value in _CONFIG.read(vars(self), "experiment").items():
+            object.__setattr__(self, name, value)
         if self.experiment not in EXPERIMENTS:
             raise SpecError("MalformedDocument", "experiment.experiment",
                             f"unknown experiment {self.experiment!r}")
@@ -154,13 +126,11 @@ class ExperimentConfig:
                             "budget must be positive")
 
 
+_CONFIG = dataclass_table(ExperimentConfig)
+
+
 def parse_experiment_config(doc: dict) -> ExperimentConfig:
-    check_fields(doc, frozenset(ExperimentConfig.__dataclass_fields__),
-                 "experiment")
-    if "experiment" not in doc:
-        raise SpecError("MalformedDocument", "experiment.experiment",
-                        "config must name an experiment")
-    return ExperimentConfig(**doc)
+    return ExperimentConfig(**_CONFIG.read(doc, "experiment"))
 
 
 # ----------------------------------------------------------------------------

@@ -28,12 +28,13 @@ counting engines never reject a mapping it accepted.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import MISSING, dataclass, field, fields as dataclass_fields
 from functools import cached_property
 from itertools import accumulate
 from operator import mul
 from types import MappingProxyType
-from typing import Callable, TypeVar
+from typing import Callable, NamedTuple, NoReturn, TypeVar, get_type_hints
 
 T = TypeVar("T")
 
@@ -78,7 +79,9 @@ class SpecError(Exception):
 
     kind is one of: MalformedDocument, UnknownComponent, BadBound,
     CapacityNonPositive, MissingConverter. path points at the offending
-    node, e.g. "architecture.levels[2]".
+    value, e.g. "architecture.levels[2].fanout", or at the object for an
+    unknown or missing field or a structural fault, e.g.
+    "architecture.levels[2]".
     """
 
     def __init__(self, kind: str, path: str, message: str):
@@ -788,94 +791,183 @@ class Spec:
     workload: Workload | None = None
 
 
-def check_fields(doc, known: frozenset[str], path: str) -> None:
-    """The known-field check every document object passes: `doc` must be
-    an object and name no field outside `known`, so a typo is an error
-    rather than a silent default."""
-
-    if not isinstance(doc, dict):
-        raise SpecError("MalformedDocument", path, "must be an object")
-    extra = set(doc) - known
-    if extra:
-        raise SpecError("MalformedDocument", path,
-                        f"unknown fields {sorted(extra)}")
+REQUIRED = object()
 
 
-_SPEC_FIELDS = frozenset({"spec_version", "components",
-                          "use_builtin_components", "architecture",
-                          "workload", "include"})
-_COMPONENT_FIELDS = frozenset({
-    "name", "class", "domain", "domain_in", "domain_out",
-    "energy_per_action", "static_power_mw", "area_um2", "capacity_bits",
-    "width_bits", "bandwidth"})
-_ARCHITECTURE_FIELDS = frozenset({"name", "clock_ghz", "levels", "meshes",
-                                  "converters", "extras"})
-_LEVEL_FIELDS = frozenset({"name", "component", "fanout", "keeps"})
-_MESH_FIELDS = frozenset({"between", "may_multicast", "may_reduce"})
-_CONVERTER_FIELDS = frozenset({"name", "component", "between", "tensors",
-                               "instances"})
-_EXTRA_FIELDS = frozenset({"name", "component", "instances"})
-_WORKLOAD_FIELDS = frozenset({"name", "layers"})
-_LAYER_FIELDS = frozenset({"name", "kind", "dims", "stride", "bits"})
-_MAPPING_DOC_FIELDS = frozenset({"spec_version", "mapping"})
-_MAPPING_FIELDS = frozenset({"levels", "batch_size", "pad", "keep_overrides"})
-_LEVEL_MAPPING_FIELDS = frozenset({"level", "temporal", "spatial",
-                                   "permutation"})
+class FieldType(NamedTuple):
+    """How a document value is read: `read(value, path)` returns the value
+    to keep or raises SpecError("MalformedDocument", path), skipped for a
+    value of exactly type `exact`. A `table` keeps its fields in `fields`."""
+
+    exact: type | None
+    read: Callable[[object, str], object]
+    fields: dict | None = None
 
 
-def _req(doc: dict, key: str, path: str):
-    if key not in doc:
-        raise SpecError("MalformedDocument", path, f"missing field {key!r}")
-    return doc[key]
+def _fail(path: str, what: str, v) -> NoReturn:
+    raise SpecError("MalformedDocument", path, f"must be {what}, got {v!r}")
 
 
-def _as_int(v, path: str, key: str) -> int:
-    if isinstance(v, bool) or not isinstance(v, int):
-        if isinstance(v, float) and v.is_integer():
-            return int(v)
-        raise SpecError("MalformedDocument", path, f"{key} must be an integer")
-    return v
+def _read_int(v, path: str) -> int:
+    if type(v) is int or (type(v) is float and v.is_integer()):
+        return int(v)
+    _fail(path, "an integer", v)
 
 
-def _as_number(v, path: str, key: str) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise SpecError("MalformedDocument", path, f"{key} must be a number")
-    return float(v)
+def _read_number(v, path: str) -> float:
+    if type(v) in (int, float) and math.isfinite(v):
+        return float(v)
+    _fail(path, "a finite number", v)
 
 
-def _as_bool(v, path: str, key: str) -> bool:
-    if not isinstance(v, bool):
-        raise SpecError("MalformedDocument", path,
-                        f"{key} must be true or false")
-    return v
+def _only(exact: type, what: str) -> FieldType:
+    return FieldType(exact, lambda v, path:
+                     v if isinstance(v, exact) else _fail(path, what, v))
+
+
+INT = FieldType(int, _read_int)  # an integral float reads as an int
+NUMBER = FieldType(None, _read_number)
+BOOL = _only(bool, "true or false")
+STR = _only(str, "a string")
+OBJECT = _only(dict, "an object")  # contents read by its own parser
+LIST = _only(list, "a list")  # entries left to validation
+ANY = FieldType(None, lambda v, path: v)  # checked by whoever reads it
+
+
+def list_of(kind: FieldType, nonempty: bool = False) -> FieldType:
+    """A list of `kind` values, read as a tuple."""
+
+    def read(v, path):
+        if not isinstance(v, (list, tuple)) or (nonempty and not v):
+            _fail(path, "a non-empty list" if nonempty else "a list", v)
+        return tuple([x if type(x) is kind.exact else kind.read(x, f"{path}[{i}]")
+                      for i, x in enumerate(v)])
+    return FieldType(None, read)
+
+
+def map_of(kind: FieldType) -> FieldType:
+    """An object whose every field is a `kind` value."""
+
+    def read(v, path):
+        if not isinstance(v, dict):
+            _fail(path, "an object", v)
+        return {k: x if type(x) is kind.exact else kind.read(x, f"{path}.{k}")
+                for k, x in v.items()}
+    return FieldType(None, read)
+
+
+def table(fields: dict[str, tuple[FieldType, object]]) -> FieldType:
+    """The type of a document object: `fields` maps each name to
+    (FieldType, default), REQUIRED for none, and the object reads as a dict
+    of every field's value. An unknown or missing field is an error at the
+    object's path, a wrong-typed value one at its own."""
+
+    defaults = {k: d for k, (_, d) in fields.items() if d is not REQUIRED}
+
+    def read(doc, path):
+        if not isinstance(doc, dict):
+            _fail(path, "an object", doc)
+        out = defaults.copy()
+        for k, v in doc.items():
+            if k not in fields:
+                raise SpecError("MalformedDocument", path, "unknown fields "
+                                f"{sorted(doc.keys() - fields.keys())}")
+            kind = fields[k][0]
+            out[k] = v if type(v) is kind.exact else kind.read(v, f"{path}.{k}")
+        if len(out) < len(fields):
+            raise SpecError("MalformedDocument", path, "missing field "
+                            f"{next(k for k in fields if k not in out)!r}")
+        return out
+    return FieldType(None, read, fields)
+
+
+_STRS, _OBJECTS, _INTS = list_of(STR), list_of(OBJECT), list_of(INT)
+# The field type of each annotation a dataclass read from a document uses.
+_ANNOTATED = {int: INT, float: NUMBER, bool: BOOL, str: STR,
+              str | None: _only(str | None, "a string or null"),
+              tuple[int, ...]: _INTS}
+
+
+def dataclass_table(cls) -> FieldType:
+    """The table of a dataclass: its fields, typed by their annotations,
+    with their defaults."""
+
+    hints = get_type_hints(cls)
+    return table({f.name: (_ANNOTATED[hints[f.name]],
+                           REQUIRED if f.default is MISSING else f.default)
+                  for f in dataclass_fields(cls)})
+
+
+_COMPONENT = table({
+    "name": (STR, REQUIRED), "class": (STR, REQUIRED), "domain": (STR, None),
+    "domain_in": (STR, None), "domain_out": (STR, None),
+    "energy_per_action": (map_of(NUMBER), {}), "static_power_mw": (NUMBER, 0.0),
+    "area_um2": (NUMBER, 0.0), "capacity_bits": (INT, 0),
+    "width_bits": (INT, 8), "bandwidth": (NUMBER, 1.0)})
+_LEVEL = table({"name": (STR, REQUIRED), "component": (STR, REQUIRED),
+                "fanout": (INT, 1), "keeps": (_STRS, ())})
+_MESH = table({"between": (_STRS, REQUIRED), "may_multicast": (BOOL, False),
+               "may_reduce": (BOOL, False)})
+_CONVERTER = table({"name": (STR, None), "component": (STR, REQUIRED),
+                    "between": (_STRS, REQUIRED), "tensors": (_STRS, REQUIRED),
+                    "instances": (INT, 1)})
+_EXTRA = table({"name": (STR, None), "component": (STR, REQUIRED),
+                "instances": (INT, 1)})
+_ARCHITECTURE = table({
+    "name": (STR, "architecture"), "clock_ghz": (NUMBER, 1.0),
+    "levels": (list_of(_LEVEL, nonempty=True), REQUIRED),
+    "meshes": (list_of(_MESH), ()), "converters": (list_of(_CONVERTER), ()),
+    "extras": (list_of(_EXTRA), ())})
+_BITS = table(dict.fromkeys(TENSORS, (INT, 8)))
+
+
+def _read_stride(v, path: str) -> tuple[int, ...]:
+    if not isinstance(v, list):
+        return (_read_int(v, path),) * 2
+    if len(v) != 2:
+        _fail(path, "an integer or [vertical, horizontal]", v)
+    return _INTS.read(v, path)
+
+
+def _read_bits(v, path: str) -> dict[str, int]:
+    if isinstance(v, dict):
+        return _BITS.read(v, path)
+    return dict.fromkeys(TENSORS, _read_int(v, path))
+
+
+_LAYER = table({
+    "name": (STR, REQUIRED), "kind": (STR, "conv"),
+    "dims": (map_of(INT), REQUIRED),
+    "stride": (FieldType(None, _read_stride), (1, 1)),
+    "bits": (FieldType(None, _read_bits), dict.fromkeys(TENSORS, 8))})
+_WORKLOAD = table({"name": (STR, "workload"),
+                   "layers": (list_of(OBJECT, nonempty=True), REQUIRED)})
+_SPEC = table({
+    "spec_version": (INT, None), "components": (_OBJECTS, ()),
+    "use_builtin_components": (ANY, None), "architecture": (OBJECT, None),
+    "workload": (OBJECT, None),
+    "include": (FieldType(None, lambda v, path: _fail(
+        path, "resolved before parsing (load_document)", v)), None)})
+_LEVEL_MAPPING = table({"level": (STR, REQUIRED), "temporal": (OBJECT, {}),
+                        "spatial": (OBJECT, {}), "permutation": (LIST, ())})
+_MAPPING = table({"levels": (list_of(_LEVEL_MAPPING), REQUIRED),
+                  "batch_size": (INT, 1), "pad": (BOOL, False),
+                  "keep_overrides": (map_of(_STRS), {})})
+_MAPPING_DOC = table({"spec_version": (INT, None), "mapping": (OBJECT, REQUIRED)})
+# The published per-component energies of workloads.load_reference_breakdown.
+REFERENCE_BREAKDOWN = table({
+    "breakdown": (map_of(NUMBER), REQUIRED), "spec_version": (INT, None),
+    **dict.fromkeys(("accelerator", "profile", "units", "workload"),
+                    (STR, None))})
 
 
 def parse_component(doc: dict, path: str) -> ComponentSpec:
-    check_fields(doc, _COMPONENT_FIELDS, path)
-    name = _req(doc, "name", path)
-    cls = _req(doc, "class", path)
-    if "domain" in doc:
-        din = dout = doc["domain"]
-    else:
-        din = _req(doc, "domain_in", path)
-        dout = _req(doc, "domain_out", path)
-    epa = doc.get("energy_per_action", {})
-    if not isinstance(epa, dict):
-        raise SpecError("MalformedDocument", path, "energy_per_action must be a map")
-    comp = ComponentSpec(
-        name=name,
-        cls=cls,
-        domain_in=din,
-        domain_out=dout,
-        energy_per_action={k: _as_number(v, path, f"energy_per_action.{k}")
-                           for k, v in epa.items()},
-        static_power_mw=_as_number(doc.get("static_power_mw", 0.0), path,
-                                   "static_power_mw"),
-        area_um2=_as_number(doc.get("area_um2", 0.0), path, "area_um2"),
-        capacity_bits=_as_int(doc.get("capacity_bits", 0), path, "capacity_bits"),
-        width_bits=_as_int(doc.get("width_bits", 8), path, "width_bits"),
-        bandwidth=_as_number(doc.get("bandwidth", 1.0), path, "bandwidth"),
-    )
+    doc = _COMPONENT.read(doc, path)
+    domain = doc.pop("domain")
+    if domain is not None:
+        doc["domain_in"] = doc["domain_out"] = domain
+    doc["energy_per_action"] = dict(doc["energy_per_action"])  # not the default
+    comp = ComponentSpec(cls=doc.pop("class"), **doc)
     _validate_component(comp, path)
     return comp
 
@@ -888,147 +980,85 @@ def _resolve_component(name: str, library: dict[str, ComponentSpec], path: str) 
 
 def parse_architecture(doc: dict, library: dict[str, ComponentSpec]) -> Architecture:
     path = "architecture"
-    check_fields(doc, _ARCHITECTURE_FIELDS, path)
-    lvdocs = _req(doc, "levels", path)
-    if not isinstance(lvdocs, list) or not lvdocs:
-        raise SpecError("MalformedDocument", path, "levels must be a non-empty list")
-
-    levels = []
-    for i, ld in enumerate(lvdocs):
-        lpath = f"{path}.levels[{i}]"
-        check_fields(ld, _LEVEL_FIELDS, lpath)
-        comp = _resolve_component(_req(ld, "component", lpath), library, lpath)
-        levels.append(Level(
-            name=_req(ld, "name", lpath),
-            component=comp,
-            fanout=_as_int(ld.get("fanout", 1), lpath, "fanout"),
-            keeps=tuple(ld.get("keeps", ())),
-        ))
-    levels = tuple(levels)
+    doc = _ARCHITECTURE.read(doc, path)
+    levels = tuple(Level(ld["name"], _resolve_component(
+        ld["component"], library, f"{path}.levels[{i}]"), ld["fanout"],
+        ld["keeps"]) for i, ld in enumerate(doc["levels"]))
     by_name = {lv.name: i for i, lv in enumerate(levels)}
 
     def edge_of(pair, epath) -> int:
-        if (not isinstance(pair, list)) or len(pair) != 2:
+        if len(pair) != 2:
             raise SpecError("MalformedDocument", epath, "between must be [outer, inner]")
         a, b = pair
         if a not in by_name or b not in by_name:
-            raise SpecError("MalformedDocument", epath, f"unknown level in {pair!r}")
+            raise SpecError("MalformedDocument", epath, f"unknown level in {list(pair)!r}")
         if by_name[b] != by_name[a] + 1:
             raise SpecError("MalformedDocument", epath,
                             f"{a!r} and {b!r} are not adjacent outer->inner")
         return by_name[b]
 
     meshes = [Mesh() for _ in range(len(levels) - 1)]
-    for j, md in enumerate(doc.get("meshes", ())):
-        mpath = f"{path}.meshes[{j}]"
-        check_fields(md, _MESH_FIELDS, mpath)
-        e = edge_of(_req(md, "between", mpath), mpath)
-        meshes[e - 1] = Mesh(
-            may_multicast=_as_bool(md.get("may_multicast", False), mpath,
-                                   "may_multicast"),
-            may_reduce=_as_bool(md.get("may_reduce", False), mpath,
-                                "may_reduce"),
-        )
+    for j, md in enumerate(doc["meshes"]):
+        e = edge_of(md["between"], f"{path}.meshes[{j}]")
+        meshes[e - 1] = Mesh(md["may_multicast"], md["may_reduce"])
 
     converters = []
-    for j, cd in enumerate(doc.get("converters", ())):
+    for j, cd in enumerate(doc["converters"]):
         cpath = f"{path}.converters[{j}]"
-        check_fields(cd, _CONVERTER_FIELDS, cpath)
-        comp = _resolve_component(_req(cd, "component", cpath), library, cpath)
-        edge = edge_of(_req(cd, "between", cpath), cpath)
-        converters.append(Converter(
-            name=cd.get("name", f"{comp.name}@{levels[edge].name}"),
-            component=comp,
-            edge=edge,
-            tensors=tuple(_req(cd, "tensors", cpath)),
-            instances=_as_int(cd.get("instances", 1), cpath, "instances"),
-        ))
+        comp = _resolve_component(cd["component"], library, cpath)
+        edge = edge_of(cd["between"], cpath)
+        name = (f"{comp.name}@{levels[edge].name}" if cd["name"] is None
+                else cd["name"])
+        converters.append(Converter(name, comp, edge, cd["tensors"],
+                                    cd["instances"]))
     cnames = [c.name for c in converters]
     if len(set(cnames)) != len(cnames):
         raise SpecError("MalformedDocument", f"{path}.converters",
                         "duplicate converter names")
 
     extras = []
-    for j, ed in enumerate(doc.get("extras", ())):
-        epath = f"{path}.extras[{j}]"
-        check_fields(ed, _EXTRA_FIELDS, epath)
-        comp = _resolve_component(_req(ed, "component", epath), library, epath)
-        extras.append(Extra(
-            name=ed.get("name", comp.name),
-            component=comp,
-            instances=_as_int(ed.get("instances", 1), epath, "instances"),
-        ))
+    for j, ed in enumerate(doc["extras"]):
+        comp = _resolve_component(ed["component"], library,
+                                  f"{path}.extras[{j}]")
+        name = comp.name if ed["name"] is None else ed["name"]
+        extras.append(Extra(name, comp, ed["instances"]))
 
-    arch = Architecture(
-        name=doc.get("name", "architecture"),
-        clock_ghz=_as_number(doc.get("clock_ghz", 1.0), path, "clock_ghz"),
-        levels=levels,
-        meshes=tuple(meshes),
-        converters=tuple(converters),
-        extras=tuple(extras),
-    )
+    arch = Architecture(doc["name"], doc["clock_ghz"], levels, tuple(meshes),
+                        tuple(converters), tuple(extras))
     validate_architecture(arch)
     return arch
 
 
 def parse_layer(doc: dict, path: str) -> Layer:
-    check_fields(doc, _LAYER_FIELDS, path)
-    dims = dict(_req(doc, "dims", path))
+    doc = _LAYER.read(doc, path)
     for d in DIMS:
-        dims.setdefault(d, 1)
-    dims = {d: _as_int(v, path, f"dims.{d}") for d, v in dims.items()}
-    stride = doc.get("stride", [1, 1])
-    if not isinstance(stride, (list, tuple)):
-        stride = [stride, stride]
-    if len(stride) != 2:
-        raise SpecError("MalformedDocument", path,
-                        "stride must be an integer or [vertical, horizontal]")
-    given_bits = doc.get("bits", {})
-    if not isinstance(given_bits, dict):
-        given_bits = dict.fromkeys(TENSORS, given_bits)
-    check_fields(given_bits, frozenset(TENSORS), f"{path}.bits")
-    bits = {t: 8 for t in TENSORS}
-    bits.update(given_bits)
-    layer = Layer(
-        name=_req(doc, "name", path),
-        kind=doc.get("kind", "conv"),
-        dims=dims,
-        stride=tuple(_as_int(v, path, "stride") for v in stride),
-        bits={t: _as_int(b, path, f"bits.{t}") for t, b in bits.items()},
-    )
+        doc["dims"].setdefault(d, 1)
+    doc["bits"] = dict(doc["bits"])  # not the default
+    layer = Layer(**doc)
     validate_layer(layer, path)
     return layer
 
 
 def parse_workload(doc: dict) -> Workload:
     path = "workload"
-    check_fields(doc, _WORKLOAD_FIELDS, path)
-    layers = _req(doc, "layers", path)
-    if not isinstance(layers, list) or not layers:
-        raise SpecError("MalformedDocument", path, "layers must be a non-empty list")
-    parsed = tuple(parse_layer(ld, f"{path}.layers[{i}]") for i, ld in enumerate(layers))
+    doc = _WORKLOAD.read(doc, path)
+    parsed = tuple(parse_layer(ld, f"{path}.layers[{i}]")
+                   for i, ld in enumerate(doc["layers"]))
     names = [l.name for l in parsed]
     if len(set(names)) != len(names):
         raise SpecError("MalformedDocument", path, "duplicate layer names")
-    return Workload(name=doc.get("name", "workload"), layers=parsed)
+    return Workload(name=doc["name"], layers=parsed)
 
 
 def parse_spec(doc: dict) -> Spec:
-    """Parse a document tree into a Spec bundle.
+    """Parse a document tree into a Spec bundle. Every object of the tree
+    is read through its field table (_SPEC names the top-level fields), so
+    an unknown field or a wrong-typed value is an error that names it."""
 
-    Recognized top-level fields: spec_version, components, use_builtin_components,
-    architecture, workload. Unknown fields are rejected at every level of
-    the tree (check_fields) so typos surface.
-    """
-
-    check_fields(doc, _SPEC_FIELDS, "$")
-    version = doc.get("spec_version")
-    if isinstance(version, bool) or version != SPEC_VERSION:
-        raise SpecError("MalformedDocument", "$.spec_version",
-                        f"expected spec_version {SPEC_VERSION}, got {version!r}")
-    if "include" in doc:
-        raise SpecError("MalformedDocument", "$.include",
-                        "includes must be resolved before parsing (load_document)")
+    f = _SPEC.read(doc, "$")
+    if f["spec_version"] != SPEC_VERSION:
+        raise SpecError("MalformedDocument", "$.spec_version", "expected "
+                        f"spec_version {SPEC_VERSION}, got {f['spec_version']!r}")
 
     spec = Spec()
     if "use_builtin_components" in doc:
@@ -1039,21 +1069,21 @@ def parse_spec(doc: dict) -> Spec:
             raise SpecError("UnknownComponent", "$.use_builtin_components",
                             f"unknown profile {profile!r}")
         spec.library.update(_components.builtin_components(profile))
-    for i, cd in enumerate(doc.get("components", ())):
-        path = f"$.components[{i}]"
-        comp = parse_component(cd, path)
+    for i, cd in enumerate(f["components"]):
+        comp = parse_component(cd, f"$.components[{i}]")
         spec.library[comp.name] = comp
-    if "architecture" in doc:
-        spec.architecture = parse_architecture(doc["architecture"], spec.library)
-    if "workload" in doc:
-        spec.workload = parse_workload(doc["workload"])
+    if f["architecture"] is not None:
+        spec.architecture = parse_architecture(f["architecture"], spec.library)
+    if f["workload"] is not None:
+        spec.workload = parse_workload(f["workload"])
     return spec
 
 
 def load_document(path: str) -> dict:
     """Load a JSON spec file, resolving its include list (paths relative to
     the including file). Included components merge; duplicate names or
-    duplicate architecture/workload sections are rejected."""
+    duplicate architecture/workload sections are rejected. An error in a
+    file's include or component list names the file."""
 
     import os
 
@@ -1063,14 +1093,13 @@ def load_document(path: str) -> dict:
             raise SpecError("MalformedDocument", p, "circular include")
         try:
             with open(p) as f:
-                doc = json.load(f)
+                doc = OBJECT.read(json.load(f), p)
         except OSError as e:
             raise SpecError("MalformedDocument", p, f"cannot read file: {e}") from None
         except json.JSONDecodeError as e:
             raise SpecError("MalformedDocument", p, f"invalid JSON: {e}") from None
-        if not isinstance(doc, dict):
-            raise SpecError("MalformedDocument", p, "document must be an object")
-        incs = doc.pop("include", [])
+        incs = _STRS.read(doc.pop("include", ()), f"{p}:$.include")
+        _OBJECTS.read(doc.get("components", ()), f"{p}:$.components")
         merged: dict = {}
         for inc in incs:
             sub = load(os.path.join(os.path.dirname(p), inc), seen + (rp,))
@@ -1085,7 +1114,7 @@ def _merge_documents(base: dict, new: dict, path: str) -> None:
     for key, val in new.items():
         if key == "components":
             comps = base.setdefault("components", [])
-            names = {c.get("name") for c in comps}
+            names = [c.get("name") for c in comps]  # hashable or not
             for c in val:
                 if c.get("name") in names:
                     raise SpecError("MalformedDocument", path,
@@ -1195,39 +1224,37 @@ def serialize_mapping(m: Mapping, arch: Architecture) -> dict:
 
 
 def parse_mapping(doc: dict, arch: Architecture) -> Mapping:
+    """Read a mapping document (or its bare body) for `arch`. Factor values
+    and permutation entries are left to validate_mapping."""
+
     path = "mapping"
-    body = doc
     if "mapping" in doc:
-        check_fields(doc, _MAPPING_DOC_FIELDS, "$")
-        body = doc["mapping"]
-    check_fields(body, _MAPPING_FIELDS, path)
-    lvdocs = _req(body, "levels", path)
+        doc = _MAPPING_DOC.read(doc, "$")["mapping"]
+    body = _MAPPING.read(doc, path)
     by_name = {lv.name: i for i, lv in enumerate(arch.levels)}
     lms: list[LevelMapping | None] = [None] * len(arch.levels)
-    for j, ld in enumerate(lvdocs):
-        lpath = f"{path}.levels[{j}]"
-        check_fields(ld, _LEVEL_MAPPING_FIELDS, lpath)
-        name = _req(ld, "level", lpath)
+    for j, ld in enumerate(body["levels"]):
+        name = ld["level"]
         if name not in by_name:
-            raise SpecError("MalformedDocument", lpath, f"unknown level {name!r}")
-        if lms[by_name[name]] is not None:
-            raise SpecError("MalformedDocument", lpath,
+            raise SpecError("MalformedDocument", f"{path}.levels[{j}]",
+                            f"unknown level {name!r}")
+        i = by_name[name]
+        if lms[i] is not None:
+            raise SpecError("MalformedDocument", f"{path}.levels[{j}]",
                             f"level {name!r} is mapped twice")
-        lms[by_name[name]] = LevelMapping(
-            temporal={d: _as_int(v, lpath, d) for d, v in ld.get("temporal", {}).items()},
-            spatial={d: _as_int(v, lpath, d) for d, v in ld.get("spatial", {}).items()},
-            permutation=tuple(ld.get("permutation", ())),
-        )
-    filled = tuple(lm if lm is not None else LevelMapping() for lm in lms)
+        lms[i] = LevelMapping(temporal=dict(ld["temporal"]),
+                              spatial=dict(ld["spatial"]),
+                              permutation=tuple(ld["permutation"]))
     overrides = {}
-    for k, v in body.get("keep_overrides", {}).items():
-        overrides[int(k)] = tuple(sorted(v))
-    return Mapping(
-        levels=filled,
-        batch_size=_as_int(body.get("batch_size", 1), path, "batch_size"),
-        keep_overrides=overrides,
-        pad=_as_bool(body.get("pad", False), path, "pad"),
-    )
+    for k, v in body["keep_overrides"].items():
+        try:
+            i = int(k)
+        except ValueError:
+            raise SpecError("MalformedDocument", f"{path}.keep_overrides.{k}",
+                            "must be keyed by a level index") from None
+        overrides[i] = tuple(sorted(v))
+    levels = tuple(LevelMapping() if lm is None else lm for lm in lms)
+    return Mapping(levels, body["batch_size"], overrides, body["pad"])
 
 
 def canonical_json(doc: dict) -> str:

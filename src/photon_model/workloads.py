@@ -14,6 +14,7 @@ from pathlib import Path
 
 from . import albireo
 from .spec_model import (
+    REFERENCE_BREAKDOWN,
     SPEC_VERSION,
     Architecture,
     Spec,
@@ -60,7 +61,8 @@ def load_architecture(name_or_path: str) -> Architecture:
 def load_workload(name_or_path: str) -> Workload:
     spec = load_spec(name_or_path)
     if spec.workload is None:
-        raise KeyError(f"{name_or_path!r} contains no workload")
+        raise SpecError("MalformedDocument", name_or_path,
+                        "spec contains no workload")
     return spec.workload
 
 
@@ -73,6 +75,7 @@ def load_reference_breakdown(path: str | Path | None = None
     """Published per-component energies (pJ) for the bundled accelerator
     running its breakdown workload."""
 
-    doc = json.loads(Path(path or reference_breakdown_path()).read_text())
-    return {str(k): float(v) for k, v in doc["breakdown"].items()}
+    path = Path(path or reference_breakdown_path())
+    doc = json.loads(path.read_text())
+    return REFERENCE_BREAKDOWN.read(doc, f"{path}:$")["breakdown"]
 

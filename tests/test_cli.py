@@ -190,6 +190,16 @@ def test_experiment_writes_report_and_tables(tiny_workload, tmp_path,
     assert (out / "layers.csv").read_text().count("\n") == 3
 
 
+def test_map_of_a_spec_with_no_workload_exits_2(capsys):
+    with pytest.raises(SpecError) as e:
+        load_workload("albireo")
+    assert (e.value.kind, e.value.path) == ("MalformedDocument", "albireo")
+    assert cli.main(["map", "--spec", "albireo", "--workload", "albireo",
+                     "--layer", "x"]) == 2
+    assert ("MalformedDocument at albireo: spec contains no workload"
+            in capsys.readouterr().err)
+
+
 def test_malformed_experiment_config_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"experiment": "memory", "speed": 9}))
@@ -218,14 +228,15 @@ ILL_TYPED_FIELDS = {
 @pytest.mark.parametrize("field", sorted(ILL_TYPED_FIELDS))
 def test_ill_typed_experiment_config_exits_2(field, tmp_path, capsys):
     doc = {"experiment": "memory", field: ILL_TYPED_FIELDS[field]}
+    # A list's wrong item is named by its index.
+    want = f"experiment.{field}" + ("[0]" if field == "batch_sizes" else "")
     with pytest.raises(SpecError) as err:
         ExperimentConfig(**doc)
-    assert (err.value.kind, err.value.path) == ("MalformedDocument",
-                                                f"experiment.{field}")
+    assert (err.value.kind, err.value.path) == ("MalformedDocument", want)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     assert cli.main(["experiment", "--config", str(path)]) == 2
-    assert f"experiment.{field}:" in capsys.readouterr().err
+    assert f"{want}:" in capsys.readouterr().err
 
 
 def test_ill_typed_fields_cover_the_config():

@@ -28,7 +28,10 @@ def test_tracer_installs_on_the_package_and_restores_every_name():
                    for k, v in vars(m).items() if before[n].get(k) is not v}
         assert {("mapper", "analyze"), ("mapper", "energy"),
                 ("mapper", "evaluate"), ("experiments", "search"),
-                ("reuse", "validate_mapping")} <= rebound
+                ("reuse", "validate_mapping"),
+                ("workloads", "load_document"), ("workloads", "parse_spec"),
+                ("albireo", "parse_architecture"),
+                ("experiments", "parse_architecture")} <= rebound
     finally:
         tracer.uninstall()
     for n, m in mods.items():

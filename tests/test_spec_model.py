@@ -7,13 +7,15 @@ from pathlib import Path
 
 import pytest
 
-from photon_model import albireo, cli, spec_model
+from photon_model import albireo, cli, experiments, spec_model
 from photon_model.experiments import (
     SWEEP_AXES,
     ExperimentConfig,
     _architecture,
     _sweep_point,
+    parse_experiment_config,
 )
+from photon_model.mapper import SearchConfig, search
 from photon_model.spec_model import (
     DOWN,
     INPUTS,
@@ -22,6 +24,7 @@ from photon_model.spec_model import (
     WEIGHTS,
     Architecture,
     Converter,
+    FieldType,
     Layer,
     Level,
     LevelMapping,
@@ -33,6 +36,7 @@ from photon_model.spec_model import (
     input_extent,
     load_document,
     mapping_digest,
+    parse_architecture,
     parse_layer,
     parse_mapping,
     parse_spec,
@@ -42,7 +46,11 @@ from photon_model.spec_model import (
     validate_architecture,
     validate_mapping,
 )
-from photon_model.workloads import load_spec
+from photon_model.workloads import (
+    load_reference_breakdown,
+    load_spec,
+    reference_breakdown_path,
+)
 
 import toys
 from randgen import random_architecture
@@ -232,41 +240,46 @@ def _layer(d):
     return d["workload"]["layers"][0]
 
 
-# (edit, path of the object the error must name). Each scalar was coerced
+# (edit, path of the value the error must name). Each scalar was coerced
 # (a string or bool read as a flag or a number, a fraction truncated) or
 # crashed the parser with IndexError.
 ILL_TYPED_SCALARS = {
     "spec_version-bool": (_set(lambda d: d, "spec_version", True),
                           "$.spec_version"),
     "may_multicast-string": (_set(_mesh, "may_multicast", "false"),
-                             "architecture.meshes[0]"),
+                             "architecture.meshes[0].may_multicast"),
     "may_reduce-string": (_set(_mesh, "may_reduce", "no"),
-                          "architecture.meshes[0]"),
+                          "architecture.meshes[0].may_reduce"),
     "may_reduce-int": (_set(_mesh, "may_reduce", 1),
-                       "architecture.meshes[0]"),
+                       "architecture.meshes[0].may_reduce"),
     "clock_ghz-bool": (_set(lambda d: d["architecture"], "clock_ghz", True),
-                       "architecture"),
+                       "architecture.clock_ghz"),
     "fanout-string": (_set(lambda d: d["architecture"]["levels"][1],
-                           "fanout", "2"), "architecture.levels[1]"),
+                           "fanout", "2"), "architecture.levels[1].fanout"),
     "instances-bool": (_set(lambda d: d["architecture"]["converters"][0],
-                            "instances", True), "architecture.converters[0]"),
+                            "instances", True),
+                       "architecture.converters[0].instances"),
     "static_power_mw-string": (_set(_component, "static_power_mw", "5"),
-                               "$.components[0]"),
-    "area_um2-null": (_set(_component, "area_um2", None), "$.components[0]"),
+                               "$.components[0].static_power_mw"),
+    "area_um2-null": (_set(_component, "area_um2", None),
+                      "$.components[0].area_um2"),
     "bandwidth-bool": (_set(_component, "bandwidth", True),
-                       "$.components[0]"),
+                       "$.components[0].bandwidth"),
     "energy-string": (_set(_component, "energy_per_action", {"read": "1"}),
-                      "$.components[0]"),
+                      "$.components[0].energy_per_action.read"),
     "capacity_bits-fraction": (_set(_component, "capacity_bits", 8.5),
-                               "$.components[0]"),
+                               "$.components[0].capacity_bits"),
     "stride-fraction": (_set(_layer, "stride", [1.5, 1]),
-                        "workload.layers[0]"),
-    "stride-string": (_set(_layer, "stride", "2"), "workload.layers[0]"),
-    "stride-short": (_set(_layer, "stride", [1]), "workload.layers[0]"),
+                        "workload.layers[0].stride[0]"),
+    "stride-string": (_set(_layer, "stride", "2"), "workload.layers[0].stride"),
+    "stride-short": (_set(_layer, "stride", [1]), "workload.layers[0].stride"),
     "bits-fraction": (_set(_layer, "bits", {"Weights": 8.5}),
-                      "workload.layers[0]"),
-    "bits-bool": (_set(_layer, "bits", True), "workload.layers[0]"),
-    "dims-bool": (_set(_layer, "dims", {"K": True}), "workload.layers[0]"),
+                      "workload.layers[0].bits.Weights"),
+    "bits-bool": (_set(_layer, "bits", True), "workload.layers[0].bits"),
+    "dims-bool": (_set(_layer, "dims", {"K": True}),
+                  "workload.layers[0].dims.K"),
+    "static_power_mw-nan": (_set(_component, "static_power_mw", math.nan),
+                            "$.components[0].static_power_mw"),
 }
 
 
@@ -291,6 +304,169 @@ def test_well_typed_scalars_parse():
         (WEIGHTS, INPUTS, OUTPUTS), 6)
     assert spec.library["sram"].static_power_mw == 5.0
     assert spec.architecture.meshes[0].may_reduce is False
+
+
+def _parse_spec(doc, tmp_path):
+    parse_spec(doc)
+
+
+def _parse_config(doc, tmp_path):
+    parse_experiment_config(doc)
+
+
+def _parse_mapping(doc, tmp_path):
+    parse_mapping(doc, toys.fc_weight_buffer())
+
+
+def _load_reference(doc, tmp_path):
+    path = tmp_path / "ref.breakdown"
+    path.write_text(json.dumps(doc))
+    load_reference_breakdown(path)
+
+
+def _bundled_reference():
+    return json.loads(reference_breakdown_path().read_text())
+
+
+# Every field table, as (module, name): a document holding one of its
+# objects, that object in it, the object's path ("{tmp}" for the test's
+# directory) and the parser that reads it.
+TABLE_SITES = {
+    (spec_model, "_SPEC"): (full_doc, lambda d: d, "$", _parse_spec),
+    (spec_model, "_COMPONENT"): (full_doc, _component, "$.components[0]",
+                                 _parse_spec),
+    (spec_model, "_ARCHITECTURE"): (full_doc, lambda d: d["architecture"],
+                                    "architecture", _parse_spec),
+    (spec_model, "_LEVEL"): (full_doc,
+                             lambda d: d["architecture"]["levels"][0],
+                             "architecture.levels[0]", _parse_spec),
+    (spec_model, "_MESH"): (full_doc, _mesh, "architecture.meshes[0]",
+                            _parse_spec),
+    (spec_model, "_CONVERTER"): (full_doc,
+                                 lambda d: d["architecture"]["converters"][0],
+                                 "architecture.converters[0]", _parse_spec),
+    (spec_model, "_EXTRA"): (full_doc,
+                             lambda d: d["architecture"]["extras"][0],
+                             "architecture.extras[0]", _parse_spec),
+    (spec_model, "_WORKLOAD"): (full_doc, lambda d: d["workload"],
+                                "workload", _parse_spec),
+    (spec_model, "_LAYER"): (full_doc, _layer, "workload.layers[0]",
+                             _parse_spec),
+    (spec_model, "_BITS"): (full_doc, lambda d: _layer(d)["bits"],
+                            "workload.layers[0].bits", _parse_spec),
+    (spec_model, "_MAPPING_DOC"): (lambda: mapping_doc()[1], lambda d: d, "$",
+                                   _parse_mapping),
+    (spec_model, "_MAPPING"): (lambda: mapping_doc()[1],
+                               lambda d: d["mapping"], "mapping",
+                               _parse_mapping),
+    (spec_model, "_LEVEL_MAPPING"): (lambda: mapping_doc()[1],
+                                     lambda d: d["mapping"]["levels"][1],
+                                     "mapping.levels[1]", _parse_mapping),
+    (experiments, "_CONFIG"): (lambda: {"experiment": "memory"},
+                               lambda d: d, "experiment", _parse_config),
+    (spec_model, "REFERENCE_BREAKDOWN"): (
+        _bundled_reference, lambda d: d, "{tmp}/ref.breakdown:$",
+        _load_reference),
+}
+
+# use_builtin_components takes any value; one that names no profile is
+# UnknownComponent (DOCUMENT_ERRORS).
+UNTYPED = {((spec_model, "_SPEC"), "use_builtin_components")}
+TABLE_FIELDS = [pytest.param(site, name, id=f"{site[1]}.{name}")
+                for site in TABLE_SITES for name in getattr(*site).fields
+                if (site, name) not in UNTYPED]
+
+
+def test_every_table_has_a_site():
+    tables = {(m, n) for m in (spec_model, experiments)
+              for n, v in vars(m).items()
+              if isinstance(v, FieldType) and v.fields is not None}
+    assert tables == set(TABLE_SITES)
+
+
+def _rejected_value(kind):
+    """A string, or a number where a string is read."""
+
+    try:
+        kind.read("x", "")
+    except SpecError:
+        return "x"
+    return 5
+
+
+@pytest.mark.parametrize("site,name", TABLE_FIELDS)
+def test_wrong_typed_field_is_named_by_its_path(site, name, tmp_path):
+    make, where, path, parse = TABLE_SITES[site]
+    doc = make()
+    where(doc)[name] = _rejected_value(getattr(*site).fields[name][0])
+    with pytest.raises(SpecError) as e:
+        parse(doc, tmp_path)
+    want = f"{path.format(tmp=tmp_path)}.{name}"
+    assert (e.value.kind, e.value.path) == ("MalformedDocument", want)
+
+
+def _map_set(where, key, value):
+    def parse():
+        arch, doc = mapping_doc()
+        where(doc)[key] = value
+        parse_mapping(doc, arch)
+    return parse
+
+
+def _spec_set(where, key, value):
+    def parse():
+        doc = full_doc()
+        where(doc)[key] = value
+        parse_spec(doc)
+    return parse
+
+
+# Container fields that crashed the parser, were read as something else,
+# or were reported at another object before they had field types.
+WRONG_CONTAINERS = {
+    "level-keeps-int": (
+        _spec_set(lambda d: d["architecture"]["levels"][1], "keeps", 5),
+        "architecture.levels[1].keeps"),
+    "architecture-name-int": (
+        _spec_set(lambda d: d["architecture"], "name", 5),
+        "architecture.name"),
+    "level-name-int": (
+        _spec_set(lambda d: d["architecture"]["levels"][1], "name", 5),
+        "architecture.levels[1].name"),
+    "converter-tensors-string": (
+        _spec_set(lambda d: d["architecture"]["converters"][0], "tensors",
+                  "Weights"), "architecture.converters[0].tensors"),
+    "temporal-list": (
+        _map_set(lambda d: d["mapping"]["levels"][1], "temporal", [2]),
+        "mapping.levels[1].temporal"),
+    "levels-int": (_map_set(lambda d: d["mapping"], "levels", 5),
+                   "mapping.levels"),
+    "keep-override-key": (
+        _map_set(lambda d: d["mapping"], "keep_overrides", {"x": ["Weights"]}),
+        "mapping.keep_overrides.x"),
+    "permutation-string": (
+        _map_set(lambda d: d["mapping"]["levels"][1], "permutation", "KC"),
+        "mapping.levels[1].permutation"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_CONTAINERS))
+def test_wrong_container_is_named_by_its_path(case):
+    parse, path = WRONG_CONTAINERS[case]
+    with pytest.raises(SpecError) as e:
+        parse()
+    assert (e.value.kind, e.value.path) == ("MalformedDocument", path)
+
+
+def test_integral_float_factor_is_a_mapping_error():
+    # parse_mapping leaves factor values to validate_mapping, as for a
+    # Mapping built in code.
+    arch, doc = mapping_doc()
+    doc["mapping"]["levels"][1]["temporal"]["C"] = 3.0
+    layer = Layer(name="fc", kind="fully_connected", dims={"K": 2, "C": 3})
+    with pytest.raises(MappingError) as e:
+        validate_mapping(parse_mapping(doc, arch), layer, arch)
+    assert (e.value.kind, e.value.dim) == ("FactorMismatch", "C")
 
 
 def _repeat_the_layer(doc):
@@ -319,7 +495,8 @@ DOCUMENT_ERRORS = {
         lambda d: _component(d).pop("class"),
         "MalformedDocument", "$.components[0]"),
     "energy-not-map": (_set(_component, "energy_per_action", [1.0]),
-                       "MalformedDocument", "$.components[0]"),
+                       "MalformedDocument",
+                       "$.components[0].energy_per_action"),
     "unknown-profile": (
         _set(lambda d: d, "use_builtin_components", "nope"),
         "UnknownComponent", "$.use_builtin_components"),
@@ -330,7 +507,7 @@ DOCUMENT_ERRORS = {
         _set(lambda d: d, "include", ["lib.json"]),
         "MalformedDocument", "$.include"),
     "levels-empty": (_set(lambda d: d["architecture"], "levels", []),
-                     "MalformedDocument", "architecture"),
+                     "MalformedDocument", "architecture.levels"),
     "level-names-repeat": (_name_both_levels_store, "MalformedDocument",
                            "architecture[mini]"),
     "level-wrong-class": (
@@ -346,7 +523,7 @@ DOCUMENT_ERRORS = {
         _set(lambda d: d["architecture"]["converters"][1], "name", "dn"),
         "MalformedDocument", "architecture.converters"),
     "layers-empty": (_set(lambda d: d["workload"], "layers", []),
-                     "MalformedDocument", "workload"),
+                     "MalformedDocument", "workload.layers"),
     "layer-names-repeat": (_repeat_the_layer, "MalformedDocument",
                            "workload"),
     "unknown-dim": (_set(_layer, "dims", {"K": 2, "X": 2}),
@@ -445,6 +622,58 @@ def test_bad_include_is_a_spec_error(case, tmp_path, capsys):
     assert want in str(e.value)
     assert cli.main(["spec", path]) == 2
     assert want in capsys.readouterr().err
+
+
+# Each opened the wrong file or crashed the loader before a file's include
+# and component lists had field types: (documents, path of the value).
+MALFORMED_INCLUDES = {
+    "include-string": ({"main.spec": {"spec_version": 1,
+                                      "include": "lib.json"}},
+                       "main.spec:$.include"),
+    "include-number": ({"main.spec": {"spec_version": 1, "include": [5]}},
+                       "main.spec:$.include[0]"),
+    "components-number": ({"main.spec": {"spec_version": 1,
+                                         "include": ["lib.json"]},
+                           "lib.json": {"components": 5}},
+                          "lib.json:$.components"),
+    "component-number": ({"main.spec": {"spec_version": 1,
+                                        "include": ["lib.json"]},
+                          "lib.json": {"components": [5]}},
+                         "lib.json:$.components[0]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INCLUDES))
+def test_malformed_include_names_its_file(case, tmp_path):
+    docs, where = MALFORMED_INCLUDES[case]
+    path = _write_documents(tmp_path, docs)
+    with pytest.raises(SpecError) as e:
+        load_document(path)
+    assert (e.value.kind, e.value.path) == ("MalformedDocument",
+                                            f"{tmp_path}/{where}")
+
+
+def test_included_component_with_a_list_name_is_a_spec_error(tmp_path):
+    path = _write_documents(tmp_path, {
+        "main.spec": {"spec_version": 1, "include": ["lib.json"]},
+        "lib.json": {"components": [{"name": ["x"], "class": "compute",
+                                     "domain": "DE"}]}})
+    with pytest.raises(SpecError) as e:
+        load_spec(path)
+    assert (e.value.kind, e.value.path) == ("MalformedDocument",
+                                            "$.components[0].name")
+
+
+@pytest.mark.parametrize("doc,where", [
+    ({"units": "pJ"}, ":$"), ({"breakdown": {"adc": "abc"}}, ":$.breakdown.adc"),
+], ids=["missing", "not-a-number"])
+def test_malformed_reference_breakdown_names_its_file(doc, where, tmp_path):
+    path = tmp_path / "ref.breakdown"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SpecError) as e:
+        load_reference_breakdown(path)
+    assert (e.value.kind, e.value.path) == ("MalformedDocument",
+                                            f"{path}{where}")
 
 
 def test_unknown_component_reference():
@@ -681,8 +910,17 @@ def test_spec_roundtrip_is_identity_on_canonical_form():
     for name in ("albireo", "vgg16", "alexnet"):
         spec = load_spec(name)
         doc = serialize_spec(spec)
+        assert parse_spec(doc) == spec
         again = serialize_spec(parse_spec(doc))
         assert canonical_json(again) == canonical_json(doc)
+
+
+@pytest.mark.parametrize("axes", [(1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2),
+                                  (8, 1, 1)])
+def test_albireo_architecture_roundtrip(axes):
+    arch = albireo.architecture("aggressive", *axes)
+    assert parse_architecture(serialize_architecture(arch),
+                              arch.components()) == arch
 
 
 def test_architecture_roundtrip_toy():
@@ -714,6 +952,22 @@ def test_mapping_roundtrip_and_digest():
     assert mapping_digest(m) != mapping_digest(
         Mapping(levels=m.levels, batch_size=1,
                 keep_overrides=m.keep_overrides))
+
+
+def test_searched_mapping_keeps_its_digest_through_a_document():
+    # The parser sorts each keep override and the mapper need not, so a
+    # round trip keeps the digest rather than the Mapping.
+    arch = albireo.architecture("aggressive")
+    layer = next(l for l in load_spec("vgg16").workload.layers
+                 if l.name == "conv5_1")
+    res = search(arch, layer, SearchConfig(
+        budget=30, seed=3, pad_mode="pad", batch_size=16,
+        keep_overrides={0: ("Weights", "Inputs")},
+        fixed_spatial=albireo.geometry_pins(layer)))
+    doc = json.loads(canonical_json(serialize_mapping(res.mapping, arch)))
+    assert res.mapping.keep_overrides and res.mapping.batch_size == 16
+    assert mapping_digest(parse_mapping(doc, arch)) == mapping_digest(
+        res.mapping)
 
 
 def mapping_doc():
@@ -761,7 +1015,8 @@ def test_ill_typed_mapping_scalar_rejected(field, value):
     doc["mapping"][field] = value
     with pytest.raises(SpecError) as e:
         parse_mapping(doc, arch)
-    assert (e.value.kind, e.value.path) == ("MalformedDocument", "mapping")
+    assert (e.value.kind, e.value.path) == ("MalformedDocument",
+                                            f"mapping.{field}")
 
 
 def test_mapping_of_an_unknown_level_rejected():
