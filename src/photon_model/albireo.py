@@ -11,7 +11,9 @@ filter banks, one modulated weight serves 7 output columns, and 4 x 3
 partial products merge optically before detection.
 
 Three fanout multipliers scale how much of each sharing axis the array
-offers; the mapper is pinned to the resulting geometry when searching.
+offers. The array level's document carries the resulting stencil, so every
+search of the architecture, by name or from a file, is pinned to it
+(spec_model.stencil_pins).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .components import builtin_components
-from .spec_model import DIMS, Architecture, Layer, parse_architecture
+from .spec_model import Architecture, Layer, parse_architecture, stencil_pins
 
 STAGE_NAME = "ae_stage"
 ARRAY_NAME = "ao_array"
@@ -51,7 +53,7 @@ def architecture_doc(ao_per_ae_weight: int = 1, ao_input_fanout: int = 1,
             {"name": STAGE_NAME, "component": "register", "fanout": 1,
              "keeps": ["Weights", "Inputs", "Outputs"]},
             {"name": ARRAY_NAME, "component": "analog_mac", "fanout": fanout,
-             "keeps": []},
+             "keeps": [], "stencil": {"K": k, "Q": q, "C": c, "R": BASE_R}},
         ],
         "meshes": [
             {"between": ["global_buffer", STAGE_NAME]},
@@ -98,33 +100,8 @@ def architecture(profile="aggressive", ao_per_ae_weight: int = 1,
     return parse_architecture(doc, lib)
 
 
-def pin_widths(ao_per_ae_weight: int = 1, ao_input_fanout: int = 1,
-               ae_output_fanout: int = 1) -> dict[str, int]:
-    """Spatial width of each stencil axis of the array at one geometry
-    point."""
+def geometry_pins(layer: Layer, *axes: int) -> dict[tuple[int, str], int]:
+    """The stencil pins of `layer` on the bundled geometry at `axes`, for
+    callers that hold no architecture (perfbench/make_reference.py)."""
 
-    return {
-        "K": BASE_K * ao_input_fanout,
-        "Q": BASE_Q * ao_per_ae_weight,
-        "C": BASE_C * ae_output_fanout,
-        "R": BASE_R,
-    }
-
-
-def geometry_pins(layer: Layer, ao_per_ae_weight: int = 1,
-                  ao_input_fanout: int = 1,
-                  ae_output_fanout: int = 1) -> dict[tuple[int, str], int]:
-    """Spatial pins that commit a layer to the array geometry. Dims the
-    layer lacks entirely (the stencil axes of a fully connected layer) stay
-    unpinned so no lanes run pure padding."""
-
-    pins = pin_widths(ao_per_ae_weight, ao_input_fanout, ae_output_fanout)
-    level = 3
-    out = {}
-    for d, width in pins.items():
-        if layer.dims[d] > 1 or d in ("K", "C"):
-            out[(level, d)] = width
-    for d in DIMS:
-        if (level, d) not in out:
-            out[(level, d)] = 1
-    return out
+    return stencil_pins(layer, architecture("aggressive", *axes))

@@ -12,7 +12,6 @@ import json
 import sys
 from pathlib import Path
 
-from . import albireo
 from .components import PROFILES, CalibrationError, builtin_components
 from .evaluator import EvaluationError, evaluate
 from .experiments import (
@@ -42,6 +41,7 @@ from .spec_model import (
     serialize_component,
     serialize_mapping,
     serialize_spec,
+    stencil_pins,
 )
 from .workloads import load_architecture, load_spec, load_workload
 
@@ -89,6 +89,10 @@ def cmd_spec(args) -> int:
         lv = " -> ".join(f"{l.name}[{l.component.name}]" for l in a.levels)
         print(f"  architecture {a.name}: {lv}")
         print(f"  clock {a.clock_ghz} GHz, {len(a.converters)} converter banks")
+        for l in a.levels:
+            if l.stencil:
+                widths = " ".join(f"{d}{w}" for d, w in l.stencil)
+                print(f"  stencil {l.name}: {widths} of fanout {l.fanout}")
     if spec.workload is not None:
         print(f"  workload {spec.workload.name}: {len(spec.workload.layers)} layers")
         for layer in spec.workload.layers:
@@ -132,12 +136,12 @@ def cmd_counts(args) -> int:
 def cmd_map(args) -> int:
     arch = load_architecture(args.spec)
     layer = _layer_for(args)
-    pins = albireo.geometry_pins(layer) if args.albireo_pins else {}
+    pins = stencil_pins(layer, arch)
     # The pins are array widths, not divisors of the layer: pad, as the
     # experiments do, so every layer maps.
     cfg = SearchConfig(objective=args.objective, budget=args.budget,
                        seed=args.seed, strategy=args.strategy,
-                       pad_mode="pad" if args.albireo_pins else "strict",
+                       pad_mode="pad" if pins else "strict",
                        batch_size=args.batch_size, fixed_spatial=pins)
     res = search(arch, layer, cfg)
     ev = res.evaluation
@@ -241,16 +245,18 @@ def build_parser() -> argparse.ArgumentParser:
                     help="also run the per-step simulator and compare")
     sp.set_defaults(func=cmd_counts)
 
-    sp = sub.add_parser("map", help="search a mapping for one layer")
+    sp = sub.add_parser(
+        "map", help="search a mapping for one layer",
+        description="Search a mapping for one layer. An architecture whose "
+                    "levels carry a stencil is searched with the stencil's "
+                    "widths pinned, padding dims they do not divide; one "
+                    "without is searched with exact factors.")
     add_spec_args(sp)
     sp.add_argument("--objective", default="energy", choices=OBJECTIVES)
     sp.add_argument("--budget", type=int, default=600)
     sp.add_argument("--seed", type=int, default=7)
     sp.add_argument("--strategy", default="pruned_random", choices=STRATEGIES)
     sp.add_argument("--batch-size", type=int, default=1)
-    sp.add_argument("--albireo-pins", action="store_true",
-                    help="pin spatial factors to the bundled array "
-                         "geometry, padding dims the pins do not divide")
     sp.add_argument("--emit-mapping", metavar="PATH",
                     help="write the found mapping ('-' for stdout)")
     sp.set_defaults(func=cmd_map)

@@ -36,6 +36,7 @@ from .spec_model import (
     kept_bits,
     parse_architecture,
     serialize_architecture,
+    stencil_pins,
 )
 from .workloads import (
     BUNDLED_ARCHITECTURE,
@@ -159,11 +160,9 @@ def _workload(cfg: ExperimentConfig, default: str) -> Workload:
 
 
 def _search_layer(arch: Architecture, layer: Layer, cfg: ExperimentConfig,
-                  objective: str, axes: tuple[int, int, int] = (1, 1, 1),
-                  batch_size: int = 1,
+                  objective: str, batch_size: int = 1,
                   keep_overrides: dict | None = None,
                   reduction_floor: int | None = None) -> SearchResult:
-    # Only the bundled architecture has the Albireo stencil to pin.
     sc = SearchConfig(
         objective=objective,
         budget=cfg.budget,
@@ -172,8 +171,7 @@ def _search_layer(arch: Architecture, layer: Layer, cfg: ExperimentConfig,
         pad_mode="pad",
         batch_size=batch_size,
         keep_overrides=keep_overrides or {},
-        fixed_spatial=(albireo.geometry_pins(layer, *axes)
-                       if cfg.arch in (None, BUNDLED_ARCHITECTURE) else {}),
+        fixed_spatial=stencil_pins(layer, arch),
         reduction_floor=reduction_floor,
     )
     return search(arch, layer, sc)
@@ -581,13 +579,15 @@ def _sweep_point(cfg: ExperimentConfig, value: int) -> tuple[int, int, int]:
 
 
 def _sweep_layer(cfg: ExperimentConfig) -> Layer:
-    """The busiest layer whose dims admit every swept pin exactly: sweep
-    deltas then measure reuse, not padding artifacts."""
+    """The busiest layer whose dims the widest swept geometry's stencil
+    widths divide exactly: sweep deltas then measure reuse, not padding
+    artifacts."""
 
     vmax = max(cfg.sweep_values)
-    pins = albireo.pin_widths(*_sweep_point(cfg, vmax))
+    widest = _architecture(cfg, _sweep_point(cfg, vmax))
+    widths = [dw for lv in widest.levels for dw in lv.stencil]
     candidates = [layer for layer in _workload(cfg, "vgg16").layers
-                  if all(layer.dims[d] % w == 0 for d, w in pins.items())]
+                  if all(layer.dims[d] % w == 0 for d, w in widths)]
     if not candidates:
         raise SweepInfeasible(cfg.sweep_axis, vmax,
                               "no workload layer admits the swept pins")
@@ -603,10 +603,9 @@ def run_reuse_sweep(cfg: ExperimentConfig) -> dict:
     target = AXIS_TARGETS[cfg.sweep_axis]
     rows = []
     for value in cfg.sweep_values:
-        axes = _sweep_point(cfg, value)
-        arch = _architecture(cfg, axes)
+        arch = _architecture(cfg, _sweep_point(cfg, value))
         try:
-            res = _search_layer(arch, layer, cfg, "energy", axes=axes)
+            res = _search_layer(arch, layer, cfg, "energy")
         except NoValidMapping as err:
             raise SweepInfeasible(cfg.sweep_axis, value, str(err)) from err
         ev = res.evaluation

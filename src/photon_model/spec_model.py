@@ -18,8 +18,9 @@ has exactly one definition: a mapping's LoopNest (padded bounds, per-level
 tile bounds, spatial copies, instance counts and step count, built in one
 pass and cached as Mapping.nest), the tile footprint (tile_values), the
 capacity demand (kept_bits), the keeper chains (keeper_levels, held
-per keep-override set by Architecture.keepers) and the spatial dims a mesh
-merges (merge_dims). Tables derived from an architecture alone are kept
+per keep-override set by Architecture.keepers), the spatial dims a mesh
+merges (merge_dims) and the spatial pins a level's stencil puts on a
+search (stencil_pins). Tables derived from an architecture alone are kept
 on the instance (Architecture.derived). So has a valid mapping:
 validate_mapping, the refetch rule (refetch_forbidden) included, so the
 counting engines never reject a mapping it accepted.
@@ -137,12 +138,18 @@ class ComponentSpec:
 
 @dataclass(frozen=True)
 class Level:
-    """One storage or compute level. fanout is spatial copies per parent."""
+    """One storage or compute level. fanout is spatial copies per parent.
+
+    stencil is the (dim, width) pairs, in DIMS order, that the level's
+    lanes are wired for, such as a photonic array's fixed sharing axes. It
+    constrains the search only (stencil_pins); a mapping is validated and
+    counted without it."""
 
     name: str
     component: ComponentSpec
     fanout: int
     keeps: tuple[str, ...]
+    stencil: tuple[tuple[str, int], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -531,6 +538,23 @@ def merge_dims(arch: Architecture, inner: int, tensor: str,
             if mesh.may_reduce else ())
 
 
+def stencil_pins(layer: Layer,
+                 arch: Architecture) -> dict[tuple[int, str], int]:
+    """The spatial pins (SearchConfig.fixed_spatial) that commit `layer` to
+    every level stencil of `arch`: each stencil dim the layer has is pinned
+    to its width and every other dim at that level to 1. A stencil dim the
+    layer lacks (a fully connected layer's window) stays at 1, so no lane
+    runs pure padding. Empty for an architecture with no stencil."""
+
+    pins = {}
+    for j, lv in enumerate(arch.levels):
+        if lv.stencil:
+            widths = dict(lv.stencil)
+            for d in DIMS:
+                pins[(j, d)] = widths.get(d, 1) if layer.dims[d] > 1 else 1
+    return pins
+
+
 # ============================================================================
 # Validation
 # ============================================================================
@@ -815,8 +839,13 @@ def _read_int(v, path: str) -> int:
 
 
 def _read_number(v, path: str) -> float:
-    if type(v) in (int, float) and math.isfinite(v):
-        return float(v)
+    if type(v) in (int, float):
+        try:
+            x = float(v)
+        except OverflowError:  # an integer beyond every float
+            x = math.inf
+        if math.isfinite(x):
+            return x
     _fail(path, "a finite number", v)
 
 
@@ -905,7 +934,8 @@ _COMPONENT = table({
     "area_um2": (NUMBER, 0.0), "capacity_bits": (INT, 0),
     "width_bits": (INT, 8), "bandwidth": (NUMBER, 1.0)})
 _LEVEL = table({"name": (STR, REQUIRED), "component": (STR, REQUIRED),
-                "fanout": (INT, 1), "keeps": (_STRS, ())})
+                "fanout": (INT, 1), "keeps": (_STRS, ()),
+                "stencil": (map_of(INT), {})})
 _MESH = table({"between": (_STRS, REQUIRED), "may_multicast": (BOOL, False),
                "may_reduce": (BOOL, False)})
 _CONVERTER = table({"name": (STR, None), "component": (STR, REQUIRED),
@@ -978,12 +1008,34 @@ def _resolve_component(name: str, library: dict[str, ComponentSpec], path: str) 
     return library[name]
 
 
+def _read_stencil(ld: dict, i: int, path: str) -> tuple[tuple[str, int], ...]:
+    """Level `ld`'s stencil as (dim, width) pairs in DIMS order: known dims,
+    positive widths, no more lanes than the level's fanout, and none on the
+    outermost level, which has no lanes."""
+
+    widths = ld["stencil"]
+    for d, w in widths.items():
+        if d not in DIMS:
+            raise SpecError("MalformedDocument", f"{path}.{d}",
+                            f"unknown dim {d!r}")
+        if w < 1:
+            raise SpecError("BadBound", f"{path}.{d}", "width must be >= 1")
+    if i == 0 and widths:
+        raise SpecError("BadBound", path, "the outermost level has no lanes")
+    lanes = math.prod(widths.values())
+    if lanes > ld["fanout"]:
+        raise SpecError("BadBound", path, f"stencil needs {lanes} lanes, "
+                        f"fanout is {ld['fanout']}")
+    return tuple((d, widths[d]) for d in DIMS if d in widths)
+
+
 def parse_architecture(doc: dict, library: dict[str, ComponentSpec]) -> Architecture:
     path = "architecture"
     doc = _ARCHITECTURE.read(doc, path)
     levels = tuple(Level(ld["name"], _resolve_component(
         ld["component"], library, f"{path}.levels[{i}]"), ld["fanout"],
-        ld["keeps"]) for i, ld in enumerate(doc["levels"]))
+        ld["keeps"], _read_stencil(ld, i, f"{path}.levels[{i}].stencil"))
+        for i, ld in enumerate(doc["levels"]))
     by_name = {lv.name: i for i, lv in enumerate(levels)}
 
     def edge_of(pair, epath) -> int:
@@ -1157,7 +1209,8 @@ def serialize_architecture(a: Architecture) -> dict:
         "clock_ghz": a.clock_ghz,
         "levels": [
             {"name": lv.name, "component": lv.component.name,
-             "fanout": lv.fanout, "keeps": list(lv.keeps)}
+             "fanout": lv.fanout, "keeps": list(lv.keeps),
+             "stencil": dict(lv.stencil)}
             for lv in a.levels
         ],
         "meshes": [

@@ -6,16 +6,16 @@ import pytest
 
 from photon_model import albireo, cli
 from photon_model.components import builtin_components
-from photon_model.experiments import ExperimentConfig
+from photon_model.experiments import ExperimentConfig, run_experiment
 from photon_model.mapper import SearchConfig, search
-from photon_model.spec_model import SpecError, parse_spec
+from photon_model.spec_model import SpecError, parse_spec, stencil_pins
 from photon_model.workloads import load_architecture, load_spec, load_workload
 
 
 def test_map_accepts_energy_delay_product_objective(capsys):
     rc = cli.main(["map", "--layer", "fc8",
                    "--objective", "energy_delay_product",
-                   "--budget", "20", "--albireo-pins"])
+                   "--budget", "20"])
     assert rc == 0
     assert "best energy_delay_product" in capsys.readouterr().out
 
@@ -35,7 +35,7 @@ def test_map_rejects_batch_size_zero(capsys):
 
 def test_map_counts_add_up_to_the_budget(capsys):
     rc = cli.main(["map", "--layer", "conv1_1", "--objective", "delay",
-                   "--budget", "20", "--albireo-pins"])
+                   "--budget", "20"])
     assert rc == 0
     out = capsys.readouterr().out
     m = re.search(r"visited (\d+), pruned (\d+), invalid (\d+),", out)
@@ -44,16 +44,15 @@ def test_map_counts_add_up_to_the_budget(capsys):
 
 
 def test_map_exhaustive_walks_only_valid_candidates(capsys):
-    rc = cli.main(["map", "--layer", "fc8", "--strategy", "exhaustive",
-                   "--albireo-pins"])
+    rc = cli.main(["map", "--layer", "fc8", "--strategy", "exhaustive"])
     assert rc == 0
     assert "fc8: visited 841, pruned 0, invalid 0," in capsys.readouterr().out
 
 
 def test_map_albireo_pins_pads_dims_the_pins_do_not_divide(capsys):
-    # AlexNet conv1 has C=3 under a C pin of 4.
+    # AlexNet conv1 has C=3 under the bundled stencil's C pin of 4.
     rc = cli.main(["map", "--workload", "alexnet", "--layer", "conv1",
-                   "--albireo-pins", "--budget", "20"])
+                   "--budget", "20"])
     assert rc == 0
     assert "conv1: visited" in capsys.readouterr().out
 
@@ -92,15 +91,15 @@ def test_map_input_errors_exit_2(argv, message, capsys):
 def test_emitted_mapping_evaluates_to_the_searched_digest(tmp_path, capsys):
     path = tmp_path / "fc8.mapping"
     rc = cli.main(["map", "--workload", "alexnet", "--layer", "fc8",
-                   "--albireo-pins", "--budget", "20",
-                   "--emit-mapping", str(path)])
+                   "--budget", "20", "--emit-mapping", str(path)])
     assert rc == 0
     capsys.readouterr()
     layer = next(l for l in load_workload("alexnet").layers
                  if l.name == "fc8")
-    want = search(load_architecture("albireo"), layer, SearchConfig(
+    arch = load_architecture("albireo")
+    want = search(arch, layer, SearchConfig(
         budget=20, seed=7, pad_mode="pad",
-        fixed_spatial=albireo.geometry_pins(layer)))
+        fixed_spatial=stencil_pins(layer, arch)))
     assert cli.main(["evaluate", "--workload", "alexnet", "--layer", "fc8",
                      "--mapping", str(path)]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -112,8 +111,7 @@ def test_emitted_mapping_evaluates_to_the_searched_digest(tmp_path, capsys):
 def tiny_mapping(tiny_workload, tmp_path, capsys):
     path = tmp_path / "a.mapping"
     rc = cli.main(["map", "--workload", tiny_workload, "--layer", "a",
-                   "--albireo-pins", "--budget", "20",
-                   "--emit-mapping", str(path)])
+                   "--budget", "20", "--emit-mapping", str(path)])
     assert rc == 0
     capsys.readouterr()
     return str(path)
@@ -153,10 +151,12 @@ def test_evaluate_rejects_a_misspelled_mapping_field(
 @pytest.fixture
 def small_arch(tmp_path):
     """The bundled document with a 16-lane array, converter and optical
-    banks scaled to match: too small for the Albireo stencil."""
+    banks scaled to match: too small for the Albireo stencil, which it
+    drops, so it is searched unpinned."""
 
     doc = albireo.architecture_doc()
     doc["levels"][-1]["fanout"] = 16
+    del doc["levels"][-1]["stencil"]
     for part in doc["converters"] + doc["extras"]:
         if part["name"] in ("mzm_bank", "ring_banks"):
             part["instances"] = 16
@@ -176,6 +176,62 @@ def test_studies_search_another_architecture_unpinned(
                    "--arch", small_arch, "--workload", tiny_workload,
                    "--budget", "20"])
     assert rc == 0, capsys.readouterr().err
+
+
+@pytest.fixture
+def bundled_copy(tmp_path):
+    """The bundled architecture's document written to a file."""
+
+    path = tmp_path / "copy.spec"
+    path.write_text(json.dumps({"spec_version": 1,
+                                "use_builtin_components": "aggressive",
+                                "architecture": albireo.architecture_doc()}))
+    return str(path)
+
+
+def test_a_copy_of_the_bundled_document_is_searched_as_its_name(
+        bundled_copy, tiny_workload, capsys):
+    reports = [run_experiment(ExperimentConfig(
+        experiment="throughput", arch=arch, workload=tiny_workload,
+        budget=30)) for arch in ("albireo", bundled_copy)]
+    for key in ("tables", "workloads"):
+        assert reports[0][key] == reports[1][key]
+    outs = []
+    for spec in ("albireo", bundled_copy):
+        assert cli.main(["map", "--spec", spec, "--workload", tiny_workload,
+                         "--layer", "a", "--budget", "30"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("pinned", [True, False])
+def test_map_pads_only_under_a_stencil(pinned, small_arch, tiny_workload,
+                                       capsys):
+    spec = "albireo" if pinned else small_arch
+    assert cli.main(["map", "--spec", spec, "--workload", tiny_workload,
+                     "--layer", "a", "--budget", "20",
+                     "--emit-mapping", "-"]) == 0
+    out = capsys.readouterr().out
+    doc = json.loads(out[out.index("{"):])
+    assert doc["mapping"]["pad"] is pinned
+
+
+def test_spec_summary_shows_each_level_stencil(small_arch, capsys):
+    assert cli.main(["spec", "albireo"]) == 0
+    assert ("  stencil ao_array: K8 C4 Q7 R3 of fanout 672\n"
+            in capsys.readouterr().out)
+    assert cli.main(["spec", small_arch]) == 0
+    assert "stencil" not in capsys.readouterr().out
+
+
+def test_a_number_too_large_for_a_float_exits_2(tmp_path, capsys):
+    path = tmp_path / "huge.spec"
+    path.write_text(json.dumps({"spec_version": 1, "components": [
+        {"name": "sram", "class": "storage", "domain": "DE",
+         "static_power_mw": 10 ** 400}]}))
+    assert cli.main(["spec", str(path)]) == 2
+    assert ("MalformedDocument at $.components[0].static_power_mw"
+            in capsys.readouterr().err)
 
 
 def test_experiment_writes_report_and_tables(tiny_workload, tmp_path,

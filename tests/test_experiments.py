@@ -31,6 +31,7 @@ from photon_model.spec_model import (
     canonical_json,
     serialize_component,
     serialize_spec,
+    stencil_pins,
 )
 from photon_model.workloads import load_spec
 
@@ -44,7 +45,7 @@ def small_layer():
 def searched_mapping(arch, layer, budget=200, seed=3):
     cfg = SearchConfig(objective="energy", budget=budget, seed=seed,
                        strategy="pruned_random", pad_mode="pad",
-                       fixed_spatial=albireo.geometry_pins(layer))
+                       fixed_spatial=stencil_pins(layer, arch))
     return search(arch, layer, cfg).mapping
 
 
@@ -125,7 +126,7 @@ def test_fusion_override_changes_only_intermediate_traffic():
     layer = small_layer()
     cfg = SearchConfig(objective="energy", budget=200, seed=5,
                        strategy="pruned_random", pad_mode="pad",
-                       fixed_spatial=albireo.geometry_pins(layer),
+                       fixed_spatial=stencil_pins(layer, arch),
                        keep_overrides={0: ("Weights", "Inputs")})
     fused = search(arch, layer, cfg).mapping
     unfused = Mapping(levels=fused.levels, batch_size=fused.batch_size,
@@ -180,6 +181,29 @@ def test_auto_fusion_buffer_resizes_the_configured_architecture():
     assert got == replace(custom, levels=tuple(
         replace(lv, component=buf) if i == level else lv
         for i, lv in enumerate(custom.levels)))
+
+
+def test_auto_fusion_buffer_keeps_the_stencil():
+    # The resized architecture is rebuilt from its document, and the fused
+    # pairs searched on it are pinned from its stencil.
+    base = albireo.architecture("aggressive")
+    cfg = ExperimentConfig(experiment="memory", fusion_buffer="auto")
+    got = _resized_buffer_arch(cfg, 1 << 26, base)
+    assert got.levels[-1].stencil == base.levels[-1].stencil
+    layer = small_layer()
+    assert stencil_pins(layer, got) == stencil_pins(layer, base) != {}
+
+
+def test_the_stencil_constrains_only_the_search():
+    # A mapping off the stencil is valid, and priced as on the bare array.
+    arch = albireo.architecture("aggressive")
+    bare = replace(arch, levels=arch.levels[:-1] + (
+        replace(arch.levels[-1], stencil=()),))
+    layer = small_layer()
+    mapping = searched_mapping(bare, layer)
+    assert any(mapping.levels[j].s(d) != f
+               for (j, d), f in stencil_pins(layer, arch).items())
+    assert evaluate(arch, layer, mapping) == evaluate(bare, layer, mapping)
 
 
 def test_throughput_end_to_end(tiny_workload):

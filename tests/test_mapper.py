@@ -37,6 +37,7 @@ from photon_model.spec_model import (
     Mesh,
     kept_bits,
     mapping_digest,
+    stencil_pins,
     validate_architecture,
     validate_mapping,
 )
@@ -352,7 +353,7 @@ def test_no_drawn_candidate_is_invalid_on_shipped_geometry(workload,
         for keep, objective in itertools.product(FUSED_OVERRIDES, OBJECTIVES):
             cfg = SearchConfig(objective=objective, budget=12, seed=7,
                                pad_mode="pad", keep_overrides=keep,
-                               fixed_spatial=albireo.geometry_pins(layer))
+                               fixed_spatial=stencil_pins(layer, arch))
             visited += mapper._search(arch, layer, cfg).visited
     assert rejected == []
     assert visited > 0
@@ -578,7 +579,8 @@ def _strict_cases():
                 (False, True), FUSED_OVERRIDES, (None, 2)):
             yield aggressive, layer, {
                 "keep_overrides": keep, "reduction_floor": floor,
-                "fixed_spatial": albireo.geometry_pins(layer) if pins else {}}
+                "fixed_spatial": (stencil_pins(layer, aggressive) if pins
+                                  else {})}
 
 
 def test_strict_menus_match_the_filtered_factorizations():
@@ -663,7 +665,7 @@ def test_pruned_random_draws_are_frozen(case):
     arch = albireo.architecture("aggressive")
     layer = next(l for l in load_workload(workload).layers if l.name == name)
     cfg = SearchConfig(**{"budget": 200, "seed": 7, "pad_mode": "pad",
-                          "fixed_spatial": albireo.geometry_pins(layer),
+                          "fixed_spatial": stencil_pins(layer, arch),
                           **fields})
     res = search(arch, layer, cfg)
     assert (res.evaluation.mapping_digest, res.objective, res.visited,
@@ -734,7 +736,7 @@ def test_unit_factors_are_inert_on_searched_mappings(workload):
     arch = albireo.architecture("aggressive")
     for layer in load_workload(workload).layers:
         cfg = SearchConfig(budget=30, seed=7, pad_mode="pad",
-                           fixed_spatial=albireo.geometry_pins(layer))
+                           fixed_spatial=stencil_pins(layer, arch))
         best = search(arch, layer, cfg).mapping
         assert _assert_unit_factors_inert(arch, layer, best) is None
 
@@ -800,7 +802,7 @@ def test_capacity_limits_match_kept_bits(workload):
         for batch, keep in itertools.product((1, 16), FUSED_OVERRIDES):
             cfg = SearchConfig(pad_mode="pad", batch_size=batch,
                                keep_overrides=keep,
-                               fixed_spatial=albireo.geometry_pins(layer))
+                               fixed_spatial=stencil_pins(layer, arch))
             cap = mapper._CapacityCheck(arch, layer, cfg)
             menus = [mapper._dim_chains(arch, layer, d, cfg, cap)
                      for d in DIMS]
@@ -854,7 +856,7 @@ def _filter_cases():
 
     def pinned(layer, **fields):
         return _filter_case(aggressive, layer, pad_mode="pad",
-                            fixed_spatial=albireo.geometry_pins(layer),
+                            fixed_spatial=stencil_pins(layer, aggressive),
                             **fields)
 
     return {

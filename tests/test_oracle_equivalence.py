@@ -25,6 +25,7 @@ from photon_model.spec_model import (
     OUTPUTS,
     Layer,
     MappingError,
+    stencil_pins,
     validate_mapping,
 )
 
@@ -174,7 +175,7 @@ def test_engines_agree_on_searched_albireo_mappings(setting, dims):
                   kind="fully_connected" if window else "conv", dims=dims)
     arch = albireo.architecture("aggressive")
     cfg = SearchConfig(budget=60, seed=7, pad_mode="pad",
-                       fixed_spatial=albireo.geometry_pins(layer),
+                       fixed_spatial=stencil_pins(layer, arch),
                        **SHIPPED_SETTINGS[setting])
     mapping = search(arch, layer, cfg).mapping
     assert analyze(arch, layer, mapping) == simulate(arch, layer, mapping)

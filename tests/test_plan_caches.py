@@ -19,6 +19,7 @@ from photon_model.spec_model import (
     Layer,
     parse_architecture,
     serialize_architecture,
+    stencil_pins,
 )
 
 # Small enough for the interpreter, large enough to use every sharing axis
@@ -30,7 +31,7 @@ LAYER = Layer(name="small", kind="conv",
 def _searched():
     arch = albireo.architecture("aggressive")
     cfg = SearchConfig(budget=60, seed=7, pad_mode="pad",
-                       fixed_spatial=albireo.geometry_pins(LAYER))
+                       fixed_spatial=stencil_pins(LAYER, arch))
     return arch, search(arch, LAYER, cfg).mapping
 
 

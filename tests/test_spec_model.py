@@ -17,6 +17,7 @@ from photon_model.experiments import (
 )
 from photon_model.mapper import SearchConfig, search
 from photon_model.spec_model import (
+    DIMS,
     DOWN,
     INPUTS,
     OUTPUTS,
@@ -43,6 +44,7 @@ from photon_model.spec_model import (
     serialize_architecture,
     serialize_mapping,
     serialize_spec,
+    stencil_pins,
     validate_architecture,
     validate_mapping,
 )
@@ -280,6 +282,10 @@ ILL_TYPED_SCALARS = {
                   "workload.layers[0].dims.K"),
     "static_power_mw-nan": (_set(_component, "static_power_mw", math.nan),
                             "$.components[0].static_power_mw"),
+    # Too large for a float: raised OverflowError.
+    "static_power_mw-overflow": (_set(_component, "static_power_mw",
+                                      10 ** 400),
+                                 "$.components[0].static_power_mw"),
 }
 
 
@@ -474,6 +480,15 @@ def _repeat_the_layer(doc):
     layers.append(dict(layers[0]))
 
 
+def _stencil(level, widths, fanout=4):
+    """Give level `level` a stencil of `widths` and a fanout of `fanout`."""
+
+    def edit(doc):
+        doc["architecture"]["levels"][level].update(fanout=fanout,
+                                                    stencil=widths)
+    return edit
+
+
 def _name_both_levels_store(doc):
     # Without meshes or converters, which would name the level first.
     doc.update(minimal_doc())
@@ -528,6 +543,15 @@ DOCUMENT_ERRORS = {
                            "workload"),
     "unknown-dim": (_set(_layer, "dims", {"K": 2, "X": 2}),
                     "MalformedDocument", "workload.layers[0]"),
+    "stencil-unknown-dim": (_stencil(1, {"K": 2, "X": 2}),
+                            "MalformedDocument",
+                            "architecture.levels[1].stencil.X"),
+    "stencil-width-zero": (_stencil(1, {"K": 0}), "BadBound",
+                           "architecture.levels[1].stencil.K"),
+    "stencil-above-fanout": (_stencil(1, {"K": 4, "C": 2}), "BadBound",
+                             "architecture.levels[1].stencil"),
+    "stencil-on-outermost": (_stencil(0, {"K": 1}, fanout=1), "BadBound",
+                             "architecture.levels[0].stencil"),
 }
 
 
@@ -919,8 +943,22 @@ def test_spec_roundtrip_is_identity_on_canonical_form():
                                   (8, 1, 1)])
 def test_albireo_architecture_roundtrip(axes):
     arch = albireo.architecture("aggressive", *axes)
+    assert arch.levels[-1].stencil
     assert parse_architecture(serialize_architecture(arch),
                               arch.components()) == arch
+
+
+def test_stencil_pins_the_dims_the_layer_has():
+    doc = full_doc()
+    doc["architecture"]["levels"][1].update(fanout=8,
+                                            stencil={"C": 2, "K": 4})
+    arch = parse_spec(doc).architecture
+    assert arch.levels[1].stencil == (("K", 4), ("C", 2))
+    fc = Layer(name="fc", kind="fully_connected",
+               dims=dict(dict.fromkeys(DIMS, 1), K=6))
+    assert stencil_pins(fc, arch) == {**{(1, d): 1 for d in DIMS},
+                                      (1, "K"): 4}
+    assert stencil_pins(fc, toys.fc_weight_buffer()) == {}
 
 
 def test_architecture_roundtrip_toy():
@@ -963,7 +1001,7 @@ def test_searched_mapping_keeps_its_digest_through_a_document():
     res = search(arch, layer, SearchConfig(
         budget=30, seed=3, pad_mode="pad", batch_size=16,
         keep_overrides={0: ("Weights", "Inputs")},
-        fixed_spatial=albireo.geometry_pins(layer)))
+        fixed_spatial=stencil_pins(layer, arch)))
     doc = json.loads(canonical_json(serialize_mapping(res.mapping, arch)))
     assert res.mapping.keep_overrides and res.mapping.batch_size == 16
     assert mapping_digest(parse_mapping(doc, arch)) == mapping_digest(
