@@ -211,8 +211,14 @@ def evaluate(
     arch: Architecture,
     layer: Layer,
     mapping: Mapping,
+    counts: AccessCounts | None = None,
 ) -> EvaluationResult:
-    counts = analyze(arch, layer, mapping)
+    """Price the mapping. Without `counts` it is validated and counted
+    first (reuse.analyze); a caller that has proved it valid passes its
+    counts (reuse.count_valid)."""
+
+    if counts is None:
+        counts = analyze(arch, layer, mapping)
     cycles, compute_cycles, latency_s, util = latency_and_utilization(
         counts, arch, mapping)
     per_comp = energy(counts, arch, latency_s)

@@ -4,9 +4,9 @@ orders, with two strategies:
 * exhaustive walks the filtered space, every legal order of every chain
   assignment the filter allows, and raises SearchError past max_space.
   The tests' unfiltered enumeration (brute_force_best) is ground truth.
-  The filter leaves the backing store's capacity to validation, so a
-  candidate that overflows the store is the one kind exhaustive still
-  meets and counts invalid.
+  The filter leaves the backing store's capacity to a check on the built
+  candidate, so a candidate that overflows the store is the one kind
+  exhaustive still meets and counts invalid.
 * pruned_random (the default) draws `budget` candidates: one random pick
   per dim from the filter, one random legal order per level. Under the
   delay objective, a candidate whose step count cannot beat the best so
@@ -23,15 +23,17 @@ value answers "every chain within this limit" with one bisect. The limits
 come from the dims already assigned: each level's fanout over their spatial
 product `sprod`, and the largest extent whose capacity demand still fits
 beside their tiles (_CapacityCheck.limits, the demand summed as kept_bits
-sums it). The fanout mask is kept per `sprod` and the capacity mask per
-limits tuple, as they read nothing else. Per refetch-forbidden keeper and
-running mask pair, the chains the loop-nest condition allows form one more
-bitset. Each step ANDs them and picks from the result's index list, kept
-per bitset in menu order, so the picks are those of a filter that rechecks
-every chain. The loop orders come from one lookup per assignment: a table
-keyed by the levels where each picked chain iterates (_OrderTable) holds
-every level's legal orders. A candidate is built with only its factors
-other than 1, which every reader of a mapping takes as 1 when missing.
+sums it). A dim whose every chain sits at its minimum extent row needs no
+limits (see _CapacityCheck). The fanout mask is kept per `sprod` and the
+capacity mask per limits tuple, as they read nothing else. Per
+refetch-forbidden keeper and running mask pair, the chains the loop-nest
+condition allows form one more bitset. Each step ANDs them and picks from
+the result's index list, kept per bitset in menu order, so the picks are
+those of a filter that rechecks every chain. The loop orders come from one
+lookup per assignment: a table keyed by the levels where each picked chain
+iterates (_OrderTable) holds every level's legal orders. A candidate is
+built with only its factors other than 1, which every reader of a mapping
+takes as 1 when missing.
 
 The candidate space factors per dimension: each dim contributes a chain
 [t0, s1, t1, ..., s(M-1), t(M-1)] of per-level factors, and one enumeration
@@ -70,11 +72,18 @@ is the candidate's step count: the product of every drawn chain's temporal
 factors, which is the `LoopNest.steps` of the mapping the chains build.
 Cycles never fall below it, and it needs no access counts. `pruned` is
 decided before validation: a candidate at or above the best so far counts
-as pruned even if its mapping would be invalid. A candidate that survives
-is built and validated once, inside `evaluate`, where a MappingError counts
-it invalid. The energy and EDP objectives evaluate every feasible candidate
-in full: a sound floor for them costs about as much as the evaluation it
-would save.
+as pruned even if its mapping would be invalid. The energy and EDP
+objectives evaluate every feasible candidate in full: a sound floor for
+them costs about as much as the evaluation it would save.
+
+A candidate that survives is built and checked once. The filter proves
+every condition validate_mapping checks but one: the backing store
+(level 0), which holds whole tensors at their padded extent. So the built
+mapping is checked against that one capacity with the rule validation
+applies (spec_model.check_capacity), where a MappingError counts it
+invalid, and is then counted without re-validation (reuse.count_valid)
+and priced. Keep overrides that leave a tensor without a keeper leave no
+candidate valid; the search raises NoValidMapping before it walks.
 """
 
 from __future__ import annotations
@@ -89,7 +98,7 @@ from operator import mul
 
 # analyze and energy go unused here; perfbench/tracer.py rebinds both.
 from .evaluator import EvaluationResult, energy, evaluate
-from .reuse import analyze
+from .reuse import analyze, count_valid
 from .spec_model import (
     DIMS,
     REDUCED_DIMS,
@@ -100,6 +109,8 @@ from .spec_model import (
     LevelMapping,
     Mapping,
     MappingError,
+    check_capacity,
+    check_every_tensor_kept,
     check_keep_overrides,
     effective_keeps,
     tile_values,
@@ -198,11 +209,19 @@ def enumerate_factorizations(bound: int, slots: int) -> list[tuple[int, ...]]:
 
 
 class _CapacityCheck:
-    """Necessary capacity condition over extent rows. A dim's row is its
-    tile extent at each capacity-checked level; a dim not yet assigned sits
-    at its minimum row (`mins`, from its spatial pins). A partial
-    assignment that already overflows a storage level can never extend to a
-    valid mapping, so filtering on it preserves completeness."""
+    """Necessary capacity condition over extent rows, at every storage
+    level but the backing store, which the search checks on the built
+    candidate. A dim's row is its tile extent at each capacity-checked
+    level; a dim not yet assigned sits at its minimum row (`mins`, from its
+    spatial pins). A partial assignment that already overflows a storage
+    level can never extend to a valid mapping, so filtering on it
+    preserves completeness.
+
+    A dim whose every menu chain sits at its minimum row fits beside any
+    rows the walk reaches, so the walk never asks limits for it
+    (_MenuFilter.at_min): the pick before it was checked with the dim at
+    its minimum, and the first dim's menu was filtered at the minimum
+    rows."""
 
     def __init__(self, arch: Architecture, layer: Layer, cfg: SearchConfig):
         m = len(arch.levels)
@@ -378,6 +397,8 @@ class _MenuFilter:
         # Per chain, the product of its temporal factors: its share of the
         # step count.
         self.steps = [math.prod(chain[0::2]) for chain in chains]
+        # Capacity cannot bind this dim (see _CapacityCheck).
+        self.at_min = all(r[1] == cap.mins[DIMS.index(d)] for r in self.table)
         self.everything = (1 << len(chains)) - 1
         self.fan_axes = [_prefix_bitsets([r[0][j] for r in self.table])
                          for j in range(len(self.fanouts))]
@@ -401,8 +422,9 @@ class _MenuFilter:
                  nest: tuple[tuple[int, int], ...]) -> list[int]:
         """Menu indices, in menu order, of the chains that the fanout
         budgets left by the spatial products `sprod` (levels 1..M-1) and
-        the capacity `limits` allow, and whose masks keep each forbidden
-        keeper's loop nest legal once OR-ed into `nest`."""
+        the capacity `limits` allow (no limit when `limits` is empty), and
+        whose masks keep each forbidden keeper's loop nest legal once
+        OR-ed into `nest`."""
 
         mask = self.fan_masks.get(sprod)
         if mask is None:
@@ -569,6 +591,11 @@ def _search(arch: Architecture, layer: Layer, cfg: SearchConfig) -> SearchResult
         check_keep_overrides(arch, cfg.keep_overrides)
     except MappingError as err:
         raise ValueError(f"keep_overrides: {err}") from None
+    keepers, forbidden = arch.keepers(cfg.keep_overrides)
+    try:
+        check_every_tensor_kept(keepers)
+    except MappingError as err:
+        raise NoValidMapping(layer.name, str(err)) from None
     cap = _CapacityCheck(arch, layer, cfg)
     chain_menu = {d: _dim_chains(arch, layer, d, cfg, cap) for d in DIMS}
     for d, menu in chain_menu.items():
@@ -576,7 +603,6 @@ def _search(arch: Architecture, layer: Layer, cfg: SearchConfig) -> SearchResult
             raise NoValidMapping(
                 layer.name, f"no factor chain satisfies the pins for dim {d}")
     m = len(arch.levels)
-    forbidden = arch.keepers(cfg.keep_overrides)[1]
     filters = [_MenuFilter(arch, chain_menu[d], d, cap, forbidden)
                for d in DIMS]
     orders = _OrderTable(m, forbidden)
@@ -599,7 +625,8 @@ def _search(arch: Architecture, layer: Layer, cfg: SearchConfig) -> SearchResult
                 yield chains, steps, signature
                 continue
             menu = filters[di]
-            feasible = menu.feasible(sprod, cap.limits(rows, di), nest)
+            feasible = menu.feasible(
+                sprod, () if menu.at_min else cap.limits(rows, di), nest)
             for pick in reversed(choose(feasible) if feasible else ()):
                 spatial, extent, adds = menu.table[pick]
                 stack.append((
@@ -616,12 +643,13 @@ def _search(arch: Architecture, layer: Layer, cfg: SearchConfig) -> SearchResult
         nonlocal visited, invalid
         mapping = _build_mapping(arch, chains, perms, cfg)
         try:
-            res = evaluate(arch, layer, mapping)
+            check_capacity(mapping, layer, arch, 0)
         except MappingError:
             invalid += 1
             return
         visited += 1
-        best.offer(mapping, res)
+        best.offer(mapping, evaluate(arch, layer, mapping,
+                                     count_valid(arch, layer, mapping)))
 
     if cfg.strategy == "exhaustive":
         space = 0

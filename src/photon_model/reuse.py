@@ -23,7 +23,11 @@ Counting conventions (shared verbatim by the interpreter in oracle):
   overlapping convolution halos are re-sent (documented overcount).
 
 Counting assumes a mapping validate_mapping accepted and rejects none: in
-particular, partials are refetched only down edges that convert them.
+particular, partials are refetched only down edges that convert them. So
+there are two entries: analyze validates first, for any caller, and
+count_valid does not, for a caller that has already proved the mapping
+valid (the mapper's search, whose filter leaves only the backing store's
+capacity to check).
 
 What counting reads that depends only on the architecture and the keep
 overrides is planned once per (architecture, override set) as a CountPlan,
@@ -306,9 +310,18 @@ def _div(n: int, d: int) -> int:
 
 
 def analyze(arch: Architecture, layer: Layer, mapping: Mapping) -> AccessCounts:
-    """Count every access implied by the mapping, in closed form."""
+    """Count every access implied by the mapping, in closed form, once
+    validate_mapping has accepted it."""
 
     validate_mapping(mapping, layer, arch)
+    return count_valid(arch, layer, mapping)
+
+
+def count_valid(arch: Architecture, layer: Layer,
+                mapping: Mapping) -> AccessCounts:
+    """analyze for a mapping known to be valid: counts without validating.
+    Given a mapping validate_mapping rejects, the counts are meaningless."""
+
     plan = count_plan(arch, mapping)
 
     compute = plan.compute

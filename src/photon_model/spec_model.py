@@ -487,6 +487,17 @@ def check_keep_overrides(arch: Architecture,
                                level=arch.levels[i].name)
 
 
+def check_every_tensor_kept(
+        chains: MappingProxyType[str, tuple[int, ...]]) -> None:
+    """Raise MappingError unless some storage level keeps each tensor:
+    `chains` holds each tensor's keeper levels (Architecture.keepers)."""
+
+    for t in TENSORS:
+        if not chains[t]:
+            raise MappingError("FactorMismatch",
+                               f"no level keeps tensor {t}", tensor=t)
+
+
 def effective_keeps(arch: Architecture, keep_overrides: dict[int, tuple[str, ...]],
                     level: int) -> tuple[str, ...]:
     """Tensors a level holds once a mapping's (or a search's) keep
@@ -684,6 +695,30 @@ def validate_layer(layer: Layer, path: str = "workload") -> None:
             raise SpecError("BadBound", path, f"bits for {t} must be positive")
 
 
+def check_capacity(mapping: Mapping, layer: Layer, arch: Architecture,
+                   level: int) -> None:
+    """Raise MappingError("CapacityExceeded") unless the tensors a storage
+    level keeps fit in it: each at the level's tile, except that the
+    backing store (level 0) holds whole tensors, its own loops included,
+    so it is charged at the padded extent."""
+
+    keeps = effective_keeps(arch, mapping.keep_overrides, level)
+    if not keeps:
+        return
+    nest = mapping.nest
+    sizes = kept_bits(layer, nest.padded if level == 0 else nest.tiles[level],
+                      keeps)
+    total = sum(sizes.values())
+    lv = arch.levels[level]
+    if total > lv.component.capacity_bits:
+        worst = max(sizes, key=lambda t: (sizes[t], t))
+        raise MappingError(
+            "CapacityExceeded",
+            f"level {lv.name!r} needs {total} bits for {sorted(keeps)}, "
+            f"capacity is {lv.component.capacity_bits}",
+            level=lv.name, tensor=worst)
+
+
 def validate_mapping(mapping: Mapping, layer: Layer, arch: Architecture) -> None:
     """Raise MappingError unless the mapping is valid for (layer, arch).
 
@@ -749,12 +784,9 @@ def validate_mapping(mapping: Mapping, layer: Layer, arch: Architecture) -> None
     # it. The origin's own temporal loops stay legal; they walk the tensor
     # in place.
     chains, forbidden = arch.keepers(mapping.keep_overrides)
+    check_every_tensor_kept(chains)
     for t in TENSORS:
-        chain = chains[t]
-        if not chain:
-            raise MappingError("FactorMismatch",
-                               f"no level keeps tensor {t}", tensor=t)
-        origin = chain[0]
+        origin = chains[t][0]
         if origin > 0:
             lm, tile = mapping.levels[origin], nest.tiles[origin]
             for d in TENSOR_DIMS[t]:
@@ -766,21 +798,8 @@ def validate_mapping(mapping: Mapping, layer: Layer, arch: Architecture) -> None
                         dim=d, tensor=t,
                         level=arch.levels[origin].name)
 
-    # The backing store holds whole tensors, its own loops included.
     for i in range(len(arch.levels) - 1):
-        lv = arch.levels[i]
-        keeps = effective_keeps(arch, mapping.keep_overrides, i)
-        if not keeps:
-            continue
-        sizes = kept_bits(layer, padded if i == 0 else nest.tiles[i], keeps)
-        total = sum(sizes.values())
-        if total > lv.component.capacity_bits:
-            worst = max(sizes, key=lambda t: (sizes[t], t))
-            raise MappingError(
-                "CapacityExceeded",
-                f"level {lv.name!r} needs {total} bits for {sorted(keeps)}, "
-                f"capacity is {lv.component.capacity_bits}",
-                level=lv.name, tensor=worst)
+        check_capacity(mapping, layer, arch, i)
 
     # A keeper's tile returns after eviction exactly when, among the loops
     # at or above it, a loop over another dim runs outside a loop over one

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from photon_model import albireo, cli
+from photon_model import albireo, cli, experiments
 from photon_model.components import builtin_components
 from photon_model.experiments import ExperimentConfig, run_experiment
 from photon_model.mapper import SearchConfig, search
@@ -47,6 +47,39 @@ def test_map_exhaustive_walks_only_valid_candidates(capsys):
     rc = cli.main(["map", "--layer", "fc8", "--strategy", "exhaustive"])
     assert rc == 0
     assert "fc8: visited 841, pruned 0, invalid 0," in capsys.readouterr().out
+
+
+def _searched_seeds(monkeypatch, module):
+    """The seed of every search `module` starts, once monkeypatched."""
+
+    seeds = []
+
+    def recorded(arch, layer, cfg):
+        seeds.append(cfg.seed)
+        return search(arch, layer, cfg)
+
+    monkeypatch.setattr(module, "search", recorded)
+    return seeds
+
+
+def test_map_seed_reaches_the_search(monkeypatch, capsys):
+    seeds = _searched_seeds(monkeypatch, cli)
+    assert cli.main(["map", "--layer", "fc8", "--budget", "5",
+                     "--seed", "11"]) == 0
+    assert seeds == [11]
+    assert "fc8: visited" in capsys.readouterr().out
+
+
+def test_experiment_seed_reaches_the_config_and_every_search(
+        tiny_workload, tmp_path, monkeypatch, capsys):
+    seeds = _searched_seeds(monkeypatch, experiments)
+    out = tmp_path / "out"
+    assert cli.main(["experiment", "--experiment", "throughput",
+                     "--workload", tiny_workload, "--budget", "5",
+                     "--seed", "11", "--output-dir", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["config"]["seed"] == 11
+    assert seeds and set(seeds) == {11}
 
 
 def test_map_albireo_pins_pads_dims_the_pins_do_not_divide(capsys):

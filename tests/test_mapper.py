@@ -330,33 +330,133 @@ def test_step_floor_is_the_nest_step_count():
         assert floor == mapping.nest.steps <= ev.cycles
 
 
-@pytest.mark.parametrize("workload", ["vgg16", "alexnet"])
-def test_no_drawn_candidate_is_invalid_on_shipped_geometry(workload,
-                                                            monkeypatch):
-    # The delay floor prunes before validation, which moves no counter only
-    # because no pruned_random draw that survives the filter is rejected by
-    # evaluate. The draws do not depend on the objective, and the energy
-    # and EDP objectives evaluate every one of them.
-    arch = albireo.architecture("aggressive")
-    rejected = []
+def _validate_counted(monkeypatch):
+    """Make every search validate each candidate it counts, that is each
+    one that passed its backing-store check. Returns the list of
+    (layer name, error kind) rejections and a one-item list holding the
+    number of candidates counted."""
 
-    def checked(a, layer, mapping):
+    rejected, counted = [], [0]
+    count_valid = mapper.count_valid
+
+    def checked(arch, layer, mapping):
+        counted[0] += 1
         try:
-            return evaluate(a, layer, mapping)
+            validate_mapping(mapping, layer, arch)
         except MappingError as err:
             rejected.append((layer.name, err.kind))
+        return count_valid(arch, layer, mapping)
+
+    monkeypatch.setattr(mapper, "count_valid", checked)
+    return rejected, counted
+
+
+def _walk_or_draw(arch, layer, fields, budget):
+    """Search over the energy objective, which prunes nothing: exhaustively
+    where the chain assignments before the filter fit in max_space and the
+    walk stays within it, else by budget draws. A space without a valid
+    mapping is searched all the same."""
+
+    cfg = SearchConfig(max_space=2000, **fields)
+    cap = mapper._CapacityCheck(arch, layer, cfg)
+    assignments = math.prod(len(mapper._dim_chains(arch, layer, d, cfg, cap))
+                            for d in DIMS)
+    strategies = ("exhaustive",) * (assignments <= cfg.max_space)
+    for strategy in strategies + ("pruned_random",):
+        try:
+            return mapper._search(arch, layer, replace(
+                cfg, strategy=strategy, budget=budget, seed=7))
+        except SearchError:
+            continue
+        except NoValidMapping:
+            return None
+
+
+@pytest.mark.parametrize("pad_mode", ["strict", "pad"])
+def test_every_counted_candidate_validates_on_strict_cases(pad_mode,
+                                                           monkeypatch):
+    # The search counts a candidate without validating it once the
+    # backing store is checked: the filter proves the rest. A walk over
+    # a space past max_space validates its first max_space candidates.
+    rejected, counted = _validate_counted(monkeypatch)
+    for arch, layer, fields in _strict_cases():
+        _walk_or_draw(arch, layer, {**fields, "pad_mode": pad_mode}, 60)
+    assert rejected == []
+    assert counted[0] > 0
+
+
+def test_every_counted_candidate_validates_on_random_architectures(
+        monkeypatch):
+    # randgen sizes every store for any tile; here each storage level
+    # gets a capacity drawn around the layer's demand, so the filter's
+    # capacity condition binds and the backing store overflows.
+    rejected, counted = _validate_counted(monkeypatch)
+    rng = random.Random(18)
+    results = []
+    for _ in range(40):
+        arch, layer, _ = random_instance(rng, max_dim=4)
+        total = sum(kept_bits(layer, layer.dims, TENSORS).values())
+        levels = tuple(
+            replace(lv, component=replace(
+                lv.component,
+                capacity_bits=rng.choice((total // 8, total // 2,
+                                          total, 2 * total))))
+            if lv.keeps else lv for lv in arch.levels)
+        fields = {"pad_mode": rng.choice(("strict", "pad"))}
+        res = _walk_or_draw(replace(arch, levels=levels), layer, fields, 60)
+        if res is not None:
+            results.append(res)
+    assert rejected == []
+    assert counted[0] > 0 and 0 < len(results) < 40
+    assert sum(res.invalid for res in results) > 0
+
+
+@pytest.mark.parametrize("workload", ["vgg16", "alexnet"])
+def test_every_counted_candidate_validates_on_shipped_geometry(workload,
+                                                              monkeypatch):
+    # The studies' pins and keep overrides, by budget draws: no layer's
+    # space fits max_space. No built draw overflows the backing store
+    # either (a draw may still dead-end in the filter). The energy
+    # objective builds every draw; the draws do not depend on the
+    # objective, and the delay objective builds a subset of them.
+    arch = albireo.architecture("aggressive")
+    rejected, counted = _validate_counted(monkeypatch)
+    overflows = []
+    check_capacity = mapper.check_capacity
+
+    def recorded(mapping, l, a, level):
+        try:
+            check_capacity(mapping, l, a, level)
+        except MappingError:
+            overflows.append(l.name)
             raise
 
-    monkeypatch.setattr(mapper, "evaluate", checked)
-    visited = 0
-    for layer in load_workload(workload).layers:
-        for keep, objective in itertools.product(FUSED_OVERRIDES, OBJECTIVES):
-            cfg = SearchConfig(objective=objective, budget=12, seed=7,
-                               pad_mode="pad", keep_overrides=keep,
-                               fixed_spatial=stencil_pins(layer, arch))
-            visited += mapper._search(arch, layer, cfg).visited
-    assert rejected == []
-    assert visited > 0
+    monkeypatch.setattr(mapper, "check_capacity", recorded)
+    for layer, keep in itertools.product(load_workload(workload).layers,
+                                         FUSED_OVERRIDES):
+        cfg = SearchConfig(budget=40, seed=7, pad_mode="pad",
+                           keep_overrides=keep,
+                           fixed_spatial=stencil_pins(layer, arch))
+        mapper._search(arch, layer, cfg)
+    assert rejected == overflows == []
+    assert counted[0] > 0
+
+
+@pytest.mark.parametrize("strategy", ["exhaustive", "pruned_random"])
+@pytest.mark.parametrize("tensor", TENSORS)
+def test_a_tensor_kept_nowhere_leaves_no_mapping_to_count(tensor, strategy,
+                                                          monkeypatch):
+    # Overrides that drop a tensor from every level pass
+    # check_keep_overrides, but validate_mapping rejects every candidate:
+    # the search raises NoValidMapping and counts none of them.
+    arch = toys.fanout_converter_arch(4)
+    overrides = {i: tuple(t for t in lv.keeps if t != tensor)
+                 for i, lv in enumerate(arch.levels) if tensor in lv.keeps}
+    cfg = SearchConfig(strategy=strategy, budget=20, keep_overrides=overrides)
+    rejected, counted = _validate_counted(monkeypatch)
+    with pytest.raises(NoValidMapping, match=f"no level keeps tensor {tensor}"):
+        search(arch, toy_layer({"K": 3, "C": 3}), cfg)
+    assert counted == [0]
 
 
 @pytest.mark.parametrize("objective", OBJECTIVES)
@@ -595,6 +695,41 @@ def test_strict_menus_match_the_filtered_factorizations():
             assert menu == _strict_reference(arch, layer, d, cfg, cap)
             sizes.append(len(menu))
     assert 0 in sizes and max(sizes) > 1000
+
+
+def test_skipping_limits_at_the_minimum_rows_changes_no_feasible_list(
+        monkeypatch):
+    # The walk skips limits for a dim whose chains all sit at its minimum
+    # row. Each case is searched as the search runs and again with limits
+    # asked at every step; the filter must give the same lists.
+    lists, skipped = [], []
+    feasible = mapper._MenuFilter.feasible
+
+    def recorded(self, sprod, limits, nest):
+        out = feasible(self, sprod, limits, nest)
+        lists.append(out)
+        skipped.append(self.at_min)
+        return out
+
+    monkeypatch.setattr(mapper._MenuFilter, "feasible", recorded)
+    runs = []
+    for _ in range(2):
+        lists.clear()
+        for arch, layer, fields in _strict_cases():
+            _walk_or_draw(arch, layer, fields, 30)
+        runs.append(list(lists))
+        if not runs[1:]:
+            assert any(skipped) and not all(skipped)
+            init = mapper._MenuFilter.__init__
+
+            def never_at_min(self, *args):
+                init(self, *args)
+                self.at_min = False
+
+            monkeypatch.setattr(mapper._MenuFilter, "__init__", never_at_min)
+            skipped.clear()
+    assert not any(skipped)
+    assert runs[0] == runs[1]
 
 
 def test_reduction_floor_past_the_levels_leaves_only_spatial_chains():

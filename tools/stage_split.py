@@ -7,13 +7,17 @@ Runs one `run_experiment` pass of the study per seed, with the search memo
 cleared before each pass so that every search runs. Each stage's function is
 rebound to a wrapper that times every call with `perf_counter`; every name
 is restored when the passes end, also when one fails. Prints one JSON object:
-per stage its inclusive seconds and calls, and `search_self_s`, the time
-inside `mapper._search` spent outside every other stage (drawing, building
-loop orders and keeping the best). Stages nest (`limits` runs inside
-`map_space_build` as well as in the draws, `validate_mapping` inside
-`counting` inside `evaluate`), so inclusive seconds do not add up. Each
-wrapped call costs about a microsecond more, which dilutes every ratio
-taken from these numbers.
+per stage its inclusive seconds and calls; `search_self_s`, the time inside
+`mapper._search` spent outside every other stage (drawing, building loop
+orders and keeping the best); and `limits_skipped`, the filter steps that
+skipped `limits` because every chain of the dim sits at its minimum row
+(each step calls `feasible`, and `limits` unless skipped; each
+`map_space_build` call calls `limits` once).
+Stages nest (`limits` runs inside `map_space_build` as well as in the
+draws, `latency` and `pricing` inside `evaluate`), so inclusive seconds do
+not add up. `backing_store_check` builds the mapping's loop nest, which
+`counting` then reads. Each wrapped call costs about a microsecond more,
+which dilutes every ratio taken from these numbers.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from photon_model import evaluator, experiments, mapper, reuse  # noqa: E402
+from photon_model import evaluator, experiments, mapper  # noqa: E402
 
 # Stage name -> (owner, attribute) of the function it times. Each owner is
 # where the caller looks the name up at call time.
@@ -37,9 +41,9 @@ STAGES = {
     "limits": (mapper._CapacityCheck, "limits"),
     "feasible": (mapper._MenuFilter, "feasible"),
     "build_mapping": (mapper, "_build_mapping"),
+    "backing_store_check": (mapper, "check_capacity"),
     "evaluate": (mapper, "evaluate"),
-    "counting": (evaluator, "analyze"),
-    "validate_mapping": (reuse, "validate_mapping"),
+    "counting": (mapper, "count_valid"),
     "latency": (evaluator, "latency_and_utilization"),
     "pricing": (evaluator, "energy"),
 }
@@ -97,13 +101,16 @@ def stage_split(experiment: str, seeds: list[int], budget: int) -> dict:
                 experiment=experiment, budget=budget, seed=seed))
     finally:
         timer.restore()
+    calls = timer.calls
     return {
         "experiment": experiment,
         "seeds": seeds,
         "budget": budget,
         "stages": {name: {"seconds": round(timer.seconds[name], 4),
-                          "calls": timer.calls[name]} for name in STAGES},
+                          "calls": calls[name]} for name in STAGES},
         "search_self_s": round(timer.self_seconds["search"], 4),
+        "limits_skipped": (calls["feasible"] - calls["limits"]
+                           + calls["map_space_build"]),
     }
 
 
