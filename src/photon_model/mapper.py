@@ -2,56 +2,59 @@
 orders, with two strategies:
 
 * exhaustive walks the filtered space, every legal order of every chain
-  assignment the filter allows, and raises SearchError past max_space.
-  The tests' unfiltered enumeration (brute_force_best) is ground truth.
-  The filter leaves the backing store's capacity to a check on the built
-  candidate, so a candidate that overflows the store is the one kind
-  exhaustive still meets and counts invalid.
+  assignment the filter allows, and raises SearchError once it has built
+  more than max_space candidates or asked the filter more than
+  len(DIMS) * max_space times. The tests' unfiltered enumeration
+  (brute_force_best) is ground truth.
 * pruned_random (the default) draws `budget` candidates: one random pick
   per dim from the filter, one random legal order per level. Under the
   delay objective, a candidate whose step count cannot beat the best so
-  far is counted as pruned and is never built, validated or evaluated.
+  far is counted as pruned and is never built or evaluated.
 
 Both assign dims one at a time from the chains the running fanout budgets,
 the capacity condition and the refetch loop-nest condition still allow; no
 legal order revisits a refetch-forbidden tile. The conditions are
-necessary, so no valid mapping is lost. Each dim's chain menu is filtered
-with bitsets over menu indices, built once per search. Per constrained axis
-(the spatial factor at each level 1..M-1, the tile extent at each
-capacity-checked level) the bitset of chains at or below each distinct
-value answers "every chain within this limit" with one bisect. The limits
-come from the dims already assigned: each level's fanout over their spatial
-product `sprod`, and the largest extent whose capacity demand still fits
-beside their tiles (_CapacityCheck.limits, the demand summed as kept_bits
-sums it). A dim whose every chain sits at its minimum extent row needs no
-limits (see _CapacityCheck). The fanout mask is kept per `sprod` and the
-capacity mask per limits tuple, as they read nothing else. Per
-refetch-forbidden keeper and running mask pair, the chains the loop-nest
-condition allows form one more bitset. Each step ANDs them and picks from
-the result's index list, kept per bitset in menu order, so the picks are
-those of a filter that rechecks every chain. The loop orders come from one
-lookup per assignment: a table keyed by the levels where each picked chain
-iterates (_OrderTable) holds every level's legal orders. A candidate is
-built with only its factors other than 1, which every reader of a mapping
-takes as 1 when missing.
+validate_mapping's: no valid mapping is lost, and every candidate built is
+valid, so it is counted without re-validation (reuse.count_valid) and
+priced. Each dim's chain menu is filtered with bitsets over menu indices,
+built once per search. Per constrained axis (the spatial factor at each
+level 1..M-1, the extent charged at each storage level whose capacity can
+bind) the bitset of chains at or below each distinct value answers "every
+chain within this limit" with one bisect. The limits come from the dims
+already assigned: each level's fanout over their spatial product `sprod`,
+and the largest extent whose capacity demand still fits beside theirs
+(_CapacityCheck.limits, the demand summed as kept_bits sums it). A dim
+whose every chain sits at its minimum extent row needs no limits (see
+_CapacityCheck). The fanout mask is kept per `sprod` and the capacity mask
+per limits tuple, as they read nothing else. Per refetch-forbidden keeper
+and running mask pair, the chains the loop-nest condition allows form one
+more bitset. Each step ANDs them and picks from the result's index list,
+kept per bitset in menu order, so the picks are those of a filter that
+rechecks every chain. The loop orders come from one lookup per assignment:
+a table keyed by the levels where each picked chain iterates (_OrderTable)
+holds every level's legal orders. A candidate is built with only its
+factors other than 1, which every reader of a mapping takes as 1 when
+missing.
 
 The candidate space factors per dimension: each dim contributes a chain
 [t0, s1, t1, ..., s(M-1), t(M-1)] of per-level factors, and one enumeration
-(_dim_chains) builds every dim's menu in both modes. The dim's origin is the
-outermost keeper of any tensor it indexes; the dim may not split spatially
-into a level at or above it, nor iterate above it, nor, for a reduced dim,
-above the reduction floor. Per level, the spatial factor is its pin, or 1
-at or above the origin, or else 1 or a divisor of the bound within the
-fanout; pad mode also offers the fanout's divisors up to twice the bound. A
-pin other than 1 at or above the origin, or one past its fanout, leaves the
-dim no chain, and the search raises NoValidMapping naming it. Per product
-of spatial factors, the temporal factors split the rest of the bound,
-rounded up, over the open temporal slots. Strict mode is the exact-cover
-case: it keeps only the spatial products that divide the bound and lists
-its chains in lexicographic order. Loop orders are searched only over dims
-with more than one iteration at a level. Keeper chains, the capacity demand
-and the refetch-forbidden keepers come from spec_model: the definitions
-validation and the counting engines use.
+(_dim_chains) builds every dim's menu in both modes. The dim's origin is
+the outermost keeper of any tensor it indexes; the dim may not split
+spatially into a level at or above it, nor iterate above it, nor, for a
+reduced dim, above the reduction floor. Per level, the spatial factor is
+its pin, or 1 at or above the origin, or else 1 or a divisor of the bound
+within the fanout; pad mode also offers the fanout's divisors up to twice
+the bound. A pin other than 1 at or above the origin, or one past its
+fanout, or a storage level that the dim's least extents overflow, leaves
+the dim no chain, and the search raises NoValidMapping naming it; keep
+overrides that leave a tensor without a keeper raise it before any menu is
+built. Per product of spatial factors, the temporal factors split the rest
+of the bound, rounded up, over the open temporal slots. Strict mode is the
+exact-cover case: it keeps only the spatial products that divide the bound
+and lists its chains in lexicographic order. Loop orders are searched only
+over dims with more than one iteration at a level. Keeper chains, the
+capacity demand and the refetch-forbidden keepers come from spec_model: the
+definitions validation and the counting engines use.
 
 Ties on the objective break toward the lexicographically smallest mapping
 digest among evaluated candidates, so every strategy is deterministic for a
@@ -70,20 +73,9 @@ names the caller's layer.
 Only the delay objective prunes, and only under pruned_random. Its floor
 is the candidate's step count: the product of every drawn chain's temporal
 factors, which is the `LoopNest.steps` of the mapping the chains build.
-Cycles never fall below it, and it needs no access counts. `pruned` is
-decided before validation: a candidate at or above the best so far counts
-as pruned even if its mapping would be invalid. The energy and EDP
-objectives evaluate every feasible candidate in full: a sound floor for
-them costs about as much as the evaluation it would save.
-
-A candidate that survives is built and checked once. The filter proves
-every condition validate_mapping checks but one: the backing store
-(level 0), which holds whole tensors at their padded extent. So the built
-mapping is checked against that one capacity with the rule validation
-applies (spec_model.check_capacity), where a MappingError counts it
-invalid, and is then counted without re-validation (reuse.count_valid)
-and priced. Keep overrides that leave a tensor without a keeper leave no
-candidate valid; the search raises NoValidMapping before it walks.
+Cycles never fall below it, and it needs no access counts. The energy and
+EDP objectives evaluate every feasible candidate in full: a sound floor
+for them costs about as much as the evaluation it would save.
 """
 
 from __future__ import annotations
@@ -109,11 +101,11 @@ from .spec_model import (
     LevelMapping,
     Mapping,
     MappingError,
-    check_capacity,
     check_every_tensor_kept,
     check_keep_overrides,
+    effective_bounds,
     effective_keeps,
-    tile_values,
+    kept_bits,
 )
 
 OBJECTIVES = ("energy", "delay", "energy_delay_product")
@@ -141,7 +133,8 @@ class SearchConfig:
     keep_overrides: dict = field(default_factory=dict)
     fixed_spatial: dict = field(default_factory=dict)
     reduction_floor: int | None = None
-    # Bounds exhaustive's candidates, counted after the feasibility filter.
+    # Bounds exhaustive's candidates, counted after the feasibility filter,
+    # and its walk's filter steps at len(DIMS) times as many.
     max_space: int = 1_000_000
 
     def __post_init__(self):
@@ -175,6 +168,11 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class SearchResult:
+    """`visited` counts the candidates built and evaluated, `pruned` those
+    the delay floor cut unbuilt, and `invalid` the pruned_random draws that
+    dead-end: a dim the filter leaves no chain, or a level with no legal
+    loop order. Under exhaustive `invalid` is always 0."""
+
     mapping: Mapping
     objective: float
     evaluation: EvaluationResult
@@ -209,13 +207,14 @@ def enumerate_factorizations(bound: int, slots: int) -> list[tuple[int, ...]]:
 
 
 class _CapacityCheck:
-    """Necessary capacity condition over extent rows, at every storage
-    level but the backing store, which the search checks on the built
-    candidate. A dim's row is its tile extent at each capacity-checked
-    level; a dim not yet assigned sits at its minimum row (`mins`, from its
-    spatial pins). A partial assignment that already overflows a storage
-    level can never extend to a valid mapping, so filtering on it
-    preserves completeness.
+    """validate_mapping's capacity condition over extent rows, at every
+    storage level that keeps a tensor. A dim's row is its tile extent at
+    each level, but its padded extent at the backing store (level 0),
+    which holds whole tensors. A dim not yet assigned sits at its minimum
+    row (`mins`): its spatial pins' product below each level, and at level
+    0 its bound rounded up to a multiple of all its pins' product. A
+    partial assignment that overflows a level never extends to a valid
+    mapping, and a complete one that fits is valid.
 
     A dim whose every menu chain sits at its minimum row fits beside any
     rows the walk reaches, so the walk never asks limits for it
@@ -223,33 +222,45 @@ class _CapacityCheck:
     its minimum, and the first dim's menu was filtered at the minimum
     rows."""
 
-    def __init__(self, arch: Architecture, layer: Layer, cfg: SearchConfig):
+    def __init__(self, arch: Architecture, layer: Layer, cfg: SearchConfig,
+                 menus: list[list[tuple[int, ...]]] | None = None):
         m = len(arch.levels)
+        bounds = effective_bounds(layer, cfg.batch_size)
         self.layer = layer
         self.checks = []
-        for lvl in range(1, m - 1):
+        for lvl in range(m - 1):
             keeps = effective_keeps(arch, cfg.keep_overrides, lvl)
             if keeps:
                 self.checks.append(
                     (lvl, tuple(keeps), arch.levels[lvl].component.capacity_bits))
-        self.mins = tuple(
-            tuple(math.prod(cfg.fixed_spatial.get((j, d), 1)
-                            for j in range(lvl + 1, m))
-                  for lvl, _, _ in self.checks)
-            for d in DIMS)
+        if menus:
+            # Demand grows with every extent: a level that fits the menus'
+            # largest extents never binds, and goes unchecked.
+            top = zip(*(map(max, zip(*map(self.row, chains)))
+                        for chains in menus))
+            self.checks = [chk for chk, tb in zip(self.checks, top)
+                           if chk[2] < sum(kept_bits(
+                               layer, dict(zip(DIMS, tb)), chk[1]).values())]
+
+        def least(d, lvl):
+            pins = math.prod(cfg.fixed_spatial.get((j, d), 1)
+                             for j in range(lvl + 1, m))
+            return pins if lvl else -(-bounds[d] // pins) * pins
+
+        self.mins = tuple(tuple(least(d, lvl) for lvl, _, _ in self.checks)
+                          for d in DIMS)
         self.memo: dict[tuple, tuple[float, ...]] = {}
-        # One extent dict, refilled by every limits miss.
-        self.tb = dict.fromkeys(DIMS, 1)
 
     def row(self, chain: tuple[int, ...]) -> tuple[int, ...]:
-        """Tile extent of one dim's chain at each checked level: the
-        product of its factors below that level."""
+        """Extent of one dim's chain at each checked level: the product of
+        its factors below that level, or at level 0 of them all."""
 
-        return tuple(math.prod(chain[2 * lvl + 1:]) for lvl, _, _ in self.checks)
+        return tuple(math.prod(chain[2 * lvl + 1:] if lvl else chain)
+                     for lvl, _, _ in self.checks)
 
     def limits(self, rows: tuple[tuple[int, ...], ...], di: int
                ) -> tuple[float, ...]:
-        """Per checked level, the largest tile extent of dim DIMS[di] that
+        """Per checked level, the largest extent of dim DIMS[di] that
         fits with every other dim at its extent in `rows` (one row per dim,
         in DIMS order). Each tensor's tile_values is affine in any one
         dim's extent, the Inputs halo (P-1)*stride + R included, so the
@@ -260,19 +271,14 @@ class _CapacityCheck:
         limits = self.memo.get(key)
         if limits is not None:
             return limits
-        d, layer, tb, bits = DIMS[di], self.layer, self.tb, self.layer.bits
+        d, layer = DIMS[di], self.layer
         out = []
         for c, (_, keeps, cap) in enumerate(self.checks):
-            for dd, r in zip(DIMS, rows):
-                tb[dd] = r[c]
-            # The level's demand at extents 1 and 2, summed as kept_bits
-            # sums it.
-            one = two = 0
-            for t in keeps:
-                tb[d] = 1
-                one += tile_values(layer, tb, t) * bits[t]
-                tb[d] = 2
-                two += tile_values(layer, tb, t) * bits[t]
+            tb = {dd: r[c] for dd, r in zip(DIMS, rows)}
+            tb[d] = 1
+            one = sum(kept_bits(layer, tb, keeps).values())
+            tb[d] = 2
+            two = sum(kept_bits(layer, tb, keeps).values())
             slope = two - one
             if slope:
                 out.append(1 + (cap - one) // slope)
@@ -293,7 +299,7 @@ def _dim_chains(arch: Architecture, layer: Layer, d: str, cfg: SearchConfig,
 
     m = len(arch.levels)
     limits = cap.limits(cap.mins, DIMS.index(d))
-    bound = layer.dims[d] * (cfg.batch_size if d == "N" else 1)
+    bound = effective_bounds(layer, cfg.batch_size)[d]
     strict = cfg.pad_mode == "strict"
     # The outermost keeper of any tensor d indexes: d may not factor above
     # it or split spatially into it, and a reduced dim may not iterate
@@ -601,18 +607,22 @@ def _search(arch: Architecture, layer: Layer, cfg: SearchConfig) -> SearchResult
     for d, menu in chain_menu.items():
         if not menu:
             raise NoValidMapping(
-                layer.name, f"no factor chain satisfies the pins for dim {d}")
+                layer.name, f"no factor chain for dim {d} fits its pins "
+                "and the storage capacities")
+    cap = _CapacityCheck(arch, layer, cfg, list(chain_menu.values()))
     m = len(arch.levels)
     filters = [_MenuFilter(arch, chain_menu[d], d, cap, forbidden)
                for d in DIMS]
     orders = _OrderTable(m, forbidden)
 
-    def walk(choose):
+    def walk(choose, max_steps=math.inf):
         """Yields (chains, steps, signature) per complete assignment, dims
         taken in DIMS order from the picks choose(feasible) names, depth
-        first in menu order. `chains` is one dict, refilled in place."""
+        first in menu order; raises SearchError past max_steps filter
+        steps. `chains` is one dict, refilled in place."""
 
         chains: dict[str, tuple[int, ...]] = {}
+        filter_steps = 0
         # Depth first: (dims assigned, the last one's pick, the state they
         # leave). Picks are pushed in reverse, so they pop in choose's order.
         stack = [(0, None, (1,) * (m - 1), cap.mins,
@@ -624,6 +634,10 @@ def _search(arch: Architecture, layer: Layer, cfg: SearchConfig) -> SearchResult
             if di == len(DIMS):
                 yield chains, steps, signature
                 continue
+            filter_steps += 1
+            if filter_steps > max_steps:
+                raise SearchError(f"exhaustive walk exceeds {max_steps} "
+                                  "filter steps; use pruned_random")
             menu = filters[di]
             feasible = menu.feasible(
                 sprod, () if menu.at_min else cap.limits(rows, di), nest)
@@ -640,23 +654,18 @@ def _search(arch: Architecture, layer: Layer, cfg: SearchConfig) -> SearchResult
 
     def consider(chains: dict[str, tuple[int, ...]],
                  perms: list[tuple[str, ...]]) -> None:
-        nonlocal visited, invalid
         mapping = _build_mapping(arch, chains, perms, cfg)
-        try:
-            check_capacity(mapping, layer, arch, 0)
-        except MappingError:
-            invalid += 1
-            return
-        visited += 1
         best.offer(mapping, evaluate(arch, layer, mapping,
                                      count_valid(arch, layer, mapping)))
 
     if cfg.strategy == "exhaustive":
-        space = 0
-        for chains, _, signature in walk(lambda feasible: feasible):
+        # At most the product of the menu sizes partial assignments at
+        # each depth, so a space that fits max_space never trips the walk.
+        for chains, _, signature in walk(lambda feasible: feasible,
+                                         len(DIMS) * cfg.max_space):
             for perms in itertools.product(*orders.options(signature)):
-                space += 1
-                if space > cfg.max_space:
+                visited += 1
+                if visited > cfg.max_space:
                     raise SearchError(f"exhaustive space exceeds "
                                       f"{cfg.max_space}; use pruned_random")
                 consider(chains, list(perms))
@@ -679,10 +688,11 @@ def _search(arch: Architecture, layer: Layer, cfg: SearchConfig) -> SearchResult
                 invalid += 1
                 continue
             # The floor is the steps the chains build (LoopNest.steps),
-            # known before the mapping is built or validated.
+            # known before the mapping is built.
             if prune and best.value is not None and steps >= best.value:
                 pruned += 1
                 continue
+            visited += 1
             consider(chains, perms)
 
     if best.mapping is None:

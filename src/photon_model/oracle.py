@@ -166,7 +166,7 @@ def simulate(arch: Architecture, layer: Layer, mapping: Mapping,
             "refetch": 0,
         })
 
-    bounds = effective_bounds(layer, mapping)
+    bounds = effective_bounds(layer, mapping.batch_size)
     loop_of = {(lj, d): i for i, (lj, d, _) in enumerate(loops)}
     const_valid = 1
     padded_dims: list[_PaddedDim] = []

@@ -24,10 +24,8 @@ Counting conventions (shared verbatim by the interpreter in oracle):
 
 Counting assumes a mapping validate_mapping accepted and rejects none: in
 particular, partials are refetched only down edges that convert them. So
-there are two entries: analyze validates first, for any caller, and
-count_valid does not, for a caller that has already proved the mapping
-valid (the mapper's search, whose filter leaves only the backing store's
-capacity to check).
+analyze validates first, and count_valid does not: it serves the mapper's
+search, whose filter admits only mappings validation accepts.
 
 What counting reads that depends only on the architecture and the keep
 overrides is planned once per (architecture, override set) as a CountPlan,
@@ -319,8 +317,9 @@ def analyze(arch: Architecture, layer: Layer, mapping: Mapping) -> AccessCounts:
 
 def count_valid(arch: Architecture, layer: Layer,
                 mapping: Mapping) -> AccessCounts:
-    """analyze for a mapping known to be valid: counts without validating.
-    Given a mapping validate_mapping rejects, the counts are meaningless."""
+    """analyze without validation, for a mapping known to be valid, as
+    every candidate the search completes is. Given a mapping
+    validate_mapping rejects, the counts are meaningless."""
 
     plan = count_plan(arch, mapping)
 
@@ -331,7 +330,7 @@ def count_valid(arch: Architecture, layer: Layer,
     tiles = nest.tiles
     instances = nest.instances
     padded = nest.padded
-    bounds = effective_bounds(layer, mapping)
+    bounds = effective_bounds(layer, mapping.batch_size)
     macs = 1
     real = 1
     for d in DIMS:

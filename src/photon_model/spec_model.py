@@ -432,11 +432,11 @@ class LoopNest:
                                for d, e in lm.loops()))
 
 
-def effective_bounds(layer: Layer, mapping: Mapping) -> dict[str, int]:
-    """True iteration bounds, with batch_size folded into N."""
+def effective_bounds(layer: Layer, batch_size: int) -> dict[str, int]:
+    """True iteration bounds, with the batch size folded into N."""
 
     out = dict(layer.dims)
-    out["N"] = out["N"] * mapping.batch_size
+    out["N"] = out["N"] * batch_size
     return out
 
 
@@ -695,30 +695,6 @@ def validate_layer(layer: Layer, path: str = "workload") -> None:
             raise SpecError("BadBound", path, f"bits for {t} must be positive")
 
 
-def check_capacity(mapping: Mapping, layer: Layer, arch: Architecture,
-                   level: int) -> None:
-    """Raise MappingError("CapacityExceeded") unless the tensors a storage
-    level keeps fit in it: each at the level's tile, except that the
-    backing store (level 0) holds whole tensors, its own loops included,
-    so it is charged at the padded extent."""
-
-    keeps = effective_keeps(arch, mapping.keep_overrides, level)
-    if not keeps:
-        return
-    nest = mapping.nest
-    sizes = kept_bits(layer, nest.padded if level == 0 else nest.tiles[level],
-                      keeps)
-    total = sum(sizes.values())
-    lv = arch.levels[level]
-    if total > lv.component.capacity_bits:
-        worst = max(sizes, key=lambda t: (sizes[t], t))
-        raise MappingError(
-            "CapacityExceeded",
-            f"level {lv.name!r} needs {total} bits for {sorted(keeps)}, "
-            f"capacity is {lv.component.capacity_bits}",
-            level=lv.name, tensor=worst)
-
-
 def validate_mapping(mapping: Mapping, layer: Layer, arch: Architecture) -> None:
     """Raise MappingError unless the mapping is valid for (layer, arch).
 
@@ -754,7 +730,7 @@ def validate_mapping(mapping: Mapping, layer: Layer, arch: Architecture) -> None
                                    f"bad permutation {lm.permutation!r}")
             seen.add(d)
 
-    bounds = effective_bounds(layer, mapping)
+    bounds = effective_bounds(layer, mapping.batch_size)
     nest = mapping.nest
     padded = nest.padded
     for d in DIMS:
@@ -798,8 +774,21 @@ def validate_mapping(mapping: Mapping, layer: Layer, arch: Architecture) -> None
                         dim=d, tensor=t,
                         level=arch.levels[origin].name)
 
+    # The backing store holds whole tensors, its own loops included.
     for i in range(len(arch.levels) - 1):
-        check_capacity(mapping, layer, arch, i)
+        lv = arch.levels[i]
+        keeps = effective_keeps(arch, mapping.keep_overrides, i)
+        if not keeps:
+            continue
+        sizes = kept_bits(layer, padded if i == 0 else nest.tiles[i], keeps)
+        total = sum(sizes.values())
+        if total > lv.component.capacity_bits:
+            worst = max(sizes, key=lambda t: (sizes[t], t))
+            raise MappingError(
+                "CapacityExceeded",
+                f"level {lv.name!r} needs {total} bits for {sorted(keeps)}, "
+                f"capacity is {lv.component.capacity_bits}",
+                level=lv.name, tensor=worst)
 
     # A keeper's tile returns after eviction exactly when, among the loops
     # at or above it, a loop over another dim runs outside a loop over one

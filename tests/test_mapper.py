@@ -332,9 +332,8 @@ def test_step_floor_is_the_nest_step_count():
 
 def _validate_counted(monkeypatch):
     """Make every search validate each candidate it counts, that is each
-    one that passed its backing-store check. Returns the list of
-    (layer name, error kind) rejections and a one-item list holding the
-    number of candidates counted."""
+    one it builds. Returns the list of (layer name, error kind) rejections
+    and a one-item list holding the number of candidates counted."""
 
     rejected, counted = [], [0]
     count_valid = mapper.count_valid
@@ -354,8 +353,8 @@ def _validate_counted(monkeypatch):
 def _walk_or_draw(arch, layer, fields, budget):
     """Search over the energy objective, which prunes nothing: exhaustively
     where the chain assignments before the filter fit in max_space and the
-    walk stays within it, else by budget draws. A space without a valid
-    mapping is searched all the same."""
+    walk stays within it, else by budget draws. Returns the strategy and
+    the result, or None when the space holds no valid mapping."""
 
     cfg = SearchConfig(max_space=2000, **fields)
     cap = mapper._CapacityCheck(arch, layer, cfg)
@@ -364,7 +363,7 @@ def _walk_or_draw(arch, layer, fields, budget):
     strategies = ("exhaustive",) * (assignments <= cfg.max_space)
     for strategy in strategies + ("pruned_random",):
         try:
-            return mapper._search(arch, layer, replace(
+            return strategy, mapper._search(arch, layer, replace(
                 cfg, strategy=strategy, budget=budget, seed=7))
         except SearchError:
             continue
@@ -375,9 +374,9 @@ def _walk_or_draw(arch, layer, fields, budget):
 @pytest.mark.parametrize("pad_mode", ["strict", "pad"])
 def test_every_counted_candidate_validates_on_strict_cases(pad_mode,
                                                            monkeypatch):
-    # The search counts a candidate without validating it once the
-    # backing store is checked: the filter proves the rest. A walk over
-    # a space past max_space validates its first max_space candidates.
+    # The search counts a candidate without validating it: the filter
+    # proves every condition. A walk over a space past max_space
+    # validates its first max_space candidates.
     rejected, counted = _validate_counted(monkeypatch)
     for arch, layer, fields in _strict_cases():
         _walk_or_draw(arch, layer, {**fields, "pad_mode": pad_mode}, 60)
@@ -389,7 +388,8 @@ def test_every_counted_candidate_validates_on_random_architectures(
         monkeypatch):
     # randgen sizes every store for any tile; here each storage level
     # gets a capacity drawn around the layer's demand, so the filter's
-    # capacity condition binds and the backing store overflows.
+    # capacity condition binds, the backing store's included. No
+    # exhaustive walk meets an invalid candidate.
     rejected, counted = _validate_counted(monkeypatch)
     rng = random.Random(18)
     results = []
@@ -403,42 +403,51 @@ def test_every_counted_candidate_validates_on_random_architectures(
                                           total, 2 * total))))
             if lv.keeps else lv for lv in arch.levels)
         fields = {"pad_mode": rng.choice(("strict", "pad"))}
-        res = _walk_or_draw(replace(arch, levels=levels), layer, fields, 60)
-        if res is not None:
-            results.append(res)
+        found = _walk_or_draw(replace(arch, levels=levels), layer, fields, 60)
+        if found is not None:
+            results.append(found)
     assert rejected == []
     assert counted[0] > 0 and 0 < len(results) < 40
-    assert sum(res.invalid for res in results) > 0
+    walked = [res for strategy, res in results if strategy == "exhaustive"]
+    assert walked and all(res.invalid == 0 for res in walked)
 
 
 @pytest.mark.parametrize("workload", ["vgg16", "alexnet"])
 def test_every_counted_candidate_validates_on_shipped_geometry(workload,
                                                               monkeypatch):
     # The studies' pins and keep overrides, by budget draws: no layer's
-    # space fits max_space. No built draw overflows the backing store
-    # either (a draw may still dead-end in the filter). The energy
-    # objective builds every draw; the draws do not depend on the
-    # objective, and the delay objective builds a subset of them.
+    # space fits max_space. The energy objective builds every draw; the
+    # draws do not depend on the objective, and the delay objective builds
+    # a subset of them.
     arch = albireo.architecture("aggressive")
     rejected, counted = _validate_counted(monkeypatch)
-    overflows = []
-    check_capacity = mapper.check_capacity
-
-    def recorded(mapping, l, a, level):
-        try:
-            check_capacity(mapping, l, a, level)
-        except MappingError:
-            overflows.append(l.name)
-            raise
-
-    monkeypatch.setattr(mapper, "check_capacity", recorded)
     for layer, keep in itertools.product(load_workload(workload).layers,
                                          FUSED_OVERRIDES):
         cfg = SearchConfig(budget=40, seed=7, pad_mode="pad",
                            keep_overrides=keep,
                            fixed_spatial=stencil_pins(layer, arch))
         mapper._search(arch, layer, cfg)
-    assert rejected == overflows == []
+    assert rejected == []
+    assert counted[0] > 0
+
+
+def test_exhaustive_meets_no_invalid_candidate_on_shipped_geometry(
+        monkeypatch):
+    # The fully connected layers' spaces fit max_space under the studies'
+    # pins in pad mode: the walk builds every candidate it completes, and
+    # each one validates.
+    arch = albireo.architecture("aggressive")
+    rejected, counted = _validate_counted(monkeypatch)
+    vgg = {l.name: l for l in load_workload("vgg16").layers}
+    alex = {l.name: l for l in load_workload("alexnet").layers}
+    for layer, keep in itertools.product(
+            (vgg["fc7"], vgg["fc8"], alex["fc8"]), FUSED_OVERRIDES):
+        cfg = SearchConfig(strategy="exhaustive", pad_mode="pad",
+                           keep_overrides=keep,
+                           fixed_spatial=stencil_pins(layer, arch))
+        res = mapper._search(arch, layer, cfg)
+        assert res.invalid == 0 and res.visited > 0
+    assert rejected == []
     assert counted[0] > 0
 
 
@@ -548,23 +557,25 @@ def _store_bits(arch, bits):
         store.component, capacity_bits=bits)),) + arch.levels[1:])
 
 
-def test_backing_store_overflow_is_counted_invalid():
-    # The filter leaves the backing store's capacity to validation, so
-    # these are the candidates exhaustive still meets and rejects. A
-    # 120-bit store holds the 3x3 fc layer's 72 bits only with small
-    # enough tiles; at 119 bits no candidate fits.
+def test_the_filter_keeps_the_backing_store_within_its_capacity():
+    # The filter charges the backing store at the padded extent, as
+    # validation does, so no candidate overflows it. A 120-bit store
+    # holds the 3x3 fc layer's 120 bits only unpadded; at 119 bits no
+    # chain fits and the menus come out empty.
     layer = toy_layer({"K": 3, "C": 3})
     roomy = _store_bits(toys.fanout_converter_arch(4), 120)
     cfgs = (SearchConfig(pad_mode="pad", strategy="exhaustive"),
             SearchConfig(pad_mode="pad", budget=50, seed=1))
     got = [search(roomy, layer, cfg) for cfg in cfgs]
     assert [(r.visited, r.pruned, r.invalid) for r in got] == [
-        (10, 0, 172), (12, 0, 38)]
+        (10, 0, 0), (50, 0, 0)]
     for res in got:
         validate_mapping(res.mapping, layer, roomy)
+    assert got[0].objective == got[1].objective
     tight = _store_bits(roomy, 119)
     for cfg in cfgs:
-        with pytest.raises(NoValidMapping, match="no valid mapping found"):
+        with pytest.raises(NoValidMapping,
+                           match="dim N fits its pins and the storage"):
             search(tight, layer, cfg)
 
 
@@ -574,6 +585,27 @@ def test_exhaustive_space_bound():
     cfg = SearchConfig(strategy="exhaustive", budget=10, max_space=50)
     with pytest.raises(SearchError):
         search(arch, layer, cfg)
+
+
+def test_max_space_bounds_the_exhaustive_walk(monkeypatch):
+    # Unpinned, most of conv5_1's partial assignments dead-end in the
+    # filter: the walk used to make millions of filter steps before it
+    # completed max_space candidates. It stops past len(DIMS) * max_space.
+    arch = albireo.architecture("aggressive")
+    layer = next(l for l in load_workload("vgg16").layers
+                 if l.name == "conv5_1")
+    calls = [0]
+    feasible = mapper._MenuFilter.feasible
+
+    def counted(self, *args):
+        calls[0] += 1
+        return feasible(self, *args)
+
+    monkeypatch.setattr(mapper._MenuFilter, "feasible", counted)
+    cfg = SearchConfig(strategy="exhaustive", pad_mode="pad", max_space=20)
+    with pytest.raises(SearchError, match="filter steps"):
+        mapper._search(arch, layer, cfg)
+    assert 0 < calls[0] <= len(DIMS) * cfg.max_space
 
 
 def test_search_config_validation():
@@ -700,8 +732,10 @@ def test_strict_menus_match_the_filtered_factorizations():
 def test_skipping_limits_at_the_minimum_rows_changes_no_feasible_list(
         monkeypatch):
     # The walk skips limits for a dim whose chains all sit at its minimum
-    # row. Each case is searched as the search runs and again with limits
-    # asked at every step; the filter must give the same lists.
+    # row, and leaves unchecked a level that fits the menus' largest
+    # extents. Each case is searched as the search runs and again with
+    # every level checked and limits asked at every step; the filter must
+    # give the same lists.
     lists, skipped = [], []
     feasible = mapper._MenuFilter.feasible
 
@@ -727,6 +761,12 @@ def test_skipping_limits_at_the_minimum_rows_changes_no_feasible_list(
                 self.at_min = False
 
             monkeypatch.setattr(mapper._MenuFilter, "__init__", never_at_min)
+            cap_init = mapper._CapacityCheck.__init__
+
+            def every_level(self, arch, layer, cfg, menus=None):
+                cap_init(self, arch, layer, cfg)
+
+            monkeypatch.setattr(mapper._CapacityCheck, "__init__", every_level)
             skipped.clear()
     assert not any(skipped)
     assert runs[0] == runs[1]

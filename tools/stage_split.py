@@ -15,9 +15,8 @@ skipped `limits` because every chain of the dim sits at its minimum row
 `map_space_build` call calls `limits` once).
 Stages nest (`limits` runs inside `map_space_build` as well as in the
 draws, `latency` and `pricing` inside `evaluate`), so inclusive seconds do
-not add up. `backing_store_check` builds the mapping's loop nest, which
-`counting` then reads. Each wrapped call costs about a microsecond more,
-which dilutes every ratio taken from these numbers.
+not add up. Each wrapped call costs about a microsecond more, which
+dilutes every ratio taken from these numbers.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ STAGES = {
     "limits": (mapper._CapacityCheck, "limits"),
     "feasible": (mapper._MenuFilter, "feasible"),
     "build_mapping": (mapper, "_build_mapping"),
-    "backing_store_check": (mapper, "check_capacity"),
     "evaluate": (mapper, "evaluate"),
     "counting": (mapper, "count_valid"),
     "latency": (evaluator, "latency_and_utilization"),
