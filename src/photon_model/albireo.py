@@ -11,14 +11,12 @@ filter banks, one modulated weight serves 7 output columns, and 4 x 3
 partial products merge optically before detection.
 
 Three fanout multipliers scale how much of each sharing axis the array
-offers. The array level's document carries the resulting stencil, so every
-search of the architecture, by name or from a file, is pinned to it
-(spec_model.stencil_pins).
+offers. A geometry point's document states all of it: the array's stencil,
+which pins every search of it, by name or from a file (stencil_pins), and
+the staging register's capacity and bandwidth, as a refinement of its part.
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 from .components import builtin_components
 from .spec_model import Architecture, Layer, parse_architecture, stencil_pins
@@ -34,14 +32,20 @@ BASE_R = 3   # filter-row partial products merged optically
 
 def architecture_doc(ao_per_ae_weight: int = 1, ao_input_fanout: int = 1,
                      ae_output_fanout: int = 1) -> dict:
-    """Architecture document for one geometry point, referencing the
-    builtin component library by name."""
+    """Architecture document for one geometry point. It names parts of the
+    builtin component library and refines the staging register's."""
 
     k = BASE_K * ao_input_fanout
     q = BASE_Q * ao_per_ae_weight
     c = BASE_C * ae_output_fanout
     fanout = k * q * c * BASE_R
     streams = fanout // (c * BASE_R)
+    # The staging registers are banked per lane group, so their capacity
+    # and port width grow with the geometry; per-access energy does not.
+    scale = ao_per_ae_weight * ao_input_fanout * ae_output_fanout
+    reg = builtin_components()["register"]
+    banked = {"capacity_bits": reg.capacity_bits * scale,
+              "bandwidth": reg.bandwidth * scale} if scale > 1 else {}
     return {
         "name": f"albireo-k{k}q{q}c{c}r{BASE_R}",
         "clock_ghz": 5.0,
@@ -51,7 +55,7 @@ def architecture_doc(ao_per_ae_weight: int = 1, ao_input_fanout: int = 1,
             {"name": "global_buffer", "component": "global_buffer_sram",
              "fanout": 1, "keeps": ["Weights", "Inputs", "Outputs"]},
             {"name": STAGE_NAME, "component": "register", "fanout": 1,
-             "keeps": ["Weights", "Inputs", "Outputs"]},
+             "keeps": ["Weights", "Inputs", "Outputs"], **banked},
             {"name": ARRAY_NAME, "component": "analog_mac", "fanout": fanout,
              "keeps": [], "stencil": {"K": k, "Q": q, "C": c, "R": BASE_R}},
         ],
@@ -87,17 +91,9 @@ def architecture_doc(ao_per_ae_weight: int = 1, ao_input_fanout: int = 1,
 def architecture(profile="aggressive", ao_per_ae_weight: int = 1,
                  ao_input_fanout: int = 1,
                  ae_output_fanout: int = 1) -> Architecture:
-    lib = builtin_components(profile)
-    # The staging registers are banked per lane group, so their capacity
-    # and port width grow with the geometry; per-access energy does not.
-    scale = ao_per_ae_weight * ao_input_fanout * ae_output_fanout
-    if scale > 1:
-        reg = lib["register"]
-        lib["register"] = replace(reg,
-                                  capacity_bits=reg.capacity_bits * scale,
-                                  bandwidth=reg.bandwidth * scale)
-    doc = architecture_doc(ao_per_ae_weight, ao_input_fanout, ae_output_fanout)
-    return parse_architecture(doc, lib)
+    return parse_architecture(
+        architecture_doc(ao_per_ae_weight, ao_input_fanout, ae_output_fanout),
+        builtin_components(profile))
 
 
 def geometry_pins(layer: Layer, *axes: int) -> dict[tuple[int, str], int]:

@@ -4,7 +4,9 @@ parts with aggressive and conservative optical scaling profiles.
 Absolute per-action energies are starting points assembled from typical
 published ranges for each device class (noted per entry); the calibration
 path exists precisely because they are not ground truth. Storage energies
-are held fixed across profiles; optical and mixed-signal parts scale.
+are held fixed across profiles; optical and mixed-signal parts scale. The
+laser's static power is its optical output, which a profile turns into
+electrical draw. A document refines a part in its entry (spec_model.Level).
 """
 
 from __future__ import annotations
@@ -30,53 +32,30 @@ class CalibrationError(Exception):
 
 @dataclass(frozen=True)
 class ScalingProfile:
-    """Energy scale factors per component class plus laser efficiency."""
+    """Per-class factors on action energies and static power. A source
+    part's static power, its optical output, is divided by the wall-plug
+    efficiency."""
 
     name: str
     multipliers: dict[str, float]
     laser_wall_plug_efficiency: float
 
-    def factor(self, cls: str) -> float:
-        return self.multipliers.get(cls, 1.0)
-
 
 AGGRESSIVE = ScalingProfile(
     name="aggressive",
     multipliers={"storage": 1.0, "compute": 0.25, "converter": 0.25,
-                 "network": 0.25, "source": 0.25},
+                 "network": 0.25},
     laser_wall_plug_efficiency=0.25,
 )
 
 CONSERVATIVE = ScalingProfile(
     name="conservative",
     multipliers={"storage": 1.0, "compute": 2.0, "converter": 2.0,
-                 "network": 2.0, "source": 2.0},
+                 "network": 2.0},
     laser_wall_plug_efficiency=0.15,
 )
 
 PROFILES = {p.name: p for p in (AGGRESSIVE, CONSERVATIVE)}
-
-
-@dataclass(frozen=True)
-class LaserModel:
-    """Continuous-wave off-chip laser: optical output divided by wall-plug
-    efficiency gives electrical draw, paid for the full run latency."""
-
-    optical_power_per_wavelength_mw: float
-    wavelengths: int
-    wall_plug_efficiency: float
-
-    def wall_power_mw(self) -> float:
-        return (self.optical_power_per_wavelength_mw * self.wavelengths
-                / self.wall_plug_efficiency)
-
-    def energy_pj(self, latency_s: float) -> float:
-        return self.wall_power_mw() * latency_s * 1e9
-
-
-# One laser per accelerator: 16 wavelengths at 0.5 mW optical each.
-LASER_OPTICAL_MW = 0.5
-LASER_WAVELENGTHS = 16
 
 
 def _base_components() -> list[ComponentSpec]:
@@ -117,8 +96,9 @@ def _base_components() -> list[ComponentSpec]:
                       static_power_mw=0.02, area_um2=80.0),
         ComponentSpec("star_coupler", "network", "AO", "AO", {},
                       static_power_mw=0.0, area_um2=500.0),
+        # Off-chip comb laser: 16 wavelengths at 0.5 mW optical each.
         ComponentSpec("laser", "source", "AO", "AO", {},
-                      static_power_mw=0.0, area_um2=0.0),
+                      static_power_mw=16 * 0.5, area_um2=0.0),
         ComponentSpec("digital_mac", "compute", "DE", "DE",
                       {"compute": 0.25}, area_um2=800.0),
         # The optical MAC itself is nearly free; its cost lives in the
@@ -143,16 +123,13 @@ def builtin_components(profile="aggressive") -> dict[str, ComponentSpec]:
     prof = resolve_profile(profile)
     out: dict[str, ComponentSpec] = {}
     for base in _base_components():
-        f = prof.factor(base.cls)
+        f = prof.multipliers.get(base.cls, 1.0)
+        eff = prof.laser_wall_plug_efficiency if base.cls == "source" else 1
         comp = replace(
             base,
             energy_per_action={a: e * f for a, e in base.energy_per_action.items()},
-            static_power_mw=base.static_power_mw * f,
+            static_power_mw=base.static_power_mw * f / eff,
         )
-        if base.name == "laser":
-            laser = LaserModel(LASER_OPTICAL_MW, LASER_WAVELENGTHS,
-                               prof.laser_wall_plug_efficiency)
-            comp = replace(comp, static_power_mw=laser.wall_power_mw())
         out[comp.name] = comp
     return out
 

@@ -11,7 +11,12 @@ from collections.abc import Callable
 from dataclasses import asdict, dataclass, replace
 
 from . import albireo
-from .components import PROFILES, calibration_factors, scale_library
+from .components import (
+    PROFILES,
+    builtin_components,
+    calibration_factors,
+    scale_library,
+)
 from .evaluator import (
     breakdown_error,
     energy,
@@ -42,6 +47,7 @@ from .workloads import (
     BUNDLED_ARCHITECTURE,
     load_architecture,
     load_reference_breakdown,
+    load_spec,
     load_workload,
 )
 
@@ -155,6 +161,14 @@ def _architecture(cfg: ExperimentConfig,
     return albireo.architecture(cfg.profile, *axes)
 
 
+def _library(cfg: ExperimentConfig) -> dict:
+    """The parts the configured architecture's entries name, unrefined."""
+
+    if cfg.arch not in (None, BUNDLED_ARCHITECTURE):
+        return load_spec(cfg.arch).library
+    return builtin_components(cfg.profile)
+
+
 def _workload(cfg: ExperimentConfig, default: str) -> Workload:
     return load_workload(cfg.workload or default)
 
@@ -201,10 +215,9 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
 def breakdown_contributions(cfg: ExperimentConfig, arch: Architecture
                             ) -> Callable[[dict], dict[str, float]]:
     """Search the breakdown workload on `arch` once and return a pricing
-    function: given a component library, it binds the library into the
-    architecture and gives the accelerator-scope energy per component of
-    the searched counts. The search prices with the architecture's own
-    parts, so one search serves every calibration round."""
+    function: given _library's library or a calibrated copy, it reads
+    `arch`'s document against it and gives the accelerator-scope energy per
+    component of the searched counts, so one search serves every round."""
 
     evals = [_search_layer(arch, layer, cfg, "energy").evaluation
              for layer in _workload(cfg, "vgg16").layers]
@@ -222,7 +235,7 @@ def run_breakdown(cfg: ExperimentConfig) -> dict:
     breakdown, then report modeled-vs-reference energies."""
 
     arch = _architecture(cfg)
-    base = arch.components()
+    base = _library(cfg)
     reference = load_reference_breakdown()
     ref_total = sum(reference.values())
     fractions = {c: v / ref_total for c, v in reference.items()}
@@ -368,19 +381,17 @@ def _buffer_level(arch: Architecture) -> int:
 
 def _resized_buffer_arch(cfg: ExperimentConfig, required_bits: int,
                          base_arch: Architecture) -> Architecture:
-    """`base_arch` with the shared buffer grown to `required_bits` and its
-    access energy scaled by (new/old)^exponent, re-validated."""
+    """`base_arch`, its buffer's entry refined to `required_bits` and access
+    energy scaled by (new/old)^exponent, read against _library's parts."""
 
-    comp = base_arch.levels[_buffer_level(base_arch)].component
-    factor = (required_bits / comp.capacity_bits) ** cfg.buffer_energy_exponent
-    resized = replace(
-        comp,
-        capacity_bits=required_bits,
-        energy_per_action={a: e * factor
-                           for a, e in comp.energy_per_action.items()},
-    )
-    return parse_architecture(serialize_architecture(base_arch),
-                              {**base_arch.components(), comp.name: resized})
+    level = _buffer_level(base_arch)
+    doc = serialize_architecture(base_arch)
+    entry = doc["levels"][level]
+    factor = ((required_bits / base_arch.levels[level].component.capacity_bits)
+              ** cfg.buffer_energy_exponent)
+    entry.update(capacity_bits=required_bits,
+                 energy_scale=entry.get("energy_scale", 1.0) * factor)
+    return parse_architecture(doc, _library(cfg))
 
 
 def _leg_row(leg: str, b: int, per_layer: list, baseline_total: float | None,

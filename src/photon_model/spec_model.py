@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, dataclass, field, fields as dataclass_fields
+from dataclasses import MISSING, dataclass, field, fields as dataclass_fields, replace
 from functools import cached_property
 from itertools import accumulate
 from operator import mul
@@ -143,13 +143,15 @@ class Level:
     stencil is the (dim, width) pairs, in DIMS order, that the level's
     lanes are wired for, such as a photonic array's fixed sharing axes. It
     constrains the search only (stencil_pins); a mapping is validated and
-    counted without it."""
+    counted without it. component is the library part as the level's entry
+    refines it, and refinement is what that entry stated (_REFINEMENT)."""
 
     name: str
     component: ComponentSpec
     fanout: int
     keeps: tuple[str, ...]
     stencil: tuple[tuple[str, int], ...] = ()
+    refinement: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -165,23 +167,26 @@ class Converter:
     Direction follows the component domains: domain_in matching the outer
     level's domain makes it carry its tensors DOWN (fills side), matching
     the inner level's domain UP (drains side). Architecture.edge_converters
-    resolves every bank's direction once.
-    """
+    resolves every bank's direction once. component and refinement are
+    as on Level."""
 
     name: str
     component: ComponentSpec
     edge: int
     tensors: tuple[str, ...]
     instances: int
+    refinement: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
 class Extra:
-    """Standalone part with no action counts: pays static power and area."""
+    """Standalone part with no action counts: pays static power and area.
+    component and refinement are as on Level."""
 
     name: str
     component: ComponentSpec
     instances: int
+    refinement: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -263,16 +268,6 @@ class Architecture:
             return chains, refetch_forbidden(self, chains)
 
         return self.derived(("keepers", override_key(keep_overrides)), build)
-
-    def components(self) -> dict[str, ComponentSpec]:
-        out: dict[str, ComponentSpec] = {}
-        for lv in self.levels:
-            out[lv.component.name] = lv.component
-        for cv in self.converters:
-            out[cv.component.name] = cv.component
-        for ex in self.extras:
-            out[ex.component.name] = ex.component
-        return out
 
 
 # ============================================================================
@@ -941,16 +936,20 @@ _COMPONENT = table({
     "energy_per_action": (map_of(NUMBER), {}), "static_power_mw": (NUMBER, 0.0),
     "area_um2": (NUMBER, 0.0), "capacity_bits": (INT, 0),
     "width_bits": (INT, 8), "bandwidth": (NUMBER, 1.0)})
+# What a level, converter or extra entry may state to refine its part;
+# energy_scale multiplies the part's action energies only.
+_REFINEMENT = {"capacity_bits": (INT, None), "bandwidth": (NUMBER, None),
+               "energy_scale": (NUMBER, None)}
 _LEVEL = table({"name": (STR, REQUIRED), "component": (STR, REQUIRED),
                 "fanout": (INT, 1), "keeps": (_STRS, ()),
-                "stencil": (map_of(INT), {})})
+                "stencil": (map_of(INT), {}), **_REFINEMENT})
 _MESH = table({"between": (_STRS, REQUIRED), "may_multicast": (BOOL, False),
                "may_reduce": (BOOL, False)})
 _CONVERTER = table({"name": (STR, None), "component": (STR, REQUIRED),
                     "between": (_STRS, REQUIRED), "tensors": (_STRS, REQUIRED),
-                    "instances": (INT, 1)})
+                    "instances": (INT, 1), **_REFINEMENT})
 _EXTRA = table({"name": (STR, None), "component": (STR, REQUIRED),
-                "instances": (INT, 1)})
+                "instances": (INT, 1), **_REFINEMENT})
 _ARCHITECTURE = table({
     "name": (STR, "architecture"), "clock_ghz": (NUMBER, 1.0),
     "levels": (list_of(_LEVEL, nonempty=True), REQUIRED),
@@ -1010,10 +1009,25 @@ def parse_component(doc: dict, path: str) -> ComponentSpec:
     return comp
 
 
-def _resolve_component(name: str, library: dict[str, ComponentSpec], path: str) -> ComponentSpec:
+def _resolve_component(entry: dict, library: dict[str, ComponentSpec],
+                       path: str) -> dict:
+    """The component and refinement of the use `entry` states: the library
+    part it names, refined by the _REFINEMENT fields it states."""
+
+    name = entry["component"]
     if name not in library:
         raise SpecError("UnknownComponent", path, f"component {name!r} not defined")
-    return library[name]
+    comp = library[name]
+    stated = {k: entry[k] for k in _REFINEMENT if entry[k] is not None}
+    if stated:
+        fields = dict(stated)
+        scale = fields.pop("energy_scale", 1.0)
+        if scale <= 0:
+            _fail(f"{path}.energy_scale", "positive", scale)
+        comp = replace(comp, **fields, energy_per_action={
+            a: e * scale for a, e in comp.energy_per_action.items()})
+        _validate_component(comp, path)
+    return {"component": comp, "refinement": stated}
 
 
 def _read_stencil(ld: dict, i: int, path: str) -> tuple[tuple[str, int], ...]:
@@ -1040,9 +1054,10 @@ def _read_stencil(ld: dict, i: int, path: str) -> tuple[tuple[str, int], ...]:
 def parse_architecture(doc: dict, library: dict[str, ComponentSpec]) -> Architecture:
     path = "architecture"
     doc = _ARCHITECTURE.read(doc, path)
-    levels = tuple(Level(ld["name"], _resolve_component(
-        ld["component"], library, f"{path}.levels[{i}]"), ld["fanout"],
-        ld["keeps"], _read_stencil(ld, i, f"{path}.levels[{i}].stencil"))
+    levels = tuple(Level(
+        ld["name"], **_resolve_component(ld, library, f"{path}.levels[{i}]"),
+        fanout=ld["fanout"], keeps=ld["keeps"],
+        stencil=_read_stencil(ld, i, f"{path}.levels[{i}].stencil"))
         for i, ld in enumerate(doc["levels"]))
     by_name = {lv.name: i for i, lv in enumerate(levels)}
 
@@ -1065,12 +1080,12 @@ def parse_architecture(doc: dict, library: dict[str, ComponentSpec]) -> Architec
     converters = []
     for j, cd in enumerate(doc["converters"]):
         cpath = f"{path}.converters[{j}]"
-        comp = _resolve_component(cd["component"], library, cpath)
+        use = _resolve_component(cd, library, cpath)
         edge = edge_of(cd["between"], cpath)
-        name = (f"{comp.name}@{levels[edge].name}" if cd["name"] is None
-                else cd["name"])
-        converters.append(Converter(name, comp, edge, cd["tensors"],
-                                    cd["instances"]))
+        name = (f"{use['component'].name}@{levels[edge].name}"
+                if cd["name"] is None else cd["name"])
+        converters.append(Converter(name, edge=edge, tensors=cd["tensors"],
+                                    instances=cd["instances"], **use))
     cnames = [c.name for c in converters]
     if len(set(cnames)) != len(cnames):
         raise SpecError("MalformedDocument", f"{path}.converters",
@@ -1078,10 +1093,9 @@ def parse_architecture(doc: dict, library: dict[str, ComponentSpec]) -> Architec
 
     extras = []
     for j, ed in enumerate(doc["extras"]):
-        comp = _resolve_component(ed["component"], library,
-                                  f"{path}.extras[{j}]")
-        name = comp.name if ed["name"] is None else ed["name"]
-        extras.append(Extra(name, comp, ed["instances"]))
+        use = _resolve_component(ed, library, f"{path}.extras[{j}]")
+        name = use["component"].name if ed["name"] is None else ed["name"]
+        extras.append(Extra(name, instances=ed["instances"], **use))
 
     arch = Architecture(doc["name"], doc["clock_ghz"], levels, tuple(meshes),
                         tuple(converters), tuple(extras))
@@ -1218,7 +1232,7 @@ def serialize_architecture(a: Architecture) -> dict:
         "levels": [
             {"name": lv.name, "component": lv.component.name,
              "fanout": lv.fanout, "keeps": list(lv.keeps),
-             "stencil": dict(lv.stencil)}
+             "stencil": dict(lv.stencil), **lv.refinement}
             for lv in a.levels
         ],
         "meshes": [
@@ -1229,12 +1243,12 @@ def serialize_architecture(a: Architecture) -> dict:
         "converters": [
             {"name": c.name, "component": c.component.name,
              "between": edge_pair(c.edge), "tensors": list(c.tensors),
-             "instances": c.instances}
+             "instances": c.instances, **c.refinement}
             for c in a.converters
         ],
         "extras": [
             {"name": x.name, "component": x.component.name,
-             "instances": x.instances}
+             "instances": x.instances, **x.refinement}
             for x in a.extras
         ],
     }

@@ -4,9 +4,9 @@ Two classic image classifiers are shipped as workload documents: one deep
 13-conv/3-fc network dominated by 3x3 convolutions, and one shallower
 5-conv/3-fc network with large strided early filters. Both use 8-bit
 values throughout. The bundled accelerator's document is generated from
-its geometry (albireo.architecture_doc), so it has a single source. It
-carries the array's stencil, so the document written to a file and loaded
-by path is searched exactly as the bundled name is.
+its geometry (albireo.architecture_doc) and is its single source. It
+states the stencil and the staging register's size, so a document written
+to a file and loaded by path is the architecture it was written from.
 """
 
 from __future__ import annotations

@@ -350,6 +350,26 @@ def test_spec_json_reparses_to_the_same_converters(capsys):
     assert len(names) == 6
 
 
+def test_spec_json_of_a_refined_document_is_a_fixed_point(tmp_path, capsys):
+    # Refinements are written back as stated, so reading the output again
+    # refines each part once more from the library, not twice.
+    doc = {"spec_version": 1, "use_builtin_components": "aggressive",
+           "architecture": albireo.architecture_doc(2, 2, 2)}
+    doc["architecture"]["levels"][1].update(capacity_bits=1 << 26,
+                                            energy_scale=1.5)
+    want = parse_spec(doc).architecture
+    outs = []
+    for name in ("first", "second"):
+        path = tmp_path / f"{name}.spec"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["spec", str(path), "--json"]) == 0
+        outs.append(capsys.readouterr().out)
+        doc = json.loads(outs[-1])
+    assert outs[0] == outs[1]
+    assert parse_spec(doc).architecture == want
+    assert doc["architecture"]["levels"][2]["capacity_bits"] == 8 * 8192
+
+
 def test_report_bytes_do_not_depend_on_the_output_dir(tiny_workload,
                                                       tmp_path, capsys):
     reports = []

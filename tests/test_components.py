@@ -1,15 +1,18 @@
 import pytest
 
+from photon_model import albireo
 from photon_model.components import (
     AGGRESSIVE,
     CONSERVATIVE,
+    PROFILES,
     CalibrationError,
-    LaserModel,
     builtin_components,
     calibration_factors,
     resolve_profile,
     scale_library,
 )
+from photon_model.evaluator import evaluate
+from photon_model.spec_model import DIMS, Layer, LevelMapping, Mapping
 
 EXPECTED_PARTS = {
     "dram", "global_buffer_sram", "register", "dac", "adc", "mzm_modulator",
@@ -59,13 +62,20 @@ def test_resolve_profile():
         resolve_profile("moderate")
 
 
-def test_laser_energy_formula():
-    # 10 mW aggregate optical at 20% wall-plug over 1 ms: 50 uJ.
-    laser = LaserModel(optical_power_per_wavelength_mw=0.5, wavelengths=20,
-                       wall_plug_efficiency=0.2)
-    assert laser.wall_power_mw() == pytest.approx(50.0)
-    assert laser.energy_pj(1e-3) == pytest.approx(5.0e7)
-    assert laser.energy_pj(2e-3) == pytest.approx(2 * laser.energy_pj(1e-3))
+def test_builtin_laser_draws_its_optical_power_through_the_wall_plug():
+    # 16 wavelengths at 0.5 mW optical each, paid for the run's latency.
+    layer = Layer(name="fc", kind="fully_connected",
+                  dims=dict(dict.fromkeys(DIMS, 1), K=2, C=3))
+    mapping = Mapping(levels=(LevelMapping(temporal={"K": 2, "C": 3}),)
+                      + (LevelMapping(),) * 3)
+    for name, prof in PROFILES.items():
+        laser = builtin_components(name)["laser"]
+        assert laser.static_power_mw == (
+            16 * 0.5 / prof.laser_wall_plug_efficiency)
+        ev = evaluate(albireo.architecture(name), layer, mapping)
+        assert ev.latency_s > 0
+        assert ev.energy_pj["laser"] == pytest.approx(
+            laser.static_power_mw * ev.latency_s * 1e9)
 
 
 def test_calibration_identity_fixed_point():

@@ -4,6 +4,7 @@ from dataclasses import replace
 import pytest
 
 from photon_model import albireo, cli, experiments
+from photon_model.components import builtin_components
 from photon_model.evaluator import evaluate
 from photon_model.experiments import (
     ExperimentConfig,
@@ -29,6 +30,8 @@ from photon_model.spec_model import (
     Mapping,
     SpecError,
     canonical_json,
+    parse_architecture,
+    serialize_architecture,
     serialize_component,
     serialize_spec,
     stencil_pins,
@@ -162,14 +165,20 @@ def test_check_fusible_gates_on_buffer_capacity():
         check_fusible(small, nxt, 8 * 16 * 16 * 8, batch_size=2)
 
 
-def test_auto_fusion_buffer_resizes_the_configured_architecture():
-    base = albireo.architecture("aggressive")
-    level = _buffer_level(base)
-    sram = replace(base.levels[level].component, name="my_sram")
-    levels = list(base.levels)
-    levels[level] = replace(levels[level], component=sram)
-    custom = replace(base, name="custom", clock_ghz=2.0, levels=tuple(levels))
-    cfg = ExperimentConfig(experiment="memory", fusion_buffer="auto")
+def test_auto_fusion_buffer_resizes_the_configured_architecture(tmp_path):
+    # A custom architecture read from its own spec file, whose buffer is a
+    # part of that file's library. The resize is a refinement of the
+    # buffer's entry, stated in the document.
+    sram = replace(builtin_components("aggressive")["global_buffer_sram"],
+                   name="my_sram")
+    doc = albireo.architecture_doc()
+    doc.update(name="custom", clock_ghz=2.0)
+    level = _buffer_level(albireo.architecture("aggressive"))
+    doc["levels"][level]["component"] = "my_sram"
+    path = _spec_file(tmp_path, "custom", doc, (sram,))
+    cfg = ExperimentConfig(experiment="memory", arch=path,
+                           fusion_buffer="auto")
+    custom = _architecture(cfg)
 
     got = _resized_buffer_arch(cfg, 1 << 26, custom)
 
@@ -177,10 +186,12 @@ def test_auto_fusion_buffer_resizes_the_configured_architecture():
     buf = got.levels[level].component
     assert (buf.name, buf.capacity_bits) == ("my_sram", 1 << 26)
     factor = ((1 << 26) / sram.capacity_bits) ** cfg.buffer_energy_exponent
-    assert buf.energy("read") == pytest.approx(sram.energy("read") * factor)
-    assert got == replace(custom, levels=tuple(
-        replace(lv, component=buf) if i == level else lv
-        for i, lv in enumerate(custom.levels)))
+    assert buf.energy("read") == sram.energy("read") * factor
+    assert buf.static_power_mw == sram.static_power_mw
+    want = serialize_architecture(custom)
+    want["levels"][level].update(capacity_bits=1 << 26, energy_scale=factor)
+    assert serialize_architecture(got) == want
+    assert parse_architecture(want, load_spec(path).library) == got
 
 
 def test_auto_fusion_buffer_keeps_the_stencil():
@@ -242,7 +253,7 @@ def test_breakdown_calibrates_the_architectures_own_parts(tiny_workload,
                                                           tmp_path):
     # A spec whose own library doubles the DAC's convert energy must be
     # calibrated from that library, so the DAC needs a smaller factor.
-    dac = albireo.architecture("aggressive").components()["dac"]
+    dac = builtin_components("aggressive")["dac"]
     doubled = replace(dac, energy_per_action={
         **dac.energy_per_action, "convert": 2 * dac.energy("convert")})
     factors = {}
@@ -254,11 +265,33 @@ def test_breakdown_calibrates_the_architectures_own_parts(tiny_workload,
     assert factors["doubled"] < 0.75 * factors["plain"]
 
 
+def test_calibration_applies_a_refinement_once(tiny_workload, tmp_path):
+    # A buffer entry that doubles its part's energies calibrates exactly as
+    # a library whose buffer part is already doubled.
+    sram = builtin_components("aggressive")["global_buffer_sram"]
+    doubled = replace(sram, energy_per_action={
+        a: 2 * e for a, e in sram.energy_per_action.items()})
+    refined = albireo.architecture_doc()
+    refined["levels"][1]["energy_scale"] = 2
+    reports = []
+    for path in (_spec_file(tmp_path, "refined", refined),
+                 _spec_file(tmp_path, "doubled", albireo.architecture_doc(),
+                            (doubled,))):
+        cfg = ExperimentConfig(experiment="breakdown", arch=path,
+                               workload=tiny_workload, budget=60)
+        reports.append(run_breakdown(cfg))
+    refined_report, doubled_report = reports
+    assert (refined_report["calibration_factors"]
+            == doubled_report["calibration_factors"])
+    assert (refined_report["tables"]["breakdown"]
+            == doubled_report["tables"]["breakdown"])
+
+
 def test_studies_find_the_backing_store_by_role(tiny_workload, tmp_path,
                                                capsys):
     # Renaming the backing store's part moves no number: the studies take
     # the outermost level's part as the backing store, whatever its name.
-    dram = albireo.architecture("aggressive").components()["dram"]
+    dram = builtin_components("aggressive")["dram"]
     doc = albireo.architecture_doc()
     doc["levels"][0]["component"] = "hbm"
     paths = {"plain": _spec_file(tmp_path, "plain", albireo.architecture_doc()),

@@ -36,7 +36,9 @@ def _searched():
 
 
 def _fresh(arch):
-    return parse_architecture(serialize_architecture(arch), arch.components())
+    # The architecture is edited in code, so its own parts are its library.
+    return parse_architecture(serialize_architecture(arch),
+                              {c.name: c for c, _ in arch.parts})
 
 
 def _flip_multicast(arch):

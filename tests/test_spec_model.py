@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from photon_model import albireo, cli, experiments, spec_model
+from photon_model.components import PROFILES, builtin_components
 from photon_model.experiments import (
     SWEEP_AXES,
     ExperimentConfig,
@@ -552,6 +553,18 @@ DOCUMENT_ERRORS = {
                              "architecture.levels[1].stencil"),
     "stencil-on-outermost": (_stencil(0, {"K": 1}, fanout=1), "BadBound",
                              "architecture.levels[0].stencil"),
+    "refined-capacity-zero": (
+        _set(lambda d: d["architecture"]["levels"][0], "capacity_bits", 0),
+        "CapacityNonPositive", "architecture.levels[0]"),
+    "refined-bandwidth-zero": (
+        _set(lambda d: d["architecture"]["converters"][0], "bandwidth", 0),
+        "MalformedDocument", "architecture.converters[0]"),
+    "refined-energy-scale-zero": (
+        _set(lambda d: d["architecture"]["extras"][0], "energy_scale", 0),
+        "MalformedDocument", "architecture.extras[0].energy_scale"),
+    "refined-energy-scale-negative": (
+        _set(lambda d: d["architecture"]["levels"][1], "energy_scale", -2.0),
+        "MalformedDocument", "architecture.levels[1].energy_scale"),
 }
 
 
@@ -939,13 +952,49 @@ def test_spec_roundtrip_is_identity_on_canonical_form():
         assert canonical_json(again) == canonical_json(doc)
 
 
-@pytest.mark.parametrize("axes", [(1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2),
-                                  (8, 1, 1)])
+# Every geometry the studies build: each sweep axis at the default sweep
+# values, and one point that widens all three axes.
+STUDY_GEOMETRIES = sorted(
+    {_sweep_point(ExperimentConfig("reuse_sweep", sweep_axis=a), v)
+     for a in SWEEP_AXES for v in ExperimentConfig("reuse_sweep").sweep_values}
+    | {(2, 2, 2)})
+
+
+@pytest.mark.parametrize("axes", STUDY_GEOMETRIES)
 def test_albireo_architecture_roundtrip(axes):
-    arch = albireo.architecture("aggressive", *axes)
-    assert arch.levels[-1].stencil
-    assert parse_architecture(serialize_architecture(arch),
-                              arch.components()) == arch
+    # The document alone, read against the library it names, is the
+    # geometry point: the staging register's refinement is in it.
+    for profile in PROFILES:
+        arch = albireo.architecture(profile, *axes)
+        assert arch.levels[-1].stencil
+        assert parse_architecture(serialize_architecture(arch),
+                                  builtin_components(profile)) == arch
+
+
+def test_an_entry_refines_its_part_and_states_it_back():
+    doc = full_doc()
+    doc["architecture"]["levels"][0].update(capacity_bits=1 << 20,
+                                            bandwidth=4, energy_scale=2.0)
+    doc["architecture"]["converters"][1]["energy_scale"] = 0.5
+    spec = parse_spec(doc)
+    arch = spec.architecture
+    sram, store = spec.library["sram"], arch.levels[0].component
+    assert (store.name, store.capacity_bits, store.bandwidth) == (
+        "sram", 1 << 20, 4.0)
+    assert store.energy_per_action == {"read": 2.0, "write": 2.0}
+    assert store.static_power_mw == sram.static_power_mw
+    assert sram.capacity_bits == 65536  # the library part is left as it is
+    assert arch.levels[0].refinement == {"capacity_bits": 1 << 20,
+                                         "bandwidth": 4.0, "energy_scale": 2.0}
+    assert arch.converters[1].component.energy("convert") == 1.0
+    # An entry that states nothing uses the library part itself.
+    assert arch.extras[0].component is sram
+    assert arch.extras[0].refinement == {}
+    written = serialize_architecture(arch)
+    stated = arch.levels[0].refinement
+    assert {k: written["levels"][0][k] for k in stated} == stated
+    assert "energy_scale" not in written["extras"][0]
+    assert parse_architecture(written, spec.library) == arch
 
 
 def test_stencil_pins_the_dims_the_layer_has():
@@ -966,7 +1015,7 @@ def test_architecture_roundtrip_toy():
     doc = {"spec_version": 1,
            "components": [],
            "architecture": serialize_architecture(arch)}
-    comps = {c.name: c for c in arch.components().values()}
+    comps = {c.name: c for c, _ in arch.parts}
     doc["components"] = [
         {"name": c.name, "class": c.cls, "domain_in": c.domain_in,
          "domain_out": c.domain_out, "energy_per_action": c.energy_per_action,
