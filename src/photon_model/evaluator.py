@@ -8,21 +8,24 @@ instances still pay static power for the whole run, with instance counts
 taken from the full fanout products regardless of how much of the array a
 mapping uses.
 
-The prices, bandwidths and area are fixed per architecture, so energy,
-latency_and_utilization and area read them from its PriceRows, built once
-and kept on the architecture (price_rows). Each expression keeps the order
-of pricing every part directly (energy adds in sorted key order), so every
-float is the same. An EvaluationResult builds its mapping digest only when
-read.
+The prices, bandwidths and static powers are fixed per architecture. Laid
+over one layout of counts they form a PriceProgram, built once per layout
+and kept on the architecture (price_program). energy and
+latency_and_utilization lay an AccessCounts out and run its program; the
+mapper's search runs the program of its CountPlan's layout on each
+candidate's reuse.Tally, with no AccessCounts in between, so the two price
+alike to the last bit: energy adds its terms in sorted key order, and a
+total adds the components in sorted name order. An EvaluationResult builds
+its mapping digest only when read.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from types import MappingProxyType
 
 from .reuse import AccessCounts, analyze
 from .spec_model import (
@@ -89,77 +92,162 @@ def latency_and_utilization(
     """Returns (cycles, compute_cycles, latency_s, utilization).
 
     Total cycles is the max of compute cycles and every level's and
-    converter's transfer cycles at its bandwidth; spatially idle lanes
-    reduce utilization but never speed anything up.
+    converter's transfer cycles at its bandwidth (PriceProgram.cycles);
+    spatially idle lanes reduce utilization but never speed anything up.
     """
 
-    rows = price_rows(arch)
+    program, levels, conversions = _laid_out(counts, arch)
     nest = mapping.nest
     compute_cycles = nest.steps
-    cycles = compute_cycles
-
-    per_level: dict[int, int] = {}
-    for (level, _tensor), lc in counts.per_level.items():
-        per_level[level] = per_level.get(level, 0) + lc.total()
-    bandwidths = rows.bandwidths
-    for level, actions in per_level.items():
-        cycles = max(cycles, math.ceil(
-            actions / (bandwidths[level] * nest.instances[level])))
-
-    for keys, rate in rows.conversion_rates:
-        actions = sum(counts.conversions[k] for k in keys)
-        cycles = max(cycles, math.ceil(actions / rate))
-
-    latency_s = cycles / (arch.clock_ghz * 1e9)
+    cycles = program.cycles(levels, conversions, compute_cycles,
+                            nest.instances)
+    latency_s = cycles / program.hz
     utilization = counts.real_macs / (peak_spatial_macs(arch) * compute_cycles)
     return cycles, compute_cycles, latency_s, utilization
 
 
 @dataclass(frozen=True)
-class PriceRows:
-    """Everything energy, latency_and_utilization and area read that is
-    fixed per architecture: per level index (part name, read, write,
-    update) with update falling back to write; per converter name (part
-    name, convert); the compute part's (name, compute); (part name,
-    static_power_mw * instances) for each part with static power, in
-    Architecture.parts order; each level's bandwidth; per converter bank
-    its conversion keys and bandwidth * instances; and the area summed
-    over Architecture.parts."""
+class PriceProgram:
+    """Every price, bandwidth and static power of an architecture, laid
+    over one layout of counts: a reuse.Tally's, with reads, fills, updates
+    and drains at 4 * i for level_keys[i] and one counter per conversion
+    key. Built once per layout and kept on the architecture
+    (price_program); energy, latency_and_utilization and the mapper's
+    search all price through it.
 
-    levels: tuple[tuple[str, float, float, float], ...]
-    converters: MappingProxyType[str, tuple[str, float]]
-    compute: tuple[str, float]
-    static: tuple[tuple[str, float], ...]
-    bandwidths: tuple[float, ...]
-    conversion_rates: tuple[tuple[tuple[tuple[str, str], ...], float], ...]
-    area_um2: float
+    names holds the component names sorted, one energy accumulator each,
+    and first their indices in the order energy first adds to each.
+    levels, conversions, compute and static are energy's terms in its
+    order: the sorted level keys as (accumulator, slot, read, write,
+    update), update falling back to write; the sorted conversion keys as
+    (accumulator, slot, convert); the compute part as (accumulator,
+    compute); each part with static power, in Architecture.parts order, as
+    (accumulator, static_power_mw * instances). transfers holds per level
+    (level, (start, stop) runs of its slots, bandwidth), and rates per
+    converter bank (its slots, bandwidth * instances): a key missing from
+    the layout counts nothing. hz is the clock in Hz."""
+
+    names: tuple[str, ...]
+    first: tuple[int, ...]
+    levels: tuple[tuple[int, int, float, float, float], ...]
+    conversions: tuple[tuple[int, int, float], ...]
+    compute: tuple[int, float]
+    static: tuple[tuple[int, float], ...]
+    transfers: tuple[tuple[int, tuple[tuple[int, int], ...], float], ...]
+    rates: tuple[tuple[tuple[int, ...], float], ...]
+    hz: float
 
     @classmethod
-    def of(cls, arch: Architecture) -> PriceRows:
+    def of(cls, arch: Architecture, level_keys: tuple[tuple[int, str], ...],
+           conversion_keys: tuple[tuple[str, str], ...]) -> PriceProgram:
         comps = [lv.component for lv in arch.levels]
+        banks = {cv.name: cv.component for cv in arch.converters}
+        level_at = {key: 4 * i for i, key in enumerate(level_keys)}
+        conversion_at = {key: i for i, key in enumerate(conversion_keys)}
+        # Every term as (component name, ...), in energy's order.
+        levels = [(comps[lv].name, level_at[(lv, t)],
+                   comps[lv].energy("read"), comps[lv].energy("write"),
+                   comps[lv].energy("update") or comps[lv].energy("write"))
+                  for lv, t in sorted(level_keys)]
+        conversions = [(banks[cv].name, conversion_at[(cv, t)],
+                        banks[cv].energy("convert"))
+                       for cv, t in sorted(conversion_keys)]
+        compute = [(comps[-1].name, comps[-1].energy("compute"))]
+        static = [(c.name, c.static_power_mw * n)
+                  for c, n in arch.parts if c.static_power_mw]
+        first = list(dict.fromkeys(
+            term[0] for term in (*levels, *conversions, *compute, *static)))
+        acc = {name: a for a, name in enumerate(sorted(first))}
+
+        def accumulated(rows):
+            return tuple((acc[name], *rest) for name, *rest in rows)
+
+        runs: dict[int, list[list[int]]] = {}
+        for (level, _), at in level_at.items():
+            spans = runs.setdefault(level, [])
+            if spans and spans[-1][1] == at:
+                spans[-1][1] = at + 4
+            else:
+                spans.append([at, at + 4])
         return cls(
-            levels=tuple((c.name, c.energy("read"), c.energy("write"),
-                          c.energy("update") or c.energy("write"))
-                         for c in comps),
-            converters=MappingProxyType({
-                cv.name: (cv.component.name, cv.component.energy("convert"))
-                for cv in arch.converters}),
-            compute=(comps[-1].name, comps[-1].energy("compute")),
-            static=tuple((c.name, c.static_power_mw * n)
-                         for c, n in arch.parts if c.static_power_mw),
-            bandwidths=tuple(c.bandwidth for c in comps),
-            conversion_rates=tuple(
-                (tuple((cv.name, t) for t in cv.tensors),
-                 cv.component.bandwidth * cv.instances)
-                for cv in arch.converters),
-            area_um2=sum(n * comp.area_um2 for comp, n in arch.parts),
+            names=tuple(acc),
+            first=tuple(acc[name] for name in first),
+            levels=accumulated(levels),
+            conversions=accumulated(conversions),
+            compute=accumulated(compute)[0],
+            static=accumulated(static),
+            transfers=tuple((level, tuple(map(tuple, spans)),
+                             comps[level].bandwidth)
+                            for level, spans in runs.items()),
+            rates=tuple((tuple(conversion_at[(cv.name, t)] for t in cv.tensors
+                               if (cv.name, t) in conversion_at),
+                         cv.component.bandwidth * cv.instances)
+                        for cv in arch.converters),
+            hz=arch.clock_ghz * 1e9,
         )
 
+    def cycles(self, levels: list[int], conversions: list[int], steps: int,
+               instances: Sequence[int]) -> int:
+        """The compute steps, or the most cycles any level or converter
+        bank needs to move its actions at its bandwidth."""
 
-def price_rows(arch: Architecture) -> PriceRows:
-    """The architecture's PriceRows, kept on it once built."""
+        cycles, ceil = steps, math.ceil
+        for level, runs, bandwidth in self.transfers:
+            actions = 0
+            for start, stop in runs:
+                actions += sum(levels[start:stop])
+            need = ceil(actions / (bandwidth * instances[level]))
+            if need > cycles:
+                cycles = need
+        for slots, rate in self.rates:
+            actions = 0
+            for at in slots:
+                actions += conversions[at]
+            need = ceil(actions / rate)
+            if need > cycles:
+                cycles = need
+        return cycles
 
-    return arch.derived(("price_rows",), lambda: PriceRows.of(arch))
+    def energy(self, levels: list[int], conversions: list[int],
+               real_macs: int, latency_s: float) -> list[float]:
+        """Energy in pJ per accumulator (names): summed in order, they
+        give evaluate's total."""
+
+        out = [0.0] * len(self.names)
+        for a, at, read, write, update in self.levels:
+            out[a] += (levels[at] * read
+                       + levels[at + 1] * write
+                       + levels[at + 3] * read
+                       + levels[at + 2] * update)
+        for a, at, convert in self.conversions:
+            out[a] += conversions[at] * convert
+        a, compute = self.compute
+        out[a] += real_macs * compute
+        for a, power in self.static:
+            out[a] += power * latency_s * 1e9
+        return out
+
+
+def price_program(arch: Architecture, level_keys: tuple[tuple[int, str], ...],
+                  conversion_keys: tuple[tuple[str, str], ...]
+                  ) -> PriceProgram:
+    """The PriceProgram of one layout, kept on the architecture."""
+
+    return arch.derived(("price_program", level_keys, conversion_keys),
+                        lambda: PriceProgram.of(arch, level_keys,
+                                                conversion_keys))
+
+
+def _laid_out(counts: AccessCounts, arch: Architecture
+              ) -> tuple[PriceProgram, list[int], list[int]]:
+    """The program of the layout `counts` holds, and its counters."""
+
+    levels: list[int] = []
+    for lc in counts.per_level.values():
+        levels += (lc.reads, lc.fills, lc.updates, lc.drains)
+    program = price_program(arch, tuple(counts.per_level),
+                            tuple(counts.conversions))
+    return program, levels, list(counts.conversions.values())
 
 
 def energy(
@@ -169,42 +257,21 @@ def energy(
 ) -> dict[str, float]:
     """Per-component energy in pJ, keyed by component name.
 
-    Each part prices itself as the architecture holds it (price_rows).
+    Each part prices itself as the architecture holds it (price_program).
     Static power is charged to every physical instance (Architecture.parts)
     for the full latency.
     """
 
-    rows = price_rows(arch)
-    out: dict[str, float] = {}
-
-    def add(name: str, pj: float) -> None:
-        out[name] = out.get(name, 0.0) + pj
-
-    levels = rows.levels
-    for (level, _tensor), lc in sorted(counts.per_level.items()):
-        name, read, write, update = levels[level]
-        add(name,
-            lc.reads * read
-            + lc.fills * write
-            + lc.drains * read
-            + lc.updates * update)
-
-    converters = rows.converters
-    for (cv_name, _tensor), n in sorted(counts.conversions.items()):
-        name, convert = converters[cv_name]
-        add(name, n * convert)
-
-    name, compute = rows.compute
-    add(name, counts.real_macs * compute)
-
-    for name, power in rows.static:
-        add(name, power * latency_s * 1e9)
-
-    return out
+    program, levels, conversions = _laid_out(counts, arch)
+    pj = program.energy(levels, conversions, counts.real_macs, latency_s)
+    return {program.names[a]: pj[a] for a in program.first}
 
 
 def area(arch: Architecture) -> float:
-    return price_rows(arch).area_um2
+    """Area summed over Architecture.parts, kept on the architecture."""
+
+    return arch.derived(("area",), lambda: sum(
+        n * comp.area_um2 for comp, n in arch.parts))
 
 
 def evaluate(

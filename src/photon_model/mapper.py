@@ -2,22 +2,22 @@
 orders, with two strategies:
 
 * exhaustive walks the filtered space, every legal order of every chain
-  assignment the filter allows, and raises SearchError once it has built
+  assignment the filter allows, and raises SearchError once it has priced
   more than max_space candidates or asked the filter more than
   len(DIMS) * max_space times. The tests' unfiltered enumeration
   (brute_force_best) is ground truth.
 * pruned_random (the default) draws `budget` candidates: one random pick
   per dim from the filter, one random legal order per level. Under the
   delay objective, a candidate whose step count cannot beat the best so
-  far is counted as pruned and is never built or evaluated.
+  far is counted as pruned and is never priced.
 
 Both assign dims one at a time from the chains the running fanout budgets,
 the capacity condition and the refetch loop-nest condition still allow; no
 legal order revisits a refetch-forbidden tile. The conditions are
-validate_mapping's: no valid mapping is lost, and every candidate built is
-valid, so it is counted without re-validation (reuse.count_valid) and
-priced. Each dim's chain menu is filtered with bitsets over menu indices,
-built once per search. Per constrained axis (the spatial factor at each
+validate_mapping's: no valid mapping is lost, and every candidate the walk
+completes is valid, so it is counted and priced without re-validation.
+Each dim's chain menu is filtered with bitsets over menu indices, built
+once per search. Per constrained axis (the spatial factor at each
 level 1..M-1, the extent charged at each storage level whose capacity can
 bind) the bitset of chains at or below each distinct value answers "every
 chain within this limit" with one bisect. The limits come from the dims
@@ -32,9 +32,19 @@ more bitset. Each step ANDs them and picks from the result's index list,
 kept per bitset in menu order, so the picks are those of a filter that
 rechecks every chain. The loop orders come from one lookup per assignment:
 a table keyed by the levels where each picked chain iterates (_OrderTable)
-holds every level's legal orders. A candidate is built with only its
-factors other than 1, which every reader of a mapping takes as 1 when
-missing.
+holds every level's legal orders.
+
+A candidate is priced from its picked chains and loop orders with no
+Mapping in between (_Pricer). Its counts are reuse.tally, the arithmetic
+count_valid runs, fed from what each chain fixes on its own (its tile
+extents, padded extent and spatial factors, taken once per menu). Its price
+comes from the search's PriceProgram, the one energy and
+latency_and_utilization run, in their order, so each objective is
+bit-identical to its evaluation's. Only a candidate whose objective is
+below the best so far or equal to it is built and evaluated in full (with
+count_valid), for _Best to keep or to break the tie by digest. A candidate
+is built with only its factors other than 1, which every reader of a
+mapping takes as 1 when missing.
 
 The candidate space factors per dimension: each dim contributes a chain
 [t0, s1, t1, ..., s(M-1), t(M-1)] of per-level factors, and one enumeration
@@ -57,9 +67,9 @@ capacity demand and the refetch-forbidden keepers come from spec_model: the
 definitions validation and the counting engines use.
 
 Ties on the objective break toward the lexicographically smallest mapping
-digest among evaluated candidates, so every strategy is deterministic for a
+digest among priced candidates, so every strategy is deterministic for a
 given seed. The delay floor prunes on `>=`, so a later candidate whose step
-count equals the best cycles so far is never evaluated, whatever its digest.
+count equals the best cycles so far is never priced, whatever its digest.
 
 `search` memoises its successful results, keeping a fixed number and
 dropping the least recently used. The key is the architecture's full
@@ -74,8 +84,8 @@ Only the delay objective prunes, and only under pruned_random. Its floor
 is the candidate's step count: the product of every drawn chain's temporal
 factors, which is the `LoopNest.steps` of the mapping the chains build.
 Cycles never fall below it, and it needs no access counts. The energy and
-EDP objectives evaluate every feasible candidate in full: a sound floor
-for them costs about as much as the evaluation it would save.
+EDP objectives price every feasible candidate: a sound floor for them
+costs about as much as the pricing it would save.
 """
 
 from __future__ import annotations
@@ -89,8 +99,8 @@ from dataclasses import dataclass, field
 from operator import mul
 
 # analyze and energy go unused here; perfbench/tracer.py rebinds both.
-from .evaluator import EvaluationResult, energy, evaluate
-from .reuse import analyze, count_valid
+from .evaluator import EvaluationResult, energy, evaluate, price_program
+from .reuse import Tally, analyze, count_plan, count_valid, tally
 from .spec_model import (
     DIMS,
     REDUCED_DIMS,
@@ -106,10 +116,12 @@ from .spec_model import (
     effective_bounds,
     effective_keeps,
     kept_bits,
+    tile_values,
 )
 
 OBJECTIVES = ("energy", "delay", "energy_delay_product")
 STRATEGIES = ("exhaustive", "pruned_random")
+_DIM_INDEX = {d: i for i, d in enumerate(DIMS)}
 
 
 class NoValidMapping(Exception):
@@ -168,8 +180,8 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class SearchResult:
-    """`visited` counts the candidates built and evaluated, `pruned` those
-    the delay floor cut unbuilt, and `invalid` the pruned_random draws that
+    """`visited` counts the candidates priced, `pruned` those the delay
+    floor cut unpriced, and `invalid` the pruned_random draws that
     dead-end: a dim the filter leaves no chain, or a level with no legal
     loop order. Under exhaustive `invalid` is always 0."""
 
@@ -249,7 +261,7 @@ class _CapacityCheck:
 
         self.mins = tuple(tuple(least(d, lvl) for lvl, _, _ in self.checks)
                           for d in DIMS)
-        self.memo: dict[tuple, tuple[float, ...]] = {}
+        self.memo: dict[tuple, float] = {}
 
     def row(self, chain: tuple[int, ...]) -> tuple[int, ...]:
         """Extent of one dim's chain at each checked level: the product of
@@ -265,27 +277,33 @@ class _CapacityCheck:
         in DIMS order). Each tensor's tile_values is affine in any one
         dim's extent, the Inputs halo (P-1)*stride + R included, so the
         demands at extents 1 and 2 give the level's demand a + b*e
-        exactly. Kept for the search, as the same rows recur."""
+        exactly. Each level's limit is kept for the search, as the same
+        extents recur at a level more often than whole rows do."""
 
-        key = (di, rows)
-        limits = self.memo.get(key)
-        if limits is not None:
-            return limits
-        d, layer = DIMS[di], self.layer
+        d, layer, bits, memo = DIMS[di], self.layer, self.layer.bits, self.memo
         out = []
-        for c, (_, keeps, cap) in enumerate(self.checks):
-            tb = {dd: r[c] for dd, r in zip(DIMS, rows)}
-            tb[d] = 1
-            one = sum(kept_bits(layer, tb, keeps).values())
-            tb[d] = 2
-            two = sum(kept_bits(layer, tb, keeps).values())
-            slope = two - one
-            if slope:
-                out.append(1 + (cap - one) // slope)
-            else:
-                out.append(math.inf if one <= cap else 0)
-        limits = self.memo[key] = tuple(out)
-        return limits
+        for c, extents in enumerate(zip(*rows)):
+            key = (c, di, extents)
+            limit = memo.get(key)
+            if limit is None:
+                _, keeps, cap = self.checks[c]
+                tb = dict(zip(DIMS, extents))
+                # The level's demand, summed as kept_bits charges it.
+                one = two = 0
+                tb[d] = 1
+                for t in keeps:
+                    one += tile_values(layer, tb, t) * bits[t]
+                tb[d] = 2
+                for t in keeps:
+                    two += tile_values(layer, tb, t) * bits[t]
+                slope = two - one
+                if slope:
+                    limit = 1 + (cap - one) // slope
+                else:
+                    limit = math.inf if one <= cap else 0
+                memo[key] = limit
+            out.append(limit)
+        return tuple(out)
 
     def fits(self, row: tuple[int, ...], limits: tuple[float, ...]) -> bool:
         return all(e <= lim for e, lim in zip(row, limits))
@@ -525,6 +543,73 @@ class _OrderTable:
         return out
 
 
+class _Pricer:
+    """A candidate's objective from its picks (one menu index per dim, in
+    DIMS order), loop orders and the walk's spatial products and step
+    count, as evaluate prices the mapping they build (`mapping`), without
+    building it (see the module docstring). `rows` holds per dim, per menu
+    chain, its tile extents at plan.tiled, its spatial factors at
+    plan.merged, its padded extent and that extent within the bound."""
+
+    def __init__(self, arch: Architecture, layer: Layer, cfg: SearchConfig,
+                 menus: list[list[tuple[int, ...]]]):
+        self.arch, self.layer, self.cfg, self.menus = arch, layer, cfg, menus
+        self.plan = count_plan(arch, cfg.keep_overrides)
+        self.program = price_program(arch, self.plan.level_keys,
+                                     self.plan.conversion_keys)
+        tiled, merged = self.plan.tiled, self.plan.merged
+        bounds = effective_bounds(layer, cfg.batch_size)
+        self.rows = [[(tuple(math.prod(c[2 * i + 1:]) for i in tiled),
+                       tuple(c[2 * j - 1] for j in merged), math.prod(c),
+                       min(math.prod(c), bounds[d])) for c in menu]
+                     for d, menu in zip(DIMS, menus)]
+
+    def mapping(self, picks: list[int],
+                perms: list[tuple[str, ...]]) -> Mapping:
+        return _build_mapping(self.arch, {d: menu[p] for d, menu, p in
+                                          zip(DIMS, self.menus, picks)},
+                              perms, self.cfg)
+
+    def count(self, picks: list[int], perms: list[tuple[str, ...]],
+              sprod: tuple[int, ...]
+              ) -> tuple[Tally, int, int, tuple[int, ...]]:
+        """The candidate's tally, padded and real MAC counts, and the
+        instances of each level (`sprod` holds the spatial products of
+        levels 1..M-1)."""
+
+        plan = self.plan
+        rows = [dim_rows[p] for dim_rows, p in zip(self.rows, picks)]
+        tiles = dict(zip(plan.tiled, [dict(zip(DIMS, col)) for col in
+                                      zip(*[r[0] for r in rows])]))
+        spatial = dict(zip(plan.merged, [dict(zip(DIMS, col)) for col in
+                                         zip(*[r[1] for r in rows])]))
+        macs = real = 1
+        for r in rows:
+            macs *= r[2]
+            real *= r[3]
+        instances = tuple(itertools.accumulate(sprod, mul, initial=1))
+        chains = [menu[p] for menu, p in zip(self.menus, picks)]
+        loops = [(j, d, chains[_DIM_INDEX[d]][2 * j])
+                 for j, perm in enumerate(perms) for d in perm]
+        return (tally(plan, self.layer, tiles, instances, loops,
+                      plan.merge_widths(spatial), macs),
+                macs, real, instances)
+
+    def objective(self, picks: list[int], perms: list[tuple[str, ...]],
+                  sprod: tuple[int, ...], steps: int) -> float:
+        counted, _, real, instances = self.count(picks, perms, sprod)
+        program = self.program
+        cycles = program.cycles(counted.levels, counted.conversions, steps,
+                                instances)
+        if self.cfg.objective == "delay":
+            return float(cycles)
+        latency_s = cycles / program.hz
+        # The accumulators sit in sorted name order, as evaluate sums them.
+        total = sum(program.energy(counted.levels, counted.conversions, real,
+                                   latency_s))
+        return total if self.cfg.objective == "energy" else total * latency_s
+
+
 def _objective_of(res: EvaluationResult, objective: str) -> float:
     if objective == "energy":
         return res.total_energy_pj
@@ -616,12 +701,13 @@ def _search(arch: Architecture, layer: Layer, cfg: SearchConfig) -> SearchResult
     orders = _OrderTable(m, forbidden)
 
     def walk(choose, max_steps=math.inf):
-        """Yields (chains, steps, signature) per complete assignment, dims
-        taken in DIMS order from the picks choose(feasible) names, depth
-        first in menu order; raises SearchError past max_steps filter
-        steps. `chains` is one dict, refilled in place."""
+        """Yields (picks, sprod, steps, signature) per complete assignment,
+        dims taken in DIMS order from the picks choose(feasible) names,
+        depth first in menu order; raises SearchError past max_steps
+        filter steps. `picks` is one list of menu indices, refilled in
+        place."""
 
-        chains: dict[str, tuple[int, ...]] = {}
+        picks = [0] * len(DIMS)
         filter_steps = 0
         # Depth first: (dims assigned, the last one's pick, the state they
         # leave). Picks are pushed in reverse, so they pop in choose's order.
@@ -630,9 +716,9 @@ def _search(arch: Architecture, layer: Layer, cfg: SearchConfig) -> SearchResult
         while stack:
             di, pick, sprod, rows, nest, steps, signature = stack.pop()
             if di:
-                chains[DIMS[di - 1]] = chain_menu[DIMS[di - 1]][pick]
+                picks[di - 1] = pick
             if di == len(DIMS):
-                yield chains, steps, signature
+                yield picks, sprod, steps, signature
                 continue
             filter_steps += 1
             if filter_steps > max_steps:
@@ -651,24 +737,29 @@ def _search(arch: Architecture, layer: Layer, cfg: SearchConfig) -> SearchResult
 
     best = _Best(cfg.objective)
     visited = pruned = invalid = 0
+    pricer = _Pricer(arch, layer, cfg, list(chain_menu.values()))
 
-    def consider(chains: dict[str, tuple[int, ...]],
-                 perms: list[tuple[str, ...]]) -> None:
-        mapping = _build_mapping(arch, chains, perms, cfg)
-        best.offer(mapping, evaluate(arch, layer, mapping,
-                                     count_valid(arch, layer, mapping)))
+    def consider(picks: list[int], perms: list[tuple[str, ...]],
+                 sprod: tuple[int, ...], steps: int) -> None:
+        # Only a new best or an exact tie is built and evaluated: offer
+        # keeps it or breaks the tie by digest.
+        value = pricer.objective(picks, perms, sprod, steps)
+        if best.value is None or value <= best.value:
+            mapping = pricer.mapping(picks, perms)
+            best.offer(mapping, evaluate(arch, layer, mapping,
+                                         count_valid(arch, layer, mapping)))
 
     if cfg.strategy == "exhaustive":
         # At most the product of the menu sizes partial assignments at
         # each depth, so a space that fits max_space never trips the walk.
-        for chains, _, signature in walk(lambda feasible: feasible,
-                                         len(DIMS) * cfg.max_space):
+        for picks, sprod, steps, signature in walk(
+                lambda feasible: feasible, len(DIMS) * cfg.max_space):
             for perms in itertools.product(*orders.options(signature)):
                 visited += 1
                 if visited > cfg.max_space:
                     raise SearchError(f"exhaustive space exceeds "
                                       f"{cfg.max_space}; use pruned_random")
-                consider(chains, list(perms))
+                consider(picks, list(perms), sprod, steps)
     else:
         rng = random.Random(cfg.seed)
         prune = cfg.objective == "delay"
@@ -678,7 +769,7 @@ def _search(arch: Architecture, layer: Layer, cfg: SearchConfig) -> SearchResult
             leaf = next(walk(lambda feasible: (rng.choice(feasible),)), None)
             perms = []
             if leaf is not None:
-                chains, steps, signature = leaf
+                picks, sprod, steps, signature = leaf
                 for options in orders.options(signature):
                     if not options:
                         leaf = None
@@ -688,12 +779,12 @@ def _search(arch: Architecture, layer: Layer, cfg: SearchConfig) -> SearchResult
                 invalid += 1
                 continue
             # The floor is the steps the chains build (LoopNest.steps),
-            # known before the mapping is built.
+            # known before the candidate is priced.
             if prune and best.value is not None and steps >= best.value:
                 pruned += 1
                 continue
             visited += 1
-            consider(chains, perms)
+            consider(picks, perms, sprod, steps)
 
     if best.mapping is None:
         raise NoValidMapping(layer.name, "no valid mapping found in budget")

@@ -143,7 +143,7 @@ def simulate(arch: Architecture, layer: Layer, mapping: Mapping,
     wi_pos = []
     wi_events = []
     for t in (WEIGHTS, INPUTS):
-        for hop in tensor_hops(arch, mapping, t):
+        for hop in tensor_hops(arch, mapping.keep_overrides, t):
             if hop.inner == compute:
                 wi_hops.append((hop, None))
             else:
@@ -152,10 +152,10 @@ def simulate(arch: Architecture, layer: Layer, mapping: Mapping,
                 wi_events.append(1)
                 wi_hops.append((hop, len(wi_events) - 1))
 
-    stream = output_stream(arch, mapping)
+    stream = output_stream(arch, mapping.keep_overrides)
     acc = stream.outer
     o_monitors = []
-    for hop in tensor_hops(arch, mapping, OUTPUTS):
+    for hop in tensor_hops(arch, mapping.keep_overrides, OUTPUTS):
         rel = relevant_positions(hop.inner, OUTPUTS)
         o_monitors.append({
             "hop": hop,

@@ -31,15 +31,21 @@ What counting reads that depends only on the architecture and the keep
 overrides is planned once per (architecture, override set) as a CountPlan,
 kept on the architecture (count_plan): the AccessCounts keys, each keeper
 chain's hops as legs, the output stream, and per edge crossed the
-converter and the spatial dims its mesh merges (spec_model.merge_dims).
-analyze does per-mapping arithmetic only; a leg's merge widths are one
-suffix product over the mapping's spatial factors (Leg.merge_widths),
-which reuse_factors reads too. The oracle shares only the Hop vocabulary,
-never the plan.
+converter and the spatial dims its mesh merges (spec_model.merge_dims),
+all as slots of flat lists. The counting itself is one arithmetic core,
+tally: from the tile extents, instances and loops of a nest and the merge
+widths at each edge (one suffix product per leg over the spatial factors,
+CountPlan.merge_widths, which reuse_factors reads too) it fills a Tally,
+flat lists in the plan's layout. count_valid reads those inputs from
+mapping.nest and packs the tally into AccessCounts (pack); the mapper's
+search reads them from its picked chains and prices the tally as it
+stands. The oracle shares only the Hop vocabulary, never the plan or the
+core.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
@@ -56,7 +62,6 @@ from .spec_model import (
     WEIGHTS,
     Architecture,
     Layer,
-    LevelMapping,
     Mapping,
     effective_bounds,
     effective_keeps,
@@ -67,15 +72,17 @@ from .spec_model import (
 )
 
 
+# Per level index, a dim -> extent mapping: a sequence over every level,
+# or a dict over the levels read.
+Levelwise = Sequence[dict[str, int]] | dict[int, dict[str, int]]
+
+
 @dataclass(eq=True)
 class LevelCounts:
     reads: int = 0
     fills: int = 0
     updates: int = 0
     drains: int = 0
-
-    def total(self) -> int:
-        return self.reads + self.fills + self.updates + self.drains
 
 
 @dataclass(eq=True)
@@ -120,33 +127,23 @@ class ReuseFactor:
 # ----------------------------------------------------------------------------
 
 
-def innermost_relevant(loops: tuple[tuple[int, str, int], ...],
-                       level: int, tensor: str) -> int:
-    """Position of the innermost temporal loop at or above `level` whose dim
-    moves this tensor's tile; -1 if none (the tile never changes)."""
+def residencies(loops: Sequence[tuple[int, str, int]], spans: list[int],
+                level: int, tensor: str) -> int:
+    """Times the (level, tensor) tile changes over the walk, counting the
+    initial fill: the product of loop extents at or outside the innermost
+    loop at or above `level` whose dim moves the tile (none when it never
+    changes), because any of them advancing resets or moves it. spans[i]
+    is the product of the extents of loops[:i]."""
 
     dims = TENSOR_DIMS[tensor]
     for i in range(len(loops) - 1, -1, -1):
         lj, d, _ = loops[i]
         if lj <= level and d in dims:
-            return i
-    return -1
+            return spans[i + 1]
+    return 1
 
 
-def residencies(loops: tuple[tuple[int, str, int], ...],
-                level: int, tensor: str) -> int:
-    """Times the (level, tensor) tile changes over the walk, counting the
-    initial fill: the product of loop extents at or outside the innermost
-    relevant loop, because any of them advancing resets or moves it."""
-
-    pos = innermost_relevant(loops, level, tensor)
-    n = 1
-    for i in range(pos + 1):
-        n *= loops[i][2]
-    return n
-
-
-def distinct_tiles(loops: tuple[tuple[int, str, int], ...],
+def distinct_tiles(loops: Sequence[tuple[int, str, int]],
                    level: int, tensor: str) -> int:
     dims = TENSOR_DIMS[tensor]
     n = 1
@@ -167,11 +164,13 @@ class Hop:
     edges: tuple[int, ...]   # physical edges crossed, outermost first
 
 
-def tensor_hops(arch: Architecture, mapping: Mapping, tensor: str) -> list[Hop]:
-    """Descending chain for a tensor, ending at compute for operands read
-    by the MACs. For Outputs the chain stops at the accumulation level."""
+def tensor_hops(arch: Architecture, keep_overrides: dict[int, tuple[str, ...]],
+                tensor: str) -> list[Hop]:
+    """Descending chain for a tensor under a mapping's keep overrides,
+    ending at compute for operands read by the MACs. For Outputs the chain
+    stops at the accumulation level."""
 
-    keepers = arch.keepers(mapping.keep_overrides)[0][tensor]
+    keepers = arch.keepers(keep_overrides)[0][tensor]
     ends = keepers + (() if tensor == OUTPUTS else (len(arch.levels) - 1,))
     hops = []
     for outer, inner in zip(ends, ends[1:]):
@@ -179,15 +178,17 @@ def tensor_hops(arch: Architecture, mapping: Mapping, tensor: str) -> list[Hop]:
     return hops
 
 
-def accumulation_level(arch: Architecture, mapping: Mapping) -> int:
-    return arch.keepers(mapping.keep_overrides)[0][OUTPUTS][-1]
+def accumulation_level(arch: Architecture,
+                       keep_overrides: dict[int, tuple[str, ...]]) -> int:
+    return arch.keepers(keep_overrides)[0][OUTPUTS][-1]
 
 
-def output_stream(arch: Architecture, mapping: Mapping) -> Hop:
+def output_stream(arch: Architecture,
+                  keep_overrides: dict[int, tuple[str, ...]]) -> Hop:
     """The leg MAC partials take up from the compute level to the
     accumulation level, where they are read, modified and updated."""
 
-    acc = accumulation_level(arch, mapping)
+    acc = accumulation_level(arch, keep_overrides)
     compute = len(arch.levels) - 1
     return Hop(OUTPUTS, acc, compute, tuple(range(acc + 1, compute + 1)))
 
@@ -205,38 +206,18 @@ class Crossing(NamedTuple):
 @dataclass(frozen=True)
 class Leg:
     """One hop walked in one direction, as counting reads it: its
-    crossings, outermost edge first."""
+    crossings, outermost edge first, at the plan's edge slots `first`
+    onward; the Tally slots of its outer and inner level's counters
+    (inner_at is -1 at the compute level); and per crossing the slot of
+    its conversion counter, -1 with no converter."""
 
     outer: int
     inner: int
     crossings: tuple[Crossing, ...]
-
-    def merge_widths(self, levels: tuple[LevelMapping, ...]) -> list[int]:
-        """Width of the transmission merge seen at each edge, outermost
-        first: forks (descending) or merges (ascending) at an edge and all
-        deeper ones happen at or after the crossing, so they share one
-        signal. widths[0] merges the whole hop."""
-
-        widths = []
-        w = 1
-        for key, dims, _ in reversed(self.crossings):
-            spatial = levels[key[0]].spatial
-            for d in dims:
-                w *= spatial.get(d, 1)
-            widths.append(w)
-        widths.reverse()
-        return widths
-
-
-def _leg(arch: Architecture, hop: Hop, direction: str) -> Leg:
-    crossings = []
-    for k in hop.edges:
-        key = (k, hop.tensor, direction)
-        cv = arch.edge_converters.get(key)
-        crossings.append(Crossing(
-            key, merge_dims(arch, k, hop.tensor, direction),
-            None if cv is None else (cv.name, hop.tensor)))
-    return Leg(hop.outer, hop.inner, tuple(crossings))
+    first: int
+    outer_at: int
+    inner_at: int
+    conversions_at: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -245,66 +226,229 @@ class CountPlan:
     a mapping's keep overrides, built once per pair (count_plan).
 
     level_keys and conversion_keys are the (level, tensor) and (converter
-    name, tensor) keys of AccessCounts, in their order. operands holds the
+    name, tensor) keys of AccessCounts, in their order, and lay out a
+    Tally. edges holds every (edge, tensor, direction) a leg crosses, one
+    edge slot each, in leg order. operands holds the
     Weights and Inputs legs down their keeper chains; stream the Outputs
     leg up from compute to the accumulation level; drains, innermost hop
     first, each Outputs hop's ascending leg and its descending (refetch)
     leg. A leg's inner level names the tile size its hop counts. leg_at
-    maps each (edge, tensor, direction) a leg crosses to (leg, position).
+    maps each edge key to (leg, position). tiled holds the levels whose
+    tile counting reads; merging the legs with a crossing whose mesh
+    merges, and merged the levels of those crossings, whose spatial
+    factors merge_widths reads.
     """
 
     compute: int
     level_keys: tuple[tuple[int, str], ...]
     conversion_keys: tuple[tuple[str, str], ...]
+    edges: tuple[tuple[int, str, str], ...]
+    tiled: tuple[int, ...]
+    merging: tuple[Leg, ...]
+    merged: tuple[int, ...]
     operands: tuple[tuple[str, tuple[Leg, ...]], ...]
     stream: Leg
     drains: tuple[tuple[Leg, Leg], ...]
     leg_at: MappingProxyType[tuple[int, str, str], tuple[Leg, int]]
 
     @classmethod
-    def of(cls, arch: Architecture, mapping: Mapping) -> CountPlan:
+    def of(cls, arch: Architecture,
+           keep_overrides: dict[int, tuple[str, ...]]) -> CountPlan:
         compute = len(arch.levels) - 1
-        overrides = mapping.keep_overrides
-        operands = tuple((t, tuple(_leg(arch, hop, DOWN)
-                                   for hop in tensor_hops(arch, mapping, t)))
+        level_keys = tuple((i, t) for i in range(compute) for t in TENSORS
+                           if t in effective_keeps(arch, keep_overrides, i))
+        conversion_keys = tuple((cv.name, t) for cv in arch.converters
+                                for t in cv.tensors)
+        level_at = {key: 4 * i for i, key in enumerate(level_keys)}
+        conversion_at = {key: i for i, key in enumerate(conversion_keys)}
+        legs: list[Leg] = []
+
+        def leg(hop: Hop, direction: str) -> Leg:
+            crossings = []
+            for k in hop.edges:
+                key = (k, hop.tensor, direction)
+                cv = arch.edge_converters.get(key)
+                crossings.append(Crossing(
+                    key, merge_dims(arch, k, hop.tensor, direction),
+                    None if cv is None else (cv.name, hop.tensor)))
+            legs.append(Leg(
+                hop.outer, hop.inner, tuple(crossings),
+                sum(len(lg.crossings) for lg in legs),
+                level_at[(hop.outer, hop.tensor)],
+                level_at.get((hop.inner, hop.tensor), -1),
+                tuple(conversion_at.get(c.conversion, -1)
+                      for c in crossings)))
+            return legs[-1]
+
+        operands = tuple((t, tuple(leg(hop, DOWN) for hop in
+                                   tensor_hops(arch, keep_overrides, t)))
                          for t in (WEIGHTS, INPUTS))
-        stream = _leg(arch, output_stream(arch, mapping), UP)
-        drains = tuple((_leg(arch, hop, UP), _leg(arch, hop, DOWN))
-                       for hop in reversed(tensor_hops(arch, mapping, OUTPUTS)))
-        legs = [leg for _, ls in operands for leg in ls]
-        legs += [stream, *(leg for pair in drains for leg in pair)]
+        stream = leg(output_stream(arch, keep_overrides), UP)
+        drains = tuple((leg(hop, UP), leg(hop, DOWN)) for hop in
+                       reversed(tensor_hops(arch, keep_overrides, OUTPUTS)))
         return cls(
             compute=compute,
-            level_keys=tuple((i, t) for i in range(compute) for t in TENSORS
-                             if t in effective_keeps(arch, overrides, i)),
-            conversion_keys=tuple((cv.name, t) for cv in arch.converters
-                                  for t in cv.tensors),
+            level_keys=level_keys,
+            conversion_keys=conversion_keys,
+            edges=tuple(c.key for lg in legs for c in lg.crossings),
+            tiled=tuple(sorted({lg.inner for lg in legs
+                                if lg.inner != compute})),
+            merging=tuple(lg for lg in legs
+                          if any(c.dims for c in lg.crossings)),
+            merged=tuple(sorted({c.key[0] for lg in legs
+                                 for c in lg.crossings if c.dims})),
             operands=operands,
             stream=stream,
             drains=drains,
-            leg_at=MappingProxyType({c.key: (leg, i) for leg in legs
-                                     for i, c in enumerate(leg.crossings)}),
+            leg_at=MappingProxyType({c.key: (lg, i) for lg in legs
+                                     for i, c in enumerate(lg.crossings)}),
         )
 
+    def merge_widths(self, spatial: Levelwise) -> list[int]:
+        """Width of the transmission merge seen at each edge slot, where
+        spatial[j] maps a dim to its spatial factor at each level j of
+        `merged` (1 when missing). Forks (descending) or merges
+        (ascending) at an edge and at every deeper edge of its leg happen
+        at or after the crossing, so they share one signal: a leg's first
+        slot merges the whole hop."""
 
-def count_plan(arch: Architecture, mapping: Mapping) -> CountPlan:
-    """The CountPlan of the architecture under the mapping's keep
-    overrides, kept on the architecture per override set."""
+        widths = [1] * len(self.edges)
+        for lg in self.merging:
+            w = 1
+            for i in range(len(lg.crossings) - 1, -1, -1):
+                key, dims, _ = lg.crossings[i]
+                if dims:
+                    factors = spatial[key[0]]
+                    for d in dims:
+                        w *= factors.get(d, 1)
+                widths[lg.first + i] = w
+        return widths
 
-    return arch.derived(("count_plan", override_key(mapping.keep_overrides)),
-                        lambda: CountPlan.of(arch, mapping))
 
+def count_plan(arch: Architecture,
+               keep_overrides: dict[int, tuple[str, ...]]) -> CountPlan:
+    """The CountPlan of the architecture under a mapping's keep overrides,
+    kept on the architecture per override set."""
 
-def _div(n: int, d: int) -> int:
-    q, r = divmod(n, d)
-    if r:
-        raise AssertionError(f"inexact collapse {n}/{d}")
-    return q
+    return arch.derived(("count_plan", override_key(keep_overrides)),
+                        lambda: CountPlan.of(arch, keep_overrides))
 
 
 # ----------------------------------------------------------------------------
 # Analytical counting
 # ----------------------------------------------------------------------------
+
+
+class Tally(NamedTuple):
+    """The counts of one mapping laid out by its CountPlan: levels holds
+    reads, fills, updates and drains at 4 * i for level_keys[i],
+    conversions one counter per conversion key, and crossings and demand
+    one entry per edge slot, None where no transmission was recorded (a
+    refetch leg with nothing to refetch)."""
+
+    levels: list[int]
+    conversions: list[int]
+    crossings: list[int | None]
+    demand: list[int | None]
+
+
+def tally(plan: CountPlan, layer: Layer, tiles: Levelwise,
+          instances: Sequence[int], loops: Sequence[tuple[int, str, int]],
+          widths: list[int], macs: int) -> Tally:
+    """The counting arithmetic, from what a mapping's nest fixes: the tile
+    extents at each level of plan.tiled (LoopNest.tiles), the instances of
+    each level, the temporal loops outermost first (LoopNest.loops), the
+    merge width at each edge slot (CountPlan.merge_widths) and the padded
+    MAC count."""
+
+    compute = plan.compute
+    levels = [0] * (4 * len(plan.level_keys))
+    conversions = [0] * len(plan.conversion_keys)
+    crossings: list[int | None] = [None] * len(plan.edges)
+    demand: list[int | None] = [None] * len(plan.edges)
+    spans = [1]
+    for _, _, e in loops:
+        spans.append(spans[-1] * e)
+
+    def cross(leg: Leg, base: int, into: int) -> int:
+        """Record the leg's crossings of `base` values and the demand
+        `into` just inside each of its edges; returns the transmissions
+        across its first edge, which its outer end sends."""
+
+        slot = leg.first
+        for at in leg.conversions_at:
+            n, rest = divmod(base, widths[slot])
+            if rest:
+                raise AssertionError(f"inexact collapse {base}/{widths[slot]}")
+            crossings[slot] = n
+            demand[slot] = into
+            if at >= 0:
+                conversions[at] += n
+            slot += 1
+        return crossings[leg.first]
+
+    # Operand tensors flow down their keeper chains.
+    for tensor, legs in plan.operands:
+        bases = [macs if leg.inner == compute else
+                 (residencies(loops, spans, leg.inner, tensor)
+                  * tile_values(layer, tiles[leg.inner], tensor)
+                  * instances[leg.inner])
+                 for leg in legs]
+        bases.append(macs)
+        for i, leg in enumerate(legs):
+            delivered = cross(leg, bases[i], bases[i + 1])
+            levels[leg.outer_at] += delivered
+            if leg.inner_at >= 0:
+                levels[leg.inner_at + 1] += delivered
+
+    # Outputs: MAC partials ascend to the accumulation level...
+    stream = plan.stream
+    arrivals = cross(stream, macs, macs)
+    levels[stream.outer_at] += arrivals
+    levels[stream.outer_at + 2] += arrivals
+
+    # ...then finished tiles drain upward hop by hop, and partial tiles whose
+    # residency recurs are refetched back down first.
+    demand_into = arrivals
+    for up, down in plan.drains:
+        inner = up.inner
+        tc = residencies(loops, spans, inner, OUTPUTS)
+        size = tile_values(layer, tiles[inner], OUTPUTS)
+        inst = instances[inner]
+        drained = tc * size * inst
+        levels[up.inner_at + 3] += drained
+        merged = cross(up, drained, demand_into)
+        levels[up.outer_at + 2] += merged
+
+        refetch = tc - distinct_tiles(loops, inner, OUTPUTS)
+        if refetch:
+            base = refetch * size * inst
+            filled = cross(down, base, base)
+            levels[down.inner_at + 1] += filled
+            levels[down.outer_at] += filled
+        demand_into = merged
+
+    return Tally(levels, conversions, crossings, demand)
+
+
+def pack(plan: CountPlan, counted: Tally, macs: int,
+         real_macs: int) -> AccessCounts:
+    """The AccessCounts of a tally laid out by `plan`."""
+
+    levels = counted.levels
+    return AccessCounts(
+        per_level={key: LevelCounts(*levels[4 * i:4 * i + 4])
+                   for i, key in enumerate(plan.level_keys)},
+        conversions=dict(zip(plan.conversion_keys, counted.conversions)),
+        compute_reads=dict.fromkeys(TENSORS, macs),
+        macs=macs,
+        real_macs=real_macs,
+        edge_crossings={key: n for key, n in zip(plan.edges,
+                                                 counted.crossings)
+                        if n is not None},
+        edge_demand={key: n for key, n in zip(plan.edges, counted.demand)
+                     if n is not None},
+    )
 
 
 def analyze(arch: Architecture, layer: Layer, mapping: Mapping) -> AccessCounts:
@@ -317,18 +461,12 @@ def analyze(arch: Architecture, layer: Layer, mapping: Mapping) -> AccessCounts:
 
 def count_valid(arch: Architecture, layer: Layer,
                 mapping: Mapping) -> AccessCounts:
-    """analyze without validation, for a mapping known to be valid, as
-    every candidate the search completes is. Given a mapping
-    validate_mapping rejects, the counts are meaningless."""
+    """analyze without validation, for a mapping known to be valid: the
+    tally of its nest, packed. Given a mapping validate_mapping rejects,
+    the counts are meaningless."""
 
-    plan = count_plan(arch, mapping)
-
-    compute = plan.compute
-    levels = mapping.levels
+    plan = count_plan(arch, mapping.keep_overrides)
     nest = mapping.nest
-    loops = nest.loops
-    tiles = nest.tiles
-    instances = nest.instances
     padded = nest.padded
     bounds = effective_bounds(layer, mapping.batch_size)
     macs = 1
@@ -336,86 +474,9 @@ def count_valid(arch: Architecture, layer: Layer,
     for d in DIMS:
         macs *= padded[d]
         real *= min(padded[d], bounds[d])
-
-    per_level = {key: LevelCounts() for key in plan.level_keys}
-    conversions = dict.fromkeys(plan.conversion_keys, 0)
-    counts = AccessCounts(per_level=per_level, conversions=conversions,
-                          compute_reads=dict.fromkeys(TENSORS, macs),
-                          macs=macs, real_macs=real)
-    crossings = counts.edge_crossings
-    edge_demand = counts.edge_demand
-
-    def record_crossings(leg: Leg, widths: list[int], base: int) -> None:
-        for (key, _, conv), w in zip(leg.crossings, widths):
-            n = _div(base, w)
-            crossings[key] = crossings.get(key, 0) + n
-            if conv is not None:
-                conversions[conv] += n
-
-    # Operand tensors flow down their keeper chains.
-    for tensor, legs in plan.operands:
-        bases = []
-        for leg in legs:
-            if leg.inner == compute:
-                base = macs
-            else:
-                base = (residencies(loops, leg.inner, tensor)
-                        * tile_values(layer, tiles[leg.inner], tensor)
-                        * instances[leg.inner])
-            bases.append(base)
-        for i, leg in enumerate(legs):
-            base = bases[i]
-            widths = leg.merge_widths(levels)
-            delivered = _div(base, widths[0])
-            per_level[(leg.outer, tensor)].reads += delivered
-            if leg.inner != compute:
-                per_level[(leg.inner, tensor)].fills += delivered
-            record_crossings(leg, widths, base)
-            demand = bases[i + 1] if i + 1 < len(legs) else macs
-            for key, _, _ in leg.crossings:
-                edge_demand[key] = edge_demand.get(key, 0) + demand
-
-    # Outputs: MAC partials ascend to the accumulation level...
-    stream = plan.stream
-    widths = stream.merge_widths(levels)
-    arrivals = _div(macs, widths[0])
-    record_crossings(stream, widths, macs)
-    for key, _, _ in stream.crossings:
-        edge_demand[key] = macs
-    acc = per_level[(stream.outer, OUTPUTS)]
-    acc.updates += arrivals
-    acc.reads += arrivals
-
-    # ...then finished tiles drain upward hop by hop, and partial tiles whose
-    # residency recurs are refetched back down first.
-    demand_into = arrivals
-    for up, down in plan.drains:
-        inner, outer = up.inner, up.outer
-        tc = residencies(loops, inner, OUTPUTS)
-        size = tile_values(layer, tiles[inner], OUTPUTS)
-        inst = instances[inner]
-        drained = tc * size * inst
-        per_level[(inner, OUTPUTS)].drains += drained
-        widths = up.merge_widths(levels)
-        merged = _div(drained, widths[0])
-        per_level[(outer, OUTPUTS)].updates += merged
-        record_crossings(up, widths, drained)
-        for key, _, _ in up.crossings:
-            edge_demand[key] = demand_into
-
-        refetch = tc - distinct_tiles(loops, inner, OUTPUTS)
-        if refetch:
-            base = refetch * size * inst
-            widths = down.merge_widths(levels)
-            filled = _div(base, widths[0])
-            per_level[(inner, OUTPUTS)].fills += filled
-            per_level[(outer, OUTPUTS)].reads += filled
-            record_crossings(down, widths, base)
-            for key, _, _ in down.crossings:
-                edge_demand[key] = base
-        demand_into = merged
-
-    return counts
+    widths = plan.merge_widths([lm.spatial for lm in mapping.levels])
+    return pack(plan, tally(plan, layer, nest.tiles, nest.instances,
+                            nest.loops, widths, macs), macs, real)
 
 
 # ----------------------------------------------------------------------------
@@ -429,13 +490,14 @@ def reuse_factors(counts: AccessCounts, arch: Architecture,
     temporal reuse of the delivered values. Entries with zero crossings are
     omitted."""
 
-    plan = count_plan(arch, mapping)
+    plan = count_plan(arch, mapping.keep_overrides)
+    widths = plan.merge_widths([lm.spatial for lm in mapping.levels])
     out = []
     for key, crossing in sorted(counts.edge_crossings.items()):
         if crossing == 0:
             continue
         leg, i = plan.leg_at[key]
-        sm = leg.merge_widths(mapping.levels)[i]
+        sm = widths[leg.first + i]
         demand = counts.edge_demand[key]
         tr = Fraction(demand, crossing * sm)
         conv = leg.crossings[i].conversion

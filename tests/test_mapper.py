@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from photon_model import albireo, mapper
 from photon_model.evaluator import evaluate
+from photon_model.reuse import analyze, pack
 from photon_model.mapper import (
     OBJECTIVES,
     NoValidMapping,
@@ -331,22 +332,24 @@ def test_step_floor_is_the_nest_step_count():
 
 
 def _validate_counted(monkeypatch):
-    """Make every search validate each candidate it counts, that is each
-    one it builds. Returns the list of (layer name, error kind) rejections
-    and a one-item list holding the number of candidates counted."""
+    """Make every search validate the mapping of each candidate it counts,
+    that is each one it prices. Returns the list of (layer name, error
+    kind) rejections and a one-item list holding the number of candidates
+    counted."""
 
     rejected, counted = [], [0]
-    count_valid = mapper.count_valid
+    objective = mapper._Pricer.objective
 
-    def checked(arch, layer, mapping):
+    def checked(self, picks, perms, sprod, steps):
         counted[0] += 1
         try:
-            validate_mapping(mapping, layer, arch)
+            validate_mapping(self.mapping(picks, perms), self.layer,
+                             self.arch)
         except MappingError as err:
-            rejected.append((layer.name, err.kind))
-        return count_valid(arch, layer, mapping)
+            rejected.append((self.layer.name, err.kind))
+        return objective(self, picks, perms, sprod, steps)
 
-    monkeypatch.setattr(mapper, "count_valid", checked)
+    monkeypatch.setattr(mapper._Pricer, "objective", checked)
     return rejected, counted
 
 
@@ -845,6 +848,106 @@ def test_pruned_random_draws_are_frozen(case):
     res = search(arch, layer, cfg)
     assert (res.evaluation.mapping_digest, res.objective, res.visited,
             res.pruned, res.invalid) == expected
+
+
+def _check_pricing(monkeypatch):
+    """Make every search check each candidate it prices against the
+    mapping the candidate builds: the objective must equal the one its
+    evaluation gives, bit for bit, and the packed tally analyze's counts.
+    Returns a one-item list holding the number of candidates checked."""
+
+    checked = [0]
+    objective = mapper._Pricer.objective
+
+    def priced(self, picks, perms, sprod, steps):
+        value = objective(self, picks, perms, sprod, steps)
+        mapping = self.mapping(picks, perms)
+        counts = analyze(self.arch, self.layer, mapping)
+        counted, macs, real, _ = self.count(picks, perms, sprod)
+        assert pack(self.plan, counted, macs, real) == counts
+        ev = evaluate(self.arch, self.layer, mapping, counts)
+        assert value == mapper._objective_of(ev, self.cfg.objective)
+        checked[0] += 1
+        return value
+
+    monkeypatch.setattr(mapper._Pricer, "objective", priced)
+    return checked
+
+
+@pytest.mark.parametrize("objective", OBJECTIVES)
+def test_search_prices_every_toy_candidate_as_evaluate_does(objective,
+                                                            monkeypatch):
+    checked = _check_pricing(monkeypatch)
+    for fanout, crossing, dims in TOY_CASES:
+        mapper._search(toy_arch(fanout, crossing), toy_layer(dims),
+                       SearchConfig(objective=objective,
+                                    strategy="exhaustive"))
+    for bits, dims, overrides in KEEPER_CASES:
+        mapper._search(refetch_toy(bits), toy_layer(dims), SearchConfig(
+            objective=objective, strategy="exhaustive",
+            keep_overrides=overrides))
+    assert checked[0] > 0
+
+
+@pytest.mark.parametrize("workload", ["vgg16", "alexnet"])
+def test_search_prices_every_shipped_candidate_as_evaluate_does(
+        workload, monkeypatch):
+    # The studies' pins at batch 1 and 16 under every objective, and one
+    # fused pair's keep override. AlexNet conv1 (stride 4) puts the strided
+    # Inputs halo through the tally.
+    arch = albireo.architecture("aggressive")
+    layers = load_workload(workload).layers
+    assert workload == "vgg16" or layers[0].stride == (4, 4)
+    checked = _check_pricing(monkeypatch)
+    runs = [(objective, batch, {}) for objective in OBJECTIVES
+            for batch in (1, 16)] + [("energy", 1, FUSED_OVERRIDES[1])]
+    for layer in layers:
+        for objective, batch, keep in runs:
+            try:
+                mapper._search(arch, layer, SearchConfig(
+                    objective=objective, budget=4, seed=5, pad_mode="pad",
+                    batch_size=batch, keep_overrides=keep,
+                    fixed_spatial=stencil_pins(layer, arch)))
+            except NoValidMapping:  # every draw dead-ended: nothing priced
+                continue
+    assert checked[0] > 0
+
+
+def test_only_a_new_best_or_an_exact_tie_is_built_and_evaluated(
+        monkeypatch):
+    arch = albireo.architecture("aggressive")
+    # Two of fc6's draws tie on energy exactly.
+    layer = next(l for l in load_workload("vgg16").layers if l.name == "fc6")
+    values, built, evaluated = [], [0], [0]
+    objective = mapper._Pricer.objective
+    build_mapping, evaluate_mapping = mapper._build_mapping, mapper.evaluate
+
+    def priced(*args):
+        values.append(objective(*args))
+        return values[-1]
+
+    def counted(calls, fn):
+        def call(*args):
+            calls[0] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(mapper._Pricer, "objective", priced)
+    monkeypatch.setattr(mapper, "_build_mapping",
+                        counted(built, build_mapping))
+    monkeypatch.setattr(mapper, "evaluate",
+                        counted(evaluated, evaluate_mapping))
+    res = mapper._search(arch, layer, SearchConfig(
+        budget=200, seed=7, pad_mode="pad",
+        fixed_spatial=stencil_pins(layer, arch)))
+    lowest, bests, ties = math.inf, 0, 0
+    for value in values:
+        if value <= lowest:
+            ties += value == lowest
+            lowest, bests = value, bests + 1
+    assert len(values) == res.visited and lowest == res.objective
+    assert ties > 0
+    assert built[0] == evaluated[0] == bests < res.visited
 
 
 def _unit_factors(mapping, written):

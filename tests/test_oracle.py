@@ -95,10 +95,11 @@ def test_oracle_imports_only_structure_from_reuse():
                            "loop_list", *COUNT_PLAN_NAMES}
 
 
-# What reuse.analyze plans once per architecture: merge widths, converter
-# keys and hops read from these would share the closed form's derivation.
+# What reuse.analyze plans once per architecture, and the arithmetic core
+# that counts from the plan: merge widths, converter keys and hops read
+# from these would share the closed form's derivation.
 COUNT_PLAN_NAMES = {"CountPlan", "count_plan", "Leg", "merge_widths",
-                    "leg_at"}
+                    "leg_at", "Tally", "tally", "pack"}
 
 
 def test_oracle_never_reaches_the_count_plan():

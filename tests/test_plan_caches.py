@@ -1,5 +1,6 @@
-"""The count plan and the price rows are kept on the architecture instance
-(per keep-override set for the plan). An edited copy, or another override
+"""The count plan, the price program and the area are kept on the
+architecture instance (per keep-override set for the plan, per layout of
+counts for the program). An edited copy, or another override
 set, must never be counted or priced through tables built for another:
 every result must equal one computed on a freshly parsed architecture."""
 
@@ -8,7 +9,7 @@ from dataclasses import replace
 import pytest
 
 from photon_model import albireo
-from photon_model.evaluator import evaluate, price_rows
+from photon_model.evaluator import evaluate, price_program
 from photon_model.mapper import SearchConfig, search
 from photon_model.oracle import simulate
 from photon_model.reuse import analyze, count_plan, reuse_factors
@@ -94,8 +95,9 @@ def test_an_edited_copy_never_reads_the_originals_tables(edit):
     counts = evaluate(b, LAYER, mapping).counts
     assert (reuse_factors(counts, b, mapping)
             == reuse_factors(counts, _fresh(b), mapping))
-    assert price_rows(a) is price_rows(a)
-    assert price_rows(b) is not price_rows(a)
+    layout = (tuple(counts.per_level), tuple(counts.conversions))
+    assert price_program(a, *layout) is price_program(a, *layout)
+    assert price_program(b, *layout) is not price_program(a, *layout)
 
 
 @pytest.mark.parametrize("edit, moves", [
@@ -104,8 +106,9 @@ def test_an_edited_copy_never_reads_the_originals_tables(edit):
     (_extra_area, "area_um2"),
 ])
 def test_latency_and_area_follow_an_edited_copy(edit, moves):
-    # The bandwidths, conversion rates and area sum in the price rows are
-    # read per candidate; an edited copy must never see the original's.
+    # The bandwidths and conversion rates in the price program and the
+    # area sum are read per candidate; an edited copy must never see the
+    # original's.
     a, mapping = _searched()
     b = edit(a)
     got_a = evaluate(a, LAYER, mapping)
@@ -126,5 +129,5 @@ def test_each_keep_override_set_gets_its_own_plan():
     assert got[0] == got[2]
     assert got[1] != got[0]
     assert not any(lv == 1 and t == INPUTS for lv, t in got[1].per_level)
-    assert count_plan(arch, plain) is count_plan(arch, replace(plain))
-    assert count_plan(arch, bypass) is not count_plan(arch, plain)
+    assert count_plan(arch, plain.keep_overrides) is count_plan(arch, replace(plain).keep_overrides)
+    assert count_plan(arch, bypass.keep_overrides) is not count_plan(arch, plain.keep_overrides)

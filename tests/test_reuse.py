@@ -140,7 +140,7 @@ def test_accumulation_level_is_innermost_output_keeper():
     arch = toys.fc_weight_buffer()
     m = Mapping(levels=(LevelMapping(temporal={"K": 2, "C": 3}),
                         LevelMapping(), LevelMapping()))
-    assert accumulation_level(arch, m) == 0
+    assert accumulation_level(arch, m.keep_overrides) == 0
 
 
 def _partial_sum_arch(with_down_converter):

@@ -18,7 +18,7 @@ def test_stage_split_calls_every_stage_and_restores_every_name():
     tool = _load_tool()
     owners = {owner for owner, _ in tool.STAGES.values()}
     before = {owner: dict(vars(owner)) for owner in owners}
-    out = tool.stage_split("throughput", [7], 2)
+    out = tool.stage_split("throughput", [7], 8)
     for owner in owners:
         after = vars(owner)
         assert after.keys() == before[owner].keys()
@@ -26,5 +26,10 @@ def test_stage_split_calls_every_stage_and_restores_every_name():
     assert set(out["stages"]) == set(tool.STAGES)
     assert all(s["calls"] > 0 for s in out["stages"].values()), out["stages"]
     assert 0 <= out["search_self_s"] <= out["stages"]["search"]["seconds"]
+    # Every visited candidate is priced; only a new best or an exact tie
+    # is built, counted and evaluated.
+    calls = {name: s["calls"] for name, s in out["stages"].items()}
+    assert (calls["build_mapping"] == calls["counting"] == calls["evaluate"]
+            < calls["candidate_pricing"] == calls["candidate_counting"])
     # R's menu sits at its minimum row in most throughput searches.
     assert out["limits_skipped"] > 0

@@ -13,10 +13,13 @@ orders and keeping the best); and `limits_skipped`, the filter steps that
 skipped `limits` because every chain of the dim sits at its minimum row
 (each step calls `feasible`, and `limits` unless skipped; each
 `map_space_build` call calls `limits` once).
+Every candidate the search visits is priced (`candidate_pricing`, which
+counts it through `candidate_counting`); only a new best or an exact tie
+is then built (`build_mapping`), counted (`counting`) and evaluated
+(`evaluate`, which runs `latency` and `pricing`).
 Stages nest (`limits` runs inside `map_space_build` as well as in the
-draws, `latency` and `pricing` inside `evaluate`), so inclusive seconds do
-not add up. Each wrapped call costs about a microsecond more, which
-dilutes every ratio taken from these numbers.
+draws), so inclusive seconds do not add up. Each wrapped call costs about a
+microsecond more, which dilutes every ratio taken from these numbers.
 """
 
 from __future__ import annotations
@@ -39,6 +42,8 @@ STAGES = {
     "filter_build": (mapper._MenuFilter, "__init__"),
     "limits": (mapper._CapacityCheck, "limits"),
     "feasible": (mapper._MenuFilter, "feasible"),
+    "candidate_pricing": (mapper._Pricer, "objective"),
+    "candidate_counting": (mapper, "tally"),
     "build_mapping": (mapper, "_build_mapping"),
     "evaluate": (mapper, "evaluate"),
     "counting": (mapper, "count_valid"),
