@@ -30,9 +30,21 @@ per limits tuple, as they read nothing else. Per refetch-forbidden keeper
 and running mask pair, the chains the loop-nest condition allows form one
 more bitset. Each step ANDs them and picks from the result's index list,
 kept per bitset in menu order, so the picks are those of a filter that
-rechecks every chain. The loop orders come from one lookup per assignment:
-a table keyed by the levels where each picked chain iterates (_OrderTable)
-holds every level's legal orders.
+rechecks every chain.
+
+Both strategies walk one kind of state (_Walk): what the dims assigned so
+far leave, that is the spatial products, extent rows, loop-nest masks,
+step count and loop-order signature, moved to the next dim by one
+function. The draws keep a tree of the prefixes of picks they have drawn,
+each holding its state and its feasible list; a draw descends it with one
+rng.choice per dim and runs limits, the filter and the state update only
+for a prefix not drawn before, so it draws what a walk that recomputed
+every step draws. Exhaustive visits each prefix once and keeps no tree.
+The loop orders come from one lookup per assignment: a table keyed by the
+levels where each picked chain iterates (_OrderTable) holds every level's
+legal orders. It reads only the level count and the refetch-forbidden
+keepers, so it is kept per architecture and keep-override set, for every
+search that shares them.
 
 A candidate is priced from its picked chains and loop orders with no
 Mapping in between (_Pricer). Its counts are reuse.tally, the arithmetic
@@ -91,6 +103,7 @@ costs about as much as the pricing it would save.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 import random
@@ -116,6 +129,7 @@ from .spec_model import (
     effective_bounds,
     effective_keeps,
     kept_bits,
+    override_key,
     tile_values,
 )
 
@@ -158,6 +172,8 @@ class SearchConfig:
             raise ValueError(f"unknown pad_mode {self.pad_mode!r}")
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
+        if self.max_space < 1:
+            raise ValueError("max_space must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.reduction_floor is not None and self.reduction_floor < 0:
@@ -193,6 +209,8 @@ class SearchResult:
     invalid: int
 
 
+# Both are memoised: callers share each list and must not change it.
+@functools.cache
 def divisors(n: int) -> list[int]:
     out = []
     for d in range(1, int(math.isqrt(n)) + 1):
@@ -203,6 +221,7 @@ def divisors(n: int) -> list[int]:
     return sorted(out)
 
 
+@functools.cache
 def enumerate_factorizations(bound: int, slots: int) -> list[tuple[int, ...]]:
     """All ordered tuples of `slots` positive integers whose product is
     exactly `bound`."""
@@ -234,8 +253,7 @@ class _CapacityCheck:
     its minimum, and the first dim's menu was filtered at the minimum
     rows."""
 
-    def __init__(self, arch: Architecture, layer: Layer, cfg: SearchConfig,
-                 menus: list[list[tuple[int, ...]]] | None = None):
+    def __init__(self, arch: Architecture, layer: Layer, cfg: SearchConfig):
         m = len(arch.levels)
         bounds = effective_bounds(layer, cfg.batch_size)
         self.layer = layer
@@ -245,14 +263,6 @@ class _CapacityCheck:
             if keeps:
                 self.checks.append(
                     (lvl, tuple(keeps), arch.levels[lvl].component.capacity_bits))
-        if menus:
-            # Demand grows with every extent: a level that fits the menus'
-            # largest extents never binds, and goes unchecked.
-            top = zip(*(map(max, zip(*map(self.row, chains)))
-                        for chains in menus))
-            self.checks = [chk for chk, tb in zip(self.checks, top)
-                           if chk[2] < sum(kept_bits(
-                               layer, dict(zip(DIMS, tb)), chk[1]).values())]
 
         def least(d, lvl):
             pins = math.prod(cfg.fixed_spatial.get((j, d), 1)
@@ -262,13 +272,36 @@ class _CapacityCheck:
         self.mins = tuple(tuple(least(d, lvl) for lvl, _, _ in self.checks)
                           for d in DIMS)
         self.memo: dict[tuple, float] = {}
+        self.rows: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def row(self, chain: tuple[int, ...]) -> tuple[int, ...]:
         """Extent of one dim's chain at each checked level: the product of
-        its factors below that level, or at level 0 of them all."""
+        its factors below that level, or at level 0 of them all. Each
+        chain's row is computed once."""
 
-        return tuple(math.prod(chain[2 * lvl + 1:] if lvl else chain)
-                     for lvl, _, _ in self.checks)
+        row = self.rows.get(chain)
+        if row is None:
+            row = self.rows[chain] = tuple(
+                math.prod(chain[2 * lvl + 1:] if lvl else chain)
+                for lvl, _, _ in self.checks)
+        return row
+
+    def narrow(self, menus: list[list[tuple[int, ...]]]) -> None:
+        """Stop checking the levels that fit the menus' largest extents:
+        demand grows with every extent, so such a level never binds. The
+        menu chains keep their rows, less those levels."""
+
+        top = zip(*(map(max, zip(*map(self.row, chains))) for chains in menus))
+        keep = [c for c, ((_, keeps, bits), tb)
+                in enumerate(zip(self.checks, top))
+                if bits < sum(kept_bits(self.layer, dict(zip(DIMS, tb)),
+                                        keeps).values())]
+        rows = self.rows
+        self.checks = [self.checks[c] for c in keep]
+        self.mins = tuple(tuple(row[c] for c in keep) for row in self.mins)
+        self.rows = {chain: tuple(rows[chain][c] for c in keep)
+                     for chains in menus for chain in chains}
+        self.memo = {}
 
     def limits(self, rows: tuple[tuple[int, ...], ...], di: int
                ) -> tuple[float, ...]:
@@ -514,33 +547,130 @@ def _valid_perms(live: tuple[str, ...], level: int,
 
 class _OrderTable:
     """Each level's legal loop orders (_valid_perms) for an assignment,
-    keyed by its signature: the OR of the picked chains' _MenuFilter.live
-    words, so bits j * len(DIMS) upward hold the dims live at level j. A
-    signature's lists are built on its first lookup, sharing one list per
-    (level, live dims)."""
+    from its signature: the OR of the picked chains' _MenuFilter.live
+    words, so bits j * len(DIMS) upward hold the dims live at level j.
+    Each (level, live dims) list is built on its first lookup and shared."""
 
     def __init__(self, levels: int,
                  forbidden: tuple[tuple[int, str, int], ...]):
         self.levels = levels
         self.forbidden = forbidden
-        self.by_signature: dict[int, list[list]] = {}
         self.by_level: dict[tuple[int, int], list] = {}
 
     def options(self, signature: int) -> list[list]:
-        out = self.by_signature.get(signature)
-        if out is None:
-            out = self.by_signature[signature] = []
-            full = (1 << len(DIMS)) - 1
-            for j in range(self.levels):
-                key = (j, signature >> (j * len(DIMS)) & full)
-                perms = self.by_level.get(key)
-                if perms is None:
-                    live = tuple(d for i, d in enumerate(DIMS)
-                                 if key[1] >> i & 1)
-                    perms = self.by_level[key] = _valid_perms(
-                        live, j, self.forbidden)
-                out.append(perms)
+        out = []
+        full = (1 << len(DIMS)) - 1
+        for j in range(self.levels):
+            key = (j, signature >> (j * len(DIMS)) & full)
+            perms = self.by_level.get(key)
+            if perms is None:
+                live = tuple(d for i, d in enumerate(DIMS) if key[1] >> i & 1)
+                perms = self.by_level[key] = _valid_perms(live, j,
+                                                          self.forbidden)
+            out.append(perms)
         return out
+
+
+def _order_table(arch: Architecture, keep_overrides: dict) -> _OrderTable:
+    """The loop-order table of every search on `arch` under the keep
+    overrides: it reads nothing else."""
+
+    return arch.derived(
+        ("order_table", override_key(keep_overrides)),
+        lambda: _OrderTable(len(arch.levels), arch.keepers(keep_overrides)[1]))
+
+
+class _Walk:
+    """The filter's walk over one search's menus (see the module
+    docstring). A state is (sprod, rows, nest, steps, signature): the
+    spatial products of levels 1..M-1, one extent row per dim (its minimum
+    row until assigned), each forbidden keeper's (own, other) loop-nest
+    masks, the step count and the loop-order signature."""
+
+    def __init__(self, filters: list[_MenuFilter], cap: _CapacityCheck,
+                 forbidden: tuple[tuple[int, str, int], ...]):
+        self.filters, self.cap = filters, cap
+        self.root = ((1,) * len(filters[0].fanouts), cap.mins,
+                     ((0, 0),) * len(forbidden), 1, 0)
+        # The draws' tree: each drawn prefix of picks as (its state, the
+        # next dim's feasible list, {pick: the prefix one pick longer});
+        # a complete prefix holds neither.
+        self.tree = None
+
+    def feasible(self, di: int, state: tuple) -> list[int]:
+        """The filter's menu indices for dim DIMS[di] in `state`."""
+
+        menu = self.filters[di]
+        return menu.feasible(
+            state[0], () if menu.at_min else self.cap.limits(state[1], di),
+            state[2])
+
+    def child(self, di: int, state: tuple, pick: int) -> tuple:
+        """The state once dim DIMS[di] takes menu chain `pick`."""
+
+        sprod, rows, nest, steps, signature = state
+        menu = self.filters[di]
+        spatial, extent, adds = menu.table[pick]
+        return (tuple(map(mul, sprod, spatial)),
+                rows[:di] + (extent,) + rows[di + 1:],
+                tuple((o | a, x | b) for (o, x), (a, b) in zip(nest, adds)),
+                steps * menu.steps[pick], signature | menu.live[pick])
+
+    def exhaustive(self, max_steps: float):
+        """Yields (picks, state) per complete assignment, depth first in
+        menu order; raises SearchError past max_steps filter steps. `picks`
+        is one list of menu indices, refilled in place."""
+
+        picks = [0] * len(DIMS)
+        filter_steps = 0
+        # (dims assigned, the last one's pick, the state they leave).
+        stack = [(0, None, self.root)]
+        while stack:
+            di, pick, state = stack.pop()
+            if di:
+                picks[di - 1] = pick
+            if di == len(DIMS):
+                yield picks, state
+                continue
+            filter_steps += 1
+            if filter_steps > max_steps:
+                raise SearchError(f"exhaustive walk exceeds {max_steps} "
+                                  "filter steps; use pruned_random")
+            # Pushed in reverse, so they pop in menu order.
+            for pick in reversed(self.feasible(di, state)):
+                stack.append((di + 1, pick, self.child(di, state, pick)))
+
+    def draw(self, rng: random.Random, picks: list[int]) -> tuple | None:
+        """One pruned_random draw: per dim, rng.choice of its feasible
+        list, down the tree of the prefixes drawn before. Fills `picks`;
+        returns the complete state, or None at a dead end."""
+
+        node = self.tree
+        if node is None:
+            node = self.tree = (self.root, self.feasible(0, self.root), {})
+        for di in range(len(DIMS)):
+            node = self.step(node, di, rng, picks)
+            if node is None:
+                return None
+        return node[0]
+
+    def step(self, node: tuple, di: int, rng: random.Random,
+             picks: list[int]) -> tuple | None:
+        """A draw's filter step at the node of prefix picks[:di]: the node
+        one pick longer, built on its first draw, or None when the node's
+        feasible list is empty."""
+
+        state, feasible, below = node
+        if not feasible:
+            return None
+        pick = picks[di] = rng.choice(feasible)
+        nxt = below.get(pick)
+        if nxt is None:
+            state = self.child(di, state, pick)
+            nxt = below[pick] = ((state, self.feasible(di + 1, state), {})
+                                 if di + 1 < len(DIMS)
+                                 else (state, None, None))
+        return nxt
 
 
 class _Pricer:
@@ -694,46 +824,10 @@ def _search(arch: Architecture, layer: Layer, cfg: SearchConfig) -> SearchResult
             raise NoValidMapping(
                 layer.name, f"no factor chain for dim {d} fits its pins "
                 "and the storage capacities")
-    cap = _CapacityCheck(arch, layer, cfg, list(chain_menu.values()))
-    m = len(arch.levels)
-    filters = [_MenuFilter(arch, chain_menu[d], d, cap, forbidden)
-               for d in DIMS]
-    orders = _OrderTable(m, forbidden)
-
-    def walk(choose, max_steps=math.inf):
-        """Yields (picks, sprod, steps, signature) per complete assignment,
-        dims taken in DIMS order from the picks choose(feasible) names,
-        depth first in menu order; raises SearchError past max_steps
-        filter steps. `picks` is one list of menu indices, refilled in
-        place."""
-
-        picks = [0] * len(DIMS)
-        filter_steps = 0
-        # Depth first: (dims assigned, the last one's pick, the state they
-        # leave). Picks are pushed in reverse, so they pop in choose's order.
-        stack = [(0, None, (1,) * (m - 1), cap.mins,
-                  ((0, 0),) * len(forbidden), 1, 0)]
-        while stack:
-            di, pick, sprod, rows, nest, steps, signature = stack.pop()
-            if di:
-                picks[di - 1] = pick
-            if di == len(DIMS):
-                yield picks, sprod, steps, signature
-                continue
-            filter_steps += 1
-            if filter_steps > max_steps:
-                raise SearchError(f"exhaustive walk exceeds {max_steps} "
-                                  "filter steps; use pruned_random")
-            menu = filters[di]
-            feasible = menu.feasible(
-                sprod, () if menu.at_min else cap.limits(rows, di), nest)
-            for pick in reversed(choose(feasible) if feasible else ()):
-                spatial, extent, adds = menu.table[pick]
-                stack.append((
-                    di + 1, pick, tuple(map(mul, sprod, spatial)),
-                    rows[:di] + (extent,) + rows[di + 1:],
-                    tuple((o | a, x | b) for (o, x), (a, b) in zip(nest, adds)),
-                    steps * menu.steps[pick], signature | menu.live[pick]))
+    cap.narrow(list(chain_menu.values()))
+    walk = _Walk([_MenuFilter(arch, chain_menu[d], d, cap, forbidden)
+                  for d in DIMS], cap, forbidden)
+    orders = _order_table(arch, cfg.keep_overrides)
 
     best = _Best(cfg.objective)
     visited = pruned = invalid = 0
@@ -752,8 +846,8 @@ def _search(arch: Architecture, layer: Layer, cfg: SearchConfig) -> SearchResult
     if cfg.strategy == "exhaustive":
         # At most the product of the menu sizes partial assignments at
         # each depth, so a space that fits max_space never trips the walk.
-        for picks, sprod, steps, signature in walk(
-                lambda feasible: feasible, len(DIMS) * cfg.max_space):
+        for picks, (sprod, _, _, steps, signature) in walk.exhaustive(
+                len(DIMS) * cfg.max_space):
             for perms in itertools.product(*orders.options(signature)):
                 visited += 1
                 if visited > cfg.max_space:
@@ -763,13 +857,14 @@ def _search(arch: Architecture, layer: Layer, cfg: SearchConfig) -> SearchResult
     else:
         rng = random.Random(cfg.seed)
         prune = cfg.objective == "delay"
+        picks = [0] * len(DIMS)
         for _ in range(cfg.budget):
-            # The one assignment the draws reach, or None at a dead end: a
+            # The one assignment the draw reaches, or None at a dead end: a
             # dim the filter leaves no chain, or a level with no legal order.
-            leaf = next(walk(lambda feasible: (rng.choice(feasible),)), None)
+            leaf = walk.draw(rng, picks)
             perms = []
             if leaf is not None:
-                picks, sprod, steps, signature = leaf
+                sprod, _, _, steps, signature = leaf
                 for options in orders.options(signature):
                     if not options:
                         leaf = None

@@ -29,7 +29,6 @@ from photon_model.spec_model import (
     TENSORS,
     WEIGHTS,
     Architecture,
-    Converter,
     Layer,
     Level,
     LevelMapping,
@@ -46,6 +45,7 @@ from photon_model.workloads import load_workload
 
 import toys
 from randgen import random_instance
+from toys import refetch_toy
 
 
 def test_divisors():
@@ -175,27 +175,6 @@ def test_pruned_random_matches_exhaustive_with_budget():
         assert res.objective >= want or res.objective == pytest.approx(want)
         hits += res.objective == pytest.approx(want)
     assert hits >= len(TOY_CASES) - 1
-
-
-def refetch_toy(buf_bits):
-    """Store (DE) over a small buffer (AE) over a MAC array (AE). Partial
-    sums drain up through an ADC, but no converter carries Outputs back
-    down, so a buffered output tile may never be refetched."""
-
-    wio = ("Weights", "Inputs", "Outputs")
-    a = Architecture(
-        name="refetch", clock_ghz=1.0,
-        levels=(Level("store", toys.storage("sram", "DE", 1 << 24,
-                                            read=10.0), 1, wio),
-                Level("buf", toys.storage("reg", "AE", buf_bits), 2, wio),
-                Level("pe", toys.compute("amac", "AE"), 2, ())),
-        meshes=(Mesh(), Mesh(may_multicast=True, may_reduce=True)),
-        converters=(Converter("dn", toys.converter("dac", "DE", "AE"), 1,
-                              ("Weights", "Inputs"), 2),
-                    Converter("up", toys.converter("adc", "AE", "DE"), 1,
-                              ("Outputs",), 2)))
-    validate_architecture(a)
-    return a
 
 
 # (buffer bits, layer dims, keep overrides). Without an override the
@@ -622,6 +601,11 @@ def test_search_config_validation():
         SearchConfig(pad_mode="round")
     with pytest.raises(ValueError, match="batch_size must be >= 1"):
         SearchConfig(batch_size=0)
+    # Accepted before, and the walk then failed on its -35 filter steps.
+    with pytest.raises(ValueError, match="max_space must be >= 1"):
+        SearchConfig(strategy="exhaustive", max_space=-5)
+    with pytest.raises(ValueError, match="max_space must be >= 1"):
+        SearchConfig(max_space=0)
 
 
 @pytest.mark.parametrize("pins", [
@@ -764,12 +748,8 @@ def test_skipping_limits_at_the_minimum_rows_changes_no_feasible_list(
                 self.at_min = False
 
             monkeypatch.setattr(mapper._MenuFilter, "__init__", never_at_min)
-            cap_init = mapper._CapacityCheck.__init__
-
-            def every_level(self, arch, layer, cfg, menus=None):
-                cap_init(self, arch, layer, cfg)
-
-            monkeypatch.setattr(mapper._CapacityCheck, "__init__", every_level)
+            monkeypatch.setattr(mapper._CapacityCheck, "narrow",
+                                lambda self, menus: None)
             skipped.clear()
     assert not any(skipped)
     assert runs[0] == runs[1]
@@ -846,6 +826,34 @@ def test_pruned_random_draws_are_frozen(case):
                           "fixed_spatial": stencil_pins(layer, arch),
                           **fields})
     res = search(arch, layer, cfg)
+    assert (res.evaluation.mapping_digest, res.objective, res.visited,
+            res.pruned, res.invalid) == expected
+
+
+def test_draws_filter_each_drawn_prefix_once(monkeypatch):
+    # The draws descend a tree of the prefixes drawn before: the filter
+    # runs once per distinct prefix a draw steps from, and the search
+    # draws what the filter that ran at every step drew.
+    workload, name, fields, expected = FROZEN_SEARCHES["vgg16-conv3_1-delay"]
+    arch = albireo.architecture("aggressive")
+    layer = next(l for l in load_workload(workload).layers if l.name == name)
+    prefixes, filtered = [], [0]
+    step, feasible = mapper._Walk.step, mapper._MenuFilter.feasible
+
+    def stepped(self, node, di, rng, picks):
+        prefixes.append(tuple(picks[:di]))
+        return step(self, node, di, rng, picks)
+
+    def counted(self, *args):
+        filtered[0] += 1
+        return feasible(self, *args)
+
+    monkeypatch.setattr(mapper._Walk, "step", stepped)
+    monkeypatch.setattr(mapper._MenuFilter, "feasible", counted)
+    res = mapper._search(arch, layer, SearchConfig(
+        **{"budget": 200, "seed": 7, "pad_mode": "pad",
+           "fixed_spatial": stencil_pins(layer, arch), **fields}))
+    assert filtered[0] == len(set(prefixes)) < len(prefixes)
     assert (res.evaluation.mapping_digest, res.objective, res.visited,
             res.pruned, res.invalid) == expected
 

@@ -1,16 +1,17 @@
-"""The count plan, the price program and the area are kept on the
-architecture instance (per keep-override set for the plan, per layout of
-counts for the program). An edited copy, or another override
-set, must never be counted or priced through tables built for another:
-every result must equal one computed on a freshly parsed architecture."""
+"""The count plan, the price program, the area and the search's loop-order
+table are kept on the architecture instance (per keep-override set for the
+plan and the order table, per layout of counts for the program). An edited
+copy, or another override set, must never be counted, priced or searched
+through tables built for another: every result must equal one computed on
+a freshly built architecture."""
 
 from dataclasses import replace
 
 import pytest
 
-from photon_model import albireo
+from photon_model import albireo, mapper
 from photon_model.evaluator import evaluate, price_program
-from photon_model.mapper import SearchConfig, search
+from photon_model.mapper import STRATEGIES, SearchConfig, search
 from photon_model.oracle import simulate
 from photon_model.reuse import analyze, count_plan, reuse_factors
 from photon_model.spec_model import (
@@ -22,6 +23,7 @@ from photon_model.spec_model import (
     serialize_architecture,
     stencil_pins,
 )
+from toys import refetch_toy
 
 # Small enough for the interpreter, large enough to use every sharing axis
 # of the bundled geometry (K8, C4, Q7, R3).
@@ -131,3 +133,22 @@ def test_each_keep_override_set_gets_its_own_plan():
     assert not any(lv == 1 and t == INPUTS for lv, t in got[1].per_level)
     assert count_plan(arch, plain.keep_overrides) is count_plan(arch, replace(plain).keep_overrides)
     assert count_plan(arch, bypass.keep_overrides) is not count_plan(arch, plain.keep_overrides)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_each_keep_override_set_gets_its_own_loop_orders(strategy):
+    # The producer's fused override makes Outputs born in the buffer, so
+    # their buffered tile is no longer refetch-forbidden: the two override
+    # sets allow different loop orders.
+    layer = Layer(name="toy", kind="conv", dims={
+        "N": 1, "K": 2, "C": 4, "R": 1, "S": 1, "P": 2, "Q": 1})
+    arch = refetch_toy(128)
+    producer = {0: (WEIGHTS, INPUTS)}
+    assert arch.keepers({})[1] != arch.keepers(producer)[1]
+    got = []
+    for overrides in ({}, producer, {}):
+        cfg = SearchConfig(strategy=strategy, budget=300, seed=7,
+                           keep_overrides=overrides)
+        got.append(mapper._search(arch, layer, cfg))
+        assert got[-1] == mapper._search(refetch_toy(128), layer, cfg)
+    assert got[0] == got[2] != got[1]

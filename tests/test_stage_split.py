@@ -33,3 +33,9 @@ def test_stage_split_calls_every_stage_and_restores_every_name():
             < calls["candidate_pricing"] == calls["candidate_counting"])
     # R's menu sits at its minimum row in most throughput searches.
     assert out["limits_skipped"] > 0
+    # A draw's filter step calls feasible only for a prefix not drawn
+    # before; each level's legal loop orders are built once per live dims.
+    assert (out["draw_filter_steps"] == calls["draw_step"]
+            == calls["feasible"] + out["tree_hits"])
+    assert out["tree_hits"] > 0
+    assert 0 < calls["order_table"] < calls["draw_step"]

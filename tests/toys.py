@@ -81,6 +81,27 @@ def fanout_converter_arch(fanout: int = 4) -> Architecture:
     return a
 
 
+def refetch_toy(buf_bits):
+    """Store (DE) over a small buffer (AE) over a MAC array (AE). Partial
+    sums drain up through an ADC, but no converter carries Outputs back
+    down, so a buffered output tile may never be refetched."""
+
+    wio = ("Weights", "Inputs", "Outputs")
+    a = Architecture(
+        name="refetch", clock_ghz=1.0,
+        levels=(Level("store", storage("sram", "DE", 1 << 24, read=10.0),
+                      1, wio),
+                Level("buf", storage("reg", "AE", buf_bits), 2, wio),
+                Level("pe", compute("amac", "AE"), 2, ())),
+        meshes=(Mesh(), Mesh(may_multicast=True, may_reduce=True)),
+        converters=(Converter("dn", converter("dac", "DE", "AE"), 1,
+                              ("Weights", "Inputs"), 2),
+                    Converter("up", converter("adc", "AE", "DE"), 1,
+                              ("Outputs",), 2)))
+    validate_architecture(a)
+    return a
+
+
 def fc_k2c3() -> Layer:
     return Layer(name="fc", kind="fully_connected",
                  dims={"N": 1, "K": 2, "C": 3, "R": 1, "S": 1, "P": 1, "Q": 1})

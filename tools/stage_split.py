@@ -8,11 +8,15 @@ cleared before each pass so that every search runs. Each stage's function is
 rebound to a wrapper that times every call with `perf_counter`; every name
 is restored when the passes end, also when one fails. Prints one JSON object:
 per stage its inclusive seconds and calls; `search_self_s`, the time inside
-`mapper._search` spent outside every other stage (drawing, building loop
-orders and keeping the best); and `limits_skipped`, the filter steps that
-skipped `limits` because every chain of the dim sits at its minimum row
-(each step calls `feasible`, and `limits` unless skipped; each
-`map_space_build` call calls `limits` once).
+`mapper._search` spent outside every other stage (the per-search set-up,
+drawing loop orders and keeping the best); `draw_filter_steps`, the filter
+steps the draws take (`draw_step` calls), and `tree_hits`, those that
+reached a prefix drawn before and so called no `feasible`; and
+`limits_skipped`, the `feasible` calls that skipped `limits` because every
+chain of the dim sits at its minimum row (each `feasible` call comes with a
+`limits` call unless skipped; each `map_space_build` call calls `limits`
+once). `order_table` builds one level's legal loop orders, once per
+architecture, keep-override set and live dims.
 Every candidate the search visits is priced (`candidate_pricing`, which
 counts it through `candidate_counting`); only a new best or an exact tie
 is then built (`build_mapping`), counted (`counting`) and evaluated
@@ -42,6 +46,8 @@ STAGES = {
     "filter_build": (mapper._MenuFilter, "__init__"),
     "limits": (mapper._CapacityCheck, "limits"),
     "feasible": (mapper._MenuFilter, "feasible"),
+    "draw_step": (mapper._Walk, "step"),
+    "order_table": (mapper, "_valid_perms"),
     "candidate_pricing": (mapper._Pricer, "objective"),
     "candidate_counting": (mapper, "tally"),
     "build_mapping": (mapper, "_build_mapping"),
@@ -112,6 +118,9 @@ def stage_split(experiment: str, seeds: list[int], budget: int) -> dict:
         "stages": {name: {"seconds": round(timer.seconds[name], 4),
                           "calls": calls[name]} for name in STAGES},
         "search_self_s": round(timer.self_seconds["search"], 4),
+        "draw_filter_steps": calls["draw_step"],
+        # Every feasible call of a study's search is a draw's new prefix.
+        "tree_hits": calls["draw_step"] - calls["feasible"],
         "limits_skipped": (calls["feasible"] - calls["limits"]
                            + calls["map_space_build"]),
     }
