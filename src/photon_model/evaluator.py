@@ -10,13 +10,14 @@ mapping uses.
 
 The prices, bandwidths and static powers are fixed per architecture. Laid
 over one layout of counts they form a PriceProgram, built once per layout
-and kept on the architecture (price_program). energy and
-latency_and_utilization lay an AccessCounts out and run its program; the
-mapper's search runs the program of its CountPlan's layout on each
-candidate's reuse.Tally, with no AccessCounts in between, so the two price
-alike to the last bit: energy adds its terms in sorted key order, and a
-total adds the components in sorted name order. An EvaluationResult builds
-its mapping digest only when read.
+and kept on the architecture (price_program). evaluate lays its
+AccessCounts out once and runs the program's cycles, then its energy, on
+that one layout (energy alone re-prices counts, as a calibrated library
+does); the mapper's search runs the program of its CountPlan's layout on
+each candidate's reuse.Tally, with no AccessCounts in between, so the two
+price alike to the last bit: energy adds its terms in sorted key order, and
+a total adds the components in sorted name order. An EvaluationResult
+builds its mapping digest only when read.
 """
 
 from __future__ import annotations
@@ -84,36 +85,14 @@ def peak_spatial_macs(arch: Architecture) -> int:
     return arch.parts[len(arch.levels) - 1][1]
 
 
-def latency_and_utilization(
-    counts: AccessCounts,
-    arch: Architecture,
-    mapping: Mapping,
-) -> tuple[int, int, float, float]:
-    """Returns (cycles, compute_cycles, latency_s, utilization).
-
-    Total cycles is the max of compute cycles and every level's and
-    converter's transfer cycles at its bandwidth (PriceProgram.cycles);
-    spatially idle lanes reduce utilization but never speed anything up.
-    """
-
-    program, levels, conversions = _laid_out(counts, arch)
-    nest = mapping.nest
-    compute_cycles = nest.steps
-    cycles = program.cycles(levels, conversions, compute_cycles,
-                            nest.instances)
-    latency_s = cycles / program.hz
-    utilization = counts.real_macs / (peak_spatial_macs(arch) * compute_cycles)
-    return cycles, compute_cycles, latency_s, utilization
-
-
 @dataclass(frozen=True)
 class PriceProgram:
     """Every price, bandwidth and static power of an architecture, laid
     over one layout of counts: a reuse.Tally's, with reads, fills, updates
     and drains at 4 * i for level_keys[i] and one counter per conversion
     key. Built once per layout and kept on the architecture
-    (price_program); energy, latency_and_utilization and the mapper's
-    search all price through it.
+    (price_program); evaluate, energy and the mapper's search all price
+    through it.
 
     names holds the component names sorted, one energy accumulator each,
     and first their indices in the order energy first adds to each.
@@ -274,31 +253,33 @@ def area(arch: Architecture) -> float:
         n * comp.area_um2 for comp, n in arch.parts))
 
 
-def evaluate(
-    arch: Architecture,
-    layer: Layer,
-    mapping: Mapping,
-    counts: AccessCounts | None = None,
-) -> EvaluationResult:
-    """Price the mapping. Without `counts` it is validated and counted
-    first (reuse.analyze); a caller that has proved it valid passes its
-    counts (reuse.count_valid)."""
+def evaluate(arch: Architecture, layer: Layer,
+             mapping: Mapping) -> EvaluationResult:
+    """Validate and count the mapping (reuse.analyze), then price it.
 
-    if counts is None:
-        counts = analyze(arch, layer, mapping)
-    cycles, compute_cycles, latency_s, util = latency_and_utilization(
-        counts, arch, mapping)
-    per_comp = energy(counts, arch, latency_s)
-    total = sum(per_comp[k] for k in sorted(per_comp))
-    macs_per_s = counts.real_macs / latency_s if latency_s > 0 else 0.0
+    Total cycles is the max of compute cycles and every level's and
+    converter's transfer cycles at its bandwidth (PriceProgram.cycles);
+    spatially idle lanes reduce utilization but never speed anything up.
+    """
+
+    counts = analyze(arch, layer, mapping)
+    program, levels, conversions = _laid_out(counts, arch)
+    nest = mapping.nest
+    compute_cycles = nest.steps
+    cycles = program.cycles(levels, conversions, compute_cycles,
+                            nest.instances)
+    latency_s = cycles / program.hz
+    pj = program.energy(levels, conversions, counts.real_macs, latency_s)
     return EvaluationResult(
-        energy_pj=per_comp,
-        total_energy_pj=total,
+        energy_pj={program.names[a]: pj[a] for a in program.first},
+        # The accumulators sit in sorted name order.
+        total_energy_pj=sum(pj),
         cycles=cycles,
         compute_cycles=compute_cycles,
         latency_s=latency_s,
-        macs_per_s=macs_per_s,
-        utilization=util,
+        macs_per_s=counts.real_macs / latency_s if latency_s > 0 else 0.0,
+        utilization=counts.real_macs / (peak_spatial_macs(arch)
+                                        * compute_cycles),
         area_um2=area(arch),
         counts=counts,
         mapping=mapping,

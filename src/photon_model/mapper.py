@@ -48,13 +48,14 @@ search that shares them.
 
 A candidate is priced from its picked chains and loop orders with no
 Mapping in between (_Pricer). Its counts are reuse.tally, the arithmetic
-count_valid runs, fed from what each chain fixes on its own (its tile
-extents, padded extent and spatial factors, taken once per menu). Its price
-comes from the search's PriceProgram, the one energy and
-latency_and_utilization run, in their order, so each objective is
-bit-identical to its evaluation's. Only a candidate whose objective is
-below the best so far or equal to it is built and evaluated in full (with
-count_valid), for _Best to keep or to break the tie by digest. A candidate
+analyze runs, fed from what each chain fixes on its own (its tile extents,
+padded extent and spatial factors, taken once per menu). Its price comes
+from the search's PriceProgram, the one evaluate runs, in its order, so
+each objective is bit-identical to its evaluation's. The search compares
+only these priced objectives (_Best): it keeps the lowest with its picks
+and loop orders, and builds a mapping only to break an exact tie by digest.
+Once the walk ends, it builds the winner and evaluates it in full, which
+validates it: each search checks the one mapping it returns. A candidate
 is built with only its factors other than 1, which every reader of a
 mapping takes as 1 when missing.
 
@@ -113,7 +114,7 @@ from operator import mul
 
 # analyze and energy go unused here; perfbench/tracer.py rebinds both.
 from .evaluator import EvaluationResult, energy, evaluate, price_program
-from .reuse import Tally, analyze, count_plan, count_valid, tally
+from .reuse import Tally, analyze, count_plan, tally
 from .spec_model import (
     DIMS,
     REDUCED_DIMS,
@@ -129,6 +130,7 @@ from .spec_model import (
     effective_bounds,
     effective_keeps,
     kept_bits,
+    mapping_digest,
     override_key,
     tile_values,
 )
@@ -170,6 +172,11 @@ class SearchConfig:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.pad_mode not in ("strict", "pad"):
             raise ValueError(f"unknown pad_mode {self.pad_mode!r}")
+        for name in ("budget", "max_space", "batch_size", "reduction_floor"):
+            value = getattr(self, name)
+            if type(value) is not int and (value is not None
+                                           or name != "reduction_floor"):
+                raise ValueError(f"{name} {value!r} is not an integer")
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
         if self.max_space < 1:
@@ -199,7 +206,8 @@ class SearchResult:
     """`visited` counts the candidates priced, `pruned` those the delay
     floor cut unpriced, and `invalid` the pruned_random draws that
     dead-end: a dim the filter leaves no chain, or a level with no legal
-    loop order. Under exhaustive `invalid` is always 0."""
+    loop order. Under exhaustive `invalid` is always 0. `objective` is the
+    priced one (_Pricer), equal to the one `evaluation` gives."""
 
     mapping: Mapping
     objective: float
@@ -740,31 +748,35 @@ class _Pricer:
         return total if self.cfg.objective == "energy" else total * latency_s
 
 
-def _objective_of(res: EvaluationResult, objective: str) -> float:
-    if objective == "energy":
-        return res.total_energy_pj
-    if objective == "delay":
-        return float(res.cycles)
-    return res.total_energy_pj * res.latency_s
-
-
 class _Best:
-    def __init__(self, objective: str):
-        self.objective = objective
+    """The lowest priced objective offered and the candidate that gave it:
+    its picks, copied as the walks refill theirs in place, and its loop
+    orders. On an exact tie the candidate whose mapping
+    (`build(picks, perms)`) has the smaller digest stays. Digests are
+    built only for ties, the best's once."""
+
+    def __init__(self, build):
+        self.build = build
         self.value: float | None = None
-        self.mapping: Mapping | None = None
-        self.evaluation: EvaluationResult | None = None
+        self.picks: list[int] = []
+        self.perms: list[tuple[str, ...]] = []
+        self.digest: str | None = None
 
-    def offer(self, mapping: Mapping, res: EvaluationResult) -> None:
-        """Keep the lower objective; on an exact tie, the smaller digest.
-        Digests are built only for ties."""
-
-        val = _objective_of(res, self.objective)
-        if (self.value is None or val < self.value
-                or (val == self.value and res.mapping_digest
-                    < self.evaluation.mapping_digest)):
-            self.value = val
-            self.mapping, self.evaluation = mapping, res
+    def offer(self, value: float, picks: list[int],
+              perms: list[tuple[str, ...]]) -> None:
+        digest = None
+        if self.value is not None:
+            if value > self.value:
+                return
+            if value == self.value:
+                if self.digest is None:
+                    self.digest = mapping_digest(self.build(self.picks,
+                                                            self.perms))
+                digest = mapping_digest(self.build(picks, perms))
+                if digest >= self.digest:
+                    return
+        self.value, self.picks, self.perms = value, list(picks), perms
+        self.digest = digest
 
 
 # Successful searches by _memo_key, least recently used first.
@@ -829,31 +841,23 @@ def _search(arch: Architecture, layer: Layer, cfg: SearchConfig) -> SearchResult
                   for d in DIMS], cap, forbidden)
     orders = _order_table(arch, cfg.keep_overrides)
 
-    best = _Best(cfg.objective)
-    visited = pruned = invalid = 0
     pricer = _Pricer(arch, layer, cfg, list(chain_menu.values()))
-
-    def consider(picks: list[int], perms: list[tuple[str, ...]],
-                 sprod: tuple[int, ...], steps: int) -> None:
-        # Only a new best or an exact tie is built and evaluated: offer
-        # keeps it or breaks the tie by digest.
-        value = pricer.objective(picks, perms, sprod, steps)
-        if best.value is None or value <= best.value:
-            mapping = pricer.mapping(picks, perms)
-            best.offer(mapping, evaluate(arch, layer, mapping,
-                                         count_valid(arch, layer, mapping)))
+    best = _Best(pricer.mapping)
+    visited = pruned = invalid = 0
 
     if cfg.strategy == "exhaustive":
         # At most the product of the menu sizes partial assignments at
         # each depth, so a space that fits max_space never trips the walk.
         for picks, (sprod, _, _, steps, signature) in walk.exhaustive(
                 len(DIMS) * cfg.max_space):
-            for perms in itertools.product(*orders.options(signature)):
+            for perms in map(list, itertools.product(
+                    *orders.options(signature))):
                 visited += 1
                 if visited > cfg.max_space:
                     raise SearchError(f"exhaustive space exceeds "
                                       f"{cfg.max_space}; use pruned_random")
-                consider(picks, list(perms), sprod, steps)
+                best.offer(pricer.objective(picks, perms, sprod, steps),
+                           picks, perms)
     else:
         rng = random.Random(cfg.seed)
         prune = cfg.objective == "delay"
@@ -879,10 +883,12 @@ def _search(arch: Architecture, layer: Layer, cfg: SearchConfig) -> SearchResult
                 pruned += 1
                 continue
             visited += 1
-            consider(picks, perms, sprod, steps)
+            best.offer(pricer.objective(picks, perms, sprod, steps), picks,
+                       perms)
 
-    if best.mapping is None:
+    if best.value is None:
         raise NoValidMapping(layer.name, "no valid mapping found in budget")
-    return SearchResult(mapping=best.mapping, objective=best.value,
-                        evaluation=best.evaluation, visited=visited,
-                        pruned=pruned, invalid=invalid)
+    mapping = pricer.mapping(best.picks, best.perms)
+    return SearchResult(mapping=mapping, objective=best.value,
+                        evaluation=evaluate(arch, layer, mapping),
+                        visited=visited, pruned=pruned, invalid=invalid)

@@ -24,8 +24,9 @@ Counting conventions (shared verbatim by the interpreter in oracle):
 
 Counting assumes a mapping validate_mapping accepted and rejects none: in
 particular, partials are refetched only down edges that convert them. So
-analyze validates first, and count_valid does not: it serves the mapper's
-search, whose filter admits only mappings validation accepts.
+analyze validates first. The mapper's search counts its candidates without
+validation, as its filter admits only mappings validation accepts, and
+analyzes (so validates) the one mapping it returns.
 
 What counting reads that depends only on the architecture and the keep
 overrides is planned once per (architecture, override set) as a CountPlan,
@@ -36,7 +37,7 @@ all as slots of flat lists. The counting itself is one arithmetic core,
 tally: from the tile extents, instances and loops of a nest and the merge
 widths at each edge (one suffix product per leg over the spatial factors,
 CountPlan.merge_widths, which reuse_factors reads too) it fills a Tally,
-flat lists in the plan's layout. count_valid reads those inputs from
+flat lists in the plan's layout. analyze reads those inputs from
 mapping.nest and packs the tally into AccessCounts (pack); the mapper's
 search reads them from its picked chains and prices the tally as it
 stands. The oracle shares only the Hop vocabulary, never the plan or the
@@ -453,18 +454,9 @@ def pack(plan: CountPlan, counted: Tally, macs: int,
 
 def analyze(arch: Architecture, layer: Layer, mapping: Mapping) -> AccessCounts:
     """Count every access implied by the mapping, in closed form, once
-    validate_mapping has accepted it."""
+    validate_mapping has accepted it: the tally of its nest, packed."""
 
     validate_mapping(mapping, layer, arch)
-    return count_valid(arch, layer, mapping)
-
-
-def count_valid(arch: Architecture, layer: Layer,
-                mapping: Mapping) -> AccessCounts:
-    """analyze without validation, for a mapping known to be valid: the
-    tally of its nest, packed. Given a mapping validate_mapping rejects,
-    the counts are meaningless."""
-
     plan = count_plan(arch, mapping.keep_overrides)
     nest = mapping.nest
     padded = nest.padded

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from photon_model import albireo, mapper
+from photon_model import albireo, mapper, reuse
 from photon_model.evaluator import evaluate
 from photon_model.reuse import analyze, pack
 from photon_model.mapper import (
@@ -606,6 +606,17 @@ def test_search_config_validation():
         SearchConfig(strategy="exhaustive", max_space=-5)
     with pytest.raises(ValueError, match="max_space must be >= 1"):
         SearchConfig(max_space=0)
+    # Each of these failed late: reduction_floor=1.5 recursed without end
+    # in enumerate_factorizations, budget=2.5 and batch_size=2.0 raised a
+    # bare TypeError, max_space=2.5 raised SearchError, and batch_size=True
+    # searched to a mapping validate_mapping rejects.
+    for name, value in (("budget", 2.5), ("budget", True), ("budget", "9"),
+                        ("max_space", 2.5), ("max_space", True),
+                        ("batch_size", 2.0), ("batch_size", True),
+                        ("reduction_floor", 1.5), ("reduction_floor", False)):
+        with pytest.raises(ValueError, match=f"{name} .* is not an integer"):
+            SearchConfig(**{name: value})
+    assert SearchConfig(reduction_floor=None).reduction_floor is None
 
 
 @pytest.mark.parametrize("pins", [
@@ -873,8 +884,13 @@ def _check_pricing(monkeypatch):
         counts = analyze(self.arch, self.layer, mapping)
         counted, macs, real, _ = self.count(picks, perms, sprod)
         assert pack(self.plan, counted, macs, real) == counts
-        ev = evaluate(self.arch, self.layer, mapping, counts)
-        assert value == mapper._objective_of(ev, self.cfg.objective)
+        ev = evaluate(self.arch, self.layer, mapping)
+        assert ev.counts == counts
+        assert value == {
+            "energy": ev.total_energy_pj,
+            "delay": float(ev.cycles),
+            "energy_delay_product": ev.total_energy_pj * ev.latency_s,
+        }[self.cfg.objective]
         checked[0] += 1
         return value
 
@@ -921,41 +937,72 @@ def test_search_prices_every_shipped_candidate_as_evaluate_does(
     assert checked[0] > 0
 
 
-def test_only_a_new_best_or_an_exact_tie_is_built_and_evaluated(
+def _counted(calls, fn):
+    def call(*args):
+        calls[0] += 1
+        return fn(*args)
+    return call
+
+
+def test_only_the_winner_is_evaluated_and_only_it_and_ties_are_built(
         monkeypatch):
     arch = albireo.architecture("aggressive")
     # Two of fc6's draws tie on energy exactly.
     layer = next(l for l in load_workload("vgg16").layers if l.name == "fc6")
     values, built, evaluated = [], [0], [0]
     objective = mapper._Pricer.objective
-    build_mapping, evaluate_mapping = mapper._build_mapping, mapper.evaluate
 
     def priced(*args):
         values.append(objective(*args))
         return values[-1]
 
-    def counted(calls, fn):
-        def call(*args):
-            calls[0] += 1
-            return fn(*args)
-        return call
-
     monkeypatch.setattr(mapper._Pricer, "objective", priced)
     monkeypatch.setattr(mapper, "_build_mapping",
-                        counted(built, build_mapping))
+                        _counted(built, mapper._build_mapping))
     monkeypatch.setattr(mapper, "evaluate",
-                        counted(evaluated, evaluate_mapping))
+                        _counted(evaluated, mapper.evaluate))
     res = mapper._search(arch, layer, SearchConfig(
         budget=200, seed=7, pad_mode="pad",
         fixed_spatial=stencil_pins(layer, arch)))
-    lowest, bests, ties = math.inf, 0, 0
+    # A tie builds the candidate's mapping, and the best's the first time
+    # that best is tied; the winner is built once more to be evaluated.
+    lowest, ties, tied_bests, fresh = math.inf, 0, 0, True
     for value in values:
-        if value <= lowest:
-            ties += value == lowest
-            lowest, bests = value, bests + 1
+        if value < lowest:
+            lowest, fresh = value, True
+        elif value == lowest:
+            ties += 1
+            tied_bests += fresh
+            fresh = False
     assert len(values) == res.visited and lowest == res.objective
     assert ties > 0
-    assert built[0] == evaluated[0] == bests < res.visited
+    assert evaluated[0] == 1
+    assert built[0] == 1 + ties + tied_bests < res.visited
+
+
+@pytest.mark.parametrize("strategy", ["exhaustive", "pruned_random"])
+def test_each_search_validates_the_one_mapping_it_returns(strategy,
+                                                          monkeypatch):
+    calls = [0]
+    monkeypatch.setattr(reuse, "validate_mapping",
+                        _counted(calls, reuse.validate_mapping))
+    for fanout, crossing, dims in TOY_CASES:
+        calls[0] = 0
+        res = mapper._search(toy_arch(fanout, crossing), toy_layer(dims),
+                             SearchConfig(strategy=strategy, budget=50))
+        assert calls[0] == 1 and res.visited > 1
+
+
+@pytest.mark.parametrize("strategy", ["exhaustive", "pruned_random"])
+def test_a_filter_fault_is_caught_by_the_winners_validation(strategy,
+                                                            monkeypatch):
+    # With the capacity condition gone from the filter, the search finds a
+    # mapping that overflows a store; evaluating the winner rejects it.
+    monkeypatch.setattr(mapper._CapacityCheck, "limits",
+                        lambda self, rows, di: (math.inf,) * len(self.checks))
+    with pytest.raises(MappingError, match="CapacityExceeded"):
+        mapper._search(refetch_toy(64), toy_layer({"K": 4, "C": 4}),
+                       SearchConfig(strategy=strategy))
 
 
 def _unit_factors(mapping, written):
@@ -1031,33 +1078,31 @@ def test_best_keeps_the_smaller_digest_on_a_tie():
     arch = toys.fanout_converter_arch(fanout=4)
     outer = LevelMapping(temporal={"C": 2, "R": 3, "S": 3, "P": 4, "Q": 4})
     inner = LevelMapping(spatial={"K": 4})
-    res = evaluate(arch, toys.conv_k4(), Mapping(levels=(outer, inner)))
+    mappings = [Mapping(levels=(outer, inner)), Mapping(levels=(
+        replace(outer, permutation=("Q", "P")), inner))]
     # Another order of the store's loops prices the same.
-    tie = evaluate(arch, toys.conv_k4(), Mapping(levels=(
-        replace(outer, permutation=("Q", "P")), inner)))
-    assert tie.total_energy_pj == res.total_energy_pj
-    small, large = sorted((res, tie), key=lambda r: r.mapping_digest)
-    assert small.mapping_digest < large.mapping_digest
-    for order in ((small, large), (large, small)):
-        best = mapper._Best("energy")
-        for r in order:
-            best.offer(r.mapping, r)
-        assert best.evaluation is small and best.mapping is small.mapping
+    values = [evaluate(arch, toys.conv_k4(), m).total_energy_pj
+              for m in mappings]
+    assert values[0] == values[1]
+    small = min((0, 1), key=lambda i: mapping_digest(mappings[i]))
+    for order in ((0, 1), (1, 0)):
+        best = mapper._Best(lambda picks, perms: mappings[picks[0]])
+        for i in order:
+            best.offer(values[i], [i], [])
+        assert best.picks == [small]
+        assert best.digest == mapping_digest(mappings[small])
 
 
 def test_best_builds_no_digest_without_a_tie():
-    arch = toys.fanout_converter_arch(fanout=4)
-    outer = LevelMapping(temporal={"C": 2, "R": 3, "S": 3, "P": 4, "Q": 4})
-    offers = [evaluate(arch, toys.conv_k4(), Mapping(levels=(
-        outer, LevelMapping(spatial={"K": 4})))),
-        evaluate(arch, toys.conv_k4(), Mapping(levels=(
-            replace(outer, temporal={**outer.temporal, "K": 2}),
-            LevelMapping(spatial={"K": 2}))))]
-    assert offers[0].total_energy_pj != offers[1].total_energy_pj
-    best = mapper._Best("energy")
-    for r in offers:
-        best.offer(r.mapping, r)
-    assert not any("mapping_digest" in vars(r) for r in offers)
+    # The keeper copies the picks it keeps: the walks refill theirs.
+    built = []
+    best = mapper._Best(lambda picks, perms: built.append(picks))
+    picks = [0]
+    for value in (5.0, 3.0, 4.0, 2.0):
+        best.offer(value, picks, [("K",)])
+        picks[0] += 1
+    assert built == [] and best.digest is None
+    assert (best.value, best.picks, best.perms) == (2.0, [3], [("K",)])
 
 
 # -- The feasibility filter ---------------------------------------------------

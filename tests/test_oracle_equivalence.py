@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import photon_model
 from photon_model import albireo
+from photon_model.experiments import SWEEP_AXES
 from photon_model.mapper import SearchConfig, search
 from photon_model.oracle import simulate
 from photon_model.reuse import analyze
@@ -169,13 +170,31 @@ SHRUNKEN_DIMS = st.fixed_dictionaries({
 @example(dims={"N": 2, "K": 16, "C": 8, "P": 2, "Q": 2})
 @example(dims={"K": 10, "C": 3})
 def test_engines_agree_on_searched_albireo_mappings(setting, dims):
+    _assert_engines_agree_on_searched(albireo.architecture("aggressive"),
+                                      dims, SHIPPED_SETTINGS[setting])
+
+
+def _assert_engines_agree_on_searched(arch, dims, fields):
     dims = {d: dims.get(d, 1) for d in DIMS}
     window = all(dims[d] == 1 for d in ("R", "S", "P", "Q"))
     layer = Layer(name="shrunken",
                   kind="fully_connected" if window else "conv", dims=dims)
-    arch = albireo.architecture("aggressive")
     cfg = SearchConfig(budget=60, seed=7, pad_mode="pad",
-                       fixed_spatial=stencil_pins(layer, arch),
-                       **SHIPPED_SETTINGS[setting])
+                       fixed_spatial=stencil_pins(layer, arch), **fields)
     mapping = search(arch, layer, cfg).mapping
     assert analyze(arch, layer, mapping) == simulate(arch, layer, mapping)
+
+
+@pytest.mark.parametrize("value", [2, 8])
+@pytest.mark.parametrize("axis", SWEEP_AXES)
+@pytest.mark.parametrize("dims", [
+    {"K": 8, "C": 4, "P": 2, "Q": 7, "R": 3, "S": 3},
+    {"K": 12, "C": 6, "P": 3, "Q": 5, "R": 3, "S": 3},
+    {"N": 2, "K": 16, "C": 8, "P": 2, "Q": 2},
+    {"K": 10, "C": 3},
+], ids=["divides", "pads", "batched", "fully-connected"])
+def test_engines_agree_on_searched_swept_geometries(dims, axis, value):
+    # The reuse sweep's geometries widen one stencil axis each, so the
+    # same shapes pad them far more.
+    _assert_engines_agree_on_searched(
+        albireo.architecture("aggressive", **{axis: value}), dims, {})

@@ -17,10 +17,13 @@ chain of the dim sits at its minimum row (each `feasible` call comes with a
 `limits` call unless skipped; each `map_space_build` call calls `limits`
 once). `order_table` builds one level's legal loop orders, once per
 architecture, keep-override set and live dims.
-Every candidate the search visits is priced (`candidate_pricing`, which
-counts it through `candidate_counting`); only a new best or an exact tie
-is then built (`build_mapping`), counted (`counting`) and evaluated
-(`evaluate`, which runs `latency` and `pricing`).
+Every candidate the search visits is priced (`candidate_pricing`): it is
+counted (`candidate_counting`), and its energy (`pricing`) is summed unless
+the objective is delay. A mapping is built (`build_mapping`) only to break
+an exact tie and for the winner, which alone is evaluated (`evaluate`,
+which validates and counts it through `counting`, then runs `pricing`).
+`counting` and `pricing` also time the evaluations a study makes outside
+its searches (the memory study's batched leg).
 Stages nest (`limits` runs inside `map_space_build` as well as in the
 draws), so inclusive seconds do not add up. Each wrapped call costs about a
 microsecond more, which dilutes every ratio taken from these numbers.
@@ -51,10 +54,9 @@ STAGES = {
     "candidate_pricing": (mapper._Pricer, "objective"),
     "candidate_counting": (mapper, "tally"),
     "build_mapping": (mapper, "_build_mapping"),
+    "pricing": (evaluator.PriceProgram, "energy"),
     "evaluate": (mapper, "evaluate"),
-    "counting": (mapper, "count_valid"),
-    "latency": (evaluator, "latency_and_utilization"),
-    "pricing": (evaluator, "energy"),
+    "counting": (evaluator, "analyze"),
 }
 
 
