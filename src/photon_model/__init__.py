@@ -29,8 +29,9 @@ from .mapper import (
     search,
 )
 from .oracle import OracleCapExceeded, simulate
-from .reuse import AccessCounts, analyze, reuse_factors
+from .reuse import analyze, reuse_factors
 from .spec_model import (
+    AccessCounts,
     Architecture,
     ComponentSpec,
     Layer,

@@ -28,8 +28,9 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 
-from .reuse import AccessCounts, analyze
+from .reuse import analyze
 from .spec_model import (
+    AccessCounts,
     Architecture,
     Layer,
     Mapping,
@@ -94,8 +95,7 @@ class PriceProgram:
     (price_program); evaluate, energy and the mapper's search all price
     through it.
 
-    names holds the component names sorted, one energy accumulator each,
-    and first their indices in the order energy first adds to each.
+    names holds the component names sorted, one energy accumulator each.
     levels, conversions, compute and static are energy's terms in its
     order: the sorted level keys as (accumulator, slot, read, write,
     update), update falling back to write; the sorted conversion keys as
@@ -107,7 +107,6 @@ class PriceProgram:
     the layout counts nothing. hz is the clock in Hz."""
 
     names: tuple[str, ...]
-    first: tuple[int, ...]
     levels: tuple[tuple[int, int, float, float, float], ...]
     conversions: tuple[tuple[int, int, float], ...]
     compute: tuple[int, float]
@@ -134,9 +133,8 @@ class PriceProgram:
         compute = [(comps[-1].name, comps[-1].energy("compute"))]
         static = [(c.name, c.static_power_mw * n)
                   for c, n in arch.parts if c.static_power_mw]
-        first = list(dict.fromkeys(
-            term[0] for term in (*levels, *conversions, *compute, *static)))
-        acc = {name: a for a, name in enumerate(sorted(first))}
+        acc = {name: a for a, name in enumerate(sorted(
+            {term[0] for term in (*levels, *conversions, *compute, *static)}))}
 
         def accumulated(rows):
             return tuple((acc[name], *rest) for name, *rest in rows)
@@ -150,7 +148,6 @@ class PriceProgram:
                 spans.append([at, at + 4])
         return cls(
             names=tuple(acc),
-            first=tuple(acc[name] for name in first),
             levels=accumulated(levels),
             conversions=accumulated(conversions),
             compute=accumulated(compute)[0],
@@ -243,7 +240,7 @@ def energy(
 
     program, levels, conversions = _laid_out(counts, arch)
     pj = program.energy(levels, conversions, counts.real_macs, latency_s)
-    return {program.names[a]: pj[a] for a in program.first}
+    return dict(zip(program.names, pj))
 
 
 def area(arch: Architecture) -> float:
@@ -271,7 +268,7 @@ def evaluate(arch: Architecture, layer: Layer,
     latency_s = cycles / program.hz
     pj = program.energy(levels, conversions, counts.real_macs, latency_s)
     return EvaluationResult(
-        energy_pj={program.names[a]: pj[a] for a in program.first},
+        energy_pj=dict(zip(program.names, pj)),
         # The accumulators sit in sorted name order.
         total_energy_pj=sum(pj),
         cycles=cycles,

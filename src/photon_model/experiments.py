@@ -122,6 +122,12 @@ class ExperimentConfig:
             raise SpecError("MalformedDocument", "experiment.arch",
                             "reuse_sweep varies the bundled geometry; it "
                             f"cannot sweep {self.arch!r}")
+        if (self.arch not in (None, BUNDLED_ARCHITECTURE)
+                and self.profile != "aggressive"):
+            raise SpecError("MalformedDocument", "experiment.profile",
+                            f"{self.arch!r} names its own component "
+                            "library; a profile applies only to the "
+                            f"bundled {BUNDLED_ARCHITECTURE!r}")
         if self.experiment == "reuse_sweep" and not self.sweep_values:
             raise SpecError("MalformedDocument", "experiment.sweep_values",
                             "reuse_sweep needs at least one sweep value")

@@ -5,16 +5,17 @@ concatenated temporal loops, tile residencies begin and end exactly when
 the loop indices that address them change, spatial sharing is measured by
 enumerating instance coordinates and collapsing the components a mesh may
 merge, refetch of partial outputs is detected with seen-before key sets,
-and in-bounds MACs are counted coordinate by coordinate. No counting
-shortcut from the analytical engine is reused; the two must agree exactly.
+and in-bounds MACs are counted coordinate by coordinate. It reads only
+spec_model, never reuse: it pairs each tensor's keeper levels into hops
+itself, and no counting shortcut is reused; the two must agree exactly.
 """
 
 from __future__ import annotations
 
 import itertools
 from math import prod
+from typing import NamedTuple
 
-from .reuse import AccessCounts, LevelCounts, output_stream, tensor_hops
 from .spec_model import (
     DIMS,
     DOWN,
@@ -25,8 +26,10 @@ from .spec_model import (
     TENSORS,
     UP,
     WEIGHTS,
+    AccessCounts,
     Architecture,
     Layer,
+    LevelCounts,
     Mapping,
     effective_bounds,
     effective_keeps,
@@ -44,6 +47,22 @@ class OracleCapExceeded(Exception):
         self.macs = macs
         self.cap = cap
         super().__init__(f"{macs} MACs exceed the interpreter cap of {cap}")
+
+
+class _Hop(NamedTuple):
+    """A transfer between consecutive ends of a tensor's chain across
+    `edges`, outermost first; inner is the compute level for the last hop
+    of an operand and for the Outputs stream."""
+
+    tensor: str
+    outer: int
+    inner: int
+    edges: tuple[int, ...]
+
+
+def _hops(tensor: str, ends: tuple[int, ...]) -> list[_Hop]:
+    return [_Hop(tensor, outer, inner, tuple(range(outer + 1, inner + 1)))
+            for outer, inner in zip(ends, ends[1:])]
 
 
 class _PaddedDim:
@@ -139,11 +158,12 @@ def simulate(arch: Architecture, layer: Layer, mapping: Mapping,
     # moves. A hop fires exactly when its inner end's coordinates change,
     # which happens iff the advanced loop is at or outside the innermost
     # loop addressing that tile.
+    chains = arch.keepers(mapping.keep_overrides)[0]
     wi_hops = []                    # (hop, monitor index or None for compute)
     wi_pos = []
     wi_events = []
     for t in (WEIGHTS, INPUTS):
-        for hop in tensor_hops(arch, mapping.keep_overrides, t):
+        for hop in _hops(t, chains[t] + (compute,)):
             if hop.inner == compute:
                 wi_hops.append((hop, None))
             else:
@@ -152,10 +172,10 @@ def simulate(arch: Architecture, layer: Layer, mapping: Mapping,
                 wi_events.append(1)
                 wi_hops.append((hop, len(wi_events) - 1))
 
-    stream = output_stream(arch, mapping.keep_overrides)
-    acc = stream.outer
+    acc = chains[OUTPUTS][-1]       # the innermost keeper accumulates
+    stream = _hops(OUTPUTS, (acc, compute))[0]
     o_monitors = []
-    for hop in tensor_hops(arch, mapping.keep_overrides, OUTPUTS):
+    for hop in _hops(OUTPUTS, chains[OUTPUTS]):
         rel = relevant_positions(hop.inner, OUTPUTS)
         o_monitors.append({
             "hop": hop,

@@ -29,25 +29,27 @@ validation, as its filter admits only mappings validation accepts, and
 analyzes (so validates) the one mapping it returns.
 
 What counting reads that depends only on the architecture and the keep
-overrides is planned once per (architecture, override set) as a CountPlan,
-kept on the architecture (count_plan): the AccessCounts keys, each keeper
-chain's hops as legs, the output stream, and per edge crossed the
-converter and the spatial dims its mesh merges (spec_model.merge_dims),
-all as slots of flat lists. The counting itself is one arithmetic core,
-tally: from the tile extents, instances and loops of a nest and the merge
-widths at each edge (one suffix product per leg over the spatial factors,
+overrides is planned once per (architecture, override set) as a
+CountPlan, kept on the architecture (count_plan): the AccessCounts keys,
+each hop between consecutive keepers of a chain (Architecture.keepers)
+as a leg, the output stream, and per edge crossed the converter and the
+spatial dims its mesh merges (spec_model.merge_dims), all as slots of
+flat lists. The counting itself is one arithmetic core, tally: from the
+tile extents, instances and loops of a nest and the merge widths at each
+edge (one suffix product per leg over the spatial factors,
 CountPlan.merge_widths, which reuse_factors reads too) it fills a Tally,
 flat lists in the plan's layout. analyze reads those inputs from
 mapping.nest and packs the tally into AccessCounts (pack); the mapper's
 search reads them from its picked chains and prices the tally as it
-stands. The oracle shares only the Hop vocabulary, never the plan or the
-core.
+stands. The oracle shares nothing with this module: not the legs, the
+plan or the core. The count containers (AccessCounts, LevelCounts) are
+spec_model's, as every engine returns them.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 from typing import NamedTuple
@@ -61,8 +63,10 @@ from .spec_model import (
     TENSORS,
     UP,
     WEIGHTS,
+    AccessCounts,
     Architecture,
     Layer,
+    LevelCounts,
     Mapping,
     effective_bounds,
     effective_keeps,
@@ -76,34 +80,6 @@ from .spec_model import (
 # Per level index, a dim -> extent mapping: a sequence over every level,
 # or a dict over the levels read.
 Levelwise = Sequence[dict[str, int]] | dict[int, dict[str, int]]
-
-
-@dataclass(eq=True)
-class LevelCounts:
-    reads: int = 0
-    fills: int = 0
-    updates: int = 0
-    drains: int = 0
-
-
-@dataclass(eq=True)
-class AccessCounts:
-    """Access counts for one (architecture, layer, mapping) triple.
-
-    per_level is keyed by (level index, tensor) for storage levels and the
-    tensors they keep. conversions is keyed by (converter name, tensor).
-    edge_crossings / edge_demand are keyed by (edge, tensor, direction) and
-    record unique values crossing each edge and the consumer demand just
-    inside it, whether or not a converter sits there.
-    """
-
-    per_level: dict[tuple[int, str], LevelCounts] = field(default_factory=dict)
-    conversions: dict[tuple[str, str], int] = field(default_factory=dict)
-    compute_reads: dict[str, int] = field(default_factory=dict)
-    macs: int = 0
-    real_macs: int = 0
-    edge_crossings: dict[tuple[int, str, str], int] = field(default_factory=dict)
-    edge_demand: dict[tuple[int, str, str], int] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -154,46 +130,6 @@ def distinct_tiles(loops: Sequence[tuple[int, str, int]],
     return n
 
 
-@dataclass(frozen=True)
-class Hop:
-    """One transfer leg of a tensor's keeper chain. inner == the compute
-    level index means the consumer is the (bufferless) compute stage."""
-
-    tensor: str
-    outer: int
-    inner: int
-    edges: tuple[int, ...]   # physical edges crossed, outermost first
-
-
-def tensor_hops(arch: Architecture, keep_overrides: dict[int, tuple[str, ...]],
-                tensor: str) -> list[Hop]:
-    """Descending chain for a tensor under a mapping's keep overrides,
-    ending at compute for operands read by the MACs. For Outputs the chain
-    stops at the accumulation level."""
-
-    keepers = arch.keepers(keep_overrides)[0][tensor]
-    ends = keepers + (() if tensor == OUTPUTS else (len(arch.levels) - 1,))
-    hops = []
-    for outer, inner in zip(ends, ends[1:]):
-        hops.append(Hop(tensor, outer, inner, tuple(range(outer + 1, inner + 1))))
-    return hops
-
-
-def accumulation_level(arch: Architecture,
-                       keep_overrides: dict[int, tuple[str, ...]]) -> int:
-    return arch.keepers(keep_overrides)[0][OUTPUTS][-1]
-
-
-def output_stream(arch: Architecture,
-                  keep_overrides: dict[int, tuple[str, ...]]) -> Hop:
-    """The leg MAC partials take up from the compute level to the
-    accumulation level, where they are read, modified and updated."""
-
-    acc = accumulation_level(arch, keep_overrides)
-    compute = len(arch.levels) - 1
-    return Hop(OUTPUTS, acc, compute, tuple(range(acc + 1, compute + 1)))
-
-
 class Crossing(NamedTuple):
     """One edge of a leg: its (edge, tensor, direction) key, the spatial
     dims whose copies share one signal there (merge_dims), and the
@@ -206,7 +142,8 @@ class Crossing(NamedTuple):
 
 @dataclass(frozen=True)
 class Leg:
-    """One hop walked in one direction, as counting reads it: its
+    """One hop, from a keeper to the next keeper of its chain (or to
+    compute), walked in one direction, as counting reads it: its
     crossings, outermost edge first, at the plan's edge slots `first`
     onward; the Tally slots of its outer and inner level's counters
     (inner_at is -1 at the compute level); and per crossing the slot of
@@ -262,31 +199,35 @@ class CountPlan:
                                 for t in cv.tensors)
         level_at = {key: 4 * i for i, key in enumerate(level_keys)}
         conversion_at = {key: i for i, key in enumerate(conversion_keys)}
+        chains = arch.keepers(keep_overrides)[0]
         legs: list[Leg] = []
 
-        def leg(hop: Hop, direction: str) -> Leg:
+        def leg(tensor: str, outer: int, inner: int, direction: str) -> Leg:
             crossings = []
-            for k in hop.edges:
-                key = (k, hop.tensor, direction)
+            for k in range(outer + 1, inner + 1):
+                key = (k, tensor, direction)
                 cv = arch.edge_converters.get(key)
                 crossings.append(Crossing(
-                    key, merge_dims(arch, k, hop.tensor, direction),
-                    None if cv is None else (cv.name, hop.tensor)))
+                    key, merge_dims(arch, k, tensor, direction),
+                    None if cv is None else (cv.name, tensor)))
             legs.append(Leg(
-                hop.outer, hop.inner, tuple(crossings),
+                outer, inner, tuple(crossings),
                 sum(len(lg.crossings) for lg in legs),
-                level_at[(hop.outer, hop.tensor)],
-                level_at.get((hop.inner, hop.tensor), -1),
+                level_at[(outer, tensor)],
+                level_at.get((inner, tensor), -1),
                 tuple(conversion_at.get(c.conversion, -1)
                       for c in crossings)))
             return legs[-1]
 
-        operands = tuple((t, tuple(leg(hop, DOWN) for hop in
-                                   tensor_hops(arch, keep_overrides, t)))
-                         for t in (WEIGHTS, INPUTS))
-        stream = leg(output_stream(arch, keep_overrides), UP)
-        drains = tuple((leg(hop, UP), leg(hop, DOWN)) for hop in
-                       reversed(tensor_hops(arch, keep_overrides, OUTPUTS)))
+        operands = tuple(
+            (t, tuple(leg(t, outer, inner, DOWN) for outer, inner
+                      in zip(chains[t], chains[t][1:] + (compute,))))
+            for t in (WEIGHTS, INPUTS))
+        inward = chains[OUTPUTS][::-1]
+        stream = leg(OUTPUTS, inward[0], compute, UP)
+        drains = tuple((leg(OUTPUTS, outer, inner, UP),
+                        leg(OUTPUTS, outer, inner, DOWN))
+                       for outer, inner in zip(inward[1:], inward))
         return cls(
             compute=compute,
             level_keys=level_keys,

@@ -17,11 +17,12 @@ engines, the evaluator and the mapper build on, so that "what a tile is"
 has exactly one definition: a mapping's LoopNest (padded bounds, per-level
 tile bounds, spatial copies, instance counts and step count, built in one
 pass and cached as Mapping.nest), the tile footprint (tile_values), the
-capacity demand (kept_bits), the keeper chains (keeper_levels, held
-per keep-override set by Architecture.keepers), the spatial dims a mesh
-merges (merge_dims) and the spatial pins a level's stencil puts on a
-search (stencil_pins). Tables derived from an architecture alone are kept
-on the instance (Architecture.derived). So has a valid mapping:
+capacity demand (kept_bits), the keeper chains (keeper_levels, held per
+keep-override set by Architecture.keepers), the spatial dims a mesh merges
+(merge_dims) and the spatial pins a level's stencil puts on a search
+(stencil_pins). It owns the count containers every counting engine returns
+(AccessCounts, LevelCounts) too. Tables derived from an architecture alone
+are kept on the instance (Architecture.derived). So has a valid mapping:
 validate_mapping, the refetch rule (refetch_forbidden) included, so the
 counting engines never reject a mapping it accepted.
 """
@@ -559,6 +560,34 @@ def stencil_pins(layer: Layer,
             for d in DIMS:
                 pins[(j, d)] = widths.get(d, 1) if layer.dims[d] > 1 else 1
     return pins
+
+
+@dataclass(eq=True)
+class LevelCounts:
+    reads: int = 0
+    fills: int = 0
+    updates: int = 0
+    drains: int = 0
+
+
+@dataclass(eq=True)
+class AccessCounts:
+    """Access counts for one (architecture, layer, mapping) triple.
+
+    per_level is keyed by (level index, tensor) for storage levels and the
+    tensors they keep. conversions is keyed by (converter name, tensor).
+    edge_crossings / edge_demand are keyed by (edge, tensor, direction) and
+    record unique values crossing each edge and the consumer demand just
+    inside it, whether or not a converter sits there.
+    """
+
+    per_level: dict[tuple[int, str], LevelCounts] = field(default_factory=dict)
+    conversions: dict[tuple[str, str], int] = field(default_factory=dict)
+    compute_reads: dict[str, int] = field(default_factory=dict)
+    macs: int = 0
+    real_macs: int = 0
+    edge_crossings: dict[tuple[int, str, str], int] = field(default_factory=dict)
+    edge_demand: dict[tuple[int, str, str], int] = field(default_factory=dict)
 
 
 # ============================================================================

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from photon_model import albireo, cli, experiments
+from photon_model import albireo, cli, experiments, mapper
 from photon_model.components import builtin_components
 from photon_model.evaluator import evaluate
 from photon_model.experiments import (
@@ -26,8 +26,11 @@ from photon_model.experiments import (
 from photon_model.mapper import SearchConfig, search
 from photon_model.reuse import analyze
 from photon_model.spec_model import (
+    REDUCED_DIMS,
+    WEIGHTS,
     Layer,
     Mapping,
+    MappingError,
     SpecError,
     canonical_json,
     parse_architecture,
@@ -217,24 +220,48 @@ def test_the_stencil_constrains_only_the_search():
     assert evaluate(arch, layer, mapping) == evaluate(bare, layer, mapping)
 
 
-def test_throughput_end_to_end(tiny_workload):
+def _searched_run(run, cfg, monkeypatch):
+    """run(cfg) from an empty search memo, so that every search it makes
+    runs rather than repeating a stored result; returns the report and
+    how many searches ran."""
+
+    mapper._MEMO.clear()
+    ran = []
+    search_once = mapper._search
+
+    def counted(*args):
+        ran.append(args)
+        return search_once(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(mapper, "_search", counted)
+        report = run(cfg)
+    return report, len(ran)
+
+
+def test_throughput_end_to_end(tiny_workload, monkeypatch):
     cfg = ExperimentConfig(experiment="throughput", workload=tiny_workload,
                            budget=60)
-    report = run_throughput(cfg)
+    report, searches = _searched_run(run_throughput, cfg, monkeypatch)
     assert [r["layer"] for r in report["tables"]["layers"]] == ["a", "b"]
     assert 0 < report["workloads"][tiny_workload]["ratio"] <= 1
-    assert canonical_json(run_throughput(cfg)) == canonical_json(report)
+    # Deterministic: a second run that searches again reports the same.
+    again, searched_again = _searched_run(run_throughput, cfg, monkeypatch)
+    assert searched_again == searches > 0
+    assert canonical_json(again) == canonical_json(report)
 
 
-def test_breakdown_end_to_end(tiny_workload):
+def test_breakdown_end_to_end(tiny_workload, monkeypatch):
     cfg = ExperimentConfig(experiment="breakdown", workload=tiny_workload,
                            budget=60)
-    report = run_breakdown(cfg)
+    report, searches = _searched_run(run_breakdown, cfg, monkeypatch)
     rows = report["tables"]["breakdown"]
     assert len({r["component"] for r in rows}) == len(rows)
     assert 0 < report["modeled_total_pj"]
     assert sum(r["modeled_fraction"] for r in rows) == pytest.approx(1.0)
-    assert canonical_json(run_breakdown(cfg)) == canonical_json(report)
+    again, searched_again = _searched_run(run_breakdown, cfg, monkeypatch)
+    assert searched_again == searches > 0
+    assert canonical_json(again) == canonical_json(report)
 
 
 def _spec_file(tmp_path, name, arch_doc, parts=()):
@@ -364,6 +391,49 @@ def test_memory_batching_amortizes(tiny_workload):
     assert batched["latency_per_batch_ms"] > base["latency_per_batch_ms"]
 
 
+def _failing_probe(arch, layer, mapping):
+    raise MappingError("ConverterMissing", "the batch loop bounces partials")
+
+
+def _unamortized_probe(arch, layer, mapping):
+    counts = analyze(arch, layer, mapping)
+    counts.per_level[(0, WEIGHTS)].reads += 1
+    return counts
+
+
+@pytest.mark.parametrize("probe", [_failing_probe, _unamortized_probe])
+def test_memory_research_keeps_reduction_inside_the_buffer(
+        tiny_workload, monkeypatch, probe):
+    # A baseline whose batch-2 probe is rejected, or reads DRAM weights
+    # again per image, is searched again with every reduced loop kept
+    # strictly inside the buffer; the batched leg then walks weights once
+    # per batch. The probe is the study's only analyze call.
+    monkeypatch.setattr(experiments, "analyze", probe)
+    searched = experiments._search_layer
+    floored = []
+
+    def search_layer(arch, layer, cfg, objective, **kwargs):
+        result = searched(arch, layer, cfg, objective, **kwargs)
+        if kwargs.get("reduction_floor") is not None:
+            floored.append((layer.name, kwargs["reduction_floor"],
+                            result.mapping))
+        return result
+
+    monkeypatch.setattr(experiments, "_search_layer", search_layer)
+    cfg = ExperimentConfig(experiment="memory", workload=tiny_workload,
+                           batch_sizes=(2,), fusion="off", budget=60)
+    report = run_memory_experiment(cfg)
+    buffer = _buffer_level(albireo.architecture())
+    assert [(name, floor) for name, floor, _ in floored] == [
+        ("a", buffer + 1), ("b", buffer + 1)]
+    for _, _, mapping in floored:
+        assert all(lm.t(d) == 1 for lm in mapping.levels[:buffer + 1]
+                   for d in REDUCED_DIMS)
+    legs = {r["leg"]: r for r in report["tables"]["legs"]}
+    assert legs["batched"]["dram_weight_reads_per_batch"] == \
+        legs["baseline"]["dram_weight_reads_per_batch"]
+
+
 def _raise_on(monkeypatch, when):
     """Make the studies' search raise an AssertionError whenever
     `when(SearchConfig)` holds: a bug, not an infeasible search."""
@@ -441,6 +511,24 @@ def test_bundled_arch_name_follows_the_profile():
                            profile="conservative")
     assert _architecture(cfg) == albireo.architecture("conservative")
     assert _architecture(cfg) == _architecture(replace(cfg, arch=None))
+
+
+def test_profile_with_an_architecture_file_is_rejected(tmp_path, capsys):
+    # A document names its own component library, so a profile would be
+    # echoed in the report without pricing anything.
+    path = tmp_path / "arch.spec"
+    path.write_text(canonical_json(serialize_spec(load_spec("albireo"))))
+    with pytest.raises(SpecError) as e:
+        ExperimentConfig(experiment="memory", arch=str(path),
+                         profile="conservative")
+    assert (e.value.kind, e.value.path) == ("MalformedDocument",
+                                            "experiment.profile")
+    assert ExperimentConfig(experiment="memory", arch=str(path)).profile \
+        == "aggressive"
+    assert cli.main(["experiment", "--experiment", "memory", "--arch",
+                     str(path), "--profile", "conservative"]) == 2
+    assert "MalformedDocument at experiment.profile" in \
+        capsys.readouterr().err
 
 
 def test_bundled_arch_name_follows_the_sweep_geometry():

@@ -71,35 +71,29 @@ def test_oracle_matches_analyze_on_fixed_instances():
         assert a == s
 
 
-# The interpreter is the independent check on reuse.analyze: it may share
-# the structural vocabulary (hops and count containers), never the
-# closed-form counting. Converters it reads from spec_model.
-ORACLE_MAY_IMPORT_FROM_REUSE = {
-    "AccessCounts", "LevelCounts", "output_stream", "tensor_hops",
-}
-
-
-def test_oracle_imports_only_structure_from_reuse():
+# The interpreter is the independent check on reuse.analyze: it reads the
+# definitions and count containers from spec_model and imports nothing
+# from reuse, so it cannot share the closed form's hops, plan or counting.
+def test_oracle_imports_nothing_from_reuse():
     tree = ast.parse(Path(oracle.__file__).read_text())
-    imported = set()
+    modules = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            assert not any(a.name.endswith("reuse") for a in node.names)
+            modules.update(a.name for a in node.names)
         elif isinstance(node, ast.ImportFrom):
+            modules.add(node.module or "")
             assert "reuse" not in {a.name for a in node.names}
-            if (node.module or "").split(".")[-1] == "reuse":
-                imported.update(a.name for a in node.names)
-    assert imported
-    assert imported <= ORACLE_MAY_IMPORT_FROM_REUSE
-    assert not imported & {"analyze", "residencies", "distinct_tiles",
-                           "loop_list", *COUNT_PLAN_NAMES}
+    assert "spec_model" in modules
+    assert not any(m.split(".")[-1] == "reuse" for m in modules)
 
 
-# What reuse.analyze plans once per architecture, and the arithmetic core
-# that counts from the plan: merge widths, converter keys and hops read
-# from these would share the closed form's derivation.
+# What reuse.analyze plans once per architecture, the arithmetic core that
+# counts from the plan, and the chain helpers reuse once kept for the
+# oracle: merge widths, converter keys and hops read from these would
+# share the closed form's derivation.
 COUNT_PLAN_NAMES = {"CountPlan", "count_plan", "Leg", "merge_widths",
-                    "leg_at", "Tally", "tally", "pack"}
+                    "leg_at", "Tally", "tally", "pack", "tensor_hops",
+                    "output_stream", "accumulation_level"}
 
 
 def test_oracle_never_reaches_the_count_plan():

@@ -5,8 +5,8 @@ import pytest
 
 from photon_model.reuse import (
     LevelCounts,
-    accumulation_level,
     analyze,
+    count_plan,
     reuse_factors,
 )
 from photon_model.spec_model import (
@@ -140,7 +140,12 @@ def test_accumulation_level_is_innermost_output_keeper():
     arch = toys.fc_weight_buffer()
     m = Mapping(levels=(LevelMapping(temporal={"K": 2, "C": 3}),
                         LevelMapping(), LevelMapping()))
-    assert accumulation_level(arch, m.keep_overrides) == 0
+    assert count_plan(arch, m.keep_overrides).stream.outer == 0
+    # Once the buffer keeps Outputs too, partials accumulate there and
+    # drain up one hop.
+    plan = count_plan(arch, {1: ("Weights", "Outputs")})
+    assert (plan.stream.outer, plan.stream.inner) == (1, 2)
+    assert [(up.outer, up.inner) for up, _ in plan.drains] == [(0, 1)]
 
 
 def _partial_sum_arch(with_down_converter):
