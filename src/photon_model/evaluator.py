@@ -10,14 +10,15 @@ mapping uses.
 
 The prices, bandwidths and static powers are fixed per architecture. Laid
 over one layout of counts they form a PriceProgram, built once per layout
-and kept on the architecture (price_program). evaluate lays its
-AccessCounts out once and runs the program's cycles, then its energy, on
-that one layout (energy alone re-prices counts, as a calibrated library
-does); the mapper's search runs the program of its CountPlan's layout on
-each candidate's reuse.Tally, with no AccessCounts in between, so the two
-price alike to the last bit: energy adds its terms in sorted key order, and
-a total adds the components in sorted name order. An EvaluationResult
-builds its mapping digest only when read.
+and kept on the architecture (price_program). evaluate runs the program of
+its CountPlan's layout, its cycles and then its energy, on the
+reuse.Tally that reuse.count gives, and packs the tally into AccessCounts
+only for its result; the mapper's search runs the same program on each
+candidate's Tally. So the two price alike to the last bit: energy adds its
+terms in sorted key order, and a total adds the components in sorted name
+order. energy alone lays AccessCounts out again (_laid_out), to re-price
+counts, as a calibrated library does. An EvaluationResult builds its
+mapping digest only when read.
 """
 
 from __future__ import annotations
@@ -28,7 +29,9 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 
-from .reuse import analyze
+# evaluate counts through reuse.count; analyze stays imported because
+# perfbench/tracer.py rebinds evaluator.analyze.
+from .reuse import analyze, count, pack
 from .spec_model import (
     AccessCounts,
     Architecture,
@@ -252,21 +255,22 @@ def area(arch: Architecture) -> float:
 
 def evaluate(arch: Architecture, layer: Layer,
              mapping: Mapping) -> EvaluationResult:
-    """Validate and count the mapping (reuse.analyze), then price it.
+    """Validate and count the mapping (reuse.count), price its tally, then
+    pack the tally into the result's AccessCounts (reuse.pack).
 
     Total cycles is the max of compute cycles and every level's and
     converter's transfer cycles at its bandwidth (PriceProgram.cycles);
     spatially idle lanes reduce utilization but never speed anything up.
     """
 
-    counts = analyze(arch, layer, mapping)
-    program, levels, conversions = _laid_out(counts, arch)
+    plan, counted, macs, real = count(arch, layer, mapping)
+    program = price_program(arch, plan.level_keys, plan.conversion_keys)
     nest = mapping.nest
     compute_cycles = nest.steps
-    cycles = program.cycles(levels, conversions, compute_cycles,
-                            nest.instances)
+    cycles = program.cycles(counted.levels, counted.conversions,
+                            compute_cycles, nest.instances)
     latency_s = cycles / program.hz
-    pj = program.energy(levels, conversions, counts.real_macs, latency_s)
+    pj = program.energy(counted.levels, counted.conversions, real, latency_s)
     return EvaluationResult(
         energy_pj=dict(zip(program.names, pj)),
         # The accumulators sit in sorted name order.
@@ -274,11 +278,10 @@ def evaluate(arch: Architecture, layer: Layer,
         cycles=cycles,
         compute_cycles=compute_cycles,
         latency_s=latency_s,
-        macs_per_s=counts.real_macs / latency_s if latency_s > 0 else 0.0,
-        utilization=counts.real_macs / (peak_spatial_macs(arch)
-                                        * compute_cycles),
+        macs_per_s=real / latency_s if latency_s > 0 else 0.0,
+        utilization=real / (peak_spatial_macs(arch) * compute_cycles),
         area_um2=area(arch),
-        counts=counts,
+        counts=pack(plan, counted, macs, real),
         mapping=mapping,
     )
 

@@ -48,8 +48,8 @@ search that shares them.
 
 A candidate is priced from its picked chains and loop orders with no
 Mapping in between (_Pricer). Its counts are reuse.tally, the arithmetic
-analyze runs, fed from what each chain fixes on its own (its tile extents,
-padded extent and spatial factors, taken once per menu). Its price comes
+reuse.count runs, fed from what each chain fixes on its own (its tile
+extents, padded extent and spatial factors, taken once per menu). Its price comes
 from the search's PriceProgram, the one evaluate runs, in its order, so
 each objective is bit-identical to its evaluation's. The search compares
 only these priced objectives (_Best): it keeps the lowest with its picks

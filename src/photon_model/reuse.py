@@ -24,9 +24,9 @@ Counting conventions (shared verbatim by the interpreter in oracle):
 
 Counting assumes a mapping validate_mapping accepted and rejects none: in
 particular, partials are refetched only down edges that convert them. So
-analyze validates first. The mapper's search counts its candidates without
+count validates first. The mapper's search counts its candidates without
 validation, as its filter admits only mappings validation accepts, and
-analyzes (so validates) the one mapping it returns.
+evaluates (so validates) the one mapping it returns.
 
 What counting reads that depends only on the architecture and the keep
 overrides is planned once per (architecture, override set) as a
@@ -38,12 +38,14 @@ flat lists. The counting itself is one arithmetic core, tally: from the
 tile extents, instances and loops of a nest and the merge widths at each
 edge (one suffix product per leg over the spatial factors,
 CountPlan.merge_widths, which reuse_factors reads too) it fills a Tally,
-flat lists in the plan's layout. analyze reads those inputs from
-mapping.nest and packs the tally into AccessCounts (pack); the mapper's
-search reads them from its picked chains and prices the tally as it
-stands. The oracle shares nothing with this module: not the legs, the
-plan or the core. The count containers (AccessCounts, LevelCounts) are
-spec_model's, as every engine returns them.
+flat lists in the plan's layout. count validates a mapping and reads
+those inputs from mapping.nest; analyze packs its tally into AccessCounts
+(pack), and evaluator.evaluate prices the tally as it stands, then packs
+it once for its result. The mapper's search reads them from its picked
+chains and prices the tally as it stands. The oracle shares nothing with
+this module: not the legs, the plan or the core. The count containers
+(AccessCounts, LevelCounts) are spec_model's, as every engine returns
+them.
 """
 
 from __future__ import annotations
@@ -379,8 +381,9 @@ def pack(plan: CountPlan, counted: Tally, macs: int,
 
     levels = counted.levels
     return AccessCounts(
-        per_level={key: LevelCounts(*levels[4 * i:4 * i + 4])
-                   for i, key in enumerate(plan.level_keys)},
+        per_level=dict(zip(plan.level_keys, map(
+            LevelCounts, levels[0::4], levels[1::4], levels[2::4],
+            levels[3::4]))),
         conversions=dict(zip(plan.conversion_keys, counted.conversions)),
         compute_reads=dict.fromkeys(TENSORS, macs),
         macs=macs,
@@ -393,9 +396,11 @@ def pack(plan: CountPlan, counted: Tally, macs: int,
     )
 
 
-def analyze(arch: Architecture, layer: Layer, mapping: Mapping) -> AccessCounts:
-    """Count every access implied by the mapping, in closed form, once
-    validate_mapping has accepted it: the tally of its nest, packed."""
+def count(arch: Architecture, layer: Layer, mapping: Mapping
+          ) -> tuple[CountPlan, Tally, int, int]:
+    """Validate the mapping (validate_mapping), then tally its nest: the
+    plan the tally is laid out by, the tally, and the padded and real MAC
+    counts, the arguments pack takes."""
 
     validate_mapping(mapping, layer, arch)
     plan = count_plan(arch, mapping.keep_overrides)
@@ -408,8 +413,15 @@ def analyze(arch: Architecture, layer: Layer, mapping: Mapping) -> AccessCounts:
         macs *= padded[d]
         real *= min(padded[d], bounds[d])
     widths = plan.merge_widths([lm.spatial for lm in mapping.levels])
-    return pack(plan, tally(plan, layer, nest.tiles, nest.instances,
-                            nest.loops, widths, macs), macs, real)
+    return (plan, tally(plan, layer, nest.tiles, nest.instances, nest.loops,
+                        widths, macs), macs, real)
+
+
+def analyze(arch: Architecture, layer: Layer, mapping: Mapping) -> AccessCounts:
+    """Count every access implied by the mapping, in closed form, once
+    validate_mapping has accepted it: the tally of its nest, packed."""
+
+    return pack(*count(arch, layer, mapping))
 
 
 # ----------------------------------------------------------------------------

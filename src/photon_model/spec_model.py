@@ -16,15 +16,17 @@ loop order. This module also owns the loop-nest geometry that the counting
 engines, the evaluator and the mapper build on, so that "what a tile is"
 has exactly one definition: a mapping's LoopNest (padded bounds, per-level
 tile bounds, spatial copies, instance counts and step count, built in one
-pass and cached as Mapping.nest), the tile footprint (tile_values), the
-capacity demand (kept_bits), the keeper chains (keeper_levels, held per
-keep-override set by Architecture.keepers), the spatial dims a mesh merges
-(merge_dims) and the spatial pins a level's stencil puts on a search
-(stencil_pins). It owns the count containers every counting engine returns
-(AccessCounts, LevelCounts) too. Tables derived from an architecture alone
-are kept on the instance (Architecture.derived). So has a valid mapping:
-validate_mapping, the refetch rule (refetch_forbidden) included, so the
-counting engines never reject a mapping it accepted.
+pass that also checks every factor, and cached as Mapping.nest), the tile
+footprint (tile_values), the capacity demand (kept_bits), the keeper
+chains (keeper_levels, held per keep-override set by Architecture.keepers),
+the spatial dims a mesh merges (merge_dims) and the spatial pins a level's
+stencil puts on a search (stencil_pins). It owns the count containers
+every counting engine returns (AccessCounts, LevelCounts) too. Tables
+derived from an architecture alone are kept on the instance
+(Architecture.derived). So has a valid mapping: validate_mapping, the
+refetch rule (refetch_forbidden) included, so the counting engines never
+reject a mapping it accepted. What it reads from the architecture and the
+keep overrides is planned once per override set (validation_plan).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import json
 import math
 from dataclasses import MISSING, dataclass, field, fields as dataclass_fields, replace
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import mul
 from types import MappingProxyType
 from typing import Callable, NamedTuple, NoReturn, TypeVar, get_type_hints
@@ -323,19 +325,14 @@ class LevelMapping:
         return self.spatial.get(d, 1)
 
     def loops(self) -> list[tuple[str, int]]:
-        """This level's temporal loops with extent > 1, outermost first."""
+        """This level's temporal loops with extent > 1, outermost first,
+        for a permutation of distinct dims."""
 
         t, perm = self.temporal, self.permutation
-        out = []
-        for d in perm:
-            f = t.get(d, 1)
-            if f > 1:
-                out.append((d, f))
-        for d in DIMS:
-            if d not in perm:
-                f = t.get(d, 1)
-                if f > 1:
-                    out.append((d, f))
+        out = [(d, t[d]) for d in perm if t.get(d, 1) > 1]
+        if len(out) < len(t):  # the permutation may leave a loop out
+            out += [(d, t[d]) for d in DIMS
+                    if d not in perm and t.get(d, 1) > 1]
         return out
 
 
@@ -356,8 +353,9 @@ class Mapping:
 
     @cached_property
     def nest(self) -> LoopNest:
-        """The loop-nest geometry, built once per mapping. Read it only once
-        every factor is known to be a positive integer of a known dim."""
+        """The loop-nest geometry, built once per mapping. Reading it
+        raises MappingError for a factor or loop order LoopNest.of
+        rejects."""
 
         return LoopNest.of(self.levels)
 
@@ -395,6 +393,13 @@ class LoopNest:
     factor, each step issuing one MAC per active compute instance; loops
     the temporal loops with extent > 1, outermost first, as (level, dim,
     extent), each level's block in its permutation's order.
+
+    The pass that builds it checks what it reads: every factor must be a
+    positive int (not a bool) of a known dim, and every permutation a
+    sequence of distinct dims. A fault raises MappingError FactorMismatch,
+    the first one in level order (temporal, spatial, then permutation, per
+    level), as validate_mapping reports it; an unknown dim's error names
+    its level by index there, and validate_mapping by name.
     """
 
     padded: dict[str, int]
@@ -407,25 +412,61 @@ class LoopNest:
     @classmethod
     def of(cls, levels: tuple[LevelMapping, ...]) -> LoopNest:
         run = dict.fromkeys(DIMS, 1)
-        tiles = []
-        spatial = []
+        m = len(levels)
+        tiles = [run] * m
+        spatial = [1] * m
+        blocks: list = [()] * m
         steps = 1
-        for lm in reversed(levels):
-            tiles.append(dict(run))
+        for i in range(m - 1, -1, -1):
+            lm = levels[i]
+            tiles[i] = dict(run)
             for d, f in lm.temporal.items():
+                if type(f) is not int or f < 1 or d not in run:
+                    raise _first_fault(levels)
                 run[d] *= f
                 steps *= f
             s = 1
             for d, f in lm.spatial.items():
+                if type(f) is not int or f < 1 or d not in run:
+                    raise _first_fault(levels)
                 run[d] *= f
                 s *= f
-            spatial.append(s)
-        spatial.reverse()
-        return cls(padded=run, tiles=tuple(reversed(tiles)),
-                   spatial=tuple(spatial),
+            spatial[i] = s
+            perm = lm.permutation
+            if perm:
+                for d in perm:
+                    if d not in DIMS:
+                        raise _first_fault(levels)
+                if len(set(perm)) < len(perm):
+                    raise _first_fault(levels)
+            if lm.temporal:
+                blocks[i] = [(i, d, e) for d, e in lm.loops()]
+        return cls(padded=run, tiles=tuple(tiles), spatial=tuple(spatial),
                    instances=tuple(accumulate(spatial, mul)), steps=steps,
-                   loops=tuple((j, d, e) for j, lm in enumerate(levels)
-                               for d, e in lm.loops()))
+                   loops=tuple(chain.from_iterable(blocks)))
+
+
+def _first_fault(levels: tuple[LevelMapping, ...]) -> MappingError:
+    """The first factor or permutation fault of `levels` in level order,
+    for LoopNest.of, which has found one."""
+
+    for i, lm in enumerate(levels):
+        for src in (lm.temporal, lm.spatial):
+            for d, f in src.items():
+                if d not in DIMS:
+                    return MappingError("FactorMismatch", f"unknown dim {d!r}",
+                                        dim=d, level=i)
+                if type(f) is not int or f < 1:
+                    return MappingError("FactorMismatch",
+                                        f"factor {d}={f!r} at level {i} not a "
+                                        "positive integer", dim=d)
+        seen = set()
+        for d in lm.permutation:
+            if d not in DIMS or d in seen:
+                return MappingError("FactorMismatch",
+                                    f"bad permutation {lm.permutation!r}")
+            seen.add(d)
+    raise AssertionError("LoopNest.of found a fault that is not there")
 
 
 def effective_bounds(layer: Layer, batch_size: int) -> dict[str, int]:
@@ -463,6 +504,8 @@ def kept_bits(layer: Layer, tb: dict[str, int],
 def override_key(keep_overrides: dict[int, tuple[str, ...]]) -> tuple:
     """Keep overrides as a hashable key, equal for equal override sets."""
 
+    if not keep_overrides:
+        return ()
     return tuple(sorted((i, tuple(ov)) for i, ov in keep_overrides.items()))
 
 
@@ -719,56 +762,94 @@ def validate_layer(layer: Layer, path: str = "workload") -> None:
             raise SpecError("BadBound", path, f"bits for {t} must be positive")
 
 
+class ValidationPlan(NamedTuple):
+    """What validate_mapping reads that depends only on the architecture
+    and a mapping's keep overrides, built once per pair (validation_plan):
+    the keeper chains and refetch-forbidden keepers (Architecture.keepers);
+    per tensor whose outermost keeper is not the backing store, (tensor,
+    that origin level, the tensor's dims in DIMS order); and per storage
+    level that keeps a tensor, (level, the tensors it keeps, each named
+    once, its capacity in bits, its name)."""
+
+    chains: MappingProxyType[str, tuple[int, ...]]
+    forbidden: tuple[tuple[int, str, int], ...]
+    origins: tuple[tuple[str, int, tuple[str, ...]], ...]
+    capacity: tuple[tuple[int, tuple[str, ...], int, str], ...]
+
+
+def validation_plan(arch: Architecture,
+                    keep_overrides: dict[int, tuple[str, ...]]
+                    ) -> ValidationPlan:
+    """The ValidationPlan of the architecture under the keep overrides,
+    kept on the architecture per override set. Building it runs
+    check_keep_overrides, then check_every_tensor_kept; an override set
+    that fails either raises on every call, as nothing is kept for it."""
+
+    def build():
+        check_keep_overrides(arch, keep_overrides)
+        chains, forbidden = arch.keepers(keep_overrides)
+        check_every_tensor_kept(chains)
+        capacity = []
+        for i, lv in enumerate(arch.levels[:-1]):
+            keeps = effective_keeps(arch, keep_overrides, i)
+            if keeps:
+                capacity.append((i, tuple(dict.fromkeys(keeps)),
+                                 lv.component.capacity_bits, lv.name))
+        return ValidationPlan(
+            chains, forbidden,
+            origins=tuple((t, chains[t][0],
+                           tuple(d for d in DIMS if d in TENSOR_DIMS[t]))
+                          for t in TENSORS if chains[t][0] > 0),
+            capacity=tuple(capacity))
+
+    return arch.derived(("validation_plan", override_key(keep_overrides)),
+                        build)
+
+
 def validate_mapping(mapping: Mapping, layer: Layer, arch: Architecture) -> None:
     """Raise MappingError unless the mapping is valid for (layer, arch).
 
-    Checks factor coverage per dim (exact in strict mode, >= bound in pad
-    mode), per-level fanout budgets, keep overrides, storage capacity
-    against kept-tile footprints and, last, that no refetch_forbidden
+    Checks, in this order: the level count and batch size; every factor
+    and loop order (LoopNest.of, run by reading mapping.nest); factor
+    coverage per dim (exact in strict mode, >= bound in pad mode);
+    per-level fanout budgets; the keep overrides (validation_plan); that
+    no tensor's dims factor outside its origin keeper; storage capacity
+    against kept-tile footprints; and, last, that no refetch_forbidden
     keeper's tile is evicted and brought back.
     """
 
-    if len(mapping.levels) != len(arch.levels):
+    levels = mapping.levels
+    if len(levels) != len(arch.levels):
         raise MappingError("FactorMismatch",
-                           f"mapping has {len(mapping.levels)} levels, "
+                           f"mapping has {len(levels)} levels, "
                            f"architecture has {len(arch.levels)}")
-    if type(mapping.batch_size) is not int or mapping.batch_size < 1:
+    batch = mapping.batch_size
+    if type(batch) is not int or batch < 1:
         raise MappingError("FactorMismatch",
-                           f"batch_size {mapping.batch_size!r} not a positive "
-                           "integer")
+                           f"batch_size {batch!r} not a positive integer")
+    try:
+        nest = mapping.nest
+    except MappingError as err:
+        if err.level is not None:  # an unknown dim's level, by index
+            err.level = arch.levels[err.level].name
+        raise
 
-    for i, lm in enumerate(mapping.levels):
-        for src in (lm.temporal, lm.spatial):
-            for d, f in src.items():
-                if d not in DIMS:
-                    raise MappingError("FactorMismatch", f"unknown dim {d!r}",
-                                       dim=d, level=arch.levels[i].name)
-                if type(f) is not int or f < 1:
-                    raise MappingError("FactorMismatch",
-                                       f"factor {d}={f!r} at level {i} not a "
-                                       "positive integer", dim=d)
-        seen = set()
-        for d in lm.permutation:
-            if d not in DIMS or d in seen:
-                raise MappingError("FactorMismatch",
-                                   f"bad permutation {lm.permutation!r}")
-            seen.add(d)
-
-    bounds = effective_bounds(layer, mapping.batch_size)
-    nest = mapping.nest
+    bounds = effective_bounds(layer, batch)
     padded = nest.padded
-    for d in DIMS:
-        if mapping.pad:
+    if mapping.pad:
+        for d in DIMS:
             if padded[d] < bounds[d]:
                 raise MappingError(
                     "FactorMismatch",
                     f"dim {d}: factors cover {padded[d]} < bound {bounds[d]}",
                     dim=d)
-        elif padded[d] != bounds[d]:
-            raise MappingError(
-                "FactorMismatch",
-                f"dim {d}: factors cover {padded[d]}, bound is {bounds[d]}",
-                dim=d)
+    elif padded != bounds:
+        for d in DIMS:
+            if padded[d] != bounds[d]:
+                raise MappingError(
+                    "FactorMismatch",
+                    f"dim {d}: factors cover {padded[d]}, bound is "
+                    f"{bounds[d]}", dim=d)
 
     for s, lv in zip(nest.spatial, arch.levels):
         if s > lv.fanout:
@@ -776,48 +857,43 @@ def validate_mapping(mapping: Mapping, layer: Layer, arch: Architecture) -> None
                                f"level {lv.name!r} maps {s} spatial copies, "
                                f"fanout is {lv.fanout}", level=lv.name)
 
-    check_keep_overrides(arch, mapping.keep_overrides)
+    plan = validation_plan(arch, mapping.keep_overrides)
 
     # A tensor whose outermost keeper is not the backing store (a fused
     # intermediate living in a buffer) has nowhere above to stage from:
     # its dims may not factor above the origin, nor split spatially into
     # it. The origin's own temporal loops stay legal; they walk the tensor
     # in place.
-    chains, forbidden = arch.keepers(mapping.keep_overrides)
-    check_every_tensor_kept(chains)
-    for t in TENSORS:
-        origin = chains[t][0]
-        if origin > 0:
-            lm, tile = mapping.levels[origin], nest.tiles[origin]
-            for d in TENSOR_DIMS[t]:
-                if padded[d] != lm.t(d) * tile[d]:
-                    raise MappingError(
-                        "FactorMismatch",
-                        f"tensor {t} originates at level {origin} but dim {d} "
-                        "has factors outside it",
-                        dim=d, tensor=t,
-                        level=arch.levels[origin].name)
+    tiles = nest.tiles
+    for t, origin, dims in plan.origins:
+        temporal, tile = levels[origin].temporal, tiles[origin]
+        for d in dims:
+            if padded[d] != temporal.get(d, 1) * tile[d]:
+                raise MappingError(
+                    "FactorMismatch",
+                    f"tensor {t} originates at level {origin} but dim {d} "
+                    "has factors outside it",
+                    dim=d, tensor=t, level=arch.levels[origin].name)
 
     # The backing store holds whole tensors, its own loops included.
-    for i in range(len(arch.levels) - 1):
-        lv = arch.levels[i]
-        keeps = effective_keeps(arch, mapping.keep_overrides, i)
-        if not keeps:
-            continue
-        sizes = kept_bits(layer, padded if i == 0 else nest.tiles[i], keeps)
-        total = sum(sizes.values())
-        if total > lv.component.capacity_bits:
+    bits = layer.bits
+    for i, keeps, capacity, name in plan.capacity:
+        tile = padded if i == 0 else tiles[i]
+        total = 0
+        for t in keeps:
+            total += tile_values(layer, tile, t) * bits[t]
+        if total > capacity:
+            sizes = kept_bits(layer, tile, keeps)
             worst = max(sizes, key=lambda t: (sizes[t], t))
             raise MappingError(
                 "CapacityExceeded",
-                f"level {lv.name!r} needs {total} bits for {sorted(keeps)}, "
-                f"capacity is {lv.component.capacity_bits}",
-                level=lv.name, tensor=worst)
+                f"level {name!r} needs {total} bits for {sorted(keeps)}, "
+                f"capacity is {capacity}", level=name, tensor=worst)
 
     # A keeper's tile returns after eviction exactly when, among the loops
     # at or above it, a loop over another dim runs outside a loop over one
     # of the tensor's dims: that loop revisits tiles already drained.
-    for b, t, k in forbidden:
+    for b, t, k in plan.forbidden:
         dims = TENSOR_DIMS[t]
         other = False
         for j, d, _ in nest.loops:
@@ -1351,11 +1427,15 @@ def parse_mapping(doc: dict, arch: Architecture) -> Mapping:
                               permutation=tuple(ld["permutation"]))
     overrides = {}
     for k, v in body["keep_overrides"].items():
+        # Only the canonical form: "01", "+1", " 1" or "１" would name
+        # level 1 as well, and one entry would replace another.
         try:
-            i = int(k)
-        except ValueError:
+            i = int(k) if k.isascii() and k.isdigit() else None
+        except ValueError:  # more digits than int() reads
+            i = None
+        if i is None or k != str(i):
             raise SpecError("MalformedDocument", f"{path}.keep_overrides.{k}",
-                            "must be keyed by a level index") from None
+                            "must be keyed by a level index")
         overrides[i] = tuple(sorted(v))
     levels = tuple(LevelMapping() if lm is None else lm for lm in lms)
     return Mapping(levels, body["batch_size"], overrides, body["pad"])

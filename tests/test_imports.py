@@ -5,8 +5,10 @@ from pathlib import Path
 
 import photon_model
 
-# perfbench/tracer.py rebinds these in mapper, which calls neither itself.
-REBOUND = {("mapper.py", "analyze"), ("mapper.py", "energy")}
+# perfbench/tracer.py rebinds these in mapper, which calls neither itself,
+# and analyze in evaluator, whose evaluate counts through reuse.count.
+REBOUND = {("mapper.py", "analyze"), ("mapper.py", "energy"),
+           ("evaluator.py", "analyze")}
 
 
 def unused_imports(path: Path) -> set[tuple[str, str]]:

@@ -1,27 +1,31 @@
-"""The count plan, the price program, the area and the search's loop-order
-table are kept on the architecture instance (per keep-override set for the
-plan and the order table, per layout of counts for the program). An edited
-copy, or another override set, must never be counted, priced or searched
-through tables built for another: every result must equal one computed on
-a freshly built architecture."""
+"""The validation plan, the count plan, the price program, the area and the
+search's loop-order table are kept on the architecture instance (per
+keep-override set for the plans and the order table, per layout of counts
+for the program). An edited copy, or another override set, must never be
+validated, counted, priced or searched through tables built for another:
+every result must equal one computed on a freshly built architecture."""
 
 from dataclasses import replace
 
 import pytest
 
 from photon_model import albireo, mapper
-from photon_model.evaluator import evaluate, price_program
+from photon_model.evaluator import EvaluationResult, evaluate, price_program
 from photon_model.mapper import STRATEGIES, SearchConfig, search
 from photon_model.oracle import simulate
 from photon_model.reuse import analyze, count_plan, reuse_factors
 from photon_model.spec_model import (
     INPUTS,
     OUTPUTS,
+    TENSORS,
     WEIGHTS,
     Layer,
+    MappingError,
+    kept_bits,
     parse_architecture,
     serialize_architecture,
     stencil_pins,
+    validate_mapping,
 )
 from toys import refetch_toy
 
@@ -152,3 +156,55 @@ def test_each_keep_override_set_gets_its_own_loop_orders(strategy):
         got.append(mapper._search(arch, layer, cfg))
         assert got[-1] == mapper._search(refetch_toy(128), layer, cfg)
     assert got[0] == got[2] != got[1]
+
+
+def _outcome(arch, mapping):
+    """Validation's and evaluate's outcome: the result, or the error's
+    kind, fields and message."""
+
+    try:
+        validate_mapping(mapping, LAYER, arch)
+        return evaluate(arch, LAYER, mapping)
+    except MappingError as err:
+        return err.kind, err.dim, err.level, err.tensor, str(err)
+
+
+def test_validation_follows_each_architecture_and_override_set():
+    # B is A with a global buffer that the searched mapping overflows,
+    # and the mapping is checked plain and with Inputs bypassing the
+    # buffer: validation and evaluation must follow each architecture and
+    # override set, in turn, as a freshly built architecture gives them.
+    a, plain = _searched()
+    bypass = replace(plain, keep_overrides={1: (WEIGHTS, OUTPUTS)})
+    level = next(i for i, lv in enumerate(a.levels)
+                 if lv.name == "global_buffer")
+    demand = kept_bits(LAYER, plain.nest.tiles[level], TENSORS)
+    lv = a.levels[level]
+    levels = list(a.levels)
+    levels[level] = replace(lv, component=replace(
+        lv.component, capacity_bits=sum(demand.values()) - 1))
+    b = replace(a, levels=tuple(levels))
+    got = {}
+    for name, arch in (("A", a), ("B", b), ("A again", a)):
+        for mapping in (plain, bypass):
+            want = _outcome(_fresh(arch), mapping)
+            assert _outcome(arch, mapping) == want, name
+            got[name, mapping is bypass] = want
+    assert got["B", False][0] == "CapacityExceeded"
+    assert isinstance(got["B", True], EvaluationResult)
+    assert got["A", False] == got["A again", False] != got["B", False]
+    assert got["A", True] == got["A again", True] == got["B", True]
+
+
+@pytest.mark.parametrize("overrides, fields", [
+    ({3: (WEIGHTS,)}, ("FactorMismatch", None, "ao_array", None)),
+    ({i: (WEIGHTS, INPUTS) for i in range(3)},
+     ("FactorMismatch", None, None, OUTPUTS)),
+], ids=["adds-a-tensor", "leaves-a-tensor-unkept"])
+def test_a_failing_override_raises_on_every_call(overrides, fields):
+    # Nothing is kept for an override set whose plan fails to build.
+    arch, plain = _searched()
+    mapping = replace(plain, keep_overrides=overrides)
+    first, second = (_outcome(arch, mapping) for _ in range(2))
+    assert first[:4] == fields
+    assert second == first == _outcome(_fresh(arch), mapping)

@@ -465,6 +465,38 @@ def test_wrong_container_is_named_by_its_path(case):
     assert (e.value.kind, e.value.path) == ("MalformedDocument", path)
 
 
+# Keys that int() reads as a level index, but not in canonical form: each
+# would name a level another key may name too.
+ALIASED_KEYS = {"leading-zero": "01", "leading-space": " 1",
+                "trailing-space": "1 ", "plus": "+1", "minus": "-1",
+                "underscore": "0_1", "full-width": "\uff11",
+                "empty": "", "float": "1.0", "huge": "9" * 5000}
+
+
+@pytest.mark.parametrize("key", ALIASED_KEYS.values(), ids=ALIASED_KEYS)
+def test_keep_override_key_must_be_a_canonical_level_index(key):
+    arch, doc = mapping_doc()
+    doc["mapping"]["keep_overrides"] = {key: ["Weights"]}
+    with pytest.raises(SpecError) as e:
+        parse_mapping(doc, arch)
+    assert (e.value.kind, e.value.path) == (
+        "MalformedDocument", f"mapping.keep_overrides.{key}")
+
+
+def test_two_keys_for_one_level_are_rejected():
+    # Both keys read as level 1, so one entry used to replace the other.
+    arch, doc = mapping_doc()
+    doc["mapping"]["keep_overrides"] = {"1": ["Weights"], "01": []}
+    with pytest.raises(SpecError) as e:
+        parse_mapping(doc, arch)
+    assert (e.value.kind, e.value.path) == (
+        "MalformedDocument", "mapping.keep_overrides.01")
+    doc["mapping"]["keep_overrides"] = {"1": ["Weights"],
+                                        "0": ["Weights", "Inputs", "Outputs"]}
+    assert parse_mapping(doc, arch).keep_overrides == {
+        0: ("Inputs", "Outputs", "Weights"), 1: ("Weights",)}
+
+
 def test_integral_float_factor_is_a_mapping_error():
     # parse_mapping leaves factor values to validate_mapping, as for a
     # Mapping built in code.

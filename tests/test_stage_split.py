@@ -27,10 +27,12 @@ def test_stage_split_calls_every_stage_and_restores_every_name():
     assert all(s["calls"] > 0 for s in out["stages"].values()), out["stages"]
     assert 0 <= out["search_self_s"] <= out["stages"]["search"]["seconds"]
     # Every visited candidate is priced; a mapping is built only for a
-    # tie and for the winner, the one mapping each search evaluates.
+    # tie and for the winner, the one mapping each search evaluates, and
+    # so counts and validates.
     calls = {name: s["calls"] for name, s in out["stages"].items()}
     searches = calls["search"]
-    assert calls["evaluate"] == calls["counting"] == searches
+    assert (calls["evaluate"] == calls["counting"] == calls["validate"]
+            == searches)
     assert (searches <= calls["build_mapping"]
             < calls["candidate_pricing"] == calls["candidate_counting"])
     # R's menu sits at its minimum row in most throughput searches.

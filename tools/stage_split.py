@@ -21,9 +21,11 @@ Every candidate the search visits is priced (`candidate_pricing`): it is
 counted (`candidate_counting`), and its energy (`pricing`) is summed unless
 the objective is delay. A mapping is built (`build_mapping`) only to break
 an exact tie and for the winner, which alone is evaluated (`evaluate`,
-which validates and counts it through `counting`, then runs `pricing`).
-`counting` and `pricing` also time the evaluations a study makes outside
-its searches (the memory study's batched leg).
+which validates and counts it through `counting`, whose `validate` is
+`validate_mapping`, then runs `pricing` on the tally). `counting`,
+`validate` and `pricing` also time the evaluations a study makes outside
+its searches (the memory study's batched leg); `validate` also times the
+study's own `analyze` calls.
 Stages nest (`limits` runs inside `map_space_build` as well as in the
 draws), so inclusive seconds do not add up. Each wrapped call costs about a
 microsecond more, which dilutes every ratio taken from these numbers.
@@ -39,7 +41,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from photon_model import evaluator, experiments, mapper  # noqa: E402
+from photon_model import evaluator, experiments, mapper, reuse  # noqa: E402
 
 # Stage name -> (owner, attribute) of the function it times. Each owner is
 # where the caller looks the name up at call time.
@@ -56,7 +58,8 @@ STAGES = {
     "build_mapping": (mapper, "_build_mapping"),
     "pricing": (evaluator.PriceProgram, "energy"),
     "evaluate": (mapper, "evaluate"),
-    "counting": (evaluator, "analyze"),
+    "counting": (evaluator, "count"),
+    "validate": (reuse, "validate_mapping"),
 }
 
 
