@@ -125,14 +125,13 @@ from .spec_model import (
     LevelMapping,
     Mapping,
     MappingError,
-    check_every_tensor_kept,
-    check_keep_overrides,
     effective_bounds,
     effective_keeps,
     kept_bits,
     mapping_digest,
     override_key,
     tile_values,
+    validation_plan,
 )
 
 OBJECTIVES = ("energy", "delay", "energy_delay_product")
@@ -821,13 +820,11 @@ def _search(arch: Architecture, layer: Layer, cfg: SearchConfig) -> SearchResult
             raise ValueError(f"fixed_spatial pins {d} at level {level}; "
                              f"the architecture has {len(arch.levels)} levels")
     try:
-        check_keep_overrides(arch, cfg.keep_overrides)
+        forbidden = validation_plan(arch, cfg.keep_overrides).forbidden
     except MappingError as err:
-        raise ValueError(f"keep_overrides: {err}") from None
-    keepers, forbidden = arch.keepers(cfg.keep_overrides)
-    try:
-        check_every_tensor_kept(keepers)
-    except MappingError as err:
+        # Only the check that every tensor is kept names a tensor.
+        if err.tensor is None:
+            raise ValueError(f"keep_overrides: {err}") from None
         raise NoValidMapping(layer.name, str(err)) from None
     cap = _CapacityCheck(arch, layer, cfg)
     chain_menu = {d: _dim_chains(arch, layer, d, cfg, cap) for d in DIMS}

@@ -270,11 +270,15 @@ class CountPlan:
 
 
 def count_plan(arch: Architecture,
-               keep_overrides: dict[int, tuple[str, ...]]) -> CountPlan:
+               keep_overrides: dict[int, tuple[str, ...]],
+               key: tuple | None = None) -> CountPlan:
     """The CountPlan of the architecture under a mapping's keep overrides,
-    kept on the architecture per override set."""
+    kept on the architecture per override set; `key` is their
+    override_key, when the caller holds it (Mapping.keep_key)."""
 
-    return arch.derived(("count_plan", override_key(keep_overrides)),
+    if key is None:
+        key = override_key(keep_overrides)
+    return arch.derived(("count_plan", key),
                         lambda: CountPlan.of(arch, keep_overrides))
 
 
@@ -403,7 +407,7 @@ def count(arch: Architecture, layer: Layer, mapping: Mapping
     counts, the arguments pack takes."""
 
     validate_mapping(mapping, layer, arch)
-    plan = count_plan(arch, mapping.keep_overrides)
+    plan = count_plan(arch, mapping.keep_overrides, mapping.keep_key)
     nest = mapping.nest
     padded = nest.padded
     bounds = effective_bounds(layer, mapping.batch_size)
@@ -435,7 +439,7 @@ def reuse_factors(counts: AccessCounts, arch: Architecture,
     temporal reuse of the delivered values. Entries with zero crossings are
     omitted."""
 
-    plan = count_plan(arch, mapping.keep_overrides)
+    plan = count_plan(arch, mapping.keep_overrides, mapping.keep_key)
     widths = plan.merge_widths([lm.spatial for lm in mapping.levels])
     out = []
     for key, crossing in sorted(counts.edge_crossings.items()):

@@ -27,6 +27,17 @@ derived from an architecture alone are kept on the instance
 refetch rule (refetch_forbidden) included, so the counting engines never
 reject a mapping it accepted. What it reads from the architecture and the
 keep overrides is planned once per override set (validation_plan).
+
+Documents are read through field tables (table): each object's fields,
+their types and defaults, and the error a wrong one gets. They are the one
+definition of what a document may hold and of every message it gets. A
+mapping document, read once per design point, has a direct reader as well
+(parse_mapping): a plain document, whose objects hold only their tables'
+fields, each of exactly the type the table keeps as it is, is read in one
+pass, and any other goes to the tables, which convert it or raise. The
+reader's level index is kept per architecture (Architecture.derived), and a
+mapping's override key is made once (Mapping.keep_key) for the lookups of
+both its validation and its count plan.
 """
 
 from __future__ import annotations
@@ -34,7 +45,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import MISSING, dataclass, field, fields as dataclass_fields, replace
-from functools import cached_property
 from itertools import accumulate, chain
 from operator import mul
 from types import MappingProxyType
@@ -108,6 +118,22 @@ class MappingError(Exception):
         self.level = level
         self.tensor = tensor
         super().__init__(f"{kind}: {message}")
+
+
+class _lazy:
+    """A property made on first read and kept in the instance's __dict__,
+    as functools.cached_property does, without the lock that costs its
+    every first read about a microsecond before Python 3.12."""
+
+    def __init__(self, build: Callable):
+        self.build = build
+        self.__doc__ = build.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.build.__name__] = self.build(obj)
+        return value
 
 
 # ============================================================================
@@ -210,7 +236,7 @@ class Architecture:
         return (self.levels[edge - 1].component.domain_out
                 != self.levels[edge].component.domain_in)
 
-    @cached_property
+    @_lazy
     def edge_converters(self) -> dict[tuple[int, str, str], Converter]:
         """The converter carrying each (edge, tensor, DOWN|UP): the one
         definition of which bank a tensor crosses an edge through."""
@@ -229,7 +255,7 @@ class Architecture:
                 table[key] = cv
         return table
 
-    @cached_property
+    @_lazy
     def parts(self) -> tuple[tuple[ComponentSpec, int], ...]:
         """Every part with its physical instance count: each level (the
         fanout product down to it), then each converter bank, then each
@@ -240,7 +266,7 @@ class Architecture:
                 + tuple((cv.component, cv.instances) for cv in self.converters)
                 + tuple((ex.component, ex.instances) for ex in self.extras))
 
-    @cached_property
+    @_lazy
     def _derived(self) -> dict[tuple, object]:
         return {}
 
@@ -351,13 +377,20 @@ class Mapping:
     keep_overrides: dict[int, tuple[str, ...]] = field(default_factory=dict)
     pad: bool = False
 
-    @cached_property
+    @_lazy
     def nest(self) -> LoopNest:
         """The loop-nest geometry, built once per mapping. Reading it
         raises MappingError for a factor or loop order LoopNest.of
         rejects."""
 
         return LoopNest.of(self.levels)
+
+    @_lazy
+    def keep_key(self) -> tuple:
+        """override_key of the keep overrides, made once per mapping: the
+        key its validation and count plans are kept under."""
+
+        return override_key(self.keep_overrides)
 
 
 def mapping_digest(m: Mapping) -> str:
@@ -381,8 +414,7 @@ def mapping_digest(m: Mapping) -> str:
 # ============================================================================
 
 
-@dataclass(frozen=True)
-class LoopNest:
+class LoopNest(NamedTuple):
     """Geometry of a mapped loop nest, from one pass over its levels.
 
     padded[d] is the product of every factor of dim d (the iterated space);
@@ -419,8 +451,9 @@ class LoopNest:
         steps = 1
         for i in range(m - 1, -1, -1):
             lm = levels[i]
+            t = lm.temporal
             tiles[i] = dict(run)
-            for d, f in lm.temporal.items():
+            for d, f in t.items():
                 if type(f) is not int or f < 1 or d not in run:
                     raise _first_fault(levels)
                 run[d] *= f
@@ -439,8 +472,12 @@ class LoopNest:
                         raise _first_fault(levels)
                 if len(set(perm)) < len(perm):
                     raise _first_fault(levels)
-            if lm.temporal:
-                blocks[i] = [(i, d, e) for d, e in lm.loops()]
+            if t:  # LevelMapping.loops, on the factors checked above
+                block = [(i, d, t[d]) for d in perm if t.get(d, 1) > 1]
+                if len(block) < len(t):
+                    block += [(i, d, t[d]) for d in DIMS
+                              if d not in perm and t.get(d, 1) > 1]
+                blocks[i] = block
         return cls(padded=run, tiles=tuple(tiles), spatial=tuple(spatial),
                    instances=tuple(accumulate(spatial, mul)), steps=steps,
                    loops=tuple(chain.from_iterable(blocks)))
@@ -507,34 +544,6 @@ def override_key(keep_overrides: dict[int, tuple[str, ...]]) -> tuple:
     if not keep_overrides:
         return ()
     return tuple(sorted((i, tuple(ov)) for i, ov in keep_overrides.items()))
-
-
-def check_keep_overrides(arch: Architecture,
-                         keep_overrides: dict[int, tuple[str, ...]]) -> None:
-    """Raise MappingError unless each override names a level of `arch` and
-    drops tensors it keeps, never adds one."""
-
-    for i, ov in keep_overrides.items():
-        if not 0 <= i < len(arch.levels):
-            raise MappingError("FactorMismatch",
-                               f"keep override for level {i}; the "
-                               f"architecture has {len(arch.levels)} levels")
-        if not set(ov) <= set(arch.levels[i].keeps):
-            raise MappingError("FactorMismatch",
-                               f"keep override at {arch.levels[i].name!r} adds "
-                               "tensors the level does not hold",
-                               level=arch.levels[i].name)
-
-
-def check_every_tensor_kept(
-        chains: MappingProxyType[str, tuple[int, ...]]) -> None:
-    """Raise MappingError unless some storage level keeps each tensor:
-    `chains` holds each tensor's keeper levels (Architecture.keepers)."""
-
-    for t in TENSORS:
-        if not chains[t]:
-            raise MappingError("FactorMismatch",
-                               f"no level keeps tensor {t}", tensor=t)
 
 
 def effective_keeps(arch: Architecture, keep_overrides: dict[int, tuple[str, ...]],
@@ -778,17 +787,33 @@ class ValidationPlan(NamedTuple):
 
 
 def validation_plan(arch: Architecture,
-                    keep_overrides: dict[int, tuple[str, ...]]
-                    ) -> ValidationPlan:
+                    keep_overrides: dict[int, tuple[str, ...]],
+                    key: tuple | None = None) -> ValidationPlan:
     """The ValidationPlan of the architecture under the keep overrides,
-    kept on the architecture per override set. Building it runs
-    check_keep_overrides, then check_every_tensor_kept; an override set
-    that fails either raises on every call, as nothing is kept for it."""
+    kept on the architecture per override set; `key` is their
+    override_key, when the caller holds it (Mapping.keep_key). Building it
+    raises MappingError FactorMismatch unless each override names a level
+    and drops tensors it keeps, never adds one, and then (naming the
+    tensor) unless some storage level keeps each tensor. An override set
+    that fails raises on every call, as nothing is kept for it."""
 
     def build():
-        check_keep_overrides(arch, keep_overrides)
+        for i, ov in keep_overrides.items():
+            if not 0 <= i < len(arch.levels):
+                raise MappingError("FactorMismatch",
+                                   f"keep override for level {i}; the "
+                                   f"architecture has {len(arch.levels)} "
+                                   "levels")
+            if not set(ov) <= set(arch.levels[i].keeps):
+                raise MappingError("FactorMismatch",
+                                   f"keep override at {arch.levels[i].name!r} "
+                                   "adds tensors the level does not hold",
+                                   level=arch.levels[i].name)
         chains, forbidden = arch.keepers(keep_overrides)
-        check_every_tensor_kept(chains)
+        for t in TENSORS:
+            if not chains[t]:
+                raise MappingError("FactorMismatch",
+                                   f"no level keeps tensor {t}", tensor=t)
         capacity = []
         for i, lv in enumerate(arch.levels[:-1]):
             keeps = effective_keeps(arch, keep_overrides, i)
@@ -802,8 +827,9 @@ def validation_plan(arch: Architecture,
                           for t in TENSORS if chains[t][0] > 0),
             capacity=tuple(capacity))
 
-    return arch.derived(("validation_plan", override_key(keep_overrides)),
-                        build)
+    if key is None:
+        key = override_key(keep_overrides)
+    return arch.derived(("validation_plan", key), build)
 
 
 def validate_mapping(mapping: Mapping, layer: Layer, arch: Architecture) -> None:
@@ -857,7 +883,7 @@ def validate_mapping(mapping: Mapping, layer: Layer, arch: Architecture) -> None
                                f"level {lv.name!r} maps {s} spatial copies, "
                                f"fanout is {lv.fanout}", level=lv.name)
 
-    plan = validation_plan(arch, mapping.keep_overrides)
+    plan = validation_plan(arch, mapping.keep_overrides, mapping.keep_key)
 
     # A tensor whose outermost keeper is not the backing store (a fused
     # intermediate living in a buffer) has nowhere above to stage from:
@@ -1103,6 +1129,15 @@ REFERENCE_BREAKDOWN = table({
                     (STR, None))})
 
 
+def check_spec_version(version, path: str) -> None:
+    """Raise SpecError at `path` unless a document's spec_version, as its
+    table read it, is SPEC_VERSION."""
+
+    if version != SPEC_VERSION:
+        raise SpecError("MalformedDocument", path, "expected "
+                        f"spec_version {SPEC_VERSION}, got {version!r}")
+
+
 def parse_component(doc: dict, path: str) -> ComponentSpec:
     doc = _COMPONENT.read(doc, path)
     domain = doc.pop("domain")
@@ -1235,9 +1270,7 @@ def parse_spec(doc: dict) -> Spec:
     an unknown field or a wrong-typed value is an error that names it."""
 
     f = _SPEC.read(doc, "$")
-    if f["spec_version"] != SPEC_VERSION:
-        raise SpecError("MalformedDocument", "$.spec_version", "expected "
-                        f"spec_version {SPEC_VERSION}, got {f['spec_version']!r}")
+    check_spec_version(f["spec_version"], "$.spec_version")
 
     spec = Spec()
     if "use_builtin_components" in doc:
@@ -1403,15 +1436,93 @@ def serialize_mapping(m: Mapping, arch: Architecture) -> dict:
     }
 
 
+# The fields of each object of a mapping document, and the empty values a
+# plain one may leave out, read and never written to.
+_DOC_FIELDS = frozenset(_MAPPING_DOC.fields)
+_BODY_FIELDS = frozenset(_MAPPING.fields)
+_LEVEL_FIELDS = frozenset(_LEVEL_MAPPING.fields)
+_EMPTY_OBJECT: dict = {}
+_EMPTY_LIST: list = []
+
+
 def parse_mapping(doc: dict, arch: Architecture) -> Mapping:
     """Read a mapping document (or its bare body) for `arch`. Factor values
-    and permutation entries are left to validate_mapping."""
+    and permutation entries are left to validate_mapping.
+
+    A plain document, whose every object holds only fields of its table,
+    each of exactly the type the table keeps as it is, is read here in one
+    pass. Any other goes to the field tables (_read_mapping), which convert
+    what they accept (an integral float batch_size) and raise every error,
+    so the tables alone define a mapping document and its messages."""
+
+    if type(doc) is not dict:
+        return _read_mapping(doc, arch)
+    body = doc
+    if "mapping" in doc:
+        version = doc.get("spec_version", SPEC_VERSION)
+        body = doc["mapping"]
+        if (type(version) is not int or version != SPEC_VERSION
+                or type(body) is not dict or not doc.keys() <= _DOC_FIELDS):
+            return _read_mapping(doc, arch)
+    levels = body.get("levels")
+    batch = body.get("batch_size", 1)
+    pad = body.get("pad", False)
+    overrides = body.get("keep_overrides", _EMPTY_OBJECT)
+    if (type(levels) is not list or type(batch) is not int
+            or type(pad) is not bool or type(overrides) is not dict
+            or not body.keys() <= _BODY_FIELDS):
+        return _read_mapping(doc, arch)
+    index, level_keys = _mapping_reader(arch)
+    lms: list[LevelMapping | None] = [None] * len(arch.levels)
+    for ld in levels:
+        if type(ld) is not dict:
+            return _read_mapping(doc, arch)
+        name = ld.get("level")
+        t = ld.get("temporal", _EMPTY_OBJECT)
+        s = ld.get("spatial", _EMPTY_OBJECT)
+        perm = ld.get("permutation", _EMPTY_LIST)
+        if (type(name) is not str or type(t) is not dict
+                or type(s) is not dict or type(perm) is not list
+                or not ld.keys() <= _LEVEL_FIELDS):
+            return _read_mapping(doc, arch)
+        i = index.get(name)
+        if i is None or lms[i] is not None:
+            return _read_mapping(doc, arch)
+        lms[i] = LevelMapping(dict(t), dict(s), tuple(perm))
+    kept = {}
+    for k, v in overrides.items():
+        i = level_keys.get(k)
+        if i is None or type(v) is not list:
+            return _read_mapping(doc, arch)
+        for x in v:
+            if type(x) is not str:
+                return _read_mapping(doc, arch)
+        kept[i] = tuple(sorted(v))
+    return Mapping(tuple([LevelMapping() if lm is None else lm
+                          for lm in lms]), batch, kept, pad)
+
+
+def _mapping_reader(arch: Architecture) -> tuple[dict[str, int],
+                                                 dict[str, int]]:
+    """Each level's index by its name and by its keep_overrides key (the
+    canonical form, str(index)), kept on the architecture."""
+
+    return arch.derived(("mapping_reader",), lambda: (
+        {lv.name: i for i, lv in enumerate(arch.levels)},
+        {str(i): i for i in range(len(arch.levels))}))
+
+
+def _read_mapping(doc: dict, arch: Architecture) -> Mapping:
+    """parse_mapping through the field tables."""
 
     path = "mapping"
     if "mapping" in doc:
-        doc = _MAPPING_DOC.read(doc, "$")["mapping"]
+        f = _MAPPING_DOC.read(doc, "$")
+        if f["spec_version"] is not None:  # the bare body states none
+            check_spec_version(f["spec_version"], "$.spec_version")
+        doc = f["mapping"]
     body = _MAPPING.read(doc, path)
-    by_name = {lv.name: i for i, lv in enumerate(arch.levels)}
+    by_name = _mapping_reader(arch)[0]
     lms: list[LevelMapping | None] = [None] * len(arch.levels)
     for j, ld in enumerate(body["levels"]):
         name = ld["level"]

@@ -22,6 +22,7 @@ from .spec_model import (
     Spec,
     SpecError,
     Workload,
+    check_spec_version,
     load_document,
     parse_spec,
 )
@@ -78,6 +79,8 @@ def load_reference_breakdown(path: str | Path | None = None
     running its breakdown workload."""
 
     path = Path(path or reference_breakdown_path())
-    doc = json.loads(path.read_text())
-    return REFERENCE_BREAKDOWN.read(doc, f"{path}:$")["breakdown"]
+    f = REFERENCE_BREAKDOWN.read(json.loads(path.read_text()), f"{path}:$")
+    if f["spec_version"] is not None:
+        check_spec_version(f["spec_version"], f"{path}:$.spec_version")
+    return f["breakdown"]
 

@@ -181,6 +181,19 @@ def test_evaluate_rejects_a_misspelled_mapping_field(
     assert "unknown fields ['batchsize']" in capsys.readouterr().err
 
 
+def test_evaluate_rejects_a_mapping_of_another_spec_version(
+        tiny_workload, tiny_mapping, tmp_path, capsys):
+    doc = json.loads(Path(tiny_mapping).read_text())
+    doc["spec_version"] = 7
+    path = tmp_path / "v7.mapping"
+    path.write_text(json.dumps(doc))
+    rc = cli.main(["evaluate", "--workload", tiny_workload, "--layer", "a",
+                   "--mapping", str(path)])
+    assert rc == 2
+    assert ("MalformedDocument at $.spec_version: expected spec_version 1, "
+            "got 7") in capsys.readouterr().err
+
+
 @pytest.fixture
 def small_arch(tmp_path):
     """The bundled document with a 16-lane array, converter and optical

@@ -437,8 +437,8 @@ def test_exhaustive_meets_no_invalid_candidate_on_shipped_geometry(
 @pytest.mark.parametrize("tensor", TENSORS)
 def test_a_tensor_kept_nowhere_leaves_no_mapping_to_count(tensor, strategy,
                                                           monkeypatch):
-    # Overrides that drop a tensor from every level pass
-    # check_keep_overrides, but validate_mapping rejects every candidate:
+    # Overrides that drop a tensor from every level name real levels and
+    # add nothing, but validate_mapping rejects every candidate:
     # the search raises NoValidMapping and counts none of them.
     arch = toys.fanout_converter_arch(4)
     overrides = {i: tuple(t for t in lv.keeps if t != tensor)

@@ -1161,6 +1161,47 @@ def test_malformed_mapping_fails_validation(edit, message):
     assert e.value.kind == "FactorMismatch"
 
 
+@pytest.mark.parametrize("version", [0, 2, 7, 9.0])
+def test_mapping_of_another_spec_version_rejected(version):
+    # Read and ignored before; parse_spec has always rejected one.
+    arch, doc = mapping_doc()
+    doc["spec_version"] = version
+    with pytest.raises(SpecError) as e:
+        parse_mapping(doc, arch)
+    assert (e.value.kind, e.value.path, str(e.value)) == (
+        "MalformedDocument", "$.spec_version",
+        "MalformedDocument at $.spec_version: expected spec_version 1, got "
+        f"{int(version)}")
+    with pytest.raises(SpecError) as e:
+        parse_spec({"spec_version": version})
+    assert str(e.value).endswith(f"got {int(version)}")
+
+
+def test_mapping_may_omit_its_spec_version():
+    arch, doc = mapping_doc()
+    want = parse_mapping(doc, arch)
+    del doc["spec_version"]
+    assert parse_mapping(doc, arch) == want
+    doc["spec_version"] = 1.0  # an integral float reads as an int
+    assert parse_mapping(doc, arch) == want
+
+
+@pytest.mark.parametrize("version", [9, None])
+def test_reference_breakdown_of_another_spec_version_rejected(version,
+                                                             tmp_path):
+    doc = _bundled_reference()
+    doc["spec_version"] = version
+    path = tmp_path / "ref.breakdown"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SpecError) as e:
+        load_reference_breakdown(path)
+    assert (e.value.kind, e.value.path) == (
+        "MalformedDocument", f"{path}:$.spec_version")
+    del doc["spec_version"]
+    path.write_text(json.dumps(doc))
+    assert load_reference_breakdown(path) == load_reference_breakdown()
+
+
 def test_bare_mapping_body_is_checked():
     arch, doc = mapping_doc()
     body = doc["mapping"]

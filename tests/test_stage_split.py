@@ -43,3 +43,21 @@ def test_stage_split_calls_every_stage_and_restores_every_name():
             == calls["feasible"] + out["tree_hits"])
     assert out["tree_hits"] > 0
     assert 0 < calls["order_table"] < calls["draw_step"]
+
+
+def test_evaluate_split_times_every_stage_and_restores_every_name():
+    tool = _load_tool()
+    owners = {owner for owner, _ in tool.EVALUATE_STAGES.values()}
+    before = {owner: dict(vars(owner)) for owner in owners}
+    out = tool.evaluate_split(documents=20, passes=2)
+    for owner in owners:
+        after = vars(owner)
+        assert after.keys() == before[owner].keys()
+        assert all(after[k] is v for k, v in before[owner].items()), owner
+    assert out["documents"] == 20
+    # One call of each stage per valid document: the nest is built once.
+    assert out["calls_per_pass"] == dict.fromkeys(tool.EVALUATE_STAGES, 20)
+    split = out["us_per_document"]
+    assert list(split) == ["parse", "nest", "validate", "plan", "tally",
+                           "pack", "pricing", "result", "sum"]
+    assert all(v > 0 for v in split.values()), split

@@ -29,19 +29,44 @@ study's own `analyze` calls.
 Stages nest (`limits` runs inside `map_space_build` as well as in the
 draws), so inclusive seconds do not add up. Each wrapped call costs about a
 microsecond more, which dilutes every ratio taken from these numbers.
+
+    PYTHONPATH=src python3 tools/stage_split.py --experiment evaluate \
+        --documents 2000 --passes 3
+
+times instead `parse_mapping` plus `evaluate` over the valid documents of
+perfbench's stored corpus (read, never written), on the bundled aggressive
+accelerator, and prints each stage's own microseconds per document, the
+best of the passes: `parse` (parse_mapping), `nest` (LoopNest.of, the first
+read of mapping.nest), `validate` (validate_mapping, the nest aside),
+`plan` (reuse.count aside from validate and tally: the count plan, MAC
+counts and merge widths), `tally` (reuse.tally), `pack` (reuse.pack),
+`pricing` (price_program, PriceProgram.cycles and .energy), `result`
+(the rest of evaluate: the EvaluationResult) and their `sum`.
 """
 
 from __future__ import annotations
 
 import argparse
+import gzip
 import json
 import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
-from photon_model import evaluator, experiments, mapper, reuse  # noqa: E402
+from photon_model import (  # noqa: E402
+    albireo,
+    evaluator,
+    experiments,
+    mapper,
+    reuse,
+    spec_model,
+    workloads,
+)
+
+CORPUS = ROOT / "perfbench" / "data" / "corpus.json.gz"
 
 # Stage name -> (owner, attribute) of the function it times. Each owner is
 # where the caller looks the name up at call time.
@@ -62,15 +87,35 @@ STAGES = {
     "validate": (reuse, "validate_mapping"),
 }
 
+# The stages of one corpus document's parse_mapping + evaluate, timed by
+# their own time: `plan` is what reuse.count does itself, `result` what
+# evaluate does itself. The tool calls parse_mapping and evaluate through
+# their modules, so their wrappers see every call.
+EVALUATE_STAGES = {
+    "parse": (spec_model, "parse_mapping"),
+    "nest": (spec_model.LoopNest, "of"),
+    "validate": (reuse, "validate_mapping"),
+    "plan": (evaluator, "count"),
+    "tally": (reuse, "tally"),
+    "pack": (evaluator, "pack"),
+    "price_program": (evaluator, "price_program"),
+    "cycles": (evaluator.PriceProgram, "cycles"),
+    "energy": (evaluator.PriceProgram, "energy"),
+    "result": (evaluator, "evaluate"),
+}
+PRICING = ("price_program", "cycles", "energy")
+
 
 class StageTimer:
-    """Rebinds every stage to a timing wrapper until `restore`. A stage's
-    self time is its inclusive time minus that of the stages it calls."""
+    """Rebinds every stage of `stages` to a timing wrapper until
+    `restore`. A stage's self time is its inclusive time minus that of the
+    stages it calls."""
 
-    def __init__(self):
-        self.seconds = dict.fromkeys(STAGES, 0.0)
-        self.self_seconds = dict.fromkeys(STAGES, 0.0)
-        self.calls = dict.fromkeys(STAGES, 0)
+    def __init__(self, stages: dict = STAGES):
+        self.stages = stages
+        self.seconds = dict.fromkeys(stages, 0.0)
+        self.self_seconds = dict.fromkeys(stages, 0.0)
+        self.calls = dict.fromkeys(stages, 0)
         self._inner: list[float] = []
         self._undo: list[tuple[object, str, object]] = []
 
@@ -94,10 +139,14 @@ class StageTimer:
         return timed
 
     def install(self) -> None:
-        for name, (owner, attr) in STAGES.items():
+        for name, (owner, attr) in self.stages.items():
             original = vars(owner)[attr]
             self._undo.append((owner, attr, original))
-            setattr(owner, attr, self._wrap(name, original))
+            if isinstance(original, classmethod):
+                timed = classmethod(self._wrap(name, original.__func__))
+            else:
+                timed = self._wrap(name, original)
+            setattr(owner, attr, timed)
 
     def restore(self) -> None:
         while self._undo:
@@ -131,15 +180,63 @@ def stage_split(experiment: str, seeds: list[int], budget: int) -> dict:
     }
 
 
+def evaluate_split(documents: int | None, passes: int) -> dict:
+    """The evaluate-path split over the first `documents` valid corpus
+    documents (all when None), each stage's best of `passes` passes."""
+
+    with gzip.open(CORPUS, "rt") as f:
+        entries = json.load(f)["entries"]
+    layers = {(net, layer.name): layer
+              for net in {e["network"] for e in entries}
+              for layer in workloads.load_workload(net).layers}
+    corpus = [(layers[(e["network"], e["layer"])], e["mapping"])
+              for e in entries if "digest" in e["expect"]][:documents]
+    arch = albireo.architecture("aggressive")
+    best = dict.fromkeys(EVALUATE_STAGES, float("inf"))
+    for _ in range(passes):
+        timer = StageTimer(EVALUATE_STAGES)
+        timer.install()
+        try:
+            for layer, doc in corpus:
+                evaluator.evaluate(arch, layer,
+                                   spec_model.parse_mapping(doc, arch))
+        finally:
+            timer.restore()
+        for name, spent in timer.self_seconds.items():
+            best[name] = min(best[name], spent)
+    us = {name: 1e6 * best[name] / len(corpus) for name in EVALUATE_STAGES}
+    split = {name: us[name] for name in ("parse", "nest", "validate", "plan",
+                                         "tally", "pack")}
+    split["pricing"] = sum(us[name] for name in PRICING)
+    split["result"] = us["result"]
+    split["sum"] = sum(split.values())
+    return {
+        "experiment": "evaluate",
+        "documents": len(corpus),
+        "passes": passes,
+        "us_per_document": {k: round(v, 2) for k, v in split.items()},
+        "calls_per_pass": timer.calls,
+    }
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--experiment", required=True,
-                    choices=("throughput", "memory"))
+                    choices=("throughput", "memory", "evaluate"),
+                    help="a study's searches, or the evaluate path over "
+                    "the stored corpus")
     ap.add_argument("--seeds", type=int, nargs="+", default=[7, 8])
     ap.add_argument("--budget", type=int, default=200)
+    ap.add_argument("--documents", type=int, default=None,
+                    help="evaluate: the first N valid documents (all)")
+    ap.add_argument("--passes", type=int, default=3,
+                    help="evaluate: passes, each stage's best kept")
     args = ap.parse_args(argv)
-    print(json.dumps(stage_split(args.experiment, args.seeds, args.budget),
-                     indent=2))
+    if args.experiment == "evaluate":
+        out = evaluate_split(args.documents, args.passes)
+    else:
+        out = stage_split(args.experiment, args.seeds, args.budget)
+    print(json.dumps(out, indent=2))
     return 0
 
 
