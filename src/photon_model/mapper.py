@@ -16,21 +16,23 @@ the capacity condition and the refetch loop-nest condition still allow; no
 legal order revisits a refetch-forbidden tile. The conditions are
 validate_mapping's: no valid mapping is lost, and every candidate the walk
 completes is valid, so it is counted and priced without re-validation.
-Each dim's chain menu is filtered with bitsets over menu indices, built
-once per search. Per constrained axis (the spatial factor at each
+Each dim's chain menu is filtered with bitsets over its chain table's
+indices (see below). Per constrained axis (the spatial factor at each
 level 1..M-1, the extent charged at each storage level whose capacity can
-bind) the bitset of chains at or below each distinct value answers "every
-chain within this limit" with one bisect. The limits come from the dims
-already assigned: each level's fanout over their spatial product `sprod`,
-and the largest extent whose capacity demand still fits beside theirs
-(_CapacityCheck.limits, the demand summed as kept_bits sums it). A dim
-whose every chain sits at its minimum extent row needs no limits (see
-_CapacityCheck). The fanout mask is kept per `sprod` and the capacity mask
-per limits tuple, as they read nothing else. Per refetch-forbidden keeper
-and running mask pair, the chains the loop-nest condition allows form one
-more bitset. Each step ANDs them and picks from the result's index list,
-kept per bitset in menu order, so the picks are those of a filter that
-rechecks every chain.
+bind) the table keeps the bitset of chains at or below each distinct
+value, which answers "every chain within this limit" with one bisect.
+The limits come from the dims already assigned: each level's fanout over
+their spatial product `sprod`, and the largest extent whose capacity
+demand still fits beside theirs (_CapacityCheck.limits, the demand summed
+as kept_bits sums it). A dim whose every chain sits at its minimum extent
+row needs no limits (see _CapacityCheck). The fanout mask is kept per
+`sprod` and the capacity mask per limits tuple, as they read nothing
+else. Per refetch-forbidden keeper and running mask pair, the chains the
+loop-nest condition allows form one more bitset: the table groups its
+chains by the levels where they iterate, and one check per group decides
+it. Each step ANDs them with the menu and picks from the result's index
+list, kept per bitset in menu order, so the picks are those of a filter
+that rechecks every chain.
 
 Both strategies walk one kind of state (_Walk): what the dims assigned so
 far leave, that is the spatial products, extent rows, loop-nest masks,
@@ -49,29 +51,41 @@ search that shares them.
 A candidate is priced from its picked chains and loop orders with no
 Mapping in between (_Pricer). Its counts are reuse.tally, the arithmetic
 reuse.count runs, fed from what each chain fixes on its own (its tile
-extents, padded extent and spatial factors, taken once per menu). Its price comes
-from the search's PriceProgram, the one evaluate runs, in its order, so
-each objective is bit-identical to its evaluation's. The search compares
-only these priced objectives (_Best): it keeps the lowest with its picks
-and loop orders, and builds a mapping only to break an exact tie by digest.
-Once the walk ends, it builds the winner and evaluates it in full, which
-validates it: each search checks the one mapping it returns. A candidate
-is built with only its factors other than 1, which every reader of a
-mapping takes as 1 when missing.
+extents, padded extent and spatial factors, read from its table). What
+the picked spatial rows fix, the instances and the merge widths, is kept
+per search for each tuple of rows. Its price comes from the search's
+PriceProgram, the one evaluate runs, in its order, so each objective is
+bit-identical to its evaluation's. The search compares only these priced
+objectives (_Best): it keeps the lowest with its picks and loop orders,
+and builds a mapping only to break an exact tie by digest. Once the walk
+ends, it builds the winner and evaluates it in full, which validates it:
+each search checks the one mapping it returns. A candidate is built with
+only its factors other than 1, which every reader of a mapping takes as
+1 when missing.
 
 The candidate space factors per dimension: each dim contributes a chain
-[t0, s1, t1, ..., s(M-1), t(M-1)] of per-level factors, and one enumeration
-(_dim_chains) builds every dim's menu in both modes. The dim's origin is
+[t0, s1, t1, ..., s(M-1), t(M-1)] of per-level factors. One enumeration
+(_ChainTable) lists every chain of a menu key in both modes, with what
+each chain fixes on its own. It reads only the key: the dim's bound
+(batch folded in), its pin per level, its origin under the keep
+overrides, its first open temporal slot, and the pad mode; not the dim's
+name or the layer. So each table is built once per architecture and menu
+key, kept on the architecture (_chain_table), and shared by every search
+of a study that meets the key again. A search's menu for a dim
+(_dim_chains) is the bitset of the table's chains that pass the capacity
+check with every other dim at its minimum row. The dim's origin is
 the outermost keeper of any tensor it indexes; the dim may not split
 spatially into a level at or above it, nor iterate above it, nor, for a
 reduced dim, above the reduction floor. Per level, the spatial factor is
 its pin, or 1 at or above the origin, or else 1 or a divisor of the bound
 within the fanout; pad mode also offers the fanout's divisors up to twice
 the bound. A pin other than 1 at or above the origin, or one past its
-fanout, or a storage level that the dim's least extents overflow, leaves
-the dim no chain, and the search raises NoValidMapping naming it; keep
-overrides that leave a tensor without a keeper raise it before any menu is
-built. Per product of spatial factors, the temporal factors split the rest
+fanout, leaves the dim's table empty, and the search raises
+NoValidMapping naming the dim, the pin, its level and the fanout before
+it filters any menu. A storage level that a dim's least extents overflow
+leaves its menu empty, and the search names the first such dim. Keep
+overrides that leave a tensor without a keeper raise it before any table
+is read. Per product of spatial factors, the temporal factors split the rest
 of the bound, rounded up, over the open temporal slots. Strict mode is the
 exact-cover case: it keeps only the spatial products that divide the bound
 and lists its chains in lexicographic order. Loop orders are searched only
@@ -113,7 +127,7 @@ from dataclasses import dataclass, field
 from operator import mul
 
 # analyze and energy go unused here; perfbench/tracer.py rebinds both.
-from .evaluator import EvaluationResult, energy, evaluate, price_program
+from .evaluator import EvaluationResult, energy, evaluate, plan_program
 from .reuse import Tally, analyze, count_plan, tally
 from .spec_model import (
     DIMS,
@@ -244,15 +258,116 @@ def enumerate_factorizations(bound: int, slots: int) -> list[tuple[int, ...]]:
     return out
 
 
+class _ChainTable:
+    """Every factor chain [t0, s1, t1, ..., s(M-1), t(M-1)] of one menu key
+    (_chain_table), in menu order, and what each chain fixes on its own:
+    one list per fact, indexed like `chains`. Built once per architecture
+    and key; the searches that share it only read it.
+
+    extents[i] holds the chain's extent at each storage level 0..M-2: the
+    product of its factors below the level, or at level 0 of them all (its
+    padded extent, as the backing store holds whole tensors). spatial[i]
+    is its spatial row s1..s(M-1), live[i] has bit j set where it iterates
+    at level j (temporal factor > 1), and steps[i] is the product of its
+    temporal factors, its share of the step count. fan_axes and
+    extent_axes are _prefix_bitsets per spatial level and per storage
+    level, and by_live maps each live value to the bitset of its chains.
+    `fault` names a pin that cannot fit, which leaves the table empty."""
+
+    def __init__(self, arch: Architecture, bound: int,
+                 pins: tuple[int | None, ...], origin: int, t_open: int,
+                 strict: bool):
+        m = len(arch.levels)
+        self.fault = None
+        menus = []
+        for j in range(1, m):
+            fan = arch.levels[j].fanout
+            pin = pins[j - 1]
+            if j <= origin or pin is not None:
+                # Only 1 splits into the origin or above it; a pin must fit.
+                if (pin or 1) > (1 if j <= origin else fan):
+                    self.fault = (
+                        f"pin {pin} at level {j} is at or above its origin "
+                        f"level {origin}, where only 1 may split"
+                        if j <= origin else
+                        f"pin {pin} at level {j} exceeds the level's fanout "
+                        f"{fan}")
+                    break
+                menus.append([pin or 1])
+                continue
+            vals = {1}.union(v for v in divisors(bound) if v <= fan)
+            if not strict:
+                vals.update(v for v in divisors(fan) if v <= 2 * bound)
+            menus.append(sorted(vals))
+        chains = []
+        # Filled in place; the first t_open temporal slots stay 1.
+        slots = [1] * (2 * m - 1)
+        for svals in itertools.product(*menus) if self.fault is None else ():
+            s_total = math.prod(svals)
+            if strict and bound % s_total:
+                continue
+            slots[1::2] = svals
+            for rest in enumerate_factorizations(-(-bound // s_total),
+                                                 m - t_open):
+                slots[2 * t_open::2] = rest
+                chains.append(tuple(slots))
+        if strict:
+            chains.sort()
+        self.chains = chains
+        self.extents = [tuple(math.prod(c[2 * lvl + 1:]) if lvl
+                              else math.prod(c) for lvl in range(m - 1))
+                        for c in chains]
+        self.spatial = [c[1::2] for c in chains]
+        self.live = [sum(1 << j for j, f in enumerate(c[0::2]) if f > 1)
+                     for c in chains]
+        self.steps = [math.prod(c[0::2]) for c in chains]
+        self.everything = (1 << len(chains)) - 1
+        self.fan_axes = [_prefix_bitsets([s[j] for s in self.spatial])
+                         for j in range(m - 1)]
+        self.extent_axes = [_prefix_bitsets([e[lvl] for e in self.extents])
+                            for lvl in range(m - 1)]
+        self.by_live: dict[int, int] = {}
+        for i, bits in enumerate(self.live):
+            self.by_live[bits] = self.by_live.get(bits, 0) | 1 << i
+
+    def top(self, menu: int) -> tuple[int, ...]:
+        """The largest extent at each storage level over the chains of
+        the bitset `menu` (not empty)."""
+
+        return tuple(values[next(k for k in range(len(values))
+                                 if below[k + 1] & menu == menu)]
+                     for values, below in self.extent_axes)
+
+
+def _chain_table(arch: Architecture, layer: Layer, d: str,
+                 cfg: SearchConfig) -> _ChainTable:
+    """Dim d's chain table, kept on the architecture per menu key: what
+    the enumeration reads, and nothing else (see the module docstring)."""
+
+    m = len(arch.levels)
+    # The outermost keeper of any tensor d indexes: d may not factor above
+    # it or split spatially into it, and a reduced dim may not iterate
+    # temporally above the reduction floor either.
+    keepers = arch.keepers(cfg.keep_overrides)[0]
+    origin = max((keepers[t][0] for t in TENSORS
+                  if d in TENSOR_DIMS[t] and keepers[t]), default=0)
+    key = (effective_bounds(layer, cfg.batch_size)[d],
+           tuple(cfg.fixed_spatial.get((j, d)) for j in range(1, m)),
+           origin,
+           min(m, max(origin, (cfg.reduction_floor or 0)
+                      if d in REDUCED_DIMS else 0)),
+           cfg.pad_mode == "strict")
+    return arch.derived(("chain_table", key), lambda: _ChainTable(arch, *key))
+
+
 class _CapacityCheck:
     """validate_mapping's capacity condition over extent rows, at every
-    storage level that keeps a tensor. A dim's row is its tile extent at
-    each level, but its padded extent at the backing store (level 0),
-    which holds whole tensors. A dim not yet assigned sits at its minimum
-    row (`mins`): its spatial pins' product below each level, and at level
-    0 its bound rounded up to a multiple of all its pins' product. A
-    partial assignment that overflows a level never extends to a valid
-    mapping, and a complete one that fits is valid.
+    storage level that keeps a tensor (`checks`). A dim's row is its
+    chain's extents (_ChainTable.extents). A dim not yet assigned sits at
+    its minimum row (`mins`): its spatial pins' product below each level,
+    and at level 0 its bound rounded up to a multiple of all its pins'
+    product. A partial assignment that overflows a level never extends to
+    a valid mapping, and a complete one that fits is valid.
 
     A dim whose every menu chain sits at its minimum row fits beside any
     rows the walk reaches, so the walk never asks limits for it
@@ -276,39 +391,20 @@ class _CapacityCheck:
                              for j in range(lvl + 1, m))
             return pins if lvl else -(-bounds[d] // pins) * pins
 
-        self.mins = tuple(tuple(least(d, lvl) for lvl, _, _ in self.checks)
+        self.mins = tuple(tuple(least(d, lvl) for lvl in range(m - 1))
                           for d in DIMS)
         self.memo: dict[tuple, float] = {}
-        self.rows: dict[tuple[int, ...], tuple[int, ...]] = {}
 
-    def row(self, chain: tuple[int, ...]) -> tuple[int, ...]:
-        """Extent of one dim's chain at each checked level: the product of
-        its factors below that level, or at level 0 of them all. Each
-        chain's row is computed once."""
+    def narrow(self, tops: list[tuple[int, ...]]) -> None:
+        """Stop checking the levels that fit the menus' largest extents
+        (`tops`, one row per dim): demand grows with every extent, so such
+        a level never binds."""
 
-        row = self.rows.get(chain)
-        if row is None:
-            row = self.rows[chain] = tuple(
-                math.prod(chain[2 * lvl + 1:] if lvl else chain)
-                for lvl, _, _ in self.checks)
-        return row
-
-    def narrow(self, menus: list[list[tuple[int, ...]]]) -> None:
-        """Stop checking the levels that fit the menus' largest extents:
-        demand grows with every extent, so such a level never binds. The
-        menu chains keep their rows, less those levels."""
-
-        top = zip(*(map(max, zip(*map(self.row, chains))) for chains in menus))
-        keep = [c for c, ((_, keeps, bits), tb)
-                in enumerate(zip(self.checks, top))
-                if bits < sum(kept_bits(self.layer, dict(zip(DIMS, tb)),
-                                        keeps).values())]
-        rows = self.rows
-        self.checks = [self.checks[c] for c in keep]
-        self.mins = tuple(tuple(row[c] for c in keep) for row in self.mins)
-        self.rows = {chain: tuple(rows[chain][c] for c in keep)
-                     for chains in menus for chain in chains}
-        self.memo = {}
+        self.checks = [
+            (lvl, keeps, bits) for lvl, keeps, bits in self.checks
+            if bits < sum(kept_bits(self.layer, {d: top[lvl] for d, top
+                                                 in zip(DIMS, tops)},
+                                    keeps).values())]
 
     def limits(self, rows: tuple[tuple[int, ...], ...], di: int
                ) -> tuple[float, ...]:
@@ -321,13 +417,13 @@ class _CapacityCheck:
         extents recur at a level more often than whole rows do."""
 
         d, layer, bits, memo = DIMS[di], self.layer, self.layer.bits, self.memo
+        columns = tuple(zip(*rows))
         out = []
-        for c, extents in enumerate(zip(*rows)):
-            key = (c, di, extents)
+        for lvl, keeps, cap in self.checks:
+            key = (lvl, di, columns[lvl])
             limit = memo.get(key)
             if limit is None:
-                _, keeps, cap = self.checks[c]
-                tb = dict(zip(DIMS, extents))
+                tb = dict(zip(DIMS, columns[lvl]))
                 # The level's demand, summed as kept_bits charges it.
                 one = two = 0
                 tb[d] = 1
@@ -345,56 +441,19 @@ class _CapacityCheck:
             out.append(limit)
         return tuple(out)
 
-    def fits(self, row: tuple[int, ...], limits: tuple[float, ...]) -> bool:
-        return all(e <= lim for e, lim in zip(row, limits))
+    def axes(self, table: _ChainTable) -> list[tuple[list[int], list[int]]]:
+        """The table's extent axes at the checked levels, in their order."""
+
+        return [table.extent_axes[lvl] for lvl, _, _ in self.checks]
 
 
-def _dim_chains(arch: Architecture, layer: Layer, d: str, cfg: SearchConfig,
-                cap: _CapacityCheck) -> list[tuple[int, ...]]:
-    """Candidate factor chains [t0, s1, t1, ...] for one dim that pass the
-    search's capacity condition `cap` on their own (see the module
-    docstring)."""
+def _dim_chains(table: _ChainTable, di: int, cap: _CapacityCheck) -> int:
+    """Dim DIMS[di]'s menu for one search: the bitset of the table's chains
+    that pass the capacity check `cap` with every other dim at its minimum
+    row."""
 
-    m = len(arch.levels)
-    limits = cap.limits(cap.mins, DIMS.index(d))
-    bound = effective_bounds(layer, cfg.batch_size)[d]
-    strict = cfg.pad_mode == "strict"
-    # The outermost keeper of any tensor d indexes: d may not factor above
-    # it or split spatially into it, and a reduced dim may not iterate
-    # temporally above the reduction floor either.
-    keepers = arch.keepers(cfg.keep_overrides)[0]
-    origin = max((keepers[t][0] for t in TENSORS
-                  if d in TENSOR_DIMS[t] and keepers[t]), default=0)
-    t_open = min(m, max(origin, (cfg.reduction_floor or 0)
-                        if d in REDUCED_DIMS else 0))
-    menus = []
-    for j in range(1, m):
-        fan = arch.levels[j].fanout
-        pin = cfg.fixed_spatial.get((j, d))
-        if j <= origin or pin is not None:
-            # Only 1 splits into the origin or above it; a pin must fit.
-            if (pin or 1) > (1 if j <= origin else fan):
-                return []
-            menus.append([pin or 1])
-            continue
-        vals = {1}.union(v for v in divisors(bound) if v <= fan)
-        if not strict:
-            vals.update(v for v in divisors(fan) if v <= 2 * bound)
-        menus.append(sorted(vals))
-    chains = []
-    # Filled in place; the first t_open temporal slots stay 1.
-    slots = [1] * (2 * m - 1)
-    for svals in itertools.product(*menus):
-        s_total = math.prod(svals)
-        if strict and bound % s_total:
-            continue
-        slots[1::2] = svals
-        for rest in enumerate_factorizations(-(-bound // s_total), m - t_open):
-            slots[2 * t_open::2] = rest
-            chain = tuple(slots)
-            if cap.fits(cap.row(chain), limits):
-                chains.append(chain)
-    return sorted(chains) if strict else chains
+    return _within(table.everything, cap.axes(table),
+                   cap.limits(cap.mins, di))
 
 
 def _build_mapping(arch: Architecture, chains: dict[str, tuple[int, ...]],
@@ -430,93 +489,90 @@ def _nest_ok(own: int, other: int) -> bool:
 
 
 class _MenuFilter:
-    """The feasibility filter over one dim's chain menu, as bitsets of menu
-    indices (see the module docstring). The fanout mask is built on first
-    use of each spatial product, the capacity mask of each limits tuple and
-    the loop-nest bitsets of each running mask pair; the index list once per
-    feasible bitset."""
+    """The feasibility filter over one dim's menu, as bitsets over its
+    chain table's indices (see the module docstring). The fanout mask is
+    built on first use of each spatial product, the capacity mask of each
+    limits tuple and the loop-nest bitset of each running mask pair; the
+    index list once per feasible bitset."""
 
-    def __init__(self, arch: Architecture, chains: list[tuple[int, ...]],
-                 d: str, cap: _CapacityCheck,
+    def __init__(self, arch: Architecture, table: _ChainTable, menu: int,
+                 top: tuple[int, ...], di: int, cap: _CapacityCheck,
                  forbidden: tuple[tuple[int, str, int], ...]):
+        d = DIMS[di]
+        self.table, self.menu = table, menu
         self.fanouts = [lv.fanout for lv in arch.levels[1:]]
-        # Per chain, what the running state absorbs once it is drawn: its
-        # spatial row s1..s(M-1), its extent row at the checked levels,
-        # and the bits it adds to each forbidden keeper's (own, other).
-        self.table = []
-        # Per chain, its part of the draw's loop-order signature: bit
-        # j * len(DIMS) + DIMS.index(d) set where it iterates at level j
-        # (temporal factor > 1). spread moves bit j of a level mask there.
-        self.live = []
-        spread = [sum(1 << (j * len(DIMS)) for j in range(b.bit_length())
-                      if b >> j & 1) << DIMS.index(d)
-                  for b in range(1 << len(arch.levels))]
-        for chain in chains:
-            bits = sum(1 << j for j, f in enumerate(chain[0::2]) if f > 1)
-            nest = tuple((bits & ((1 << (b + 1)) - 2), 0)
-                         if d in TENSOR_DIMS[t] else (0, bits & ((1 << b) - 1))
-                         for b, t, _ in forbidden)
-            self.table.append((chain[1::2], cap.row(chain), nest))
-            self.live.append(spread[bits])
-        # Per chain, the product of its temporal factors: its share of the
-        # step count.
-        self.steps = [math.prod(chain[0::2]) for chain in chains]
-        # Capacity cannot bind this dim (see _CapacityCheck).
-        self.at_min = all(r[1] == cap.mins[DIMS.index(d)] for r in self.table)
-        self.everything = (1 << len(chains)) - 1
-        self.fan_axes = [_prefix_bitsets([r[0][j] for r in self.table])
-                         for j in range(len(self.fanouts))]
-        self.cap_axes = [_prefix_bitsets([r[1][c] for r in self.table])
-                         for c in range(len(cap.checks))]
+        self.cap_axes = cap.axes(table)
+        # Capacity cannot bind this dim (see _CapacityCheck). No extent
+        # falls below the minimum row, so all sit there if the largest do.
+        self.at_min = all(top[lvl] == cap.mins[di][lvl]
+                          for lvl, _, _ in cap.checks)
+        # Per forbidden keeper, the masks of a chain's live bits that it
+        # adds to the keeper's (own, other) pair (_nest_ok).
+        self.nest_masks = tuple(
+            ((1 << (b + 1)) - 2, 0) if d in TENSOR_DIMS[t]
+            else (0, (1 << b) - 1) for b, t, _ in forbidden)
+        # A chain's part of the draw's loop-order signature is
+        # spread[live]: bit j * len(DIMS) + DIMS.index(d) set where it
+        # iterates at level j.
+        self.spread = [sum(1 << (j * len(DIMS)) for j in range(b.bit_length())
+                           if b >> j & 1) << di
+                       for b in range(1 << len(arch.levels))]
         self.fan_masks: dict[tuple[int, ...], int] = {}
         self.cap_masks: dict[tuple[float, ...], int] = {}
         self.nest_bits: dict[tuple[int, int, int], int] = {}
         self.lists: dict[int, list[int]] = {}
 
-    def _within(self, axes: list[tuple[list[int], list[int]]],
-                lims: list[int] | tuple[float, ...]) -> int:
-        """The chains at or below every limit, one per axis."""
-
-        mask = self.everything
-        for (values, below), lim in zip(axes, lims):
-            mask &= below[bisect.bisect_right(values, lim)]
-        return mask
-
     def feasible(self, sprod: tuple[int, ...], limits: tuple[float, ...],
                  nest: tuple[tuple[int, int], ...]) -> list[int]:
-        """Menu indices, in menu order, of the chains that the fanout
-        budgets left by the spatial products `sprod` (levels 1..M-1) and
-        the capacity `limits` allow (no limit when `limits` is empty), and
-        whose masks keep each forbidden keeper's loop nest legal once
-        OR-ed into `nest`."""
+        """Table indices, in menu order, of the menu's chains that the
+        fanout budgets left by the spatial products `sprod` (levels
+        1..M-1) and the capacity `limits` allow (no limit when `limits` is
+        empty), and whose live bits keep each forbidden keeper's loop nest
+        legal once OR-ed into `nest`."""
 
         mask = self.fan_masks.get(sprod)
         if mask is None:
-            mask = self.fan_masks[sprod] = self._within(
-                self.fan_axes, [f // p for f, p in zip(self.fanouts, sprod)])
+            mask = self.fan_masks[sprod] = _within(
+                self.menu, self.table.fan_axes,
+                [f // p for f, p in zip(self.fanouts, sprod)])
         cap_mask = self.cap_masks.get(limits)
         if cap_mask is None:
-            cap_mask = self.cap_masks[limits] = self._within(self.cap_axes,
-                                                             limits)
+            cap_mask = self.cap_masks[limits] = _within(
+                self.menu, self.cap_axes, limits)
         mask &= cap_mask
         for k, (own, other) in enumerate(nest):
             bits = self.nest_bits.get((k, own, other))
             if bits is None:
+                a, b = self.nest_masks[k]
                 bits = self.nest_bits[k, own, other] = sum(
-                    1 << i for i, (_, _, adds) in enumerate(self.table)
-                    if _nest_ok(own | adds[k][0], other | adds[k][1]))
+                    chains for live, chains in self.table.by_live.items()
+                    if _nest_ok(own | live & a, other | live & b))
             mask &= bits
         out = self.lists.get(mask)
         if out is None:
-            out = self.lists[mask] = [i for i in range(len(self.table))
-                                      if mask >> i & 1]
+            out = self.lists[mask] = _members(mask)
         return out
 
 
+def _within(mask: int, axes: list[tuple[list[int], list[int]]],
+            lims: list[int] | tuple[float, ...]) -> int:
+    """The chains of `mask` at or below every limit, one per axis."""
+
+    for (values, below), lim in zip(axes, lims):
+        mask &= below[bisect.bisect_right(values, lim)]
+    return mask
+
+
+def _members(mask: int) -> list[int]:
+    """The indices set in a bitset, in increasing order."""
+
+    return [i for i, bit in enumerate(reversed(bin(mask))) if bit == "1"]
+
+
 def _prefix_bitsets(values: list[int]) -> tuple[list[int], list[int]]:
-    """Sorted distinct values of one axis over a menu, and the bitset of
-    menu indices at or below each, led by the empty set: the chains within
-    a limit are below[bisect_right(values, limit)]."""
+    """Sorted distinct values of one axis over a table, and the bitset of
+    table indices at or below each, led by the empty set: the chains
+    within a limit are below[bisect_right(values, limit)]."""
 
     at: dict[int, int] = {}
     for i, v in enumerate(values):
@@ -554,8 +610,9 @@ def _valid_perms(live: tuple[str, ...], level: int,
 
 class _OrderTable:
     """Each level's legal loop orders (_valid_perms) for an assignment,
-    from its signature: the OR of the picked chains' _MenuFilter.live
-    words, so bits j * len(DIMS) upward hold the dims live at level j.
+    from its signature: the OR of the picked chains' words
+    _MenuFilter.spread[_ChainTable.live[pick]], so bits j * len(DIMS)
+    upward hold the dims live at level j.
     Each (level, live dims) list is built on its first lookup and shared."""
 
     def __init__(self, levels: int,
@@ -605,7 +662,8 @@ class _Walk:
         self.tree = None
 
     def feasible(self, di: int, state: tuple) -> list[int]:
-        """The filter's menu indices for dim DIMS[di] in `state`."""
+        """The filter's table indices, in menu order, for dim DIMS[di] in
+        `state`."""
 
         menu = self.filters[di]
         return menu.feasible(
@@ -613,20 +671,22 @@ class _Walk:
             state[2])
 
     def child(self, di: int, state: tuple, pick: int) -> tuple:
-        """The state once dim DIMS[di] takes menu chain `pick`."""
+        """The state once dim DIMS[di] takes table chain `pick`."""
 
         sprod, rows, nest, steps, signature = state
         menu = self.filters[di]
-        spatial, extent, adds = menu.table[pick]
-        return (tuple(map(mul, sprod, spatial)),
-                rows[:di] + (extent,) + rows[di + 1:],
-                tuple((o | a, x | b) for (o, x), (a, b) in zip(nest, adds)),
-                steps * menu.steps[pick], signature | menu.live[pick])
+        table = menu.table
+        live = table.live[pick]
+        return (tuple(map(mul, sprod, table.spatial[pick])),
+                rows[:di] + (table.extents[pick],) + rows[di + 1:],
+                tuple([(o | live & a, x | live & b) for (o, x), (a, b)
+                       in zip(nest, menu.nest_masks)]),
+                steps * table.steps[pick], signature | menu.spread[live])
 
     def exhaustive(self, max_steps: float):
         """Yields (picks, state) per complete assignment, depth first in
         menu order; raises SearchError past max_steps filter steps. `picks`
-        is one list of menu indices, refilled in place."""
+        is one list of table indices, refilled in place."""
 
         picks = [0] * len(DIMS)
         filter_steps = 0
@@ -681,30 +741,27 @@ class _Walk:
 
 
 class _Pricer:
-    """A candidate's objective from its picks (one menu index per dim, in
+    """A candidate's objective from its picks (one table index per dim, in
     DIMS order), loop orders and the walk's spatial products and step
     count, as evaluate prices the mapping they build (`mapping`), without
-    building it (see the module docstring). `rows` holds per dim, per menu
-    chain, its tile extents at plan.tiled, its spatial factors at
-    plan.merged, its padded extent and that extent within the bound."""
+    building it (see the module docstring). What the picked spatial rows
+    fix, the instances of each level and the merge widths, is kept per
+    tuple of rows."""
 
     def __init__(self, arch: Architecture, layer: Layer, cfg: SearchConfig,
-                 menus: list[list[tuple[int, ...]]]):
-        self.arch, self.layer, self.cfg, self.menus = arch, layer, cfg, menus
-        self.plan = count_plan(arch, cfg.keep_overrides)
-        self.program = price_program(arch, self.plan.level_keys,
-                                     self.plan.conversion_keys)
-        tiled, merged = self.plan.tiled, self.plan.merged
+                 tables: list[_ChainTable]):
+        self.arch, self.layer, self.cfg, self.tables = arch, layer, cfg, tables
+        key = override_key(cfg.keep_overrides)
+        self.plan = count_plan(arch, cfg.keep_overrides, key)
+        self.program = plan_program(arch, self.plan, key)
         bounds = effective_bounds(layer, cfg.batch_size)
-        self.rows = [[(tuple(math.prod(c[2 * i + 1:]) for i in tiled),
-                       tuple(c[2 * j - 1] for j in merged), math.prod(c),
-                       min(math.prod(c), bounds[d])) for c in menu]
-                     for d, menu in zip(DIMS, menus)]
+        self.bounds = [bounds[d] for d in DIMS]
+        self.by_spatial: dict[tuple, tuple[tuple[int, ...], list[int]]] = {}
 
     def mapping(self, picks: list[int],
                 perms: list[tuple[str, ...]]) -> Mapping:
-        return _build_mapping(self.arch, {d: menu[p] for d, menu, p in
-                                          zip(DIMS, self.menus, picks)},
+        return _build_mapping(self.arch, {d: table.chains[p] for d, table, p
+                                          in zip(DIMS, self.tables, picks)},
                               perms, self.cfg)
 
     def count(self, picks: list[int], perms: list[tuple[str, ...]],
@@ -712,24 +769,30 @@ class _Pricer:
               ) -> tuple[Tally, int, int, tuple[int, ...]]:
         """The candidate's tally, padded and real MAC counts, and the
         instances of each level (`sprod` holds the spatial products of
-        levels 1..M-1)."""
+        levels 1..M-1, which the spatial rows fix)."""
 
-        plan = self.plan
-        rows = [dim_rows[p] for dim_rows, p in zip(self.rows, picks)]
-        tiles = dict(zip(plan.tiled, [dict(zip(DIMS, col)) for col in
-                                      zip(*[r[0] for r in rows])]))
-        spatial = dict(zip(plan.merged, [dict(zip(DIMS, col)) for col in
-                                         zip(*[r[1] for r in rows])]))
+        plan, tables = self.plan, self.tables
+        rows = tuple([table.spatial[p] for table, p in zip(tables, picks)])
+        fixed = self.by_spatial.get(rows)
+        if fixed is None:
+            columns = list(zip(*rows))
+            fixed = self.by_spatial[rows] = (
+                tuple(itertools.accumulate(sprod, mul, initial=1)),
+                plan.merge_widths({j: dict(zip(DIMS, columns[j - 1]))
+                                   for j in plan.merged}))
+        instances, widths = fixed
+        extents = [table.extents[p] for table, p in zip(tables, picks)]
         macs = real = 1
-        for r in rows:
-            macs *= r[2]
-            real *= r[3]
-        instances = tuple(itertools.accumulate(sprod, mul, initial=1))
-        chains = [menu[p] for menu, p in zip(self.menus, picks)]
+        for row, bound in zip(extents, self.bounds):
+            padded = row[0]
+            macs *= padded
+            real *= padded if padded < bound else bound
+        columns = list(zip(*extents))
+        tiles = {lvl: dict(zip(DIMS, columns[lvl])) for lvl in plan.tiled}
+        chains = [table.chains[p] for table, p in zip(tables, picks)]
         loops = [(j, d, chains[_DIM_INDEX[d]][2 * j])
                  for j, perm in enumerate(perms) for d in perm]
-        return (tally(plan, self.layer, tiles, instances, loops,
-                      plan.merge_widths(spatial), macs),
+        return (tally(plan, self.layer, tiles, instances, loops, widths, macs),
                 macs, real, instances)
 
     def objective(self, picks: list[int], perms: list[tuple[str, ...]],
@@ -826,19 +889,25 @@ def _search(arch: Architecture, layer: Layer, cfg: SearchConfig) -> SearchResult
         if err.tensor is None:
             raise ValueError(f"keep_overrides: {err}") from None
         raise NoValidMapping(layer.name, str(err)) from None
+    tables = [_chain_table(arch, layer, d, cfg) for d in DIMS]
+    for d, table in zip(DIMS, tables):
+        if table.fault is not None:
+            raise NoValidMapping(layer.name, f"dim {d}'s {table.fault}")
     cap = _CapacityCheck(arch, layer, cfg)
-    chain_menu = {d: _dim_chains(arch, layer, d, cfg, cap) for d in DIMS}
-    for d, menu in chain_menu.items():
+    menus = [_dim_chains(table, di, cap) for di, table in enumerate(tables)]
+    for d, menu in zip(DIMS, menus):
         if not menu:
             raise NoValidMapping(
                 layer.name, f"no factor chain for dim {d} fits its pins "
                 "and the storage capacities")
-    cap.narrow(list(chain_menu.values()))
-    walk = _Walk([_MenuFilter(arch, chain_menu[d], d, cap, forbidden)
-                  for d in DIMS], cap, forbidden)
+    tops = [table.top(menu) for table, menu in zip(tables, menus)]
+    cap.narrow(tops)
+    walk = _Walk([_MenuFilter(arch, table, menu, top, di, cap, forbidden)
+                  for di, (table, menu, top)
+                  in enumerate(zip(tables, menus, tops))], cap, forbidden)
     orders = _order_table(arch, cfg.keep_overrides)
 
-    pricer = _Pricer(arch, layer, cfg, list(chain_menu.values()))
+    pricer = _Pricer(arch, layer, cfg, tables)
     best = _Best(pricer.mapping)
     visited = pruned = invalid = 0
 

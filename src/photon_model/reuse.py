@@ -38,7 +38,10 @@ flat lists. The counting itself is one arithmetic core, tally: from the
 tile extents, instances and loops of a nest and the merge widths at each
 edge (one suffix product per leg over the spatial factors,
 CountPlan.merge_widths, which reuse_factors reads too) it fills a Tally,
-flat lists in the plan's layout. count validates a mapping and reads
+flat lists in the plan's layout. How often each level's tiles change, and
+how many distinct Outputs tiles it holds, come from one forward sweep
+over the loops (residencies), as the loops at or above a level are a
+prefix of them. count validates a mapping and reads
 those inputs from mapping.nest; analyze packs its tally into AccessCounts
 (pack), and evaluator.evaluate prices the tally as it stands, then packs
 it once for its result. The mapper's search reads them from its picked
@@ -106,30 +109,42 @@ class ReuseFactor:
 # ----------------------------------------------------------------------------
 
 
-def residencies(loops: Sequence[tuple[int, str, int]], spans: list[int],
-                level: int, tensor: str) -> int:
-    """Times the (level, tensor) tile changes over the walk, counting the
-    initial fill: the product of loop extents at or outside the innermost
-    loop at or above `level` whose dim moves the tile (none when it never
-    changes), because any of them advancing resets or moves it. spans[i]
-    is the product of the extents of loops[:i]."""
-
-    dims = TENSOR_DIMS[tensor]
-    for i in range(len(loops) - 1, -1, -1):
-        lj, d, _ = loops[i]
-        if lj <= level and d in dims:
-            return spans[i + 1]
-    return 1
+# Per dim, the bits of the tensors whose tile it moves: Weights, Inputs
+# and Outputs, in that order.
+_MOVES = {d: sum(1 << k for k, t in enumerate((WEIGHTS, INPUTS, OUTPUTS))
+                 if d in TENSOR_DIMS[t]) for d in DIMS}
 
 
-def distinct_tiles(loops: Sequence[tuple[int, str, int]],
-                   level: int, tensor: str) -> int:
-    dims = TENSOR_DIMS[tensor]
-    n = 1
-    for lj, d, e in loops:
-        if lj <= level and d in dims:
-            n *= e
-    return n
+def residencies(loops: Sequence[tuple[int, str, int]],
+                levels: int) -> list[tuple[int, int, int, int]]:
+    """Per level below `levels`, in one forward sweep over the loops: the
+    times the Weights, Inputs and Outputs tiles there change over the walk,
+    counting the initial fill, and the distinct Outputs tiles. A tile
+    changes with the product of loop extents at or outside the innermost
+    loop at or above its level whose dim moves it (none when it never
+    changes), because any of them advancing resets or moves it; its
+    distinct tiles are the product of the extents of every such loop. The
+    loops run outermost level first, so those at or above a level are a
+    prefix of them."""
+
+    out = []
+    weights = inputs = outputs = distinct = span = 1
+    at, n = 0, len(loops)
+    for level in range(levels):
+        while at < n and loops[at][0] <= level:
+            _, d, e = loops[at]
+            span *= e
+            moves = _MOVES[d]
+            if moves & 1:
+                weights = span
+            if moves & 2:
+                inputs = span
+            if moves & 4:
+                outputs = span
+                distinct *= e
+            at += 1
+        out.append((weights, inputs, outputs, distinct))
+    return out
 
 
 class Crossing(NamedTuple):
@@ -314,9 +329,7 @@ def tally(plan: CountPlan, layer: Layer, tiles: Levelwise,
     conversions = [0] * len(plan.conversion_keys)
     crossings: list[int | None] = [None] * len(plan.edges)
     demand: list[int | None] = [None] * len(plan.edges)
-    spans = [1]
-    for _, _, e in loops:
-        spans.append(spans[-1] * e)
+    resident = residencies(loops, compute)
 
     def cross(leg: Leg, base: int, into: int) -> int:
         """Record the leg's crossings of `base` values and the demand
@@ -335,10 +348,10 @@ def tally(plan: CountPlan, layer: Layer, tiles: Levelwise,
             slot += 1
         return crossings[leg.first]
 
-    # Operand tensors flow down their keeper chains.
-    for tensor, legs in plan.operands:
+    # Operand tensors flow down their keeper chains: Weights, then Inputs.
+    for k, (tensor, legs) in enumerate(plan.operands):
         bases = [macs if leg.inner == compute else
-                 (residencies(loops, spans, leg.inner, tensor)
+                 (resident[leg.inner][k]
                   * tile_values(layer, tiles[leg.inner], tensor)
                   * instances[leg.inner])
                  for leg in legs]
@@ -360,7 +373,7 @@ def tally(plan: CountPlan, layer: Layer, tiles: Levelwise,
     demand_into = arrivals
     for up, down in plan.drains:
         inner = up.inner
-        tc = residencies(loops, spans, inner, OUTPUTS)
+        _, _, tc, distinct = resident[inner]
         size = tile_values(layer, tiles[inner], OUTPUTS)
         inst = instances[inner]
         drained = tc * size * inst
@@ -368,7 +381,7 @@ def tally(plan: CountPlan, layer: Layer, tiles: Levelwise,
         merged = cross(up, drained, demand_into)
         levels[up.outer_at + 2] += merged
 
-        refetch = tc - distinct_tiles(loops, inner, OUTPUTS)
+        refetch = tc - distinct
         if refetch:
             base = refetch * size * inst
             filled = cross(down, base, base)

@@ -340,7 +340,7 @@ def _walk_or_draw(arch, layer, fields, budget):
 
     cfg = SearchConfig(max_space=2000, **fields)
     cap = mapper._CapacityCheck(arch, layer, cfg)
-    assignments = math.prod(len(mapper._dim_chains(arch, layer, d, cfg, cap))
+    assignments = math.prod(len(_menu(arch, layer, d, cfg, cap))
                             for d in DIMS)
     strategies = ("exhaustive",) * (assignments <= cfg.max_space)
     for strategy in strategies + ("pruned_random",):
@@ -539,6 +539,33 @@ def _store_bits(arch, bits):
         store.component, capacity_bits=bits)),) + arch.levels[1:])
 
 
+@pytest.mark.parametrize("arch, fields, message", [
+    (albireo.architecture("aggressive"), {"fixed_spatial": {(3, "K"): 1000}},
+     "dim K's pin 1000 at level 3 exceeds the level's fanout 672"),
+    (albireo.architecture("aggressive"), {"fixed_spatial": {(3, "C"): 700}},
+     "dim C's pin 700 at level 3 exceeds the level's fanout 672"),
+    # Outputs are born in the buffer, so K may not split into it.
+    (refetch_toy(1 << 10), {"fixed_spatial": {(1, "K"): 2},
+                            "keep_overrides": {0: (INPUTS, WEIGHTS)}},
+     "dim K's pin 2 at level 1 is at or above its origin level 1, where only "
+     "1 may split"),
+    # No pin fails: the capacity check empties N's menu first.
+    (_store_bits(albireo.architecture("aggressive"), 8),
+     {"fixed_spatial": {(3, "K"): 4}},
+     "no factor chain for dim N fits its pins and the storage capacities"),
+], ids=["K-past-fanout", "C-past-fanout", "K-above-origin", "capacity"])
+def test_a_pin_that_cannot_fit_is_named(arch, fields, message):
+    # The pins are checked before any capacity filter. A pin past its
+    # fanout used to blow up its dim's minimum row, which emptied the menu
+    # of the first dim checked, N, and blamed it.
+    layer = next(l for l in load_workload("alexnet").layers
+                 if l.name == "fc8")
+    cfg = SearchConfig(budget=20, pad_mode="pad", **fields)
+    with pytest.raises(NoValidMapping) as err:
+        mapper._search(arch, layer, cfg)
+    assert str(err.value) == f"fc8: {message}"
+
+
 def test_the_filter_keeps_the_backing_store_within_its_capacity():
     # The filter charges the backing store at the padded extent, as
     # validation does, so no candidate overflows it. A 120-bit store
@@ -685,7 +712,7 @@ def _strict_reference(arch, layer, d, cfg, cap):
                            (j, d), chain[2 * j - 1])
                        for j in range(1, m))):
             continue
-        if cap.fits(cap.row(chain), limits):
+        if _fits(cap, _row(chain), limits):
             out.append(chain)
     return out
 
@@ -714,14 +741,14 @@ def _strict_cases():
 
 
 def test_strict_menus_match_the_filtered_factorizations():
-    # Strict mode is pad mode's exact-cover case in _dim_chains; the
+    # Strict mode is pad mode's exact-cover case in _ChainTable; the
     # reference filters every factorization of the bound instead.
     sizes = []
     for arch, layer, fields in _strict_cases():
         cfg = SearchConfig(**fields)
         cap = mapper._CapacityCheck(arch, layer, cfg)
         for d in DIMS:
-            menu = mapper._dim_chains(arch, layer, d, cfg, cap)
+            menu = _menu(arch, layer, d, cfg, cap)
             assert menu == _strict_reference(arch, layer, d, cfg, cap)
             sizes.append(len(menu))
     assert 0 in sizes and max(sizes) > 1000
@@ -760,7 +787,7 @@ def test_skipping_limits_at_the_minimum_rows_changes_no_feasible_list(
 
             monkeypatch.setattr(mapper._MenuFilter, "__init__", never_at_min)
             monkeypatch.setattr(mapper._CapacityCheck, "narrow",
-                                lambda self, menus: None)
+                                lambda self, tops: None)
             skipped.clear()
     assert not any(skipped)
     assert runs[0] == runs[1]
@@ -773,7 +800,7 @@ def test_reduction_floor_past_the_levels_leaves_only_spatial_chains():
     for pad_mode in ("strict", "pad"):
         cfg = SearchConfig(pad_mode=pad_mode, reduction_floor=5)
         cap = mapper._CapacityCheck(arch, layer, cfg)
-        assert mapper._dim_chains(arch, layer, "C", cfg, cap) == [(1, 4, 1)]
+        assert _menu(arch, layer, "C", cfg, cap) == [(1, 4, 1)]
 
 
 # Searches on the bundled Albireo with its geometry pins in pad mode, and
@@ -1108,13 +1135,35 @@ def test_best_builds_no_digest_without_a_tie():
 # -- The feasibility filter ---------------------------------------------------
 
 
+def _menu(arch, layer, d, cfg, cap):
+    """Dim d's menu in a search, as its chains in menu order."""
+
+    table = mapper._chain_table(arch, layer, d, cfg)
+    menu = mapper._dim_chains(table, DIMS.index(d), cap)
+    return [table.chains[i] for i in mapper._members(menu)]
+
+
+def _row(chain):
+    """A chain's extent at each storage level: the product of its factors
+    below the level, or at level 0 of them all."""
+
+    return tuple(math.prod(chain[2 * lvl + 1:]) if lvl else math.prod(chain)
+                 for lvl in range(len(chain) // 2))
+
+
+def _fits(cap, row, limits):
+    return all(row[lvl] <= lim for (lvl, _, _), lim in zip(cap.checks,
+                                                           limits))
+
+
 def _capacity_fits(layer, cap, rows):
     """The search's capacity condition summed straight from kept_bits: one
     extent row per dim, in DIMS order."""
 
     return all(
-        sum(kept_bits(layer, dict(zip(DIMS, tbs)), keeps).values()) <= bits
-        for (_, keeps, bits), tbs in zip(cap.checks, zip(*rows)))
+        sum(kept_bits(layer, {d: row[lvl] for d, row in zip(DIMS, rows)},
+                      keeps).values()) <= bits
+        for lvl, keeps, bits in cap.checks)
 
 
 # No override, then the memory study's producer and consumer overrides.
@@ -1135,24 +1184,22 @@ def test_capacity_limits_match_kept_bits(workload):
                                keep_overrides=keep,
                                fixed_spatial=stencil_pins(layer, arch))
             cap = mapper._CapacityCheck(arch, layer, cfg)
-            menus = [mapper._dim_chains(arch, layer, d, cfg, cap)
-                     for d in DIMS]
+            menus = [_menu(arch, layer, d, cfg, cap) for d in DIMS]
             contexts = [cap.mins] + [
-                tuple(cap.row(rng.choice(menu)) for menu in menus)
+                tuple(_row(rng.choice(menu)) for menu in menus)
                 for _ in range(3)]
             for rows, (di, menu) in itertools.product(contexts,
                                                       enumerate(menus)):
                 limits = cap.limits(rows, di)
                 for chain in menu:
-                    row = cap.row(chain)
-                    fits = cap.fits(row, limits)
+                    row = _row(chain)
+                    fits = _fits(cap, row, limits)
                     assert fits == _capacity_fits(
                         layer, cap, rows[:di] + (row,) + rows[di + 1:])
                     verdicts[fits] += 1
                 # Each limit is the largest extent that fits at its level.
-                for (_, keeps, bits), lim, tbs in zip(cap.checks, limits,
-                                                      zip(*rows)):
-                    tb = dict(zip(DIMS, tbs))
+                for (lvl, keeps, bits), lim in zip(cap.checks, limits):
+                    tb = {d: row[lvl] for d, row in zip(DIMS, rows)}
 
                     def demand(e):
                         return sum(kept_bits(layer, {**tb, DIMS[di]: e},
@@ -1168,13 +1215,28 @@ def test_capacity_limits_match_kept_bits(workload):
 
 
 def _filter_case(arch, layer, **fields):
+    """The search's filters and walk, unnarrowed, and each dim's menu as
+    its chains in menu order."""
+
     cfg = SearchConfig(**fields)
     cap = mapper._CapacityCheck(arch, layer, cfg)
-    menus = [mapper._dim_chains(arch, layer, d, cfg, cap) for d in DIMS]
+    tables = [mapper._chain_table(arch, layer, d, cfg) for d in DIMS]
+    masks = [mapper._dim_chains(table, di, cap)
+             for di, table in enumerate(tables)]
     forbidden = arch.keepers(cfg.keep_overrides)[1]
-    filters = [mapper._MenuFilter(arch, menu, d, cap, forbidden)
-               for d, menu in zip(DIMS, menus)]
-    return arch, layer, cap, menus, forbidden, filters
+    filters = [mapper._MenuFilter(arch, table, mask, table.top(mask), di,
+                                  cap, forbidden)
+               for di, (table, mask) in enumerate(zip(tables, masks))]
+    menus = [[table.chains[i] for i in mapper._members(mask)]
+             for table, mask in zip(tables, masks)]
+    walk = mapper._Walk(filters, cap, forbidden)
+    return arch, layer, cap, menus, forbidden, filters, walk
+
+
+def _table_index(filters, di, pick):
+    """The table index of position `pick` in dim DIMS[di]'s menu."""
+
+    return mapper._members(filters[di].menu)[pick]
 
 
 @functools.cache
@@ -1207,7 +1269,7 @@ def _filter_cases():
 
 @functools.cache
 def _order_table(case):
-    arch, _, _, _, forbidden, _ = _filter_cases()[case]
+    arch, _, _, _, forbidden, _, _ = _filter_cases()[case]
     return mapper._OrderTable(len(arch.levels), forbidden)
 
 
@@ -1218,14 +1280,14 @@ def _order_table(case):
                       max_size=len(DIMS)))
 def test_order_table_matches_valid_perms(case, picks):
     # One table per case across examples, so signatures repeat and hit.
-    arch, _, _, menus, forbidden, filters = _filter_cases()[case]
+    arch, _, _, menus, forbidden, filters, walk = _filter_cases()[case]
     chains = {}
-    signature = 0
+    state = walk.root
     for di, (d, menu) in enumerate(zip(DIMS, menus)):
         pick = picks[di] % len(menu)
         chains[d] = menu[pick]
-        signature |= filters[di].live[pick]
-    options = _order_table(case).options(signature)
+        state = walk.child(di, state, _table_index(filters, di, pick))
+    options = _order_table(case).options(state[4])
     assert len(options) == len(arch.levels)
     for j, got in enumerate(options):
         live = tuple(d for d in DIMS if chains[d][2 * j] > 1)
@@ -1246,7 +1308,7 @@ def _reference_feasible(arch, layer, cap, forbidden, menu, drawn):
         if any(math.prod(c[2 * j - 1] for c in chains) > arch.levels[j].fanout
                for j in range(1, m)):
             continue
-        rows = tuple(cap.row(c) for c in chains) + cap.mins[di + 1:]
+        rows = tuple(_row(c) for c in chains) + cap.mins[di + 1:]
         if not _capacity_fits(layer, cap, rows):
             continue
         ok = True
@@ -1278,21 +1340,20 @@ def test_bitset_filter_matches_a_chain_by_chain_filter(
         case, di, picks, feasible_prefix):
     # The prefix is drawn from the reference's feasible lists, as a search
     # draws, or from the whole menus, which reaches exhausted budgets.
-    arch, layer, cap, menus, forbidden, filters = _filter_cases()[case]
+    arch, layer, cap, menus, forbidden, filters, walk = _filter_cases()[case]
     drawn = []
-    sprod = (1,) * (len(arch.levels) - 1)
-    rows = cap.mins
-    nest = ((0, 0),) * len(forbidden)
+    state = walk.root
     for k in range(di):
         options = (_reference_feasible(arch, layer, cap, forbidden, menus[k],
                                        drawn) if feasible_prefix else [])
         pick = (options[picks[k] % len(options)] if options
                 else picks[k] % len(menus[k]))
         drawn.append(menus[k][pick])
-        spatial, extent, adds = filters[k].table[pick]
-        sprod = tuple(p * s for p, s in zip(sprod, spatial))
-        rows = rows[:k] + (extent,) + rows[k + 1:]
-        nest = tuple((o | a, x | b) for (o, x), (a, b) in zip(nest, adds))
-    got = filters[di].feasible(sprod, cap.limits(rows, di), nest)
+        state = walk.child(k, state, _table_index(filters, k, pick))
+    sprod, rows, nest, _, _ = state
+    # The filter answers in table indices; the reference in menu order.
+    positions = mapper._members(filters[di].menu)
+    got = [positions.index(i)
+           for i in filters[di].feasible(sprod, cap.limits(rows, di), nest)]
     assert got == _reference_feasible(arch, layer, cap, forbidden, menus[di],
                                       drawn)

@@ -1,7 +1,8 @@
-"""The validation plan, the count plan, the price program, the area and the
-search's loop-order table are kept on the architecture instance (per
-keep-override set for the plans and the order table, per layout of counts
-for the program). An edited copy, or another override set, must never be
+"""The validation plan, the count plan, the price program, the area, the
+search's loop-order table and its chain tables are kept on the
+architecture instance (per keep-override set for the plans and the order
+table, per layout of counts for the program, per menu key for the chain
+tables). An edited copy, or another override set, must never be
 validated, counted, priced or searched through tables built for another:
 every result must equal one computed on a freshly built architecture."""
 
@@ -10,7 +11,12 @@ from dataclasses import replace
 import pytest
 
 from photon_model import albireo, mapper
-from photon_model.evaluator import EvaluationResult, evaluate, price_program
+from photon_model.evaluator import (
+    EvaluationResult,
+    evaluate,
+    plan_program,
+    price_program,
+)
 from photon_model.mapper import STRATEGIES, SearchConfig, search
 from photon_model.oracle import simulate
 from photon_model.reuse import analyze, count_plan, reuse_factors
@@ -104,6 +110,11 @@ def test_an_edited_copy_never_reads_the_originals_tables(edit):
     layout = (tuple(counts.per_level), tuple(counts.conversions))
     assert price_program(a, *layout) is price_program(a, *layout)
     assert price_program(b, *layout) is not price_program(a, *layout)
+    # evaluate looks its program up by override key: the same object.
+    for arch in (a, b):
+        plan = count_plan(arch, mapping.keep_overrides)
+        assert (plan_program(arch, plan, mapping.keep_key)
+                is price_program(arch, *layout))
 
 
 @pytest.mark.parametrize("edit, moves", [
@@ -156,6 +167,66 @@ def test_each_keep_override_set_gets_its_own_loop_orders(strategy):
         got.append(mapper._search(arch, layer, cfg))
         assert got[-1] == mapper._search(refetch_toy(128), layer, cfg)
     assert got[0] == got[2] != got[1]
+
+
+# Searches run in turn on one architecture. Each pair of neighbours
+# differs in what one of a chain table's key parts reads: a reduction
+# floor moves C's first open temporal slot, the consumer's fused override
+# moves C's origin under that floor, and then come two pin sets, strict
+# mode and a second batch size.
+TABLE_SEQUENCE = (
+    {},
+    {"reduction_floor": 1},
+    {"reduction_floor": 1, "keep_overrides": {0: (OUTPUTS, WEIGHTS)}},
+    {"fixed_spatial": {(1, "C"): 2}},
+    {"fixed_spatial": {(2, "C"): 2}},
+    {"pad_mode": "strict"},
+    {"pad_mode": "strict", "batch_size": 3},
+)
+TABLE_LAYER = Layer(name="toy", kind="conv", dims={
+    "N": 1, "K": 4, "C": 6, "R": 1, "S": 1, "P": 2, "Q": 2})
+
+
+def _table_search(arch, fields):
+    cfg = SearchConfig(budget=30, seed=1, pad_mode="pad")
+    return mapper._search(arch, TABLE_LAYER, replace(cfg, **fields))
+
+
+def test_chain_tables_follow_every_part_of_their_key():
+    # Every search on the shared architecture reads the tables its
+    # predecessors built; each must equal the same search on a freshly
+    # built architecture, and no two neighbours may search alike.
+    arch = refetch_toy(1 << 10)
+    got = []
+    for fields in TABLE_SEQUENCE:
+        got.append(_table_search(arch, fields))
+        assert got[-1] == _table_search(refetch_toy(1 << 10), fields), fields
+    assert all(a != b for a, b in zip(got, got[1:]))
+
+
+def test_an_edited_copy_starts_with_no_chain_tables(monkeypatch):
+    built = []
+    init = mapper._ChainTable.__init__
+
+    def counted(self, arch, *key):
+        built.append(arch)
+        init(self, arch, *key)
+
+    monkeypatch.setattr(mapper._ChainTable, "__init__", counted)
+    a = refetch_toy(1 << 10)
+    before = _table_search(a, {})
+    tables = len(built)
+    assert tables and all(arch is a for arch in built)
+    built.clear()
+    assert _table_search(a, {}) == before and not built
+    # A buffer too small for the choices the search makes on `a`: the
+    # copy builds every table afresh, as a new architecture does.
+    buf = a.levels[1]
+    b = replace(a, levels=(a.levels[0], replace(buf, component=replace(
+        buf.component, capacity_bits=96)), a.levels[2]))
+    after = _table_search(b, {})
+    assert len(built) == tables and all(arch is b for arch in built)
+    assert after == _table_search(refetch_toy(96), {}) != before
 
 
 def _outcome(arch, mapping):

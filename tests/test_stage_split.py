@@ -37,6 +37,11 @@ def test_stage_split_calls_every_stage_and_restores_every_name():
             < calls["candidate_pricing"] == calls["candidate_counting"])
     # R's menu sits at its minimum row in most throughput searches.
     assert out["limits_skipped"] > 0
+    # Searches share the chain tables of their architecture: a table is
+    # enumerated at most once per menu built from it.
+    assert 0 < calls["chain_table"] <= calls["map_space_build"]
+    assert (out["tables_per_pass"], out["menus_per_pass"]) == (
+        calls["chain_table"], calls["map_space_build"])
     # A draw's filter step calls feasible only for a prefix not drawn
     # before; each level's legal loop orders are built once per live dims.
     assert (out["draw_filter_steps"] == calls["draw_step"]

@@ -15,7 +15,10 @@ reached a prefix drawn before and so called no `feasible`; and
 `limits_skipped`, the `feasible` calls that skipped `limits` because every
 chain of the dim sits at its minimum row (each `feasible` call comes with a
 `limits` call unless skipped; each `map_space_build` call calls `limits`
-once). `order_table` builds one level's legal loop orders, once per
+once). `map_space_build` builds one dim's menu for one search from its
+chain table; `chain_table` enumerates a table, once per architecture and
+menu key, and `menus_per_pass` and `tables_per_pass` count the two.
+`order_table` builds one level's legal loop orders, once per
 architecture, keep-override set and live dims.
 Every candidate the search visits is priced (`candidate_pricing`): it is
 counted (`candidate_counting`), and its energy (`pricing`) is summed unless
@@ -40,7 +43,7 @@ best of the passes: `parse` (parse_mapping), `nest` (LoopNest.of, the first
 read of mapping.nest), `validate` (validate_mapping, the nest aside),
 `plan` (reuse.count aside from validate and tally: the count plan, MAC
 counts and merge widths), `tally` (reuse.tally), `pack` (reuse.pack),
-`pricing` (price_program, PriceProgram.cycles and .energy), `result`
+`pricing` (plan_program, PriceProgram.cycles and .energy), `result`
 (the rest of evaluate: the EvaluationResult) and their `sum`.
 """
 
@@ -72,6 +75,7 @@ CORPUS = ROOT / "perfbench" / "data" / "corpus.json.gz"
 # where the caller looks the name up at call time.
 STAGES = {
     "search": (mapper, "_search"),
+    "chain_table": (mapper._ChainTable, "__init__"),
     "map_space_build": (mapper, "_dim_chains"),
     "filter_build": (mapper._MenuFilter, "__init__"),
     "limits": (mapper._CapacityCheck, "limits"),
@@ -98,12 +102,12 @@ EVALUATE_STAGES = {
     "plan": (evaluator, "count"),
     "tally": (reuse, "tally"),
     "pack": (evaluator, "pack"),
-    "price_program": (evaluator, "price_program"),
+    "plan_program": (evaluator, "plan_program"),
     "cycles": (evaluator.PriceProgram, "cycles"),
     "energy": (evaluator.PriceProgram, "energy"),
     "result": (evaluator, "evaluate"),
 }
-PRICING = ("price_program", "cycles", "energy")
+PRICING = ("plan_program", "cycles", "energy")
 
 
 class StageTimer:
@@ -177,6 +181,8 @@ def stage_split(experiment: str, seeds: list[int], budget: int) -> dict:
         "tree_hits": calls["draw_step"] - calls["feasible"],
         "limits_skipped": (calls["feasible"] - calls["limits"]
                            + calls["map_space_build"]),
+        "menus_per_pass": calls["map_space_build"] / len(seeds),
+        "tables_per_pass": calls["chain_table"] / len(seeds),
     }
 
 
