@@ -11,9 +11,8 @@ mapping uses.
 The prices, bandwidths and static powers are fixed per architecture. Laid
 over one layout of counts they form a PriceProgram, built once per layout
 and kept on the architecture (price_program). evaluate runs the program of
-its CountPlan's layout, looked up by the mapping's override key
-(plan_program), its cycles and then its energy, on the reuse.Tally that
-reuse.count gives, and packs the tally into AccessCounts only for its
+its CountPlan's layout, its cycles and then its energy, on the reuse.Tally
+that reuse.count gives, and packs the tally into AccessCounts only for its
 result; the mapper's search runs the same program, looked up the same
 way, on each candidate's Tally. So the two price alike to the last bit:
 energy adds its terms in sorted key order, and a total adds the
@@ -32,7 +31,7 @@ from functools import cached_property
 
 # evaluate counts through reuse.count; analyze stays imported because
 # perfbench/tracer.py rebinds evaluator.analyze.
-from .reuse import CountPlan, analyze, count, pack
+from .reuse import analyze, count, pack
 from .spec_model import (
     AccessCounts,
     Architecture,
@@ -218,16 +217,6 @@ def price_program(arch: Architecture, level_keys: tuple[tuple[int, str], ...],
                                                 conversion_keys))
 
 
-def plan_program(arch: Architecture, plan: CountPlan,
-                 key: tuple) -> PriceProgram:
-    """The PriceProgram of a CountPlan's layout, kept on the architecture
-    under the plan's override key as well: one short key to look up
-    instead of a layout."""
-
-    return arch.derived(("plan_program", key), lambda: price_program(
-        arch, plan.level_keys, plan.conversion_keys))
-
-
 def _laid_out(counts: AccessCounts, arch: Architecture
               ) -> tuple[PriceProgram, list[int], list[int]]:
     """The program of the layout `counts` holds, and its counters."""
@@ -275,7 +264,7 @@ def evaluate(arch: Architecture, layer: Layer,
     """
 
     plan, counted, macs, real = count(arch, layer, mapping)
-    program = plan_program(arch, plan, mapping.keep_key)
+    program = price_program(arch, plan.level_keys, plan.conversion_keys)
     nest = mapping.nest
     compute_cycles = nest.steps
     cycles = program.cycles(counted.levels, counted.conversions,

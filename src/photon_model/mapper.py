@@ -90,7 +90,9 @@ of the bound, rounded up, over the open temporal slots. Strict mode is the
 exact-cover case: it keeps only the spatial products that divide the bound
 and lists its chains in lexicographic order. Loop orders are searched only
 over dims with more than one iteration at a level. Keeper chains, the
-capacity demand and the refetch-forbidden keepers come from spec_model: the
+capacity rows (each checked level's kept tensors, each named once, and its
+capacity) and the refetch-forbidden keepers come from spec_model's
+validation_plan, and the capacity demand from its tile_values: the
 definitions validation and the counting engines use.
 
 Ties on the objective break toward the lexicographically smallest mapping
@@ -98,14 +100,14 @@ digest among priced candidates, so every strategy is deterministic for a
 given seed. The delay floor prunes on `>=`, so a later candidate whose step
 count equals the best cycles so far is never priced, whatever its digest.
 
-`search` memoises its successful results, keeping a fixed number and
-dropping the least recently used. The key is the architecture's full
-content (its repr, which covers every field of every component), the
-layer's kind, dims, stride and bits but not its name, and the whole
-SearchConfig. Layers of one shape, in one network or two, are searched
-once; a reused result carries the statistics of the search that made it.
-Failures are not memoised: a repeat searches afresh, so NoValidMapping
-names the caller's layer.
+`search` keeps each successful result on the architecture instance it was
+given (Architecture.derived), for that instance's lifetime and with no
+bound. The key is the layer's kind, dims, stride and bits but not its name,
+and the whole SearchConfig. Layers of one shape, in one network or two,
+are searched once per architecture; a reused result carries the
+statistics of the search that made it. An edited copy is a new instance
+and searches afresh. Failures are not kept: a repeat searches afresh, so
+NoValidMapping names the caller's layer.
 
 Only the delay objective prunes, and only under pruned_random. Its floor
 is the candidate's step count: the product of every drawn chain's temporal
@@ -122,12 +124,11 @@ import functools
 import itertools
 import math
 import random
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from operator import mul
 
 # analyze and energy go unused here; perfbench/tracer.py rebinds both.
-from .evaluator import EvaluationResult, energy, evaluate, plan_program
+from .evaluator import EvaluationResult, energy, evaluate, price_program
 from .reuse import Tally, analyze, count_plan, tally
 from .spec_model import (
     DIMS,
@@ -140,7 +141,6 @@ from .spec_model import (
     Mapping,
     MappingError,
     effective_bounds,
-    effective_keeps,
     kept_bits,
     mapping_digest,
     override_key,
@@ -348,7 +348,7 @@ def _chain_table(arch: Architecture, layer: Layer, d: str,
     # The outermost keeper of any tensor d indexes: d may not factor above
     # it or split spatially into it, and a reduced dim may not iterate
     # temporally above the reduction floor either.
-    keepers = arch.keepers(cfg.keep_overrides)[0]
+    keepers = validation_plan(arch, cfg.keep_overrides).chains
     origin = max((keepers[t][0] for t in TENSORS
                   if d in TENSOR_DIMS[t] and keepers[t]), default=0)
     key = (effective_bounds(layer, cfg.batch_size)[d],
@@ -362,7 +362,8 @@ def _chain_table(arch: Architecture, layer: Layer, d: str,
 
 class _CapacityCheck:
     """validate_mapping's capacity condition over extent rows, at every
-    storage level that keeps a tensor (`checks`). A dim's row is its
+    storage level that keeps a tensor (`checks`, the rows of
+    ValidationPlan.capacity, as validation charges them). A dim's row is its
     chain's extents (_ChainTable.extents). A dim not yet assigned sits at
     its minimum row (`mins`): its spatial pins' product below each level,
     and at level 0 its bound rounded up to a multiple of all its pins'
@@ -379,12 +380,8 @@ class _CapacityCheck:
         m = len(arch.levels)
         bounds = effective_bounds(layer, cfg.batch_size)
         self.layer = layer
-        self.checks = []
-        for lvl in range(m - 1):
-            keeps = effective_keeps(arch, cfg.keep_overrides, lvl)
-            if keeps:
-                self.checks.append(
-                    (lvl, tuple(keeps), arch.levels[lvl].component.capacity_bits))
+        self.checks = [(lvl, keeps, bits) for lvl, keeps, bits, _
+                       in validation_plan(arch, cfg.keep_overrides).capacity]
 
         def least(d, lvl):
             pins = math.prod(cfg.fixed_spatial.get((j, d), 1)
@@ -641,7 +638,8 @@ def _order_table(arch: Architecture, keep_overrides: dict) -> _OrderTable:
 
     return arch.derived(
         ("order_table", override_key(keep_overrides)),
-        lambda: _OrderTable(len(arch.levels), arch.keepers(keep_overrides)[1]))
+        lambda: _OrderTable(len(arch.levels),
+                            validation_plan(arch, keep_overrides).forbidden))
 
 
 class _Walk:
@@ -751,9 +749,9 @@ class _Pricer:
     def __init__(self, arch: Architecture, layer: Layer, cfg: SearchConfig,
                  tables: list[_ChainTable]):
         self.arch, self.layer, self.cfg, self.tables = arch, layer, cfg, tables
-        key = override_key(cfg.keep_overrides)
-        self.plan = count_plan(arch, cfg.keep_overrides, key)
-        self.program = plan_program(arch, self.plan, key)
+        self.plan = count_plan(arch, cfg.keep_overrides)
+        self.program = price_program(arch, self.plan.level_keys,
+                                     self.plan.conversion_keys)
         bounds = effective_bounds(layer, cfg.batch_size)
         self.bounds = [bounds[d] for d in DIMS]
         self.by_spatial: dict[tuple, tuple[tuple[int, ...], list[int]]] = {}
@@ -841,42 +839,21 @@ class _Best:
         self.digest = digest
 
 
-# Successful searches by _memo_key, least recently used first.
-_MEMO: OrderedDict[tuple[str, str, str], SearchResult] = OrderedDict()
-_MEMO_SIZE = 256
-
-
-def _memo_key(arch: Architecture, layer: Layer,
-              cfg: SearchConfig) -> tuple[str, str, str]:
-    """Everything a search reads. The reprs cover every field, so inputs
-    that differ anywhere never share a key; equal content built in another
-    dict order only misses."""
-
-    return (repr(arch),
-            repr((layer.kind, layer.dims, layer.stride, layer.bits)),
-            repr(cfg))
-
-
 def search(arch: Architecture, layer: Layer, cfg: SearchConfig) -> SearchResult:
     """Find the best mapping of `layer` onto `arch` under the configured
     objective. Raises NoValidMapping when nothing valid was found. A
-    repeated search returns the memoised result (see the module
-    docstring)."""
+    repeated search on the same architecture returns the kept result (see
+    the module docstring)."""
 
-    key = _memo_key(arch, layer, cfg)
-    result = _MEMO.get(key)
-    if result is not None:
-        _MEMO.move_to_end(key)
-        return result
-    result = _search(arch, layer, cfg)
-    _MEMO[key] = result
-    if len(_MEMO) > _MEMO_SIZE:
-        _MEMO.popitem(last=False)
-    return result
+    # The reprs cover every field, so inputs that differ anywhere never
+    # share a key; equal content built in another dict order only misses.
+    key = ("search", repr((layer.kind, layer.dims, layer.stride, layer.bits)),
+           repr(cfg))
+    return arch.derived(key, lambda: _search(arch, layer, cfg))
 
 
 def _search(arch: Architecture, layer: Layer, cfg: SearchConfig) -> SearchResult:
-    """The search itself, unmemoised."""
+    """The search itself, never kept."""
 
     for level, d in cfg.fixed_spatial:
         if level >= len(arch.levels):

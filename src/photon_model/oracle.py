@@ -35,6 +35,7 @@ from .spec_model import (
     effective_keeps,
     tile_values,
     validate_mapping,
+    validation_plan,
 )
 
 DEFAULT_CAP = 10_000_000
@@ -158,7 +159,8 @@ def simulate(arch: Architecture, layer: Layer, mapping: Mapping,
     # moves. A hop fires exactly when its inner end's coordinates change,
     # which happens iff the advanced loop is at or outside the innermost
     # loop addressing that tile.
-    chains = arch.keepers(mapping.keep_overrides)[0]
+    chains = validation_plan(arch, mapping.keep_overrides,
+                             mapping.keep_key).chains
     wi_hops = []                    # (hop, monitor index or None for compute)
     wi_pos = []
     wi_events = []

@@ -31,7 +31,7 @@ evaluates (so validates) the one mapping it returns.
 What counting reads that depends only on the architecture and the keep
 overrides is planned once per (architecture, override set) as a
 CountPlan, kept on the architecture (count_plan): the AccessCounts keys,
-each hop between consecutive keepers of a chain (Architecture.keepers)
+each hop between consecutive keepers of a chain (validation_plan)
 as a leg, the output stream, and per edge crossed the converter and the
 spatial dims its mesh merges (spec_model.merge_dims), all as slots of
 flat lists. The counting itself is one arithmetic core, tally: from the
@@ -79,6 +79,7 @@ from .spec_model import (
     override_key,
     tile_values,
     validate_mapping,
+    validation_plan,
 )
 
 
@@ -216,7 +217,7 @@ class CountPlan:
                                 for t in cv.tensors)
         level_at = {key: 4 * i for i, key in enumerate(level_keys)}
         conversion_at = {key: i for i, key in enumerate(conversion_keys)}
-        chains = arch.keepers(keep_overrides)[0]
+        chains = validation_plan(arch, keep_overrides).chains
         legs: list[Leg] = []
 
         def leg(tensor: str, outer: int, inner: int, direction: str) -> Leg:

@@ -18,14 +18,14 @@ has exactly one definition: a mapping's LoopNest (padded bounds, per-level
 tile bounds, spatial copies, instance counts and step count, built in one
 pass that also checks every factor, and cached as Mapping.nest), the tile
 footprint (tile_values), the capacity demand (kept_bits), the keeper
-chains (keeper_levels, held per keep-override set by Architecture.keepers),
+chains (keeper_levels, held per keep-override set by validation_plan),
 the spatial dims a mesh merges (merge_dims) and the spatial pins a level's
 stencil puts on a search (stencil_pins). It owns the count containers
 every counting engine returns (AccessCounts, LevelCounts) too. Tables
-derived from an architecture alone are kept on the instance
-(Architecture.derived). So has a valid mapping: validate_mapping, the
-refetch rule (refetch_forbidden) included, so the counting engines never
-reject a mapping it accepted. What it reads from the architecture and the
+derived from an architecture, and the mapper's search results, are kept on
+the instance (Architecture.derived). So has a valid mapping:
+validate_mapping, the refetch rule (refetch_forbidden) included, so the
+counting engines never reject a mapping it accepted. What it reads from the architecture and the
 keep overrides is planned once per override set (validation_plan).
 
 Documents are read through field tables (table): each object's fields,
@@ -271,32 +271,17 @@ class Architecture:
         return {}
 
     def derived(self, key: tuple, build: Callable[[], T]) -> T:
-        """The table `build()` makes from this architecture alone, made on
-        first request and kept per instance under `key` (the architecture
-        itself is unhashable). A copy made with dataclasses.replace is a
-        new instance and starts with no tables, so an edited architecture
-        is never read through another's. Callers hand out only read-only
-        tables."""
+        """The table `build()` makes from this architecture and the key,
+        made on first request and kept per instance under `key` (the
+        architecture itself is unhashable); nothing is kept when `build()`
+        raises. A copy made with dataclasses.replace is a new instance and
+        starts with no tables, so an edited architecture is never read
+        through another's. Callers hand out only read-only tables."""
 
         hit = self._derived.get(key)
         if hit is None:
             hit = self._derived[key] = build()
         return hit
-
-    def keepers(self, keep_overrides: dict[int, tuple[str, ...]]
-                ) -> tuple[MappingProxyType[str, tuple[int, ...]],
-                           tuple[tuple[int, str, int], ...]]:
-        """Each tensor's keeper chain (keeper_levels) under the keep
-        overrides, and the refetch_forbidden keepers of those chains. Both
-        depend on nothing else, so they are kept, read-only, per override
-        set."""
-
-        def build():
-            chains = MappingProxyType({t: keeper_levels(self, keep_overrides, t)
-                                       for t in TENSORS})
-            return chains, refetch_forbidden(self, chains)
-
-        return self.derived(("keepers", override_key(keep_overrides)), build)
 
 
 # ============================================================================
@@ -774,11 +759,13 @@ def validate_layer(layer: Layer, path: str = "workload") -> None:
 class ValidationPlan(NamedTuple):
     """What validate_mapping reads that depends only on the architecture
     and a mapping's keep overrides, built once per pair (validation_plan):
-    the keeper chains and refetch-forbidden keepers (Architecture.keepers);
-    per tensor whose outermost keeper is not the backing store, (tensor,
-    that origin level, the tensor's dims in DIMS order); and per storage
-    level that keeps a tensor, (level, the tensors it keeps, each named
-    once, its capacity in bits, its name)."""
+    each tensor's keeper chain (keeper_levels) and the refetch_forbidden
+    keepers of those chains, the one kept copy of both; per tensor whose
+    outermost keeper is not the backing store, (tensor, that origin level,
+    the tensor's dims in DIMS order); and per storage level that keeps a
+    tensor, (level, the tensors it keeps, each named once, its capacity in
+    bits, its name). Its readers outside validation (the search's tables,
+    the count plan, the oracle) run only once validation has passed."""
 
     chains: MappingProxyType[str, tuple[int, ...]]
     forbidden: tuple[tuple[int, str, int], ...]
@@ -809,7 +796,8 @@ def validation_plan(arch: Architecture,
                                    f"keep override at {arch.levels[i].name!r} "
                                    "adds tensors the level does not hold",
                                    level=arch.levels[i].name)
-        chains, forbidden = arch.keepers(keep_overrides)
+        chains = MappingProxyType({t: keeper_levels(arch, keep_overrides, t)
+                                   for t in TENSORS})
         for t in TENSORS:
             if not chains[t]:
                 raise MappingError("FactorMismatch",
@@ -821,7 +809,7 @@ def validation_plan(arch: Architecture,
                 capacity.append((i, tuple(dict.fromkeys(keeps)),
                                  lv.component.capacity_bits, lv.name))
         return ValidationPlan(
-            chains, forbidden,
+            chains, refetch_forbidden(arch, chains),
             origins=tuple((t, chains[t][0],
                            tuple(d for d in DIMS if d in TENSOR_DIMS[t]))
                           for t in TENSORS if chains[t][0] > 0),

@@ -221,11 +221,10 @@ def test_the_stencil_constrains_only_the_search():
 
 
 def _searched_run(run, cfg, monkeypatch):
-    """run(cfg) from an empty search memo, so that every search it makes
-    runs rather than repeating a stored result; returns the report and
-    how many searches ran."""
+    """run(cfg), with the report and how many searches ran (mapper._search
+    calls). Each run builds its own architecture, so it reuses no search of
+    an earlier run."""
 
-    mapper._MEMO.clear()
     ran = []
     search_once = mapper._search
 
@@ -262,6 +261,31 @@ def test_breakdown_end_to_end(tiny_workload, monkeypatch):
     again, searched_again = _searched_run(run_breakdown, cfg, monkeypatch)
     assert searched_again == searches > 0
     assert canonical_json(again) == canonical_json(report)
+
+
+def test_a_pass_searches_each_layer_shape_once(tmp_path, monkeypatch):
+    # Two layers of one shape: the pass asks for two searches, and the
+    # second returns the result the first kept on the pass's architecture.
+    path = tmp_path / "twins.spec"
+    layer = {"kind": "conv", "dims": {"N": 1, "K": 8, "C": 4, "P": 7,
+                                      "Q": 7, "R": 3, "S": 3}}
+    path.write_text(json.dumps({"spec_version": 1, "workload": {
+        "name": "twins", "layers": [{"name": "a", **layer},
+                                    {"name": "b", **layer}]}}))
+    cfg = ExperimentConfig(experiment="throughput", workload=str(path),
+                           budget=60)
+    asked = []
+    real = experiments.search
+
+    def recorded(*args):
+        asked.append(real(*args))
+        return asked[-1]
+
+    monkeypatch.setattr(experiments, "search", recorded)
+    report, searches = _searched_run(run_throughput, cfg, monkeypatch)
+    assert [r["layer"] for r in report["tables"]["layers"]] == ["a", "b"]
+    assert (len(asked), searches) == (2, 1)
+    assert asked[0] is asked[1]
 
 
 def _spec_file(tmp_path, name, arch_doc, parts=()):

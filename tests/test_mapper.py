@@ -40,6 +40,7 @@ from photon_model.spec_model import (
     stencil_pins,
     validate_architecture,
     validate_mapping,
+    validation_plan,
 )
 from photon_model.workloads import load_workload
 
@@ -238,7 +239,7 @@ def test_search_result_is_frozen():
         res.objective = 0.0
 
 
-def test_memo_shares_one_result_across_layer_names():
+def test_search_shares_one_result_across_layer_names():
     arch = toys.fanout_converter_arch(4)
     first = toy_layer({"K": 8, "C": 4, "P": 2})
     second = replace(first, name="same_shape")
@@ -248,9 +249,9 @@ def test_memo_shares_one_result_across_layer_names():
     assert res == mapper._search(arch, second, cfg)
 
 
-def test_memo_never_shares_across_component_content():
-    # Same component names, different contents: a key built from
-    # serialize_architecture, which names components, would share one entry.
+def test_search_never_shares_across_component_content():
+    # Same component names, different contents: each edited copy is an
+    # instance of its own and never reads a result kept on another.
     base = toys.fc_weight_buffer(buf_bits=1 << 10)
     wbuf = base.levels[1]
     small = replace(base, levels=(base.levels[0], replace(
@@ -269,7 +270,7 @@ def test_memo_never_shares_across_component_content():
                 for r in results}) == 3
 
 
-def test_failed_search_is_not_memoised():
+def test_failed_search_is_not_kept():
     arch = toys.fanout_converter_arch(4)
     cfg = SearchConfig(strategy="exhaustive", budget=10,
                        fixed_spatial={(1, "K"): 8})
@@ -280,18 +281,40 @@ def test_failed_search_is_not_memoised():
         assert err.value.layer == name
 
 
-def test_memo_holds_at_most_its_bound():
-    arch, layer = toys.fc_direct(), toys.ones_layer()
-    n = mapper._MEMO_SIZE + 10
-    keys = []
-    for seed in range(n):
-        cfg = SearchConfig(strategy="exhaustive", budget=1, seed=seed)
-        search(arch, layer, cfg)
-        keys.append(mapper._memo_key(arch, layer, cfg))
-        assert len(mapper._MEMO) <= mapper._MEMO_SIZE
-    assert len(mapper._MEMO) == mapper._MEMO_SIZE
-    assert not any(k in mapper._MEMO for k in keys[:10])
-    assert all(k in mapper._MEMO for k in keys[10:])
+def test_equal_architectures_each_search_afresh(monkeypatch):
+    # A result is kept on the architecture that was searched, never on
+    # another of equal content: each searches once, and they agree.
+    ran = []
+    search_once = mapper._search
+
+    def counted(*args):
+        ran.append(args[0])
+        return search_once(*args)
+
+    monkeypatch.setattr(mapper, "_search", counted)
+    first, second = albireo.architecture(), albireo.architecture()
+    layer = toy_layer({"K": 8, "C": 4, "P": 2})
+    cfg = SearchConfig(objective="energy", budget=40, seed=3)
+    got = [search(arch, layer, cfg) for arch in (first, second, first)]
+    # Equal content compares equal, so the runs are matched by identity.
+    assert [id(arch) for arch in ran] == [id(first), id(second)]
+    assert got[0] is got[2]
+    assert got[0] is not got[1]
+    assert got[0] == got[1]
+
+
+def test_a_repeated_kept_tensor_is_charged_once():
+    # Validation charges each kept tensor once however often an override
+    # names it; the search's capacity check must agree, or it drops valid
+    # mappings.
+    arch = toys.fc_weight_buffer(buf_bits=96)
+    layer = toy_layer({"K": 4, "C": 6})
+    plain, repeated = [search(arch, layer, SearchConfig(
+        strategy="exhaustive", keep_overrides=overrides))
+        for overrides in ({}, {1: (WEIGHTS, WEIGHTS)})]
+    assert repeated.visited == plain.visited == 103
+    assert repeated.objective == plain.objective
+    assert replace(repeated.mapping, keep_overrides={}) == plain.mapping
 
 
 def test_step_floor_is_the_nest_step_count():
@@ -697,7 +720,7 @@ def _strict_reference(arch, layer, d, cfg, cap):
     chain passes the capacity condition on its own."""
 
     m = len(arch.levels)
-    keepers = arch.keepers(cfg.keep_overrides)[0]
+    keepers = validation_plan(arch, cfg.keep_overrides).chains
     origin = max([keepers[t][0] for t in TENSORS
                   if d in TENSOR_DIMS[t] and keepers[t]] + [0])
     red = (cfg.reduction_floor or 0) if d in REDUCED_DIMS else 0
@@ -1223,7 +1246,7 @@ def _filter_case(arch, layer, **fields):
     tables = [mapper._chain_table(arch, layer, d, cfg) for d in DIMS]
     masks = [mapper._dim_chains(table, di, cap)
              for di, table in enumerate(tables)]
-    forbidden = arch.keepers(cfg.keep_overrides)[1]
+    forbidden = validation_plan(arch, cfg.keep_overrides).forbidden
     filters = [mapper._MenuFilter(arch, table, mask, table.top(mask), di,
                                   cap, forbidden)
                for di, (table, mask) in enumerate(zip(tables, masks))]

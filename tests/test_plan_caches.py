@@ -14,7 +14,6 @@ from photon_model import albireo, mapper
 from photon_model.evaluator import (
     EvaluationResult,
     evaluate,
-    plan_program,
     price_program,
 )
 from photon_model.mapper import STRATEGIES, SearchConfig, search
@@ -32,6 +31,7 @@ from photon_model.spec_model import (
     serialize_architecture,
     stencil_pins,
     validate_mapping,
+    validation_plan,
 )
 from toys import refetch_toy
 
@@ -110,10 +110,11 @@ def test_an_edited_copy_never_reads_the_originals_tables(edit):
     layout = (tuple(counts.per_level), tuple(counts.conversions))
     assert price_program(a, *layout) is price_program(a, *layout)
     assert price_program(b, *layout) is not price_program(a, *layout)
-    # evaluate looks its program up by override key: the same object.
+    # evaluate looks its program up by its count plan's layout: the same
+    # object.
     for arch in (a, b):
         plan = count_plan(arch, mapping.keep_overrides)
-        assert (plan_program(arch, plan, mapping.keep_key)
+        assert (price_program(arch, plan.level_keys, plan.conversion_keys)
                 is price_program(arch, *layout))
 
 
@@ -159,7 +160,8 @@ def test_each_keep_override_set_gets_its_own_loop_orders(strategy):
         "N": 1, "K": 2, "C": 4, "R": 1, "S": 1, "P": 2, "Q": 1})
     arch = refetch_toy(128)
     producer = {0: (WEIGHTS, INPUTS)}
-    assert arch.keepers({})[1] != arch.keepers(producer)[1]
+    assert (validation_plan(arch, {}).forbidden
+            != validation_plan(arch, producer).forbidden)
     got = []
     for overrides in ({}, producer, {}):
         cfg = SearchConfig(strategy=strategy, budget=300, seed=7,

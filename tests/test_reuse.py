@@ -1,6 +1,8 @@
 """Analytical count checks. Golden constants were frozen from the
 loop-nest interpreter (simulate) running the same instances."""
 
+from dataclasses import replace
+
 import pytest
 
 from photon_model.reuse import (
@@ -143,7 +145,10 @@ def test_accumulation_level_is_innermost_output_keeper():
     assert count_plan(arch, m.keep_overrides).stream.outer == 0
     # Once the buffer keeps Outputs too, partials accumulate there and
     # drain up one hop.
-    plan = count_plan(arch, {1: ("Weights", "Outputs")})
+    store, wbuf, pe = arch.levels
+    both = replace(arch, levels=(
+        store, replace(wbuf, keeps=("Weights", "Outputs")), pe))
+    plan = count_plan(both, {})
     assert (plan.stream.outer, plan.stream.inner) == (1, 2)
     assert [(up.outer, up.inner) for up, _ in plan.drains] == [(0, 1)]
 

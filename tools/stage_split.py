@@ -3,10 +3,12 @@
     PYTHONPATH=src python3 tools/stage_split.py --experiment throughput \
         --seeds 7 8 --budget 200
 
-Runs one `run_experiment` pass of the study per seed, with the search memo
-cleared before each pass so that every search runs. Each stage's function is
-rebound to a wrapper that times every call with `perf_counter`; every name
-is restored when the passes end, also when one fails. Prints one JSON object:
+Runs one `run_experiment` pass of the study per seed. Each pass builds its
+own architecture, so it repeats no search of another pass; within a pass, a
+repeated search returns the result kept on the architecture without running
+`mapper._search` again. Each stage's function is rebound to a wrapper that
+times every call with `perf_counter`; every name is restored when the
+passes end, also when one fails. Prints one JSON object:
 per stage its inclusive seconds and calls; `search_self_s`, the time inside
 `mapper._search` spent outside every other stage (the per-search set-up,
 drawing loop orders and keeping the best); `draw_filter_steps`, the filter
@@ -43,7 +45,7 @@ best of the passes: `parse` (parse_mapping), `nest` (LoopNest.of, the first
 read of mapping.nest), `validate` (validate_mapping, the nest aside),
 `plan` (reuse.count aside from validate and tally: the count plan, MAC
 counts and merge widths), `tally` (reuse.tally), `pack` (reuse.pack),
-`pricing` (plan_program, PriceProgram.cycles and .energy), `result`
+`pricing` (price_program, PriceProgram.cycles and .energy), `result`
 (the rest of evaluate: the EvaluationResult) and their `sum`.
 """
 
@@ -102,12 +104,12 @@ EVALUATE_STAGES = {
     "plan": (evaluator, "count"),
     "tally": (reuse, "tally"),
     "pack": (evaluator, "pack"),
-    "plan_program": (evaluator, "plan_program"),
+    "price_program": (evaluator, "price_program"),
     "cycles": (evaluator.PriceProgram, "cycles"),
     "energy": (evaluator.PriceProgram, "energy"),
     "result": (evaluator, "evaluate"),
 }
-PRICING = ("plan_program", "cycles", "energy")
+PRICING = ("price_program", "cycles", "energy")
 
 
 class StageTimer:
@@ -163,7 +165,6 @@ def stage_split(experiment: str, seeds: list[int], budget: int) -> dict:
     timer.install()
     try:
         for seed in seeds:
-            mapper._MEMO.clear()
             experiments.run_experiment(experiments.ExperimentConfig(
                 experiment=experiment, budget=budget, seed=seed))
     finally:
