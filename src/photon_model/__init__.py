@@ -16,7 +16,6 @@ from .evaluator import (
 )
 from .experiments import (
     ExperimentConfig,
-    FusionInfeasible,
     SweepInfeasible,
     parse_experiment_config,
     run_experiment,
@@ -56,7 +55,6 @@ __all__ = [
     "EvaluationError",
     "EvaluationResult",
     "ExperimentConfig",
-    "FusionInfeasible",
     "Layer",
     "Mapping",
     "MappingError",

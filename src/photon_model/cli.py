@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 success, 2 malformed specs or invalid configuration,
-3 feasibility failures (no valid mapping, fusion or sweep infeasible).
+3 feasibility failures (no valid mapping, an infeasible sweep, or an
+exhaustive space past its bound).
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from .components import PROFILES, CalibrationError, builtin_components
 from .evaluator import EvaluationError, evaluate
 from .experiments import (
     EXPERIMENTS,
-    FusionInfeasible,
     SweepInfeasible,
     parse_experiment_config,
     run_experiment,
@@ -283,8 +283,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (NoValidMapping, FusionInfeasible, SweepInfeasible,
-            SearchError) as err:
+    except (NoValidMapping, SweepInfeasible, SearchError) as err:
         print(f"infeasible: {err}", file=sys.stderr)
         return 3
     except (SpecError, MappingError, CalibrationError, EvaluationError,

@@ -108,19 +108,14 @@ def _base_components() -> list[ComponentSpec]:
     ]
 
 
-def resolve_profile(profile) -> ScalingProfile:
-    if isinstance(profile, ScalingProfile):
-        return profile
-    try:
-        return PROFILES[profile]
-    except KeyError:
-        raise KeyError(f"unknown scaling profile {profile!r}") from None
-
-
-def builtin_components(profile="aggressive") -> dict[str, ComponentSpec]:
+def builtin_components(profile: str = "aggressive"
+                       ) -> dict[str, ComponentSpec]:
     """The bundled library under one scaling profile, keyed by name."""
 
-    prof = resolve_profile(profile)
+    try:
+        prof = PROFILES[profile]
+    except KeyError:
+        raise KeyError(f"unknown scaling profile {profile!r}") from None
     out: dict[str, ComponentSpec] = {}
     for base in _base_components():
         f = prof.multipliers.get(base.cls, 1.0)

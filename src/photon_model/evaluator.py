@@ -27,7 +27,6 @@ import math
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
-from functools import cached_property
 
 # evaluate counts through reuse.count; analyze stays imported because
 # perfbench/tracer.py rebinds evaluator.analyze.
@@ -37,6 +36,7 @@ from .spec_model import (
     Architecture,
     Layer,
     Mapping,
+    _lazy,
     mapping_digest,
 )
 
@@ -74,15 +74,9 @@ class EvaluationResult:
                     for f in fields(self) if f.compare)
                 and self.mapping_digest == other.mapping_digest)
 
-    @cached_property
+    @_lazy
     def mapping_digest(self) -> str:
         return mapping_digest(self.mapping)
-
-    def energy_fractions(self) -> dict[str, float]:
-        total = sum(self.energy_pj[k] for k in sorted(self.energy_pj))
-        if total == 0.0:
-            return {k: 0.0 for k in self.energy_pj}
-        return {k: v / total for k, v in self.energy_pj.items()}
 
 
 def peak_spatial_macs(arch: Architecture) -> int:

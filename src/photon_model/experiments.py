@@ -57,19 +57,6 @@ SWEEP_AXES = ("ao_per_ae_weight", "ao_input_fanout", "ae_output_fanout")
 SCHEMA_VERSION = 1
 
 
-class FusionInfeasible(Exception):
-    """A layer pair cannot keep its intermediate tensor on chip."""
-
-    def __init__(self, layer_pair: tuple[str, str], required_bits: int,
-                 capacity: int):
-        self.layer_pair = layer_pair
-        self.required_bits = required_bits
-        self.capacity = capacity
-        super().__init__(
-            f"fusing {layer_pair[0]} -> {layer_pair[1]} needs "
-            f"{required_bits} bits on chip, buffer holds {capacity}")
-
-
 class SweepInfeasible(Exception):
     def __init__(self, axis: str, value: int, message: str):
         self.axis = axis
@@ -359,21 +346,6 @@ def _insert_batch_loop(mapping: Mapping, level: int, b: int) -> Mapping:
     return replace(mapping, levels=tuple(levels), batch_size=b)
 
 
-def _intermediate_bits(producer: Layer) -> int:
-    return kept_bits(producer, producer.dims, (OUTPUTS,))[OUTPUTS]
-
-
-def check_fusible(producer: Layer, consumer: Layer, capacity_bits: int,
-                  batch_size: int = 1) -> int:
-    """Bits the fused intermediate occupies; raises when it cannot fit."""
-
-    required = _intermediate_bits(producer) * batch_size
-    if required > capacity_bits:
-        raise FusionInfeasible((producer.name, consumer.name), required,
-                               capacity_bits)
-    return required
-
-
 def _buffer_level(arch: Architecture) -> int:
     """The outermost on-chip level that keeps every tensor: the buffer
     layers share, where fused intermediates live and the batch loop goes."""
@@ -489,72 +461,58 @@ def run_memory_experiment(cfg: ExperimentConfig) -> dict:
                 baseline_total)
 
     pair_rows = []
+    # The producer writes its intermediate only on chip; the consumer reads
+    # it only from there.
+    keep_p = {0: tuple(t for t in TENSORS if t != OUTPUTS)}
+    keep_c = {0: tuple(t for t in TENSORS if t != INPUTS)}
 
-    def fused_legs(b: int) -> tuple[list, list[dict]]:
+    def fused_legs(b: int) -> list:
         """Greedy non-overlapping consecutive pairs that fit on chip at
-        batch b. Unfused layers ride along: at b=1 they reuse the baseline
-        mappings, batched they are re-searched at b (the joint deployment,
-        unlike the batched leg's fixed rewrite)."""
+        batch b, each attempted pair adding one row to pair_rows. Unfused
+        layers ride along: at b=1 they reuse the baseline mappings, batched
+        they are re-searched at b (the joint deployment, unlike the batched
+        leg's fixed rewrite)."""
 
         evs = [None] * len(layers)
-        pairs = []
         i = 0
         while i < len(layers) - 1:
             producer, consumer = layers[i], layers[i + 1]
+            required = b * kept_bits(producer, producer.dims,
+                                     (OUTPUTS,))[OUTPUTS]
+            row = {"producer": producer.name, "consumer": consumer.name,
+                   "batch_size": b, "required_bits": required,
+                   "capacity_bits": capacity, "fused": False, "reason": ""}
+            pair_rows.append(row)
             pair_arch = arch
-            pair_capacity = capacity
-            try:
-                required = check_fusible(producer, consumer, capacity, b)
-            except FusionInfeasible as err:
-                if cfg.fusion_buffer == "auto":
-                    required = err.required_bits
-                    pair_arch = _resized_buffer_arch(cfg, required, arch)
-                    pair_capacity = required
-                else:
-                    pairs.append({
-                        "producer": producer.name, "consumer": consumer.name,
-                        "batch_size": b, "required_bits": err.required_bits,
-                        "capacity_bits": capacity, "fused": False,
-                        "reason": "exceeds_capacity",
-                    })
+            if required > capacity:
+                if cfg.fusion_buffer != "auto":
+                    row["reason"] = "exceeds_capacity"
                     i += 1
                     continue
-            keep_p = {0: tuple(t for t in TENSORS if t != OUTPUTS)}
-            keep_c = {0: tuple(t for t in TENSORS if t != INPUTS)}
+                pair_arch = _resized_buffer_arch(cfg, required, arch)
+                row["capacity_bits"] = required
             try:
                 rp = _search_layer(pair_arch, producer, cfg, "energy",
                                    batch_size=b, keep_overrides=keep_p)
                 rc = _search_layer(pair_arch, consumer, cfg, "energy",
                                    batch_size=b, keep_overrides=keep_c)
             except NoValidMapping as err:
-                pairs.append({
-                    "producer": producer.name, "consumer": consumer.name,
-                    "batch_size": b, "required_bits": required,
-                    "capacity_bits": pair_capacity, "fused": False,
-                    "reason": type(err).__name__,
-                })
+                row["reason"] = type(err).__name__
                 i += 1
                 continue
             evs[i], evs[i + 1] = rp.evaluation, rc.evaluation
-            pairs.append({
-                "producer": producer.name, "consumer": consumer.name,
-                "batch_size": b, "required_bits": required,
-                "capacity_bits": pair_capacity, "fused": True,
-                "reason": "",
-            })
+            row["fused"] = True
             i += 2
         for i, ev in enumerate(evs):
             if ev is None:
                 evs[i] = (base_evals[i] if b == 1 else _search_layer(
                     arch, layers[i], cfg, "energy", batch_size=b).evaluation)
-        return evs, pairs
+        return evs
 
     if cfg.fusion == "on":
         for leg, b in [("fused", 1)] + [("batched_fused", b)
                                          for b in cfg.batch_sizes]:
-            evs, pairs = fused_legs(b)
-            pair_rows.extend(pairs)
-            add_leg(leg, b, evs, baseline_total)
+            add_leg(leg, b, fused_legs(b), baseline_total)
 
     best = max(rows, key=lambda r: r["improvement_vs_baseline"])
     fused_bits = [p["required_bits"] for p in pair_rows if p["fused"]]

@@ -122,8 +122,8 @@ class MappingError(Exception):
 
 class _lazy:
     """A property made on first read and kept in the instance's __dict__,
-    as functools.cached_property does, without the lock that costs its
-    every first read about a microsecond before Python 3.12."""
+    like the standard library's cached property but without its lock,
+    which costs each first read about a microsecond before Python 3.12."""
 
     def __init__(self, build: Callable):
         self.build = build
@@ -1503,6 +1503,8 @@ def _mapping_reader(arch: Architecture) -> tuple[dict[str, int],
 def _read_mapping(doc: dict, arch: Architecture) -> Mapping:
     """parse_mapping through the field tables."""
 
+    if not isinstance(doc, dict):
+        _fail("$", "an object", doc)
     path = "mapping"
     if "mapping" in doc:
         f = _MAPPING_DOC.read(doc, "$")

@@ -2,13 +2,10 @@ import pytest
 
 from photon_model import albireo
 from photon_model.components import (
-    AGGRESSIVE,
-    CONSERVATIVE,
     PROFILES,
     CalibrationError,
     builtin_components,
     calibration_factors,
-    resolve_profile,
     scale_library,
 )
 from photon_model.evaluator import evaluate
@@ -55,11 +52,9 @@ def test_passive_optics_have_no_action_energy():
     assert lib["laser"].static_power_mw > 0
 
 
-def test_resolve_profile():
-    assert resolve_profile("aggressive") is AGGRESSIVE
-    assert resolve_profile(CONSERVATIVE) is CONSERVATIVE
-    with pytest.raises(KeyError):
-        resolve_profile("moderate")
+def test_builtin_components_rejects_an_unknown_profile():
+    with pytest.raises(KeyError, match="unknown scaling profile 'moderate'"):
+        builtin_components("moderate")
 
 
 def test_builtin_laser_draws_its_optical_power_through_the_wall_plug():

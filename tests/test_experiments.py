@@ -8,14 +8,12 @@ from photon_model.components import builtin_components
 from photon_model.evaluator import evaluate
 from photon_model.experiments import (
     ExperimentConfig,
-    FusionInfeasible,
     _architecture,
     _buffer_level,
     _insert_batch_loop,
     _resized_buffer_arch,
     _sweep_layer,
     accelerator_scope,
-    check_fusible,
     parse_experiment_config,
     run_breakdown,
     run_experiment,
@@ -145,27 +143,6 @@ def test_fusion_override_changes_only_intermediate_traffic():
         if t != "Outputs" or lvl >= 2:
             assert cf.per_level.get((lvl, t)) == lc
     assert (0, "Outputs") not in cf.per_level
-
-
-def test_check_fusible_gates_on_buffer_capacity():
-    big = Layer(name="huge", kind="conv",
-                dims={"N": 1, "K": 512, "C": 3, "P": 224, "Q": 224, "R": 3,
-                      "S": 3})
-    nxt = Layer(name="next", kind="conv",
-                dims={"N": 1, "K": 8, "C": 512, "P": 224, "Q": 224, "R": 3,
-                      "S": 3})
-    capacity = 1 << 24
-    with pytest.raises(FusionInfeasible) as e:
-        check_fusible(big, nxt, capacity)
-    assert e.value.required_bits == 512 * 224 * 224 * 8
-    assert e.value.capacity == capacity
-    # A batch multiplies the held intermediate.
-    small = Layer(name="ok", kind="conv",
-                  dims={"N": 1, "K": 8, "C": 8, "P": 16, "Q": 16, "R": 3,
-                        "S": 3})
-    assert check_fusible(small, nxt, capacity) == 8 * 16 * 16 * 8
-    with pytest.raises(FusionInfeasible):
-        check_fusible(small, nxt, 8 * 16 * 16 * 8, batch_size=2)
 
 
 def test_auto_fusion_buffer_resizes_the_configured_architecture(tmp_path):
@@ -385,6 +362,58 @@ def test_auto_fusion_buffer_fuses_the_pairs_fixed_rejects(tmp_path):
              p["fused"]) for p in pairs["auto"]] == [
         (1, required[0], required[0], True),
         (2, required[1], required[1], True)]
+
+
+PAIR_COLUMNS = ["producer", "consumer", "batch_size", "required_bits",
+                "capacity_bits", "fused", "reason"]
+
+
+def test_fusion_pair_rows_record_each_outcome(tmp_path, tiny_workload,
+                                              monkeypatch):
+    # One row per attempted pair, its columns in a fixed order: a fused
+    # pair, one whose intermediate outgrows the fixed buffer, one on a
+    # resized buffer, and one whose keep-overridden search finds nothing.
+    # a's 64 x 192 x 192 outputs outgrow the buffer; b's 8 x 192 x 192 fit
+    # at batch 1 and 2.
+    dims = {"N": 1, "P": 192, "Q": 192, "R": 3, "S": 3}
+    path = tmp_path / "wide3.spec"
+    path.write_text(json.dumps({"spec_version": 1, "workload": {
+        "name": "wide3", "layers": [
+            {"name": "a", "dims": {**dims, "K": 64, "C": 4}},
+            {"name": "b", "dims": {**dims, "K": 8, "C": 64}},
+            {"name": "c", "dims": {**dims, "K": 8, "C": 8}}]}}))
+    capacity = 16_777_216
+    a_bits, b_bits = 64 * 192 * 192 * 8, 8 * 192 * 192 * 8
+
+    def pair_rows(workload, mode):
+        cfg = ExperimentConfig(experiment="memory", workload=workload,
+                               batch_sizes=(2,), fusion_buffer=mode,
+                               budget=20)
+        rows = run_memory_experiment(cfg)["tables"]["fusion_pairs"]
+        assert all(list(row) == PAIR_COLUMNS for row in rows)
+        return [tuple(row.values()) for row in rows]
+
+    assert pair_rows(str(path), "fixed") == [
+        ("a", "b", 1, a_bits, capacity, False, "exceeds_capacity"),
+        ("b", "c", 1, b_bits, capacity, True, ""),
+        ("a", "b", 2, 2 * a_bits, capacity, False, "exceeds_capacity"),
+        ("b", "c", 2, 2 * b_bits, capacity, True, "")]
+    assert pair_rows(str(path), "auto") == [
+        ("a", "b", 1, a_bits, a_bits, True, ""),
+        ("a", "b", 2, 2 * a_bits, 2 * a_bits, True, "")]
+
+    real = experiments.search
+
+    def search(arch, layer, sc):
+        if sc.keep_overrides:
+            raise mapper.NoValidMapping(layer.name, "nothing fits")
+        return real(arch, layer, sc)
+
+    monkeypatch.setattr(experiments, "search", search)
+    tiny_bits = 8 * 7 * 7 * 8
+    assert pair_rows(tiny_workload, "fixed") == [
+        ("a", "b", 1, tiny_bits, capacity, False, "NoValidMapping"),
+        ("a", "b", 2, 2 * tiny_bits, capacity, False, "NoValidMapping")]
 
 
 def test_memory_identity_configuration(tiny_workload):

@@ -198,3 +198,12 @@ def test_a_plain_document_never_reaches_the_tables(which, monkeypatch):
 
     monkeypatch.setattr(spec_model, "_read_mapping", refuse)
     assert parse_mapping(doc, arch) == want
+
+
+@pytest.mark.parametrize("doc", [5, None, 1.5, "mapping", []])
+def test_a_document_that_is_not_an_object_is_malformed(doc):
+    with pytest.raises(SpecError) as err:
+        parse_mapping(doc, toys.fc_weight_buffer())
+    assert (err.value.kind, err.value.path) == ("MalformedDocument", "$")
+    assert str(err.value) == ("MalformedDocument at $: must be an object, "
+                              f"got {doc!r}")
