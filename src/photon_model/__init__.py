@@ -4,16 +4,11 @@ loop nests."""
 
 from .components import (
     CalibrationError,
+    breakdown_error,
     builtin_components,
     calibration_factors,
-    scale_library,
 )
-from .evaluator import (
-    EvaluationError,
-    EvaluationResult,
-    breakdown_error,
-    evaluate,
-)
+from .evaluator import EvaluationResult, evaluate
 from .experiments import (
     ExperimentConfig,
     SweepInfeasible,
@@ -52,7 +47,6 @@ __all__ = [
     "Architecture",
     "CalibrationError",
     "ComponentSpec",
-    "EvaluationError",
     "EvaluationResult",
     "ExperimentConfig",
     "Layer",
@@ -80,7 +74,6 @@ __all__ = [
     "parse_spec",
     "reuse_factors",
     "run_experiment",
-    "scale_library",
     "search",
     "serialize_mapping",
     "serialize_spec",

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .components import PROFILES, CalibrationError, builtin_components
-from .evaluator import EvaluationError, evaluate
+from .evaluator import evaluate
 from .experiments import (
     EXPERIMENTS,
     SweepInfeasible,
@@ -286,7 +286,7 @@ def main(argv=None) -> int:
     except (NoValidMapping, SweepInfeasible, SearchError) as err:
         print(f"infeasible: {err}", file=sys.stderr)
         return 3
-    except (SpecError, MappingError, CalibrationError, EvaluationError,
+    except (SpecError, MappingError, CalibrationError,
             OracleCapExceeded) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -7,10 +7,13 @@ path exists precisely because they are not ground truth. Storage energies
 are held fixed across profiles; optical and mixed-signal parts scale. The
 laser's static power is its optical output, which a profile turns into
 electrical draw. A document refines a part in its entry (spec_model.Level).
+Calibration re-weights the energies a study priced to a reference
+breakdown (calibration_factors) and scores the result (breakdown_error).
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, replace
 
 from .spec_model import ComponentSpec
@@ -19,9 +22,11 @@ from .spec_model import ComponentSpec
 class CalibrationError(Exception):
     """Calibration cannot reproduce the reference breakdown.
 
-    kind is "ZeroCount" when a referenced component has no energy
-    contribution under the evaluated mapping, or "UnknownComponent" when
-    the reference names a part the library lacks.
+    kind is "BadFractions" when the reference fractions do not sum to 1,
+    "UnknownComponent" when the reference names a part the evaluation never
+    touched, "ZeroCount" when a referenced part has no energy under the
+    evaluated mappings, or "ZeroReference" when the reference sums to zero;
+    component is "*" for BadFractions and ZeroReference.
     """
 
     def __init__(self, kind: str, component: str, message: str):
@@ -161,20 +166,28 @@ def calibration_factors(reference_fractions: dict[str, float],
     return factors
 
 
-def scale_library(base: dict[str, ComponentSpec],
-                  factors: dict[str, float]) -> dict[str, ComponentSpec]:
-    """Apply per-component energy scale factors (actions and static)."""
+def breakdown_error(modeled: dict[str, float], reference: dict[str, float]
+                    ) -> tuple[float, dict[str, float]]:
+    """Overall percent error on totals plus per-component errors in
+    percentage points on energy fractions. Components present on one side
+    only count as zero on the other, with a warning."""
 
-    out = dict(base)
-    for name, k in factors.items():
-        if name not in out:
-            raise CalibrationError("UnknownComponent", name,
-                                   "not in the base library")
-        c = out[name]
-        out[name] = replace(
-            c,
-            energy_per_action={a: e * k for a, e in c.energy_per_action.items()},
-            static_power_mw=c.static_power_mw * k,
-        )
-    return out
+    ref_total = sum(reference[k] for k in sorted(reference))
+    if ref_total == 0.0:
+        raise CalibrationError("ZeroReference", "*",
+                               "reference breakdown sums to zero")
+    mod_total = sum(modeled[k] for k in sorted(modeled))
+    overall_pct = abs(mod_total - ref_total) / ref_total * 100.0
 
+    per_component = {}
+    for k in sorted(set(modeled) | set(reference)):
+        if k not in modeled:
+            warnings.warn(f"component {k!r} missing from modeled breakdown, "
+                          "treated as zero", stacklevel=2)
+        if k not in reference:
+            warnings.warn(f"component {k!r} missing from reference breakdown, "
+                          "treated as zero", stacklevel=2)
+        mf = modeled.get(k, 0.0) / mod_total if mod_total else 0.0
+        rf = reference.get(k, 0.0) / ref_total
+        per_component[k] = abs(mf - rf) * 100.0
+    return overall_pct, per_component

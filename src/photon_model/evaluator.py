@@ -17,14 +17,15 @@ result; the mapper's search runs the same program, looked up the same
 way, on each candidate's Tally. So the two price alike to the last bit:
 energy adds its terms in sorted key order, and a total adds the
 components in sorted name order. energy alone lays AccessCounts out again
-(_laid_out), to re-price counts, as a calibrated library does. An
-EvaluationResult builds its mapping digest only when read.
+(_laid_out) to re-price counts that are already packed: its tests do, and
+perfbench/tracer.py binds it; no study prices twice (calibration re-weights
+the priced energies, components.calibration_factors). An EvaluationResult
+builds its mapping digest only when read.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 
@@ -39,14 +40,6 @@ from .spec_model import (
     _lazy,
     mapping_digest,
 )
-
-
-class EvaluationError(Exception):
-    """kind is "ZeroReference"."""
-
-    def __init__(self, kind: str, message: str):
-        self.kind = kind
-        super().__init__(f"{kind}: {message}")
 
 
 @dataclass(frozen=True)
@@ -278,33 +271,3 @@ def evaluate(arch: Architecture, layer: Layer,
         counts=pack(plan, counted, macs, real),
         mapping=mapping,
     )
-
-
-def breakdown_error(
-    modeled: dict[str, float],
-    reference: dict[str, float],
-) -> tuple[float, dict[str, float]]:
-    """Overall percent error on totals plus per-component errors in
-    percentage points on energy fractions. Components present on one side
-    only count as zero on the other, with a warning."""
-
-    ref_total = sum(reference[k] for k in sorted(reference))
-    if ref_total == 0.0:
-        raise EvaluationError("ZeroReference", "reference breakdown sums to zero")
-    mod_total = sum(modeled[k] for k in sorted(modeled))
-    overall_pct = abs(mod_total - ref_total) / ref_total * 100.0
-
-    keys = sorted(set(modeled) | set(reference))
-    for k in keys:
-        if k not in modeled:
-            warnings.warn(f"component {k!r} missing from modeled breakdown, "
-                          "treated as zero", stacklevel=2)
-        if k not in reference:
-            warnings.warn(f"component {k!r} missing from reference breakdown, "
-                          "treated as zero", stacklevel=2)
-    per_component = {}
-    for k in keys:
-        mf = modeled.get(k, 0.0) / mod_total if mod_total else 0.0
-        rf = reference.get(k, 0.0) / ref_total
-        per_component[k] = abs(mf - rf) * 100.0
-    return overall_pct, per_component

@@ -7,22 +7,18 @@ repeated runs can be diffed directly.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import asdict, dataclass, replace
 
 from . import albireo
 from .components import (
     PROFILES,
+    breakdown_error,
     builtin_components,
     calibration_factors,
-    scale_library,
 )
-from .evaluator import (
-    breakdown_error,
-    energy,
-    evaluate,
-    peak_spatial_macs,
-)
+
+# energy goes unused here; perfbench/tracer.py rebinds it.
+from .evaluator import energy, evaluate, peak_spatial_macs
 from .mapper import NoValidMapping, SearchConfig, SearchResult, search
 from .reuse import analyze
 from .spec_model import (
@@ -92,6 +88,9 @@ class ExperimentConfig:
         if any(b < 1 for b in self.batch_sizes):
             raise SpecError("MalformedDocument", "experiment.batch_sizes",
                             "batch sizes must be positive")
+        if len(set(self.batch_sizes)) != len(self.batch_sizes):
+            raise SpecError("MalformedDocument", "experiment.batch_sizes",
+                            "batch sizes must not repeat")
         if self.profile not in PROFILES:
             raise SpecError("MalformedDocument", "experiment.profile",
                             f"unknown profile {self.profile!r}")
@@ -121,6 +120,9 @@ class ExperimentConfig:
         if any(v < 1 for v in self.sweep_values):
             raise SpecError("MalformedDocument", "experiment.sweep_values",
                             "sweep values must be positive")
+        if len(set(self.sweep_values)) != len(self.sweep_values):
+            raise SpecError("MalformedDocument", "experiment.sweep_values",
+                            "sweep values must not repeat")
         if self.budget < 1:
             raise SpecError("MalformedDocument", "experiment.budget",
                             "budget must be positive")
@@ -205,38 +207,22 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
 # ----------------------------------------------------------------------------
 
 
-def breakdown_contributions(cfg: ExperimentConfig, arch: Architecture
-                            ) -> Callable[[dict], dict[str, float]]:
-    """Search the breakdown workload on `arch` once and return a pricing
-    function: given _library's library or a calibrated copy, it reads
-    `arch`'s document against it and gives the accelerator-scope energy per
-    component of the searched counts, so one search serves every round."""
-
-    evals = [_search_layer(arch, layer, cfg, "energy").evaluation
-             for layer in _workload(cfg, "vgg16").layers]
-
-    def price(lib: dict) -> dict[str, float]:
-        priced = parse_architecture(serialize_architecture(arch), lib)
-        return accelerator_scope(_sum_energy(
-            [energy(ev.counts, priced, ev.latency_s) for ev in evals]), arch)
-
-    return price
-
-
 def run_breakdown(cfg: ExperimentConfig) -> dict:
     """Calibrate the architecture's own parts against the bundled reference
-    breakdown, then report modeled-vs-reference energies."""
+    breakdown, then report modeled-vs-reference energies. A part's priced
+    energy is linear in its action energies and static power, so scaling
+    them by its factor scales the searches' energies by it."""
 
     arch = _architecture(cfg)
-    base = _library(cfg)
     reference = load_reference_breakdown()
     ref_total = sum(reference.values())
     fractions = {c: v / ref_total for c, v in reference.items()}
 
-    price = breakdown_contributions(cfg, arch)
-    factors = calibration_factors(fractions, price(base))
-    calibrated = scale_library(base, factors)
-    modeled = price(calibrated)
+    contributions = accelerator_scope(_sum_energy(
+        [_search_layer(arch, layer, cfg, "energy").evaluation.energy_pj
+         for layer in _workload(cfg, "vgg16").layers]), arch)
+    factors = calibration_factors(fractions, contributions)
+    modeled = {c: v * factors.get(c, 1.0) for c, v in contributions.items()}
 
     overall_pct, per_pp = breakdown_error(modeled, reference)
     mod_total = sum(modeled.values())

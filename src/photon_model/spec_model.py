@@ -647,9 +647,16 @@ def _validate_component(c: ComponentSpec, path: str) -> None:
         raise SpecError(
             "MalformedDocument", path,
             f"{c.cls} component cannot change domain")
-    for a in c.energy_per_action:
+    for a, e in c.energy_per_action.items():
         if a not in ACTIONS:
             raise SpecError("MalformedDocument", path, f"unknown action {a!r}")
+        if e < 0:
+            raise SpecError("BadBound", f"{path}.energy_per_action.{a}",
+                            f"energy must be >= 0, got {e!r}")
+    for name in ("static_power_mw", "area_um2"):
+        if getattr(c, name) < 0:
+            raise SpecError("BadBound", f"{path}.{name}",
+                            f"must be >= 0, got {getattr(c, name)!r}")
     if c.cls == "storage" and c.capacity_bits <= 0:
         raise SpecError("CapacityNonPositive", path,
                         f"storage component {c.name!r} needs capacity_bits > 0")
@@ -717,6 +724,10 @@ def validate_architecture(arch: Architecture) -> None:
         bad = set(cv.tensors) - set(TENSORS)
         if bad:
             raise SpecError("MalformedDocument", cpath, f"unknown tensors {sorted(bad)}")
+    for ex in arch.extras:
+        if ex.instances < 1:
+            raise SpecError("MalformedDocument", f"{path}.extras[{ex.name}]",
+                            "instances must be >= 1")
 
     # Every tensor travels across every edge (the hierarchy is a chain), so a
     # domain-changing edge needs converters for all three: DOWN ones for

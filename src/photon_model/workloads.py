@@ -76,11 +76,19 @@ def reference_breakdown_path() -> Path:
 def load_reference_breakdown(path: str | Path | None = None
                              ) -> dict[str, float]:
     """Published per-component energies (pJ) for the bundled accelerator
-    running its breakdown workload."""
+    running its breakdown workload: none negative, and not all zero, so
+    that they have fractions to calibrate against."""
 
     path = Path(path or reference_breakdown_path())
     f = REFERENCE_BREAKDOWN.read(json.loads(path.read_text()), f"{path}:$")
     if f["spec_version"] is not None:
         check_spec_version(f["spec_version"], f"{path}:$.spec_version")
-    return f["breakdown"]
+    breakdown, where = f["breakdown"], f"{path}:$.breakdown"
+    for c, v in breakdown.items():
+        if v < 0:
+            raise SpecError("BadBound", f"{where}.{c}",
+                            f"energy must be >= 0, got {v!r}")
+    if sum(breakdown.values()) == 0:
+        raise SpecError("BadBound", where, "the breakdown sums to zero")
+    return breakdown
 

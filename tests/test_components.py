@@ -4,12 +4,18 @@ from photon_model import albireo
 from photon_model.components import (
     PROFILES,
     CalibrationError,
+    breakdown_error,
     builtin_components,
     calibration_factors,
-    scale_library,
 )
 from photon_model.evaluator import evaluate
-from photon_model.spec_model import DIMS, Layer, LevelMapping, Mapping
+from photon_model.spec_model import (
+    DIMS,
+    Layer,
+    LevelMapping,
+    Mapping,
+    _validate_component,
+)
 
 EXPECTED_PARTS = {
     "dram", "global_buffer_sram", "register", "dac", "adc", "mzm_modulator",
@@ -42,6 +48,12 @@ def test_aggressive_optical_energy_below_conservative():
     # Storage is process technology, not optics: identical across profiles.
     assert (agg["dram"].energy_per_action
             == con["dram"].energy_per_action)
+
+
+def test_every_builtin_part_passes_the_component_checks():
+    for name in PROFILES:
+        for part in builtin_components(name).values():
+            _validate_component(part, f"{name}.{part.name}")
 
 
 def test_passive_optics_have_no_action_energy():
@@ -106,11 +118,28 @@ def test_calibration_rejects_unknown_component():
     assert e.value.kind == "UnknownComponent"
 
 
-def test_scale_library_scales_energy_and_static():
-    lib = builtin_components("aggressive")
-    out = scale_library(lib, {"dram": 2.0})
-    assert out["dram"].energy("read") == 2 * lib["dram"].energy("read")
-    assert out["dram"].static_power_mw == 2 * lib["dram"].static_power_mw
-    assert out["adc"] is lib["adc"]
-    with pytest.raises(CalibrationError):
-        scale_library(lib, {"ghost": 2.0})
+def test_breakdown_error_fixed_point():
+    ref = {"a": 10.0, "b": 30.0}
+    overall, per = breakdown_error(dict(ref), ref)
+    assert overall == 0.0
+    assert per == {"a": 0.0, "b": 0.0}
+
+
+def test_breakdown_error_uniform_double():
+    ref = {"a": 10.0, "b": 30.0}
+    overall, per = breakdown_error({"a": 20.0, "b": 60.0}, ref)
+    assert overall == pytest.approx(100.0)
+    # Fractions are unchanged by uniform scaling.
+    assert per == {"a": pytest.approx(0.0), "b": pytest.approx(0.0)}
+
+
+def test_breakdown_error_zero_reference():
+    with pytest.raises(CalibrationError) as e:
+        breakdown_error({"a": 1.0}, {"a": 0.0})
+    assert (e.value.kind, e.value.component) == ("ZeroReference", "*")
+
+
+def test_breakdown_error_warns_on_missing_keys():
+    with pytest.warns(UserWarning):
+        overall, per = breakdown_error({"a": 1.0}, {"a": 1.0, "b": 1.0})
+    assert per["b"] == pytest.approx(50.0)

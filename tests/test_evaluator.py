@@ -3,9 +3,7 @@ from dataclasses import replace
 import pytest
 
 from photon_model.evaluator import (
-    EvaluationError,
     area,
-    breakdown_error,
     energy,
     evaluate,
     peak_spatial_macs,
@@ -194,30 +192,3 @@ def test_results_compare_by_digest_not_by_mapping_object():
     other = Mapping(levels=(replace(outer, permutation=("Q", "P")), inner))
     assert mapping_digest(other) != mapping_digest(m)
     assert replace(res, mapping=other) != res
-
-
-def test_breakdown_error_fixed_point():
-    ref = {"a": 10.0, "b": 30.0}
-    overall, per = breakdown_error(dict(ref), ref)
-    assert overall == 0.0
-    assert per == {"a": 0.0, "b": 0.0}
-
-
-def test_breakdown_error_uniform_double():
-    ref = {"a": 10.0, "b": 30.0}
-    overall, per = breakdown_error({"a": 20.0, "b": 60.0}, ref)
-    assert overall == pytest.approx(100.0)
-    # Fractions are unchanged by uniform scaling.
-    assert per == {"a": pytest.approx(0.0), "b": pytest.approx(0.0)}
-
-
-def test_breakdown_error_zero_reference():
-    with pytest.raises(EvaluationError) as e:
-        breakdown_error({"a": 1.0}, {"a": 0.0})
-    assert e.value.kind == "ZeroReference"
-
-
-def test_breakdown_error_warns_on_missing_keys():
-    with pytest.warns(UserWarning):
-        overall, per = breakdown_error({"a": 1.0}, {"a": 1.0, "b": 1.0})
-    assert per["b"] == pytest.approx(50.0)

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from photon_model import albireo, cli, experiments, mapper
+from photon_model import albireo, cli, evaluator, experiments, mapper
 from photon_model.components import builtin_components
 from photon_model.evaluator import evaluate
 from photon_model.experiments import (
@@ -77,6 +77,12 @@ def test_config_validation():
     with pytest.raises(SpecError):
         ExperimentConfig(experiment="memory",
                          buffer_energy_exponent=float("nan"))
+    # A repeated value wrote every one of its rows twice.
+    for field, values in (("batch_sizes", (16, 16)),
+                          ("sweep_values", (1, 2, 1))):
+        with pytest.raises(SpecError) as e:
+            ExperimentConfig(experiment="memory", **{field: values})
+        assert e.value.path == f"experiment.{field}"
     # A list is taken as a tuple.
     cfg = ExperimentConfig(experiment="memory", batch_sizes=[4, 16])
     assert cfg.batch_sizes == (4, 16)
@@ -238,6 +244,77 @@ def test_breakdown_end_to_end(tiny_workload, monkeypatch):
     again, searched_again = _searched_run(run_breakdown, cfg, monkeypatch)
     assert searched_again == searches > 0
     assert canonical_json(again) == canonical_json(report)
+
+
+def _scaled(part, factors):
+    """`part` with its action energies and static power times its factor."""
+
+    k = factors.get(part.name, 1.0)
+    return replace(part, static_power_mw=part.static_power_mw * k,
+                   energy_per_action={a: e * k for a, e in
+                                      part.energy_per_action.items()})
+
+
+def test_modeled_energies_reprice_the_searched_mappings(tiny_workload,
+                                                        monkeypatch):
+    # The study re-weights each part's priced energy by its factor instead
+    # of pricing again. Priced energy is linear in a part's action energies
+    # and static power, so pricing every searched mapping on parts scaled
+    # by the factors must give the report's modeled energies.
+    searched = []
+    real = experiments.search
+
+    def recorded(arch, layer, sc):
+        result = real(arch, layer, sc)
+        searched.append((layer, result.mapping))
+        return result
+
+    monkeypatch.setattr(experiments, "search", recorded)
+    cfg = ExperimentConfig(experiment="breakdown", workload=tiny_workload,
+                           budget=60)
+    report = run_breakdown(cfg)
+    factors = report["calibration_factors"]
+    arch = _architecture(cfg)
+    calibrated = replace(
+        arch,
+        levels=tuple(replace(lv, component=_scaled(lv.component, factors))
+                     for lv in arch.levels),
+        converters=tuple(replace(cv, component=_scaled(cv.component, factors))
+                         for cv in arch.converters),
+        extras=tuple(replace(ex, component=_scaled(ex.component, factors))
+                     for ex in arch.extras))
+    repriced = {}
+    for layer, mapping in searched:
+        for c, pj in evaluate(calibrated, layer, mapping).energy_pj.items():
+            repriced[c] = repriced.get(c, 0.0) + pj
+    repriced = accelerator_scope(repriced, arch)
+    rows = report["tables"]["breakdown"]
+    assert len(searched) == 2 and set(factors) <= set(repriced)
+    assert {r["component"]: r["modeled_pj"] for r in rows} == pytest.approx(
+        repriced, rel=1e-12, abs=0)
+
+
+def test_breakdown_prices_each_search_once(tiny_workload, monkeypatch):
+    # Calibration reads the searches' energies: the study neither reads the
+    # architecture again nor re-prices counts.
+    calls = []
+
+    def counted(name, real):
+        def call(*args):
+            calls.append(name)
+            return real(*args)
+        return call
+
+    for module in (experiments, mapper, evaluator):
+        monkeypatch.setattr(module, "energy",
+                            counted("energy", module.energy))
+    monkeypatch.setattr(experiments, "parse_architecture",
+                        counted("parse_architecture",
+                                experiments.parse_architecture))
+    cfg = ExperimentConfig(experiment="breakdown", workload=tiny_workload,
+                           budget=60)
+    assert run_breakdown(cfg)["calibration_factors"]
+    assert calls == []
 
 
 def test_a_pass_searches_each_layer_shape_once(tmp_path, monkeypatch):

@@ -6,9 +6,10 @@ from pathlib import Path
 import photon_model
 
 # perfbench/tracer.py rebinds these in mapper, which calls neither itself,
-# and analyze in evaluator, whose evaluate counts through reuse.count.
+# analyze in evaluator, whose evaluate counts through reuse.count, and
+# energy in experiments, whose breakdown re-weights priced energies.
 REBOUND = {("mapper.py", "analyze"), ("mapper.py", "energy"),
-           ("evaluator.py", "analyze")}
+           ("evaluator.py", "analyze"), ("experiments.py", "energy")}
 
 
 def unused_imports(path: Path) -> set[tuple[str, str]]:

@@ -597,6 +597,19 @@ DOCUMENT_ERRORS = {
     "refined-energy-scale-negative": (
         _set(lambda d: d["architecture"]["levels"][1], "energy_scale", -2.0),
         "MalformedDocument", "architecture.levels[1].energy_scale"),
+    # A negative energy, static power or area parsed, and was charged.
+    "energy-negative": (
+        _set(_component, "energy_per_action", {"read": -1.0}), "BadBound",
+        "$.components[0].energy_per_action.read"),
+    "static_power_mw-negative": (_set(_component, "static_power_mw", -3),
+                                 "BadBound",
+                                 "$.components[0].static_power_mw"),
+    "area_um2-negative": (_set(_component, "area_um2", -7), "BadBound",
+                          "$.components[0].area_um2"),
+    # Negative lasers charged negative power and area.
+    "extra-instances-negative": (
+        _set(lambda d: d["architecture"]["extras"][0], "instances", -3),
+        "MalformedDocument", "architecture[mini].extras[laser]"),
 }
 
 
@@ -733,16 +746,22 @@ def test_included_component_with_a_list_name_is_a_spec_error(tmp_path):
                                             "$.components[0].name")
 
 
-@pytest.mark.parametrize("doc,where", [
-    ({"units": "pJ"}, ":$"), ({"breakdown": {"adc": "abc"}}, ":$.breakdown.adc"),
-], ids=["missing", "not-a-number"])
-def test_malformed_reference_breakdown_names_its_file(doc, where, tmp_path):
+@pytest.mark.parametrize("doc,kind,where", [
+    ({"units": "pJ"}, "MalformedDocument", ":$"),
+    ({"breakdown": {"adc": "abc"}}, "MalformedDocument", ":$.breakdown.adc"),
+    ({"breakdown": {"adc": 1.0, "dac": -0.5}}, "BadBound",
+     ":$.breakdown.dac"),
+    # A zero total divided by zero in the breakdown study.
+    ({"breakdown": {"adc": 0.0, "dac": 0.0}}, "BadBound", ":$.breakdown"),
+    ({"breakdown": {}}, "BadBound", ":$.breakdown"),
+], ids=["missing", "not-a-number", "negative", "zero-total", "empty"])
+def test_malformed_reference_breakdown_names_its_file(doc, kind, where,
+                                                      tmp_path):
     path = tmp_path / "ref.breakdown"
     path.write_text(json.dumps(doc))
     with pytest.raises(SpecError) as e:
         load_reference_breakdown(path)
-    assert (e.value.kind, e.value.path) == ("MalformedDocument",
-                                            f"{path}{where}")
+    assert (e.value.kind, e.value.path) == (kind, f"{path}{where}")
 
 
 def test_unknown_component_reference():
