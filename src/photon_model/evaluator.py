@@ -42,12 +42,13 @@ from .spec_model import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EvaluationResult:
     """The priced outcome of one mapping. mapping_digest is built from
     `mapping` on first read (a search reads it only to break an exact tie
     on its objective); results compare equal exactly when every other
-    field and the digests are equal."""
+    field and the digests are equal. Its fields are filled as
+    spec_model.LevelMapping fills its own."""
 
     energy_pj: dict[str, float]
     total_energy_pj: float
@@ -59,6 +60,22 @@ class EvaluationResult:
     area_um2: float
     counts: AccessCounts
     mapping: Mapping = field(repr=False, compare=False)
+
+    def __init__(self, energy_pj: dict[str, float], total_energy_pj: float,
+                 cycles: int, compute_cycles: int, latency_s: float,
+                 macs_per_s: float, utilization: float, area_um2: float,
+                 counts: AccessCounts, mapping: Mapping):
+        own = self.__dict__
+        own["energy_pj"] = energy_pj
+        own["total_energy_pj"] = total_energy_pj
+        own["cycles"] = cycles
+        own["compute_cycles"] = compute_cycles
+        own["latency_s"] = latency_s
+        own["macs_per_s"] = macs_per_s
+        own["utilization"] = utilization
+        own["area_um2"] = area_um2
+        own["counts"] = counts
+        own["mapping"] = mapping
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:

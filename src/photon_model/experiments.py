@@ -126,6 +126,9 @@ class ExperimentConfig:
         if self.budget < 1:
             raise SpecError("MalformedDocument", "experiment.budget",
                             "budget must be positive")
+        if self.seed < 0:
+            raise SpecError("MalformedDocument", "experiment.seed",
+                            "seed must be >= 0")
 
 
 _CONFIG = dataclass_table(ExperimentConfig)

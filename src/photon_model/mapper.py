@@ -50,12 +50,14 @@ search that shares them.
 
 A candidate is priced from its picked chains and loop orders with no
 Mapping in between (_Pricer). Its counts are reuse.tally, the arithmetic
-reuse.count runs, fed from what each chain fixes on its own (its tile
-extents, padded extent and spatial factors, read from its table). What
-the picked spatial rows fix, the instances and the merge widths, is kept
-per search for each tuple of rows. Its price comes from the search's
-PriceProgram, the one evaluate runs, in its order, so each objective is
-bit-identical to its evaluation's. The search compares only these priced
+reuse.count runs, fed from what each chain fixes on its own (its padded
+extent and spatial factors, read from its table) and the footprints
+tally reads (CountPlan.tiled), computed from the chains' tile extents
+where reuse.count takes them from validation. What the picked spatial
+rows fix, the instances and the merge widths, is kept per search for
+each tuple of rows. Its price comes from the search's PriceProgram, the
+one evaluate runs, in its order, so each objective is bit-identical to
+its evaluation's. The search compares only these priced
 objectives (_Best): it keeps the lowest with its picks and loop orders,
 and builds a mapping only to break an exact tie by digest. Once the walk
 ends, it builds the winner and evaluates it in full, which validates it:
@@ -185,13 +187,18 @@ class SearchConfig:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.pad_mode not in ("strict", "pad"):
             raise ValueError(f"unknown pad_mode {self.pad_mode!r}")
-        for name in ("budget", "max_space", "batch_size", "reduction_floor"):
+        for name in ("budget", "seed", "max_space", "batch_size",
+                     "reduction_floor"):
             value = getattr(self, name)
             if type(value) is not int and (value is not None
                                            or name != "reduction_floor"):
                 raise ValueError(f"{name} {value!r} is not an integer")
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
+        # random.Random(-7) draws as Random(7) does, and Random(None) from
+        # the OS, which would key a kept search by a seed it did not use.
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.max_space < 1:
             raise ValueError("max_space must be >= 1")
         if self.batch_size < 1:
@@ -744,7 +751,9 @@ class _Pricer:
     count, as evaluate prices the mapping they build (`mapping`), without
     building it (see the module docstring). What the picked spatial rows
     fix, the instances of each level and the merge widths, is kept per
-    tuple of rows."""
+    tuple of rows. The footprints tally reads (CountPlan.tiled) come from
+    the picked chains' tile extents, where evaluate takes them from
+    validation."""
 
     def __init__(self, arch: Architecture, layer: Layer, cfg: SearchConfig,
                  tables: list[_ChainTable]):
@@ -786,11 +795,15 @@ class _Pricer:
             macs *= padded
             real *= padded if padded < bound else bound
         columns = list(zip(*extents))
-        tiles = {lvl: dict(zip(DIMS, columns[lvl])) for lvl in plan.tiled}
+        layer, footprints = self.layer, {}
+        for lvl, tensors in plan.tiled:
+            tile = dict(zip(DIMS, columns[lvl]))
+            for t in tensors:
+                footprints[lvl, t] = tile_values(layer, tile, t)
         chains = [table.chains[p] for table, p in zip(tables, picks)]
         loops = [(j, d, chains[_DIM_INDEX[d]][2 * j])
                  for j, perm in enumerate(perms) for d in perm]
-        return (tally(plan, self.layer, tiles, instances, loops, widths, macs),
+        return (tally(plan, footprints, instances, loops, widths, macs),
                 macs, real, instances)
 
     def objective(self, picks: list[int], perms: list[tuple[str, ...]],

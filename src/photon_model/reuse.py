@@ -24,9 +24,12 @@ Counting conventions (shared verbatim by the interpreter in oracle):
 
 Counting assumes a mapping validate_mapping accepted and rejects none: in
 particular, partials are refetched only down edges that convert them. So
-count validates first. The mapper's search counts its candidates without
-validation, as its filter admits only mappings validation accepts, and
-evaluates (so validates) the one mapping it returns.
+count validates first, and counts from the tile footprints validation's
+capacity check computed: each is computed once per evaluation. The
+mapper's search counts its candidates without validation, as its filter
+admits only mappings validation accepts, computing from its picked chains
+the footprints counting reads, and evaluates (so validates) the one
+mapping it returns.
 
 What counting reads that depends only on the architecture and the keep
 overrides is planned once per (architecture, override set) as a
@@ -35,20 +38,20 @@ each hop between consecutive keepers of a chain (validation_plan)
 as a leg, the output stream, and per edge crossed the converter and the
 spatial dims its mesh merges (spec_model.merge_dims), all as slots of
 flat lists. The counting itself is one arithmetic core, tally: from the
-tile extents, instances and loops of a nest and the merge widths at each
-edge (one suffix product per leg over the spatial factors,
+tile footprints, instances and loops of a nest and the merge widths at
+each edge (one suffix product per leg over the spatial factors,
 CountPlan.merge_widths, which reuse_factors reads too) it fills a Tally,
 flat lists in the plan's layout. How often each level's tiles change, and
 how many distinct Outputs tiles it holds, come from one forward sweep
 over the loops (residencies), as the loops at or above a level are a
-prefix of them. count validates a mapping and reads
-those inputs from mapping.nest; analyze packs its tally into AccessCounts
-(pack), and evaluator.evaluate prices the tally as it stands, then packs
-it once for its result. The mapper's search reads them from its picked
-chains and prices the tally as it stands. The oracle shares nothing with
-this module: not the legs, the plan or the core. The count containers
-(AccessCounts, LevelCounts) are spec_model's, as every engine returns
-them.
+prefix of them. count validates a mapping, which gives the footprints,
+and reads the rest from mapping.nest; analyze packs its tally into
+AccessCounts (pack), and evaluator.evaluate prices the tally as it
+stands, then packs it once for its result. The mapper's search reads
+them from its picked chains and prices the tally as it stands. The
+oracle shares nothing with this module: not the legs, the plan or the
+core. The count containers (AccessCounts, LevelCounts) are spec_model's,
+as every engine returns them.
 """
 
 from __future__ import annotations
@@ -77,7 +80,6 @@ from .spec_model import (
     effective_keeps,
     merge_dims,
     override_key,
-    tile_values,
     validate_mapping,
     validation_plan,
 )
@@ -130,20 +132,21 @@ def residencies(loops: Sequence[tuple[int, str, int]],
 
     out = []
     weights = inputs = outputs = distinct = span = 1
-    at, n = 0, len(loops)
-    for level in range(levels):
-        while at < n and loops[at][0] <= level:
-            _, d, e = loops[at]
-            span *= e
-            moves = _MOVES[d]
-            if moves & 1:
-                weights = span
-            if moves & 2:
-                inputs = span
-            if moves & 4:
-                outputs = span
-                distinct *= e
-            at += 1
+    for level, d, e in loops:
+        if level >= levels:
+            break
+        while len(out) < level:
+            out.append((weights, inputs, outputs, distinct))
+        span *= e
+        moves = _MOVES[d]
+        if moves & 1:
+            weights = span
+        if moves & 2:
+            inputs = span
+        if moves & 4:
+            outputs = span
+            distinct *= e
+    while len(out) < levels:
         out.append((weights, inputs, outputs, distinct))
     return out
 
@@ -189,18 +192,20 @@ class CountPlan:
     leg up from compute to the accumulation level; drains, innermost hop
     first, each Outputs hop's ascending leg and its descending (refetch)
     leg. A leg's inner level names the tile size its hop counts. leg_at
-    maps each edge key to (leg, position). tiled holds the levels whose
-    tile counting reads; merging the legs with a crossing whose mesh
-    merges, and merged the levels of those crossings, whose spatial
-    factors merge_widths reads.
+    maps each edge key to (leg, position). tiled holds, per level whose
+    tiles counting reads, the tensors whose footprints it reads there: the
+    keys tally looks up. merging holds, per leg with a crossing whose mesh
+    merges, its crossings innermost first as (edge slot, level, merged
+    dims), and merged the levels of those crossings, whose spatial factors
+    merge_widths reads.
     """
 
     compute: int
     level_keys: tuple[tuple[int, str], ...]
     conversion_keys: tuple[tuple[str, str], ...]
     edges: tuple[tuple[int, str, str], ...]
-    tiled: tuple[int, ...]
-    merging: tuple[Leg, ...]
+    tiled: tuple[tuple[int, tuple[str, ...]], ...]
+    merging: tuple[tuple[tuple[int, int, tuple[str, ...]], ...], ...]
     merged: tuple[int, ...]
     operands: tuple[tuple[str, tuple[Leg, ...]], ...]
     stream: Leg
@@ -246,15 +251,24 @@ class CountPlan:
         drains = tuple((leg(OUTPUTS, outer, inner, UP),
                         leg(OUTPUTS, outer, inner, DOWN))
                        for outer, inner in zip(inward[1:], inward))
+        tiled: dict[int, list[str]] = {}
+        for t, hops in operands:
+            for lg in hops:
+                if lg.inner != compute:
+                    tiled.setdefault(lg.inner, []).append(t)
+        for up, _ in drains:
+            tiled.setdefault(up.inner, []).append(OUTPUTS)
         return cls(
             compute=compute,
             level_keys=level_keys,
             conversion_keys=conversion_keys,
             edges=tuple(c.key for lg in legs for c in lg.crossings),
-            tiled=tuple(sorted({lg.inner for lg in legs
-                                if lg.inner != compute})),
-            merging=tuple(lg for lg in legs
-                          if any(c.dims for c in lg.crossings)),
+            tiled=tuple((level, tuple(ts))
+                        for level, ts in sorted(tiled.items())),
+            merging=tuple(
+                tuple((lg.first + i, c.key[0], c.dims)
+                      for i, c in enumerate(lg.crossings))[::-1]
+                for lg in legs if any(c.dims for c in lg.crossings)),
             merged=tuple(sorted({c.key[0] for lg in legs
                                  for c in lg.crossings if c.dims})),
             operands=operands,
@@ -273,15 +287,14 @@ class CountPlan:
         slot merges the whole hop."""
 
         widths = [1] * len(self.edges)
-        for lg in self.merging:
+        for crossings in self.merging:
             w = 1
-            for i in range(len(lg.crossings) - 1, -1, -1):
-                key, dims, _ = lg.crossings[i]
+            for slot, level, dims in crossings:
                 if dims:
-                    factors = spatial[key[0]]
+                    factors = spatial[level]
                     for d in dims:
                         w *= factors.get(d, 1)
-                widths[lg.first + i] = w
+                widths[slot] = w
         return widths
 
 
@@ -316,14 +329,15 @@ class Tally(NamedTuple):
     demand: list[int | None]
 
 
-def tally(plan: CountPlan, layer: Layer, tiles: Levelwise,
+def tally(plan: CountPlan, footprints: dict[tuple[int, str], int],
           instances: Sequence[int], loops: Sequence[tuple[int, str, int]],
           widths: list[int], macs: int) -> Tally:
-    """The counting arithmetic, from what a mapping's nest fixes: the tile
-    extents at each level of plan.tiled (LoopNest.tiles), the instances of
-    each level, the temporal loops outermost first (LoopNest.loops), the
-    merge width at each edge slot (CountPlan.merge_widths) and the padded
-    MAC count."""
+    """The counting arithmetic, from what a mapping's nest fixes: the
+    values of each tensor's tile at each level of plan.tiled, keyed
+    (level, tensor) (the footprints validate_mapping returns), the
+    instances of each level, the temporal loops outermost first
+    (LoopNest.loops), the merge width at each edge slot
+    (CountPlan.merge_widths) and the padded MAC count."""
 
     compute = plan.compute
     levels = [0] * (4 * len(plan.level_keys))
@@ -349,19 +363,33 @@ def tally(plan: CountPlan, layer: Layer, tiles: Levelwise,
             slot += 1
         return crossings[leg.first]
 
-    # Operand tensors flow down their keeper chains: Weights, then Inputs.
+    # Operand tensors flow down their keeper chains: Weights, then Inputs,
+    # each leg's crossings recorded as cross records them. The demand just
+    # inside a hop is what the next hop in carries, so the legs run
+    # innermost first.
     for k, (tensor, legs) in enumerate(plan.operands):
-        bases = [macs if leg.inner == compute else
-                 (resident[leg.inner][k]
-                  * tile_values(layer, tiles[leg.inner], tensor)
-                  * instances[leg.inner])
-                 for leg in legs]
-        bases.append(macs)
-        for i, leg in enumerate(legs):
-            delivered = cross(leg, bases[i], bases[i + 1])
+        into = macs
+        for leg in reversed(legs):
+            inner = leg.inner
+            base = (macs if inner == compute else
+                    resident[inner][k] * footprints[inner, tensor]
+                    * instances[inner])
+            slot = leg.first
+            for at in leg.conversions_at:
+                n, rest = divmod(base, widths[slot])
+                if rest:
+                    raise AssertionError(
+                        f"inexact collapse {base}/{widths[slot]}")
+                crossings[slot] = n
+                demand[slot] = into
+                if at >= 0:
+                    conversions[at] += n
+                slot += 1
+            delivered = crossings[leg.first]
             levels[leg.outer_at] += delivered
             if leg.inner_at >= 0:
                 levels[leg.inner_at + 1] += delivered
+            into = base
 
     # Outputs: MAC partials ascend to the accumulation level...
     stream = plan.stream
@@ -375,7 +403,7 @@ def tally(plan: CountPlan, layer: Layer, tiles: Levelwise,
     for up, down in plan.drains:
         inner = up.inner
         _, _, tc, distinct = resident[inner]
-        size = tile_values(layer, tiles[inner], OUTPUTS)
+        size = footprints[inner, OUTPUTS]
         inst = instances[inner]
         drained = tc * size * inst
         levels[up.inner_at + 3] += drained
@@ -398,6 +426,12 @@ def pack(plan: CountPlan, counted: Tally, macs: int,
     """The AccessCounts of a tally laid out by `plan`."""
 
     levels = counted.levels
+    crossings, demand = {}, {}
+    # A slot records its crossings and demand together, or neither.
+    for key, n, into in zip(plan.edges, counted.crossings, counted.demand):
+        if n is not None:
+            crossings[key] = n
+            demand[key] = into
     return AccessCounts(
         per_level=dict(zip(plan.level_keys, map(
             LevelCounts, levels[0::4], levels[1::4], levels[2::4],
@@ -406,33 +440,30 @@ def pack(plan: CountPlan, counted: Tally, macs: int,
         compute_reads=dict.fromkeys(TENSORS, macs),
         macs=macs,
         real_macs=real_macs,
-        edge_crossings={key: n for key, n in zip(plan.edges,
-                                                 counted.crossings)
-                        if n is not None},
-        edge_demand={key: n for key, n in zip(plan.edges, counted.demand)
-                     if n is not None},
+        edge_crossings=crossings,
+        edge_demand=demand,
     )
 
 
 def count(arch: Architecture, layer: Layer, mapping: Mapping
           ) -> tuple[CountPlan, Tally, int, int]:
-    """Validate the mapping (validate_mapping), then tally its nest: the
-    plan the tally is laid out by, the tally, and the padded and real MAC
-    counts, the arguments pack takes."""
+    """Validate the mapping (validate_mapping), then tally its nest from
+    the footprints validation returns: the plan the tally is laid out by,
+    the tally, and the padded and real MAC counts, the arguments pack
+    takes."""
 
-    validate_mapping(mapping, layer, arch)
+    footprints = validate_mapping(mapping, layer, arch)
     plan = count_plan(arch, mapping.keep_overrides, mapping.keep_key)
     nest = mapping.nest
-    padded = nest.padded
     bounds = effective_bounds(layer, mapping.batch_size)
-    macs = 1
-    real = 1
-    for d in DIMS:
-        macs *= padded[d]
-        real *= min(padded[d], bounds[d])
+    macs = real = 1
+    for d, padded in nest.padded.items():
+        bound = bounds[d]
+        macs *= padded
+        real *= padded if padded < bound else bound
     widths = plan.merge_widths([lm.spatial for lm in mapping.levels])
-    return (plan, tally(plan, layer, nest.tiles, nest.instances, nest.loops,
-                        widths, macs), macs, real)
+    return (plan, tally(plan, footprints, nest.instances, nest.loops, widths,
+                        macs), macs, real)
 
 
 def analyze(arch: Architecture, layer: Layer, mapping: Mapping) -> AccessCounts:

@@ -318,7 +318,15 @@ class Workload:
 # ============================================================================
 
 
-@dataclass(frozen=True)
+# LevelMapping, Mapping and evaluator.EvaluationResult write their fields
+# straight into the instance __dict__: the __init__ a frozen dataclass
+# generates sets each one through object.__setattr__, which makes a
+# LevelMapping take about 70% longer to build under CPython 3.11.
+# Assignment still raises FrozenInstanceError; replace, fields, eq and
+# repr are the dataclass's.
+
+
+@dataclass(frozen=True, init=False)
 class LevelMapping:
     """Per-level loop factors. A dim missing from temporal or spatial has
     factor 1 there, and a factor of 1 written out changes nothing.
@@ -328,6 +336,14 @@ class LevelMapping:
     temporal: dict[str, int] = field(default_factory=dict)
     spatial: dict[str, int] = field(default_factory=dict)
     permutation: tuple[str, ...] = ()
+
+    def __init__(self, temporal: dict[str, int] | None = None,
+                 spatial: dict[str, int] | None = None,
+                 permutation: tuple[str, ...] = ()):
+        own = self.__dict__
+        own["temporal"] = {} if temporal is None else temporal
+        own["spatial"] = {} if spatial is None else spatial
+        own["permutation"] = permutation
 
     def t(self, d: str) -> int:
         return self.temporal.get(d, 1)
@@ -347,7 +363,7 @@ class LevelMapping:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Mapping:
     """A full schedule: one LevelMapping per architecture level. Unit
     factors may be left out (see LevelMapping).
@@ -361,6 +377,16 @@ class Mapping:
     batch_size: int = 1
     keep_overrides: dict[int, tuple[str, ...]] = field(default_factory=dict)
     pad: bool = False
+
+    def __init__(self, levels: tuple[LevelMapping, ...], batch_size: int = 1,
+                 keep_overrides: dict[int, tuple[str, ...]] | None = None,
+                 pad: bool = False):
+        own = self.__dict__
+        own["levels"] = levels
+        own["batch_size"] = batch_size
+        own["keep_overrides"] = ({} if keep_overrides is None
+                                 else keep_overrides)
+        own["pad"] = pad
 
     @_lazy
     def nest(self) -> LoopNest:
@@ -437,7 +463,7 @@ class LoopNest(NamedTuple):
         for i in range(m - 1, -1, -1):
             lm = levels[i]
             t = lm.temporal
-            tiles[i] = dict(run)
+            tiles[i] = run.copy()
             for d, f in t.items():
                 if type(f) is not int or f < 1 or d not in run:
                     raise _first_fault(levels)
@@ -458,14 +484,18 @@ class LoopNest(NamedTuple):
                 if len(set(perm)) < len(perm):
                     raise _first_fault(levels)
             if t:  # LevelMapping.loops, on the factors checked above
-                block = [(i, d, t[d]) for d in perm if t.get(d, 1) > 1]
+                block = []
+                for d in perm:
+                    f = t.get(d, 1)
+                    if f > 1:
+                        block.append((i, d, f))
                 if len(block) < len(t):
                     block += [(i, d, t[d]) for d in DIMS
                               if d not in perm and t.get(d, 1) > 1]
                 blocks[i] = block
-        return cls(padded=run, tiles=tuple(tiles), spatial=tuple(spatial),
-                   instances=tuple(accumulate(spatial, mul)), steps=steps,
-                   loops=tuple(chain.from_iterable(blocks)))
+        return cls(run, tuple(tiles), tuple(spatial),
+                   tuple(accumulate(spatial, mul)), steps,
+                   tuple(chain.from_iterable(blocks)))
 
 
 def _first_fault(levels: tuple[LevelMapping, ...]) -> MappingError:
@@ -831,7 +861,8 @@ def validation_plan(arch: Architecture,
     return arch.derived(("validation_plan", key), build)
 
 
-def validate_mapping(mapping: Mapping, layer: Layer, arch: Architecture) -> None:
+def validate_mapping(mapping: Mapping, layer: Layer, arch: Architecture
+                     ) -> dict[tuple[int, str], int]:
     """Raise MappingError unless the mapping is valid for (layer, arch).
 
     Checks, in this order: the level count and batch size; every factor
@@ -841,6 +872,11 @@ def validate_mapping(mapping: Mapping, layer: Layer, arch: Architecture) -> None
     no tensor's dims factor outside its origin keeper; storage capacity
     against kept-tile footprints; and, last, that no refetch_forbidden
     keeper's tile is evicted and brought back.
+
+    Returns the footprints the capacity check computed: the tile_values
+    of each (level, tensor) of the plan's capacity rows, the backing
+    store's at the padded extents, every other level's at its tile. The
+    counting reads them (reuse.tally) instead of computing them again.
     """
 
     levels = mapping.levels
@@ -902,11 +938,13 @@ def validate_mapping(mapping: Mapping, layer: Layer, arch: Architecture) -> None
 
     # The backing store holds whole tensors, its own loops included.
     bits = layer.bits
+    footprints = {}
     for i, keeps, capacity, name in plan.capacity:
         tile = padded if i == 0 else tiles[i]
         total = 0
         for t in keeps:
-            total += tile_values(layer, tile, t) * bits[t]
+            values = footprints[i, t] = tile_values(layer, tile, t)
+            total += values * bits[t]
         if total > capacity:
             sizes = kept_bits(layer, tile, keeps)
             worst = max(sizes, key=lambda t: (sizes[t], t))
@@ -932,6 +970,7 @@ def validate_mapping(mapping: Mapping, layer: Layer, arch: Architecture) -> None
                                    f"{t} refetched into level {name!r} "
                                    "with no descending converter",
                                    tensor=t, level=name)
+    return footprints
 
 
 # ============================================================================

@@ -82,6 +82,16 @@ def test_experiment_seed_reaches_the_config_and_every_search(
     assert seeds and set(seeds) == {11}
 
 
+def test_negative_seed_exits_2(capsys):
+    # random.Random(-7) draws as Random(7) does.
+    assert cli.main(["map", "--layer", "fc8", "--budget", "5",
+                     "--seed", "-7"]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert cli.main(["experiment", "--experiment", "throughput",
+                     "--seed", "-7"]) == 2
+    assert "experiment.seed" in capsys.readouterr().err
+
+
 def test_map_albireo_pins_pads_dims_the_pins_do_not_divide(capsys):
     # AlexNet conv1 has C=3 under the bundled stencil's C pin of 4.
     rc = cli.main(["map", "--workload", "alexnet", "--layer", "conv1",

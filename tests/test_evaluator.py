@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
@@ -8,6 +8,7 @@ from photon_model.evaluator import (
     evaluate,
     peak_spatial_macs,
 )
+from photon_model.mapper import SearchConfig, search
 from photon_model.reuse import AccessCounts, LevelCounts
 from photon_model.spec_model import (
     Architecture,
@@ -192,3 +193,40 @@ def test_results_compare_by_digest_not_by_mapping_object():
     other = Mapping(levels=(replace(outer, permutation=("Q", "P")), inner))
     assert mapping_digest(other) != mapping_digest(m)
     assert replace(res, mapping=other) != res
+
+
+def test_records_stay_frozen_dataclasses():
+    # LevelMapping, Mapping and EvaluationResult fill their fields
+    # without the dataclass __init__; they must keep its contract.
+    res = search(toys.fc_weight_buffer(), toys.fc_k2c3(),
+                 SearchConfig(strategy="exhaustive"))
+    mapping, result = res.mapping, res.evaluation
+    level = next(lm for lm in mapping.levels if lm.temporal)
+    for record in (level, mapping, result):
+        for f in fields(record):
+            with pytest.raises(FrozenInstanceError):
+                setattr(record, f.name, getattr(record, f.name))
+            with pytest.raises(FrozenInstanceError):
+                delattr(record, f.name)
+        copy = replace(record)
+        assert copy is not record and copy == record
+        assert repr(copy) == repr(record)
+        assert all(getattr(copy, f.name) is getattr(record, f.name)
+                   for f in fields(record))
+    assert replace(mapping, batch_size=2).batch_size == 2
+    assert replace(result, cycles=result.cycles + 1) != result
+    # The members made on first read still are.
+    assert replace(mapping).nest == mapping.nest
+    assert replace(result).mapping_digest == mapping_digest(mapping)
+    assert evaluate(toys.fc_weight_buffer(), toys.fc_k2c3(),
+                    mapping) == result
+    # Each default is a fresh dict, never one shared between records.
+    a, b = LevelMapping(), LevelMapping()
+    assert a == b and a.temporal == a.spatial == {} and a.permutation == ()
+    assert a.temporal is not b.temporal and a.spatial is not b.spatial
+    assert Mapping((a,)).keep_overrides is not Mapping((b,)).keep_overrides
+    assert repr(LevelMapping({"K": 2}, permutation=("K",))) == (
+        "LevelMapping(temporal={'K': 2}, spatial={}, permutation=('K',))")
+    assert repr(Mapping((a,), pad=True)) == (
+        "Mapping(levels=(LevelMapping(temporal={}, spatial={}, "
+        "permutation=()),), batch_size=1, keep_overrides={}, pad=True)")

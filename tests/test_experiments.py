@@ -72,6 +72,10 @@ def test_config_validation():
         ExperimentConfig(experiment="breakdown", budget=0)
     with pytest.raises(SpecError):
         ExperimentConfig(experiment="breakdown", budget=True)
+    with pytest.raises(SpecError) as e:
+        ExperimentConfig(experiment="breakdown", seed=-7)
+    assert (e.value.kind, e.value.path) == ("MalformedDocument",
+                                            "experiment.seed")
     with pytest.raises(SpecError):
         ExperimentConfig(experiment="breakdown", buffer_energy_exponent=False)
     with pytest.raises(SpecError):

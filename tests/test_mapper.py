@@ -663,10 +663,17 @@ def test_search_config_validation():
     for name, value in (("budget", 2.5), ("budget", True), ("budget", "9"),
                         ("max_space", 2.5), ("max_space", True),
                         ("batch_size", 2.0), ("batch_size", True),
-                        ("reduction_floor", 1.5), ("reduction_floor", False)):
+                        ("reduction_floor", 1.5), ("reduction_floor", False),
+                        ("seed", None), ("seed", 1.5), ("seed", "abc"),
+                        ("seed", True)):
         with pytest.raises(ValueError, match=f"{name} .* is not an integer"):
             SearchConfig(**{name: value})
     assert SearchConfig(reduction_floor=None).reduction_floor is None
+    # seed=None drew from the OS, and a negative seed draws as its
+    # absolute value does.
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        SearchConfig(seed=-7)
+    assert SearchConfig(seed=0).seed == 0
 
 
 @pytest.mark.parametrize("pins", [

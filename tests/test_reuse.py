@@ -1,10 +1,14 @@
 """Analytical count checks. Golden constants were frozen from the
 loop-nest interpreter (simulate) running the same instances."""
 
+import sys
 from dataclasses import replace
 
 import pytest
 
+from photon_model import albireo, spec_model
+from photon_model.evaluator import evaluate
+from photon_model.mapper import SearchConfig, search
 from photon_model.reuse import (
     LevelCounts,
     analyze,
@@ -20,9 +24,12 @@ from photon_model.spec_model import (
     Mapping,
     MappingError,
     Mesh,
+    stencil_pins,
     validate_architecture,
     validate_mapping,
+    validation_plan,
 )
+from photon_model.workloads import load_workload
 
 import toys
 
@@ -215,3 +222,26 @@ def test_counts_are_nonnegative_integers():
             assert isinstance(v, int) and v >= 0
     for v in c.conversions.values():
         assert isinstance(v, int) and v >= 0
+
+
+def test_evaluate_computes_each_footprint_once(monkeypatch):
+    # Validation's capacity check computes the footprint of every kept
+    # (level, tensor); counting reads those instead of computing its own.
+    arch = albireo.architecture("aggressive")
+    layer = load_workload("vgg16").layers[4]
+    mapping = search(arch, layer, SearchConfig(
+        budget=40, pad_mode="pad",
+        fixed_spatial=stencil_pins(layer, arch))).mapping
+    original, calls = spec_model.tile_values, []
+
+    def counted(layer, tb, tensor):
+        calls.append(tensor)
+        return original(layer, tb, tensor)
+
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("photon_model")
+                and getattr(module, "tile_values", None) is original):
+            monkeypatch.setattr(module, "tile_values", counted)
+    evaluate(arch, layer, mapping)
+    rows = validation_plan(arch, mapping.keep_overrides).capacity
+    assert len(calls) == sum(len(keeps) for _, keeps, _, _ in rows) == 9

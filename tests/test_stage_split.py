@@ -2,6 +2,7 @@
 package; it must reach every stage and leave every name as it found it."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "stage_split.py"
@@ -66,3 +67,20 @@ def test_evaluate_split_times_every_stage_and_restores_every_name():
     assert list(split) == ["parse", "nest", "validate", "plan", "tally",
                            "pack", "pricing", "result", "sum"]
     assert all(v > 0 for v in split.values()), split
+
+
+def test_evaluate_command_line_reaches_every_stage(capsys):
+    tool = _load_tool()
+    owners = {owner for owner, _ in tool.EVALUATE_STAGES.values()}
+    before = {owner: dict(vars(owner)) for owner in owners}
+    assert tool.main(["--experiment", "evaluate", "--documents", "5",
+                      "--passes", "1"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    for owner in owners:
+        after = vars(owner)
+        assert after.keys() == before[owner].keys()
+        assert all(after[k] is v for k, v in before[owner].items()), owner
+    assert (out["experiment"], out["documents"], out["passes"]) == (
+        "evaluate", 5, 1)
+    assert out["calls_per_pass"] == dict.fromkeys(tool.EVALUATE_STAGES, 5)
+    assert out["us_per_document"]["sum"] > 0
