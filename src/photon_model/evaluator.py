@@ -9,18 +9,18 @@ taken from the full fanout products regardless of how much of the array a
 mapping uses.
 
 The prices, bandwidths and static powers are fixed per architecture. Laid
-over one layout of counts they form a PriceProgram, built once per layout
-and kept on the architecture (price_program). evaluate runs the program of
-its CountPlan's layout, its cycles and then its energy, on the reuse.Tally
-that reuse.count gives, and packs the tally into AccessCounts only for its
+over one layout of counts they form a PriceProgram, kept on the
+architecture per reuse.CountPlan (price_program). evaluate runs its
+plan's program, its cycles and then its energy, on the reuse.Tally that
+reuse.count gives, and packs the tally into AccessCounts only for its
 result; the mapper's search runs the same program, looked up the same
 way, on each candidate's Tally. So the two price alike to the last bit:
 energy adds its terms in sorted key order, and a total adds the
-components in sorted name order. energy alone lays AccessCounts out again
-(_laid_out) to re-price counts that are already packed: its tests do, and
-perfbench/tracer.py binds it; no study prices twice (calibration re-weights
-the priced energies, components.calibration_factors). An EvaluationResult
-builds its mapping digest only when read.
+components in sorted name order. energy alone builds a program afresh,
+for counts already packed, and keeps none: its tests re-price, and
+perfbench/tracer.py binds it; no study prices twice (calibration
+re-weights the priced energies, components.calibration_factors). An
+EvaluationResult builds its mapping digest only when read.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, fields
 
 # evaluate counts through reuse.count; analyze stays imported because
 # perfbench/tracer.py rebinds evaluator.analyze.
-from .reuse import analyze, count, pack
+from .reuse import CountPlan, analyze, count, pack
 from .spec_model import (
     AccessCounts,
     Architecture,
@@ -98,9 +98,9 @@ class PriceProgram:
     """Every price, bandwidth and static power of an architecture, laid
     over one layout of counts: a reuse.Tally's, with reads, fills, updates
     and drains at 4 * i for level_keys[i] and one counter per conversion
-    key. Built once per layout and kept on the architecture
-    (price_program); evaluate, energy and the mapper's search all price
-    through it.
+    key. Built once per count plan and kept on the architecture
+    (price_program), or afresh for packed counts (energy); evaluate, energy
+    and the mapper's search all price through it.
 
     names holds the component names sorted, one energy accumulator each.
     levels, conversions, compute and static are energy's terms in its
@@ -211,26 +211,12 @@ class PriceProgram:
         return out
 
 
-def price_program(arch: Architecture, level_keys: tuple[tuple[int, str], ...],
-                  conversion_keys: tuple[tuple[str, str], ...]
-                  ) -> PriceProgram:
-    """The PriceProgram of one layout, kept on the architecture."""
+def price_program(arch: Architecture, plan: CountPlan) -> PriceProgram:
+    """The PriceProgram of a count plan's layout, kept on the
+    architecture per plan."""
 
-    return arch.derived(("price_program", level_keys, conversion_keys),
-                        lambda: PriceProgram.of(arch, level_keys,
-                                                conversion_keys))
-
-
-def _laid_out(counts: AccessCounts, arch: Architecture
-              ) -> tuple[PriceProgram, list[int], list[int]]:
-    """The program of the layout `counts` holds, and its counters."""
-
-    levels: list[int] = []
-    for lc in counts.per_level.values():
-        levels += (lc.reads, lc.fills, lc.updates, lc.drains)
-    program = price_program(arch, tuple(counts.per_level),
-                            tuple(counts.conversions))
-    return program, levels, list(counts.conversions.values())
+    return arch.derived(("price_program", plan), lambda: PriceProgram.of(
+        arch, plan.level_keys, plan.conversion_keys))
 
 
 def energy(
@@ -240,13 +226,17 @@ def energy(
 ) -> dict[str, float]:
     """Per-component energy in pJ, keyed by component name.
 
-    Each part prices itself as the architecture holds it (price_program).
+    Each part prices itself as the architecture holds it (PriceProgram).
     Static power is charged to every physical instance (Architecture.parts)
     for the full latency.
     """
 
-    program, levels, conversions = _laid_out(counts, arch)
-    pj = program.energy(levels, conversions, counts.real_macs, latency_s)
+    program = PriceProgram.of(arch, tuple(counts.per_level),
+                              tuple(counts.conversions))
+    levels = [n for lc in counts.per_level.values()
+              for n in (lc.reads, lc.fills, lc.updates, lc.drains)]
+    pj = program.energy(levels, list(counts.conversions.values()),
+                        counts.real_macs, latency_s)
     return dict(zip(program.names, pj))
 
 
@@ -268,7 +258,7 @@ def evaluate(arch: Architecture, layer: Layer,
     """
 
     plan, counted, macs, real = count(arch, layer, mapping)
-    program = price_program(arch, plan.level_keys, plan.conversion_keys)
+    program = price_program(arch, plan)
     nest = mapping.nest
     compute_cycles = nest.steps
     cycles = program.cycles(counted.levels, counted.conversions,

@@ -55,15 +55,15 @@ extent and spatial factors, read from its table) and the footprints
 tally reads (CountPlan.tiled), computed from the chains' tile extents
 where reuse.count takes them from validation. What the picked spatial
 rows fix, the instances and the merge widths, is kept per search for
-each tuple of rows. Its price comes from the search's PriceProgram, the
-one evaluate runs, in its order, so each objective is bit-identical to
-its evaluation's. The search compares only these priced
-objectives (_Best): it keeps the lowest with its picks and loop orders,
-and builds a mapping only to break an exact tie by digest. Once the walk
-ends, it builds the winner and evaluates it in full, which validates it:
-each search checks the one mapping it returns. A candidate is built with
-only its factors other than 1, which every reader of a mapping takes as
-1 when missing.
+each tuple of rows. Its price comes from the PriceProgram kept for the
+search's CountPlan (evaluator.price_program), the one evaluate runs, in
+its order, so each objective is bit-identical to its evaluation's. The
+search compares only these priced objectives (_Best): it keeps the lowest
+with its picks and loop orders, and builds a mapping only to break an
+exact tie by digest. Once the walk ends, it builds the winner and
+evaluates it in full, which validates it: each search checks the one
+mapping it returns. A candidate is built with only its factors other than
+1, which every reader of a mapping takes as 1 when missing.
 
 The candidate space factors per dimension: each dim contributes a chain
 [t0, s1, t1, ..., s(M-1), t(M-1)] of per-level factors. One enumeration
@@ -759,8 +759,7 @@ class _Pricer:
                  tables: list[_ChainTable]):
         self.arch, self.layer, self.cfg, self.tables = arch, layer, cfg, tables
         self.plan = count_plan(arch, cfg.keep_overrides)
-        self.program = price_program(arch, self.plan.level_keys,
-                                     self.plan.conversion_keys)
+        self.program = price_program(arch, self.plan)
         bounds = effective_bounds(layer, cfg.batch_size)
         self.bounds = [bounds[d] for d in DIMS]
         self.by_spatial: dict[tuple, tuple[tuple[int, ...], list[int]]] = {}

@@ -6,7 +6,8 @@ the loop indices that address them change, spatial sharing is measured by
 enumerating instance coordinates and collapsing the components a mesh may
 merge, refetch of partial outputs is detected with seen-before key sets,
 and in-bounds MACs are counted coordinate by coordinate. It reads only
-spec_model, never reuse: it pairs each tensor's keeper levels into hops
+spec_model, never reuse: it pairs each tensor's keeper levels (read,
+with its level counters, from validation_plan's keep table) into hops
 itself, and no counting shortcut is reused; the two must agree exactly.
 """
 
@@ -32,7 +33,6 @@ from .spec_model import (
     LevelCounts,
     Mapping,
     effective_bounds,
-    effective_keeps,
     tile_values,
     validate_mapping,
     validation_plan,
@@ -159,8 +159,8 @@ def simulate(arch: Architecture, layer: Layer, mapping: Mapping,
     # moves. A hop fires exactly when its inner end's coordinates change,
     # which happens iff the advanced loop is at or outside the innermost
     # loop addressing that tile.
-    chains = validation_plan(arch, mapping.keep_overrides,
-                             mapping.keep_key).chains
+    plan = validation_plan(arch, mapping.keep_overrides, mapping.keep_key)
+    chains = plan.chains
     wi_hops = []                    # (hop, monitor index or None for compute)
     wi_pos = []
     wi_events = []
@@ -248,11 +248,9 @@ def simulate(arch: Architecture, layer: Layer, mapping: Mapping,
     # ------------------------------------------------------------------
     # Assembly from observed event counts.
     # ------------------------------------------------------------------
-    counts = AccessCounts(macs=macs, real_macs=real)
-    for i in range(compute):
-        for t in TENSORS:
-            if t in effective_keeps(arch, mapping.keep_overrides, i):
-                counts.per_level[(i, t)] = LevelCounts()
+    counts = AccessCounts(macs=macs, real_macs=real, per_level={
+        (i, t): LevelCounts() for i, keeps, _, _ in plan.capacity
+        for t in TENSORS if t in keeps})
     for cv in arch.converters:
         for t in cv.tensors:
             counts.conversions[(cv.name, t)] = 0

@@ -34,21 +34,21 @@ mapping it returns.
 What counting reads that depends only on the architecture and the keep
 overrides is planned once per (architecture, override set) as a
 CountPlan, kept on the architecture (count_plan): the AccessCounts keys,
-each hop between consecutive keepers of a chain (validation_plan)
-as a leg, the output stream, and per edge crossed the converter and the
-spatial dims its mesh merges (spec_model.merge_dims), all as slots of
-flat lists. The counting itself is one arithmetic core, tally: from the
-tile footprints, instances and loops of a nest and the merge widths at
-each edge (one suffix product per leg over the spatial factors,
-CountPlan.merge_widths, which reuse_factors reads too) it fills a Tally,
-flat lists in the plan's layout. How often each level's tiles change, and
-how many distinct Outputs tiles it holds, come from one forward sweep
-over the loops (residencies), as the loops at or above a level are a
-prefix of them. count validates a mapping, which gives the footprints,
-and reads the rest from mapping.nest; analyze packs its tally into
-AccessCounts (pack), and evaluator.evaluate prices the tally as it
-stands, then packs it once for its result. The mapper's search reads
-them from its picked chains and prices the tally as it stands. The
+each hop between consecutive keepers of a chain as a leg, both read from
+validation_plan's keep table, the output stream, and per edge crossed the
+converter and the spatial dims its mesh merges (spec_model.merge_dims),
+all as slots of flat lists. The counting itself is one arithmetic core,
+tally: from the tile footprints, instances and loops of a nest and the
+merge widths at each edge (one suffix product per leg over the spatial
+factors, CountPlan.merge_widths, which reuse_factors reads too) it fills
+a Tally, flat lists in the plan's layout. How often each level's tiles
+change, and how many distinct Outputs tiles it holds, come from one
+forward sweep over the loops (residencies), as the loops at or above a
+level are a prefix of them. count validates a mapping, which gives the
+footprints, and reads the rest from mapping.nest; analyze packs its
+tally into AccessCounts (pack), and evaluator.evaluate prices the tally
+as it stands, then packs it once for its result. The mapper's search
+reads them from its picked chains and prices the tally as it stands. The
 oracle shares nothing with this module: not the legs, the plan or the
 core. The count containers (AccessCounts, LevelCounts) are spec_model's,
 as every engine returns them.
@@ -77,7 +77,6 @@ from .spec_model import (
     LevelCounts,
     Mapping,
     effective_bounds,
-    effective_keeps,
     merge_dims,
     override_key,
     validate_mapping,
@@ -179,25 +178,28 @@ class Leg:
     conversions_at: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CountPlan:
     """Everything counting reads that depends only on the architecture and
-    a mapping's keep overrides, built once per pair (count_plan).
+    a mapping's keep overrides, built once per pair (count_plan) and
+    compared by identity, as its price program is kept per plan
+    (evaluator.price_program).
 
     level_keys and conversion_keys are the (level, tensor) and (converter
     name, tensor) keys of AccessCounts, in their order, and lay out a
-    Tally. edges holds every (edge, tensor, direction) a leg crosses, one
-    edge slot each, in leg order. operands holds the
-    Weights and Inputs legs down their keeper chains; stream the Outputs
-    leg up from compute to the accumulation level; drains, innermost hop
-    first, each Outputs hop's ascending leg and its descending (refetch)
-    leg. A leg's inner level names the tile size its hop counts. leg_at
-    maps each edge key to (leg, position). tiled holds, per level whose
-    tiles counting reads, the tensors whose footprints it reads there: the
-    keys tally looks up. merging holds, per leg with a crossing whose mesh
-    merges, its crossings innermost first as (edge slot, level, merged
-    dims), and merged the levels of those crossings, whose spatial factors
-    merge_widths reads.
+    Tally; level_keys follows the keep table (ValidationPlan.capacity),
+    each level's tensors in TENSORS order. edges holds every (edge, tensor,
+    direction) a leg crosses, one edge slot each, in leg order. operands
+    holds the Weights and Inputs legs down their keeper chains; stream the
+    Outputs leg up from compute to the accumulation level; drains,
+    innermost hop first, each Outputs hop's ascending leg and its
+    descending (refetch) leg. A leg's inner level names the tile size its
+    hop counts. leg_at maps each edge key to (leg, position). tiled holds,
+    per level whose tiles counting reads, the tensors whose footprints it
+    reads there: the keys tally looks up. merging holds, per leg with a
+    crossing whose mesh merges, its crossings innermost first as (edge
+    slot, level, merged dims), and merged the levels of those crossings,
+    whose spatial factors merge_widths reads.
     """
 
     compute: int
@@ -216,13 +218,14 @@ class CountPlan:
     def of(cls, arch: Architecture,
            keep_overrides: dict[int, tuple[str, ...]]) -> CountPlan:
         compute = len(arch.levels) - 1
-        level_keys = tuple((i, t) for i in range(compute) for t in TENSORS
-                           if t in effective_keeps(arch, keep_overrides, i))
+        keeps = validation_plan(arch, keep_overrides)
+        level_keys = tuple((i, t) for i, kept, _, _ in keeps.capacity
+                           for t in TENSORS if t in kept)
         conversion_keys = tuple((cv.name, t) for cv in arch.converters
                                 for t in cv.tensors)
         level_at = {key: 4 * i for i, key in enumerate(level_keys)}
         conversion_at = {key: i for i, key in enumerate(conversion_keys)}
-        chains = validation_plan(arch, keep_overrides).chains
+        chains = keeps.chains
         legs: list[Leg] = []
 
         def leg(tensor: str, outer: int, inner: int, direction: str) -> Leg:

@@ -17,16 +17,17 @@ engines, the evaluator and the mapper build on, so that "what a tile is"
 has exactly one definition: a mapping's LoopNest (padded bounds, per-level
 tile bounds, spatial copies, instance counts and step count, built in one
 pass that also checks every factor, and cached as Mapping.nest), the tile
-footprint (tile_values), the capacity demand (kept_bits), the keeper
-chains (keeper_levels, held per keep-override set by validation_plan),
-the spatial dims a mesh merges (merge_dims) and the spatial pins a level's
-stencil puts on a search (stencil_pins). It owns the count containers
-every counting engine returns (AccessCounts, LevelCounts) too. Tables
-derived from an architecture, and the mapper's search results, are kept on
-the instance (Architecture.derived). So has a valid mapping:
-validate_mapping, the refetch rule (refetch_forbidden) included, so the
-counting engines never reject a mapping it accepted. What it reads from the architecture and the
-keep overrides is planned once per override set (validation_plan).
+footprint (tile_values), the capacity demand (kept_bits), what each
+storage level keeps under a keep-override set and the keeper chains read
+from that keep table (validation_plan), the spatial dims a mesh merges
+(merge_dims) and the spatial pins a level's stencil puts on a search
+(stencil_pins). It owns the count containers every counting engine
+returns (AccessCounts, LevelCounts) too. Tables derived from an
+architecture, and the mapper's search results, are kept on the instance
+(Architecture.derived). So has a valid mapping: validate_mapping, the
+refetch rule (ValidationPlan.forbidden) included, so the counting engines
+never reject a mapping it accepted. What it reads from the architecture
+and the keep overrides is planned once per override set (validation_plan).
 
 Documents are read through field tables (table): each object's fields,
 their types and defaults, and the error a wrong one gets. They are the one
@@ -108,7 +109,7 @@ class MappingError(Exception):
     """A mapping is invalid for a given architecture and layer.
 
     kind is one of: FactorMismatch, FanoutExceeded, CapacityExceeded,
-    ConverterMissing (the refetch rule, see refetch_forbidden).
+    ConverterMissing (the refetch rule, see ValidationPlan.forbidden).
     """
 
     def __init__(self, kind: str, message: str, *, dim: str | None = None,
@@ -561,42 +562,6 @@ def override_key(keep_overrides: dict[int, tuple[str, ...]]) -> tuple:
     return tuple(sorted((i, tuple(ov)) for i, ov in keep_overrides.items()))
 
 
-def effective_keeps(arch: Architecture, keep_overrides: dict[int, tuple[str, ...]],
-                    level: int) -> tuple[str, ...]:
-    """Tensors a level holds once a mapping's (or a search's) keep
-    overrides apply."""
-
-    if level in keep_overrides:
-        return keep_overrides[level]
-    return arch.levels[level].keeps
-
-
-def keeper_levels(arch: Architecture, keep_overrides: dict[int, tuple[str, ...]],
-                  tensor: str) -> tuple[int, ...]:
-    """Storage levels holding the tensor, outermost first. Validation
-    guarantees at least one keeper per tensor."""
-
-    return tuple(i for i in range(len(arch.levels) - 1)
-                 if tensor in effective_keeps(arch, keep_overrides, i))
-
-
-def refetch_forbidden(arch: Architecture,
-                      chains: MappingProxyType[str, tuple[int, ...]]
-                      ) -> tuple[tuple[int, str, int], ...]:
-    """Keepers whose tile may never be refetched, as (keeper, tensor, edge):
-    the refill from the next keeper out (`chains` holds each tensor's
-    keeper_levels) crosses a domain at `edge` with no descending converter."""
-
-    out = []
-    for t in TENSORS:
-        for a, b in zip(chains[t], chains[t][1:]):
-            for k in range(a + 1, b + 1):
-                if arch.crosses(k) and (k, t, DOWN) not in arch.edge_converters:
-                    out.append((b, t, k))
-                    break
-    return tuple(out)
-
-
 def merge_dims(arch: Architecture, inner: int, tensor: str,
                direction: str) -> tuple[str, ...]:
     """Spatial dims whose copies at level `inner` share one transmission
@@ -799,14 +764,17 @@ def validate_layer(layer: Layer, path: str = "workload") -> None:
 
 class ValidationPlan(NamedTuple):
     """What validate_mapping reads that depends only on the architecture
-    and a mapping's keep overrides, built once per pair (validation_plan):
-    each tensor's keeper chain (keeper_levels) and the refetch_forbidden
-    keepers of those chains, the one kept copy of both; per tensor whose
-    outermost keeper is not the backing store, (tensor, that origin level,
-    the tensor's dims in DIMS order); and per storage level that keeps a
-    tensor, (level, the tensors it keeps, each named once, its capacity in
-    bits, its name). Its readers outside validation (the search's tables,
-    the count plan, the oracle) run only once validation has passed."""
+    and a mapping's keep overrides, built once per pair (validation_plan).
+    capacity is the keep table: per storage level that keeps a tensor once
+    the overrides apply, (level, the tensors it keeps, each named once, its
+    capacity in bits, its name). The rest derives from it: each tensor's
+    keeper chain, the levels whose rows keep it, outermost first; the
+    keepers whose tile may never be refetched, as (keeper, tensor, edge),
+    where the refill from the next keeper out crosses a domain at edge with
+    no descending converter; and per tensor whose outermost keeper is not
+    the backing store, (tensor, that origin level, the tensor's dims in
+    DIMS order). Its readers outside validation (the search's tables, the
+    count plan, the oracle) run only once validation has passed."""
 
     chains: MappingProxyType[str, tuple[int, ...]]
     forbidden: tuple[tuple[int, str, int], ...]
@@ -837,24 +805,31 @@ def validation_plan(arch: Architecture,
                                    f"keep override at {arch.levels[i].name!r} "
                                    "adds tensors the level does not hold",
                                    level=arch.levels[i].name)
-        chains = MappingProxyType({t: keeper_levels(arch, keep_overrides, t)
+        capacity = tuple(
+            (i, tuple(dict.fromkeys(keep_overrides.get(i, lv.keeps))),
+             lv.component.capacity_bits, lv.name)
+            for i, lv in enumerate(arch.levels[:-1])
+            if keep_overrides.get(i, lv.keeps))
+        chains = MappingProxyType({t: tuple(i for i, keeps, _, _ in capacity
+                                            if t in keeps)
                                    for t in TENSORS})
+        forbidden = []
         for t in TENSORS:
             if not chains[t]:
                 raise MappingError("FactorMismatch",
                                    f"no level keeps tensor {t}", tensor=t)
-        capacity = []
-        for i, lv in enumerate(arch.levels[:-1]):
-            keeps = effective_keeps(arch, keep_overrides, i)
-            if keeps:
-                capacity.append((i, tuple(dict.fromkeys(keeps)),
-                                 lv.component.capacity_bits, lv.name))
+            for a, b in zip(chains[t], chains[t][1:]):
+                for k in range(a + 1, b + 1):
+                    if (arch.crosses(k)
+                            and (k, t, DOWN) not in arch.edge_converters):
+                        forbidden.append((b, t, k))
+                        break
         return ValidationPlan(
-            chains, refetch_forbidden(arch, chains),
+            chains, tuple(forbidden),
             origins=tuple((t, chains[t][0],
                            tuple(d for d in DIMS if d in TENSOR_DIMS[t]))
                           for t in TENSORS if chains[t][0] > 0),
-            capacity=tuple(capacity))
+            capacity=capacity)
 
     if key is None:
         key = override_key(keep_overrides)
@@ -870,8 +845,8 @@ def validate_mapping(mapping: Mapping, layer: Layer, arch: Architecture
     coverage per dim (exact in strict mode, >= bound in pad mode);
     per-level fanout budgets; the keep overrides (validation_plan); that
     no tensor's dims factor outside its origin keeper; storage capacity
-    against kept-tile footprints; and, last, that no refetch_forbidden
-    keeper's tile is evicted and brought back.
+    against kept-tile footprints; and, last, that no refetch-forbidden
+    keeper's tile (ValidationPlan.forbidden) is evicted and brought back.
 
     Returns the footprints the capacity check computed: the tile_values
     of each (level, tensor) of the plan's capacity rows, the backing
@@ -1250,9 +1225,12 @@ def parse_architecture(doc: dict, library: dict[str, ComponentSpec]) -> Architec
                             f"{a!r} and {b!r} are not adjacent outer->inner")
         return by_name[b]
 
-    meshes = [Mesh() for _ in range(len(levels) - 1)]
+    meshes: list[Mesh | None] = [None] * (len(levels) - 1)
     for j, md in enumerate(doc["meshes"]):
         e = edge_of(md["between"], f"{path}.meshes[{j}]")
+        if meshes[e - 1] is not None:
+            raise SpecError("MalformedDocument", f"{path}.meshes[{j}]",
+                            f"a second mesh into {levels[e].name!r}")
         meshes[e - 1] = Mesh(md["may_multicast"], md["may_reduce"])
 
     converters = []
@@ -1274,8 +1252,13 @@ def parse_architecture(doc: dict, library: dict[str, ComponentSpec]) -> Architec
         use = _resolve_component(ed, library, f"{path}.extras[{j}]")
         name = use["component"].name if ed["name"] is None else ed["name"]
         extras.append(Extra(name, instances=ed["instances"], **use))
+    enames = [x.name for x in extras]
+    if len(set(enames)) != len(enames):
+        raise SpecError("MalformedDocument", f"{path}.extras",
+                        "duplicate extra names")
 
-    arch = Architecture(doc["name"], doc["clock_ghz"], levels, tuple(meshes),
+    arch = Architecture(doc["name"], doc["clock_ghz"], levels,
+                        tuple(m or Mesh() for m in meshes),
                         tuple(converters), tuple(extras))
     validate_architecture(arch)
     return arch
@@ -1319,9 +1302,14 @@ def parse_spec(doc: dict) -> Spec:
             raise SpecError("UnknownComponent", "$.use_builtin_components",
                             f"unknown profile {profile!r}")
         spec.library.update(_components.builtin_components(profile))
+    own: dict[str, ComponentSpec] = {}
     for i, cd in enumerate(f["components"]):
         comp = parse_component(cd, f"$.components[{i}]")
-        spec.library[comp.name] = comp
+        if comp.name in own:
+            raise SpecError("MalformedDocument", f"$.components[{i}]",
+                            f"duplicate component {comp.name!r}")
+        own[comp.name] = comp
+    spec.library.update(own)
     if f["architecture"] is not None:
         spec.architecture = parse_architecture(f["architecture"], spec.library)
     if f["workload"] is not None:
@@ -1329,11 +1317,31 @@ def parse_spec(doc: dict) -> Spec:
     return spec
 
 
+def read_json(text: str, path: str):
+    """The JSON value of `text`, read from the file at `path`. Invalid JSON
+    and a key repeated within one object, which JSON would let the last
+    value win silently, raise MalformedDocument naming the file."""
+
+    def unique(pairs: list) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            keys = [k for k, _ in pairs]
+            key = next(k for k in keys if keys.count(k) > 1)
+            raise SpecError("MalformedDocument", path, f"repeated key {key!r}")
+        return obj
+
+    try:
+        return json.loads(text, object_pairs_hook=unique)
+    except json.JSONDecodeError as e:
+        raise SpecError("MalformedDocument", path,
+                        f"invalid JSON: {e}") from None
+
+
 def load_document(path: str) -> dict:
     """Load a JSON spec file, resolving its include list (paths relative to
     the including file). Included components merge; duplicate names or
     duplicate architecture/workload sections are rejected. An error in a
-    file's include or component list names the file."""
+    file's JSON (read_json), include or component list names the file."""
 
     import os
 
@@ -1343,11 +1351,10 @@ def load_document(path: str) -> dict:
             raise SpecError("MalformedDocument", p, "circular include")
         try:
             with open(p) as f:
-                doc = OBJECT.read(json.load(f), p)
+                text = f.read()
         except OSError as e:
             raise SpecError("MalformedDocument", p, f"cannot read file: {e}") from None
-        except json.JSONDecodeError as e:
-            raise SpecError("MalformedDocument", p, f"invalid JSON: {e}") from None
+        doc = OBJECT.read(read_json(text, p), p)
         incs = _STRS.read(doc.pop("include", ()), f"{p}:$.include")
         _OBJECTS.read(doc.get("components", ()), f"{p}:$.components")
         merged: dict = {}

@@ -11,7 +11,6 @@ to a file and loaded by path is the architecture it was written from.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from . import albireo
@@ -25,6 +24,7 @@ from .spec_model import (
     check_spec_version,
     load_document,
     parse_spec,
+    read_json,
 )
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -80,7 +80,8 @@ def load_reference_breakdown(path: str | Path | None = None
     that they have fractions to calibrate against."""
 
     path = Path(path or reference_breakdown_path())
-    f = REFERENCE_BREAKDOWN.read(json.loads(path.read_text()), f"{path}:$")
+    f = REFERENCE_BREAKDOWN.read(read_json(path.read_text(), str(path)),
+                                 f"{path}:$")
     if f["spec_version"] is not None:
         check_spec_version(f["spec_version"], f"{path}:$.spec_version")
     breakdown, where = f["breakdown"], f"{path}:$.breakdown"

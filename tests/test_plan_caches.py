@@ -1,7 +1,7 @@
 """The validation plan, the count plan, the price program, the area, the
 search's loop-order table and its chain tables are kept on the
 architecture instance (per keep-override set for the plans and the order
-table, per layout of counts for the program, per menu key for the chain
+table, per count plan for the program, per menu key for the chain
 tables). An edited copy, or another override set, must never be
 validated, counted, priced or searched through tables built for another:
 every result must equal one computed on a freshly built architecture."""
@@ -107,15 +107,19 @@ def test_an_edited_copy_never_reads_the_originals_tables(edit):
     counts = evaluate(b, LAYER, mapping).counts
     assert (reuse_factors(counts, b, mapping)
             == reuse_factors(counts, _fresh(b), mapping))
-    layout = (tuple(counts.per_level), tuple(counts.conversions))
-    assert price_program(a, *layout) is price_program(a, *layout)
-    assert price_program(b, *layout) is not price_program(a, *layout)
-    # evaluate looks its program up by its count plan's layout: the same
-    # object.
-    for arch in (a, b):
-        plan = count_plan(arch, mapping.keep_overrides)
-        assert (price_program(arch, plan.level_keys, plan.conversion_keys)
-                is price_program(arch, *layout))
+    # One program is kept per count plan, and each architecture keeps its
+    # own plan and program: the layouts are equal, the objects are not.
+    plan_a = count_plan(a, mapping.keep_overrides)
+    plan_b = count_plan(b, mapping.keep_overrides)
+    assert plan_b is not plan_a
+    assert plan_b.level_keys == plan_a.level_keys == tuple(counts.per_level)
+    assert price_program(a, plan_a) is price_program(a, plan_a)
+    assert price_program(b, plan_b) is price_program(b, plan_b)
+    assert price_program(b, plan_b) is not price_program(a, plan_a)
+    # The edited copy's program prices as a fresh architecture's does.
+    fresh = _fresh(b)
+    assert (price_program(b, plan_b)
+            == price_program(fresh, count_plan(fresh, mapping.keep_overrides)))
 
 
 @pytest.mark.parametrize("edit, moves", [

@@ -570,6 +570,18 @@ DOCUMENT_ERRORS = {
     "converter-names-repeat": (
         _set(lambda d: d["architecture"]["converters"][1], "name", "dn"),
         "MalformedDocument", "architecture.converters"),
+    # The later entry silently replaced the earlier one.
+    "component-names-repeat": (
+        lambda d: d["components"].append(dict(_component(d))),
+        "MalformedDocument", "$.components[4]"),
+    "mesh-repeats": (
+        lambda d: d["architecture"]["meshes"].append(
+            {"between": ["store", "pe"]}),
+        "MalformedDocument", "architecture.meshes[1]"),
+    "extra-names-repeat": (
+        lambda d: d["architecture"]["extras"].append(
+            {"name": "laser", "component": "sram"}),
+        "MalformedDocument", "architecture.extras"),
     "layers-empty": (_set(lambda d: d["workload"], "layers", []),
                      "MalformedDocument", "workload.layers"),
     "layer-names-repeat": (_repeat_the_layer, "MalformedDocument",
@@ -621,6 +633,33 @@ def test_document_error_names_its_kind_and_path(case):
     with pytest.raises(SpecError) as e:
         parse_spec(doc)
     assert (e.value.kind, e.value.path) == (kind, path)
+
+
+def test_a_component_may_shadow_a_builtin_part():
+    doc = minimal_doc()
+    doc["use_builtin_components"] = "aggressive"
+    doc["components"][0]["name"] = "global_buffer_sram"
+    doc["architecture"]["levels"][0]["component"] = "global_buffer_sram"
+    store = parse_spec(doc).architecture.levels[0].component
+    assert store.energy("read") == 1.0
+    assert store != builtin_components()["global_buffer_sram"]
+
+
+def test_a_repeated_json_key_names_the_file_and_key(tmp_path, capsys):
+    # JSON lets the last value win: the layer read K=8.
+    spec = tmp_path / "twice.spec"
+    spec.write_text(json.dumps(full_doc()).replace('"K": 2', '"K": 4, "K": 8'))
+    ref = tmp_path / "twice.breakdown"
+    ref.write_text('{"breakdown": {"adc": 1.0, "dac": 2.0, "adc": 3.0}}')
+    for load, path, key in ((load_document, spec, "K"),
+                            (load_reference_breakdown, ref, "adc")):
+        with pytest.raises(SpecError) as e:
+            load(str(path))
+        assert (e.value.kind, e.value.path) == ("MalformedDocument",
+                                                str(path))
+        assert f"repeated key {key!r}" in str(e.value)
+    assert cli.main(["spec", str(spec)]) == 2
+    assert "repeated key 'K'" in capsys.readouterr().err
 
 
 def test_architecture_needs_one_mesh_per_edge():
