@@ -676,6 +676,18 @@ def _converter_direction(arch_levels: tuple[Level, ...], cv: Converter) -> str:
         f"do not match edge domains {outer}/{inner}")
 
 
+def _check_tensors(tensors: tuple[str, ...], path: str) -> None:
+    """Each of a level's kept or a converter's carried tensors is known
+    and named once."""
+
+    bad = set(tensors) - set(TENSORS)
+    if bad:
+        raise SpecError("MalformedDocument", path, f"unknown tensors {sorted(bad)}")
+    for i, t in enumerate(tensors):
+        if t in tensors[:i]:
+            raise SpecError("MalformedDocument", path, f"tensor {t!r} repeats")
+
+
 def validate_architecture(arch: Architecture) -> None:
     path = f"architecture[{arch.name}]"
     if len(arch.levels) < 2:
@@ -695,9 +707,7 @@ def validate_architecture(arch: Architecture) -> None:
             raise SpecError("BadBound", lpath, "fanout must be >= 1")
         if i == 0 and lv.fanout != 1:
             raise SpecError("BadBound", lpath, "outermost level has no parent fanout")
-        bad = set(lv.keeps) - set(TENSORS)
-        if bad:
-            raise SpecError("MalformedDocument", lpath, f"unknown tensors {sorted(bad)}")
+        _check_tensors(lv.keeps, lpath)
         if want == "compute" and lv.keeps:
             raise SpecError("MalformedDocument", lpath, "compute level keeps nothing")
     if set(arch.levels[0].keeps) != set(TENSORS):
@@ -716,9 +726,7 @@ def validate_architecture(arch: Architecture) -> None:
                             f"{cv.component.name!r} is not a converter component")
         if cv.instances < 1:
             raise SpecError("MalformedDocument", cpath, "instances must be >= 1")
-        bad = set(cv.tensors) - set(TENSORS)
-        if bad:
-            raise SpecError("MalformedDocument", cpath, f"unknown tensors {sorted(bad)}")
+        _check_tensors(cv.tensors, cpath)
     for ex in arch.extras:
         if ex.instances < 1:
             raise SpecError("MalformedDocument", f"{path}.extras[{ex.name}]",
@@ -1154,8 +1162,16 @@ def check_spec_version(version, path: str) -> None:
 def parse_component(doc: dict, path: str) -> ComponentSpec:
     doc = _COMPONENT.read(doc, path)
     domain = doc.pop("domain")
+    ends = ("domain_in", "domain_out")
     if domain is not None:
+        if any(doc[k] is not None for k in ends):
+            raise SpecError("MalformedDocument", path, "state domain or "
+                            "domain_in and domain_out, not both")
         doc["domain_in"] = doc["domain_out"] = domain
+    for k in ends:
+        if doc[k] is None:
+            raise SpecError("MalformedDocument", path,
+                            f"missing field 'domain' (or {k!r})")
     doc["energy_per_action"] = dict(doc["energy_per_action"])  # not the default
     comp = ComponentSpec(cls=doc.pop("class"), **doc)
     _validate_component(comp, path)
@@ -1317,10 +1333,11 @@ def parse_spec(doc: dict) -> Spec:
     return spec
 
 
-def read_json(text: str, path: str):
-    """The JSON value of `text`, read from the file at `path`. Invalid JSON
-    and a key repeated within one object, which JSON would let the last
-    value win silently, raise MalformedDocument naming the file."""
+def read_json(path: str):
+    """The JSON value of the UTF-8 file at `path`. A file that cannot be
+    read or decoded, invalid JSON, and a key repeated within one object,
+    which JSON would let the last value win silently, raise
+    MalformedDocument naming the file."""
 
     def unique(pairs: list) -> dict:
         obj = dict(pairs)
@@ -1331,6 +1348,12 @@ def read_json(text: str, path: str):
         return obj
 
     try:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise SpecError("MalformedDocument", path,
+                        f"cannot read file: {e}") from None
+    try:
         return json.loads(text, object_pairs_hook=unique)
     except json.JSONDecodeError as e:
         raise SpecError("MalformedDocument", path,
@@ -1340,8 +1363,9 @@ def read_json(text: str, path: str):
 def load_document(path: str) -> dict:
     """Load a JSON spec file, resolving its include list (paths relative to
     the including file). Included components merge; duplicate names or
-    duplicate architecture/workload sections are rejected. An error in a
-    file's JSON (read_json), include or component list names the file."""
+    duplicate architecture/workload sections are rejected. A file that
+    cannot be read, or an error in its JSON (read_json), include or
+    component list, names the file."""
 
     import os
 
@@ -1349,12 +1373,7 @@ def load_document(path: str) -> dict:
         rp = os.path.realpath(p)
         if rp in seen:
             raise SpecError("MalformedDocument", p, "circular include")
-        try:
-            with open(p) as f:
-                text = f.read()
-        except OSError as e:
-            raise SpecError("MalformedDocument", p, f"cannot read file: {e}") from None
-        doc = OBJECT.read(read_json(text, p), p)
+        doc = OBJECT.read(read_json(p), p)
         incs = _STRS.read(doc.pop("include", ()), f"{p}:$.include")
         _OBJECTS.read(doc.get("components", ()), f"{p}:$.components")
         merged: dict = {}

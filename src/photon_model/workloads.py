@@ -80,8 +80,7 @@ def load_reference_breakdown(path: str | Path | None = None
     that they have fractions to calibrate against."""
 
     path = Path(path or reference_breakdown_path())
-    f = REFERENCE_BREAKDOWN.read(read_json(path.read_text(), str(path)),
-                                 f"{path}:$")
+    f = REFERENCE_BREAKDOWN.read(read_json(str(path)), f"{path}:$")
     if f["spec_version"] is not None:
         check_spec_version(f["spec_version"], f"{path}:$.spec_version")
     breakdown, where = f["breakdown"], f"{path}:$.breakdown"

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import replace
 
@@ -24,8 +25,8 @@ from photon_model.experiments import (
 from photon_model.mapper import SearchConfig, search
 from photon_model.reuse import analyze
 from photon_model.spec_model import (
-    REDUCED_DIMS,
     WEIGHTS,
+    ComponentSpec,
     Layer,
     Mapping,
     MappingError,
@@ -525,47 +526,75 @@ def test_memory_batching_amortizes(tiny_workload):
     assert batched["latency_per_batch_ms"] > base["latency_per_batch_ms"]
 
 
-def _failing_probe(arch, layer, mapping):
+def _crossbar(tmp_path):
+    """A spec file for a 16-cell analog CiM crossbar: each 8-bit cell keeps
+    one weight (stencil K4 C4) beside an analog-electrical MAC, behind
+    DAC and ADC banks at the buffer."""
+
+    parts = (ComponentSpec("cim_cell", "storage", "AE", "AE",
+                           {"read": 0.01, "write": 0.5, "update": 0.5},
+                           capacity_bits=8),
+             ComponentSpec("analog_mac_e", "compute", "AE", "AE",
+                           {"compute": 0.01}))
+    tensors = ["Weights", "Inputs", "Outputs"]
+    doc = {"name": "crossbar", "clock_ghz": 0.1, "levels": [
+        {"name": "dram", "component": "dram", "keeps": tensors},
+        {"name": "buffer", "component": "global_buffer_sram",
+         "keeps": tensors},
+        {"name": "cells", "component": "cim_cell", "fanout": 16,
+         "keeps": ["Weights"], "stencil": {"K": 4, "C": 4}},
+        {"name": "mac", "component": "analog_mac_e"}],
+        "meshes": [{"between": ["dram", "buffer"]},
+                   {"between": ["buffer", "cells"], "may_multicast": True,
+                    "may_reduce": True},
+                   {"between": ["cells", "mac"]}],
+        "converters": [
+            {"component": "dac", "between": ["buffer", "cells"],
+             "tensors": ["Weights", "Inputs"], "instances": 8},
+            {"component": "adc", "between": ["buffer", "cells"],
+             "tensors": ["Outputs"], "instances": 4}]}
+    return _spec_file(tmp_path, "crossbar", doc, parts)
+
+
+def _rejected_rewrite(arch, layer, mapping):
     raise MappingError("ConverterMissing", "the batch loop bounces partials")
 
 
-def _unamortized_probe(arch, layer, mapping):
-    counts = analyze(arch, layer, mapping)
-    counts.per_level[(0, WEIGHTS)].reads += 1
-    return counts
+@pytest.mark.parametrize("evaluate_rewrite", [evaluate, _rejected_rewrite],
+                         ids=["weights-read-again", "rewrite-invalid"])
+def test_batched_leg_falls_back_to_the_batch_search(
+        tiny_workload, tmp_path, monkeypatch, evaluate_rewrite):
+    # The baseline leg is the unconstrained searches. The batched leg keeps
+    # a layer's batch-loop rewrite only if it is valid and reads DRAM
+    # weights once per batch; else the layer takes its batch-2 search. On
+    # the crossbar, b's rewrite reads its weights again per image and a's
+    # does not; rejecting every rewrite sends both layers to the search.
+    path = _crossbar(tmp_path)
+    cfg = ExperimentConfig(experiment="memory", arch=path,
+                           workload=tiny_workload, batch_sizes=(2,),
+                           fusion="off", budget=20, seed=7)
+    arch = _architecture(cfg)
+    layers = load_spec(tiny_workload).workload.layers
+    base = [experiments._search_layer(arch, layer, cfg, "energy")
+            for layer in layers]
+    searched = [experiments._search_layer(arch, layer, cfg, "energy",
+                                          batch_size=2).evaluation
+                for layer in layers]
+    rewritten = [evaluate(arch, layer, _insert_batch_loop(
+        r.mapping, _buffer_level(arch), 2)) for layer, r in zip(layers, base)]
+    reads = [[ev.counts.per_level[(0, WEIGHTS)].reads for ev in evs]
+             for evs in ([r.evaluation for r in base], rewritten)]
+    assert reads[0][0] == reads[1][0] and reads[0][1] != reads[1][1]
 
-
-@pytest.mark.parametrize("probe", [_failing_probe, _unamortized_probe])
-def test_memory_research_keeps_reduction_inside_the_buffer(
-        tiny_workload, monkeypatch, probe):
-    # A baseline whose batch-2 probe is rejected, or reads DRAM weights
-    # again per image, is searched again with every reduced loop kept
-    # strictly inside the buffer; the batched leg then walks weights once
-    # per batch. The probe is the study's only analyze call.
-    monkeypatch.setattr(experiments, "analyze", probe)
-    searched = experiments._search_layer
-    floored = []
-
-    def search_layer(arch, layer, cfg, objective, **kwargs):
-        result = searched(arch, layer, cfg, objective, **kwargs)
-        if kwargs.get("reduction_floor") is not None:
-            floored.append((layer.name, kwargs["reduction_floor"],
-                            result.mapping))
-        return result
-
-    monkeypatch.setattr(experiments, "_search_layer", search_layer)
-    cfg = ExperimentConfig(experiment="memory", workload=tiny_workload,
-                           batch_sizes=(2,), fusion="off", budget=60)
+    monkeypatch.setattr(experiments, "evaluate", evaluate_rewrite)
     report = run_memory_experiment(cfg)
-    buffer = _buffer_level(albireo.architecture())
-    assert [(name, floor) for name, floor, _ in floored] == [
-        ("a", buffer + 1), ("b", buffer + 1)]
-    for _, _, mapping in floored:
-        assert all(lm.t(d) == 1 for lm in mapping.levels[:buffer + 1]
-                   for d in REDUCED_DIMS)
-    legs = {r["leg"]: r for r in report["tables"]["legs"]}
-    assert legs["batched"]["dram_weight_reads_per_batch"] == \
-        legs["baseline"]["dram_weight_reads_per_batch"]
+    kept = rewritten[0] if evaluate_rewrite is evaluate else searched[0]
+    base_row, _ = experiments._leg_row(
+        "baseline", 1, [r.evaluation for r in base], None, "dram")
+    batched_row, _ = experiments._leg_row(
+        "batched", 2, [kept, searched[1]],
+        base_row["energy_per_inference_pj"], "dram")
+    assert report["tables"]["legs"] == [base_row, batched_row]
 
 
 def _raise_on(monkeypatch, when):
@@ -627,6 +656,29 @@ def test_reports_are_deterministic(tiny_workload):
         a = canonical_json(run_experiment(cfg))
         b = canonical_json(run_experiment(cfg))
         assert a == b
+
+
+# The first 16 hex characters of the sha256 of each study's default-config
+# report, in canonical JSON.
+DEFAULT_REPORT_DIGESTS = {
+    "breakdown": "81bd5cdd23b0f048",
+    "throughput": "e672f7dce895053f",
+    "memory": "a1572ccff639ecec",
+    "reuse_sweep": "243e3bc967db4c1e",
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(DEFAULT_REPORT_DIGESTS))
+def test_default_reports_do_not_move(experiment):
+    """Each study's default-config report is byte-identical to the one the
+    stored digest was taken from. A change that moves a report on purpose
+    updates the digest here and names every moved number, with its value
+    before and after, in CHANGES.md."""
+
+    report = canonical_json(run_experiment(ExperimentConfig(
+        experiment=experiment)))
+    digest = hashlib.sha256(report.encode()).hexdigest()[:16]
+    assert digest == DEFAULT_REPORT_DIGESTS[experiment]
 
 
 def test_report_schema(tiny_workload):

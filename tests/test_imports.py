@@ -8,9 +8,11 @@ import photon_model
 
 # perfbench/tracer.py rebinds these in mapper, which calls neither itself,
 # analyze in evaluator, whose evaluate counts through reuse.count, and
-# energy in experiments, whose breakdown re-weights priced energies.
+# energy and analyze in experiments, whose breakdown re-weights priced
+# energies and whose memory study checks its batch loops by evaluating them.
 REBOUND = {("mapper.py", "analyze"), ("mapper.py", "energy"),
-           ("evaluator.py", "analyze"), ("experiments.py", "energy")}
+           ("evaluator.py", "analyze"), ("experiments.py", "analyze"),
+           ("experiments.py", "energy")}
 
 # perfbench/make_reference.py reads it; the package does not.
 UNREAD = {("albireo.py", "geometry_pins")}

@@ -622,6 +622,21 @@ DOCUMENT_ERRORS = {
     "extra-instances-negative": (
         _set(lambda d: d["architecture"]["extras"][0], "instances", -3),
         "MalformedDocument", "architecture[mini].extras[laser]"),
+    # domain silently overrode the domain_in and domain_out also stated.
+    "domain-stated-twice": (_set(_component, "domain_in", "AE"),
+                            "MalformedDocument", "$.components[0]"),
+    "domain-missing": (lambda d: _component(d).pop("domain"),
+                       "MalformedDocument", "$.components[0]"),
+    # A repeated tensor loaded as written; a converter's was blamed on a
+    # second converter carrying it.
+    "keeps-tensor-repeats": (
+        _set(lambda d: d["architecture"]["levels"][0], "keeps",
+             ["Weights", "Weights", "Inputs", "Outputs"]),
+        "MalformedDocument", "architecture[mini].levels[0]"),
+    "converter-tensor-repeats": (
+        _set(lambda d: d["architecture"]["converters"][0], "tensors",
+             ["Weights", "Inputs", "Weights"]),
+        "MalformedDocument", "architecture[mini].converters[dn]"),
 }
 
 
@@ -633,6 +648,19 @@ def test_document_error_names_its_kind_and_path(case):
     with pytest.raises(SpecError) as e:
         parse_spec(doc)
     assert (e.value.kind, e.value.path) == (kind, path)
+
+
+@pytest.mark.parametrize("case, message", [
+    ("domain-stated-twice", "domain or domain_in and domain_out, not both"),
+    ("domain-missing", "missing field 'domain'"),
+    ("keeps-tensor-repeats", "tensor 'Weights' repeats"),
+    ("converter-tensor-repeats", "tensor 'Weights' repeats")])
+def test_a_domain_or_tensor_error_names_the_field(case, message):
+    edit, _, _ = DOCUMENT_ERRORS[case]
+    doc = full_doc()
+    edit(doc)
+    with pytest.raises(SpecError, match=message):
+        parse_spec(doc)
 
 
 def test_a_component_may_shadow_a_builtin_part():
@@ -660,6 +688,22 @@ def test_a_repeated_json_key_names_the_file_and_key(tmp_path, capsys):
         assert f"repeated key {key!r}" in str(e.value)
     assert cli.main(["spec", str(spec)]) == 2
     assert "repeated key 'K'" in capsys.readouterr().err
+
+
+def test_an_unreadable_file_names_itself(tmp_path, capsys):
+    # A file that was not UTF-8 raised a bare UnicodeDecodeError, and a
+    # missing reference breakdown a FileNotFoundError.
+    utf16 = tmp_path / "utf16.spec"
+    utf16.write_bytes("\ufeff{}".encode("utf-16-le"))
+    missing = tmp_path / "missing.breakdown"
+    for load in (load_document, load_reference_breakdown):
+        for path in (utf16, missing):
+            with pytest.raises(SpecError) as e:
+                load(str(path))
+            assert (e.value.kind, e.value.path) == ("MalformedDocument",
+                                                    str(path))
+    assert cli.main(["spec", str(utf16)]) == 2
+    assert f"MalformedDocument at {utf16}" in capsys.readouterr().err
 
 
 def test_architecture_needs_one_mesh_per_edge():

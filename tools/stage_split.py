@@ -29,8 +29,7 @@ an exact tie and for the winner, which alone is evaluated (`evaluate`,
 which validates and counts it through `counting`, whose `validate` is
 `validate_mapping`, then runs `pricing` on the tally). `counting`,
 `validate` and `pricing` also time the evaluations a study makes outside
-its searches (the memory study's batched leg); `validate` also times the
-study's own `analyze` calls.
+its searches (the memory study's batched leg).
 Stages nest (`limits` runs inside `map_space_build` as well as in the
 draws), so inclusive seconds do not add up. Each wrapped call costs about a
 microsecond more, which dilutes every ratio taken from these numbers.
