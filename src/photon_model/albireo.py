@@ -18,8 +18,22 @@ the staging register's capacity and bandwidth, as a refinement of its part.
 
 from __future__ import annotations
 
-from .components import builtin_components
-from .spec_model import Architecture, Layer, parse_architecture, stencil_pins
+from .components import DEFAULT_PROFILE, builtin_components
+from .spec_model import (
+    SPEC_VERSION,
+    Architecture,
+    Layer,
+    parse_architecture,
+    stencil_pins,
+)
+
+NAME = "albireo"
+
+# The sweep axes: architecture_doc's keywords, each with the (converter
+# bank, tensor) whose conversions should shrink as it widens its path.
+AXES = {"ao_per_ae_weight": ("mzm_bank", "Weights"),
+        "ao_input_fanout": ("mzm_bank", "Inputs"),
+        "ae_output_fanout": ("pd_bank", "Outputs")}
 
 STAGE_NAME = "ae_stage"
 ARRAY_NAME = "ao_array"
@@ -88,16 +102,22 @@ def architecture_doc(ao_per_ae_weight: int = 1, ao_input_fanout: int = 1,
     }
 
 
-def architecture(profile="aggressive", ao_per_ae_weight: int = 1,
-                 ao_input_fanout: int = 1,
-                 ae_output_fanout: int = 1) -> Architecture:
-    return parse_architecture(
-        architecture_doc(ao_per_ae_weight, ao_input_fanout, ae_output_fanout),
-        builtin_components(profile))
+def spec_doc() -> dict:
+    """The bundled spec document that NAME loads."""
+
+    return {"spec_version": SPEC_VERSION,
+            "use_builtin_components": DEFAULT_PROFILE,
+            "architecture": architecture_doc()}
+
+
+def architecture(profile=DEFAULT_PROFILE, *axes: int,
+                 **named: int) -> Architecture:
+    return parse_architecture(architecture_doc(*axes, **named),
+                              builtin_components(profile))
 
 
 def geometry_pins(layer: Layer, *axes: int) -> dict[tuple[int, str], int]:
     """The stencil pins of `layer` on the bundled geometry at `axes`, for
     callers that hold no architecture (perfbench/make_reference.py)."""
 
-    return stencil_pins(layer, architecture("aggressive", *axes))
+    return stencil_pins(layer, architecture(DEFAULT_PROFILE, *axes))

@@ -268,9 +268,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("experiment", help="run a bundled experiment")
     sp.add_argument("--config", help="experiment config document")
     sp.add_argument("--experiment", choices=EXPERIMENTS)
-    sp.add_argument("--arch", help="architecture spec name or path")
+    sp.add_argument("--arch", help="architecture spec name or path "
+                    "(default: albireo, the only one reuse_sweep sweeps)")
     sp.add_argument("--workload", help="workload spec name or path")
-    sp.add_argument("--profile", choices=PROFILES)
+    sp.add_argument("--profile", choices=PROFILES,
+                    help="the builtin library of every document that uses "
+                         "one (default: aggressive)")
     sp.add_argument("--budget", type=int)
     sp.add_argument("--seed", type=int)
     sp.add_argument("--output-dir", dest="output_dir",

@@ -61,6 +61,7 @@ CONSERVATIVE = ScalingProfile(
 )
 
 PROFILES = {p.name: p for p in (AGGRESSIVE, CONSERVATIVE)}
+DEFAULT_PROFILE = AGGRESSIVE.name
 
 
 def _base_components() -> list[ComponentSpec]:
@@ -113,7 +114,7 @@ def _base_components() -> list[ComponentSpec]:
     ]
 
 
-def builtin_components(profile: str = "aggressive"
+def builtin_components(profile: str = DEFAULT_PROFILE
                        ) -> dict[str, ComponentSpec]:
     """The bundled library under one scaling profile, keyed by name."""
 

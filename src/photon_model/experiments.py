@@ -11,9 +11,9 @@ from dataclasses import asdict, dataclass, replace
 
 from . import albireo
 from .components import (
+    DEFAULT_PROFILE,
     PROFILES,
     breakdown_error,
-    builtin_components,
     calibration_factors,
 )
 
@@ -31,6 +31,7 @@ from .spec_model import (
     Layer,
     Mapping,
     MappingError,
+    Spec,
     SpecError,
     Workload,
     dataclass_table,
@@ -39,16 +40,9 @@ from .spec_model import (
     serialize_architecture,
     stencil_pins,
 )
-from .workloads import (
-    BUNDLED_ARCHITECTURE,
-    load_architecture,
-    load_reference_breakdown,
-    load_spec,
-    load_workload,
-)
+from .workloads import load_reference_breakdown, load_spec, load_workload
 
 EXPERIMENTS = ("breakdown", "throughput", "memory", "reuse_sweep")
-SWEEP_AXES = ("ao_per_ae_weight", "ao_input_fanout", "ae_output_fanout")
 
 SCHEMA_VERSION = 1
 
@@ -65,7 +59,7 @@ class ExperimentConfig:
     experiment: str
     arch: str | None = None
     workload: str | None = None
-    profile: str = "aggressive"
+    profile: str = DEFAULT_PROFILE
     batch_sizes: tuple[int, ...] = (16,)
     fusion: str = "on"
     fusion_buffer: str = "fixed"
@@ -100,20 +94,14 @@ class ExperimentConfig:
         if self.fusion_buffer not in ("fixed", "auto"):
             raise SpecError("MalformedDocument", "experiment.fusion_buffer",
                             "fusion_buffer must be fixed or auto")
-        if self.sweep_axis not in SWEEP_AXES:
+        if self.sweep_axis not in albireo.AXES:
             raise SpecError("MalformedDocument", "experiment.sweep_axis",
                             f"unknown sweep axis {self.sweep_axis!r}")
         if self.experiment == "reuse_sweep" and self.arch not in (
-                None, BUNDLED_ARCHITECTURE):
+                None, albireo.NAME):
             raise SpecError("MalformedDocument", "experiment.arch",
                             "reuse_sweep varies the bundled geometry; it "
                             f"cannot sweep {self.arch!r}")
-        if (self.arch not in (None, BUNDLED_ARCHITECTURE)
-                and self.profile != "aggressive"):
-            raise SpecError("MalformedDocument", "experiment.profile",
-                            f"{self.arch!r} names its own component "
-                            "library; a profile applies only to the "
-                            f"bundled {BUNDLED_ARCHITECTURE!r}")
         if self.experiment == "reuse_sweep" and not self.sweep_values:
             raise SpecError("MalformedDocument", "experiment.sweep_values",
                             "reuse_sweep needs at least one sweep value")
@@ -152,23 +140,15 @@ def accelerator_scope(energies: dict[str, float],
     return {k: v for k, v in energies.items() if k != store}
 
 
-def _architecture(cfg: ExperimentConfig,
-                  axes: tuple[int, int, int] = (1, 1, 1)) -> Architecture:
-    if cfg.arch not in (None, BUNDLED_ARCHITECTURE):
-        return load_architecture(cfg.arch)
-    return albireo.architecture(cfg.profile, *axes)
+def _spec(cfg: ExperimentConfig) -> Spec:
+    """The configured architecture and its parts, unrefined, under the
+    configured profile."""
+
+    return load_spec(cfg.arch or albireo.NAME, cfg.profile, "architecture")
 
 
-def _library(cfg: ExperimentConfig) -> dict:
-    """The parts the configured architecture's entries name, unrefined."""
-
-    if cfg.arch not in (None, BUNDLED_ARCHITECTURE):
-        return load_spec(cfg.arch).library
-    return builtin_components(cfg.profile)
-
-
-def _workload(cfg: ExperimentConfig, default: str) -> Workload:
-    return load_workload(cfg.workload or default)
+def _workload(cfg: ExperimentConfig) -> Workload:
+    return load_workload(cfg.workload or "vgg16")
 
 
 def _search_layer(arch: Architecture, layer: Layer, cfg: ExperimentConfig,
@@ -214,14 +194,14 @@ def run_breakdown(cfg: ExperimentConfig) -> dict:
     energy is linear in its action energies and static power, so scaling
     them by its factor scales the searches' energies by it."""
 
-    arch = _architecture(cfg)
+    arch = _spec(cfg).architecture
     reference = load_reference_breakdown()
     ref_total = sum(reference.values())
     fractions = {c: v / ref_total for c, v in reference.items()}
 
     contributions = accelerator_scope(_sum_energy(
         [_search_layer(arch, layer, cfg, "energy").evaluation.energy_pj
-         for layer in _workload(cfg, "vgg16").layers]), arch)
+         for layer in _workload(cfg).layers]), arch)
     factors = calibration_factors(fractions, contributions)
     modeled = {c: v * factors.get(c, 1.0) for c, v in contributions.items()}
 
@@ -264,7 +244,7 @@ def run_throughput(cfg: ExperimentConfig) -> dict:
     (unpadded) MACs by the stall-aware cycle count of the searched
     delay-optimal mappings."""
 
-    arch = _architecture(cfg)
+    arch = _spec(cfg).architecture
     peak = peak_spatial_macs(arch)
     clock_hz = arch.clock_ghz * 1e9
     names = [cfg.workload] if cfg.workload else ["vgg16", "alexnet"]
@@ -347,10 +327,11 @@ def _buffer_level(arch: Architecture) -> int:
 
 
 def _resized_buffer_arch(cfg: ExperimentConfig, required_bits: int,
-                         base_arch: Architecture) -> Architecture:
-    """`base_arch`, its buffer's entry refined to `required_bits` and access
-    energy scaled by (new/old)^exponent, read against _library's parts."""
+                         spec: Spec) -> Architecture:
+    """`spec`'s architecture, its buffer's entry refined to `required_bits`
+    and access energy scaled by (new/old)^exponent, read against its parts."""
 
+    base_arch = spec.architecture
     level = _buffer_level(base_arch)
     doc = serialize_architecture(base_arch)
     entry = doc["levels"][level]
@@ -358,7 +339,7 @@ def _resized_buffer_arch(cfg: ExperimentConfig, required_bits: int,
               ** cfg.buffer_energy_exponent)
     entry.update(capacity_bits=required_bits,
                  energy_scale=entry.get("energy_scale", 1.0) * factor)
-    return parse_architecture(doc, _library(cfg))
+    return parse_architecture(doc, spec.library)
 
 
 def _leg_row(leg: str, b: int, per_layer: list, baseline_total: float | None,
@@ -399,9 +380,9 @@ def run_memory_experiment(cfg: ExperimentConfig) -> dict:
     with the intermediate kept on chip, and every attempted pair is
     reported, with the reason for one that is not fused."""
 
-    arch = _architecture(cfg)
-    workload = _workload(cfg, "vgg16")
-    layers = list(workload.layers)
+    spec = _spec(cfg)
+    arch = spec.architecture
+    layers = list(_workload(cfg).layers)
     buffer_level = _buffer_level(arch)
     capacity = arch.levels[buffer_level].component.capacity_bits
 
@@ -473,7 +454,7 @@ def run_memory_experiment(cfg: ExperimentConfig) -> dict:
                     row["reason"] = "exceeds_capacity"
                     i += 1
                     continue
-                pair_arch = _resized_buffer_arch(cfg, required, arch)
+                pair_arch = _resized_buffer_arch(cfg, required, spec)
                 row["capacity_bits"] = required
             try:
                 rp = _search_layer(pair_arch, producer, cfg, "energy",
@@ -521,34 +502,16 @@ def run_memory_experiment(cfg: ExperimentConfig) -> dict:
 # Reuse sweep
 # ----------------------------------------------------------------------------
 
-# Each axis widens one spatial reuse path, so one conversion stream should
-# shrink as it grows.
-AXIS_TARGETS = {
-    "ao_per_ae_weight": ("mzm_bank", WEIGHTS),
-    "ao_input_fanout": ("mzm_bank", INPUTS),
-    "ae_output_fanout": ("pd_bank", OUTPUTS),
-}
-
-
-def _sweep_point(cfg: ExperimentConfig, value: int) -> tuple[int, int, int]:
-    """Geometry axes with `value` on the swept axis and 1 elsewhere, in
-    SWEEP_AXES order (the order albireo takes them in)."""
-
-    return tuple(value if a == cfg.sweep_axis else 1 for a in SWEEP_AXES)
-
-
-def _sweep_layer(cfg: ExperimentConfig) -> Layer:
+def _sweep_layer(cfg: ExperimentConfig, widest: Architecture) -> Layer:
     """The busiest layer whose dims the widest swept geometry's stencil
     widths divide exactly: sweep deltas then measure reuse, not padding
     artifacts."""
 
-    vmax = max(cfg.sweep_values)
-    widest = _architecture(cfg, _sweep_point(cfg, vmax))
     widths = [dw for lv in widest.levels for dw in lv.stencil]
-    candidates = [layer for layer in _workload(cfg, "vgg16").layers
+    candidates = [layer for layer in _workload(cfg).layers
                   if all(layer.dims[d] % w == 0 for d, w in widths)]
     if not candidates:
-        raise SweepInfeasible(cfg.sweep_axis, vmax,
+        raise SweepInfeasible(cfg.sweep_axis, max(cfg.sweep_values),
                               "no workload layer admits the swept pins")
     return max(candidates, key=lambda l: l.macs())
 
@@ -558,11 +521,14 @@ def run_reuse_sweep(cfg: ExperimentConfig) -> dict:
     converter energy, accelerator energy, and the targeted conversion
     count."""
 
-    layer = _sweep_layer(cfg)
-    target = AXIS_TARGETS[cfg.sweep_axis]
+    library = _spec(cfg).library
+    archs = {v: parse_architecture(
+        albireo.architecture_doc(**{cfg.sweep_axis: v}), library)
+        for v in cfg.sweep_values}
+    layer = _sweep_layer(cfg, archs[max(cfg.sweep_values)])
+    target = albireo.AXES[cfg.sweep_axis]
     rows = []
-    for value in cfg.sweep_values:
-        arch = _architecture(cfg, _sweep_point(cfg, value))
+    for value, arch in archs.items():
         try:
             res = _search_layer(arch, layer, cfg, "energy")
         except NoValidMapping as err:

@@ -1,12 +1,17 @@
-"""Bundled workloads and bundled-spec resolution.
+"""Bundled workloads and the one spec loader.
 
 Two classic image classifiers are shipped as workload documents: one deep
 13-conv/3-fc network dominated by 3x3 convolutions, and one shallower
 5-conv/3-fc network with large strided early filters. Both use 8-bit
-values throughout. The bundled accelerator's document is generated from
-its geometry (albireo.architecture_doc) and is its single source. It
-states the stencil and the staging register's size, so a document written
-to a file and loaded by path is the architecture it was written from.
+values throughout. The bundled accelerator's document is generated by
+albireo.spec_doc and is its single source. It states the stencil and the
+staging register's size, so a document written to a file and loaded by
+path is the architecture it was written from.
+
+load_spec is the one loader of a name or a path. A profile is an edit of
+the document: it sets use_builtin_components wherever that is stated. A
+document that states none has nothing for a profile to scale, so any
+profile but the default is an error there.
 """
 
 from __future__ import annotations
@@ -14,9 +19,9 @@ from __future__ import annotations
 from pathlib import Path
 
 from . import albireo
+from .components import DEFAULT_PROFILE, PROFILES
 from .spec_model import (
     REFERENCE_BREAKDOWN,
-    SPEC_VERSION,
     Architecture,
     Spec,
     SpecError,
@@ -29,44 +34,38 @@ from .spec_model import (
 
 DATA_DIR = Path(__file__).parent / "data"
 
-BUNDLED_ARCHITECTURE = "albireo"
-
-BUNDLED_SPECS = {
-    "vgg16": "vgg16.spec",
-    "alexnet": "alexnet.spec",
-}
+BUNDLED_SPECS = {n: DATA_DIR / f"{n}.spec" for n in ("vgg16", "alexnet")}
 
 BUNDLED_REFERENCE = "albireo_reference.breakdown"
 
 
-def resolve_spec_path(name_or_path: str) -> Path:
-    if name_or_path in BUNDLED_SPECS:
-        return DATA_DIR / BUNDLED_SPECS[name_or_path]
-    return Path(name_or_path)
+def load_spec(name_or_path: str, profile: str | None = None,
+              needs: str | None = None) -> Spec:
+    """The spec `name_or_path` names, its stated library, if valid, set to
+    `profile`; `needs` names a section it must hold."""
 
-
-def load_spec(name_or_path: str) -> Spec:
-    if name_or_path == BUNDLED_ARCHITECTURE:
-        return parse_spec({"spec_version": SPEC_VERSION,
-                           "use_builtin_components": "aggressive",
-                           "architecture": albireo.architecture_doc()})
-    return parse_spec(load_document(str(resolve_spec_path(name_or_path))))
+    doc = (albireo.spec_doc() if name_or_path == albireo.NAME else
+           load_document(str(BUNDLED_SPECS.get(name_or_path, name_or_path))))
+    stated = doc.get("use_builtin_components")  # maybe unhashable
+    if profile is not None and stated in list(PROFILES):
+        doc["use_builtin_components"] = profile
+    elif profile not in (None, DEFAULT_PROFILE) and stated is None:
+        raise SpecError("MalformedDocument", name_or_path,
+                        f"profile {profile!r} has no library to scale: "
+                        "the document states no use_builtin_components")
+    spec = parse_spec(doc)
+    if needs is not None and getattr(spec, needs) is None:
+        raise SpecError("MalformedDocument", name_or_path,
+                        f"spec contains no {needs}")
+    return spec
 
 
 def load_architecture(name_or_path: str) -> Architecture:
-    spec = load_spec(name_or_path)
-    if spec.architecture is None:
-        raise SpecError("MalformedDocument", name_or_path,
-                        "spec contains no architecture")
-    return spec.architecture
+    return load_spec(name_or_path, needs="architecture").architecture
 
 
 def load_workload(name_or_path: str) -> Workload:
-    spec = load_spec(name_or_path)
-    if spec.workload is None:
-        raise SpecError("MalformedDocument", name_or_path,
-                        "spec contains no workload")
-    return spec.workload
+    return load_spec(name_or_path, needs="workload").workload
 
 
 def reference_breakdown_path() -> Path:

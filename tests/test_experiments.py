@@ -5,11 +5,10 @@ from dataclasses import replace
 import pytest
 
 from photon_model import albireo, cli, evaluator, experiments, mapper
-from photon_model.components import builtin_components
+from photon_model.components import PROFILES, builtin_components
 from photon_model.evaluator import evaluate
 from photon_model.experiments import (
     ExperimentConfig,
-    _architecture,
     _buffer_level,
     _insert_batch_loop,
     _resized_buffer_arch,
@@ -169,9 +168,10 @@ def test_auto_fusion_buffer_resizes_the_configured_architecture(tmp_path):
     path = _spec_file(tmp_path, "custom", doc, (sram,))
     cfg = ExperimentConfig(experiment="memory", arch=path,
                            fusion_buffer="auto")
-    custom = _architecture(cfg)
+    spec = experiments._spec(cfg)
+    custom = spec.architecture
 
-    got = _resized_buffer_arch(cfg, 1 << 26, custom)
+    got = _resized_buffer_arch(cfg, 1 << 26, spec)
 
     assert (got.name, got.clock_ghz) == ("custom", 2.0)
     buf = got.levels[level].component
@@ -188,9 +188,10 @@ def test_auto_fusion_buffer_resizes_the_configured_architecture(tmp_path):
 def test_auto_fusion_buffer_keeps_the_stencil():
     # The resized architecture is rebuilt from its document, and the fused
     # pairs searched on it are pinned from its stencil.
-    base = albireo.architecture("aggressive")
+    spec = load_spec("albireo")
+    base = spec.architecture
     cfg = ExperimentConfig(experiment="memory", fusion_buffer="auto")
-    got = _resized_buffer_arch(cfg, 1 << 26, base)
+    got = _resized_buffer_arch(cfg, 1 << 26, spec)
     assert got.levels[-1].stencil == base.levels[-1].stencil
     layer = small_layer()
     assert stencil_pins(layer, got) == stencil_pins(layer, base) != {}
@@ -279,7 +280,7 @@ def test_modeled_energies_reprice_the_searched_mappings(tiny_workload,
                            budget=60)
     report = run_breakdown(cfg)
     factors = report["calibration_factors"]
-    arch = _architecture(cfg)
+    arch = albireo.architecture("aggressive")
     calibrated = replace(
         arch,
         levels=tuple(replace(lv, component=_scaled(lv.component, factors))
@@ -573,7 +574,7 @@ def test_batched_leg_falls_back_to_the_batch_search(
     cfg = ExperimentConfig(experiment="memory", arch=path,
                            workload=tiny_workload, batch_sizes=(2,),
                            fusion="off", budget=20, seed=7)
-    arch = _architecture(cfg)
+    arch = load_spec(path).architecture
     layers = load_spec(tiny_workload).workload.layers
     base = [experiments._search_layer(arch, layer, cfg, "energy")
             for layer in layers]
@@ -631,7 +632,8 @@ def test_reuse_sweep_propagates_a_bug_in_its_search(tiny_workload,
 
 def test_sweep_layer_selection():
     cfg = ExperimentConfig(experiment="reuse_sweep")
-    assert _sweep_layer(cfg).name == "conv1_2"
+    widest = albireo.architecture("aggressive", max(cfg.sweep_values))
+    assert _sweep_layer(cfg, widest).name == "conv1_2"
 
 
 def test_reuse_sweep_targeted_counts_halve(tiny_workload):
@@ -695,34 +697,81 @@ def test_report_schema(tiny_workload):
 def test_bundled_arch_name_follows_the_profile():
     cfg = ExperimentConfig(experiment="throughput", arch="albireo",
                            profile="conservative")
-    assert _architecture(cfg) == albireo.architecture("conservative")
-    assert _architecture(cfg) == _architecture(replace(cfg, arch=None))
+    spec = experiments._spec(cfg)
+    assert spec.architecture == albireo.architecture("conservative")
+    assert spec == experiments._spec(replace(cfg, arch=None))
 
 
 def test_profile_with_an_architecture_file_is_rejected(tmp_path, capsys):
-    # A document names its own component library, so a profile would be
-    # echoed in the report without pricing anything.
+    # A document that names its own parts and no builtin library has
+    # nothing for a profile to scale, so the profile would be echoed in the
+    # report without pricing anything. The document is read when a study
+    # loads it, so that is where the profile is refused.
     path = tmp_path / "arch.spec"
     path.write_text(canonical_json(serialize_spec(load_spec("albireo"))))
+    cfg = ExperimentConfig(experiment="memory", arch=str(path),
+                           profile="conservative")
     with pytest.raises(SpecError) as e:
-        ExperimentConfig(experiment="memory", arch=str(path),
-                         profile="conservative")
-    assert (e.value.kind, e.value.path) == ("MalformedDocument",
-                                            "experiment.profile")
-    assert ExperimentConfig(experiment="memory", arch=str(path)).profile \
-        == "aggressive"
+        experiments._spec(cfg)
+    assert (e.value.kind, e.value.path) == ("MalformedDocument", str(path))
+    assert "'conservative'" in str(e.value)
+    assert experiments._spec(replace(cfg, profile="aggressive")) == \
+        load_spec(str(path))
     assert cli.main(["experiment", "--experiment", "memory", "--arch",
                      str(path), "--profile", "conservative"]) == 2
-    assert "MalformedDocument at experiment.profile" in \
-        capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"MalformedDocument at {path}" in err and "conservative" in err
+
+
+def _builtin_file(tmp_path, profile):
+    """The bundled architecture in a file over the builtin library under
+    `profile`."""
+
+    path = tmp_path / f"{profile}.spec"
+    path.write_text(json.dumps({"spec_version": 1,
+                                "use_builtin_components": profile,
+                                "architecture": albireo.architecture_doc()}))
+    return str(path)
+
+
+def _cli_tables(capsys, workload, *args):
+    assert cli.main(["experiment", "--experiment", "memory",
+                     "--workload", workload, "--budget", "20", *args]) == 0
+    report = json.loads(capsys.readouterr().out)
+    return report["config"]["profile"], report["tables"]
+
+
+def test_a_profile_sets_the_documents_builtin_library(tiny_workload,
+                                                      tmp_path, capsys):
+    # The profile is an edit of use_builtin_components, so a file stating
+    # one library and the bundled name price alike under every profile,
+    # and the report's profile is the library that priced it.
+    path = _builtin_file(tmp_path, "conservative")
+    conservative = _cli_tables(capsys, tiny_workload, "--arch", "albireo",
+                               "--profile", "conservative")
+    assert _cli_tables(capsys, tiny_workload, "--arch", path,
+                       "--profile", "conservative") == conservative
+    aggressive = _cli_tables(capsys, tiny_workload)
+    assert aggressive[0] == "aggressive" != conservative[0]
+    assert aggressive[1] != conservative[1]
+    assert _cli_tables(capsys, tiny_workload, "--arch", path) == aggressive
+    # A stated library that names no profile stays an error, not a default.
+    typo = _builtin_file(tmp_path, "agressive")
+    for profile in PROFILES:
+        with pytest.raises(SpecError) as e:
+            experiments._spec(ExperimentConfig(
+                experiment="memory", arch=typo, profile=profile))
+        assert e.value.path == "$.use_builtin_components"
 
 
 def test_bundled_arch_name_follows_the_sweep_geometry():
     unset = ExperimentConfig(experiment="reuse_sweep", sweep_values=(1, 2),
                              budget=50)
     named = replace(unset, arch="albireo")
-    assert _architecture(named, (2, 1, 1)) == albireo.architecture(
-        "aggressive", 2, 1, 1)
+    assert parse_architecture(
+        albireo.architecture_doc(ao_per_ae_weight=2),
+        experiments._spec(named).library) == albireo.architecture(
+            "aggressive", 2, 1, 1)
     assert run_reuse_sweep(named)["tables"] == \
         run_reuse_sweep(unset)["tables"]
 

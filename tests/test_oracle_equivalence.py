@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 import photon_model
 from photon_model import albireo
-from photon_model.experiments import SWEEP_AXES
 from photon_model.mapper import SearchConfig, search
 from photon_model.oracle import simulate
 from photon_model.reuse import analyze
@@ -186,7 +185,7 @@ def _assert_engines_agree_on_searched(arch, dims, fields):
 
 
 @pytest.mark.parametrize("value", [2, 8])
-@pytest.mark.parametrize("axis", SWEEP_AXES)
+@pytest.mark.parametrize("axis", list(albireo.AXES))
 @pytest.mark.parametrize("dims", [
     {"K": 8, "C": 4, "P": 2, "Q": 7, "R": 3, "S": 3},
     {"K": 12, "C": 6, "P": 3, "Q": 5, "R": 3, "S": 3},

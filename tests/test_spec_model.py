@@ -1,4 +1,5 @@
 import ast
+import inspect
 import json
 import math
 import random
@@ -9,13 +10,7 @@ import pytest
 
 from photon_model import albireo, cli, experiments, spec_model
 from photon_model.components import PROFILES, builtin_components
-from photon_model.experiments import (
-    SWEEP_AXES,
-    ExperimentConfig,
-    _architecture,
-    _sweep_point,
-    parse_experiment_config,
-)
+from photon_model.experiments import ExperimentConfig, parse_experiment_config
 from photon_model.mapper import SearchConfig, search
 from photon_model.spec_model import (
     DIMS,
@@ -1086,12 +1081,26 @@ def test_spec_roundtrip_is_identity_on_canonical_form():
         assert canonical_json(again) == canonical_json(doc)
 
 
-# Every geometry the studies build: each sweep axis at the default sweep
-# values, and one point that widens all three axes.
+# Every geometry the studies build, as architecture_doc keywords: each
+# sweep axis at the default sweep values, and one point that widens all
+# three axes.
 STUDY_GEOMETRIES = sorted(
-    {_sweep_point(ExperimentConfig("reuse_sweep", sweep_axis=a), v)
-     for a in SWEEP_AXES for v in ExperimentConfig("reuse_sweep").sweep_values}
-    | {(2, 2, 2)})
+    {((axis, v),) if v > 1 else ()
+     for axis in albireo.AXES
+     for v in ExperimentConfig("reuse_sweep").sweep_values}
+    | {tuple((axis, 2) for axis in albireo.AXES)})
+
+
+def test_sweep_axes_are_the_documents_keywords_and_banks():
+    # albireo.AXES is the one table of the sweep: its keys are the
+    # keywords a sweep point passes to architecture_doc, and each target
+    # is a converter bank of the document that carries the tensor.
+    params = inspect.signature(albireo.architecture_doc).parameters
+    assert list(albireo.AXES) == list(params)
+    banks = {cv["name"]: cv["tensors"]
+             for cv in albireo.architecture_doc()["converters"]}
+    for bank, tensor in albireo.AXES.values():
+        assert tensor in banks[bank]
 
 
 @pytest.mark.parametrize("axes", STUDY_GEOMETRIES)
@@ -1099,7 +1108,7 @@ def test_albireo_architecture_roundtrip(axes):
     # The document alone, read against the library it names, is the
     # geometry point: the staging register's refinement is in it.
     for profile in PROFILES:
-        arch = albireo.architecture(profile, *axes)
+        arch = albireo.architecture(profile, **dict(axes))
         assert arch.levels[-1].stencil
         assert parse_architecture(serialize_architecture(arch),
                                   builtin_components(profile)) == arch
@@ -1342,10 +1351,9 @@ def test_duplicate_coverage_names_the_second_bank_and_its_tensor():
 def sweep_architectures():
     """Every geometry the reuse sweep builds at its default values."""
 
-    for axis in SWEEP_AXES:
-        cfg = ExperimentConfig(experiment="reuse_sweep", sweep_axis=axis)
-        for v in cfg.sweep_values:
-            yield _architecture(cfg, _sweep_point(cfg, v))
+    for axis in albireo.AXES:
+        for v in ExperimentConfig(experiment="reuse_sweep").sweep_values:
+            yield albireo.architecture(**{axis: v})
 
 
 def test_edge_converters_resolve_every_bank_once():
