@@ -355,9 +355,8 @@ def _chain_table(arch: Architecture, layer: Layer, d: str,
     # The outermost keeper of any tensor d indexes: d may not factor above
     # it or split spatially into it, and a reduced dim may not iterate
     # temporally above the reduction floor either.
-    keepers = validation_plan(arch, cfg.keep_overrides).chains
-    origin = max((keepers[t][0] for t in TENSORS
-                  if d in TENSOR_DIMS[t] and keepers[t]), default=0)
+    origin = max((o for _, o, dims in validation_plan(
+        arch, cfg.keep_overrides).origins if d in dims), default=0)
     key = (effective_bounds(layer, cfg.batch_size)[d],
            tuple(cfg.fixed_spatial.get((j, d)) for j in range(1, m)),
            origin,
@@ -781,11 +780,10 @@ class _Pricer:
         rows = tuple([table.spatial[p] for table, p in zip(tables, picks)])
         fixed = self.by_spatial.get(rows)
         if fixed is None:
-            columns = list(zip(*rows))
             fixed = self.by_spatial[rows] = (
                 tuple(itertools.accumulate(sprod, mul, initial=1)),
-                plan.merge_widths({j: dict(zip(DIMS, columns[j - 1]))
-                                   for j in plan.merged}))
+                plan.merge_widths([{}] + [dict(zip(DIMS, column))
+                                          for column in zip(*rows)]))
         instances, widths = fixed
         extents = [table.extents[p] for table, p in zip(tables, picks)]
         macs = real = 1

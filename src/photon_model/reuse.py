@@ -84,11 +84,6 @@ from .spec_model import (
 )
 
 
-# Per level index, a dim -> extent mapping: a sequence over every level,
-# or a dict over the levels read.
-Levelwise = Sequence[dict[str, int]] | dict[int, dict[str, int]]
-
-
 @dataclass(frozen=True)
 class ReuseFactor:
     """Reuse decomposition at one edge for one tensor and flow direction.
@@ -198,8 +193,7 @@ class CountPlan:
     per level whose tiles counting reads, the tensors whose footprints it
     reads there: the keys tally looks up. merging holds, per leg with a
     crossing whose mesh merges, its crossings innermost first as (edge
-    slot, level, merged dims), and merged the levels of those crossings,
-    whose spatial factors merge_widths reads.
+    slot, level, merged dims), which merge_widths reads.
     """
 
     compute: int
@@ -208,7 +202,6 @@ class CountPlan:
     edges: tuple[tuple[int, str, str], ...]
     tiled: tuple[tuple[int, tuple[str, ...]], ...]
     merging: tuple[tuple[tuple[int, int, tuple[str, ...]], ...], ...]
-    merged: tuple[int, ...]
     operands: tuple[tuple[str, tuple[Leg, ...]], ...]
     stream: Leg
     drains: tuple[tuple[Leg, Leg], ...]
@@ -272,8 +265,6 @@ class CountPlan:
                 tuple((lg.first + i, c.key[0], c.dims)
                       for i, c in enumerate(lg.crossings))[::-1]
                 for lg in legs if any(c.dims for c in lg.crossings)),
-            merged=tuple(sorted({c.key[0] for lg in legs
-                                 for c in lg.crossings if c.dims})),
             operands=operands,
             stream=stream,
             drains=drains,
@@ -281,13 +272,13 @@ class CountPlan:
                                      for i, c in enumerate(lg.crossings)}),
         )
 
-    def merge_widths(self, spatial: Levelwise) -> list[int]:
+    def merge_widths(self, spatial: Sequence[dict[str, int]]) -> list[int]:
         """Width of the transmission merge seen at each edge slot, where
-        spatial[j] maps a dim to its spatial factor at each level j of
-        `merged` (1 when missing). Forks (descending) or merges
-        (ascending) at an edge and at every deeper edge of its leg happen
-        at or after the crossing, so they share one signal: a leg's first
-        slot merges the whole hop."""
+        spatial[j] maps a dim to its spatial factor at level j (1 when
+        missing). Forks (descending) or merges (ascending) at an edge and
+        at every deeper edge of its leg happen at or after the crossing,
+        so they share one signal: a leg's first slot merges the whole
+        hop."""
 
         widths = [1] * len(self.edges)
         for crossings in self.merging:

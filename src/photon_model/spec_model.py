@@ -30,9 +30,10 @@ never reject a mapping it accepted. What it reads from the architecture
 and the keep overrides is planned once per override set (validation_plan).
 
 Documents are read through field tables (table): each object's fields,
-their types and defaults, and the error a wrong one gets. They are the one
-definition of what a document may hold and of every message it gets. A
-mapping document, read once per design point, has a direct reader as well
+their types and defaults, and the error a wrong one gets; bounds and
+cross-field rules are validate_*'s and the configs' __post_init__'s. An
+Architecture is valid by construction, so parse_architecture only reads.
+A mapping document, read once per design point, has a direct reader as well
 (parse_mapping): a plain document, whose objects hold only their tables'
 fields, each of exactly the type the table keeps as it is, is read in one
 pass, and any other goes to the tables, which convert it or raise. The
@@ -221,12 +222,18 @@ class Extra:
 
 @dataclass(frozen=True)
 class Architecture:
+    """Valid by construction: __post_init__ runs validate_architecture,
+    so a parsed, hand-built or replace-edited instance meets every rule."""
+
     name: str
     clock_ghz: float
     levels: tuple[Level, ...]
     meshes: tuple[Mesh, ...]          # meshes[i] sits between levels[i] and levels[i+1]
     converters: tuple[Converter, ...]
     extras: tuple[Extra, ...] = ()
+
+    def __post_init__(self):
+        validate_architecture(self)
 
     def mesh_into(self, inner: int) -> Mesh:
         return self.meshes[inner - 1]
@@ -689,6 +696,10 @@ def _check_tensors(tensors: tuple[str, ...], path: str) -> None:
 
 
 def validate_architecture(arch: Architecture) -> None:
+    """Raise SpecError at an object path (architecture[<name>]...) unless
+    `arch` meets every rule an Architecture must, its parts included, as
+    Architecture.__post_init__ asks of every instance."""
+
     path = f"architecture[{arch.name}]"
     if len(arch.levels) < 2:
         raise SpecError("MalformedDocument", path, "need at least storage + compute")
@@ -699,6 +710,7 @@ def validate_architecture(arch: Architecture) -> None:
         raise SpecError("MalformedDocument", path, "clock_ghz must be positive")
     for i, lv in enumerate(arch.levels):
         lpath = f"{path}.levels[{i}]"
+        _validate_component(lv.component, lpath)
         want = "compute" if i == len(arch.levels) - 1 else "storage"
         if lv.component.cls != want:
             raise SpecError("MalformedDocument", lpath,
@@ -717,6 +729,15 @@ def validate_architecture(arch: Architecture) -> None:
         raise SpecError("MalformedDocument", path,
                         "need exactly one mesh entry per adjacent-level edge")
 
+    for group, parts in (("converters", arch.converters), ("extras", arch.extras)):
+        if len({p.name for p in parts}) != len(parts):
+            raise SpecError("MalformedDocument", f"{path}.{group}",
+                            f"duplicate {group[:-1]} names")
+        for p in parts:
+            ppath = f"{path}.{group}[{p.name}]"
+            _validate_component(p.component, ppath)
+            if p.instances < 1:
+                raise SpecError("MalformedDocument", ppath, "instances must be >= 1")
     for cv in arch.converters:
         cpath = f"{path}.converters[{cv.name}]"
         if not 1 <= cv.edge < len(arch.levels):
@@ -724,13 +745,7 @@ def validate_architecture(arch: Architecture) -> None:
         if cv.component.cls != "converter":
             raise SpecError("MalformedDocument", cpath,
                             f"{cv.component.name!r} is not a converter component")
-        if cv.instances < 1:
-            raise SpecError("MalformedDocument", cpath, "instances must be >= 1")
         _check_tensors(cv.tensors, cpath)
-    for ex in arch.extras:
-        if ex.instances < 1:
-            raise SpecError("MalformedDocument", f"{path}.extras[{ex.name}]",
-                            "instances must be >= 1")
 
     # Every tensor travels across every edge (the hierarchy is a chain), so a
     # domain-changing edge needs converters for all three: DOWN ones for
@@ -1258,26 +1273,15 @@ def parse_architecture(doc: dict, library: dict[str, ComponentSpec]) -> Architec
                 if cd["name"] is None else cd["name"])
         converters.append(Converter(name, edge=edge, tensors=cd["tensors"],
                                     instances=cd["instances"], **use))
-    cnames = [c.name for c in converters]
-    if len(set(cnames)) != len(cnames):
-        raise SpecError("MalformedDocument", f"{path}.converters",
-                        "duplicate converter names")
 
     extras = []
     for j, ed in enumerate(doc["extras"]):
         use = _resolve_component(ed, library, f"{path}.extras[{j}]")
         name = use["component"].name if ed["name"] is None else ed["name"]
         extras.append(Extra(name, instances=ed["instances"], **use))
-    enames = [x.name for x in extras]
-    if len(set(enames)) != len(enames):
-        raise SpecError("MalformedDocument", f"{path}.extras",
-                        "duplicate extra names")
-
-    arch = Architecture(doc["name"], doc["clock_ghz"], levels,
+    return Architecture(doc["name"], doc["clock_ghz"], levels,
                         tuple(m or Mesh() for m in meshes),
                         tuple(converters), tuple(extras))
-    validate_architecture(arch)
-    return arch
 
 
 def parse_layer(doc: dict, path: str) -> Layer:

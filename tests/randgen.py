@@ -24,7 +24,6 @@ from photon_model.spec_model import (
     LevelMapping,
     Mapping,
     Mesh,
-    validate_architecture,
 )
 
 
@@ -85,12 +84,10 @@ def random_architecture(rng: random.Random) -> Architecture:
                 name=f"odown{e}", component=_converter(f"cod{e}", din, dout),
                 edge=e, tensors=("Outputs",), instances=1))
 
-    arch = Architecture(
+    return Architecture(
         name="rand", clock_ghz=1.0, levels=tuple(levels),
         meshes=tuple(meshes), converters=tuple(converters),
         extras=())
-    validate_architecture(arch)
-    return arch
 
 
 def random_layer(rng: random.Random, max_dim: int = 6) -> Layer:

@@ -404,3 +404,14 @@ def test_report_bytes_do_not_depend_on_the_output_dir(tiny_workload,
         assert rc == 0
         reports.append((out / "report.json").read_bytes())
     assert reports[0] == reports[1]
+
+
+def test_an_internal_key_error_is_not_an_input_error(monkeypatch):
+    # Exit 2 is for malformed input; a KeyError from the program used to
+    # print as "error: 'x'" and exit 2 as well.
+    def broken(args):
+        raise KeyError("x")
+
+    monkeypatch.setattr(cli, "cmd_spec", broken)
+    with pytest.raises(KeyError, match="'x'"):
+        cli.main(["spec", "albireo"])

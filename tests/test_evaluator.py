@@ -19,7 +19,6 @@ from photon_model.spec_model import (
     Mapping,
     Mesh,
     mapping_digest,
-    validate_architecture,
 )
 
 import toys
@@ -39,7 +38,6 @@ def test_energy_linear_in_reads():
                       ("Weights", "Inputs", "Outputs")),
                 Level("pe", toys.compute("mac", "DE"), 1, ())),
         meshes=(Mesh(),), converters=())
-    validate_architecture(arch)
     counts = AccessCounts(per_level={(0, "Weights"): LevelCounts(reads=10)})
     out = energy(counts, arch, latency_s=0.0)
     assert out["sram"] == pytest.approx(20.0)
@@ -53,7 +51,6 @@ def test_static_power_charged_for_latency():
                       ("Weights", "Inputs", "Outputs")),
                 Level("pe", toys.compute("mac", "DE"), 1, ())),
         meshes=(Mesh(),), converters=())
-    validate_architecture(arch)
     # 5 mW for 1 us is 5 nJ, i.e. 5000 pJ; doubling latency doubles it.
     one = energy(AccessCounts(), arch, latency_s=1e-6)["sram"]
     two = energy(AccessCounts(), arch, latency_s=2e-6)["sram"]
@@ -68,7 +65,6 @@ def test_area_sums_instances():
                       ("Weights", "Inputs", "Outputs")),
                 Level("pe", toys.compute("mac", "DE", area=5.0), 4, ())),
         meshes=(Mesh(may_multicast=True),), converters=())
-    validate_architecture(arch)
     assert area(arch) == pytest.approx(20.0)
 
     with_conv = Architecture(
@@ -82,7 +78,6 @@ def test_area_sums_instances():
                               ("Weights", "Inputs"), 3),
                     Converter("up", toys.converter("adc", "AE", "DE"), 1,
                               ("Outputs",), 1)))
-    validate_architecture(with_conv)
     assert area(with_conv) == pytest.approx(20.0 + 3 * 7.0)
 
 

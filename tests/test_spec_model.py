@@ -41,7 +41,6 @@ from photon_model.spec_model import (
     serialize_mapping,
     serialize_spec,
     stencil_pins,
-    validate_architecture,
     validate_mapping,
 )
 from photon_model.workloads import (
@@ -564,7 +563,7 @@ DOCUMENT_ERRORS = {
                             "MalformedDocument", "architecture.meshes[0]"),
     "converter-names-repeat": (
         _set(lambda d: d["architecture"]["converters"][1], "name", "dn"),
-        "MalformedDocument", "architecture.converters"),
+        "MalformedDocument", "architecture[mini].converters"),
     # The later entry silently replaced the earlier one.
     "component-names-repeat": (
         lambda d: d["components"].append(dict(_component(d))),
@@ -576,7 +575,7 @@ DOCUMENT_ERRORS = {
     "extra-names-repeat": (
         lambda d: d["architecture"]["extras"].append(
             {"name": "laser", "component": "sram"}),
-        "MalformedDocument", "architecture.extras"),
+        "MalformedDocument", "architecture[mini].extras"),
     "layers-empty": (_set(lambda d: d["workload"], "layers", []),
                      "MalformedDocument", "workload.layers"),
     "layer-names-repeat": (_repeat_the_layer, "MalformedDocument",
@@ -704,11 +703,46 @@ def test_an_unreadable_file_names_itself(tmp_path, capsys):
 def test_architecture_needs_one_mesh_per_edge():
     arch = toys.fc_weight_buffer()
     with pytest.raises(SpecError) as e:
-        validate_architecture(Architecture(
-            name="short", clock_ghz=1.0, levels=arch.levels,
-            meshes=arch.meshes[:1], converters=()))
+        Architecture(name="short", clock_ghz=1.0, levels=arch.levels,
+                     meshes=arch.meshes[:1], converters=())
     assert (e.value.kind, e.value.path) == ("MalformedDocument",
                                             "architecture[short]")
+
+
+def _rename_up_bank(arch):
+    dn, up = arch.converters
+    return replace(arch, converters=(dn, replace(up, name="dn")))
+
+
+def _drop_weights_from_dn(arch):
+    dn, up = arch.converters
+    return replace(arch, converters=(replace(dn, tensors=("Inputs",)), up))
+
+
+def _negative_store_read(arch):
+    store, pe = arch.levels
+    sram = store.component
+    part = replace(sram, energy_per_action={**sram.energy_per_action,
+                                            "read": -1.0})
+    return replace(arch, levels=(replace(store, component=part), pe))
+
+
+# A copy edited with replace was never checked, and each of these was
+# priced: a repeated bank name dropped a bank from the energy table, a
+# missing converter left Weights crossing a domain edge unconverted, and a
+# negative read energy was charged.
+@pytest.mark.parametrize("edit, kind, path", [
+    (_rename_up_bank, "MalformedDocument",
+     "architecture[fanout_conv].converters"),
+    (_drop_weights_from_dn, "MissingConverter",
+     "architecture[fanout_conv].edge[store->pe]"),
+    (_negative_store_read, "BadBound",
+     "architecture[fanout_conv].levels[0].energy_per_action.read"),
+], ids=["bank-names-repeat", "weights-unconverted", "read-energy-negative"])
+def test_an_edited_architecture_is_validated(edit, kind, path):
+    with pytest.raises(SpecError) as e:
+        edit(toys.fanout_converter_arch(4))
+    assert (e.value.kind, e.value.path) == (kind, path)
 
 
 @pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"],
@@ -983,7 +1017,6 @@ def test_backing_store_capacity_counts_its_own_loops():
                       ("Weights", "Inputs", "Outputs")),
                 Level("pe", toys.compute("mac", "DE"), 1, ())),
         meshes=(Mesh(),), converters=())
-    validate_architecture(arch)
     layer = Layer(name="fc", kind="fully_connected",
                   dims={"N": 1, "K": 32, "C": 32, "R": 1, "S": 1, "P": 1,
                         "Q": 1})
@@ -1007,7 +1040,6 @@ def test_hoisted_tensor_dim_may_not_split_spatially_into_origin():
                       ("Weights", "Inputs", "Outputs")),
                 Level("pe", toys.compute("mac", "DE"), 1, ())),
         meshes=(Mesh(), Mesh()), converters=())
-    validate_architecture(arch)
     m = Mapping(levels=(LevelMapping(temporal={"C": 3}),
                         LevelMapping(spatial={"K": 2}),
                         LevelMapping()),
@@ -1040,7 +1072,6 @@ def test_hoisted_tensor_factors_stay_inside_origin():
                       ("Weights", "Inputs", "Outputs")),
                 Level("pe", toys.compute("mac", "DE"), 4, ())),
         meshes=(Mesh(), Mesh()), converters=())
-    validate_architecture(arch)
     layer = Layer(name="fc", kind="fully_connected",
                   dims={"N": 1, "K": 8, "C": 2, "R": 1, "S": 1, "P": 1,
                         "Q": 1})
@@ -1064,12 +1095,12 @@ def test_hoisted_tensor_factors_stay_inside_origin():
 
 def test_architecture_requires_all_tensors_at_backing_store():
     with pytest.raises(SpecError):
-        validate_architecture(Architecture(
+        Architecture(
             name="bad", clock_ghz=1.0,
             levels=(Level("store", toys.storage("sram", "DE", 1 << 20), 1,
                           ("Weights",)),
                     Level("pe", toys.compute("mac", "DE"), 1, ())),
-            meshes=(Mesh(),), converters=()))
+            meshes=(Mesh(),), converters=())
 
 
 def test_spec_roundtrip_is_identity_on_canonical_form():

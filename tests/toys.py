@@ -9,7 +9,6 @@ from photon_model.spec_model import (
     Layer,
     Level,
     Mesh,
-    validate_architecture,
 )
 
 
@@ -38,20 +37,18 @@ def converter(name: str, din: str, dout: str, energy: float = 2.0,
 def fc_direct() -> Architecture:
     """Backing store feeding one MAC, same domain, no converters."""
 
-    a = Architecture(
+    return Architecture(
         name="fc_direct", clock_ghz=1.0,
         levels=(Level("store", storage("sram", "DE", 1 << 20), 1,
                       ("Weights", "Inputs", "Outputs")),
                 Level("pe", compute("mac", "DE"), 1, ())),
         meshes=(Mesh(),), converters=())
-    validate_architecture(a)
-    return a
 
 
 def fc_weight_buffer(buf_bits: int = 1 << 10) -> Architecture:
     """Store, a weight-only buffer, one MAC."""
 
-    a = Architecture(
+    return Architecture(
         name="fc_wbuf", clock_ghz=1.0,
         levels=(Level("store", storage("sram", "DE", 1 << 20), 1,
                       ("Weights", "Inputs", "Outputs")),
@@ -59,15 +56,13 @@ def fc_weight_buffer(buf_bits: int = 1 << 10) -> Architecture:
                       ("Weights",)),
                 Level("pe", compute("mac", "DE"), 1, ())),
         meshes=(Mesh(), Mesh()), converters=())
-    validate_architecture(a)
-    return a
 
 
 def fanout_converter_arch(fanout: int = 4) -> Architecture:
     """DE store over an AE compute array; operands convert down, partial
     sums convert up; input multicast enabled."""
 
-    a = Architecture(
+    return Architecture(
         name="fanout_conv", clock_ghz=1.0,
         levels=(Level("store", storage("sram", "DE", 1 << 24), 1,
                       ("Weights", "Inputs", "Outputs")),
@@ -77,8 +72,6 @@ def fanout_converter_arch(fanout: int = 4) -> Architecture:
                               ("Weights", "Inputs"), fanout),
                     Converter("up", converter("adc", "AE", "DE"), 1,
                               ("Outputs",), fanout)))
-    validate_architecture(a)
-    return a
 
 
 def refetch_toy(buf_bits):
@@ -87,7 +80,7 @@ def refetch_toy(buf_bits):
     down, so a buffered output tile may never be refetched."""
 
     wio = ("Weights", "Inputs", "Outputs")
-    a = Architecture(
+    return Architecture(
         name="refetch", clock_ghz=1.0,
         levels=(Level("store", storage("sram", "DE", 1 << 24, read=10.0),
                       1, wio),
@@ -98,8 +91,6 @@ def refetch_toy(buf_bits):
                               ("Weights", "Inputs"), 2),
                     Converter("up", converter("adc", "AE", "DE"), 1,
                               ("Outputs",), 2)))
-    validate_architecture(a)
-    return a
 
 
 def fc_k2c3() -> Layer:
