@@ -30,9 +30,9 @@ never reject a mapping it accepted. What it reads from the architecture
 and the keep overrides is planned once per override set (validation_plan).
 
 Documents are read through field tables (table): each object's fields,
-their types and defaults, and the error a wrong one gets; bounds and
-cross-field rules are validate_*'s and the configs' __post_init__'s. An
-Architecture is valid by construction, so parse_architecture only reads.
+their types and defaults, and the error a wrong one gets. Bounds and
+cross-field rules are the types': an Architecture, a Layer, a Workload and
+each config is valid by construction (__post_init__), so readers only read.
 A mapping document, read once per design point, has a direct reader as well
 (parse_mapping): a plain document, whose objects hold only their tables'
 fields, each of exactly the type the table keeps as it is, is read in one
@@ -57,8 +57,9 @@ T = TypeVar("T")
 SPEC_VERSION = 1
 
 DOMAINS = ("DE", "AE", "DO", "AO")
-ACTIONS = ("read", "write", "update", "convert", "compute", "idle")
-CLASSES = ("storage", "compute", "converter", "network", "source")
+# The actions each class of part is charged for (evaluator.PriceProgram).
+ACTIONS = {"storage": ("read", "write", "update"), "converter": ("convert",),
+           "compute": ("compute",), "network": (), "source": ()}
 
 WEIGHTS = "Weights"
 INPUTS = "Inputs"
@@ -172,10 +173,11 @@ class Level:
     """One storage or compute level. fanout is spatial copies per parent.
 
     stencil is the (dim, width) pairs, in DIMS order, that the level's
-    lanes are wired for, such as a photonic array's fixed sharing axes. It
-    constrains the search only (stencil_pins); a mapping is validated and
-    counted without it. component is the library part as the level's entry
-    refines it, and refinement is what that entry stated (_REFINEMENT)."""
+    lanes are wired for, such as a photonic array's fixed sharing axes, at
+    most fanout lanes and never at the outermost level. It constrains the
+    search only (stencil_pins); a mapping is validated and counted without
+    it. component is the library part as the level's entry refines it, and
+    refinement is what that entry stated (_REFINEMENT)."""
 
     name: str
     component: ComponentSpec
@@ -247,21 +249,11 @@ class Architecture:
     @_lazy
     def edge_converters(self) -> dict[tuple[int, str, str], Converter]:
         """The converter carrying each (edge, tensor, DOWN|UP): the one
-        definition of which bank a tensor crosses an edge through."""
+        definition of which bank a tensor crosses an edge through. Each key
+        has one bank, whose domains fit its edge (validate_architecture)."""
 
-        table: dict[tuple[int, str, str], Converter] = {}
-        for cv in self.converters:
-            dirn = _converter_direction(self.levels, cv)
-            for t in cv.tensors:
-                key = (cv.edge, t, dirn)
-                if key in table:
-                    raise SpecError(
-                        "MalformedDocument",
-                        f"architecture[{self.name}].converters[{cv.name}]",
-                        f"edge {cv.edge} already has a converter carrying "
-                        f"{t} {dirn}")
-                table[key] = cv
-        return table
+        return {(cv.edge, t, _converter_direction(self.levels, cv)): cv
+                for cv in self.converters for t in cv.tensors}
 
     @_lazy
     def parts(self) -> tuple[tuple[ComponentSpec, int], ...]:
@@ -300,13 +292,16 @@ class Architecture:
 @dataclass(frozen=True)
 class Layer:
     """One DNN layer. dims covers all of N,K,C,R,S,P,Q; fully_connected
-    layers have R=S=P=Q=1."""
+    layers have R=S=P=Q=1. Valid by construction (validate_layer)."""
 
     name: str
     kind: str                      # "conv" | "fully_connected"
     dims: dict[str, int]
     stride: tuple[int, int] = (1, 1)       # (stride_p, stride_q)
     bits: dict[str, int] = field(default_factory=lambda: {t: 8 for t in TENSORS})
+
+    def __post_init__(self):
+        validate_layer(self)
 
     def macs(self) -> int:
         n = 1
@@ -317,8 +312,15 @@ class Layer:
 
 @dataclass(frozen=True)
 class Workload:
+    """Layers under distinct names, valid by construction (__post_init__)."""
+
     name: str
     layers: tuple[Layer, ...]
+
+    def __post_init__(self):
+        if len({l.name for l in self.layers}) < len(self.layers):
+            raise SpecError("MalformedDocument", f"workload[{self.name}]",
+                            "duplicate layer names")
 
 
 # ============================================================================
@@ -635,7 +637,7 @@ class AccessCounts:
 
 
 def _validate_component(c: ComponentSpec, path: str) -> None:
-    if c.cls not in CLASSES:
+    if c.cls not in ACTIONS:
         raise SpecError("MalformedDocument", path, f"unknown class {c.cls!r}")
     for dom in (c.domain_in, c.domain_out):
         if dom not in DOMAINS:
@@ -650,8 +652,9 @@ def _validate_component(c: ComponentSpec, path: str) -> None:
             "MalformedDocument", path,
             f"{c.cls} component cannot change domain")
     for a, e in c.energy_per_action.items():
-        if a not in ACTIONS:
-            raise SpecError("MalformedDocument", path, f"unknown action {a!r}")
+        if a not in ACTIONS[c.cls]:
+            raise SpecError("MalformedDocument", path,
+                            f"a {c.cls} part is never charged for {a!r}")
         if e < 0:
             raise SpecError("BadBound", f"{path}.energy_per_action.{a}",
                             f"energy must be >= 0, got {e!r}")
@@ -667,8 +670,9 @@ def _validate_component(c: ComponentSpec, path: str) -> None:
                         "width_bits and bandwidth must be positive")
 
 
-def _converter_direction(arch_levels: tuple[Level, ...], cv: Converter) -> str:
-    """DOWN (outer -> inner) or UP (inner -> outer)."""
+def _converter_direction(arch_levels: tuple[Level, ...],
+                         cv: Converter) -> str | None:
+    """DOWN (outer -> inner), UP (inner -> outer), or None if neither."""
 
     outer = arch_levels[cv.edge - 1].component.domain_out
     inner = arch_levels[cv.edge].component.domain_in
@@ -676,11 +680,7 @@ def _converter_direction(arch_levels: tuple[Level, ...], cv: Converter) -> str:
         return DOWN
     if cv.component.domain_in == inner and cv.component.domain_out == outer:
         return UP
-    raise SpecError(
-        "MalformedDocument",
-        f"architecture.converters[{cv.name}]",
-        f"converter domains {cv.component.domain_in}/{cv.component.domain_out} "
-        f"do not match edge domains {outer}/{inner}")
+    return None
 
 
 def _check_tensors(tensors: tuple[str, ...], path: str) -> None:
@@ -703,8 +703,7 @@ def validate_architecture(arch: Architecture) -> None:
     path = f"architecture[{arch.name}]"
     if len(arch.levels) < 2:
         raise SpecError("MalformedDocument", path, "need at least storage + compute")
-    names = [lv.name for lv in arch.levels]
-    if len(set(names)) != len(names):
+    if len({lv.name for lv in arch.levels}) < len(arch.levels):
         raise SpecError("MalformedDocument", path, "duplicate level names")
     if arch.clock_ghz <= 0:
         raise SpecError("MalformedDocument", path, "clock_ghz must be positive")
@@ -722,6 +721,19 @@ def validate_architecture(arch: Architecture) -> None:
         _check_tensors(lv.keeps, lpath)
         if want == "compute" and lv.keeps:
             raise SpecError("MalformedDocument", lpath, "compute level keeps nothing")
+        for d, w in lv.stencil:
+            if d not in DIMS:
+                raise SpecError("MalformedDocument", f"{lpath}.stencil.{d}",
+                                f"unknown dim {d!r}")
+            if type(w) is not int or w < 1:
+                raise SpecError("BadBound", f"{lpath}.stencil.{d}",
+                                "width must be a positive integer")
+        if i == 0 and lv.stencil:
+            raise SpecError("BadBound", f"{lpath}.stencil",
+                            "the outermost level has no lanes")
+        if math.prod(w for _, w in lv.stencil) > lv.fanout:
+            raise SpecError("BadBound", f"{lpath}.stencil",
+                            f"stencil needs more lanes than fanout {lv.fanout}")
     if set(arch.levels[0].keeps) != set(TENSORS):
         raise SpecError("MalformedDocument", f"{path}.levels[0]",
                         "outermost level must keep all tensors")
@@ -738,6 +750,7 @@ def validate_architecture(arch: Architecture) -> None:
             _validate_component(p.component, ppath)
             if p.instances < 1:
                 raise SpecError("MalformedDocument", ppath, "instances must be >= 1")
+    carried = set()
     for cv in arch.converters:
         cpath = f"{path}.converters[{cv.name}]"
         if not 1 <= cv.edge < len(arch.levels):
@@ -746,11 +759,21 @@ def validate_architecture(arch: Architecture) -> None:
             raise SpecError("MalformedDocument", cpath,
                             f"{cv.component.name!r} is not a converter component")
         _check_tensors(cv.tensors, cpath)
+        dirn = _converter_direction(arch.levels, cv)
+        if dirn is None:
+            raise SpecError("MalformedDocument", cpath, "converter domains "
+                            f"{cv.component.domain_in}/{cv.component.domain_out}"
+                            f" fit edge {cv.edge} neither way")
+        for t in cv.tensors:
+            if (cv.edge, t, dirn) in carried:
+                raise SpecError("MalformedDocument", cpath,
+                                f"edge {cv.edge} already has a converter "
+                                f"carrying {t} {dirn}")
+            carried.add((cv.edge, t, dirn))
 
     # Every tensor travels across every edge (the hierarchy is a chain), so a
     # domain-changing edge needs converters for all three: DOWN ones for
     # Weights and Inputs, an UP one for Outputs.
-    table = arch.edge_converters
     for e in range(1, len(arch.levels)):
         if not arch.crosses(e):
             continue
@@ -758,31 +781,35 @@ def validate_architecture(arch: Architecture) -> None:
         inner = arch.levels[e].component.domain_in
         epath = f"{path}.edge[{arch.levels[e - 1].name}->{arch.levels[e].name}]"
         for t, dirn in ((WEIGHTS, DOWN), (INPUTS, DOWN), (OUTPUTS, UP)):
-            if (e, t, dirn) not in table:
+            if (e, t, dirn) not in carried:
                 src, dst = (outer, inner) if dirn == DOWN else (inner, outer)
                 raise SpecError("MissingConverter", epath,
                                 f"no {src}->{dst} converter for {t}")
 
 
-def validate_layer(layer: Layer, path: str = "workload") -> None:
+def validate_layer(layer: Layer) -> None:
+    """Raise SpecError at layer[<name>] unless `layer` meets every rule a
+    Layer must, as Layer.__post_init__ asks of every instance."""
+
+    path = f"layer[{layer.name}]"
     if layer.kind not in ("conv", "fully_connected"):
         raise SpecError("MalformedDocument", path, f"unknown kind {layer.kind!r}")
-    for d in DIMS:
-        b = layer.dims.get(d)
-        if not isinstance(b, int) or b < 1:
-            raise SpecError("BadBound", path, f"dim {d} must be a positive integer")
-    extra = set(layer.dims) - set(DIMS)
-    if extra:
-        raise SpecError("MalformedDocument", path, f"unknown dims {sorted(extra)}")
-    if any(s < 1 for s in layer.stride):
-        raise SpecError("BadBound", path, "strides must be >= 1")
+    for name, values, keys in (("dims", layer.dims, DIMS),
+                              ("bits", layer.bits, TENSORS)):
+        if values.keys() != set(keys):
+            raise SpecError("MalformedDocument", path,
+                            f"{name} must name exactly {', '.join(keys)}")
+        for k in keys:
+            if type(values[k]) is not int or values[k] < 1:
+                raise SpecError("BadBound", path,
+                                f"{name}.{k} must be a positive integer")
+    if type(layer.stride) is not tuple or len(layer.stride) != 2 or any(
+            type(s) is not int or s < 1 for s in layer.stride):
+        raise SpecError("BadBound", path, "stride must be two positive integers")
     window = all(layer.dims[d] == 1 for d in ("R", "S", "P", "Q"))
     if (layer.kind == "fully_connected") != window:
         raise SpecError("BadBound", path,
                         "fully_connected layers must have R=S=P=Q=1 and vice versa")
-    for t in TENSORS:
-        if layer.bits.get(t, 0) <= 0:
-            raise SpecError("BadBound", path, f"bits for {t} must be positive")
 
 
 class ValidationPlan(NamedTuple):
@@ -1210,29 +1237,7 @@ def _resolve_component(entry: dict, library: dict[str, ComponentSpec],
             _fail(f"{path}.energy_scale", "positive", scale)
         comp = replace(comp, **fields, energy_per_action={
             a: e * scale for a, e in comp.energy_per_action.items()})
-        _validate_component(comp, path)
     return {"component": comp, "refinement": stated}
-
-
-def _read_stencil(ld: dict, i: int, path: str) -> tuple[tuple[str, int], ...]:
-    """Level `ld`'s stencil as (dim, width) pairs in DIMS order: known dims,
-    positive widths, no more lanes than the level's fanout, and none on the
-    outermost level, which has no lanes."""
-
-    widths = ld["stencil"]
-    for d, w in widths.items():
-        if d not in DIMS:
-            raise SpecError("MalformedDocument", f"{path}.{d}",
-                            f"unknown dim {d!r}")
-        if w < 1:
-            raise SpecError("BadBound", f"{path}.{d}", "width must be >= 1")
-    if i == 0 and widths:
-        raise SpecError("BadBound", path, "the outermost level has no lanes")
-    lanes = math.prod(widths.values())
-    if lanes > ld["fanout"]:
-        raise SpecError("BadBound", path, f"stencil needs {lanes} lanes, "
-                        f"fanout is {ld['fanout']}")
-    return tuple((d, widths[d]) for d in DIMS if d in widths)
 
 
 def parse_architecture(doc: dict, library: dict[str, ComponentSpec]) -> Architecture:
@@ -1241,7 +1246,9 @@ def parse_architecture(doc: dict, library: dict[str, ComponentSpec]) -> Architec
     levels = tuple(Level(
         ld["name"], **_resolve_component(ld, library, f"{path}.levels[{i}]"),
         fanout=ld["fanout"], keeps=ld["keeps"],
-        stencil=_read_stencil(ld, i, f"{path}.levels[{i}].stencil"))
+        # In DIMS order; an unknown dim goes last, for validation to name.
+        stencil=tuple(sorted(ld["stencil"].items(), key=lambda dw: DIMS.index(
+            dw[0]) if dw[0] in DIMS else len(DIMS))))
         for i, ld in enumerate(doc["levels"]))
     by_name = {lv.name: i for i, lv in enumerate(levels)}
 
@@ -1289,20 +1296,13 @@ def parse_layer(doc: dict, path: str) -> Layer:
     for d in DIMS:
         doc["dims"].setdefault(d, 1)
     doc["bits"] = dict(doc["bits"])  # not the default
-    layer = Layer(**doc)
-    validate_layer(layer, path)
-    return layer
+    return Layer(**doc)
 
 
 def parse_workload(doc: dict) -> Workload:
-    path = "workload"
-    doc = _WORKLOAD.read(doc, path)
-    parsed = tuple(parse_layer(ld, f"{path}.layers[{i}]")
-                   for i, ld in enumerate(doc["layers"]))
-    names = [l.name for l in parsed]
-    if len(set(names)) != len(names):
-        raise SpecError("MalformedDocument", path, "duplicate layer names")
-    return Workload(name=doc["name"], layers=parsed)
+    doc = _WORKLOAD.read(doc, "workload")
+    return Workload(doc["name"], tuple(parse_layer(ld, f"workload.layers[{i}]")
+                                       for i, ld in enumerate(doc["layers"])))
 
 
 def parse_spec(doc: dict) -> Spec:

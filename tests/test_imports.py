@@ -1,5 +1,6 @@
-"""Every name a package module imports at top level is used there, and
-every top-level definition is read somewhere in the package or exported."""
+"""Every name a package module imports at top level is used there, every
+top-level definition is read somewhere in the package or exported, and
+only the validated types call their rule sets."""
 
 import ast
 from pathlib import Path
@@ -16,6 +17,15 @@ REBOUND = {("mapper.py", "analyze"), ("mapper.py", "energy"),
 
 # perfbench/make_reference.py reads it; the package does not.
 UNREAD = {("albireo.py", "geometry_pins")}
+
+# Every type the model prices checks its own rules as it is built, and a
+# library part is checked as it is read and as an architecture holds it:
+# the definitions each rule set may be called from, so that a reader
+# which grows a rule of its own fails here.
+VALIDATORS = {"validate_architecture": {"__post_init__"},
+              "validate_layer": {"__post_init__"},
+              "_validate_component": {"parse_component",
+                                      "validate_architecture"}}
 
 
 def unused_imports(path: Path) -> set[tuple[str, str]]:
@@ -53,6 +63,45 @@ def unread_definitions(paths: list[Path], exported: set[str]
                 read.add(node.attr)
     return {(f, name) for f, name in defined
             if name not in read and name not in exported}
+
+
+def callers(paths: list[Path], callees: set[str]
+            ) -> dict[str, set[str]]:
+    """The innermost function definitions that call each of `callees`,
+    as a name or an attribute."""
+
+    found = {name: set() for name in callees}
+
+    def visit(node, within):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                name = f.id if isinstance(f, ast.Name) else getattr(
+                    f, "attr", None)
+                if name in found:
+                    found[name].add(within)
+            visit(child, within)
+
+    for path in paths:
+        visit(ast.parse(path.read_text()), None)
+    return found
+
+
+def test_only_the_types_validate():
+    assert callers(_modules(), set(VALIDATORS)) == VALIDATORS
+
+
+def test_a_reader_that_validates_is_caught(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("class Layer:\n    def __post_init__(self):\n"
+                    "        validate_layer(self)\n\n\n"
+                    "def parse_layer(doc):\n    layer = Layer()\n"
+                    "    m.validate_layer(layer)\n    return layer\n")
+    assert callers([path], {"validate_layer", "parse"}) == {
+        "validate_layer": {"__post_init__", "parse_layer"}, "parse": set()}
 
 
 def test_no_dead_imports():

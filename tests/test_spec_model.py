@@ -29,6 +29,7 @@ from photon_model.spec_model import (
     MappingError,
     Mesh,
     SpecError,
+    Workload,
     canonical_json,
     input_extent,
     load_document,
@@ -496,7 +497,8 @@ def test_integral_float_factor_is_a_mapping_error():
     # Mapping built in code.
     arch, doc = mapping_doc()
     doc["mapping"]["levels"][1]["temporal"]["C"] = 3.0
-    layer = Layer(name="fc", kind="fully_connected", dims={"K": 2, "C": 3})
+    layer = Layer(name="fc", kind="fully_connected", dims={
+        "N": 1, "K": 2, "C": 3, "P": 1, "Q": 1, "R": 1, "S": 1})
     with pytest.raises(MappingError) as e:
         validate_mapping(parse_mapping(doc, arch), layer, arch)
     assert (e.value.kind, e.value.dim) == ("FactorMismatch", "C")
@@ -579,24 +581,24 @@ DOCUMENT_ERRORS = {
     "layers-empty": (_set(lambda d: d["workload"], "layers", []),
                      "MalformedDocument", "workload.layers"),
     "layer-names-repeat": (_repeat_the_layer, "MalformedDocument",
-                           "workload"),
+                           "workload[w]"),
     "unknown-dim": (_set(_layer, "dims", {"K": 2, "X": 2}),
-                    "MalformedDocument", "workload.layers[0]"),
+                    "MalformedDocument", "layer[l]"),
     "stencil-unknown-dim": (_stencil(1, {"K": 2, "X": 2}),
                             "MalformedDocument",
-                            "architecture.levels[1].stencil.X"),
+                            "architecture[mini].levels[1].stencil.X"),
     "stencil-width-zero": (_stencil(1, {"K": 0}), "BadBound",
-                           "architecture.levels[1].stencil.K"),
+                           "architecture[mini].levels[1].stencil.K"),
     "stencil-above-fanout": (_stencil(1, {"K": 4, "C": 2}), "BadBound",
-                             "architecture.levels[1].stencil"),
+                             "architecture[mini].levels[1].stencil"),
     "stencil-on-outermost": (_stencil(0, {"K": 1}, fanout=1), "BadBound",
-                             "architecture.levels[0].stencil"),
+                             "architecture[mini].levels[0].stencil"),
     "refined-capacity-zero": (
         _set(lambda d: d["architecture"]["levels"][0], "capacity_bits", 0),
-        "CapacityNonPositive", "architecture.levels[0]"),
+        "CapacityNonPositive", "architecture[mini].levels[0]"),
     "refined-bandwidth-zero": (
         _set(lambda d: d["architecture"]["converters"][0], "bandwidth", 0),
-        "MalformedDocument", "architecture.converters[0]"),
+        "MalformedDocument", "architecture[mini].converters[dn]"),
     "refined-energy-scale-zero": (
         _set(lambda d: d["architecture"]["extras"][0], "energy_scale", 0),
         "MalformedDocument", "architecture.extras[0].energy_scale"),
@@ -742,6 +744,102 @@ def _negative_store_read(arch):
 def test_an_edited_architecture_is_validated(edit, kind, path):
     with pytest.raises(SpecError) as e:
         edit(toys.fanout_converter_arch(4))
+    assert (e.value.kind, e.value.path) == (kind, path)
+
+
+def _albireo_stencil(level, stencil):
+    """The bundled accelerator with level `level`'s stencil replaced."""
+
+    def build():
+        arch = albireo.architecture()
+        levels = list(arch.levels)
+        levels[level] = replace(levels[level], stencil=stencil)
+        return replace(arch, levels=tuple(levels))
+    return build
+
+
+def _store_states(action):
+    """fanout_converter_arch(4) whose store part states an energy for
+    `action`."""
+
+    def build():
+        arch = toys.fanout_converter_arch(4)
+        store, pe = arch.levels
+        sram = store.component
+        part = replace(sram, energy_per_action={**sram.energy_per_action,
+                                                action: 1.0})
+        return replace(arch, levels=(replace(store, component=part), pe))
+    return build
+
+
+def _dn_part(**fields):
+    """fanout_converter_arch(4) with `fields` replaced in its dn bank's
+    part."""
+
+    def build():
+        arch = toys.fanout_converter_arch(4)
+        dn, up = arch.converters
+        part = replace(dn.component, **fields)
+        return replace(arch, converters=(replace(dn, component=part), up))
+    return build
+
+
+def _conv(dims=(), bits=(), **fields):
+    """toys.conv_k4 with `dims` and `bits` merged into its own and the
+    other `fields` replaced."""
+
+    def build():
+        layer = toys.conv_k4()
+        return replace(layer, dims={**layer.dims, **dict(dims)},
+                       bits={**layer.bits, **dict(bits)}, **fields)
+    return build
+
+
+ALBIREO = "architecture[albireo-k8q7c4r3]"
+
+
+# Each of these objects was built without error and then searched or
+# priced, or failed only later in a search: a validated type was checked
+# only by its document reader, and a part could state an energy that is
+# never charged.
+@pytest.mark.parametrize("build, kind, path", [
+    pytest.param(_albireo_stencil(3, (("K", 8), ("X", 2))),
+                 "MalformedDocument", f"{ALBIREO}.levels[3].stencil.X",
+                 id="stencil-unknown-dim"),
+    pytest.param(_albireo_stencil(3, (("K", 0),)), "BadBound",
+                 f"{ALBIREO}.levels[3].stencil.K", id="stencil-width-zero"),
+    pytest.param(_albireo_stencil(3, (("K", 8000),)), "BadBound",
+                 f"{ALBIREO}.levels[3].stencil", id="stencil-above-fanout"),
+    pytest.param(_albireo_stencil(0, (("K", 8),)), "BadBound",
+                 f"{ALBIREO}.levels[0].stencil", id="stencil-on-outermost"),
+    pytest.param(_dn_part(domain_in="DO"), "MalformedDocument",
+                 "architecture[fanout_conv].converters[dn]",
+                 id="bank-domains-off-edge"),
+    pytest.param(_store_states("idle"), "MalformedDocument",
+                 "architecture[fanout_conv].levels[0]", id="part-states-idle"),
+    pytest.param(_dn_part(energy_per_action={"convert": 2.0, "compute": 1.0}),
+                 "MalformedDocument", "architecture[fanout_conv].converters[dn]",
+                 id="converter-states-compute"),
+    pytest.param(_conv(stride=(0, 0)), "BadBound", "layer[conv]",
+                 id="stride-zero"),
+    pytest.param(_conv(stride=(1,)), "BadBound", "layer[conv]",
+                 id="stride-short"),
+    pytest.param(_conv(dims={"K": 0}), "BadBound", "layer[conv]",
+                 id="dim-zero"),
+    pytest.param(_conv(dims={"K": True}), "BadBound", "layer[conv]",
+                 id="dim-bool"),
+    pytest.param(_conv(dims={"X": 3}), "MalformedDocument", "layer[conv]",
+                 id="dim-unknown"),
+    pytest.param(_conv(bits={"Weight": 4}), "MalformedDocument",
+                 "layer[conv]", id="bits-key-typo"),
+    pytest.param(_conv(bits={"Weights": 0}), "BadBound", "layer[conv]",
+                 id="bits-zero"),
+    pytest.param(lambda: Workload("w", (toys.conv_k4(), toys.conv_k4())),
+                 "MalformedDocument", "workload[w]", id="layer-repeats"),
+])
+def test_an_invalid_object_is_rejected_as_it_is_built(build, kind, path):
+    with pytest.raises(SpecError) as e:
+        build()
     assert (e.value.kind, e.value.path) == (kind, path)
 
 
@@ -1296,7 +1394,8 @@ def test_mapping_of_an_unknown_level_rejected():
 ], ids=["level-count", "repeated-loop"])
 def test_malformed_mapping_fails_validation(edit, message):
     arch, doc = mapping_doc()
-    layer = Layer(name="fc", kind="fully_connected", dims={"K": 2, "C": 3})
+    layer = Layer(name="fc", kind="fully_connected", dims={
+        "N": 1, "K": 2, "C": 3, "P": 1, "Q": 1, "R": 1, "S": 1})
     mapping = parse_mapping(doc, arch)
     with pytest.raises(MappingError, match=message) as e:
         validate_mapping(edit(mapping), layer, arch)

@@ -104,5 +104,5 @@ def conv_k4() -> Layer:
 
 
 def ones_layer() -> Layer:
-    return Layer(name="one", kind="conv",
+    return Layer(name="one", kind="fully_connected",
                  dims={d: 1 for d in ("N", "K", "C", "P", "Q", "R", "S")})
