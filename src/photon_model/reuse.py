@@ -358,9 +358,8 @@ def tally(plan: CountPlan, footprints: dict[tuple[int, str], int],
         return crossings[leg.first]
 
     # Operand tensors flow down their keeper chains: Weights, then Inputs,
-    # each leg's crossings recorded as cross records them. The demand just
-    # inside a hop is what the next hop in carries, so the legs run
-    # innermost first.
+    # each leg recorded by cross. The demand just inside a hop is what the
+    # next hop in carries, so the legs run innermost first.
     for k, (tensor, legs) in enumerate(plan.operands):
         into = macs
         for leg in reversed(legs):
@@ -368,18 +367,7 @@ def tally(plan: CountPlan, footprints: dict[tuple[int, str], int],
             base = (macs if inner == compute else
                     resident[inner][k] * footprints[inner, tensor]
                     * instances[inner])
-            slot = leg.first
-            for at in leg.conversions_at:
-                n, rest = divmod(base, widths[slot])
-                if rest:
-                    raise AssertionError(
-                        f"inexact collapse {base}/{widths[slot]}")
-                crossings[slot] = n
-                demand[slot] = into
-                if at >= 0:
-                    conversions[at] += n
-                slot += 1
-            delivered = crossings[leg.first]
+            delivered = cross(leg, base, into)
             levels[leg.outer_at] += delivered
             if leg.inner_at >= 0:
                 levels[leg.inner_at + 1] += delivered

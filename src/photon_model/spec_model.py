@@ -33,13 +33,14 @@ Documents are read through field tables (table): each object's fields,
 their types and defaults, and the error a wrong one gets. Bounds and
 cross-field rules are the types': an Architecture, a Layer, a Workload and
 each config is valid by construction (__post_init__), so readers only read.
-A mapping document, read once per design point, has a direct reader as well
-(parse_mapping): a plain document, whose objects hold only their tables'
-fields, each of exactly the type the table keeps as it is, is read in one
-pass, and any other goes to the tables, which convert it or raise. The
-reader's level index is kept per architecture (Architecture.derived), and a
-mapping's override key is made once (Mapping.keep_key) for the lookups of
-both its validation and its count plan.
+A mapping document, read once per design point, becomes a Mapping through
+one assembly (_assemble) that the tables feed. parse_mapping hands it a
+plain document, whose objects hold only their tables' fields, each a value
+the table keeps as it stands, as it is; any other goes through the tables
+first, which convert it or raise. The level index the assembly looks names
+up in is kept per architecture (Architecture.derived), and a mapping's
+override key is made once (Mapping.keep_key) for the lookups of both its
+validation and its count plan.
 """
 
 from __future__ import annotations
@@ -312,12 +313,16 @@ class Layer:
 
 @dataclass(frozen=True)
 class Workload:
-    """Layers under distinct names, valid by construction (__post_init__)."""
+    """At least one layer, under distinct names, valid by construction
+    (__post_init__)."""
 
     name: str
     layers: tuple[Layer, ...]
 
     def __post_init__(self):
+        if not self.layers:
+            raise SpecError("MalformedDocument", f"workload[{self.name}]",
+                            "needs at least one layer")
         if len({l.name for l in self.layers}) < len(self.layers):
             raise SpecError("MalformedDocument", f"workload[{self.name}]",
                             "duplicate layer names")
@@ -662,12 +667,14 @@ def _validate_component(c: ComponentSpec, path: str) -> None:
         if getattr(c, name) < 0:
             raise SpecError("BadBound", f"{path}.{name}",
                             f"must be >= 0, got {getattr(c, name)!r}")
-    if c.cls == "storage" and c.capacity_bits <= 0:
+    if type(c.capacity_bits) is not int or (c.cls == "storage"
+                                            and c.capacity_bits <= 0):
         raise SpecError("CapacityNonPositive", path,
-                        f"storage component {c.name!r} needs capacity_bits > 0")
-    if c.width_bits <= 0 or c.bandwidth <= 0:
-        raise SpecError("MalformedDocument", path,
-                        "width_bits and bandwidth must be positive")
+                        f"component {c.name!r} needs an integer capacity_bits"
+                        ", > 0 for storage")
+    if type(c.width_bits) is not int or c.width_bits <= 0 or c.bandwidth <= 0:
+        raise SpecError("MalformedDocument", path, "width_bits must be a "
+                        "positive integer and bandwidth positive")
 
 
 def _converter_direction(arch_levels: tuple[Level, ...],
@@ -714,17 +721,20 @@ def validate_architecture(arch: Architecture) -> None:
         if lv.component.cls != want:
             raise SpecError("MalformedDocument", lpath,
                             f"level {lv.name!r} must use a {want} component")
-        if lv.fanout < 1:
-            raise SpecError("BadBound", lpath, "fanout must be >= 1")
+        if type(lv.fanout) is not int or lv.fanout < 1:
+            raise SpecError("BadBound", lpath, "fanout must be an integer >= 1")
         if i == 0 and lv.fanout != 1:
             raise SpecError("BadBound", lpath, "outermost level has no parent fanout")
         _check_tensors(lv.keeps, lpath)
         if want == "compute" and lv.keeps:
             raise SpecError("MalformedDocument", lpath, "compute level keeps nothing")
-        for d, w in lv.stencil:
+        for j, (d, w) in enumerate(lv.stencil):
             if d not in DIMS:
                 raise SpecError("MalformedDocument", f"{lpath}.stencil.{d}",
                                 f"unknown dim {d!r}")
+            if any(d == e for e, _ in lv.stencil[:j]):
+                raise SpecError("MalformedDocument", f"{lpath}.stencil.{d}",
+                                f"dim {d!r} is named twice")
             if type(w) is not int or w < 1:
                 raise SpecError("BadBound", f"{lpath}.stencil.{d}",
                                 "width must be a positive integer")
@@ -748,8 +758,9 @@ def validate_architecture(arch: Architecture) -> None:
         for p in parts:
             ppath = f"{path}.{group}[{p.name}]"
             _validate_component(p.component, ppath)
-            if p.instances < 1:
-                raise SpecError("MalformedDocument", ppath, "instances must be >= 1")
+            if type(p.instances) is not int or p.instances < 1:
+                raise SpecError("MalformedDocument", ppath,
+                                "instances must be an integer >= 1")
     carried = set()
     for cv in arch.converters:
         cpath = f"{path}.converters[{cv.name}]"
@@ -1172,7 +1183,7 @@ _LAYER = table({
     "stride": (FieldType(None, _read_stride), (1, 1)),
     "bits": (FieldType(None, _read_bits), dict.fromkeys(TENSORS, 8))})
 _WORKLOAD = table({"name": (STR, "workload"),
-                   "layers": (list_of(OBJECT, nonempty=True), REQUIRED)})
+                   "layers": (_OBJECTS, REQUIRED)})
 _SPEC = table({
     "spec_version": (INT, None), "components": (_OBJECTS, ()),
     "use_builtin_components": (ANY, None), "architecture": (OBJECT, None),
@@ -1518,108 +1529,95 @@ def parse_mapping(doc: dict, arch: Architecture) -> Mapping:
     and permutation entries are left to validate_mapping.
 
     A plain document, whose every object holds only fields of its table,
-    each of exactly the type the table keeps as it is, is read here in one
-    pass. Any other goes to the field tables (_read_mapping), which convert
-    what they accept (an integral float batch_size) and raise every error,
-    so the tables alone define a mapping document and its messages."""
+    each a value the table keeps as it stands, is assembled in one pass
+    (_assemble). Any other is read through the field tables first, which
+    convert what they accept (an integral float batch_size) and raise every
+    field's error, so the tables alone define a mapping document's fields
+    and their messages."""
 
-    if type(doc) is not dict:
-        return _read_mapping(doc, arch)
+    if not isinstance(doc, dict):
+        _fail("$", "an object", doc)
     body = doc
     if "mapping" in doc:
         version = doc.get("spec_version", SPEC_VERSION)
         body = doc["mapping"]
-        if (type(version) is not int or version != SPEC_VERSION
-                or type(body) is not dict or not doc.keys() <= _DOC_FIELDS):
-            return _read_mapping(doc, arch)
+        if (type(version) is not int or type(body) is not dict
+                or not doc.keys() <= _DOC_FIELDS):
+            f = _MAPPING_DOC.read(doc, "$")
+            version, body = f["spec_version"], f["mapping"]
+        if version is not None:  # the document states none
+            check_spec_version(version, "$.spec_version")
+    m = _assemble(body, arch)
+    return _assemble(_MAPPING.read(body, "mapping"), arch) if m is None else m
+
+
+def _assemble(body: dict, arch: Architecture) -> Mapping | None:
+    """The Mapping of a mapping body, or None at its first object that the
+    field tables would not keep as it stands (_MAPPING.read returns no
+    such object). A level name or override key that `arch` does not know
+    is raised only once the pass ends: the tables read every field before
+    a name is looked up, so their error comes first."""
+
     levels = body.get("levels")
     batch = body.get("batch_size", 1)
     pad = body.get("pad", False)
     overrides = body.get("keep_overrides", _EMPTY_OBJECT)
-    if (type(levels) is not list or type(batch) is not int
-            or type(pad) is not bool or type(overrides) is not dict
+    if (type(levels) is not list and type(levels) is not tuple
+            or type(batch) is not int or type(pad) is not bool
+            or not isinstance(overrides, dict)
             or not body.keys() <= _BODY_FIELDS):
-        return _read_mapping(doc, arch)
-    index, level_keys = _mapping_reader(arch)
+        return None
+    index = _level_index(arch)
+    fault = None
     lms: list[LevelMapping | None] = [None] * len(arch.levels)
-    for ld in levels:
+    for j, ld in enumerate(levels):
         if type(ld) is not dict:
-            return _read_mapping(doc, arch)
+            return None
         name = ld.get("level")
         t = ld.get("temporal", _EMPTY_OBJECT)
         s = ld.get("spatial", _EMPTY_OBJECT)
         perm = ld.get("permutation", _EMPTY_LIST)
-        if (type(name) is not str or type(t) is not dict
-                or type(s) is not dict or type(perm) is not list
+        if (not isinstance(name, str) or not isinstance(t, dict)
+                or not isinstance(s, dict) or not isinstance(perm, list)
                 or not ld.keys() <= _LEVEL_FIELDS):
-            return _read_mapping(doc, arch)
+            return None
         i = index.get(name)
-        if i is None or lms[i] is not None:
-            return _read_mapping(doc, arch)
-        lms[i] = LevelMapping(dict(t), dict(s), tuple(perm))
+        if i is None:
+            fault = fault or (f"levels[{j}]", f"unknown level {name!r}")
+        elif lms[i] is not None:
+            fault = fault or (f"levels[{j}]", f"level {name!r} is mapped twice")
+        else:
+            lms[i] = LevelMapping(dict(t), dict(s), tuple(perm))
     kept = {}
     for k, v in overrides.items():
-        i = level_keys.get(k)
-        if i is None or type(v) is not list:
-            return _read_mapping(doc, arch)
+        if not isinstance(v, (list, tuple)):
+            return None
         for x in v:
-            if type(x) is not str:
-                return _read_mapping(doc, arch)
-        kept[i] = tuple(sorted(v))
+            if not isinstance(x, str):
+                return None
+        # Only the canonical form: "01", "+1", " 1" or "１" would name
+        # level 1 as well, and one entry would replace another.
+        try:
+            i = (int(k) if type(k) is str and k.isascii() and k.isdigit()
+                 else None)
+        except ValueError:  # more digits than int() reads
+            i = None
+        if i is None or k != str(i):
+            fault = fault or (f"keep_overrides.{k}",
+                              "must be keyed by a level index")
+        else:
+            kept[i] = tuple(sorted(v))
+    if fault is not None:
+        raise SpecError("MalformedDocument", f"mapping.{fault[0]}", fault[1])
     return Mapping(tuple([LevelMapping() if lm is None else lm
                           for lm in lms]), batch, kept, pad)
 
 
-def _mapping_reader(arch: Architecture) -> tuple[dict[str, int],
-                                                 dict[str, int]]:
-    """Each level's index by its name and by its keep_overrides key (the
-    canonical form, str(index)), kept on the architecture."""
+def _level_index(arch: Architecture) -> dict[str, int]:
+    """Each level's index by its name, kept on the architecture."""
 
-    return arch.derived(("mapping_reader",), lambda: (
-        {lv.name: i for i, lv in enumerate(arch.levels)},
-        {str(i): i for i in range(len(arch.levels))}))
-
-
-def _read_mapping(doc: dict, arch: Architecture) -> Mapping:
-    """parse_mapping through the field tables."""
-
-    if not isinstance(doc, dict):
-        _fail("$", "an object", doc)
-    path = "mapping"
-    if "mapping" in doc:
-        f = _MAPPING_DOC.read(doc, "$")
-        if f["spec_version"] is not None:  # the bare body states none
-            check_spec_version(f["spec_version"], "$.spec_version")
-        doc = f["mapping"]
-    body = _MAPPING.read(doc, path)
-    by_name = _mapping_reader(arch)[0]
-    lms: list[LevelMapping | None] = [None] * len(arch.levels)
-    for j, ld in enumerate(body["levels"]):
-        name = ld["level"]
-        if name not in by_name:
-            raise SpecError("MalformedDocument", f"{path}.levels[{j}]",
-                            f"unknown level {name!r}")
-        i = by_name[name]
-        if lms[i] is not None:
-            raise SpecError("MalformedDocument", f"{path}.levels[{j}]",
-                            f"level {name!r} is mapped twice")
-        lms[i] = LevelMapping(temporal=dict(ld["temporal"]),
-                              spatial=dict(ld["spatial"]),
-                              permutation=tuple(ld["permutation"]))
-    overrides = {}
-    for k, v in body["keep_overrides"].items():
-        # Only the canonical form: "01", "+1", " 1" or "１" would name
-        # level 1 as well, and one entry would replace another.
-        try:
-            i = int(k) if k.isascii() and k.isdigit() else None
-        except ValueError:  # more digits than int() reads
-            i = None
-        if i is None or k != str(i):
-            raise SpecError("MalformedDocument", f"{path}.keep_overrides.{k}",
-                            "must be keyed by a level index")
-        overrides[i] = tuple(sorted(v))
-    levels = tuple(LevelMapping() if lm is None else lm for lm in lms)
-    return Mapping(levels, body["batch_size"], overrides, body["pad"])
+    return arch.derived(("level_index",), lambda: {
+        lv.name: i for i, lv in enumerate(arch.levels)})
 
 
 def canonical_json(doc: dict) -> str:

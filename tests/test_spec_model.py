@@ -579,7 +579,7 @@ DOCUMENT_ERRORS = {
             {"name": "laser", "component": "sram"}),
         "MalformedDocument", "architecture[mini].extras"),
     "layers-empty": (_set(lambda d: d["workload"], "layers", []),
-                     "MalformedDocument", "workload.layers"),
+                     "MalformedDocument", "workload[w]"),
     "layer-names-repeat": (_repeat_the_layer, "MalformedDocument",
                            "workload[w]"),
     "unknown-dim": (_set(_layer, "dims", {"K": 2, "X": 2}),
@@ -747,14 +747,15 @@ def test_an_edited_architecture_is_validated(edit, kind, path):
     assert (e.value.kind, e.value.path) == (kind, path)
 
 
-def _albireo_stencil(level, stencil):
-    """The bundled accelerator with level `level`'s stencil replaced."""
+def _albireo(group, i, **fields):
+    """The bundled accelerator with `fields` replaced in entry `i` of its
+    `group` (levels, converters or extras)."""
 
     def build():
         arch = albireo.architecture()
-        levels = list(arch.levels)
-        levels[level] = replace(levels[level], stencil=stencil)
-        return replace(arch, levels=tuple(levels))
+        entries = list(getattr(arch, group))
+        entries[i] = replace(entries[i], **fields)
+        return replace(arch, **{group: tuple(entries)})
     return build
 
 
@@ -803,15 +804,34 @@ ALBIREO = "architecture[albireo-k8q7c4r3]"
 # only by its document reader, and a part could state an energy that is
 # never charged.
 @pytest.mark.parametrize("build, kind, path", [
-    pytest.param(_albireo_stencil(3, (("K", 8), ("X", 2))),
+    pytest.param(_albireo("levels", 3, stencil=(("K", 8), ("X", 2))),
                  "MalformedDocument", f"{ALBIREO}.levels[3].stencil.X",
                  id="stencil-unknown-dim"),
-    pytest.param(_albireo_stencil(3, (("K", 0),)), "BadBound",
+    pytest.param(_albireo("levels", 3, stencil=(("K", 0),)), "BadBound",
                  f"{ALBIREO}.levels[3].stencil.K", id="stencil-width-zero"),
-    pytest.param(_albireo_stencil(3, (("K", 8000),)), "BadBound",
+    pytest.param(_albireo("levels", 3, stencil=(("K", 8000),)), "BadBound",
                  f"{ALBIREO}.levels[3].stencil", id="stencil-above-fanout"),
-    pytest.param(_albireo_stencil(0, (("K", 8),)), "BadBound",
+    pytest.param(_albireo("levels", 0, stencil=(("K", 8),)), "BadBound",
                  f"{ALBIREO}.levels[0].stencil", id="stencil-on-outermost"),
+    pytest.param(_albireo("levels", 3, stencil=(("K", 8), ("K", 1))),
+                 "MalformedDocument", f"{ALBIREO}.levels[3].stencil.K",
+                 id="stencil-dim-twice"),
+    pytest.param(_albireo("levels", 3, fanout=672.5), "BadBound",
+                 f"{ALBIREO}.levels[3]", id="fanout-float"),
+    pytest.param(_albireo("converters", 0, instances=32.5),
+                 "MalformedDocument", f"{ALBIREO}.converters[input_dac]",
+                 id="converter-instances-float"),
+    pytest.param(_albireo("converters", 0, instances=True),
+                 "MalformedDocument", f"{ALBIREO}.converters[input_dac]",
+                 id="converter-instances-bool"),
+    pytest.param(_albireo("extras", 0, instances=1.5), "MalformedDocument",
+                 f"{ALBIREO}.extras[comb_laser]", id="extra-instances-float"),
+    pytest.param(_dn_part(capacity_bits=2.5), "CapacityNonPositive",
+                 "architecture[fanout_conv].converters[dn]",
+                 id="part-capacity-float"),
+    pytest.param(_dn_part(width_bits=8.5), "MalformedDocument",
+                 "architecture[fanout_conv].converters[dn]",
+                 id="part-width-float"),
     pytest.param(_dn_part(domain_in="DO"), "MalformedDocument",
                  "architecture[fanout_conv].converters[dn]",
                  id="bank-domains-off-edge"),
