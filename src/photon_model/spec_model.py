@@ -1190,11 +1190,17 @@ _SPEC = table({
     "workload": (OBJECT, None),
     "include": (FieldType(None, lambda v, path: _fail(
         path, "resolved before parsing (load_document)", v)), None)})
-_LEVEL_MAPPING = table({"level": (STR, REQUIRED), "temporal": (OBJECT, {}),
-                        "spatial": (OBJECT, {}), "permutation": (LIST, ())})
+# The empty values a mapping object may leave out, read and never written
+# to; each is of the type its field keeps, so _assemble takes it as it stands.
+_EMPTY_OBJECT: dict = {}
+_EMPTY_LIST: list = []
+_LEVEL_MAPPING = table({"level": (STR, REQUIRED),
+                        "temporal": (OBJECT, _EMPTY_OBJECT),
+                        "spatial": (OBJECT, _EMPTY_OBJECT),
+                        "permutation": (LIST, _EMPTY_LIST)})
 _MAPPING = table({"levels": (list_of(_LEVEL_MAPPING), REQUIRED),
                   "batch_size": (INT, 1), "pad": (BOOL, False),
-                  "keep_overrides": (map_of(_STRS), {})})
+                  "keep_overrides": (map_of(_STRS), _EMPTY_OBJECT)})
 _MAPPING_DOC = table({"spec_version": (INT, None), "mapping": (OBJECT, REQUIRED)})
 # The published per-component energies of workloads.load_reference_breakdown.
 REFERENCE_BREAKDOWN = table({
@@ -1515,13 +1521,10 @@ def serialize_mapping(m: Mapping, arch: Architecture) -> dict:
     }
 
 
-# The fields of each object of a mapping document, and the empty values a
-# plain one may leave out, read and never written to.
+# The fields of each object of a mapping document.
 _DOC_FIELDS = frozenset(_MAPPING_DOC.fields)
 _BODY_FIELDS = frozenset(_MAPPING.fields)
 _LEVEL_FIELDS = frozenset(_LEVEL_MAPPING.fields)
-_EMPTY_OBJECT: dict = {}
-_EMPTY_LIST: list = []
 
 
 def parse_mapping(doc: dict, arch: Architecture) -> Mapping:
@@ -1548,15 +1551,20 @@ def parse_mapping(doc: dict, arch: Architecture) -> Mapping:
         if version is not None:  # the document states none
             check_spec_version(version, "$.spec_version")
     m = _assemble(body, arch)
-    return _assemble(_MAPPING.read(body, "mapping"), arch) if m is None else m
+    if m is None:
+        m = _assemble(_MAPPING.read(body, "mapping"), arch)
+        if m is None:
+            raise AssertionError("_assemble refused what the tables read")
+    return m
 
 
 def _assemble(body: dict, arch: Architecture) -> Mapping | None:
     """The Mapping of a mapping body, or None at its first object that the
     field tables would not keep as it stands (_MAPPING.read returns no
-    such object). A level name or override key that `arch` does not know
-    is raised only once the pass ends: the tables read every field before
-    a name is looked up, so their error comes first."""
+    such object: each default is of its field's type). A level name or
+    override key that `arch` does not know is raised only once the pass
+    ends: the tables read every field before a name is looked up, so their
+    error comes first."""
 
     levels = body.get("levels")
     batch = body.get("batch_size", 1)

@@ -201,6 +201,9 @@ KINDS = ["drop", "add", "retype", "unknown-level", "repeated-level",
               st.integers(0, 1 << 16)), min_size=2, max_size=2))
 # An override key that is not a string (b=8), then an unknown level.
 @example(which=0, edits=[("override-key", 0, 8), ("unknown-level", 0, 0)])
+# A bare body whose first level leaves out its permutation, then a float
+# batch_size, which sends the body through the tables and their default.
+@example(which=4, edits=[("drop", 2, 3), ("retype", 1, 0)])
 def test_reader_agrees_with_the_field_tables(count, which, edits):
     arch, doc = searched_documents()[which]
     doc = copy.deepcopy(doc)
@@ -218,9 +221,22 @@ def test_a_plain_document_never_reaches_the_tables(which, monkeypatch):
     def refuse(v, path):
         raise AssertionError(f"{path} read through the field tables")
 
-    for name in ("_MAPPING_DOC", "_MAPPING", "_LEVEL_MAPPING", "_STRS"):
+    # The two tables parse_mapping looks up when it is called; the readers
+    # below them are bound into _MAPPING when the module is imported.
+    for name in ("_MAPPING_DOC", "_MAPPING"):
         monkeypatch.setattr(spec_model, name, FieldType(None, refuse))
     assert parse_mapping(doc, arch) == want
+
+
+def test_a_table_read_level_gets_every_default():
+    """A body the tables read, for its float batch_size, whose level leaves
+    out temporal, spatial and permutation, assembles to what they give."""
+
+    arch = toys.fc_weight_buffer()
+    doc = {"levels": [{"level": "wbuf"}], "batch_size": 2.0}
+    m = parse_mapping(copy.deepcopy(doc), arch)
+    assert m == table_reader(doc, arch)
+    assert (m.batch_size, m.levels[1]) == (2, LevelMapping())
 
 
 @pytest.mark.parametrize("doc", [5, None, 1.5, "mapping", []])
