@@ -27,21 +27,22 @@ demand still fits beside theirs (_CapacityCheck.limits, the demand summed
 as kept_bits sums it). A dim whose every chain sits at its minimum extent
 row needs no limits (see _CapacityCheck). The fanout mask is kept per
 `sprod` and the capacity mask per limits tuple, as they read nothing
-else. Per refetch-forbidden keeper and running mask pair, the chains the
-loop-nest condition allows form one more bitset: the table groups its
-chains by the levels where they iterate, and one check per group decides
-it. Each step ANDs them with the menu and picks from the result's index
-list, kept per bitset in menu order, so the picks are those of a filter
-that rechecks every chain.
+else. Per running nest word (each refetch-forbidden keeper's loop-nest
+mask pair, packed in one int), the chains the loop-nest condition allows
+form one more bitset: the table groups its chains by the levels where
+they iterate, and one check per group decides it. Each step ANDs them
+with the menu and picks from the result's index list, kept per bitset in
+menu order, so the picks are those of a filter that rechecks every
+chain.
 
 Both strategies walk one kind of state (_Walk): what the dims assigned so
 far leave, that is the spatial products, extent rows, loop-nest masks,
 step count and loop-order signature, moved to the next dim by one
 function. The draws keep a tree of the prefixes of picks they have drawn,
 each holding its state and its feasible list; a draw descends it with one
-rng.choice per dim and runs limits, the filter and the state update only
-for a prefix not drawn before, so it draws what a walk that recomputed
-every step draws. Exhaustive visits each prefix once and keeps no tree.
+pick per dim and runs limits, the filter and the state update only for a
+prefix not drawn before, so it draws what a walk that recomputed every
+step draws. Exhaustive visits each prefix once and keeps no tree.
 The loop orders come from one lookup per assignment: a table keyed by the
 levels where each picked chain iterates (_OrderTable) holds every level's
 legal orders. It reads only the level count and the refetch-forbidden
@@ -51,11 +52,12 @@ search that shares them.
 A candidate is priced from its picked chains and loop orders with no
 Mapping in between (_Pricer). Its counts are reuse.tally, the arithmetic
 reuse.count runs, fed from what each chain fixes on its own (its padded
-extent and spatial factors, read from its table) and the footprints
-tally reads (CountPlan.tiled), computed from the chains' tile extents
-where reuse.count takes them from validation. What the picked spatial
-rows fix, the instances and the merge widths, is kept per search for
-each tuple of rows. Its price comes from the PriceProgram kept for the
+and real extents, its temporal and spatial factors, read from its table)
+and the footprints tally reads (CountPlan.tiled), computed from the
+chains' tile extents where reuse.count takes them from validation. What
+the picked spatial rows fix, the instances and the merge widths, is kept
+per search for each tuple of rows, and each level's footprints per
+column of extents. Its price comes from the PriceProgram kept for the
 search's CountPlan (evaluator.price_program), the one evaluate runs, in
 its order, so each objective is bit-identical to its evaluation's. The
 search compares only these priced objectives (_Best): it keeps the lowest
@@ -96,6 +98,27 @@ capacity rows (each checked level's kept tensors, each named once, and its
 capacity) and the refetch-forbidden keepers come from spec_model's
 validation_plan, and the capacity demand from its tile_values: the
 definitions validation and the counting engines use.
+
+Every pick, a dim's chain from its feasible list and a level's loop order
+from its legal ones, draws an index below the list's length n as
+Random.choice and Random.randrange draw it, inline from the generator's
+getrandbits: n.bit_length() bits, drawn again until the value is below n.
+So a seed draws what rng.choice and rng.randrange draw, with no call
+into random per pick; tests/test_mapper.py checks the rule against the
+running Python's random.
+
+What is kept, and for how long:
+* per search: the draw tree, each filter's masks and index lists, and the
+  pricer's instances and merge widths per tuple of spatial rows and
+  footprints per level column;
+* per architecture (Architecture.derived), for every search on it: the
+  chain tables per menu key, the order table per keep-override set, each
+  search's result (below), and each capacity check's limits per dim and
+  column, keyed by all else a limit reads: the level, its kept tensors
+  and their widths, the layer's stride and the capacity;
+* per process: divisors, enumerate_factorizations, each dim's signature
+  words (_spread) and each level's legal loop orders (_valid_perms), pure
+  functions of their arguments.
 
 Ties on the objective break toward the lexicographically smallest mapping
 digest among priced candidates, so every strategy is deterministic for a
@@ -273,13 +296,15 @@ class _ChainTable:
 
     extents[i] holds the chain's extent at each storage level 0..M-2: the
     product of its factors below the level, or at level 0 of them all (its
-    padded extent, as the backing store holds whole tensors). spatial[i]
-    is its spatial row s1..s(M-1), live[i] has bit j set where it iterates
-    at level j (temporal factor > 1), and steps[i] is the product of its
-    temporal factors, its share of the step count. fan_axes and
-    extent_axes are _prefix_bitsets per spatial level and per storage
-    level, and by_live maps each live value to the bitset of its chains.
-    `fault` names a pin that cannot fit, which leaves the table empty."""
+    padded extent, as the backing store holds whole tensors), and real[i]
+    the padded extent capped at the bound. spatial[i] is its spatial row
+    s1..s(M-1) and temporal[i] its temporal row t0..t(M-1); live[i] has
+    bit j set where it iterates at level j (temporal factor > 1), and
+    steps[i] is the product of its temporal factors, its share of the
+    step count. fan_axes and extent_axes are _prefix_bitsets per spatial
+    level and per storage level, and by_live maps each live value to the
+    bitset of its chains. `fault` names a pin that cannot fit, which
+    leaves the table empty."""
 
     def __init__(self, arch: Architecture, bound: int,
                  pins: tuple[int | None, ...], origin: int, t_open: int,
@@ -321,13 +346,28 @@ class _ChainTable:
         if strict:
             chains.sort()
         self.chains = chains
-        self.extents = [tuple(math.prod(c[2 * lvl + 1:]) if lvl
-                              else math.prod(c) for lvl in range(m - 1))
-                        for c in chains]
-        self.spatial = [c[1::2] for c in chains]
-        self.live = [sum(1 << j for j, f in enumerate(c[0::2]) if f > 1)
-                     for c in chains]
-        self.steps = [math.prod(c[0::2]) for c in chains]
+        self.extents, self.real, self.temporal = [], [], []
+        self.spatial, self.live, self.steps = [], [], []
+        for c in chains:
+            # Each storage level's extent, the product of the factors
+            # below it, from the innermost level outward.
+            row = [1] * (m - 1)
+            inner = 1
+            for j in range(m - 1, 1, -1):
+                inner *= c[2 * j - 1] * c[2 * j]
+                row[j - 1] = inner
+            padded = row[0] = inner * c[1] * c[2] * c[0]
+            temporal = c[0::2]
+            live = 0
+            for j, f in enumerate(temporal):
+                if f > 1:
+                    live |= 1 << j
+            self.extents.append(tuple(row))
+            self.real.append(padded if padded < bound else bound)
+            self.temporal.append(temporal)
+            self.spatial.append(c[1::2])
+            self.live.append(live)
+            self.steps.append(math.prod(temporal))
         self.everything = (1 << len(chains)) - 1
         self.fan_axes = [_prefix_bitsets([s[j] for s in self.spatial])
                          for j in range(m - 1)]
@@ -388,6 +428,13 @@ class _CapacityCheck:
         self.layer = layer
         self.checks = [(lvl, keeps, bits) for lvl, keeps, bits, _
                        in validation_plan(arch, cfg.keep_overrides).capacity]
+        # Per check, its limits per dim, kept on the architecture under
+        # all that they read but the dim and the column: shared by every
+        # search of the architecture whose check reads alike.
+        self.memos = [arch.derived(
+            ("limits", lvl, keeps, tuple(layer.bits[t] for t in keeps),
+             layer.stride, bits), lambda: tuple({} for _ in DIMS))
+            for lvl, keeps, bits in self.checks]
 
         def least(d, lvl):
             pins = math.prod(cfg.fixed_spatial.get((j, d), 1)
@@ -396,18 +443,18 @@ class _CapacityCheck:
 
         self.mins = tuple(tuple(least(d, lvl) for lvl in range(m - 1))
                           for d in DIMS)
-        self.memo: dict[tuple, float] = {}
 
     def narrow(self, tops: list[tuple[int, ...]]) -> None:
         """Stop checking the levels that fit the menus' largest extents
         (`tops`, one row per dim): demand grows with every extent, so such
         a level never binds."""
 
-        self.checks = [
-            (lvl, keeps, bits) for lvl, keeps, bits in self.checks
-            if bits < sum(kept_bits(self.layer, {d: top[lvl] for d, top
-                                                 in zip(DIMS, tops)},
-                                    keeps).values())]
+        binds = [bits < sum(kept_bits(self.layer, {d: top[lvl] for d, top
+                                                   in zip(DIMS, tops)},
+                                      keeps).values())
+                 for lvl, keeps, bits in self.checks]
+        self.checks = list(itertools.compress(self.checks, binds))
+        self.memos = list(itertools.compress(self.memos, binds))
 
     def limits(self, rows: tuple[tuple[int, ...], ...], di: int
                ) -> tuple[float, ...]:
@@ -416,17 +463,18 @@ class _CapacityCheck:
         in DIMS order). Each tensor's tile_values is affine in any one
         dim's extent, the Inputs halo (P-1)*stride + R included, so the
         demands at extents 1 and 2 give the level's demand a + b*e
-        exactly. Each level's limit is kept for the search, as the same
-        extents recur at a level more often than whole rows do."""
+        exactly. Each level's limit is kept per dim and column in its
+        check's memo, as the same extents recur at a level more often than
+        whole rows do."""
 
-        d, layer, bits, memo = DIMS[di], self.layer, self.layer.bits, self.memo
+        d, layer, bits = DIMS[di], self.layer, self.layer.bits
         columns = tuple(zip(*rows))
         out = []
-        for lvl, keeps, cap in self.checks:
-            key = (lvl, di, columns[lvl])
-            limit = memo.get(key)
+        for (lvl, keeps, cap), memos in zip(self.checks, self.memos):
+            memo, column = memos[di], columns[lvl]
+            limit = memo.get(column)
             if limit is None:
-                tb = dict(zip(DIMS, columns[lvl]))
+                tb = dict(zip(DIMS, column))
                 # The level's demand, summed as kept_bits charges it.
                 one = two = 0
                 tb[d] = 1
@@ -440,7 +488,7 @@ class _CapacityCheck:
                     limit = 1 + (cap - one) // slope
                 else:
                     limit = math.inf if one <= cap else 0
-                memo[key] = limit
+                memo[column] = limit
             out.append(limit)
         return tuple(out)
 
@@ -495,7 +543,7 @@ class _MenuFilter:
     """The feasibility filter over one dim's menu, as bitsets over its
     chain table's indices (see the module docstring). The fanout mask is
     built on first use of each spatial product, the capacity mask of each
-    limits tuple and the loop-nest bitset of each running mask pair; the
+    limits tuple and the loop-nest bitset of each running nest word; the
     index list once per feasible bitset."""
 
     def __init__(self, arch: Architecture, table: _ChainTable, menu: int,
@@ -510,28 +558,32 @@ class _MenuFilter:
         self.at_min = all(top[lvl] == cap.mins[di][lvl]
                           for lvl, _, _ in cap.checks)
         # Per forbidden keeper, the masks of a chain's live bits that it
-        # adds to the keeper's (own, other) pair (_nest_ok).
+        # adds to the keeper's (own, other) pair (_nest_ok). A walk's nest
+        # word packs the pairs, keeper k's own at bit 2k * M and its other
+        # at bit (2k + 1) * M, and nest_words[live] is a chain's part.
+        m = self.levels = len(arch.levels)
         self.nest_masks = tuple(
             ((1 << (b + 1)) - 2, 0) if d in TENSOR_DIMS[t]
             else (0, (1 << b) - 1) for b, t, _ in forbidden)
-        # A chain's part of the draw's loop-order signature is
-        # spread[live]: bit j * len(DIMS) + DIMS.index(d) set where it
-        # iterates at level j.
-        self.spread = [sum(1 << (j * len(DIMS)) for j in range(b.bit_length())
-                           if b >> j & 1) << di
-                       for b in range(1 << len(arch.levels))]
+        self.nest_words = []
+        for live in range(1 << m):
+            word = 0
+            for k, (a, b) in enumerate(self.nest_masks):
+                word |= (live & a) << 2 * k * m | (live & b) << (2 * k + 1) * m
+            self.nest_words.append(word)
+        self.spread = _spread(m, di)
         self.fan_masks: dict[tuple[int, ...], int] = {}
         self.cap_masks: dict[tuple[float, ...], int] = {}
-        self.nest_bits: dict[tuple[int, int, int], int] = {}
+        self.nest_bits: dict[int, int] = {}
         self.lists: dict[int, list[int]] = {}
 
     def feasible(self, sprod: tuple[int, ...], limits: tuple[float, ...],
-                 nest: tuple[tuple[int, int], ...]) -> list[int]:
+                 nest: int) -> list[int]:
         """Table indices, in menu order, of the menu's chains that the
         fanout budgets left by the spatial products `sprod` (levels
         1..M-1) and the capacity `limits` allow (no limit when `limits` is
         empty), and whose live bits keep each forbidden keeper's loop nest
-        legal once OR-ed into `nest`."""
+        legal once OR-ed into the nest word `nest`."""
 
         mask = self.fan_masks.get(sprod)
         if mask is None:
@@ -542,19 +594,27 @@ class _MenuFilter:
         if cap_mask is None:
             cap_mask = self.cap_masks[limits] = _within(
                 self.menu, self.cap_axes, limits)
-        mask &= cap_mask
-        for k, (own, other) in enumerate(nest):
-            bits = self.nest_bits.get((k, own, other))
-            if bits is None:
-                a, b = self.nest_masks[k]
-                bits = self.nest_bits[k, own, other] = sum(
-                    chains for live, chains in self.table.by_live.items()
-                    if _nest_ok(own | live & a, other | live & b))
-            mask &= bits
+        bits = self.nest_bits.get(nest)
+        if bits is None:
+            bits = self.nest_bits[nest] = sum(
+                chains for live, chains in self.table.by_live.items()
+                if self.nest_legal(nest | self.nest_words[live]))
+        mask &= cap_mask & bits
         out = self.lists.get(mask)
         if out is None:
             out = self.lists[mask] = _members(mask)
         return out
+
+    def nest_legal(self, word: int) -> bool:
+        """Whether every forbidden keeper's pair in the nest word passes
+        _nest_ok."""
+
+        m, full = self.levels, (1 << self.levels) - 1
+        for k in range(len(self.nest_masks)):
+            if not _nest_ok(word >> 2 * k * m & full,
+                            word >> (2 * k + 1) * m & full):
+                return False
+        return True
 
 
 def _within(mask: int, axes: list[tuple[list[int], list[int]]],
@@ -597,6 +657,18 @@ def _block_leads(perm: tuple[str, ...], dims: frozenset) -> bool:
     return True
 
 
+@functools.cache
+def _spread(levels: int, di: int) -> tuple[int, ...]:
+    """Dim DIMS[di]'s part of a draw's loop-order signature per live value
+    of its chain (_ChainTable.live): bit j * len(DIMS) + di set where it
+    iterates at level j."""
+
+    return tuple(sum(1 << (j * len(DIMS) + di) for j in range(levels)
+                     if live >> j & 1) for live in range(1 << levels))
+
+
+# Memoised: callers share each list and must not change it.
+@functools.cache
 def _valid_perms(live: tuple[str, ...], level: int,
                  forbidden: tuple[tuple[int, str, int], ...]
                  ) -> list[tuple[str, ...]]:
@@ -616,26 +688,42 @@ class _OrderTable:
     from its signature: the OR of the picked chains' words
     _MenuFilter.spread[_ChainTable.live[pick]], so bits j * len(DIMS)
     upward hold the dims live at level j.
-    Each (level, live dims) list is built on its first lookup and shared."""
+    Each (level, live dims) list is looked up on its first use and kept;
+    _valid_perms builds it once per process."""
 
     def __init__(self, levels: int,
                  forbidden: tuple[tuple[int, str, int], ...]):
-        self.levels = levels
         self.forbidden = forbidden
-        self.by_level: dict[tuple[int, int], list] = {}
+        # Per level, its lists by the live dims' bits.
+        self.by_level: list[dict[int, list]] = [{} for _ in range(levels)]
 
     def options(self, signature: int) -> list[list]:
         out = []
         full = (1 << len(DIMS)) - 1
-        for j in range(self.levels):
-            key = (j, signature >> (j * len(DIMS)) & full)
-            perms = self.by_level.get(key)
+        for j, memo in enumerate(self.by_level):
+            word = signature >> (j * len(DIMS)) & full
+            perms = memo.get(word)
             if perms is None:
-                live = tuple(d for i, d in enumerate(DIMS) if key[1] >> i & 1)
-                perms = self.by_level[key] = _valid_perms(live, j,
-                                                          self.forbidden)
+                live = tuple(d for i, d in enumerate(DIMS) if word >> i & 1)
+                perms = memo[word] = _valid_perms(live, j, self.forbidden)
             out.append(perms)
         return out
+
+    def draw(self, signature: int, getrandbits) -> list | None:
+        """One legal order per level, each picked as Random.choice picks
+        (see _Walk.step), or None when a level has none."""
+
+        perms = []
+        for options in self.options(signature):
+            n = len(options)
+            if not n:
+                return None
+            k = n.bit_length()
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            perms.append(options[r])
+        return perms
 
 
 def _order_table(arch: Architecture, keep_overrides: dict) -> _OrderTable:
@@ -652,14 +740,13 @@ class _Walk:
     """The filter's walk over one search's menus (see the module
     docstring). A state is (sprod, rows, nest, steps, signature): the
     spatial products of levels 1..M-1, one extent row per dim (its minimum
-    row until assigned), each forbidden keeper's (own, other) loop-nest
-    masks, the step count and the loop-order signature."""
+    row until assigned), the nest word of each forbidden keeper's (own,
+    other) loop-nest masks (_MenuFilter.nest_words), the step count and
+    the loop-order signature."""
 
-    def __init__(self, filters: list[_MenuFilter], cap: _CapacityCheck,
-                 forbidden: tuple[tuple[int, str, int], ...]):
+    def __init__(self, filters: list[_MenuFilter], cap: _CapacityCheck):
         self.filters, self.cap = filters, cap
-        self.root = ((1,) * len(filters[0].fanouts), cap.mins,
-                     ((0, 0),) * len(forbidden), 1, 0)
+        self.root = ((1,) * len(filters[0].fanouts), cap.mins, 0, 1, 0)
         # The draws' tree: each drawn prefix of picks as (its state, the
         # next dim's feasible list, {pick: the prefix one pick longer});
         # a complete prefix holds neither.
@@ -683,9 +770,8 @@ class _Walk:
         live = table.live[pick]
         return (tuple(map(mul, sprod, table.spatial[pick])),
                 rows[:di] + (table.extents[pick],) + rows[di + 1:],
-                tuple([(o | live & a, x | live & b) for (o, x), (a, b)
-                       in zip(nest, menu.nest_masks)]),
-                steps * table.steps[pick], signature | menu.spread[live])
+                nest | menu.nest_words[live], steps * table.steps[pick],
+                signature | menu.spread[live])
 
     def exhaustive(self, max_steps: float):
         """Yields (picks, state) per complete assignment, depth first in
@@ -711,30 +797,37 @@ class _Walk:
             for pick in reversed(self.feasible(di, state)):
                 stack.append((di + 1, pick, self.child(di, state, pick)))
 
-    def draw(self, rng: random.Random, picks: list[int]) -> tuple | None:
-        """One pruned_random draw: per dim, rng.choice of its feasible
-        list, down the tree of the prefixes drawn before. Fills `picks`;
-        returns the complete state, or None at a dead end."""
+    def draw(self, getrandbits, picks: list[int]) -> tuple | None:
+        """One pruned_random draw: per dim, a pick of its feasible list,
+        down the tree of the prefixes drawn before. Fills `picks`; returns
+        the complete state, or None at a dead end."""
 
         node = self.tree
         if node is None:
             node = self.tree = (self.root, self.feasible(0, self.root), {})
         for di in range(len(DIMS)):
-            node = self.step(node, di, rng, picks)
+            node = self.step(node, di, getrandbits, picks)
             if node is None:
                 return None
         return node[0]
 
-    def step(self, node: tuple, di: int, rng: random.Random,
+    def step(self, node: tuple, di: int, getrandbits,
              picks: list[int]) -> tuple | None:
         """A draw's filter step at the node of prefix picks[:di]: the node
         one pick longer, built on its first draw, or None when the node's
-        feasible list is empty."""
+        feasible list is empty. The pick is the one Random.choice makes
+        from the same generator: getrandbits(n.bit_length()) for a list of
+        n, drawn again until it is below n."""
 
         state, feasible, below = node
-        if not feasible:
+        n = len(feasible)
+        if not n:
             return None
-        pick = picks[di] = rng.choice(feasible)
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        pick = picks[di] = feasible[r]
         nxt = below.get(pick)
         if nxt is None:
             state = self.child(di, state, pick)
@@ -752,16 +845,17 @@ class _Pricer:
     fix, the instances of each level and the merge widths, is kept per
     tuple of rows. The footprints tally reads (CountPlan.tiled) come from
     the picked chains' tile extents, where evaluate takes them from
-    validation."""
+    validation; each level's are kept per column of extents, as a tuple in
+    the order of the level's tensors."""
 
     def __init__(self, arch: Architecture, layer: Layer, cfg: SearchConfig,
                  tables: list[_ChainTable]):
         self.arch, self.layer, self.cfg, self.tables = arch, layer, cfg, tables
         self.plan = count_plan(arch, cfg.keep_overrides)
         self.program = price_program(arch, self.plan)
-        bounds = effective_bounds(layer, cfg.batch_size)
-        self.bounds = [bounds[d] for d in DIMS]
         self.by_spatial: dict[tuple, tuple[tuple[int, ...], list[int]]] = {}
+        self.by_column: list[dict[tuple[int, ...], tuple[int, ...]]] = [
+            {} for _ in self.plan.tiled]
 
     def mapping(self, picks: list[int],
                 perms: list[tuple[str, ...]]) -> Mapping:
@@ -776,8 +870,17 @@ class _Pricer:
         instances of each level (`sprod` holds the spatial products of
         levels 1..M-1, which the spatial rows fix)."""
 
-        plan, tables = self.plan, self.tables
-        rows = tuple([table.spatial[p] for table, p in zip(tables, picks)])
+        plan = self.plan
+        spatial, extents, temporal = [], [], []
+        macs = real = 1
+        for table, p in zip(self.tables, picks):
+            row = table.extents[p]
+            spatial.append(table.spatial[p])
+            extents.append(row)
+            temporal.append(table.temporal[p])
+            macs *= row[0]
+            real *= table.real[p]
+        rows = tuple(spatial)
         fixed = self.by_spatial.get(rows)
         if fixed is None:
             fixed = self.by_spatial[rows] = (
@@ -785,20 +888,18 @@ class _Pricer:
                 plan.merge_widths([{}] + [dict(zip(DIMS, column))
                                           for column in zip(*rows)]))
         instances, widths = fixed
-        extents = [table.extents[p] for table, p in zip(tables, picks)]
-        macs = real = 1
-        for row, bound in zip(extents, self.bounds):
-            padded = row[0]
-            macs *= padded
-            real *= padded if padded < bound else bound
         columns = list(zip(*extents))
-        layer, footprints = self.layer, {}
-        for lvl, tensors in plan.tiled:
-            tile = dict(zip(DIMS, columns[lvl]))
-            for t in tensors:
-                footprints[lvl, t] = tile_values(layer, tile, t)
-        chains = [table.chains[p] for table, p in zip(tables, picks)]
-        loops = [(j, d, chains[_DIM_INDEX[d]][2 * j])
+        footprints = {}
+        for (lvl, tensors), memo in zip(plan.tiled, self.by_column):
+            column = columns[lvl]
+            values = memo.get(column)
+            if values is None:
+                tile = dict(zip(DIMS, column))
+                values = memo[column] = tuple([
+                    tile_values(self.layer, tile, t) for t in tensors])
+            for t, v in zip(tensors, values):
+                footprints[lvl, t] = v
+        loops = [(j, d, temporal[_DIM_INDEX[d]][j])
                  for j, perm in enumerate(perms) for d in perm]
         return (tally(plan, footprints, instances, loops, widths, macs),
                 macs, real, instances)
@@ -891,7 +992,7 @@ def _search(arch: Architecture, layer: Layer, cfg: SearchConfig) -> SearchResult
     cap.narrow(tops)
     walk = _Walk([_MenuFilter(arch, table, menu, top, di, cap, forbidden)
                   for di, (table, menu, top)
-                  in enumerate(zip(tables, menus, tops))], cap, forbidden)
+                  in enumerate(zip(tables, menus, tops))], cap)
     orders = _order_table(arch, cfg.keep_overrides)
 
     pricer = _Pricer(arch, layer, cfg, tables)
@@ -912,22 +1013,19 @@ def _search(arch: Architecture, layer: Layer, cfg: SearchConfig) -> SearchResult
                 best.offer(pricer.objective(picks, perms, sprod, steps),
                            picks, perms)
     else:
-        rng = random.Random(cfg.seed)
+        getrandbits = random.Random(cfg.seed).getrandbits
         prune = cfg.objective == "delay"
         picks = [0] * len(DIMS)
         for _ in range(cfg.budget):
-            # The one assignment the draw reaches, or None at a dead end: a
-            # dim the filter leaves no chain, or a level with no legal order.
-            leaf = walk.draw(rng, picks)
-            perms = []
+            # The one assignment the draw reaches, and its loop orders, or
+            # None at a dead end: a dim the filter leaves no chain, or a
+            # level with no legal order.
+            leaf = walk.draw(getrandbits, picks)
+            perms = None
             if leaf is not None:
                 sprod, _, _, steps, signature = leaf
-                for options in orders.options(signature):
-                    if not options:
-                        leaf = None
-                        break
-                    perms.append(options[rng.randrange(len(options))])
-            if leaf is None:
+                perms = orders.draw(signature, getrandbits)
+            if perms is None:
                 invalid += 1
                 continue
             # The floor is the steps the chains build (LoopNest.steps),

@@ -1071,12 +1071,12 @@ LIST = _only(list, "a list")  # entries left to validation
 ANY = FieldType(None, lambda v, path: v)  # checked by whoever reads it
 
 
-def list_of(kind: FieldType, nonempty: bool = False) -> FieldType:
+def list_of(kind: FieldType) -> FieldType:
     """A list of `kind` values, read as a tuple."""
 
     def read(v, path):
-        if not isinstance(v, (list, tuple)) or (nonempty and not v):
-            _fail(path, "a non-empty list" if nonempty else "a list", v)
+        if not isinstance(v, (list, tuple)):
+            _fail(path, "a list", v)
         return tuple([x if type(x) is kind.exact else kind.read(x, f"{path}[{i}]")
                       for i, x in enumerate(v)])
     return FieldType(None, read)
@@ -1157,7 +1157,7 @@ _EXTRA = table({"name": (STR, None), "component": (STR, REQUIRED),
                 "instances": (INT, 1), **_REFINEMENT})
 _ARCHITECTURE = table({
     "name": (STR, "architecture"), "clock_ghz": (NUMBER, 1.0),
-    "levels": (list_of(_LEVEL, nonempty=True), REQUIRED),
+    "levels": (list_of(_LEVEL), REQUIRED),
     "meshes": (list_of(_MESH), ()), "converters": (list_of(_CONVERTER), ()),
     "extras": (list_of(_EXTRA), ())})
 _BITS = table(dict.fromkeys(TENSORS, (INT, 8)))

@@ -894,6 +894,43 @@ def test_pruned_random_draws_are_frozen(case):
             res.pruned, res.invalid) == expected
 
 
+class _Built(dict):
+    """A draw-tree node's children, every one built: a pick's child is
+    the pick itself."""
+
+    def get(self, pick):
+        return pick
+
+
+class _Offered(mapper._OrderTable):
+    """One level whose legal orders are the indices below n."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def options(self, signature):
+        return [range(self.n)]
+
+
+def test_a_pick_is_the_one_random_choice_and_randrange_make():
+    # The draws pick from getrandbits themselves, as Random.choice (a
+    # dim's chain) and Random.randrange (a level's loop order) do, so the
+    # frozen searches and pinned reports hold. A Python whose random picks
+    # otherwise fails here first.
+    walk = object.__new__(mapper._Walk)
+    for seed in range(10):
+        picks = [None]
+        mine, ref = random.Random(seed), random.Random(seed)
+        for n in range(1, 4097):
+            node = (None, range(n), _Built())
+            assert (walk.step(node, 0, mine.getrandbits, picks) == picks[0]
+                    == ref.choice(range(n))), (seed, n)
+        mine, ref = random.Random(seed), random.Random(seed)
+        for n in range(1, 4097):
+            assert (_Offered(n).draw(0, mine.getrandbits)
+                    == [ref.randrange(n)]), (seed, n)
+
+
 def test_draws_filter_each_drawn_prefix_once(monkeypatch):
     # The draws descend a tree of the prefixes drawn before: the filter
     # runs once per distinct prefix a draw steps from, and the search
@@ -1255,7 +1292,7 @@ def _filter_case(arch, layer, **fields):
                for di, (table, mask) in enumerate(zip(tables, masks))]
     menus = [[table.chains[i] for i in mapper._members(mask)]
              for table, mask in zip(tables, masks)]
-    walk = mapper._Walk(filters, cap, forbidden)
+    walk = mapper._Walk(filters, cap)
     return arch, layer, cap, menus, forbidden, filters, walk
 
 

@@ -33,6 +33,7 @@ from photon_model.spec_model import (
     validate_mapping,
     validation_plan,
 )
+from photon_model.workloads import load_workload
 from toys import refetch_toy
 
 # Small enough for the interpreter, large enough to use every sharing axis
@@ -285,3 +286,64 @@ def test_a_failing_override_raises_on_every_call(overrides, fields):
     first, second = (_outcome(arch, mapping) for _ in range(2))
     assert first[:4] == fields
     assert second == first == _outcome(_fresh(arch), mapping)
+
+
+def _limit_demands(monkeypatch):
+    """Count the tile footprints the searches compute: a limit kept from
+    an earlier search computes none."""
+
+    calls = [0]
+    tile_values = mapper.tile_values
+
+    def counted(*args):
+        calls[0] += 1
+        return tile_values(*args)
+
+    monkeypatch.setattr(mapper, "tile_values", counted)
+    return calls
+
+
+def test_an_edited_copy_starts_with_no_limits(monkeypatch):
+    calls = _limit_demands(monkeypatch)
+    a = albireo.architecture("aggressive")
+    cfg = SearchConfig(budget=60, seed=7, pad_mode="pad",
+                       fixed_spatial=stencil_pins(LAYER, a))
+    first = mapper._search(a, LAYER, cfg)
+    fresh = calls[0]
+    calls[0] = 0
+    # The limits are kept on `a`; only the pricer's footprints, kept per
+    # search, are computed again.
+    assert mapper._search(a, LAYER, cfg) == first
+    assert 0 < calls[0] < fresh
+    calls[0] = 0
+    assert mapper._search(replace(a), LAYER, cfg) == first
+    assert calls[0] == fresh
+
+
+def _pinned(arch, layer, **fields):
+    return mapper._search(arch, layer, SearchConfig(
+        budget=60, seed=7, pad_mode="pad",
+        fixed_spatial=stencil_pins(layer, arch), **fields))
+
+
+def test_kept_limits_follow_stride_bits_and_keeps():
+    # Each search runs on an architecture whose limits were kept by a
+    # search that differs from it only in the layer's stride, its Inputs
+    # width or the tensors the stage buffer keeps (as many either way):
+    # each must equal the same search on a freshly built architecture.
+    # AlexNet conv1 fills the stage buffer, so each of the three moves its
+    # limits.
+    conv1 = next(l for l in load_workload("alexnet").layers
+                 if l.name == "conv1")
+    narrow = replace(conv1, bits={**conv1.bits, INPUTS: 4})
+    arch = albireo.architecture("aggressive")
+    for (first, first_fields), (layer, fields) in (
+            ((replace(conv1, stride=(1, 1)), {}), (conv1, {})),
+            ((conv1, {}), (narrow, {})),
+            ((conv1, {"keep_overrides": {2: (WEIGHTS, INPUTS)}}),
+             (conv1, {"keep_overrides": {2: (WEIGHTS, OUTPUTS)}}))):
+        primed = _pinned(arch, first, **first_fields)
+        got = _pinned(arch, layer, **fields)
+        assert got == _pinned(albireo.architecture("aggressive"), layer,
+                              **fields)
+        assert got != primed

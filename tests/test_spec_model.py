@@ -524,6 +524,13 @@ def _name_both_levels_store(doc):
     doc["architecture"]["levels"][1]["name"] = "store"
 
 
+def _no_levels(doc):
+    # Without meshes or converters, which would name a level first: the
+    # architecture's own rule rejects fewer than two levels.
+    doc.update(minimal_doc())
+    doc["architecture"]["levels"] = []
+
+
 # (edit, kind, path) for every document error the other tests leave
 # unreached: one case per raise in parsing and validation.
 DOCUMENT_ERRORS = {
@@ -550,8 +557,7 @@ DOCUMENT_ERRORS = {
     "include-left-unresolved": (
         _set(lambda d: d, "include", ["lib.json"]),
         "MalformedDocument", "$.include"),
-    "levels-empty": (_set(lambda d: d["architecture"], "levels", []),
-                     "MalformedDocument", "architecture.levels"),
+    "levels-empty": (_no_levels, "MalformedDocument", "architecture[mini]"),
     "level-names-repeat": (_name_both_levels_store, "MalformedDocument",
                            "architecture[mini]"),
     "level-wrong-class": (

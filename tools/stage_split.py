@@ -20,8 +20,10 @@ chain of the dim sits at its minimum row (each `feasible` call comes with a
 once). `map_space_build` builds one dim's menu for one search from its
 chain table; `chain_table` enumerates a table, once per architecture and
 menu key, and `menus_per_pass` and `tables_per_pass` count the two.
-`order_table` builds one level's legal loop orders, once per
-architecture, keep-override set and live dims.
+`order_table` builds one level's legal loop orders, once per process
+and key (live dims, level, refetch-forbidden keepers); the searches ask
+it once per architecture, keep-override set, level and live dims, and a
+key built before returns its kept list.
 Every candidate the search visits is priced (`candidate_pricing`): it is
 counted (`candidate_counting`), and its energy (`pricing`) is summed unless
 the objective is delay. A mapping is built (`build_mapping`) only to break
