@@ -35,7 +35,8 @@ from .spec_model import (
     SpecError,
     Workload,
     dataclass_table,
-    kept_bits,
+    demand,
+    effective_bounds,
     parse_architecture,
     serialize_architecture,
     stencil_pins,
@@ -442,8 +443,8 @@ def run_memory_experiment(cfg: ExperimentConfig) -> dict:
         i = 0
         while i < len(layers) - 1:
             producer, consumer = layers[i], layers[i + 1]
-            required = b * kept_bits(producer, producer.dims,
-                                     (OUTPUTS,))[OUTPUTS]
+            required = demand(producer, effective_bounds(producer, b),
+                              (OUTPUTS,))
             row = {"producer": producer.name, "consumer": consumer.name,
                    "batch_size": b, "required_bits": required,
                    "capacity_bits": capacity, "fused": False, "reason": ""}

@@ -23,8 +23,8 @@ bind) the table keeps the bitset of chains at or below each distinct
 value, which answers "every chain within this limit" with one bisect.
 The limits come from the dims already assigned: each level's fanout over
 their spatial product `sprod`, and the largest extent whose capacity
-demand still fits beside theirs (_CapacityCheck.limits, the demand summed
-as kept_bits sums it). A dim whose every chain sits at its minimum extent
+demand still fits beside theirs (_CapacityCheck.limits, spec_model's
+largest_extent). A dim whose every chain sits at its minimum extent
 row needs no limits (see _CapacityCheck). The fanout mask is kept per
 `sprod` and the capacity mask per limits tuple, as they read nothing
 else. Per running nest word (each refetch-forbidden keeper's loop-nest
@@ -96,8 +96,9 @@ and lists its chains in lexicographic order. Loop orders are searched only
 over dims with more than one iteration at a level. Keeper chains, the
 capacity rows (each checked level's kept tensors, each named once, and its
 capacity) and the refetch-forbidden keepers come from spec_model's
-validation_plan, and the capacity demand from its tile_values: the
-definitions validation and the counting engines use.
+validation_plan, and the capacity demand and a dim's largest extent
+that meets it from its demand and largest_extent: the definitions
+validation and the counting engines use.
 
 Every pick, a dim's chain from its feasible list and a level's loop order
 from its legal ones, draws an index below the list's length n as
@@ -165,8 +166,9 @@ from .spec_model import (
     LevelMapping,
     Mapping,
     MappingError,
+    demand,
     effective_bounds,
-    kept_bits,
+    largest_extent,
     mapping_digest,
     override_key,
     tile_values,
@@ -294,17 +296,17 @@ class _ChainTable:
     one list per fact, indexed like `chains`. Built once per architecture
     and key; the searches that share it only read it.
 
-    extents[i] holds the chain's extent at each storage level 0..M-2: the
-    product of its factors below the level, or at level 0 of them all (its
-    padded extent, as the backing store holds whole tensors), and real[i]
-    the padded extent capped at the bound. spatial[i] is its spatial row
-    s1..s(M-1) and temporal[i] its temporal row t0..t(M-1); live[i] has
-    bit j set where it iterates at level j (temporal factor > 1), and
-    steps[i] is the product of its temporal factors, its share of the
-    step count. fan_axes and extent_axes are _prefix_bitsets per spatial
-    level and per storage level, and by_live maps each live value to the
-    bitset of its chains. `fault` names a pin that cannot fit, which
-    leaves the table empty."""
+    extents[i] holds the chain's extent at each storage level 0..M-2, as
+    LoopNest.tiles holds it: the product of its factors below the level,
+    or at level 0 of them all (its padded extent), and real[i] the padded
+    extent capped at the bound. spatial[i] is its spatial row s1..s(M-1)
+    and temporal[i] its temporal row t0..t(M-1); live[i] has bit j set
+    where it iterates at level j (temporal factor > 1), and steps[i] is
+    the product of its temporal factors, its share of the step count.
+    fan_axes and extent_axes are _prefix_bitsets per spatial level and per
+    storage level, and by_live maps each live value to the bitset of its
+    chains. `fault` names a pin that cannot fit, which leaves the table
+    empty."""
 
     def __init__(self, arch: Architecture, bound: int,
                  pins: tuple[int | None, ...], origin: int, t_open: int,
@@ -449,9 +451,8 @@ class _CapacityCheck:
         (`tops`, one row per dim): demand grows with every extent, so such
         a level never binds."""
 
-        binds = [bits < sum(kept_bits(self.layer, {d: top[lvl] for d, top
-                                                   in zip(DIMS, tops)},
-                                      keeps).values())
+        binds = [bits < demand(self.layer, {d: top[lvl] for d, top
+                                            in zip(DIMS, tops)}, keeps)
                  for lvl, keeps, bits in self.checks]
         self.checks = list(itertools.compress(self.checks, binds))
         self.memos = list(itertools.compress(self.memos, binds))
@@ -460,35 +461,19 @@ class _CapacityCheck:
                ) -> tuple[float, ...]:
         """Per checked level, the largest extent of dim DIMS[di] that
         fits with every other dim at its extent in `rows` (one row per dim,
-        in DIMS order). Each tensor's tile_values is affine in any one
-        dim's extent, the Inputs halo (P-1)*stride + R included, so the
-        demands at extents 1 and 2 give the level's demand a + b*e
-        exactly. Each level's limit is kept per dim and column in its
-        check's memo, as the same extents recur at a level more often than
-        whole rows do."""
+        in DIMS order): spec_model's largest_extent. Each level's limit is
+        kept per dim and column in its check's memo, as the same extents
+        recur at a level more often than whole rows do."""
 
-        d, layer, bits = DIMS[di], self.layer, self.layer.bits
+        d, layer = DIMS[di], self.layer
         columns = tuple(zip(*rows))
         out = []
         for (lvl, keeps, cap), memos in zip(self.checks, self.memos):
             memo, column = memos[di], columns[lvl]
             limit = memo.get(column)
             if limit is None:
-                tb = dict(zip(DIMS, column))
-                # The level's demand, summed as kept_bits charges it.
-                one = two = 0
-                tb[d] = 1
-                for t in keeps:
-                    one += tile_values(layer, tb, t) * bits[t]
-                tb[d] = 2
-                for t in keeps:
-                    two += tile_values(layer, tb, t) * bits[t]
-                slope = two - one
-                if slope:
-                    limit = 1 + (cap - one) // slope
-                else:
-                    limit = math.inf if one <= cap else 0
-                memo[column] = limit
+                limit = memo[column] = largest_extent(
+                    layer, dict(zip(DIMS, column)), keeps, cap, d)
             out.append(limit)
         return tuple(out)
 

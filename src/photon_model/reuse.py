@@ -45,13 +45,13 @@ a Tally, flat lists in the plan's layout. How often each level's tiles
 change, and how many distinct Outputs tiles it holds, come from one
 forward sweep over the loops (residencies), as the loops at or above a
 level are a prefix of them. count validates a mapping, which gives the
-footprints, and reads the rest from mapping.nest; analyze packs its
-tally into AccessCounts (pack), and evaluator.evaluate prices the tally
-as it stands, then packs it once for its result. The mapper's search
-reads them from its picked chains and prices the tally as it stands. The
-oracle shares nothing with this module: not the legs, the plan or the
-core. The count containers (AccessCounts, LevelCounts) are spec_model's,
-as every engine returns them.
+footprints and the real MAC count, and reads the rest from mapping.nest;
+analyze packs its tally into AccessCounts (pack), and evaluator.evaluate
+prices the tally as it stands, then packs it once for its result. The
+mapper's search reads them from its picked chains and prices the tally as
+it stands. The oracle shares nothing with this module: not the legs, the
+plan or the core. The count containers (AccessCounts, LevelCounts) are
+spec_model's, as every engine returns them.
 """
 
 from __future__ import annotations
@@ -76,7 +76,6 @@ from .spec_model import (
     Layer,
     LevelCounts,
     Mapping,
-    effective_bounds,
     merge_dims,
     override_key,
     validate_mapping,
@@ -432,17 +431,12 @@ def count(arch: Architecture, layer: Layer, mapping: Mapping
     """Validate the mapping (validate_mapping), then tally its nest from
     the footprints validation returns: the plan the tally is laid out by,
     the tally, and the padded and real MAC counts, the arguments pack
-    takes."""
+    takes; the real one is validation's."""
 
-    footprints = validate_mapping(mapping, layer, arch)
+    footprints, real = validate_mapping(mapping, layer, arch)
     plan = count_plan(arch, mapping.keep_overrides, mapping.keep_key)
     nest = mapping.nest
-    bounds = effective_bounds(layer, mapping.batch_size)
-    macs = real = 1
-    for d, padded in nest.padded.items():
-        bound = bounds[d]
-        macs *= padded
-        real *= padded if padded < bound else bound
+    macs = nest.steps * nest.instances[-1]
     widths = plan.merge_widths([lm.spatial for lm in mapping.levels])
     return (plan, tally(plan, footprints, nest.instances, nest.loops, widths,
                         macs), macs, real)

@@ -17,7 +17,8 @@ engines, the evaluator and the mapper build on, so that "what a tile is"
 has exactly one definition: a mapping's LoopNest (padded bounds, per-level
 tile bounds, spatial copies, instance counts and step count, built in one
 pass that also checks every factor, and cached as Mapping.nest), the tile
-footprint (tile_values), the capacity demand (kept_bits), what each
+footprint (tile_values), the capacity demand (demand) and the largest
+extent of a dim that meets it (largest_extent), what each
 storage level keeps under a keep-override set and the keeper chains read
 from that keep table (validation_plan), the spatial dims a mesh merges
 (merge_dims) and the spatial pins a level's stencil puts on a search
@@ -445,12 +446,14 @@ class LoopNest(NamedTuple):
 
     padded[d] is the product of every factor of dim d (the iterated space);
     tiles[i][d] the product of every factor strictly inside level i (the
-    tile one level-i instance holds); spatial[i] the spatial copies mapped
-    at level i; instances[i] the mapped instances of level i (the product
-    of spatial copies at or above it); steps the product of every temporal
-    factor, each step issuing one MAC per active compute instance; loops
-    the temporal loops with extent > 1, outermost first, as (level, dim,
-    extent), each level's block in its permutation's order.
+    tile one level-i instance holds), except that tiles[0] is padded, as
+    the backing store holds whole tensors, its own loops included;
+    spatial[i] the spatial copies mapped at level i; instances[i] the
+    mapped instances of level i (the product of spatial copies at or above
+    it); steps the product of every temporal factor, each step issuing one
+    MAC per active compute instance; loops the temporal loops with extent
+    > 1, outermost first, as (level, dim, extent), each level's block in
+    its permutation's order.
 
     The pass that builds it checks what it reads: every factor must be a
     positive int (not a bool) of a known dim, and every permutation a
@@ -478,7 +481,8 @@ class LoopNest(NamedTuple):
         for i in range(m - 1, -1, -1):
             lm = levels[i]
             t = lm.temporal
-            tiles[i] = run.copy()
+            if i:
+                tiles[i] = run.copy()
             for d, f in t.items():
                 if type(f) is not int or f < 1 or d not in run:
                     raise _first_fault(levels)
@@ -544,28 +548,42 @@ def effective_bounds(layer: Layer, batch_size: int) -> dict[str, int]:
     return out
 
 
-def input_extent(p_ext: int, r_ext: int, stride: int) -> int:
-    return (p_ext - 1) * stride + r_ext
-
-
 def tile_values(layer: Layer, tb: dict[str, int], tensor: str) -> int:
-    """Values of one tensor covered by a tile with per-dim extents tb."""
+    """Values of one tensor covered by a tile with per-dim extents tb; an
+    Inputs tile spans the window (P-1)*stride + R by (Q-1)*stride + S."""
 
     if tensor == WEIGHTS:
         return tb["K"] * tb["C"] * tb["R"] * tb["S"]
     if tensor == OUTPUTS:
         return tb["N"] * tb["K"] * tb["P"] * tb["Q"]
-    h = input_extent(tb["P"], tb["R"], layer.stride[0])
-    w = input_extent(tb["Q"], tb["S"], layer.stride[1])
-    return tb["N"] * tb["C"] * h * w
+    sh, sw = layer.stride
+    return (tb["N"] * tb["C"] * ((tb["P"] - 1) * sh + tb["R"])
+            * ((tb["Q"] - 1) * sw + tb["S"]))
 
 
-def kept_bits(layer: Layer, tb: dict[str, int],
-              keeps: tuple[str, ...]) -> dict[str, int]:
-    """Bits each kept tensor's tile occupies at a level whose tile has
+def demand(layer: Layer, tb: dict[str, int], keeps: tuple[str, ...]) -> int:
+    """Bits the kept tensors' tiles occupy at a level whose tile has
     per-dim extents tb: the capacity demand of that level."""
 
-    return {t: tile_values(layer, tb, t) * layer.bits[t] for t in keeps}
+    bits, total = layer.bits, 0
+    for t in keeps:
+        total += tile_values(layer, tb, t) * bits[t]
+    return total
+
+
+def largest_extent(layer: Layer, tb: dict[str, int], keeps: tuple[str, ...],
+                   capacity: int, d: str) -> float:
+    """The largest extent of dim d whose demand fits `capacity` bits with
+    every other dim at its extent in tb: math.inf if every extent fits, 0
+    if none does. Each tensor's tile_values is affine in any one dim's
+    extent, the Inputs halo included, so the demands at extents 1 and 2
+    give the demand a + b*e exactly."""
+
+    one = demand(layer, {**tb, d: 1}, keeps)
+    slope = demand(layer, {**tb, d: 2}, keeps) - one
+    if slope:
+        return 1 + (capacity - one) // slope
+    return math.inf if one <= capacity else 0
 
 
 def override_key(keep_overrides: dict[int, tuple[str, ...]]) -> tuple:
@@ -898,7 +916,7 @@ def validation_plan(arch: Architecture,
 
 
 def validate_mapping(mapping: Mapping, layer: Layer, arch: Architecture
-                     ) -> dict[tuple[int, str], int]:
+                     ) -> tuple[dict[tuple[int, str], int], int]:
     """Raise MappingError unless the mapping is valid for (layer, arch).
 
     Checks, in this order: the level count and batch size; every factor
@@ -909,10 +927,10 @@ def validate_mapping(mapping: Mapping, layer: Layer, arch: Architecture
     against kept-tile footprints; and, last, that no refetch-forbidden
     keeper's tile (ValidationPlan.forbidden) is evicted and brought back.
 
-    Returns the footprints the capacity check computed: the tile_values
-    of each (level, tensor) of the plan's capacity rows, the backing
-    store's at the padded extents, every other level's at its tile. The
-    counting reads them (reuse.tally) instead of computing them again.
+    Returns the footprints the capacity check computed, the tile_values
+    of each (level, tensor) of the plan's capacity rows at the level's
+    LoopNest tile, and the real MAC count, the product of the bounds. The
+    counting reads both (reuse.count) instead of computing them again.
     """
 
     levels = mapping.levels
@@ -972,18 +990,16 @@ def validate_mapping(mapping: Mapping, layer: Layer, arch: Architecture
                     "has factors outside it",
                     dim=d, tensor=t, level=arch.levels[origin].name)
 
-    # The backing store holds whole tensors, its own loops included.
     bits = layer.bits
     footprints = {}
     for i, keeps, capacity, name in plan.capacity:
-        tile = padded if i == 0 else tiles[i]
+        tile = tiles[i]
         total = 0
         for t in keeps:
             values = footprints[i, t] = tile_values(layer, tile, t)
             total += values * bits[t]
         if total > capacity:
-            sizes = kept_bits(layer, tile, keeps)
-            worst = max(sizes, key=lambda t: (sizes[t], t))
+            worst = max(keeps, key=lambda t: (footprints[i, t] * bits[t], t))
             raise MappingError(
                 "CapacityExceeded",
                 f"level {name!r} needs {total} bits for {sorted(keeps)}, "
@@ -1006,7 +1022,7 @@ def validate_mapping(mapping: Mapping, layer: Layer, arch: Architecture
                                    f"{t} refetched into level {name!r} "
                                    "with no descending converter",
                                    tensor=t, level=name)
-    return footprints
+    return footprints, math.prod(bounds.values())
 
 
 # ============================================================================

@@ -1,6 +1,7 @@
 """Every name a package module imports at top level is used there, every
-top-level definition is read somewhere in the package or exported, and
-only the validated types call their rule sets."""
+top-level definition is read somewhere in the package or exported, only
+the validated types call their rule sets, and only spec_model's capacity
+rule and the counting engines compute tile footprints."""
 
 import ast
 from pathlib import Path
@@ -26,6 +27,12 @@ VALIDATORS = {"validate_architecture": {"__post_init__"},
               "validate_layer": {"__post_init__"},
               "_validate_component": {"parse_component",
                                       "validate_architecture"}}
+
+# The definitions that compute a tile footprint: spec_model's capacity
+# demand and validation, the search's pricer (_Pricer.count) and the
+# oracle, so that a capacity sum written outside spec_model fails here.
+FOOTPRINTS = {"tile_values": {"demand", "validate_mapping", "count",
+                              "simulate"}}
 
 
 def unused_imports(path: Path) -> set[tuple[str, str]]:
@@ -92,6 +99,10 @@ def callers(paths: list[Path], callees: set[str]
 
 def test_only_the_types_validate():
     assert callers(_modules(), set(VALIDATORS)) == VALIDATORS
+
+
+def test_only_the_capacity_rule_and_the_counters_take_footprints():
+    assert callers(_modules(), set(FOOTPRINTS)) == FOOTPRINTS
 
 
 def test_a_reader_that_validates_is_caught(tmp_path):

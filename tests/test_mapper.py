@@ -35,7 +35,7 @@ from photon_model.spec_model import (
     Mapping,
     MappingError,
     Mesh,
-    kept_bits,
+    demand,
     mapping_digest,
     stencil_pins,
     validate_mapping,
@@ -397,7 +397,7 @@ def test_every_counted_candidate_validates_on_random_architectures(
     results = []
     for _ in range(40):
         arch, layer, _ = random_instance(rng, max_dim=4)
-        total = sum(kept_bits(layer, layer.dims, TENSORS).values())
+        total = demand(layer, layer.dims, TENSORS)
         levels = tuple(
             replace(lv, component=replace(
                 lv.component,
@@ -1220,12 +1220,12 @@ def _fits(cap, row, limits):
 
 
 def _capacity_fits(layer, cap, rows):
-    """The search's capacity condition summed straight from kept_bits: one
-    extent row per dim, in DIMS order."""
+    """The search's capacity condition straight from demand: one extent row
+    per dim, in DIMS order."""
 
     return all(
-        sum(kept_bits(layer, {d: row[lvl] for d, row in zip(DIMS, rows)},
-                      keeps).values()) <= bits
+        demand(layer, {d: row[lvl] for d, row in zip(DIMS, rows)},
+               keeps) <= bits
         for lvl, keeps, bits in cap.checks)
 
 
@@ -1234,7 +1234,7 @@ FUSED_OVERRIDES = ({}, {0: (INPUTS, WEIGHTS)}, {0: (OUTPUTS, WEIGHTS)})
 
 
 @pytest.mark.parametrize("workload", ["vgg16", "alexnet"])
-def test_capacity_limits_match_kept_bits(workload):
+def test_capacity_limits_match_demand(workload):
     # AlexNet conv1 (stride 4) puts the strided Inputs halo through the
     # affine fit. Besides the minimum rows, each layer is checked beside
     # rows drawn from the other dims' menus, where many chains overflow.
@@ -1264,16 +1264,15 @@ def test_capacity_limits_match_kept_bits(workload):
                 for (lvl, keeps, bits), lim in zip(cap.checks, limits):
                     tb = {d: row[lvl] for d, row in zip(DIMS, rows)}
 
-                    def demand(e):
-                        return sum(kept_bits(layer, {**tb, DIMS[di]: e},
-                                             keeps).values())
+                    def need(e):
+                        return demand(layer, {**tb, DIMS[di]: e}, keeps)
 
                     if lim == math.inf:
-                        assert demand(1) == demand(1 << 20) <= bits
+                        assert need(1) == need(1 << 20) <= bits
                     elif lim >= 1:
-                        assert demand(lim) <= bits < demand(lim + 1)
+                        assert need(lim) <= bits < need(lim + 1)
                     else:
-                        assert demand(1) > bits
+                        assert need(1) > bits
     assert verdicts[True] > 0 and verdicts[False] > 0
 
 
@@ -1360,7 +1359,7 @@ def test_order_table_matches_valid_perms(case, picks):
 def _reference_feasible(arch, layer, cap, forbidden, menu, drawn):
     """Indices of the menu's chains that pass every condition, checked
     chain by chain from the factors: the fanout budgets, the capacity
-    demand from kept_bits, and _nest_ok on each forbidden keeper's masks.
+    demand, and _nest_ok on each forbidden keeper's masks.
     `drawn` holds the chains of the dims before the menu's."""
 
     m = len(arch.levels)

@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import pytest
 
-from photon_model import albireo, mapper
+from photon_model import albireo, mapper, spec_model
 from photon_model.evaluator import (
     EvaluationResult,
     evaluate,
@@ -26,7 +26,7 @@ from photon_model.spec_model import (
     WEIGHTS,
     Layer,
     MappingError,
-    kept_bits,
+    demand,
     parse_architecture,
     serialize_architecture,
     stencil_pins,
@@ -256,11 +256,11 @@ def test_validation_follows_each_architecture_and_override_set():
     bypass = replace(plain, keep_overrides={1: (WEIGHTS, OUTPUTS)})
     level = next(i for i, lv in enumerate(a.levels)
                  if lv.name == "global_buffer")
-    demand = kept_bits(LAYER, plain.nest.tiles[level], TENSORS)
     lv = a.levels[level]
     levels = list(a.levels)
     levels[level] = replace(lv, component=replace(
-        lv.component, capacity_bits=sum(demand.values()) - 1))
+        lv.component,
+        capacity_bits=demand(LAYER, plain.nest.tiles[level], TENSORS) - 1))
     b = replace(a, levels=tuple(levels))
     got = {}
     for name, arch in (("A", a), ("B", b), ("A again", a)):
@@ -289,17 +289,19 @@ def test_a_failing_override_raises_on_every_call(overrides, fields):
 
 
 def _limit_demands(monkeypatch):
-    """Count the tile footprints the searches compute: a limit kept from
-    an earlier search computes none."""
+    """Count the tile footprints the searches compute, the pricer's in
+    mapper and the limits' and validation's in spec_model: a limit kept
+    from an earlier search computes none."""
 
     calls = [0]
-    tile_values = mapper.tile_values
+    tile_values = spec_model.tile_values
 
     def counted(*args):
         calls[0] += 1
         return tile_values(*args)
 
-    monkeypatch.setattr(mapper, "tile_values", counted)
+    for module in (mapper, spec_model):
+        monkeypatch.setattr(module, "tile_values", counted)
     return calls
 
 

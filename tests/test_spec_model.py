@@ -31,7 +31,6 @@ from photon_model.spec_model import (
     SpecError,
     Workload,
     canonical_json,
-    input_extent,
     load_document,
     mapping_digest,
     parse_architecture,
@@ -42,6 +41,7 @@ from photon_model.spec_model import (
     serialize_mapping,
     serialize_spec,
     stencil_pins,
+    tile_values,
     validate_mapping,
 )
 from photon_model.workloads import (
@@ -1033,9 +1033,16 @@ def test_fully_connected_window_consistency():
 
 
 def test_input_extent_window_arithmetic():
-    assert input_extent(4, 3, 1) == 6
-    assert input_extent(3, 2, 2) == 6
-    assert input_extent(1, 1, 1) == 1
+    # An Inputs tile spans (P-1)*stride + R rows, here with Q = S = 1.
+    def rows(p, r, stride):
+        layer = Layer(name="conv", kind="conv", stride=(stride, 1), dims={
+            "N": 1, "K": 1, "C": 1, "R": 3, "S": 1, "P": 4, "Q": 1})
+        tile = {**dict.fromkeys(DIMS, 1), "P": p, "R": r}
+        return tile_values(layer, tile, INPUTS)
+
+    assert rows(4, 3, 1) == 6
+    assert rows(3, 2, 2) == 6
+    assert rows(1, 1, 1) == 1
 
 
 def test_mapping_factor_split_accepted():
@@ -1131,26 +1138,62 @@ def test_capacity_overflow_rejected():
     assert e.value.tensor == "Weights"
 
 
+def _store_only(capacity_bits):
+    """A backing store of `capacity_bits` over one compute level."""
+
+    return Architecture(
+        name="small_store", clock_ghz=1.0,
+        levels=(Level("store", toys.storage("sram", "DE", capacity_bits), 1,
+                      ("Weights", "Inputs", "Outputs")),
+                Level("pe", toys.compute("mac", "DE"), 1, ())),
+        meshes=(Mesh(),), converters=())
+
+
+def _fc_k_c32(k):
+    return Layer(name="fc", kind="fully_connected",
+                 dims={"N": 1, "K": k, "C": 32, "R": 1, "S": 1, "P": 1,
+                       "Q": 1})
+
+
 def test_backing_store_capacity_counts_its_own_loops():
     # The store holds whole tensors: 1024 weight values at 8 bits overflow
     # 4096 bits even though every factor is a store-level loop, so the
     # tile strictly inside the store would be a single value per tensor.
-    arch = Architecture(
-        name="small_store", clock_ghz=1.0,
-        levels=(Level("store", toys.storage("sram", "DE", 4096), 1,
-                      ("Weights", "Inputs", "Outputs")),
-                Level("pe", toys.compute("mac", "DE"), 1, ())),
-        meshes=(Mesh(),), converters=())
-    layer = Layer(name="fc", kind="fully_connected",
-                  dims={"N": 1, "K": 32, "C": 32, "R": 1, "S": 1, "P": 1,
-                        "Q": 1})
     m = Mapping(levels=(LevelMapping(temporal={"K": 32, "C": 32}),
                         LevelMapping()))
     with pytest.raises(MappingError) as e:
-        validate_mapping(m, layer, arch)
+        validate_mapping(m, _fc_k_c32(32), _store_only(4096))
     assert e.value.kind == "CapacityExceeded"
     assert e.value.level == "store"
     assert e.value.tensor == "Weights"
+
+
+def test_the_backing_store_tile_is_the_padded_extent():
+    # K = 30 padded to 32: the store's tile is the padded space, not the
+    # bound, nor the single value strictly inside the store's loops.
+    m = Mapping(levels=(LevelMapping(temporal={"K": 32, "C": 32}),
+                        LevelMapping()), pad=True)
+    validate_mapping(m, _fc_k_c32(30), _store_only(1 << 16))
+    padded = {**dict.fromkeys(DIMS, 1), "K": 32, "C": 32}
+    assert m.nest.tiles[0] == m.nest.padded == padded
+    assert m.nest.tiles[1] == dict.fromkeys(DIMS, 1)
+
+
+def test_a_store_too_small_for_its_padded_tensors_is_named():
+    # The real tensors need 7680 + 256 + 240 = 8176 bits; padded to K = 32
+    # they need 8192 + 256 + 256 = 8704, past the store's 8192.
+    layer = _fc_k_c32(30)
+    real = Mapping(levels=(LevelMapping(temporal={"K": 30, "C": 32}),
+                           LevelMapping()))
+    validate_mapping(real, layer, _store_only(8176))
+    m = Mapping(levels=(LevelMapping(temporal={"K": 32, "C": 32}),
+                        LevelMapping()), pad=True)
+    with pytest.raises(MappingError) as e:
+        validate_mapping(m, layer, _store_only(8192))
+    assert (e.value.kind, e.value.level, e.value.tensor, str(e.value)) == (
+        "CapacityExceeded", "store", "Weights",
+        "CapacityExceeded: level 'store' needs 8704 bits for ['Inputs', "
+        "'Outputs', 'Weights'], capacity is 8192")
 
 
 def test_hoisted_tensor_dim_may_not_split_spatially_into_origin():

@@ -44,12 +44,12 @@ perfbench's stored corpus (read, never written), on the bundled aggressive
 accelerator, and prints each stage's own microseconds per document, the
 best of the passes: `parse` (parse_mapping), `nest` (LoopNest.of, the first
 read of mapping.nest), `validate` (validate_mapping, the nest aside; its
-capacity check computes the tile footprints counting reads), `plan`
-(reuse.count aside from validate and tally: the count plan, MAC counts
-and merge widths), `tally` (reuse.tally, from validation's footprints),
-`pack` (reuse.pack), `pricing` (price_program, PriceProgram.cycles and
-.energy), `result` (the rest of evaluate: the EvaluationResult) and their
-`sum`.
+capacity check computes the tile footprints counting reads, and it
+returns the real MAC count), `plan` (reuse.count aside from validate and
+tally: the count plan, the padded MAC count and merge widths), `tally`
+(reuse.tally, from validation's footprints), `pack` (reuse.pack),
+`pricing` (price_program, PriceProgram.cycles and .energy), `result` (the
+rest of evaluate: the EvaluationResult) and their `sum`.
 """
 
 from __future__ import annotations
@@ -97,8 +97,9 @@ STAGES = {
 }
 
 # The stages of one corpus document's parse_mapping + evaluate, timed by
-# their own time: `validate` returns the footprints `tally` reads, `plan`
-# is what reuse.count does itself, `result` what evaluate does itself.
+# their own time: `validate` returns the footprints `tally` reads and the
+# real MAC count, `plan` is what reuse.count does itself, `result` what
+# evaluate does itself.
 # The tool calls parse_mapping and evaluate through their modules, so
 # their wrappers see every call.
 EVALUATE_STAGES = {
