@@ -304,13 +304,10 @@ def _insert_batch_loop(mapping: Mapping, level: int, b: int) -> Mapping:
     lm = mapping.levels[level]
     temporal = dict(lm.temporal)
     temporal["N"] = lm.t("N") * b
-    order = [d for d, _ in lm.loops() if d != "N"]
-    cut = len(order)
-    for i, d in enumerate(order):
-        if d in REDUCED_DIMS:
-            cut = i
-            break
-    perm = tuple(order[:cut]) + ("N",) + tuple(order[cut:])
+    order = [d for j, d, _ in mapping.nest.loops if j == level and d != "N"]
+    cut = next((i for i, d in enumerate(order) if d in REDUCED_DIMS),
+               len(order))
+    perm = (*order[:cut], "N", *order[cut:])
     levels = list(mapping.levels)
     levels[level] = replace(lm, temporal=temporal, permutation=perm)
     return replace(mapping, levels=tuple(levels), batch_size=b)

@@ -14,8 +14,10 @@ orders, with two strategies:
 Both assign dims one at a time from the chains the running fanout budgets,
 the capacity condition and the refetch loop-nest condition still allow; no
 legal order revisits a refetch-forbidden tile. The conditions are
-validate_mapping's: no valid mapping is lost, and every candidate the walk
-completes is valid, so it is counted and priced without re-validation.
+validate_mapping's (the refetch rule is spec_model.leads, on levels in
+_nest_ok and within a level in _valid_perms): no valid mapping is lost,
+and every candidate the walk completes is valid, so it is counted and
+priced without re-validation.
 Each dim's chain menu is filtered with bitsets over its chain table's
 indices (see below). Per constrained axis (the spatial factor at each
 level 1..M-1, the extent charged at each storage level whose capacity can
@@ -169,6 +171,7 @@ from .spec_model import (
     demand,
     effective_bounds,
     largest_extent,
+    leads,
     mapping_digest,
     override_key,
     tile_values,
@@ -513,13 +516,13 @@ def _build_mapping(arch: Architecture, chains: dict[str, tuple[int, ...]],
 
 
 def _nest_ok(own: int, other: int) -> bool:
-    """Cross-level loop-order condition for one refetch-forbidden keeper at
-    level b. `own` has bit j set where one of the tensor's dims iterates at
-    level j (1 <= j <= b), `other` where another dim iterates at level j
-    (j < b). A tensor dim iterating inside another dim's loop at an outer
-    level would revisit evicted tiles. Checking a partial chain assignment
-    is sound because adding dims only sets bits. Within-level order is
-    enforced when permutations are drawn."""
+    """The refetch rule (spec_model.leads) projected onto levels, for one
+    refetch-forbidden keeper at level b. `own` has bit j set where one of
+    the tensor's dims iterates at level j (1 <= j <= b), `other` where
+    another dim iterates at level j (j < b). It holds when the order with
+    each level's tensor dims ahead of its others leads. Checking a partial
+    chain assignment is sound because adding dims only sets bits. Order
+    within a level is _valid_perms'."""
 
     return not own or not other & ((1 << (own.bit_length() - 1)) - 1)
 
@@ -631,17 +634,6 @@ def _prefix_bitsets(values: list[int]) -> tuple[list[int], list[int]]:
     return sorted(at), below
 
 
-def _block_leads(perm: tuple[str, ...], dims: frozenset) -> bool:
-    seen_other = False
-    for d in perm:
-        if d in dims:
-            if seen_other:
-                return False
-        else:
-            seen_other = True
-    return True
-
-
 @functools.cache
 def _spread(levels: int, di: int) -> tuple[int, ...]:
     """Dim DIMS[di]'s part of a draw's loop-order signature per live value
@@ -657,15 +649,15 @@ def _spread(levels: int, di: int) -> tuple[int, ...]:
 def _valid_perms(live: tuple[str, ...], level: int,
                  forbidden: tuple[tuple[int, str, int], ...]
                  ) -> list[tuple[str, ...]]:
-    """Orderings of this level's live loops that keep every
-    refetch-forbidden tensor's dims ahead of other dims. The keeper level's
-    own loops take part: its temporal loops also cycle the kept tile."""
+    """Orderings of this level's live loops that each refetch-forbidden
+    keeper at or below it leads (spec_model.leads). The keeper level's own
+    loops take part: its temporal loops also cycle the kept tile."""
 
     blocks = [TENSOR_DIMS[t] for b, t, _ in forbidden if level <= b]
     if not blocks:
         return list(itertools.permutations(live))
     return [p for p in itertools.permutations(live)
-            if all(_block_leads(p, dims) for dims in blocks)]
+            if all(leads(p, dims) for dims in blocks)]
 
 
 class _OrderTable:

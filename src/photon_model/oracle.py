@@ -9,6 +9,8 @@ and in-bounds MACs are counted coordinate by coordinate. It reads only
 spec_model, never reuse: it pairs each tensor's keeper levels (read,
 with its level counters, from validation_plan's keep table) into hops
 itself, and no counting shortcut is reused; the two must agree exactly.
+It reads each level's permutation itself too, the one reading besides
+LoopNest.loops, so that each checks the other.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .spec_model import (
     Architecture,
     Layer,
     LevelCounts,
+    LevelMapping,
     Mapping,
     effective_bounds,
     tile_values,
@@ -100,6 +103,15 @@ class _PaddedDim:
         return n
 
 
+def _read_loops(levels: tuple[LevelMapping, ...]
+                ) -> list[tuple[int, str, int]]:
+    """The temporal loops as LoopNest.loops lists them, read from each
+    level's permutation here, not from there (see the module docstring)."""
+
+    return [(j, d, lm.t(d)) for j, lm in enumerate(levels)
+            for d in dict.fromkeys((*lm.permutation, *DIMS)) if lm.t(d) > 1]
+
+
 def simulate(arch: Architecture, layer: Layer, mapping: Mapping,
              cap: int = DEFAULT_CAP) -> AccessCounts:
     """Interpret the mapped loop nest and count every event."""
@@ -107,8 +119,7 @@ def simulate(arch: Architecture, layer: Layer, mapping: Mapping,
     validate_mapping(mapping, layer, arch)
     compute = len(arch.levels) - 1
 
-    loops = [(j, d, e) for j, lm in enumerate(mapping.levels)
-             for d, e in lm.loops()]
+    loops = _read_loops(mapping.levels)
     axes: list[tuple[int, str, int]] = []
     for j, lm in enumerate(mapping.levels):
         for d in DIMS:

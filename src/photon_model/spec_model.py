@@ -15,20 +15,21 @@ A mapping assigns every level temporal and spatial factors per dim plus a
 loop order. This module also owns the loop-nest geometry that the counting
 engines, the evaluator and the mapper build on, so that "what a tile is"
 has exactly one definition: a mapping's LoopNest (padded bounds, per-level
-tile bounds, spatial copies, instance counts and step count, built in one
-pass that also checks every factor, and cached as Mapping.nest), the tile
-footprint (tile_values), the capacity demand (demand) and the largest
-extent of a dim that meets it (largest_extent), what each
-storage level keeps under a keep-override set and the keeper chains read
-from that keep table (validation_plan), the spatial dims a mesh merges
-(merge_dims) and the spatial pins a level's stencil puts on a search
-(stencil_pins). It owns the count containers every counting engine
+tile bounds, spatial copies, instance counts, step count and loops, the
+one reading of its permutations; built in one pass that checks every
+factor, cached as Mapping.nest), the tile footprint (tile_values), the
+capacity demand (demand) and the largest extent of a dim that meets it
+(largest_extent), what each storage level keeps under a keep-override
+set and the keeper chains read from that keep table (validation_plan),
+the spatial dims a mesh merges (merge_dims) and the spatial pins a
+level's stencil puts on a search (stencil_pins). It owns the count containers every counting engine
 returns (AccessCounts, LevelCounts) too. Tables derived from an
 architecture, and the mapper's search results, are kept on the instance
 (Architecture.derived). So has a valid mapping: validate_mapping, the
-refetch rule (ValidationPlan.forbidden) included, so the counting engines
-never reject a mapping it accepted. What it reads from the architecture
-and the keep overrides is planned once per override set (validation_plan).
+refetch rule included (leads, which the search's loop orders apply too),
+so the counting engines never reject a mapping it accepted. What it reads
+from the architecture and the keep overrides is planned once per override
+set (validation_plan).
 
 Documents are read through field tables (table): each object's fields,
 their types and defaults, and the error a wrong one gets. Bounds and
@@ -52,7 +53,7 @@ from dataclasses import MISSING, dataclass, field, fields as dataclass_fields, r
 from itertools import accumulate, chain
 from operator import mul
 from types import MappingProxyType
-from typing import Callable, NamedTuple, NoReturn, TypeVar, get_type_hints
+from typing import Callable, Iterable, NamedTuple, NoReturn, TypeVar, get_type_hints
 
 T = TypeVar("T")
 
@@ -346,8 +347,7 @@ class Workload:
 class LevelMapping:
     """Per-level loop factors. A dim missing from temporal or spatial has
     factor 1 there, and a factor of 1 written out changes nothing.
-    permutation orders this level's temporal loops outermost-first; dims not
-    listed run innermost in canonical DIMS order."""
+    permutation orders this level's temporal loops (see LoopNest.loops)."""
 
     temporal: dict[str, int] = field(default_factory=dict)
     spatial: dict[str, int] = field(default_factory=dict)
@@ -366,17 +366,6 @@ class LevelMapping:
 
     def s(self, d: str) -> int:
         return self.spatial.get(d, 1)
-
-    def loops(self) -> list[tuple[str, int]]:
-        """This level's temporal loops with extent > 1, outermost first,
-        for a permutation of distinct dims."""
-
-        t, perm = self.temporal, self.permutation
-        out = [(d, t[d]) for d in perm if t.get(d, 1) > 1]
-        if len(out) < len(t):  # the permutation may leave a loop out
-            out += [(d, t[d]) for d in DIMS
-                    if d not in perm and t.get(d, 1) > 1]
-        return out
 
 
 @dataclass(frozen=True, init=False)
@@ -421,13 +410,14 @@ class Mapping:
 
 
 def mapping_digest(m: Mapping) -> str:
-    """Canonical one-line form; equal digests mean equal schedules."""
+    """Canonical one-line form; equal digests mean equal schedules. It
+    reads m.nest, so a malformed factor raises MappingError."""
 
     parts = []
     for i, lm in enumerate(m.levels):
         t = ",".join(f"{d}{lm.t(d)}" for d in DIMS if lm.t(d) > 1)
         s = ",".join(f"{d}{lm.s(d)}" for d in DIMS if lm.s(d) > 1)
-        perm = "".join(d for d, _ in lm.loops())
+        perm = "".join(d for j, d, _ in m.nest.loops if j == i)
         keep = ""
         if i in m.keep_overrides:
             keep = "|k:" + ",".join(sorted(m.keep_overrides[i]))
@@ -452,8 +442,10 @@ class LoopNest(NamedTuple):
     mapped instances of level i (the product of spatial copies at or above
     it); steps the product of every temporal factor, each step issuing one
     MAC per active compute instance; loops the temporal loops with extent
-    > 1, outermost first, as (level, dim, extent), each level's block in
-    its permutation's order.
+    > 1, outermost first, as (level, dim, extent): per level, the dims its
+    permutation names, in that order, then the rest in DIMS order, a unit
+    factor making no loop. It is the package's one reading of a
+    permutation; only the oracle reads one itself, to check it.
 
     The pass that builds it checks what it reads: every factor must be a
     positive int (not a bool) of a known dim, and every permutation a
@@ -502,7 +494,7 @@ class LoopNest(NamedTuple):
                         raise _first_fault(levels)
                 if len(set(perm)) < len(perm):
                     raise _first_fault(levels)
-            if t:  # LevelMapping.loops, on the factors checked above
+            if t:  # the loop order, on the factors checked above
                 block = []
                 for d in perm:
                     f = t.get(d, 1)
@@ -678,21 +670,22 @@ def _validate_component(c: ComponentSpec, path: str) -> None:
         if a not in ACTIONS[c.cls]:
             raise SpecError("MalformedDocument", path,
                             f"a {c.cls} part is never charged for {a!r}")
-        if e < 0:
+        if not 0 <= e < math.inf:
             raise SpecError("BadBound", f"{path}.energy_per_action.{a}",
-                            f"energy must be >= 0, got {e!r}")
+                            f"energy must be finite and >= 0, got {e!r}")
     for name in ("static_power_mw", "area_um2"):
-        if getattr(c, name) < 0:
-            raise SpecError("BadBound", f"{path}.{name}",
-                            f"must be >= 0, got {getattr(c, name)!r}")
+        if not 0 <= getattr(c, name) < math.inf:
+            raise SpecError("BadBound", f"{path}.{name}", "must be finite "
+                            f"and >= 0, got {getattr(c, name)!r}")
     if type(c.capacity_bits) is not int or (c.cls == "storage"
                                             and c.capacity_bits <= 0):
         raise SpecError("CapacityNonPositive", path,
                         f"component {c.name!r} needs an integer capacity_bits"
                         ", > 0 for storage")
-    if type(c.width_bits) is not int or c.width_bits <= 0 or c.bandwidth <= 0:
+    if (type(c.width_bits) is not int or c.width_bits <= 0
+            or not 0 < c.bandwidth < math.inf):
         raise SpecError("MalformedDocument", path, "width_bits must be a "
-                        "positive integer and bandwidth positive")
+                        "positive integer and bandwidth positive and finite")
 
 
 def _converter_direction(arch_levels: tuple[Level, ...],
@@ -730,8 +723,8 @@ def validate_architecture(arch: Architecture) -> None:
         raise SpecError("MalformedDocument", path, "need at least storage + compute")
     if len({lv.name for lv in arch.levels}) < len(arch.levels):
         raise SpecError("MalformedDocument", path, "duplicate level names")
-    if arch.clock_ghz <= 0:
-        raise SpecError("MalformedDocument", path, "clock_ghz must be positive")
+    if not 0 < arch.clock_ghz < math.inf:
+        raise SpecError("MalformedDocument", path, "clock_ghz must be finite, > 0")
     for i, lv in enumerate(arch.levels):
         lpath = f"{path}.levels[{i}]"
         _validate_component(lv.component, lpath)
@@ -782,8 +775,8 @@ def validate_architecture(arch: Architecture) -> None:
     carried = set()
     for cv in arch.converters:
         cpath = f"{path}.converters[{cv.name}]"
-        if not 1 <= cv.edge < len(arch.levels):
-            raise SpecError("MalformedDocument", cpath, "edge out of range")
+        if type(cv.edge) is not int or not 1 <= cv.edge < len(arch.levels):
+            raise SpecError("MalformedDocument", cpath, "edge not an int in range")
         if cv.component.cls != "converter":
             raise SpecError("MalformedDocument", cpath,
                             f"{cv.component.name!r} is not a converter component")
@@ -915,6 +908,21 @@ def validation_plan(arch: Architecture,
     return arch.derived(("validation_plan", key), build)
 
 
+def leads(order: Iterable[str], dims: frozenset) -> bool:
+    """The refetch rule: no dim of `dims` runs inside a dim outside them in
+    `order`, outermost first. Else, among the loops at or above a
+    refetch-forbidden keeper (ValidationPlan.forbidden), another dim's loop
+    revisits the tensor's tiles it has drained."""
+
+    other = False
+    for d in order:
+        if d not in dims:
+            other = True
+        elif other:
+            return False
+    return True
+
+
 def validate_mapping(mapping: Mapping, layer: Layer, arch: Architecture
                      ) -> tuple[dict[tuple[int, str], int], int]:
     """Raise MappingError unless the mapping is valid for (layer, arch).
@@ -924,8 +932,8 @@ def validate_mapping(mapping: Mapping, layer: Layer, arch: Architecture
     coverage per dim (exact in strict mode, >= bound in pad mode);
     per-level fanout budgets; the keep overrides (validation_plan); that
     no tensor's dims factor outside its origin keeper; storage capacity
-    against kept-tile footprints; and, last, that no refetch-forbidden
-    keeper's tile (ValidationPlan.forbidden) is evicted and brought back.
+    against kept-tile footprints; and, last, that the loops at or above
+    each refetch-forbidden keeper (ValidationPlan.forbidden) lead (leads).
 
     Returns the footprints the capacity check computed, the tile_values
     of each (level, tensor) of the plan's capacity rows at the level's
@@ -1005,23 +1013,13 @@ def validate_mapping(mapping: Mapping, layer: Layer, arch: Architecture
                 f"level {name!r} needs {total} bits for {sorted(keeps)}, "
                 f"capacity is {capacity}", level=name, tensor=worst)
 
-    # A keeper's tile returns after eviction exactly when, among the loops
-    # at or above it, a loop over another dim runs outside a loop over one
-    # of the tensor's dims: that loop revisits tiles already drained.
     for b, t, k in plan.forbidden:
-        dims = TENSOR_DIMS[t]
-        other = False
-        for j, d, _ in nest.loops:
-            if j > b:
-                break
-            if d not in dims:
-                other = True
-            elif other:
-                name = arch.levels[k].name
-                raise MappingError("ConverterMissing",
-                                   f"{t} refetched into level {name!r} "
-                                   "with no descending converter",
-                                   tensor=t, level=name)
+        if not leads((d for j, d, _ in nest.loops if j <= b), TENSOR_DIMS[t]):
+            name = arch.levels[k].name
+            raise MappingError("ConverterMissing",
+                               f"{t} refetched into level {name!r} "
+                               "with no descending converter",
+                               tensor=t, level=name)
     return footprints, math.prod(bounds.values())
 
 

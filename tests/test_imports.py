@@ -1,7 +1,8 @@
 """Every name a package module imports at top level is used there, every
 top-level definition is read somewhere in the package or exported, only
-the validated types call their rule sets, and only spec_model's capacity
-rule and the counting engines compute tile footprints."""
+the validated types call their rule sets, only spec_model's capacity
+rule and the counting engines compute tile footprints, and only
+validation and the search's loop orders apply the refetch rule."""
 
 import ast
 from pathlib import Path
@@ -33,6 +34,10 @@ VALIDATORS = {"validate_architecture": {"__post_init__"},
 # oracle, so that a capacity sum written outside spec_model fails here.
 FOOTPRINTS = {"tile_values": {"demand", "validate_mapping", "count",
                               "simulate"}}
+
+# The definitions that apply spec_model's refetch rule: validation and the
+# search's loop orders, so that a restated rule fails here.
+REFETCH = {"leads": {"validate_mapping", "_valid_perms"}}
 
 
 def unused_imports(path: Path) -> set[tuple[str, str]]:
@@ -103,6 +108,17 @@ def test_only_the_types_validate():
 
 def test_only_the_capacity_rule_and_the_counters_take_footprints():
     assert callers(_modules(), set(FOOTPRINTS)) == FOOTPRINTS
+
+
+def test_one_refetch_rule_and_one_reading_of_a_loop_order():
+    assert callers(_modules(), set(REFETCH)) == REFETCH
+    # LoopNest.loops is the package's reading of a permutation; the oracle
+    # reads one itself, in a function, to check it.
+    assert not [(path.name, node.name) for path in _modules()
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.ClassDef)
+                for item in node.body
+                if isinstance(item, ast.FunctionDef) and item.name == "loops"]
 
 
 def test_a_reader_that_validates_is_caught(tmp_path):

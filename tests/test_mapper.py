@@ -36,6 +36,7 @@ from photon_model.spec_model import (
     MappingError,
     Mesh,
     demand,
+    leads,
     mapping_digest,
     stencil_pins,
     validate_mapping,
@@ -1354,6 +1355,20 @@ def test_order_table_matches_valid_perms(case, picks):
     for j, got in enumerate(options):
         live = tuple(d for d in DIMS if chains[d][2 * j] > 1)
         assert got == mapper._valid_perms(live, j, forbidden)
+
+
+def test_nest_ok_is_the_refetch_rule_on_levels():
+    # At each level up to the keeper b, the tensor's dim (K) where `own`
+    # has the level's bit and then another dim (C) where `other` has it.
+    dims = TENSOR_DIMS[OUTPUTS]
+    for m in range(2, 6):
+        for b in range(m):
+            for own in range(0, 1 << (b + 1), 2):
+                for other in range(1 << b):
+                    order = [d for j in range(b + 1)
+                             for d, mask in (("K", own), ("C", other))
+                             if mask >> j & 1]
+                    assert mapper._nest_ok(own, other) == leads(order, dims)
 
 
 def _reference_feasible(arch, layer, cap, forbidden, menu, drawn):

@@ -1,4 +1,6 @@
 import ast
+import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -6,9 +8,24 @@ import pytest
 from photon_model import oracle
 from photon_model.oracle import OracleCapExceeded, simulate
 from photon_model.reuse import analyze
-from photon_model.spec_model import Layer, LevelMapping, Mapping
+from photon_model.spec_model import (DIMS, Layer, LevelMapping, LoopNest,
+                                     Mapping)
 
 import toys
+from randgen import random_instance
+
+
+def test_the_oracle_reads_each_permutation_as_the_loop_nest_does():
+    rng = random.Random(42)
+    for _ in range(60):
+        _, _, mapping = random_instance(rng)
+        assert oracle._read_loops(mapping.levels) == list(mapping.nest.loops)
+        # The same factors under orders that leave live dims out and name
+        # unit-factor ones.
+        levels = tuple(replace(lm, permutation=tuple(
+            rng.sample(DIMS, rng.randint(0, len(DIMS)))))
+            for lm in mapping.levels)
+        assert oracle._read_loops(levels) == list(LoopNest.of(levels).loops)
 
 
 def test_degenerate_single_iteration_nest():

@@ -25,6 +25,7 @@ from photon_model.spec_model import (
     Layer,
     Level,
     LevelMapping,
+    LoopNest,
     Mapping,
     MappingError,
     Mesh,
@@ -765,8 +766,8 @@ def _albireo(group, i, **fields):
     return build
 
 
-def _store_states(action):
-    """fanout_converter_arch(4) whose store part states an energy for
+def _store_states(action, energy=1.0):
+    """fanout_converter_arch(4) whose store part states `energy` for
     `action`."""
 
     def build():
@@ -774,7 +775,7 @@ def _store_states(action):
         store, pe = arch.levels
         sram = store.component
         part = replace(sram, energy_per_action={**sram.energy_per_action,
-                                                action: 1.0})
+                                                action: energy})
         return replace(arch, levels=(replace(store, component=part), pe))
     return build
 
@@ -862,6 +863,32 @@ ALBIREO = "architecture[albireo-k8q7c4r3]"
                  id="bits-zero"),
     pytest.param(lambda: Workload("w", (toys.conv_k4(), toys.conv_k4())),
                  "MalformedDocument", "workload[w]", id="layer-repeats"),
+    # A non-finite number was accepted and priced (a NaN clock gave a NaN
+    # total energy), and a float edge raised TypeError.
+    pytest.param(lambda: replace(albireo.architecture(), clock_ghz=math.nan),
+                 "MalformedDocument", ALBIREO, id="clock-nan"),
+    pytest.param(lambda: replace(albireo.architecture(), clock_ghz=math.inf),
+                 "MalformedDocument", ALBIREO, id="clock-infinite"),
+    pytest.param(_dn_part(energy_per_action={"convert": math.nan}),
+                 "BadBound", "architecture[fanout_conv].converters[dn]"
+                 ".energy_per_action.convert", id="energy-nan"),
+    pytest.param(_store_states("read", math.inf), "BadBound",
+                 "architecture[fanout_conv].levels[0].energy_per_action.read",
+                 id="energy-infinite"),
+    pytest.param(_dn_part(static_power_mw=math.nan), "BadBound",
+                 "architecture[fanout_conv].converters[dn].static_power_mw",
+                 id="static-power-nan"),
+    pytest.param(_dn_part(area_um2=math.inf), "BadBound",
+                 "architecture[fanout_conv].converters[dn].area_um2",
+                 id="area-infinite"),
+    pytest.param(_dn_part(bandwidth=math.nan), "MalformedDocument",
+                 "architecture[fanout_conv].converters[dn]",
+                 id="bandwidth-nan"),
+    pytest.param(_dn_part(bandwidth=math.inf), "MalformedDocument",
+                 "architecture[fanout_conv].converters[dn]",
+                 id="bandwidth-infinite"),
+    pytest.param(_albireo("converters", 0, edge=2.0), "MalformedDocument",
+                 f"{ALBIREO}.converters[input_dac]", id="converter-edge-float"),
 ])
 def test_an_invalid_object_is_rejected_as_it_is_built(build, kind, path):
     with pytest.raises(SpecError) as e:
@@ -1153,6 +1180,24 @@ def _fc_k_c32(k):
     return Layer(name="fc", kind="fully_connected",
                  dims={"N": 1, "K": k, "C": 32, "R": 1, "S": 1, "P": 1,
                        "Q": 1})
+
+
+# LoopNest.loops per level, outermost first: the permutation's dims in its
+# order, then the unlisted live dims in DIMS order; a unit factor makes no
+# loop, even where the permutation names it.
+@pytest.mark.parametrize("level, loops", [
+    (LevelMapping(temporal={"C": 2, "K": 3}, permutation=("C", "K")),
+     (("C", 2), ("K", 3))),
+    (LevelMapping(temporal={"S": 3, "N": 5, "Q": 2, "K": 4},
+                  permutation=("Q",)),
+     (("Q", 2), ("N", 5), ("K", 4), ("S", 3))),
+    (LevelMapping(temporal={"R": 1, "P": 2, "C": 1, "K": 3},
+                  permutation=("R", "K", "C")),
+     (("K", 3), ("P", 2))),
+], ids=["listed-in-its-order", "unlisted-in-dims-order", "unit-dropped"])
+def test_the_loop_nest_reads_each_permutation(level, loops):
+    nest = LoopNest.of((LevelMapping(), level))
+    assert nest.loops == tuple((1, d, e) for d, e in loops)
 
 
 def test_backing_store_capacity_counts_its_own_loops():
