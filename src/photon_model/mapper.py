@@ -52,22 +52,26 @@ keepers, so it is kept per architecture and keep-override set, for every
 search that shares them.
 
 A candidate is priced from its picked chains and loop orders with no
-Mapping in between (_Pricer). Its counts are reuse.tally, the arithmetic
-reuse.count runs, fed from what each chain fixes on its own (its padded
-and real extents, its temporal and spatial factors, read from its table)
-and the footprints tally reads (CountPlan.tiled), computed from the
-chains' tile extents where reuse.count takes them from validation. What
-the picked spatial rows fix, the instances and the merge widths, is kept
-per search for each tuple of rows, and each level's footprints per
-column of extents. Its price comes from the PriceProgram kept for the
-search's CountPlan (evaluator.price_program), the one evaluate runs, in
-its order, so each objective is bit-identical to its evaluation's. The
-search compares only these priced objectives (_Best): it keeps the lowest
-with its picks and loop orders, and builds a mapping only to break an
-exact tie by digest. Once the walk ends, it builds the winner and
-evaluates it in full, which validates it: each search checks the one
-mapping it returns. A candidate is built with only its factors other than
-1, which every reader of a mapping takes as 1 when missing.
+Mapping in between (_Pricer), by the search's entry point of the code
+emitted for the search's CountPlan (reuse.emit), bound to the
+architecture's prices (reuse.counter) and, per search, to its chain
+tables and two memos: the code gathers what each chain fixes on its own
+(its padded and real extents, its temporal and spatial factors, read from
+its table), looks up what the picked spatial rows fix, the instances and
+the merge widths, per tuple of rows (_SpatialRows), and each tiled
+level's footprints per column of extents (_Footprints), where evaluate
+takes them from validation; a miss computes them outside the emitted
+text. It passes the loops of the drawn orders to reuse.residencies, then
+counts and prices as evaluate's entry point of the same code does, in its
+order, so each objective is bit-identical to its evaluation's; under the
+delay objective it returns the cycles and prices no energy. The search
+compares only these priced objectives (_Best): it keeps the lowest with
+its picks and loop orders, and builds a mapping only to break an exact
+tie by digest, keeping the best's. Once the walk ends, it evaluates the
+winner in full, built then unless a tie built it, which validates it:
+each search checks the one mapping it returns. A candidate is built with
+only its factors other than 1, which every reader of a mapping takes as 1
+when missing.
 
 The candidate space factors per dimension: each dim contributes a chain
 [t0, s1, t1, ..., s(M-1), t(M-1)] of per-level factors. One enumeration
@@ -111,9 +115,9 @@ into random per pick; tests/test_mapper.py checks the rule against the
 running Python's random.
 
 What is kept, and for how long:
-* per search: the draw tree, each filter's masks and index lists, and the
+* per search: the draw tree, each filter's masks and index lists, the
   pricer's instances and merge widths per tuple of spatial rows and
-  footprints per level column;
+  footprints per level column, and its entry point bound to them;
 * per architecture (Architecture.derived), for every search on it: the
   chain tables per menu key, the order table per keep-override set, each
   search's result (below), and each capacity check's limits per dim and
@@ -142,7 +146,12 @@ is the candidate's step count: the product of every drawn chain's temporal
 factors, which is the `LoopNest.steps` of the mapping the chains build.
 Cycles never fall below it, and it needs no access counts. The energy and
 EDP objectives price every feasible candidate: a sound floor for them
-costs about as much as the pricing it would save.
+costs about as much as the pricing it would save, and saves nothing
+here. A cheap sound one, the compute energy plus static power over the
+step count plus the exact traffic across the compute array's edge, came
+to 26.7% of a candidate's energy on average (78.8% at most) and would
+have pruned none of the 12,084 candidates the memory study prices at
+seeds 7-9 and budget 120.
 """
 
 from __future__ import annotations
@@ -156,8 +165,8 @@ from dataclasses import dataclass, field
 from operator import mul
 
 # analyze and energy go unused here; perfbench/tracer.py rebinds both.
-from .evaluator import EvaluationResult, energy, evaluate, price_program
-from .reuse import Tally, analyze, count_plan, tally
+from .evaluator import EvaluationResult, energy, evaluate
+from .reuse import CountPlan, analyze, count_plan, counter
 from .spec_model import (
     DIMS,
     REDUCED_DIMS,
@@ -180,7 +189,6 @@ from .spec_model import (
 
 OBJECTIVES = ("energy", "delay", "energy_delay_product")
 STRATEGIES = ("exhaustive", "pruned_random")
-_DIM_INDEX = {d: i for i, d in enumerate(DIMS)}
 
 
 class NoValidMapping(Exception):
@@ -814,25 +822,60 @@ class _Walk:
         return nxt
 
 
+class _Footprints(dict):
+    """One tiled level's footprints (CountPlan.tiled) per column of
+    extents (one per dim, in DIMS order): the values of each of the level's
+    tensors' tiles there (tile_values), in the level's tensor order. Kept
+    per search; the emitted search code reads it and a miss fills it."""
+
+    def __init__(self, layer: Layer, tensors: tuple[str, ...]):
+        super().__init__()
+        self.layer, self.tensors = layer, tensors
+
+    def __missing__(self, column: tuple[int, ...]) -> tuple[int, ...]:
+        tile = dict(zip(DIMS, column))
+        values = self[column] = tuple([tile_values(self.layer, tile, t)
+                                       for t in self.tensors])
+        return values
+
+
+class _SpatialRows(dict):
+    """Per tuple of picked spatial rows (one per dim, in DIMS order), what
+    they fix: the instances of each level and the merge width at each edge
+    slot (CountPlan.merge_widths). Kept per search, like _Footprints."""
+
+    def __init__(self, plan: CountPlan):
+        super().__init__()
+        self.plan = plan
+
+    def __missing__(self, rows: tuple[tuple[int, ...], ...]
+                   ) -> tuple[tuple[int, ...], list[int]]:
+        columns = list(zip(*rows))
+        fixed = self[rows] = (
+            tuple(itertools.accumulate(map(math.prod, columns), mul,
+                                       initial=1)),
+            self.plan.merge_widths([{}] + [dict(zip(DIMS, column))
+                                           for column in columns]))
+        return fixed
+
+
 class _Pricer:
     """A candidate's objective from its picks (one table index per dim, in
-    DIMS order), loop orders and the walk's spatial products and step
-    count, as evaluate prices the mapping they build (`mapping`), without
-    building it (see the module docstring). What the picked spatial rows
-    fix, the instances of each level and the merge widths, is kept per
-    tuple of rows. The footprints tally reads (CountPlan.tiled) come from
-    the picked chains' tile extents, where evaluate takes them from
-    validation; each level's are kept per column of extents, as a tuple in
-    the order of the level's tensors."""
+    DIMS order), loop orders and step count, as evaluate prices the mapping
+    they build (`mapping`), without building it: the search's entry point
+    of its CountPlan's emitted code (reuse.counter, reuse.emit), bound to
+    the search's chain tables and memos, gathers what the picks fix and
+    counts and prices it (see the module docstring). `gather` returns, for
+    the same candidate, the arguments evaluate's entry point takes."""
 
     def __init__(self, arch: Architecture, layer: Layer, cfg: SearchConfig,
                  tables: list[_ChainTable]):
         self.arch, self.layer, self.cfg, self.tables = arch, layer, cfg, tables
         self.plan = count_plan(arch, cfg.keep_overrides)
-        self.program = price_program(arch, self.plan)
-        self.by_spatial: dict[tuple, tuple[tuple[int, ...], list[int]]] = {}
-        self.by_column: list[dict[tuple[int, ...], tuple[int, ...]]] = [
-            {} for _ in self.plan.tiled]
+        self.price, self.gather = counter(arch, self.plan).search(
+            tables, [_Footprints(layer, tensors)
+                     for _, tensors in self.plan.tiled],
+            _SpatialRows(self.plan), cfg.objective)
 
     def mapping(self, picks: list[int],
                 perms: list[tuple[str, ...]]) -> Mapping:
@@ -840,91 +883,47 @@ class _Pricer:
                                           in zip(DIMS, self.tables, picks)},
                               perms, self.cfg)
 
-    def count(self, picks: list[int], perms: list[tuple[str, ...]],
-              sprod: tuple[int, ...]
-              ) -> tuple[Tally, int, int, tuple[int, ...]]:
-        """The candidate's tally, padded and real MAC counts, and the
-        instances of each level (`sprod` holds the spatial products of
-        levels 1..M-1, which the spatial rows fix)."""
-
-        plan = self.plan
-        spatial, extents, temporal = [], [], []
-        macs = real = 1
-        for table, p in zip(self.tables, picks):
-            row = table.extents[p]
-            spatial.append(table.spatial[p])
-            extents.append(row)
-            temporal.append(table.temporal[p])
-            macs *= row[0]
-            real *= table.real[p]
-        rows = tuple(spatial)
-        fixed = self.by_spatial.get(rows)
-        if fixed is None:
-            fixed = self.by_spatial[rows] = (
-                tuple(itertools.accumulate(sprod, mul, initial=1)),
-                plan.merge_widths([{}] + [dict(zip(DIMS, column))
-                                          for column in zip(*rows)]))
-        instances, widths = fixed
-        columns = list(zip(*extents))
-        footprints = {}
-        for (lvl, tensors), memo in zip(plan.tiled, self.by_column):
-            column = columns[lvl]
-            values = memo.get(column)
-            if values is None:
-                tile = dict(zip(DIMS, column))
-                values = memo[column] = tuple([
-                    tile_values(self.layer, tile, t) for t in tensors])
-            for t, v in zip(tensors, values):
-                footprints[lvl, t] = v
-        loops = [(j, d, temporal[_DIM_INDEX[d]][j])
-                 for j, perm in enumerate(perms) for d in perm]
-        return (tally(plan, footprints, instances, loops, widths, macs),
-                macs, real, instances)
-
     def objective(self, picks: list[int], perms: list[tuple[str, ...]],
-                  sprod: tuple[int, ...], steps: int) -> float:
-        counted, _, real, instances = self.count(picks, perms, sprod)
-        program = self.program
-        cycles = program.cycles(counted.levels, counted.conversions, steps,
-                                instances)
-        if self.cfg.objective == "delay":
-            return float(cycles)
-        latency_s = cycles / program.hz
-        # The accumulators sit in sorted name order, as evaluate sums them.
-        total = sum(program.energy(counted.levels, counted.conversions, real,
-                                   latency_s))
-        return total if self.cfg.objective == "energy" else total * latency_s
+                  steps: int) -> float:
+        """The emitted `price`, called through this method so that a
+        wrapper of _Pricer.objective sees every candidate priced."""
+
+        return self.price(picks, perms, steps)
 
 
 class _Best:
     """The lowest priced objective offered and the candidate that gave it:
     its picks, copied as the walks refill theirs in place, and its loop
     orders. On an exact tie the candidate whose mapping
-    (`build(picks, perms)`) has the smaller digest stays. Digests are
-    built only for ties, the best's once."""
+    (`build(picks, perms)`) has the smaller digest stays. Mappings are
+    built only for ties, the best's once, and the best's built mapping is
+    kept (`mapping`, None until a tie builds it) for the search to
+    evaluate."""
 
     def __init__(self, build):
         self.build = build
         self.value: float | None = None
         self.picks: list[int] = []
         self.perms: list[tuple[str, ...]] = []
+        self.mapping: Mapping | None = None
         self.digest: str | None = None
 
     def offer(self, value: float, picks: list[int],
               perms: list[tuple[str, ...]]) -> None:
-        digest = None
+        mapping = digest = None
         if self.value is not None:
             if value > self.value:
                 return
             if value == self.value:
-                if self.digest is None:
-                    self.digest = mapping_digest(self.build(self.picks,
-                                                            self.perms))
-                digest = mapping_digest(self.build(picks, perms))
+                if self.mapping is None:
+                    self.mapping = self.build(self.picks, self.perms)
+                    self.digest = mapping_digest(self.mapping)
+                mapping = self.build(picks, perms)
+                digest = mapping_digest(mapping)
                 if digest >= self.digest:
                     return
         self.value, self.picks, self.perms = value, list(picks), perms
-        self.digest = digest
+        self.mapping, self.digest = mapping, digest
 
 
 def search(arch: Architecture, layer: Layer, cfg: SearchConfig) -> SearchResult:
@@ -979,7 +978,7 @@ def _search(arch: Architecture, layer: Layer, cfg: SearchConfig) -> SearchResult
     if cfg.strategy == "exhaustive":
         # At most the product of the menu sizes partial assignments at
         # each depth, so a space that fits max_space never trips the walk.
-        for picks, (sprod, _, _, steps, signature) in walk.exhaustive(
+        for picks, (_, _, _, steps, signature) in walk.exhaustive(
                 len(DIMS) * cfg.max_space):
             for perms in map(list, itertools.product(
                     *orders.options(signature))):
@@ -987,8 +986,8 @@ def _search(arch: Architecture, layer: Layer, cfg: SearchConfig) -> SearchResult
                 if visited > cfg.max_space:
                     raise SearchError(f"exhaustive space exceeds "
                                       f"{cfg.max_space}; use pruned_random")
-                best.offer(pricer.objective(picks, perms, sprod, steps),
-                           picks, perms)
+                best.offer(pricer.objective(picks, perms, steps), picks,
+                           perms)
     else:
         getrandbits = random.Random(cfg.seed).getrandbits
         prune = cfg.objective == "delay"
@@ -1000,7 +999,7 @@ def _search(arch: Architecture, layer: Layer, cfg: SearchConfig) -> SearchResult
             leaf = walk.draw(getrandbits, picks)
             perms = None
             if leaf is not None:
-                sprod, _, _, steps, signature = leaf
+                _, _, _, steps, signature = leaf
                 perms = orders.draw(signature, getrandbits)
             if perms is None:
                 invalid += 1
@@ -1011,12 +1010,13 @@ def _search(arch: Architecture, layer: Layer, cfg: SearchConfig) -> SearchResult
                 pruned += 1
                 continue
             visited += 1
-            best.offer(pricer.objective(picks, perms, sprod, steps), picks,
-                       perms)
+            best.offer(pricer.objective(picks, perms, steps), picks, perms)
 
     if best.value is None:
         raise NoValidMapping(layer.name, "no valid mapping found in budget")
-    mapping = pricer.mapping(best.picks, best.perms)
+    mapping = best.mapping
+    if mapping is None:
+        mapping = pricer.mapping(best.picks, best.perms)
     return SearchResult(mapping=mapping, objective=best.value,
                         evaluation=evaluate(arch, layer, mapping),
                         visited=visited, pruned=pruned, invalid=invalid)

@@ -37,26 +37,45 @@ CountPlan, kept on the architecture (count_plan): the AccessCounts keys,
 each hop between consecutive keepers of a chain as a leg, both read from
 validation_plan's keep table, the output stream, and per edge crossed the
 converter and the spatial dims its mesh merges (spec_model.merge_dims),
-all as slots of flat lists. The counting itself is one arithmetic core,
-tally: from the tile footprints, instances and loops of a nest and the
-merge widths at each edge (one suffix product per leg over the spatial
-factors, CountPlan.merge_widths, which reuse_factors reads too) it fills
-a Tally, flat lists in the plan's layout. How often each level's tiles
-change, and how many distinct Outputs tiles it holds, come from one
-forward sweep over the loops (residencies), as the loops at or above a
-level are a prefix of them. count validates a mapping, which gives the
-footprints and the real MAC count, and reads the rest from mapping.nest;
-analyze packs its tally into AccessCounts (pack), and evaluator.evaluate
-prices the tally as it stands, then packs it once for its result. The
-mapper's search reads them from its picked chains and prices the tally as
-it stands. The oracle shares nothing with this module: not the legs, the
-plan or the core. The count containers (AccessCounts, LevelCounts) are
+all as slots of flat lists. Every price, bandwidth and static power laid
+over that layout is a PriceProgram, kept per plan (price_program).
+
+The counting and pricing themselves are code emitted from the two (emit):
+straight-line Python with every leg unrolled into locals, in one fixed
+order, and cycles and each component's energy added in the program's term
+order. The text reads only the layout, never a number: the prices, the
+bandwidths and the clock are bound as values (PriceProgram.values), so
+architectures that differ only in numbers, such as reuse_sweep's geometry
+points or a resized buffer, share one source. Each distinct source is
+compiled once per process, kept by its text (_binder), and registered
+with linecache, so a traceback shows its lines; it calls only the names
+HANDED gives it. Its code, bound to an architecture's program, is kept
+per plan (counter) and has two entry points. evaluate's (`count`) takes
+the tile footprints validate_mapping returns, how often each level's
+tiles change and how many distinct Outputs tiles it holds (residencies,
+one forward sweep over LoopNest.loops, as the loops at or above a level
+are a prefix of them), the instances, the merge widths at each edge (one
+suffix product per leg over the spatial factors, CountPlan.merge_widths,
+which reuse_factors reads too) and the MAC and step counts, and returns
+a Tally, flat lists in the plan's layout, with the cycles, latency and
+energies. count validates a mapping, which gives the footprints and the
+real MAC count, reads the rest from mapping.nest and runs that entry
+point; analyze packs its tally into AccessCounts (pack), and
+evaluator.evaluate packs it once for its result. The search's entry
+point, bound per search (mapper._Pricer), gathers the same arguments from
+a candidate's picked chains itself and returns only its objective. The
+oracle shares nothing with this module: not the legs, the plan or the
+emitted code. The count containers (AccessCounts, LevelCounts) are
 spec_model's, as every engine returns them.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import functools
+import hashlib
+import linecache
+import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -305,7 +324,131 @@ def count_plan(arch: Architecture,
 
 
 # ----------------------------------------------------------------------------
-# Analytical counting
+# Pricing layout
+# ----------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class PriceProgram:
+    """Every price, bandwidth and static power of an architecture, laid
+    over one layout of counts: a Tally's, with reads, fills, updates and
+    drains at 4 * i for level_keys[i] and one counter per conversion key.
+    Built once per count plan and kept on the architecture
+    (price_program), where the plan's emitted code reads it (emit), or
+    afresh for packed counts (evaluator.energy, through energy).
+
+    names holds the component names sorted, one energy accumulator each.
+    levels, conversions, compute and static are energy's terms in its
+    order: the sorted level keys as (accumulator, slot, read, write,
+    update), update falling back to write; the sorted conversion keys as
+    (accumulator, slot, convert); the compute part as (accumulator,
+    compute); each part with static power, in Architecture.parts order, as
+    (accumulator, static_power_mw * instances). transfers holds per level
+    (level, (start, stop) runs of its slots, bandwidth), and rates per
+    converter bank (its slots, bandwidth * instances): a key missing from
+    the layout counts nothing. hz is the clock in Hz."""
+
+    names: tuple[str, ...]
+    levels: tuple[tuple[int, int, float, float, float], ...]
+    conversions: tuple[tuple[int, int, float], ...]
+    compute: tuple[int, float]
+    static: tuple[tuple[int, float], ...]
+    transfers: tuple[tuple[int, tuple[tuple[int, int], ...], float], ...]
+    rates: tuple[tuple[tuple[int, ...], float], ...]
+    hz: float
+
+    @classmethod
+    def of(cls, arch: Architecture, level_keys: tuple[tuple[int, str], ...],
+           conversion_keys: tuple[tuple[str, str], ...]) -> PriceProgram:
+        comps = [lv.component for lv in arch.levels]
+        banks = {cv.name: cv.component for cv in arch.converters}
+        level_at = {key: 4 * i for i, key in enumerate(level_keys)}
+        conversion_at = {key: i for i, key in enumerate(conversion_keys)}
+        # Every term as (component name, ...), in energy's order.
+        levels = [(comps[lv].name, level_at[(lv, t)],
+                   comps[lv].energy("read"), comps[lv].energy("write"),
+                   comps[lv].energy("update") or comps[lv].energy("write"))
+                  for lv, t in sorted(level_keys)]
+        conversions = [(banks[cv].name, conversion_at[(cv, t)],
+                        banks[cv].energy("convert"))
+                       for cv, t in sorted(conversion_keys)]
+        compute = [(comps[-1].name, comps[-1].energy("compute"))]
+        static = [(c.name, c.static_power_mw * n)
+                  for c, n in arch.parts if c.static_power_mw]
+        acc = {name: a for a, name in enumerate(sorted(
+            {term[0] for term in (*levels, *conversions, *compute, *static)}))}
+
+        def accumulated(rows):
+            return tuple((acc[name], *rest) for name, *rest in rows)
+
+        runs: dict[int, list[list[int]]] = {}
+        for (level, _), at in level_at.items():
+            spans = runs.setdefault(level, [])
+            if spans and spans[-1][1] == at:
+                spans[-1][1] = at + 4
+            else:
+                spans.append([at, at + 4])
+        return cls(
+            names=tuple(acc),
+            levels=accumulated(levels),
+            conversions=accumulated(conversions),
+            compute=accumulated(compute)[0],
+            static=accumulated(static),
+            transfers=tuple((level, tuple(map(tuple, spans)),
+                             comps[level].bandwidth)
+                            for level, spans in runs.items()),
+            rates=tuple((tuple(conversion_at[(cv.name, t)] for t in cv.tensors
+                               if (cv.name, t) in conversion_at),
+                         cv.component.bandwidth * cv.instances)
+                        for cv in arch.converters),
+            hz=arch.clock_ghz * 1e9,
+        )
+
+    def energy(self, levels: list[int], conversions: list[int],
+               real_macs: int, latency_s: float) -> list[float]:
+        """Energy in pJ per accumulator (names), added as the emitted code
+        adds it: summed in order, they give evaluate's total."""
+
+        out = [0.0] * len(self.names)
+        for a, at, read, write, update in self.levels:
+            out[a] += (levels[at] * read
+                       + levels[at + 1] * write
+                       + levels[at + 3] * read
+                       + levels[at + 2] * update)
+        for a, at, convert in self.conversions:
+            out[a] += conversions[at] * convert
+        a, compute = self.compute
+        out[a] += real_macs * compute
+        for a, power in self.static:
+            out[a] += power * latency_s * 1e9
+        return out
+
+    def values(self) -> tuple[float, ...]:
+        """The numbers the emitted code is bound to, in the order of its
+        `bind` (emit): per level term its read, write and update, per
+        conversion term its convert, the compute energy, per static term
+        its power, per transfer its bandwidth, per converter bank its rate,
+        and the clock."""
+
+        return (*(p for _, _, *prices in self.levels for p in prices),
+                *(convert for _, _, convert in self.conversions),
+                self.compute[1],
+                *(power for _, power in self.static),
+                *(bandwidth for _, _, bandwidth in self.transfers),
+                *(rate for _, rate in self.rates),
+                self.hz)
+
+
+def price_program(arch: Architecture, plan: CountPlan) -> PriceProgram:
+    """The PriceProgram of a count plan's layout, kept on the
+    architecture per plan."""
+
+    return arch.derived(("price_program", plan), lambda: PriceProgram.of(
+        arch, plan.level_keys, plan.conversion_keys))
+
+
+# ----------------------------------------------------------------------------
+# Counting and pricing, emitted per layout
 # ----------------------------------------------------------------------------
 
 
@@ -322,84 +465,279 @@ class Tally(NamedTuple):
     demand: list[int | None]
 
 
-def tally(plan: CountPlan, footprints: dict[tuple[int, str], int],
-          instances: Sequence[int], loops: Sequence[tuple[int, str, int]],
-          widths: list[int], macs: int) -> Tally:
-    """The counting arithmetic, from what a mapping's nest fixes: the
-    values of each tensor's tile at each level of plan.tiled, keyed
-    (level, tensor) (the footprints validate_mapping returns), the
-    instances of each level, the temporal loops outermost first
-    (LoopNest.loops), the merge width at each edge slot
-    (CountPlan.merge_widths) and the padded MAC count."""
+# Every name emitted code can reach: its builtins are these and nothing
+# else, so no rule of spec_model is called from the text (tile_values and
+# validate_mapping stay with their callers, and the search's memos call
+# them on a miss).
+HANDED = {"AssertionError": AssertionError, "divmod": divmod, "sum": sum,
+          "float": float, "enumerate": enumerate, "ceil": math.ceil,
+          "residencies": residencies, "Tally": Tally}
+
+def emit(plan: CountPlan, program: PriceProgram) -> str:
+    """The source of a plan's counting and pricing, straight-line: every
+    leg unrolled into locals, in one order (operands' legs innermost
+    first, the output stream, then each drain and its refetch), which
+    decides the collapse check that fails first, and cycles and each
+    accumulator's energy added in PriceProgram's term order, so every
+    float sums as PriceProgram.energy sums it. The text reads only the
+    layout (the plan's slots and the program's terms); every price,
+    bandwidth and the clock is a name bound by `bind(values)`
+    (PriceProgram.values), so architectures that differ only in numbers
+    share one source.
+
+    `bind` returns two entry points. `count(footprints, resident,
+    instances, widths, macs, steps, real)`, evaluate's, takes what
+    validate_mapping and the nest fix (resident is residencies of the
+    nest's loops, widths CountPlan.merge_widths) and returns the Tally,
+    cycles, latency and per-accumulator energies. `search(tables, columns,
+    by_rows, objective)` binds the search's to one search's chain tables
+    (one per dim, in DIMS order), its footprint memo per tiled level (each
+    column of extents to the level's tensors' tile values) and its memo of
+    (instances, merge widths) per tuple of spatial rows, and returns
+    `price(picks, perms, steps)`, the candidate's objective, and `gather`,
+    which returns the arguments `count` takes for the same candidate.
+
+    A divmod checks the collapse only at slots whose mesh merges: a slot
+    outside every merge has width 1. A refetch leg is counted whatever
+    its refetch (none counts 0) and recorded only when there is one."""
 
     compute = plan.compute
-    levels = [0] * (4 * len(plan.level_keys))
-    conversions = [0] * len(plan.conversion_keys)
-    crossings: list[int | None] = [None] * len(plan.edges)
-    demand: list[int | None] = [None] * len(plan.edges)
-    resident = residencies(loops, compute)
+    merged = set()
+    for crossings in plan.merging:
+        merging = False
+        for slot, _, dims in crossings:
+            merging = merging or bool(dims)
+            if merging:
+                merged.add(slot)
 
-    def cross(leg: Leg, base: int, into: int) -> int:
-        """Record the leg's crossings of `base` values and the demand
-        `into` just inside each of its edges; returns the transmissions
-        across its first edge, which its outer end sends."""
+    def body(record: bool) -> tuple[list[str], list[str], list[str]]:
+        """The counting lines, then the expressions of every level and
+        conversion counter; with `record`, also the Tally's lists."""
 
-        slot = leg.first
-        for at in leg.conversions_at:
-            n, rest = divmod(base, widths[slot])
-            if rest:
-                raise AssertionError(f"inexact collapse {base}/{widths[slot]}")
-            crossings[slot] = n
-            demand[slot] = into
-            if at >= 0:
-                conversions[at] += n
-            slot += 1
-        return crossings[leg.first]
+        lines: list[str] = []
+        levels: list[list[str]] = [[] for _ in range(4 * len(plan.level_keys))]
+        conversions: list[list[str]] = [[] for _ in plan.conversion_keys]
+        crossed = ["None"] * len(plan.edges)
+        demand = ["None"] * len(plan.edges)
 
-    # Operand tensors flow down their keeper chains: Weights, then Inputs,
-    # each leg recorded by cross. The demand just inside a hop is what the
-    # next hop in carries, so the legs run innermost first.
-    for k, (tensor, legs) in enumerate(plan.operands):
-        into = macs
-        for leg in reversed(legs):
-            inner = leg.inner
-            base = (macs if inner == compute else
-                    resident[inner][k] * footprints[inner, tensor]
-                    * instances[inner])
-            delivered = cross(leg, base, into)
-            levels[leg.outer_at] += delivered
-            if leg.inner_at >= 0:
-                levels[leg.inner_at + 1] += delivered
-            into = base
+        def cross(leg: Leg, base: str, into: str, refetch: str = "") -> str:
+            """Count the leg's crossings of `base` values, with `into`
+            demanded just inside each edge; the name of what its first
+            edge carries, which its outer end sends."""
 
-    # Outputs: MAC partials ascend to the accumulation level...
-    stream = plan.stream
-    arrivals = cross(stream, macs, macs)
-    levels[stream.outer_at] += arrivals
-    levels[stream.outer_at + 2] += arrivals
+            names = []
+            for i, at in enumerate(leg.conversions_at):
+                slot = leg.first + i
+                n = base
+                if slot in merged:
+                    n = f"n{slot}"
+                    lines.append(f"{n}, rest = divmod({base}, widths[{slot}])")
+                    lines.append(f"if rest: raise AssertionError(f\"inexact "
+                                 f"collapse {{{base}}}/{{widths[{slot}]}}\")")
+                names.append(n)
+                if at >= 0:
+                    conversions[at].append(n)
+                crossed[slot], demand[slot] = (
+                    (f"{n} if {refetch} else None",
+                     f"{into} if {refetch} else None") if refetch
+                    else (n, into))
+            return names[0]
 
-    # ...then finished tiles drain upward hop by hop, and partial tiles whose
-    # residency recurs are refetched back down first.
-    demand_into = arrivals
-    for up, down in plan.drains:
-        inner = up.inner
-        _, _, tc, distinct = resident[inner]
-        size = footprints[inner, OUTPUTS]
-        inst = instances[inner]
-        drained = tc * size * inst
-        levels[up.inner_at + 3] += drained
-        merged = cross(up, drained, demand_into)
-        levels[up.outer_at + 2] += merged
+        # Operands flow down their keeper chains, innermost leg first: the
+        # demand just inside a hop is what the next hop in carries.
+        for t, legs in plan.operands:
+            into = "macs"
+            for leg in reversed(legs):
+                j = leg.inner
+                base = "macs"
+                if j != compute:
+                    base = f"base_{t}{j}"
+                    lines.append(f"{base} = tc_{t}{j} * foot_{t}{j} * inst{j}")
+                delivered = cross(leg, base, into)
+                levels[leg.outer_at].append(delivered)
+                if leg.inner_at >= 0:
+                    levels[leg.inner_at + 1].append(delivered)
+                into = base
+        # Outputs: MAC partials ascend to the accumulation level...
+        arrivals = cross(plan.stream, "macs", "macs")
+        levels[plan.stream.outer_at].append(arrivals)
+        levels[plan.stream.outer_at + 2].append(arrivals)
+        # ...then finished tiles drain upward hop by hop, and partials whose
+        # residency recurs are refetched back down first.
+        into = arrivals
+        for up, down in plan.drains:
+            j = up.inner
+            lines.append(f"drained{j} = tc_{OUTPUTS}{j} * foot_{OUTPUTS}{j}"
+                         f" * inst{j}")
+            levels[up.inner_at + 3].append(f"drained{j}")
+            merged_up = cross(up, f"drained{j}", into)
+            levels[up.outer_at + 2].append(merged_up)
+            lines.append(f"refetch{j} = tc_{OUTPUTS}{j} - distinct{j}")
+            lines.append(f"refetched{j} = refetch{j} * foot_{OUTPUTS}{j}"
+                         f" * inst{j}")
+            filled = cross(down, f"refetched{j}", f"refetched{j}",
+                           f"refetch{j}")
+            levels[down.inner_at + 1].append(filled)
+            levels[down.outer_at].append(filled)
+            into = merged_up
 
-        refetch = tc - distinct
-        if refetch:
-            base = refetch * size * inst
-            filled = cross(down, base, base)
-            levels[down.inner_at + 1] += filled
-            levels[down.outer_at] += filled
-        demand_into = merged
+        def total(prefix: str, terms: list[list[str]]) -> list[str]:
+            out = []
+            for at, names in enumerate(terms):
+                if len(names) > 1:
+                    lines.append(f"{prefix}{at} = {' + '.join(names)}")
+                    names = [f"{prefix}{at}"]
+                out.append(names[0] if names else "0")
+            return out
 
-    return Tally(levels, conversions, crossings, demand)
+        level_terms = total("level", levels)
+        conversion_terms = total("conversion", conversions)
+        if record:
+            lines.append(f"counted = Tally([{', '.join(level_terms)}], "
+                         f"[{', '.join(conversion_terms)}], "
+                         f"[{', '.join(crossed)}], [{', '.join(demand)}])")
+        return lines, level_terms, conversion_terms
+
+    def priced(level: list[str], conversion: list[str],
+               search: bool) -> list[str]:
+        """Cycles, then the latency and each accumulator's energy; in the
+        search's entry a delay objective returns the cycles first."""
+
+        lines = ["cycles = steps"]
+        for k, (j, runs, _) in enumerate(program.transfers):
+            actions = [level[at] for start, stop in runs
+                       for at in range(start, stop) if level[at] != "0"]
+            lines += [f"need = ceil(({' + '.join(actions) or '0'}) "
+                      f"/ (bandwidth{k} * inst{j}))",
+                      "if need > cycles: cycles = need"]
+        for k, (slots, _) in enumerate(program.rates):
+            actions = [conversion[at] for at in slots
+                       if conversion[at] != "0"]
+            lines += [f"need = ceil(({' + '.join(actions) or '0'}) / rate{k})",
+                      "if need > cycles: cycles = need"]
+        if search:
+            lines += ["if delay:", "    return float(cycles)"]
+        accumulators = [f"pj{a}" for a in range(len(program.names))]
+        lines += ["latency = cycles / hz", f"{' = '.join(accumulators)} = 0.0"]
+        for k, (a, at, _, _, _) in enumerate(program.levels):
+            lines.append(
+                f"pj{a} += ({level[at]} * read{k} + {level[at + 1]} * write{k}"
+                f" + {level[at + 3]} * read{k} + {level[at + 2]} * update{k})")
+        for k, (a, at, _) in enumerate(program.conversions):
+            lines.append(f"pj{a} += {conversion[at]} * convert{k}")
+        lines.append(f"pj{program.compute[0]} += real * compute_pj")
+        for k, (a, _) in enumerate(program.static):
+            lines.append(f"pj{a} += static{k} * latency * 1e9")
+        lines.append(f"energies = [{', '.join(accumulators)}]")
+        return lines
+
+    prologue = [f"{', '.join(f'tc_{t}{j}' for t in TENSORS)}, distinct{j} "
+                f"= resident[{j}]" for j, _ in plan.tiled]
+    prologue.append(f"{', '.join(f'inst{j}' for j in range(compute + 1))}, "
+                    "= instances")
+    values = [*(f"{p}{k}" for k in range(len(program.levels))
+                for p in ("read", "write", "update")),
+              *(f"convert{k}" for k in range(len(program.conversions))),
+              "compute_pj",
+              *(f"static{k}" for k in range(len(program.static))),
+              *(f"bandwidth{k}" for k in range(len(program.transfers))),
+              *(f"rate{k}" for k in range(len(program.rates))),
+              "hz"]
+
+    counting, level, conversion = body(True)
+    evaluate = [f"foot_{t}{j} = footprints[{j}, {t!r}]"
+                for j, ts in plan.tiled for t in ts]
+    evaluate += prologue + counting + priced(level, conversion, False)
+    evaluate.append("return counted, cycles, latency, energies")
+
+    rows = range(len(DIMS))
+    gather = [f"{', '.join(f'p{d}' for d in rows)}, = picks",
+              *(f"row{d} = extents{d}[p{d}]" for d in rows),
+              f"macs = {' * '.join(f'row{d}[0]' for d in rows)}",
+              f"real = {' * '.join(f'reals{d}[p{d}]' for d in rows)}",
+              "instances, widths = by_rows["
+              f"{', '.join(f'spatials{d}[p{d}]' for d in rows)}]"]
+    for i, (j, ts) in enumerate(plan.tiled):
+        gather.append(
+            f"{', '.join(f'foot_{t}{j}' for t in ts)}, = "
+            f"columns{i}[{', '.join(f'row{d}[{j}]' for d in rows)}]")
+    gather += [
+        "time = {" + ", ".join(f"{name!r}: temporals{d}[p{d}]"
+                               for d, name in enumerate(DIMS)) + "}",
+        "resident = residencies([(j, d, time[d][j]) for j, order in "
+        f"enumerate(perms) for d in order], {compute})"]
+    counting, level, conversion = body(False)
+    price = gather + prologue + counting + priced(level, conversion, True)
+    price += ["total = sum(energies)",
+              "return total * latency if edp else total"]
+    footprints = ", ".join(f"({j}, {t!r}): foot_{t}{j}"
+                           for j, ts in plan.tiled for t in ts)
+    gather.append(f"return {{{footprints}}}, resident, instances, widths, "
+                  "macs, steps, real")
+
+    def block(lines: list[str], depth: int) -> str:
+        return "".join(f"{'    ' * depth}{line}\n" for line in lines)
+
+    tables = ", ".join(f"(extents{d}, spatials{d}, temporals{d}, reals{d})"
+                       for d in rows)
+    columns = ", ".join(f"columns{i}" for i in range(len(plan.tiled)))
+    return (
+        "def bind(values):\n"
+        f"    {', '.join(values)}, = values\n\n"
+        "    def count(footprints, resident, instances, widths, macs, steps,"
+        " real):\n"
+        + block(evaluate, 2) + "\n"
+        "    def search(tables, columns, by_rows, objective):\n"
+        f"        {tables}, = [\n"
+        "            (t.extents, t.spatial, t.temporal, t.real) "
+        "for t in tables]\n"
+        + (f"        {columns}, = columns\n" if plan.tiled else "")
+        + "        delay = objective == 'delay'\n"
+        "        edp = objective == 'energy_delay_product'\n\n"
+        "        def price(picks, perms, steps):\n"
+        + block(price, 3) + "\n"
+        "        def gather(picks, perms, steps):\n"
+        + block(gather, 3) + "\n"
+        "        return price, gather\n\n"
+        "    return count, search\n")
+
+
+@functools.cache
+def _binder(source: str) -> Callable:
+    """The `bind` of an emitted source, compiled once per process and kept
+    by its text: the cache of emitted code. The text is registered with
+    linecache, so a traceback through it shows its lines."""
+
+    digest = hashlib.sha256(source.encode()).hexdigest()
+    filename = f"<count plan {digest[:16]}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True),
+                                 filename)
+    namespace = {"__builtins__": HANDED}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["bind"]
+
+
+class Counter(NamedTuple):
+    """A count plan's emitted code bound to one architecture's prices
+    (counter): `count` is evaluate's entry point and `search` binds the
+    search's (see emit); names are the energy accumulators' component
+    names (PriceProgram.names)."""
+
+    names: tuple[str, ...]
+    count: Callable
+    search: Callable
+
+
+def counter(arch: Architecture, plan: CountPlan) -> Counter:
+    """The plan's emitted code bound to the architecture's PriceProgram,
+    kept on the architecture per plan."""
+
+    def bound():
+        program = price_program(arch, plan)
+        return Counter(program.names,
+                       *_binder(emit(plan, program))(program.values()))
+
+    return arch.derived(("counter", plan), bound)
 
 
 def pack(plan: CountPlan, counted: Tally, macs: int,
@@ -427,26 +765,34 @@ def pack(plan: CountPlan, counted: Tally, macs: int,
 
 
 def count(arch: Architecture, layer: Layer, mapping: Mapping
-          ) -> tuple[CountPlan, Tally, int, int]:
-    """Validate the mapping (validate_mapping), then tally its nest from
-    the footprints validation returns: the plan the tally is laid out by,
-    the tally, and the padded and real MAC counts, the arguments pack
-    takes; the real one is validation's."""
+          ) -> tuple[CountPlan, Tally, int, int, int, float,
+                     dict[str, float]]:
+    """Validate the mapping (validate_mapping), then run its plan's
+    emitted count (counter) on the nest, from the footprints validation
+    returns: the plan, the tally, the padded and real MAC counts (the
+    arguments pack takes; the real one is validation's), the cycles, the
+    latency, and the energy in pJ per component name, in sorted name
+    order."""
 
     footprints, real = validate_mapping(mapping, layer, arch)
     plan = count_plan(arch, mapping.keep_overrides, mapping.keep_key)
     nest = mapping.nest
     macs = nest.steps * nest.instances[-1]
-    widths = plan.merge_widths([lm.spatial for lm in mapping.levels])
-    return (plan, tally(plan, footprints, nest.instances, nest.loops, widths,
-                        macs), macs, real)
+    names, entry, _ = counter(arch, plan)
+    counted, cycles, latency, energies = entry(
+        footprints, residencies(nest.loops, plan.compute), nest.instances,
+        plan.merge_widths([lm.spatial for lm in mapping.levels]), macs,
+        nest.steps, real)
+    return (plan, counted, macs, real, cycles, latency,
+            dict(zip(names, energies)))
 
 
 def analyze(arch: Architecture, layer: Layer, mapping: Mapping) -> AccessCounts:
     """Count every access implied by the mapping, in closed form, once
-    validate_mapping has accepted it: the tally of its nest, packed."""
+    validate_mapping has accepted it: its tally, packed."""
 
-    return pack(*count(arch, layer, mapping))
+    plan, counted, macs, real, *_ = count(arch, layer, mapping)
+    return pack(plan, counted, macs, real)
 
 
 # ----------------------------------------------------------------------------

@@ -1,7 +1,9 @@
+import random
 from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
+from photon_model import albireo
 from photon_model.evaluator import (
     area,
     energy,
@@ -20,8 +22,44 @@ from photon_model.spec_model import (
     Mesh,
     mapping_digest,
 )
+from photon_model.workloads import load_workload
 
 import toys
+from randgen import random_instance
+
+
+def _priced_at_random(rng, arch):
+    """The architecture with each part's energies scaled by its own random
+    factor, so that no sum of them is exact."""
+
+    def scaled(holder):
+        comp = holder.component
+        return replace(holder, component=replace(comp, energy_per_action={
+            a: e * (0.1 + rng.random())
+            for a, e in comp.energy_per_action.items()}))
+
+    return replace(arch, levels=tuple(map(scaled, arch.levels)),
+                   converters=tuple(map(scaled, arch.converters)))
+
+
+def test_emitted_pricing_adds_as_the_price_program_does():
+    # evaluate prices through the code emitted for its count plan; energy
+    # prices the packed counts through PriceProgram.energy. Each part's
+    # energy must agree to the last bit, on random instances at random
+    # prices and on the bundled geometry's searched conv and fc layers.
+    rng = random.Random(43)
+    cases = []
+    for _ in range(300):
+        arch, layer, mapping = random_instance(rng)
+        cases.append((_priced_at_random(rng, arch), layer, mapping))
+    arch = albireo.architecture("aggressive")
+    for layer in load_workload("alexnet").layers[::3]:
+        cases.append((arch, layer, search(arch, layer, SearchConfig(
+            budget=30, seed=3, pad_mode="pad")).mapping))
+    for arch, layer, mapping in cases:
+        ev = evaluate(arch, layer, mapping)
+        assert ev.energy_pj == energy(ev.counts, arch, ev.latency_s)
+        assert list(ev.energy_pj) == sorted(ev.energy_pj)
 
 
 def test_zero_counts_zero_energy():

@@ -1,13 +1,18 @@
 """Every name a package module imports at top level is used there, every
 top-level definition is read somewhere in the package or exported, only
 the validated types call their rule sets, only spec_model's capacity
-rule and the counting engines compute tile footprints, and only
-validation and the search's loop orders apply the refetch rule."""
+rule and the counting engines compute tile footprints, only
+validation and the search's loop orders apply the refetch rule, and only
+reuse's emitter compiles code, whose text calls only the names it was
+handed, so that the checks above see every rule."""
 
 import ast
 from pathlib import Path
 
 import photon_model
+import toys
+from photon_model import albireo, reuse
+from photon_model.spec_model import INPUTS, OUTPUTS, WEIGHTS
 
 # perfbench/tracer.py rebinds these in mapper, which calls neither itself,
 # analyze in evaluator, whose evaluate counts through reuse.count, and
@@ -30,14 +35,23 @@ VALIDATORS = {"validate_architecture": {"__post_init__"},
                                       "validate_architecture"}}
 
 # The definitions that compute a tile footprint: spec_model's capacity
-# demand and validation, the search's pricer (_Pricer.count) and the
-# oracle, so that a capacity sum written outside spec_model fails here.
-FOOTPRINTS = {"tile_values": {"demand", "validate_mapping", "count",
+# demand and validation, the search's footprint memo
+# (_Footprints.__missing__) and the oracle, so that a capacity sum written
+# outside spec_model fails here.
+FOOTPRINTS = {"tile_values": {"demand", "validate_mapping", "__missing__",
                               "simulate"}}
 
 # The definitions that apply spec_model's refetch rule: validation and the
 # search's loop orders, so that a restated rule fails here.
 REFETCH = {"leads": {"validate_mapping", "_valid_perms"}}
+
+# The one definition that turns text into code: reuse's emitter, which
+# compiles and runs the source reuse.emit writes. The emitted text is no
+# module, so the checks above cannot read it: it may call only the names
+# reuse.HANDED gives it, none of them a rule.
+EMITTER = {"compile": {"_binder"}, "exec": {"_binder"}}
+RULES = set(VALIDATORS) | set(FOOTPRINTS) | set(REFETCH) | {
+    "validate_mapping", "demand", "largest_extent", "merge_widths"}
 
 
 def unused_imports(path: Path) -> set[tuple[str, str]]:
@@ -119,6 +133,55 @@ def test_one_refetch_rule_and_one_reading_of_a_loop_order():
                 if isinstance(node, ast.ClassDef)
                 for item in node.body
                 if isinstance(item, ast.FunctionDef) and item.name == "loops"]
+
+
+def test_only_the_emitter_compiles_code():
+    assert callers(_modules(), set(EMITTER)) == EMITTER
+
+
+def _emitted_sources() -> dict[str, str]:
+    """The source emitted for every shipped layout (both profiles, and
+    each reuse_sweep axis widened, under no override and the fused pairs'
+    keep overrides) and every toy plan (the refetch toy under the same
+    overrides), keyed by a name for each."""
+
+    shipped = {profile: albireo.architecture(profile)
+               for profile in ("aggressive", "conservative")}
+    shipped.update({axis: albireo.architecture(**{axis: 2})
+                    for axis in albireo.AXES})
+    fused = ({}, {0: (WEIGHTS, INPUTS)}, {0: (WEIGHTS, OUTPUTS)})
+    plans = [(f"{name} {keep}", arch, keep)
+             for name, arch in shipped.items() for keep in fused]
+    plans += [(arch.name, arch, {})
+              for arch in (toys.fc_direct(), toys.fc_weight_buffer(),
+                           toys.fanout_converter_arch())]
+    plans += [(f"refetch {keep}", toys.refetch_toy(96), keep)
+              for keep in fused]
+    out = {}
+    for name, arch, keep in plans:
+        plan = reuse.count_plan(arch, keep)
+        out[name] = reuse.emit(plan, reuse.price_program(arch, plan))
+    return out
+
+
+def test_emitted_code_calls_only_the_names_it_was_handed():
+    handed = set(reuse.HANDED)
+    assert not handed & RULES
+    sources = _emitted_sources()
+    assert len(set(sources.values())) > 2
+    for name, source in sources.items():
+        tree = ast.parse(source)
+        assert not [node for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom,
+                                         ast.Global, ast.Nonlocal))], name
+        called = {f.id if isinstance(f, ast.Name) else getattr(f, "attr", f)
+                  for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  for f in (node.func,)}
+        # Besides the handed names, only the functions the text defines.
+        defined = {node.name for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef)}
+        assert called <= handed, (name, called - handed)
+        assert not called & defined, name
 
 
 def test_a_reader_that_validates_is_caught(tmp_path):

@@ -340,14 +340,14 @@ def _validate_counted(monkeypatch):
     rejected, counted = [], [0]
     objective = mapper._Pricer.objective
 
-    def checked(self, picks, perms, sprod, steps):
+    def checked(self, picks, perms, steps):
         counted[0] += 1
         try:
             validate_mapping(self.mapping(picks, perms), self.layer,
                              self.arch)
         except MappingError as err:
             rejected.append((self.layer.name, err.kind))
-        return objective(self, picks, perms, sprod, steps)
+        return objective(self, picks, perms, steps)
 
     monkeypatch.setattr(mapper._Pricer, "objective", checked)
     return rejected, counted
@@ -963,17 +963,21 @@ def test_draws_filter_each_drawn_prefix_once(monkeypatch):
 def _check_pricing(monkeypatch):
     """Make every search check each candidate it prices against the
     mapping the candidate builds: the objective must equal the one its
-    evaluation gives, bit for bit, and the packed tally analyze's counts.
-    Returns a one-item list holding the number of candidates checked."""
+    evaluation gives, bit for bit, and the tally of what the search's
+    emitted code gathers for it (_Pricer.gather, run through evaluate's
+    entry point), packed, analyze's counts. Returns a one-item list
+    holding the number of candidates checked."""
 
     checked = [0]
     objective = mapper._Pricer.objective
 
-    def priced(self, picks, perms, sprod, steps):
-        value = objective(self, picks, perms, sprod, steps)
+    def priced(self, picks, perms, steps):
+        value = objective(self, picks, perms, steps)
         mapping = self.mapping(picks, perms)
         counts = analyze(self.arch, self.layer, mapping)
-        counted, macs, real, _ = self.count(picks, perms, sprod)
+        gathered = self.gather(picks, perms, steps)
+        counted = reuse.counter(self.arch, self.plan).count(*gathered)[0]
+        *_, macs, _, real = gathered
         assert pack(self.plan, counted, macs, real) == counts
         ev = evaluate(self.arch, self.layer, mapping)
         assert ev.counts == counts
@@ -1038,8 +1042,6 @@ def _counted(calls, fn):
 def test_only_the_winner_is_evaluated_and_only_it_and_ties_are_built(
         monkeypatch):
     arch = albireo.architecture("aggressive")
-    # Two of fc6's draws tie on energy exactly.
-    layer = next(l for l in load_workload("vgg16").layers if l.name == "fc6")
     values, built, evaluated = [], [0], [0]
     objective = mapper._Pricer.objective
 
@@ -1052,23 +1054,31 @@ def test_only_the_winner_is_evaluated_and_only_it_and_ties_are_built(
                         _counted(built, mapper._build_mapping))
     monkeypatch.setattr(mapper, "evaluate",
                         _counted(evaluated, mapper.evaluate))
-    res = mapper._search(arch, layer, SearchConfig(
-        budget=200, seed=7, pad_mode="pad",
-        fixed_spatial=stencil_pins(layer, arch)))
-    # A tie builds the candidate's mapping, and the best's the first time
-    # that best is tied; the winner is built once more to be evaluated.
-    lowest, ties, tied_bests, fresh = math.inf, 0, 0, True
-    for value in values:
-        if value < lowest:
-            lowest, fresh = value, True
-        elif value == lowest:
-            ties += 1
-            tied_bests += fresh
-            fresh = False
-    assert len(values) == res.visited and lowest == res.objective
-    assert ties > 0
-    assert evaluated[0] == 1
-    assert built[0] == 1 + ties + tied_bests < res.visited
+    # Draws of fc6 tie on energy exactly, though never at the winner's
+    # value; fc7's winner is tied.
+    vgg = {l.name: l for l in load_workload("vgg16").layers}
+    for name, winner_tied in (("fc6", False), ("fc7", True)):
+        values.clear()
+        built[0] = evaluated[0] = 0
+        res = mapper._search(arch, vgg[name], SearchConfig(
+            budget=200, seed=7, pad_mode="pad",
+            fixed_spatial=stencil_pins(vgg[name], arch)))
+        # A tie builds the candidate's mapping, and the best's the first
+        # time that best is tied; the best keeps its built mapping, so the
+        # winner is built once more to be evaluated only if no tie met its
+        # value.
+        lowest, ties, tied_bests, fresh = math.inf, 0, 0, True
+        for value in values:
+            if value < lowest:
+                lowest, fresh = value, True
+            elif value == lowest:
+                ties += 1
+                tied_bests += fresh
+                fresh = False
+        assert len(values) == res.visited and lowest == res.objective
+        assert ties > 0 and fresh is not winner_tied
+        assert evaluated[0] == 1
+        assert built[0] == fresh + ties + tied_bests < res.visited
 
 
 @pytest.mark.parametrize("strategy", ["exhaustive", "pruned_random"])

@@ -10,15 +10,17 @@ from dataclasses import replace
 
 import pytest
 
-from photon_model import albireo, mapper, spec_model
-from photon_model.evaluator import (
-    EvaluationResult,
-    evaluate,
-    price_program,
-)
+from photon_model import albireo, mapper, reuse, spec_model
+from photon_model.evaluator import EvaluationResult, evaluate
 from photon_model.mapper import STRATEGIES, SearchConfig, search
 from photon_model.oracle import simulate
-from photon_model.reuse import analyze, count_plan, reuse_factors
+from photon_model.reuse import (
+    analyze,
+    count_plan,
+    counter,
+    price_program,
+    reuse_factors,
+)
 from photon_model.spec_model import (
     INPUTS,
     OUTPUTS,
@@ -121,6 +123,34 @@ def test_an_edited_copy_never_reads_the_originals_tables(edit):
     fresh = _fresh(b)
     assert (price_program(b, plan_b)
             == price_program(fresh, count_plan(fresh, mapping.keep_overrides)))
+
+
+def test_one_source_is_compiled_per_layout():
+    # The emitted code reads only the layout, and is bound to each
+    # architecture's prices, bandwidths and clock as values: the bundled
+    # Albireo, a reuse_sweep geometry point and a copy with scaled
+    # energies share one source, and a fused pair's keep override lays
+    # out other counts. Compiles are counted through the emitter's cache.
+    reuse._binder.cache_clear()
+
+    def compiled():
+        return reuse._binder.cache_info().misses
+
+    a, mapping = _searched()
+    assert compiled() == 1
+    point = albireo.architecture(ao_per_ae_weight=2)
+    search(point, LAYER, SearchConfig(budget=20, seed=7, pad_mode="pad",
+                                      fixed_spatial=stencil_pins(LAYER,
+                                                                 point)))
+    scaled = _energies_times_7(a)
+    assert (evaluate(scaled, LAYER, mapping)
+            == evaluate(_fresh(scaled), LAYER, mapping)
+            != evaluate(a, LAYER, mapping))
+    assert compiled() == 1
+    assert len({counter(arch, count_plan(arch, {}))
+                for arch in (a, point, scaled)}) == 3
+    counter(a, count_plan(a, {0: (WEIGHTS, INPUTS)}))
+    assert compiled() == 2
 
 
 @pytest.mark.parametrize("edit, moves", [

@@ -2,6 +2,7 @@
 loop-nest interpreter (simulate) running the same instances."""
 
 import sys
+import traceback
 from dataclasses import replace
 
 import pytest
@@ -13,6 +14,8 @@ from photon_model.reuse import (
     LevelCounts,
     analyze,
     count_plan,
+    counter,
+    residencies,
     reuse_factors,
 )
 from photon_model.spec_model import (
@@ -74,6 +77,31 @@ def test_k_fanout_multicast_collapses_input_conversions():
     assert c.per_level[(0, "Outputs")] == LevelCounts(reads=1152,
                                                       updates=1152)
     assert c.edge_demand[(1, "Inputs", "down")] == 1152
+
+
+def test_an_inexact_collapse_fails_at_its_emitted_line():
+    # The four K lanes share one Inputs signal down edge 1: evaluate's
+    # entry point divides the 1152 MACs' demand by that merge width, so a
+    # width of 5 leaves a remainder.
+    arch, layer = toys.fanout_converter_arch(fanout=4), toys.conv_k4()
+    m = Mapping(levels=(LevelMapping(temporal={"C": 2, "R": 3, "S": 3,
+                                               "P": 4, "Q": 4}),
+                        LevelMapping(spatial={"K": 4})))
+    footprints, real = validate_mapping(m, layer, arch)
+    plan = count_plan(arch, {})
+    nest = m.nest
+    widths = plan.merge_widths([lm.spatial for lm in m.levels])
+    slot = plan.edges.index((1, "Inputs", "down"))
+    assert widths[slot] == 4
+    args = (footprints, residencies(nest.loops, plan.compute),
+            nest.instances, widths, 1152, nest.steps, real)
+    entry = counter(arch, plan).count
+    assert entry(*args)[0].crossings[slot] == 288
+    widths[slot] = 5
+    with pytest.raises(AssertionError, match="inexact collapse 1152/5") as err:
+        entry(*args)
+    shown = "".join(traceback.format_exception(err.value))
+    assert f"{{widths[{slot}]}}" in shown and "<count plan " in shown
 
 
 def test_reuse_factor_invariant_on_k_fanout():

@@ -35,7 +35,7 @@ def test_stage_split_calls_every_stage_and_restores_every_name():
     assert (calls["evaluate"] == calls["counting"] == calls["validate"]
             == searches)
     assert (searches <= calls["build_mapping"]
-            < calls["candidate_pricing"] == calls["candidate_counting"])
+            < calls["candidate_pricing"] == calls["offer"])
     # R's menu sits at its minimum row in most throughput searches.
     assert out["limits_skipped"] > 0
     # Searches share the chain tables of their architecture: a table is
@@ -64,8 +64,8 @@ def test_evaluate_split_times_every_stage_and_restores_every_name():
     # One call of each stage per valid document: the nest is built once.
     assert out["calls_per_pass"] == dict.fromkeys(tool.EVALUATE_STAGES, 20)
     split = out["us_per_document"]
-    assert list(split) == ["parse", "nest", "validate", "plan", "tally",
-                           "pack", "pricing", "result", "sum"]
+    assert list(split) == ["parse", "nest", "validate", "plan",
+                           "residencies", "count", "pack", "result", "sum"]
     assert all(v > 0 for v in split.values()), split
 
 

@@ -24,14 +24,20 @@ menu key, and `menus_per_pass` and `tables_per_pass` count the two.
 and key (live dims, level, refetch-forbidden keepers); the searches ask
 it once per architecture, keep-override set, level and live dims, and a
 key built before returns its kept list.
-Every candidate the search visits is priced (`candidate_pricing`): it is
-counted (`candidate_counting`), and its energy (`pricing`) is summed unless
-the objective is delay. A mapping is built (`build_mapping`) only to break
-an exact tie and for the winner, which alone is evaluated (`evaluate`,
-which validates and counts it through `counting`, whose `validate` is
-`validate_mapping`, then runs `pricing` on the tally). `counting`,
-`validate` and `pricing` also time the evaluations a study makes outside
-its searches (the memory study's batched leg).
+Every candidate the search visits is priced (`candidate_pricing`, which
+spans the search's entry point of its count plan's emitted code: the
+gather from the picks, the counting, the cycles and, unless the objective
+is delay, the energy) and offered to the search's best (`offer`). A
+mapping is built (`build_mapping`) only to break an exact tie and for a
+winner no tie built, and the winner alone is evaluated (`evaluate`, which
+validates, counts and prices it through `counting`, whose `validate` is
+`validate_mapping` and which spans evaluate's entry point of the emitted
+code). `counting` and `validate` also time the evaluations a study makes
+outside its searches (the memory study's batched leg). `compile` is
+reuse._binder, asked once per count plan and architecture for the
+plan's emitted code, which it compiles on the first request for its
+source in the process; `compiles` counts the sources compiled during the
+passes (none that an earlier run in the same process compiled).
 Stages nest (`limits` runs inside `map_space_build` as well as in the
 draws), so inclusive seconds do not add up. Each wrapped call costs about a
 microsecond more, which dilutes every ratio taken from these numbers.
@@ -45,11 +51,12 @@ accelerator, and prints each stage's own microseconds per document, the
 best of the passes: `parse` (parse_mapping), `nest` (LoopNest.of, the first
 read of mapping.nest), `validate` (validate_mapping, the nest aside; its
 capacity check computes the tile footprints counting reads, and it
-returns the real MAC count), `plan` (reuse.count aside from validate and
-tally: the count plan, the padded MAC count and merge widths), `tally`
-(reuse.tally, from validation's footprints), `pack` (reuse.pack),
-`pricing` (price_program, PriceProgram.cycles and .energy), `result` (the
-rest of evaluate: the EvaluationResult) and their `sum`.
+returns the real MAC count), `plan` (reuse.count_plan, the plan's
+lookup), `residencies` (the sweep over the nest's loops), `count`
+(reuse.count aside from the stages it calls: the merge widths, the
+emitted code's lookup and evaluate's entry point, which counts and prices
+from validation's footprints), `pack` (reuse.pack), `result` (the rest of
+evaluate: the EvaluationResult) and their `sum`.
 """
 
 from __future__ import annotations
@@ -88,33 +95,30 @@ STAGES = {
     "draw_step": (mapper._Walk, "step"),
     "order_table": (mapper, "_valid_perms"),
     "candidate_pricing": (mapper._Pricer, "objective"),
-    "candidate_counting": (mapper, "tally"),
+    "offer": (mapper._Best, "offer"),
     "build_mapping": (mapper, "_build_mapping"),
-    "pricing": (evaluator.PriceProgram, "energy"),
+    "compile": (reuse, "_binder"),
     "evaluate": (mapper, "evaluate"),
     "counting": (evaluator, "count"),
     "validate": (reuse, "validate_mapping"),
 }
 
 # The stages of one corpus document's parse_mapping + evaluate, timed by
-# their own time: `validate` returns the footprints `tally` reads and the
-# real MAC count, `plan` is what reuse.count does itself, `result` what
-# evaluate does itself.
+# their own time: `validate` returns the footprints the emitted code reads
+# and the real MAC count, `count` is what reuse.count does itself (with
+# the emitted code it runs), `result` what evaluate does itself.
 # The tool calls parse_mapping and evaluate through their modules, so
 # their wrappers see every call.
 EVALUATE_STAGES = {
     "parse": (spec_model, "parse_mapping"),
     "nest": (spec_model.LoopNest, "of"),
     "validate": (reuse, "validate_mapping"),
-    "plan": (evaluator, "count"),
-    "tally": (reuse, "tally"),
+    "plan": (reuse, "count_plan"),
+    "residencies": (reuse, "residencies"),
+    "count": (evaluator, "count"),
     "pack": (evaluator, "pack"),
-    "price_program": (evaluator, "price_program"),
-    "cycles": (evaluator.PriceProgram, "cycles"),
-    "energy": (evaluator.PriceProgram, "energy"),
     "result": (evaluator, "evaluate"),
 }
-PRICING = ("price_program", "cycles", "energy")
 
 
 class StageTimer:
@@ -167,6 +171,7 @@ class StageTimer:
 
 def stage_split(experiment: str, seeds: list[int], budget: int) -> dict:
     timer = StageTimer()
+    compiled = reuse._binder.cache_info().misses
     timer.install()
     try:
         for seed in seeds:
@@ -189,6 +194,7 @@ def stage_split(experiment: str, seeds: list[int], budget: int) -> dict:
                            + calls["map_space_build"]),
         "menus_per_pass": calls["map_space_build"] / len(seeds),
         "tables_per_pass": calls["chain_table"] / len(seeds),
+        "compiles": reuse._binder.cache_info().misses - compiled,
     }
 
 
@@ -216,11 +222,8 @@ def evaluate_split(documents: int | None, passes: int) -> dict:
             timer.restore()
         for name, spent in timer.self_seconds.items():
             best[name] = min(best[name], spent)
-    us = {name: 1e6 * best[name] / len(corpus) for name in EVALUATE_STAGES}
-    split = {name: us[name] for name in ("parse", "nest", "validate", "plan",
-                                         "tally", "pack")}
-    split["pricing"] = sum(us[name] for name in PRICING)
-    split["result"] = us["result"]
+    split = {name: 1e6 * best[name] / len(corpus)
+             for name in EVALUATE_STAGES}
     split["sum"] = sum(split.values())
     return {
         "experiment": "evaluate",
