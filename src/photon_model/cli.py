@@ -74,6 +74,10 @@ def _counts_doc(counts) -> dict:
         "per_level": per_level,
         "conversions": {f"{name}/{tensor}": n for (name, tensor), n
                         in sorted(counts.conversions.items())},
+        **{field: {f"{edge}/{tensor}/{direction}": n
+                   for (edge, tensor, direction), n in sorted(edges.items())}
+           for field, edges in (("edge_crossings", counts.edge_crossings),
+                                ("edge_demand", counts.edge_demand))},
     }
 
 

@@ -14,11 +14,11 @@ architecture per reuse.CountPlan, and the plan's counting and pricing run
 as code emitted from the two (reuse.emit), compiled once per layout and
 bound to the architecture's numbers (reuse.counter). evaluate reaches it
 through reuse.count, which validates the mapping and runs the code's
-evaluate entry point, and packs the tally into AccessCounts only for its
-result; the mapper's search runs the same code's search entry point on
+evaluate entry point; that entry point builds the AccessCounts the result
+holds. The mapper's search runs the same code's search entry point on
 each candidate. So the two price alike to the last bit: energy adds its
 terms in sorted key order, and a total adds the components in sorted name
-order. energy alone prices counts already packed, through
+order. energy alone prices counts already in hand, through
 PriceProgram.energy on a program built afresh and kept nowhere: its tests
 re-price, and perfbench/tracer.py binds it; no study prices twice
 (calibration re-weights the priced energies,
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, fields
 
 # evaluate counts through reuse.count; analyze stays imported because
 # perfbench/tracer.py rebinds evaluator.analyze.
-from .reuse import PriceProgram, analyze, count, pack
+from .reuse import PriceProgram, analyze, count
 from .spec_model import (
     AccessCounts,
     Architecture,
@@ -124,8 +124,8 @@ def area(arch: Architecture) -> float:
 
 def evaluate(arch: Architecture, layer: Layer,
              mapping: Mapping) -> EvaluationResult:
-    """Validate, count and price the mapping (reuse.count), then pack the
-    tally into the result's AccessCounts (reuse.pack).
+    """Validate, count and price the mapping (reuse.count), whose emitted
+    code builds the result's AccessCounts.
 
     Total cycles is the max of compute cycles and every level's and
     converter bank's transfer cycles at its bandwidth (PriceProgram's
@@ -133,19 +133,12 @@ def evaluate(arch: Architecture, layer: Layer,
     never speed anything up.
     """
 
-    plan, counted, macs, real, cycles, latency_s, pj = count(arch, layer,
-                                                             mapping)
+    counts, cycles, latency_s, pj = count(arch, layer, mapping)
+    real = counts.real_macs
     compute_cycles = mapping.nest.steps
+    # The accumulators sit in sorted name order, which the total adds in.
     return EvaluationResult(
-        energy_pj=pj,
-        # The accumulators sit in sorted name order.
-        total_energy_pj=sum(pj.values()),
-        cycles=cycles,
-        compute_cycles=compute_cycles,
-        latency_s=latency_s,
-        macs_per_s=real / latency_s if latency_s > 0 else 0.0,
-        utilization=real / (peak_spatial_macs(arch) * compute_cycles),
-        area_um2=area(arch),
-        counts=pack(plan, counted, macs, real),
-        mapping=mapping,
-    )
+        pj, sum(pj.values()), cycles, compute_cycles, latency_s,
+        real / latency_s if latency_s > 0 else 0.0,
+        real / (peak_spatial_macs(arch) * compute_cycles), area(arch),
+        counts, mapping)

@@ -57,16 +57,18 @@ one forward sweep over LoopNest.loops, as the loops at or above a level
 are a prefix of them), the instances, the merge widths at each edge (one
 suffix product per leg over the spatial factors, CountPlan.merge_widths,
 which reuse_factors reads too) and the MAC and step counts, and returns
-a Tally, flat lists in the plan's layout, with the cycles, latency and
-energies. count validates a mapping, which gives the footprints and the
-real MAC count, reads the rest from mapping.nest and runs that entry
-point; analyze packs its tally into AccessCounts (pack), and
-evaluator.evaluate packs it once for its result. The search's entry
-point, bound per search (mapper._Pricer), gathers the same arguments from
-a candidate's picked chains itself and returns only its objective. The
-oracle shares nothing with this module: not the legs, the plan or the
-emitted code. The count containers (AccessCounts, LevelCounts) are
-spec_model's, as every engine returns them.
+the AccessCounts, which it builds itself from dict literals over the
+plan's keys, with the cycles, latency and energies. count validates a
+mapping, which gives the footprints and the real MAC count, reaches the
+plan and its entry point through one lookup kept per keep-override set
+(counting), reads the rest from mapping.nest and runs that entry point;
+analyze returns its counts, and evaluator.evaluate's result holds them.
+The search's entry point, bound per search (mapper._Pricer), gathers the
+same arguments from a candidate's picked chains itself and returns only
+its objective. The oracle shares nothing with this module: not the legs,
+the plan or the emitted code. The count containers (AccessCounts,
+LevelCounts) are spec_model's, as every engine returns them; the emitted
+text and the oracle are the only code that builds them.
 """
 
 from __future__ import annotations
@@ -178,9 +180,9 @@ class Leg:
     """One hop, from a keeper to the next keeper of its chain (or to
     compute), walked in one direction, as counting reads it: its
     crossings, outermost edge first, at the plan's edge slots `first`
-    onward; the Tally slots of its outer and inner level's counters
-    (inner_at is -1 at the compute level); and per crossing the slot of
-    its conversion counter, -1 with no converter."""
+    onward; the slots of its outer and inner level's counters in the
+    plan's layout (inner_at is -1 at the compute level); and per crossing
+    the slot of its conversion counter, -1 with no converter."""
 
     outer: int
     inner: int
@@ -199,19 +201,21 @@ class CountPlan:
     (evaluator.price_program).
 
     level_keys and conversion_keys are the (level, tensor) and (converter
-    name, tensor) keys of AccessCounts, in their order, and lay out a
-    Tally; level_keys follows the keep table (ValidationPlan.capacity),
-    each level's tensors in TENSORS order. edges holds every (edge, tensor,
-    direction) a leg crosses, one edge slot each, in leg order. operands
-    holds the Weights and Inputs legs down their keeper chains; stream the
-    Outputs leg up from compute to the accumulation level; drains,
-    innermost hop first, each Outputs hop's ascending leg and its
-    descending (refetch) leg. A leg's inner level names the tile size its
-    hop counts. leg_at maps each edge key to (leg, position). tiled holds,
-    per level whose tiles counting reads, the tensors whose footprints it
-    reads there: the keys tally looks up. merging holds, per leg with a
-    crossing whose mesh merges, its crossings innermost first as (edge
-    slot, level, merged dims), which merge_widths reads.
+    name, tensor) keys of AccessCounts, in their order, and lay out the
+    counters: reads, fills, updates and drains at 4 * i for level_keys[i]
+    and one per conversion key; level_keys follows the keep table
+    (ValidationPlan.capacity), each level's tensors in TENSORS order.
+    edges holds every (edge, tensor, direction) a leg crosses, one edge
+    slot each, in leg order. operands holds the Weights and Inputs legs
+    down their keeper chains; stream the Outputs leg up from compute to
+    the accumulation level; drains, innermost hop first, each Outputs
+    hop's ascending leg and its descending (refetch) leg. A leg's inner
+    level names the tile size its hop counts. leg_at maps each edge key to
+    (leg, position). tiled holds, per level whose tiles counting reads,
+    the tensors whose footprints it reads there: the keys the emitted code
+    looks up. merging holds, per leg with a crossing whose mesh merges,
+    its crossings innermost first as (edge slot, level, merged dims),
+    which merge_widths reads.
     """
 
     compute: int
@@ -331,11 +335,11 @@ def count_plan(arch: Architecture,
 @dataclass(frozen=True)
 class PriceProgram:
     """Every price, bandwidth and static power of an architecture, laid
-    over one layout of counts: a Tally's, with reads, fills, updates and
-    drains at 4 * i for level_keys[i] and one counter per conversion key.
-    Built once per count plan and kept on the architecture
+    over one layout of counts: a CountPlan's, with reads, fills, updates
+    and drains at 4 * i for level_keys[i] and one counter per conversion
+    key. Built once per count plan and kept on the architecture
     (price_program), where the plan's emitted code reads it (emit), or
-    afresh for packed counts (evaluator.energy, through energy).
+    afresh for counts in hand (evaluator.energy, through energy).
 
     names holds the component names sorted, one energy accumulator each.
     levels, conversions, compute and static are energy's terms in its
@@ -452,26 +456,16 @@ def price_program(arch: Architecture, plan: CountPlan) -> PriceProgram:
 # ----------------------------------------------------------------------------
 
 
-class Tally(NamedTuple):
-    """The counts of one mapping laid out by its CountPlan: levels holds
-    reads, fills, updates and drains at 4 * i for level_keys[i],
-    conversions one counter per conversion key, and crossings and demand
-    one entry per edge slot, None where no transmission was recorded (a
-    refetch leg with nothing to refetch)."""
-
-    levels: list[int]
-    conversions: list[int]
-    crossings: list[int | None]
-    demand: list[int | None]
-
-
 # Every name emitted code can reach: its builtins are these and nothing
 # else, so no rule of spec_model is called from the text (tile_values and
 # validate_mapping stay with their callers, and the search's memos call
-# them on a miss).
+# them on a miss), and evaluate's entry point builds the AccessCounts
+# itself, from the count containers.
 HANDED = {"AssertionError": AssertionError, "divmod": divmod, "sum": sum,
           "float": float, "enumerate": enumerate, "ceil": math.ceil,
-          "residencies": residencies, "Tally": Tally}
+          "residencies": residencies, "AccessCounts": AccessCounts,
+          "LevelCounts": LevelCounts}
+
 
 def emit(plan: CountPlan, program: PriceProgram) -> str:
     """The source of a plan's counting and pricing, straight-line: every
@@ -488,8 +482,11 @@ def emit(plan: CountPlan, program: PriceProgram) -> str:
     `bind` returns two entry points. `count(footprints, resident,
     instances, widths, macs, steps, real)`, evaluate's, takes what
     validate_mapping and the nest fix (resident is residencies of the
-    nest's loops, widths CountPlan.merge_widths) and returns the Tally,
-    cycles, latency and per-accumulator energies. `search(tables, columns,
+    nest's loops, widths CountPlan.merge_widths) and returns the
+    AccessCounts, cycles, latency and the energy in pJ per component
+    name, in PriceProgram.names order. It builds both from dict literals
+    over constant keys: the plan's, in level_keys, conversion_keys and
+    edges order, and the component names. `search(tables, columns,
     by_rows, objective)` binds the search's to one search's chain tables
     (one per dim, in DIMS order), its footprint memo per tiled level (each
     column of extents to the level's tensors' tile values) and its memo of
@@ -499,7 +496,9 @@ def emit(plan: CountPlan, program: PriceProgram) -> str:
 
     A divmod checks the collapse only at slots whose mesh merges: a slot
     outside every merge has width 1. A refetch leg is counted whatever
-    its refetch (none counts 0) and recorded only when there is one."""
+    its refetch (none counts 0) and recorded only when there is one: with
+    nothing to refetch, its slots are deleted from edge_crossings and
+    edge_demand, which keeps the other keys in edges order."""
 
     compute = plan.compute
     merged = set()
@@ -510,15 +509,24 @@ def emit(plan: CountPlan, program: PriceProgram) -> str:
             if merging:
                 merged.add(slot)
 
+    def table(keys: Sequence, terms: Sequence[str]) -> str:
+        """A dict literal of each constant key to its term's name."""
+
+        return ("{" + ", ".join(f"{key!r}: {term}"
+                                for key, term in zip(keys, terms)) + "}")
+
     def body(record: bool) -> tuple[list[str], list[str], list[str]]:
         """The counting lines, then the expressions of every level and
-        conversion counter; with `record`, also the Tally's lists."""
+        conversion counter; with `record`, also the lines that build the
+        AccessCounts, `counts`."""
 
         lines: list[str] = []
         levels: list[list[str]] = [[] for _ in range(4 * len(plan.level_keys))]
         conversions: list[list[str]] = [[] for _ in plan.conversion_keys]
-        crossed = ["None"] * len(plan.edges)
-        demand = ["None"] * len(plan.edges)
+        crossed = [""] * len(plan.edges)
+        demand = [""] * len(plan.edges)
+        # Per refetch count, the edge slots recorded only when it is not 0.
+        unrecorded: dict[str, list[int]] = {}
 
         def cross(leg: Leg, base: str, into: str, refetch: str = "") -> str:
             """Count the leg's crossings of `base` values, with `into`
@@ -537,10 +545,9 @@ def emit(plan: CountPlan, program: PriceProgram) -> str:
                 names.append(n)
                 if at >= 0:
                     conversions[at].append(n)
-                crossed[slot], demand[slot] = (
-                    (f"{n} if {refetch} else None",
-                     f"{into} if {refetch} else None") if refetch
-                    else (n, into))
+                crossed[slot], demand[slot] = n, into
+                if refetch:
+                    unrecorded.setdefault(refetch, []).append(slot)
             return names[0]
 
         # Operands flow down their keeper chains, innermost leg first: the
@@ -593,9 +600,20 @@ def emit(plan: CountPlan, program: PriceProgram) -> str:
         level_terms = total("level", levels)
         conversion_terms = total("conversion", conversions)
         if record:
-            lines.append(f"counted = Tally([{', '.join(level_terms)}], "
-                         f"[{', '.join(conversion_terms)}], "
-                         f"[{', '.join(crossed)}], [{', '.join(demand)}])")
+            lines += [f"crossings = {table(plan.edges, crossed)}",
+                      f"demand = {table(plan.edges, demand)}"]
+            for refetch, slots in unrecorded.items():
+                lines.append(f"if not {refetch}:")
+                lines += [f"    del crossings[{plan.edges[slot]!r}], "
+                          f"demand[{plan.edges[slot]!r}]" for slot in slots]
+            per_level = table(plan.level_keys, (
+                f"LevelCounts({', '.join(level_terms[at:at + 4])})"
+                for at in range(0, len(level_terms), 4)))
+            lines.append(
+                f"counts = AccessCounts({per_level}, "
+                f"{table(plan.conversion_keys, conversion_terms)}, "
+                f"{table(TENSORS, ['macs'] * len(TENSORS))}, macs, real, "
+                "crossings, demand)")
         return lines, level_terms, conversion_terms
 
     def priced(level: list[str], conversion: list[str],
@@ -628,7 +646,10 @@ def emit(plan: CountPlan, program: PriceProgram) -> str:
         lines.append(f"pj{program.compute[0]} += real * compute_pj")
         for k, (a, _) in enumerate(program.static):
             lines.append(f"pj{a} += static{k} * latency * 1e9")
-        lines.append(f"energies = [{', '.join(accumulators)}]")
+        if search:
+            lines.append(f"energies = [{', '.join(accumulators)}]")
+        else:
+            lines.append(f"energies = {table(program.names, accumulators)}")
         return lines
 
     prologue = [f"{', '.join(f'tc_{t}{j}' for t in TENSORS)}, distinct{j} "
@@ -648,7 +669,7 @@ def emit(plan: CountPlan, program: PriceProgram) -> str:
     evaluate = [f"foot_{t}{j} = footprints[{j}, {t!r}]"
                 for j, ts in plan.tiled for t in ts]
     evaluate += prologue + counting + priced(level, conversion, False)
-    evaluate.append("return counted, cycles, latency, energies")
+    evaluate.append("return counts, cycles, latency, energies")
 
     rows = range(len(DIMS))
     gather = [f"{', '.join(f'p{d}' for d in rows)}, = picks",
@@ -720,10 +741,8 @@ def _binder(source: str) -> Callable:
 class Counter(NamedTuple):
     """A count plan's emitted code bound to one architecture's prices
     (counter): `count` is evaluate's entry point and `search` binds the
-    search's (see emit); names are the energy accumulators' component
-    names (PriceProgram.names)."""
+    search's (see emit)."""
 
-    names: tuple[str, ...]
     count: Callable
     search: Callable
 
@@ -734,65 +753,48 @@ def counter(arch: Architecture, plan: CountPlan) -> Counter:
 
     def bound():
         program = price_program(arch, plan)
-        return Counter(program.names,
-                       *_binder(emit(plan, program))(program.values()))
+        return Counter(*_binder(emit(plan, program))(program.values()))
 
     return arch.derived(("counter", plan), bound)
 
 
-def pack(plan: CountPlan, counted: Tally, macs: int,
-         real_macs: int) -> AccessCounts:
-    """The AccessCounts of a tally laid out by `plan`."""
+def _counting(arch: Architecture, mapping: Mapping
+              ) -> tuple[CountPlan, Counter]:
+    plan = count_plan(arch, mapping.keep_overrides, mapping.keep_key)
+    return plan, counter(arch, plan)
 
-    levels = counted.levels
-    crossings, demand = {}, {}
-    # A slot records its crossings and demand together, or neither.
-    for key, n, into in zip(plan.edges, counted.crossings, counted.demand):
-        if n is not None:
-            crossings[key] = n
-            demand[key] = into
-    return AccessCounts(
-        per_level=dict(zip(plan.level_keys, map(
-            LevelCounts, levels[0::4], levels[1::4], levels[2::4],
-            levels[3::4]))),
-        conversions=dict(zip(plan.conversion_keys, counted.conversions)),
-        compute_reads=dict.fromkeys(TENSORS, macs),
-        macs=macs,
-        real_macs=real_macs,
-        edge_crossings=crossings,
-        edge_demand=demand,
-    )
+
+def counting(arch: Architecture, mapping: Mapping
+             ) -> tuple[CountPlan, Counter]:
+    """The count plan of the mapping's keep overrides and its counter:
+    one lookup, kept on the architecture per Mapping.keep_key."""
+
+    return arch.derived(("counting", mapping.keep_key), _counting, arch,
+                        mapping)
 
 
 def count(arch: Architecture, layer: Layer, mapping: Mapping
-          ) -> tuple[CountPlan, Tally, int, int, int, float,
-                     dict[str, float]]:
+          ) -> tuple[AccessCounts, int, float, dict[str, float]]:
     """Validate the mapping (validate_mapping), then run its plan's
-    emitted count (counter) on the nest, from the footprints validation
-    returns: the plan, the tally, the padded and real MAC counts (the
-    arguments pack takes; the real one is validation's), the cycles, the
+    emitted count (counting) on the nest, from the footprints and the
+    real MAC count validation returns: the AccessCounts, the cycles, the
     latency, and the energy in pJ per component name, in sorted name
     order."""
 
     footprints, real = validate_mapping(mapping, layer, arch)
-    plan = count_plan(arch, mapping.keep_overrides, mapping.keep_key)
+    plan, (entry, _) = counting(arch, mapping)
     nest = mapping.nest
-    macs = nest.steps * nest.instances[-1]
-    names, entry, _ = counter(arch, plan)
-    counted, cycles, latency, energies = entry(
+    return entry(
         footprints, residencies(nest.loops, plan.compute), nest.instances,
-        plan.merge_widths([lm.spatial for lm in mapping.levels]), macs,
-        nest.steps, real)
-    return (plan, counted, macs, real, cycles, latency,
-            dict(zip(names, energies)))
+        plan.merge_widths([lm.spatial for lm in mapping.levels]),
+        nest.steps * nest.instances[-1], nest.steps, real)
 
 
 def analyze(arch: Architecture, layer: Layer, mapping: Mapping) -> AccessCounts:
     """Count every access implied by the mapping, in closed form, once
-    validate_mapping has accepted it: its tally, packed."""
+    validate_mapping has accepted it: count's counts."""
 
-    plan, counted, macs, real, *_ = count(arch, layer, mapping)
-    return pack(plan, counted, macs, real)
+    return count(arch, layer, mapping)[0]
 
 
 # ----------------------------------------------------------------------------

@@ -273,17 +273,17 @@ class Architecture:
     def _derived(self) -> dict[tuple, object]:
         return {}
 
-    def derived(self, key: tuple, build: Callable[[], T]) -> T:
-        """The table `build()` makes from this architecture and the key,
-        made on first request and kept per instance under `key` (the
-        architecture itself is unhashable); nothing is kept when `build()`
+    def derived(self, key: tuple, build: Callable[..., T], *args) -> T:
+        """The table `build(*args)` makes from this architecture and the
+        key, made on first request and kept per instance under `key` (the
+        architecture itself is unhashable); nothing is kept when `build`
         raises. A copy made with dataclasses.replace is a new instance and
         starts with no tables, so an edited architecture is never read
         through another's. Callers hand out only read-only tables."""
 
         hit = self._derived.get(key)
         if hit is None:
-            hit = self._derived[key] = build()
+            hit = self._derived[key] = build(*args)
         return hit
 
 

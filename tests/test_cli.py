@@ -167,6 +167,29 @@ def test_counts_engine_matches_oracle(tiny_workload, tiny_mapping, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["match"] is True
     assert doc["engine"]["real_macs"] == 8 * 4 * 7 * 7 * 3 * 3
+    assert doc["engine"]["edge_crossings"] and doc["engine"]["edge_demand"]
+
+
+def test_counts_oracle_compares_every_edge_crossing(tiny_workload,
+                                                    tiny_mapping, capsys,
+                                                    monkeypatch):
+    # An oracle that disagrees on one edge crossing alone must not match.
+    simulate = cli.simulate
+
+    def off_by_one(arch, layer, mapping):
+        counts = simulate(arch, layer, mapping)
+        key = min(counts.edge_crossings)
+        counts.edge_crossings[key] += 1
+        return counts
+
+    monkeypatch.setattr(cli, "simulate", off_by_one)
+    rc = cli.main(["counts", "--workload", tiny_workload, "--layer", "a",
+                   "--mapping", tiny_mapping, "--oracle"])
+    assert rc == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["match"] is False
+    engine, oracle = doc["engine"], doc["oracle"]
+    assert [k for k in engine if engine[k] != oracle[k]] == ["edge_crossings"]
 
 
 def test_evaluate_prices_the_mapping(tiny_workload, tiny_mapping, capsys):

@@ -44,7 +44,7 @@ def _priced_at_random(rng, arch):
 
 def test_emitted_pricing_adds_as_the_price_program_does():
     # evaluate prices through the code emitted for its count plan; energy
-    # prices the packed counts through PriceProgram.energy. Each part's
+    # prices its counts through PriceProgram.energy. Each part's
     # energy must agree to the last bit, on random instances at random
     # prices and on the bundled geometry's searched conv and fc layers.
     rng = random.Random(43)

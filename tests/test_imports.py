@@ -2,9 +2,10 @@
 top-level definition is read somewhere in the package or exported, only
 the validated types call their rule sets, only spec_model's capacity
 rule and the counting engines compute tile footprints, only
-validation and the search's loop orders apply the refetch rule, and only
-reuse's emitter compiles code, whose text calls only the names it was
-handed, so that the checks above see every rule."""
+validation and the search's loop orders apply the refetch rule, only the
+oracle and the emitted text build count containers, and only reuse's
+emitter compiles code, whose text calls only the names it was handed, so
+that the checks above see every rule."""
 
 import ast
 from pathlib import Path
@@ -133,6 +134,13 @@ def test_one_refetch_rule_and_one_reading_of_a_loop_order():
                 if isinstance(node, ast.ClassDef)
                 for item in node.body
                 if isinstance(item, ast.FunctionDef) and item.name == "loops"]
+
+
+def test_only_the_emitted_code_and_the_oracle_build_counts():
+    # The emitted text is no module: evaluate's entry point builds the
+    # engine's AccessCounts there, and the oracle builds its own.
+    assert callers(_modules(), {"AccessCounts", "LevelCounts"}) == {
+        "AccessCounts": {"simulate"}, "LevelCounts": {"simulate"}}
 
 
 def test_only_the_emitter_compiles_code():

@@ -110,8 +110,8 @@ def test_oracle_imports_nothing_from_reuse():
 # widths, converter keys and hops read from these would share the closed
 # form's derivation.
 COUNT_PLAN_NAMES = {"CountPlan", "count_plan", "Leg", "merge_widths",
-                    "leg_at", "Tally", "emit", "counter", "pack",
-                    "tensor_hops", "output_stream", "accumulation_level"}
+                    "leg_at", "emit", "counter", "tensor_hops",
+                    "output_stream", "accumulation_level"}
 
 
 def test_oracle_never_reaches_the_count_plan():

@@ -10,6 +10,7 @@ import pytest
 from photon_model import albireo, spec_model
 from photon_model.evaluator import evaluate
 from photon_model.mapper import SearchConfig, search
+from photon_model.oracle import simulate
 from photon_model.reuse import (
     LevelCounts,
     analyze,
@@ -96,7 +97,7 @@ def test_an_inexact_collapse_fails_at_its_emitted_line():
     args = (footprints, residencies(nest.loops, plan.compute),
             nest.instances, widths, 1152, nest.steps, real)
     entry = counter(arch, plan).count
-    assert entry(*args)[0].crossings[slot] == 288
+    assert entry(*args)[0].edge_crossings[(1, "Inputs", "down")] == 288
     widths[slot] = 5
     with pytest.raises(AssertionError, match="inexact collapse 1152/5") as err:
         entry(*args)
@@ -233,6 +234,57 @@ def test_partial_sum_refetch_needs_descending_converter():
     covered = _partial_sum_arch(with_down_converter=True)
     c = analyze(covered, layer, m)
     assert c.conversions[("odn", "Outputs")] > 0
+
+
+def _unrecorded_in_plan_order(arch, layer, mapping) -> set:
+    """Check that the mapping's engine counts equal the oracle's and sit
+    in its count plan's key order, every refetch slot with nothing to
+    refetch left out of the edge counts; return the slots left out."""
+
+    counts = analyze(arch, layer, mapping)
+    assert counts == simulate(arch, layer, mapping)
+    plan = count_plan(arch, mapping.keep_overrides)
+    assert list(counts.per_level) == list(plan.level_keys)
+    assert list(counts.conversions) == list(plan.conversion_keys)
+    resident = residencies(mapping.nest.loops, plan.compute)
+    # A drain refetches the Outputs tiles its level holds more than once.
+    unrecorded = {c.key for up, down in plan.drains
+                  if resident[up.inner][2] == resident[up.inner][3]
+                  for c in down.crossings}
+    kept = [key for key in plan.edges if key not in unrecorded]
+    assert list(counts.edge_crossings) == kept == list(counts.edge_demand)
+    return unrecorded
+
+
+# VGG16's and AlexNet's layers, each dim cut to at most these so that the
+# oracle can run them, keep their kernels, strides and kinds.
+SHRUNK = {"N": 1, "K": 16, "C": 8, "P": 4, "Q": 7}
+
+
+def test_emitted_counts_match_the_oracle_in_the_plans_key_order():
+    # Every layout the studies count under: no override, and the memory
+    # study's two fused keep-override sets.
+    arch = albireo.architecture("aggressive")
+    layouts = ({}, {0: ("Weights", "Inputs")}, {0: ("Weights", "Outputs")})
+    left_out = 0
+    for net in ("vgg16", "alexnet"):
+        for layer in load_workload(net).layers:
+            layer = replace(layer, dims={d: min(n, SHRUNK.get(d, n))
+                                         for d, n in layer.dims.items()})
+            for keep in layouts:
+                mapping = search(arch, layer, SearchConfig(
+                    budget=20, seed=7, pad_mode="pad", keep_overrides=keep,
+                    fixed_spatial=stencil_pins(layer, arch))).mapping
+                left_out += bool(_unrecorded_in_plan_order(arch, layer,
+                                                           mapping))
+    assert left_out > 0
+    # A refetch slot with something to refetch is kept in its place.
+    layer = Layer(name="fc", kind="fully_connected",
+                  dims={"N": 1, "K": 2, "C": 2, "R": 1, "S": 1, "P": 1,
+                        "Q": 1})
+    assert not _unrecorded_in_plan_order(
+        _partial_sum_arch(with_down_converter=True), layer,
+        _partial_sum_mapping())
 
 
 def test_counts_are_nonnegative_integers():

@@ -65,7 +65,7 @@ def test_evaluate_split_times_every_stage_and_restores_every_name():
     assert out["calls_per_pass"] == dict.fromkeys(tool.EVALUATE_STAGES, 20)
     split = out["us_per_document"]
     assert list(split) == ["parse", "nest", "validate", "plan",
-                           "residencies", "count", "pack", "result", "sum"]
+                           "residencies", "count", "result", "sum"]
     assert all(v > 0 for v in split.values()), split
 
 

@@ -51,12 +51,12 @@ accelerator, and prints each stage's own microseconds per document, the
 best of the passes: `parse` (parse_mapping), `nest` (LoopNest.of, the first
 read of mapping.nest), `validate` (validate_mapping, the nest aside; its
 capacity check computes the tile footprints counting reads, and it
-returns the real MAC count), `plan` (reuse.count_plan, the plan's
-lookup), `residencies` (the sweep over the nest's loops), `count`
-(reuse.count aside from the stages it calls: the merge widths, the
-emitted code's lookup and evaluate's entry point, which counts and prices
-from validation's footprints), `pack` (reuse.pack), `result` (the rest of
-evaluate: the EvaluationResult) and their `sum`.
+returns the real MAC count), `plan` (reuse.counting, the one lookup of
+the plan and its emitted code), `residencies` (the sweep over the nest's
+loops), `count` (reuse.count aside from the stages it calls: the merge
+widths and evaluate's entry point, which counts and prices from
+validation's footprints and builds the AccessCounts), `result` (the rest
+of evaluate: the EvaluationResult) and their `sum`.
 """
 
 from __future__ import annotations
@@ -113,10 +113,9 @@ EVALUATE_STAGES = {
     "parse": (spec_model, "parse_mapping"),
     "nest": (spec_model.LoopNest, "of"),
     "validate": (reuse, "validate_mapping"),
-    "plan": (reuse, "count_plan"),
+    "plan": (reuse, "counting"),
     "residencies": (reuse, "residencies"),
     "count": (evaluator, "count"),
-    "pack": (evaluator, "pack"),
     "result": (evaluator, "evaluate"),
 }
 
