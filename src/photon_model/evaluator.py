@@ -8,20 +8,22 @@ instances still pay static power for the whole run, with instance counts
 taken from the full fanout products regardless of how much of the array a
 mapping uses.
 
-The prices, bandwidths and static powers are fixed per architecture. Laid
-over one layout of counts they form a reuse.PriceProgram, kept on the
-architecture per reuse.CountPlan, and the plan's counting and pricing run
-as code emitted from the two (reuse.emit), compiled once per layout and
-bound to the architecture's numbers (reuse.counter). evaluate reaches it
-through reuse.count, which validates the mapping and runs the code's
-evaluate entry point; that entry point builds the AccessCounts the result
-holds. The mapper's search runs the same code's search entry point on
-each candidate. So the two price alike to the last bit: energy adds its
-terms in sorted key order, and a total adds the components in sorted name
-order. energy alone prices counts already in hand, through
-PriceProgram.energy on a program built afresh and kept nowhere: its tests
-re-price, and perfbench/tracer.py binds it; no study prices twice
-(calibration re-weights the priced energies,
+The prices, bandwidths and static powers are fixed per architecture. Over
+one set of AccessCounts keys they form a reuse.PriceProgram, each term
+keyed by the count it prices. A reuse.CountPlan's counting and its
+program's pricing run as code emitted from the two (reuse.emit), compiled
+once per layout and bound to the architecture's numbers; the plan, the
+program and the bound code are one lookup per keep-override set
+(reuse.counting). evaluate reaches it through reuse.count, which
+validates the mapping and runs the code's evaluate entry point; that
+entry point builds the AccessCounts the result holds. The mapper's search
+runs the same code's search entry point on each candidate. So the two
+price alike to the last bit: energy adds its terms in sorted key order,
+and a total adds the components in sorted name order. energy alone prices
+counts already in hand: PriceProgram.energy reads their per_level and
+conversions by key, on a program built afresh over their keys and kept
+nowhere. Its tests re-price, and perfbench/tracer.py binds it; no study
+prices twice (calibration re-weights the priced energies,
 components.calibration_factors). An EvaluationResult builds its mapping
 digest only when read.
 """
@@ -108,11 +110,7 @@ def energy(
 
     program = PriceProgram.of(arch, tuple(counts.per_level),
                               tuple(counts.conversions))
-    levels = [n for lc in counts.per_level.values()
-              for n in (lc.reads, lc.fills, lc.updates, lc.drains)]
-    pj = program.energy(levels, list(counts.conversions.values()),
-                        counts.real_macs, latency_s)
-    return dict(zip(program.names, pj))
+    return dict(zip(program.names, program.energy(counts, latency_s)))
 
 
 def area(arch: Architecture) -> float:

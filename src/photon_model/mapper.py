@@ -53,15 +53,15 @@ search that shares them.
 
 A candidate is priced from its picked chains and loop orders with no
 Mapping in between (_Pricer), by the search's entry point of the code
-emitted for the search's CountPlan (reuse.emit), bound to the
-architecture's prices (reuse.counter) and, per search, to its chain
-tables and two memos: the code gathers what each chain fixes on its own
-(its padded and real extents, its temporal and spatial factors, read from
-its table), looks up what the picked spatial rows fix, the instances and
-the merge widths, per tuple of rows (_SpatialRows), and each tiled
-level's footprints per column of extents (_Footprints), where evaluate
-takes them from validation; a miss computes them outside the emitted
-text. It passes the loops of the drawn orders to reuse.residencies, then
+emitted for the search's CountPlan and PriceProgram (reuse.emit), bound
+to the architecture's prices (one lookup per keep-override set,
+reuse.counting) and, per search, to its chain tables and two memos: the
+code gathers what each chain fixes on its own (its padded and real
+extents, its temporal and spatial factors, read from its table), looks up
+what the picked spatial rows fix, the instances and the merge widths, per
+tuple of rows (_SpatialRows), and each tiled level's footprints per
+column of extents (_Footprints), where evaluate takes them from
+validation; a miss computes them outside the emitted text. It passes the loops of the drawn orders to reuse.residencies, then
 counts and prices as evaluate's entry point of the same code does, in its
 order, so each objective is bit-identical to its evaluation's; under the
 delay objective it returns the cycles and prices no energy. The search
@@ -166,7 +166,7 @@ from operator import mul
 
 # analyze and energy go unused here; perfbench/tracer.py rebinds both.
 from .evaluator import EvaluationResult, energy, evaluate
-from .reuse import CountPlan, analyze, count_plan, counter
+from .reuse import CountPlan, analyze, counting
 from .spec_model import (
     DIMS,
     REDUCED_DIMS,
@@ -863,7 +863,7 @@ class _Pricer:
     """A candidate's objective from its picks (one table index per dim, in
     DIMS order), loop orders and step count, as evaluate prices the mapping
     they build (`mapping`), without building it: the search's entry point
-    of its CountPlan's emitted code (reuse.counter, reuse.emit), bound to
+    of its CountPlan's emitted code (reuse.counting, reuse.emit), bound to
     the search's chain tables and memos, gathers what the picks fix and
     counts and prices it (see the module docstring). `gather` returns, for
     the same candidate, the arguments evaluate's entry point takes."""
@@ -871,11 +871,10 @@ class _Pricer:
     def __init__(self, arch: Architecture, layer: Layer, cfg: SearchConfig,
                  tables: list[_ChainTable]):
         self.arch, self.layer, self.cfg, self.tables = arch, layer, cfg, tables
-        self.plan = count_plan(arch, cfg.keep_overrides)
-        self.price, self.gather = counter(arch, self.plan).search(
-            tables, [_Footprints(layer, tensors)
-                     for _, tensors in self.plan.tiled],
-            _SpatialRows(self.plan), cfg.objective)
+        plan, _, _, bind = counting(arch, cfg.keep_overrides)
+        self.price, self.gather = bind(
+            tables, [_Footprints(layer, tensors) for _, tensors in plan.tiled],
+            _SpatialRows(plan), cfg.objective)
 
     def mapping(self, picks: list[int],
                 perms: list[tuple[str, ...]]) -> Mapping:

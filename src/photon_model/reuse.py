@@ -32,43 +32,43 @@ the footprints counting reads, and evaluates (so validates) the one
 mapping it returns.
 
 What counting reads that depends only on the architecture and the keep
-overrides is planned once per (architecture, override set) as a
-CountPlan, kept on the architecture (count_plan): the AccessCounts keys,
-each hop between consecutive keepers of a chain as a leg, both read from
+overrides is planned as a CountPlan: the AccessCounts keys and each hop
+between consecutive keepers of a chain as a leg, both read from
 validation_plan's keep table, the output stream, and per edge crossed the
-converter and the spatial dims its mesh merges (spec_model.merge_dims),
-all as slots of flat lists. Every price, bandwidth and static power laid
-over that layout is a PriceProgram, kept per plan (price_program).
+converter and the spatial dims its mesh merges (spec_model.merge_dims).
+Every price, bandwidth and static power over the plan's keys is a
+PriceProgram, each term carrying the AccessCounts key it prices.
 
 The counting and pricing themselves are code emitted from the two (emit):
 straight-line Python with every leg unrolled into locals, in one fixed
 order, and cycles and each component's energy added in the program's term
-order. The text reads only the layout, never a number: the prices, the
+order. The text reads only the keys, never a number: the prices, the
 bandwidths and the clock are bound as values (PriceProgram.values), so
 architectures that differ only in numbers, such as reuse_sweep's geometry
 points or a resized buffer, share one source. Each distinct source is
 compiled once per process, kept by its text (_binder), and registered
 with linecache, so a traceback shows its lines; it calls only the names
-HANDED gives it. Its code, bound to an architecture's program, is kept
-per plan (counter) and has two entry points. evaluate's (`count`) takes
-the tile footprints validate_mapping returns, how often each level's
-tiles change and how many distinct Outputs tiles it holds (residencies,
-one forward sweep over LoopNest.loops, as the loops at or above a level
-are a prefix of them), the instances, the merge widths at each edge (one
-suffix product per leg over the spatial factors, CountPlan.merge_widths,
-which reuse_factors reads too) and the MAC and step counts, and returns
-the AccessCounts, which it builds itself from dict literals over the
-plan's keys, with the cycles, latency and energies. count validates a
-mapping, which gives the footprints and the real MAC count, reaches the
-plan and its entry point through one lookup kept per keep-override set
-(counting), reads the rest from mapping.nest and runs that entry point;
-analyze returns its counts, and evaluator.evaluate's result holds them.
-The search's entry point, bound per search (mapper._Pricer), gathers the
-same arguments from a candidate's picked chains itself and returns only
-its objective. The oracle shares nothing with this module: not the legs,
-the plan or the emitted code. The count containers (AccessCounts,
-LevelCounts) are spec_model's, as every engine returns them; the emitted
-text and the oracle are the only code that builds them.
+HANDED gives it. The plan, the program and the code bound to the
+program's values are one Counting, kept on the architecture per
+keep-override set (counting): the one lookup counting and pricing make.
+The code has two entry points. evaluate's (`count`) takes the tile
+footprints validate_mapping returns, how often each level's tiles change
+and how many distinct Outputs tiles it holds (residencies, one forward
+sweep over LoopNest.loops, as the loops at or above a level are a prefix
+of them), the instances, the merge widths at each edge (one suffix
+product per leg over the spatial factors, CountPlan.merge_widths, which
+reuse_factors reads too) and the MAC and step counts, and returns the
+AccessCounts, which it builds itself from dict literals over the plan's
+keys, with the cycles, latency and energies. count validates a mapping,
+which gives the footprints and the real MAC count, reads the rest from
+mapping.nest and runs that entry point; analyze returns its counts, and
+evaluator.evaluate's result holds them. The search's entry point, bound
+per search (mapper._Pricer), gathers the same arguments from a
+candidate's picked chains itself and returns only its objective. The
+oracle shares nothing with this module: not the legs, the plan or the
+emitted code. The count containers (AccessCounts, LevelCounts) are
+spec_model's, as every engine returns them; the emitted text and the
+oracle are the only code that builds them.
 """
 
 from __future__ import annotations
@@ -177,45 +177,41 @@ class Crossing(NamedTuple):
 
 @dataclass(frozen=True)
 class Leg:
-    """One hop, from a keeper to the next keeper of its chain (or to
-    compute), walked in one direction, as counting reads it: its
+    """One hop of a tensor, from a keeper to the next keeper of its chain
+    (or to compute), walked in one direction, as counting reads it: its
     crossings, outermost edge first, at the plan's edge slots `first`
-    onward; the slots of its outer and inner level's counters in the
-    plan's layout (inner_at is -1 at the compute level); and per crossing
-    the slot of its conversion counter, -1 with no converter."""
+    onward. Its outer and inner level with its tensor key the counters it
+    sets, and each crossing's conversion key its conversion counter."""
 
+    tensor: str
     outer: int
     inner: int
     crossings: tuple[Crossing, ...]
     first: int
-    outer_at: int
-    inner_at: int
-    conversions_at: tuple[int, ...]
 
 
 @dataclass(frozen=True, eq=False)
 class CountPlan:
     """Everything counting reads that depends only on the architecture and
-    a mapping's keep overrides, built once per pair (count_plan) and
-    compared by identity, as its price program is kept per plan
-    (evaluator.price_program).
+    a mapping's keep overrides, built once per pair (counting) and
+    compared by identity.
 
     level_keys and conversion_keys are the (level, tensor) and (converter
-    name, tensor) keys of AccessCounts, in their order, and lay out the
-    counters: reads, fills, updates and drains at 4 * i for level_keys[i]
-    and one per conversion key; level_keys follows the keep table
-    (ValidationPlan.capacity), each level's tensors in TENSORS order.
-    edges holds every (edge, tensor, direction) a leg crosses, one edge
-    slot each, in leg order. operands holds the Weights and Inputs legs
-    down their keeper chains; stream the Outputs leg up from compute to
-    the accumulation level; drains, innermost hop first, each Outputs
-    hop's ascending leg and its descending (refetch) leg. A leg's inner
-    level names the tile size its hop counts. leg_at maps each edge key to
-    (leg, position). tiled holds, per level whose tiles counting reads,
-    the tensors whose footprints it reads there: the keys the emitted code
-    looks up. merging holds, per leg with a crossing whose mesh merges,
-    its crossings innermost first as (edge slot, level, merged dims),
-    which merge_widths reads.
+    name, tensor) keys of AccessCounts, in their order; level_keys follows
+    the keep table (ValidationPlan.capacity), each level's tensors in
+    TENSORS order. edges holds every (edge, tensor, direction) a leg
+    crosses, one edge slot each, in leg order. operands holds the Weights
+    and Inputs legs down their keeper chains; stream the Outputs leg up
+    from compute to the accumulation level; drains, innermost hop first,
+    each Outputs hop's ascending leg and its descending (refetch) leg,
+    None where validation forbids a refetch into the hop's inner keeper
+    (ValidationPlan.forbidden): every valid mapping refetches 0 there. A
+    leg's inner level names the tile size its hop counts. leg_at maps each
+    edge key to (leg, position). tiled holds, per level whose tiles
+    counting reads, the tensors whose footprints it reads there: the keys
+    the emitted code looks up. merging holds, per leg with a crossing
+    whose mesh merges, its crossings innermost first as (edge slot, level,
+    merged dims), which merge_widths reads.
     """
 
     compute: int
@@ -226,7 +222,7 @@ class CountPlan:
     merging: tuple[tuple[tuple[int, int, tuple[str, ...]], ...], ...]
     operands: tuple[tuple[str, tuple[Leg, ...]], ...]
     stream: Leg
-    drains: tuple[tuple[Leg, Leg], ...]
+    drains: tuple[tuple[Leg, Leg | None], ...]
     leg_at: MappingProxyType[tuple[int, str, str], tuple[Leg, int]]
 
     @classmethod
@@ -234,12 +230,6 @@ class CountPlan:
            keep_overrides: dict[int, tuple[str, ...]]) -> CountPlan:
         compute = len(arch.levels) - 1
         keeps = validation_plan(arch, keep_overrides)
-        level_keys = tuple((i, t) for i, kept, _, _ in keeps.capacity
-                           for t in TENSORS if t in kept)
-        conversion_keys = tuple((cv.name, t) for cv in arch.converters
-                                for t in cv.tensors)
-        level_at = {key: 4 * i for i, key in enumerate(level_keys)}
-        conversion_at = {key: i for i, key in enumerate(conversion_keys)}
         chains = keeps.chains
         legs: list[Leg] = []
 
@@ -251,13 +241,8 @@ class CountPlan:
                 crossings.append(Crossing(
                     key, merge_dims(arch, k, tensor, direction),
                     None if cv is None else (cv.name, tensor)))
-            legs.append(Leg(
-                outer, inner, tuple(crossings),
-                sum(len(lg.crossings) for lg in legs),
-                level_at[(outer, tensor)],
-                level_at.get((inner, tensor), -1),
-                tuple(conversion_at.get(c.conversion, -1)
-                      for c in crossings)))
+            legs.append(Leg(tensor, outer, inner, tuple(crossings),
+                            sum(len(lg.crossings) for lg in legs)))
             return legs[-1]
 
         operands = tuple(
@@ -266,8 +251,10 @@ class CountPlan:
             for t in (WEIGHTS, INPUTS))
         inward = chains[OUTPUTS][::-1]
         stream = leg(OUTPUTS, inward[0], compute, UP)
+        forbidden = {b for b, t, _ in keeps.forbidden if t == OUTPUTS}
         drains = tuple((leg(OUTPUTS, outer, inner, UP),
-                        leg(OUTPUTS, outer, inner, DOWN))
+                        None if inner in forbidden
+                        else leg(OUTPUTS, outer, inner, DOWN))
                        for outer, inner in zip(inward[1:], inward))
         tiled: dict[int, list[str]] = {}
         for t, hops in operands:
@@ -278,8 +265,10 @@ class CountPlan:
             tiled.setdefault(up.inner, []).append(OUTPUTS)
         return cls(
             compute=compute,
-            level_keys=level_keys,
-            conversion_keys=conversion_keys,
+            level_keys=tuple((i, t) for i, kept, _, _ in keeps.capacity
+                             for t in TENSORS if t in kept),
+            conversion_keys=tuple((cv.name, t) for cv in arch.converters
+                                  for t in cv.tensors),
             edges=tuple(c.key for lg in legs for c in lg.crossings),
             tiled=tuple((level, tuple(ts))
                         for level, ts in sorted(tiled.items())),
@@ -314,51 +303,36 @@ class CountPlan:
         return widths
 
 
-def count_plan(arch: Architecture,
-               keep_overrides: dict[int, tuple[str, ...]],
-               key: tuple | None = None) -> CountPlan:
-    """The CountPlan of the architecture under a mapping's keep overrides,
-    kept on the architecture per override set; `key` is their
-    override_key, when the caller holds it (Mapping.keep_key)."""
-
-    if key is None:
-        key = override_key(keep_overrides)
-    return arch.derived(("count_plan", key),
-                        lambda: CountPlan.of(arch, keep_overrides))
-
-
 # ----------------------------------------------------------------------------
-# Pricing layout
+# Pricing terms
 # ----------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class PriceProgram:
-    """Every price, bandwidth and static power of an architecture, laid
-    over one layout of counts: a CountPlan's, with reads, fills, updates
-    and drains at 4 * i for level_keys[i] and one counter per conversion
-    key. Built once per count plan and kept on the architecture
-    (price_program), where the plan's emitted code reads it (emit), or
-    afresh for counts in hand (evaluator.energy, through energy).
+    """Every price, bandwidth and static power of an architecture over one
+    set of AccessCounts keys, each term carrying the key it prices: a
+    CountPlan's (counting), where the plan's emitted code reads it (emit),
+    or those of counts in hand (evaluator.energy, through energy).
 
     names holds the component names sorted, one energy accumulator each.
     levels, conversions, compute and static are energy's terms in its
-    order: the sorted level keys as (accumulator, slot, read, write,
+    order: the sorted level keys as (accumulator, key, read, write,
     update), update falling back to write; the sorted conversion keys as
-    (accumulator, slot, convert); the compute part as (accumulator,
+    (accumulator, key, convert); the compute part as (accumulator,
     compute); each part with static power, in Architecture.parts order, as
     (accumulator, static_power_mw * instances). transfers holds per level
-    (level, (start, stop) runs of its slots, bandwidth), and rates per
-    converter bank (its slots, bandwidth * instances): a key missing from
-    the layout counts nothing. hz is the clock in Hz."""
+    (level, its level keys, bandwidth), and rates per converter bank (its
+    conversion keys, bandwidth * instances): a key the program was not
+    built over counts nothing. hz is the clock in Hz."""
 
     names: tuple[str, ...]
-    levels: tuple[tuple[int, int, float, float, float], ...]
-    conversions: tuple[tuple[int, int, float], ...]
+    levels: tuple[tuple[int, tuple[int, str], float, float, float], ...]
+    conversions: tuple[tuple[int, tuple[str, str], float], ...]
     compute: tuple[int, float]
     static: tuple[tuple[int, float], ...]
-    transfers: tuple[tuple[int, tuple[tuple[int, int], ...], float], ...]
-    rates: tuple[tuple[tuple[int, ...], float], ...]
+    transfers: tuple[tuple[int, tuple[tuple[int, str], ...], float], ...]
+    rates: tuple[tuple[tuple[tuple[str, str], ...], float], ...]
     hz: float
 
     @classmethod
@@ -366,15 +340,12 @@ class PriceProgram:
            conversion_keys: tuple[tuple[str, str], ...]) -> PriceProgram:
         comps = [lv.component for lv in arch.levels]
         banks = {cv.name: cv.component for cv in arch.converters}
-        level_at = {key: 4 * i for i, key in enumerate(level_keys)}
-        conversion_at = {key: i for i, key in enumerate(conversion_keys)}
         # Every term as (component name, ...), in energy's order.
-        levels = [(comps[lv].name, level_at[(lv, t)],
+        levels = [(comps[lv].name, (lv, t),
                    comps[lv].energy("read"), comps[lv].energy("write"),
                    comps[lv].energy("update") or comps[lv].energy("write"))
                   for lv, t in sorted(level_keys)]
-        conversions = [(banks[cv].name, conversion_at[(cv, t)],
-                        banks[cv].energy("convert"))
+        conversions = [(banks[cv].name, (cv, t), banks[cv].energy("convert"))
                        for cv, t in sorted(conversion_keys)]
         compute = [(comps[-1].name, comps[-1].energy("compute"))]
         static = [(c.name, c.static_power_mw * n)
@@ -385,44 +356,40 @@ class PriceProgram:
         def accumulated(rows):
             return tuple((acc[name], *rest) for name, *rest in rows)
 
-        runs: dict[int, list[list[int]]] = {}
-        for (level, _), at in level_at.items():
-            spans = runs.setdefault(level, [])
-            if spans and spans[-1][1] == at:
-                spans[-1][1] = at + 4
-            else:
-                spans.append([at, at + 4])
+        transfers: dict[int, list[tuple[int, str]]] = {}
+        for key in level_keys:
+            transfers.setdefault(key[0], []).append(key)
+        converted = set(conversion_keys)
         return cls(
             names=tuple(acc),
             levels=accumulated(levels),
             conversions=accumulated(conversions),
             compute=accumulated(compute)[0],
             static=accumulated(static),
-            transfers=tuple((level, tuple(map(tuple, spans)),
-                             comps[level].bandwidth)
-                            for level, spans in runs.items()),
-            rates=tuple((tuple(conversion_at[(cv.name, t)] for t in cv.tensors
-                               if (cv.name, t) in conversion_at),
+            transfers=tuple((level, tuple(keys), comps[level].bandwidth)
+                            for level, keys in transfers.items()),
+            rates=tuple((tuple((cv.name, t) for t in cv.tensors
+                               if (cv.name, t) in converted),
                          cv.component.bandwidth * cv.instances)
                         for cv in arch.converters),
             hz=arch.clock_ghz * 1e9,
         )
 
-    def energy(self, levels: list[int], conversions: list[int],
-               real_macs: int, latency_s: float) -> list[float]:
-        """Energy in pJ per accumulator (names), added as the emitted code
-        adds it: summed in order, they give evaluate's total."""
+    def energy(self, counts: AccessCounts, latency_s: float) -> list[float]:
+        """Energy in pJ per accumulator (names) of counts holding every
+        key of the program, added as the emitted code adds it: summed in
+        order, they give evaluate's total."""
 
         out = [0.0] * len(self.names)
-        for a, at, read, write, update in self.levels:
-            out[a] += (levels[at] * read
-                       + levels[at + 1] * write
-                       + levels[at + 3] * read
-                       + levels[at + 2] * update)
-        for a, at, convert in self.conversions:
-            out[a] += conversions[at] * convert
+        per_level, conversions = counts.per_level, counts.conversions
+        for a, key, read, write, update in self.levels:
+            lc = per_level[key]
+            out[a] += (lc.reads * read + lc.fills * write + lc.drains * read
+                       + lc.updates * update)
+        for a, key, convert in self.conversions:
+            out[a] += conversions[key] * convert
         a, compute = self.compute
-        out[a] += real_macs * compute
+        out[a] += counts.real_macs * compute
         for a, power in self.static:
             out[a] += power * latency_s * 1e9
         return out
@@ -441,14 +408,6 @@ class PriceProgram:
                 *(bandwidth for _, _, bandwidth in self.transfers),
                 *(rate for _, rate in self.rates),
                 self.hz)
-
-
-def price_program(arch: Architecture, plan: CountPlan) -> PriceProgram:
-    """The PriceProgram of a count plan's layout, kept on the
-    architecture per plan."""
-
-    return arch.derived(("price_program", plan), lambda: PriceProgram.of(
-        arch, plan.level_keys, plan.conversion_keys))
 
 
 # ----------------------------------------------------------------------------
@@ -474,10 +433,10 @@ def emit(plan: CountPlan, program: PriceProgram) -> str:
     decides the collapse check that fails first, and cycles and each
     accumulator's energy added in PriceProgram's term order, so every
     float sums as PriceProgram.energy sums it. The text reads only the
-    layout (the plan's slots and the program's terms); every price,
-    bandwidth and the clock is a name bound by `bind(values)`
-    (PriceProgram.values), so architectures that differ only in numbers
-    share one source.
+    plan's keys and edge slots and the program's terms, each naming the
+    counter it reads by its key; every price, bandwidth and the clock is a
+    name bound by `bind(values)` (PriceProgram.values), so architectures
+    that differ only in numbers share one source.
 
     `bind` returns two entry points. `count(footprints, resident,
     instances, widths, macs, steps, real)`, evaluate's, takes what
@@ -494,11 +453,15 @@ def emit(plan: CountPlan, program: PriceProgram) -> str:
     `price(picks, perms, steps)`, the candidate's objective, and `gather`,
     which returns the arguments `count` takes for the same candidate.
 
-    A divmod checks the collapse only at slots whose mesh merges: a slot
-    outside every merge has width 1. A refetch leg is counted whatever
-    its refetch (none counts 0) and recorded only when there is one: with
-    nothing to refetch, its slots are deleted from edge_crossings and
-    edge_demand, which keeps the other keys in edges order."""
+    Each keeper is the outer end of at most one leg per tensor and
+    direction, and each converter bank converts at one edge in one
+    direction, so one leg at most sets each counter: a counter is the
+    name of what that leg moves, or 0. A divmod checks the collapse only
+    at slots whose mesh merges: a slot outside every merge has width 1. A
+    refetch leg is counted whatever its refetch (none counts 0) and
+    recorded only when there is one: with nothing to refetch, its edges
+    are deleted from edge_crossings and edge_demand, which keeps the other
+    keys in edges order."""
 
     compute = plan.compute
     merged = set()
@@ -509,24 +472,25 @@ def emit(plan: CountPlan, program: PriceProgram) -> str:
             if merging:
                 merged.add(slot)
 
-    def table(keys: Sequence, terms: Sequence[str]) -> str:
+    def table(terms: dict) -> str:
         """A dict literal of each constant key to its term's name."""
 
         return ("{" + ", ".join(f"{key!r}: {term}"
-                                for key, term in zip(keys, terms)) + "}")
+                                for key, term in terms.items()) + "}")
 
-    def body(record: bool) -> tuple[list[str], list[str], list[str]]:
-        """The counting lines, then the expressions of every level and
-        conversion counter; with `record`, also the lines that build the
-        AccessCounts, `counts`."""
+    def body(record: bool) -> tuple[list[str], dict, dict]:
+        """The counting lines, then the name of every level counter
+        (reads, fills, updates and drains, as LevelCounts orders them, per
+        level key) and every conversion counter, per conversion key; with
+        `record`, also the lines that build the AccessCounts, `counts`."""
 
         lines: list[str] = []
-        levels: list[list[str]] = [[] for _ in range(4 * len(plan.level_keys))]
-        conversions: list[list[str]] = [[] for _ in plan.conversion_keys]
-        crossed = [""] * len(plan.edges)
-        demand = [""] * len(plan.edges)
-        # Per refetch count, the edge slots recorded only when it is not 0.
-        unrecorded: dict[str, list[int]] = {}
+        levels = {key: ["0"] * 4 for key in plan.level_keys}
+        conversions = dict.fromkeys(plan.conversion_keys, "0")
+        crossed = dict.fromkeys(plan.edges, "")
+        demand = dict.fromkeys(plan.edges, "")
+        # Per refetch count, the edges recorded only when it is not 0.
+        unrecorded: dict[str, list[tuple[int, str, str]]] = {}
 
         def cross(leg: Leg, base: str, into: str, refetch: str = "") -> str:
             """Count the leg's crossings of `base` values, with `into`
@@ -534,8 +498,7 @@ def emit(plan: CountPlan, program: PriceProgram) -> str:
             edge carries, which its outer end sends."""
 
             names = []
-            for i, at in enumerate(leg.conversions_at):
-                slot = leg.first + i
+            for slot, c in enumerate(leg.crossings, leg.first):
                 n = base
                 if slot in merged:
                     n = f"n{slot}"
@@ -543,11 +506,11 @@ def emit(plan: CountPlan, program: PriceProgram) -> str:
                     lines.append(f"if rest: raise AssertionError(f\"inexact "
                                  f"collapse {{{base}}}/{{widths[{slot}]}}\")")
                 names.append(n)
-                if at >= 0:
-                    conversions[at].append(n)
-                crossed[slot], demand[slot] = n, into
+                if c.conversion is not None:
+                    conversions[c.conversion] = n
+                crossed[c.key], demand[c.key] = n, into
                 if refetch:
-                    unrecorded.setdefault(refetch, []).append(slot)
+                    unrecorded.setdefault(refetch, []).append(c.key)
             return names[0]
 
         # Operands flow down their keeper chains, innermost leg first: the
@@ -561,14 +524,15 @@ def emit(plan: CountPlan, program: PriceProgram) -> str:
                     base = f"base_{t}{j}"
                     lines.append(f"{base} = tc_{t}{j} * foot_{t}{j} * inst{j}")
                 delivered = cross(leg, base, into)
-                levels[leg.outer_at].append(delivered)
-                if leg.inner_at >= 0:
-                    levels[leg.inner_at + 1].append(delivered)
+                levels[leg.outer, leg.tensor][0] = delivered
+                if j != compute:
+                    levels[j, leg.tensor][1] = delivered
                 into = base
-        # Outputs: MAC partials ascend to the accumulation level...
+        # Outputs: MAC partials ascend to the accumulation level, each
+        # update a read-modify-write...
         arrivals = cross(plan.stream, "macs", "macs")
-        levels[plan.stream.outer_at].append(arrivals)
-        levels[plan.stream.outer_at + 2].append(arrivals)
+        levels[plan.stream.outer, OUTPUTS][0] = arrivals
+        levels[plan.stream.outer, OUTPUTS][2] = arrivals
         # ...then finished tiles drain upward hop by hop, and partials whose
         # residency recurs are refetched back down first.
         into = arrivals
@@ -576,80 +540,68 @@ def emit(plan: CountPlan, program: PriceProgram) -> str:
             j = up.inner
             lines.append(f"drained{j} = tc_{OUTPUTS}{j} * foot_{OUTPUTS}{j}"
                          f" * inst{j}")
-            levels[up.inner_at + 3].append(f"drained{j}")
+            levels[j, OUTPUTS][3] = f"drained{j}"
             merged_up = cross(up, f"drained{j}", into)
-            levels[up.outer_at + 2].append(merged_up)
-            lines.append(f"refetch{j} = tc_{OUTPUTS}{j} - distinct{j}")
-            lines.append(f"refetched{j} = refetch{j} * foot_{OUTPUTS}{j}"
-                         f" * inst{j}")
-            filled = cross(down, f"refetched{j}", f"refetched{j}",
-                           f"refetch{j}")
-            levels[down.inner_at + 1].append(filled)
-            levels[down.outer_at].append(filled)
+            levels[up.outer, OUTPUTS][2] = merged_up
+            if down is not None:
+                lines.append(f"refetch{j} = tc_{OUTPUTS}{j} - distinct{j}")
+                lines.append(f"refetched{j} = refetch{j} * foot_{OUTPUTS}{j}"
+                             f" * inst{j}")
+                filled = cross(down, f"refetched{j}", f"refetched{j}",
+                               f"refetch{j}")
+                levels[j, OUTPUTS][1] = filled
+                levels[down.outer, OUTPUTS][0] = filled
             into = merged_up
 
-        def total(prefix: str, terms: list[list[str]]) -> list[str]:
-            out = []
-            for at, names in enumerate(terms):
-                if len(names) > 1:
-                    lines.append(f"{prefix}{at} = {' + '.join(names)}")
-                    names = [f"{prefix}{at}"]
-                out.append(names[0] if names else "0")
-            return out
-
-        level_terms = total("level", levels)
-        conversion_terms = total("conversion", conversions)
         if record:
-            lines += [f"crossings = {table(plan.edges, crossed)}",
-                      f"demand = {table(plan.edges, demand)}"]
-            for refetch, slots in unrecorded.items():
+            lines += [f"crossings = {table(crossed)}",
+                      f"demand = {table(demand)}"]
+            for refetch, keys in unrecorded.items():
                 lines.append(f"if not {refetch}:")
-                lines += [f"    del crossings[{plan.edges[slot]!r}], "
-                          f"demand[{plan.edges[slot]!r}]" for slot in slots]
-            per_level = table(plan.level_keys, (
-                f"LevelCounts({', '.join(level_terms[at:at + 4])})"
-                for at in range(0, len(level_terms), 4)))
+                lines += [f"    del crossings[{key!r}], demand[{key!r}]"
+                          for key in keys]
+            per_level = table({key: f"LevelCounts({', '.join(names)})"
+                               for key, names in levels.items()})
             lines.append(
-                f"counts = AccessCounts({per_level}, "
-                f"{table(plan.conversion_keys, conversion_terms)}, "
-                f"{table(TENSORS, ['macs'] * len(TENSORS))}, macs, real, "
+                f"counts = AccessCounts({per_level}, {table(conversions)}, "
+                f"{table(dict.fromkeys(TENSORS, 'macs'))}, macs, real, "
                 "crossings, demand)")
-        return lines, level_terms, conversion_terms
+        return lines, levels, conversions
 
-    def priced(level: list[str], conversion: list[str],
-               search: bool) -> list[str]:
+    def priced(levels: dict, conversions: dict, search: bool) -> list[str]:
         """Cycles, then the latency and each accumulator's energy; in the
         search's entry a delay objective returns the cycles first."""
 
         lines = ["cycles = steps"]
-        for k, (j, runs, _) in enumerate(program.transfers):
-            actions = [level[at] for start, stop in runs
-                       for at in range(start, stop) if level[at] != "0"]
+        for k, (j, keys, _) in enumerate(program.transfers):
+            actions = [n for key in keys for n in levels[key] if n != "0"]
             lines += [f"need = ceil(({' + '.join(actions) or '0'}) "
                       f"/ (bandwidth{k} * inst{j}))",
                       "if need > cycles: cycles = need"]
-        for k, (slots, _) in enumerate(program.rates):
-            actions = [conversion[at] for at in slots
-                       if conversion[at] != "0"]
+        for k, (keys, _) in enumerate(program.rates):
+            actions = [conversions[key] for key in keys
+                       if conversions[key] != "0"]
             lines += [f"need = ceil(({' + '.join(actions) or '0'}) / rate{k})",
                       "if need > cycles: cycles = need"]
         if search:
             lines += ["if delay:", "    return float(cycles)"]
         accumulators = [f"pj{a}" for a in range(len(program.names))]
         lines += ["latency = cycles / hz", f"{' = '.join(accumulators)} = 0.0"]
-        for k, (a, at, _, _, _) in enumerate(program.levels):
+        for k, (a, key, _, _, _) in enumerate(program.levels):
+            reads, fills, updates, drains = levels[key]
             lines.append(
-                f"pj{a} += ({level[at]} * read{k} + {level[at + 1]} * write{k}"
-                f" + {level[at + 3]} * read{k} + {level[at + 2]} * update{k})")
-        for k, (a, at, _) in enumerate(program.conversions):
-            lines.append(f"pj{a} += {conversion[at]} * convert{k}")
+                f"pj{a} += ({reads} * read{k} + {fills} * write{k}"
+                f" + {drains} * read{k} + {updates} * update{k})")
+        for k, (a, key, _) in enumerate(program.conversions):
+            lines.append(f"pj{a} += {conversions[key]} * convert{k}")
         lines.append(f"pj{program.compute[0]} += real * compute_pj")
         for k, (a, _) in enumerate(program.static):
             lines.append(f"pj{a} += static{k} * latency * 1e9")
         if search:
             lines.append(f"energies = [{', '.join(accumulators)}]")
         else:
-            lines.append(f"energies = {table(program.names, accumulators)}")
+            lines.append(
+                f"energies = {table(dict(zip(program.names, accumulators)))}")
         return lines
 
     prologue = [f"{', '.join(f'tc_{t}{j}' for t in TENSORS)}, distinct{j} "
@@ -738,39 +690,36 @@ def _binder(source: str) -> Callable:
     return namespace["bind"]
 
 
-class Counter(NamedTuple):
-    """A count plan's emitted code bound to one architecture's prices
-    (counter): `count` is evaluate's entry point and `search` binds the
-    search's (see emit)."""
+class Counting(NamedTuple):
+    """What counting and pricing read under one keep-override set of an
+    architecture (counting): the CountPlan, its PriceProgram, and the two
+    entry points of the code emitted from them (emit), bound to the
+    program's values: `count` is evaluate's and `search` binds the
+    search's."""
 
+    plan: CountPlan
+    program: PriceProgram
     count: Callable
     search: Callable
 
 
-def counter(arch: Architecture, plan: CountPlan) -> Counter:
-    """The plan's emitted code bound to the architecture's PriceProgram,
-    kept on the architecture per plan."""
-
-    def bound():
-        program = price_program(arch, plan)
-        return Counter(*_binder(emit(plan, program))(program.values()))
-
-    return arch.derived(("counter", plan), bound)
+def _counting(arch: Architecture,
+              keep_overrides: dict[int, tuple[str, ...]]) -> Counting:
+    plan = CountPlan.of(arch, keep_overrides)
+    program = PriceProgram.of(arch, plan.level_keys, plan.conversion_keys)
+    return Counting(plan, program,
+                    *_binder(emit(plan, program))(program.values()))
 
 
-def _counting(arch: Architecture, mapping: Mapping
-              ) -> tuple[CountPlan, Counter]:
-    plan = count_plan(arch, mapping.keep_overrides, mapping.keep_key)
-    return plan, counter(arch, plan)
+def counting(arch: Architecture, keep_overrides: dict[int, tuple[str, ...]],
+             key: tuple | None = None) -> Counting:
+    """The Counting of the architecture under the keep overrides: one
+    lookup, kept on the architecture per override set; `key` is their
+    override_key, when the caller holds it (Mapping.keep_key)."""
 
-
-def counting(arch: Architecture, mapping: Mapping
-             ) -> tuple[CountPlan, Counter]:
-    """The count plan of the mapping's keep overrides and its counter:
-    one lookup, kept on the architecture per Mapping.keep_key."""
-
-    return arch.derived(("counting", mapping.keep_key), _counting, arch,
-                        mapping)
+    if key is None:
+        key = override_key(keep_overrides)
+    return arch.derived(("counting", key), _counting, arch, keep_overrides)
 
 
 def count(arch: Architecture, layer: Layer, mapping: Mapping
@@ -782,7 +731,8 @@ def count(arch: Architecture, layer: Layer, mapping: Mapping
     order."""
 
     footprints, real = validate_mapping(mapping, layer, arch)
-    plan, (entry, _) = counting(arch, mapping)
+    plan, _, entry, _ = counting(arch, mapping.keep_overrides,
+                                 mapping.keep_key)
     nest = mapping.nest
     return entry(
         footprints, residencies(nest.loops, plan.compute), nest.instances,
@@ -808,7 +758,7 @@ def reuse_factors(counts: AccessCounts, arch: Architecture,
     temporal reuse of the delivered values. Entries with zero crossings are
     omitted."""
 
-    plan = count_plan(arch, mapping.keep_overrides, mapping.keep_key)
+    plan = counting(arch, mapping.keep_overrides, mapping.keep_key).plan
     widths = plan.merge_widths([lm.spatial for lm in mapping.levels])
     out = []
     for key, crossing in sorted(counts.edge_crossings.items()):

@@ -60,7 +60,7 @@ T = TypeVar("T")
 SPEC_VERSION = 1
 
 DOMAINS = ("DE", "AE", "DO", "AO")
-# The actions each class of part is charged for (evaluator.PriceProgram).
+# The actions each class of part is charged for (reuse.PriceProgram).
 ACTIONS = {"storage": ("read", "write", "update"), "converter": ("convert",),
            "compute": ("compute",), "network": (), "source": ()}
 

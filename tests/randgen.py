@@ -98,7 +98,11 @@ def random_layer(rng: random.Random, max_dim: int = 6) -> Layer:
         dims["C"] = rng.randint(1, max_dim)
         kind = "fully_connected"
     else:
+        # A conv layer needs some window or output dim above 1
+        # (validate_layer); redraw only a draw that has none.
         dims = {d: rng.randint(1, max_dim) for d in DIMS}
+        while all(dims[d] == 1 for d in ("R", "S", "P", "Q")):
+            dims = {d: rng.randint(1, max_dim) for d in DIMS}
         kind = "conv"
     stride = (rng.randint(1, 2), rng.randint(1, 2)) if kind == "conv" else (1, 1)
     return Layer(name="layer", kind=kind, dims=dims, stride=stride)

@@ -11,6 +11,7 @@ from photon_model.evaluator import (
     peak_spatial_macs,
 )
 from photon_model.mapper import SearchConfig, search
+from photon_model.oracle import simulate
 from photon_model.reuse import AccessCounts, LevelCounts
 from photon_model.spec_model import (
     Architecture,
@@ -42,16 +43,30 @@ def _priced_at_random(rng, arch):
                    converters=tuple(map(scaled, arch.converters)))
 
 
+def _reversed(counts):
+    """The counts with per_level and conversions inserted in reverse."""
+
+    return replace(counts,
+                   per_level=dict(reversed(counts.per_level.items())),
+                   conversions=dict(reversed(counts.conversions.items())))
+
+
 def test_emitted_pricing_adds_as_the_price_program_does():
     # evaluate prices through the code emitted for its count plan; energy
-    # prices its counts through PriceProgram.energy. Each part's
-    # energy must agree to the last bit, on random instances at random
-    # prices and on the bundled geometry's searched conv and fc layers.
+    # prices counts in hand through PriceProgram.energy, by key. Each
+    # part's energy must agree to the last bit, on random instances at
+    # random prices (for the engine's counts, the oracle's, and the
+    # engine's inserted in reverse key order) and on the bundled
+    # geometry's searched conv and fc layers.
     rng = random.Random(43)
     cases = []
     for _ in range(300):
         arch, layer, mapping = random_instance(rng)
         cases.append((_priced_at_random(rng, arch), layer, mapping))
+    for arch, layer, mapping in cases:
+        ev = evaluate(arch, layer, mapping)
+        for counts in (simulate(arch, layer, mapping), _reversed(ev.counts)):
+            assert ev.energy_pj == energy(counts, arch, ev.latency_s)
     arch = albireo.architecture("aggressive")
     for layer in load_workload("alexnet").layers[::3]:
         cases.append((arch, layer, search(arch, layer, SearchConfig(

@@ -3,9 +3,10 @@ top-level definition is read somewhere in the package or exported, only
 the validated types call their rule sets, only spec_model's capacity
 rule and the counting engines compute tile footprints, only
 validation and the search's loop orders apply the refetch rule, only the
-oracle and the emitted text build count containers, and only reuse's
+oracle and the emitted text build count containers, only reuse's
 emitter compiles code, whose text calls only the names it was handed, so
-that the checks above see every rule."""
+that the checks above see every rule, and reuse keeps one lookup per
+keep-override set."""
 
 import ast
 from pathlib import Path
@@ -147,6 +148,15 @@ def test_only_the_emitter_compiles_code():
     assert callers(_modules(), set(EMITTER)) == EMITTER
 
 
+def test_one_kept_lookup_per_keep_override_set():
+    # reuse keeps one entry per keep-override set, the Counting, whose
+    # build is the only way to its emitted and compiled code: a second
+    # memo or a second binding of the code fails here.
+    assert callers([Path(reuse.__file__)], {"derived", "emit", "_binder"}) == {
+        "derived": {"counting"}, "emit": {"_counting"},
+        "_binder": {"_counting"}}
+
+
 def _emitted_sources() -> dict[str, str]:
     """The source emitted for every shipped layout (both profiles, and
     each reuse_sweep axis widened, under no override and the fused pairs'
@@ -167,8 +177,8 @@ def _emitted_sources() -> dict[str, str]:
               for keep in fused]
     out = {}
     for name, arch, keep in plans:
-        plan = reuse.count_plan(arch, keep)
-        out[name] = reuse.emit(plan, reuse.price_program(arch, plan))
+        plan, program, _, _ = reuse.counting(arch, keep)
+        out[name] = reuse.emit(plan, program)
     return out
 
 

@@ -976,7 +976,7 @@ def _check_pricing(monkeypatch):
         mapping = self.mapping(picks, perms)
         counts = analyze(self.arch, self.layer, mapping)
         gathered = self.gather(picks, perms, steps)
-        assert reuse.counter(self.arch, self.plan).count(
+        assert reuse.counting(self.arch, self.cfg.keep_overrides).count(
             *gathered)[0] == counts
         ev = evaluate(self.arch, self.layer, mapping)
         assert ev.counts == counts

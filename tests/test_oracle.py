@@ -105,12 +105,12 @@ def test_oracle_imports_nothing_from_reuse():
 
 
 # What reuse.analyze plans once per architecture, the arithmetic core that
-# counts from the plan (the code reuse emits from it, and its bound
-# counter), and the chain helpers reuse once kept for the oracle: merge
-# widths, converter keys and hops read from these would share the closed
-# form's derivation.
-COUNT_PLAN_NAMES = {"CountPlan", "count_plan", "Leg", "merge_widths",
-                    "leg_at", "emit", "counter", "tensor_hops",
+# counts from the plan (the code reuse emits from it, and the one lookup
+# that keeps the plan with its bound code), and the chain helpers reuse
+# once kept for the oracle: merge widths, converter keys and hops read
+# from these would share the closed form's derivation.
+COUNT_PLAN_NAMES = {"CountPlan", "counting", "Counting", "Leg",
+                    "merge_widths", "leg_at", "emit", "tensor_hops",
                     "output_stream", "accumulation_level"}
 
 

@@ -1,8 +1,8 @@
-"""The validation plan, the count plan, the price program, the area, the
-search's loop-order table and its chain tables are kept on the
-architecture instance (per keep-override set for the plans and the order
-table, per count plan for the program, per menu key for the chain
-tables). An edited copy, or another override set, must never be
+"""The validation plan, the counting lookup (the count plan, its price
+program and their bound code), the area, the search's loop-order table
+and its chain tables are kept on the architecture instance (per
+keep-override set for the plans and the order table, per menu key for
+the chain tables). An edited copy, or another override set, must never be
 validated, counted, priced or searched through tables built for another:
 every result must equal one computed on a freshly built architecture."""
 
@@ -14,13 +14,7 @@ from photon_model import albireo, mapper, reuse, spec_model
 from photon_model.evaluator import EvaluationResult, evaluate
 from photon_model.mapper import STRATEGIES, SearchConfig, search
 from photon_model.oracle import simulate
-from photon_model.reuse import (
-    analyze,
-    count_plan,
-    counter,
-    price_program,
-    reuse_factors,
-)
+from photon_model.reuse import analyze, counting, reuse_factors
 from photon_model.spec_model import (
     INPUTS,
     OUTPUTS,
@@ -110,19 +104,20 @@ def test_an_edited_copy_never_reads_the_originals_tables(edit):
     counts = evaluate(b, LAYER, mapping).counts
     assert (reuse_factors(counts, b, mapping)
             == reuse_factors(counts, _fresh(b), mapping))
-    # One program is kept per count plan, and each architecture keeps its
-    # own plan and program: the layouts are equal, the objects are not.
-    plan_a = count_plan(a, mapping.keep_overrides)
-    plan_b = count_plan(b, mapping.keep_overrides)
-    assert plan_b is not plan_a
-    assert plan_b.level_keys == plan_a.level_keys == tuple(counts.per_level)
-    assert price_program(a, plan_a) is price_program(a, plan_a)
-    assert price_program(b, plan_b) is price_program(b, plan_b)
-    assert price_program(b, plan_b) is not price_program(a, plan_a)
+    # One Counting is kept per keep-override set, and each architecture
+    # keeps its own plan and program: the layouts are equal, the objects
+    # are not.
+    got_a = counting(a, mapping.keep_overrides)
+    got_b = counting(b, mapping.keep_overrides)
+    assert got_b.plan is not got_a.plan
+    assert (got_b.plan.level_keys == got_a.plan.level_keys
+            == tuple(counts.per_level))
+    assert counting(a, mapping.keep_overrides) is got_a
+    assert counting(b, mapping.keep_overrides) is got_b
+    assert got_b.program is not got_a.program
     # The edited copy's program prices as a fresh architecture's does.
-    fresh = _fresh(b)
-    assert (price_program(b, plan_b)
-            == price_program(fresh, count_plan(fresh, mapping.keep_overrides)))
+    assert (got_b.program
+            == counting(_fresh(b), mapping.keep_overrides).program)
 
 
 def test_one_source_is_compiled_per_layout():
@@ -147,9 +142,9 @@ def test_one_source_is_compiled_per_layout():
             == evaluate(_fresh(scaled), LAYER, mapping)
             != evaluate(a, LAYER, mapping))
     assert compiled() == 1
-    assert len({counter(arch, count_plan(arch, {}))
+    assert len({counting(arch, {}).count
                 for arch in (a, point, scaled)}) == 3
-    counter(a, count_plan(a, {0: (WEIGHTS, INPUTS)}))
+    counting(a, {0: (WEIGHTS, INPUTS)})
     assert compiled() == 2
 
 
@@ -182,8 +177,10 @@ def test_each_keep_override_set_gets_its_own_plan():
     assert got[0] == got[2]
     assert got[1] != got[0]
     assert not any(lv == 1 and t == INPUTS for lv, t in got[1].per_level)
-    assert count_plan(arch, plain.keep_overrides) is count_plan(arch, replace(plain).keep_overrides)
-    assert count_plan(arch, bypass.keep_overrides) is not count_plan(arch, plain.keep_overrides)
+    assert (counting(arch, plain.keep_overrides).plan
+            is counting(arch, replace(plain).keep_overrides).plan)
+    assert (counting(arch, bypass.keep_overrides).plan
+            is not counting(arch, plain.keep_overrides).plan)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)

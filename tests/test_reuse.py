@@ -14,8 +14,7 @@ from photon_model.oracle import simulate
 from photon_model.reuse import (
     LevelCounts,
     analyze,
-    count_plan,
-    counter,
+    counting,
     residencies,
     reuse_factors,
 )
@@ -89,14 +88,13 @@ def test_an_inexact_collapse_fails_at_its_emitted_line():
                                                "P": 4, "Q": 4}),
                         LevelMapping(spatial={"K": 4})))
     footprints, real = validate_mapping(m, layer, arch)
-    plan = count_plan(arch, {})
+    plan, _, entry, _ = counting(arch, {})
     nest = m.nest
     widths = plan.merge_widths([lm.spatial for lm in m.levels])
     slot = plan.edges.index((1, "Inputs", "down"))
     assert widths[slot] == 4
     args = (footprints, residencies(nest.loops, plan.compute),
             nest.instances, widths, 1152, nest.steps, real)
-    entry = counter(arch, plan).count
     assert entry(*args)[0].edge_crossings[(1, "Inputs", "down")] == 288
     widths[slot] = 5
     with pytest.raises(AssertionError, match="inexact collapse 1152/5") as err:
@@ -176,13 +174,13 @@ def test_accumulation_level_is_innermost_output_keeper():
     arch = toys.fc_weight_buffer()
     m = Mapping(levels=(LevelMapping(temporal={"K": 2, "C": 3}),
                         LevelMapping(), LevelMapping()))
-    assert count_plan(arch, m.keep_overrides).stream.outer == 0
+    assert counting(arch, m.keep_overrides).plan.stream.outer == 0
     # Once the buffer keeps Outputs too, partials accumulate there and
     # drain up one hop.
     store, wbuf, pe = arch.levels
     both = replace(arch, levels=(
         store, replace(wbuf, keeps=("Weights", "Outputs")), pe))
-    plan = count_plan(both, {})
+    plan = counting(both, {}).plan
     assert (plan.stream.outer, plan.stream.inner) == (1, 2)
     assert [(up.outer, up.inner) for up, _ in plan.drains] == [(0, 1)]
 
@@ -243,13 +241,14 @@ def _unrecorded_in_plan_order(arch, layer, mapping) -> set:
 
     counts = analyze(arch, layer, mapping)
     assert counts == simulate(arch, layer, mapping)
-    plan = count_plan(arch, mapping.keep_overrides)
+    plan = counting(arch, mapping.keep_overrides).plan
     assert list(counts.per_level) == list(plan.level_keys)
     assert list(counts.conversions) == list(plan.conversion_keys)
     resident = residencies(mapping.nest.loops, plan.compute)
-    # A drain refetches the Outputs tiles its level holds more than once.
+    # A drain refetches the Outputs tiles its level holds more than once,
+    # and has no refetch leg where validation forbids a refetch.
     unrecorded = {c.key for up, down in plan.drains
-                  if resident[up.inner][2] == resident[up.inner][3]
+                  if down and resident[up.inner][2] == resident[up.inner][3]
                   for c in down.crossings}
     kept = [key for key in plan.edges if key not in unrecorded]
     assert list(counts.edge_crossings) == kept == list(counts.edge_demand)

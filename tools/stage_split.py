@@ -34,9 +34,9 @@ validates, counts and prices it through `counting`, whose `validate` is
 `validate_mapping` and which spans evaluate's entry point of the emitted
 code). `counting` and `validate` also time the evaluations a study makes
 outside its searches (the memory study's batched leg). `compile` is
-reuse._binder, asked once per count plan and architecture for the
-plan's emitted code, which it compiles on the first request for its
-source in the process; `compiles` counts the sources compiled during the
+reuse._binder, asked once per architecture and keep-override set (when
+reuse.counting builds its one kept entry) for the plan's emitted code,
+which it compiles on the first request for its source in the process; `compiles` counts the sources compiled during the
 passes (none that an earlier run in the same process compiled).
 Stages nest (`limits` runs inside `map_space_build` as well as in the
 draws), so inclusive seconds do not add up. Each wrapped call costs about a
@@ -52,7 +52,7 @@ best of the passes: `parse` (parse_mapping), `nest` (LoopNest.of, the first
 read of mapping.nest), `validate` (validate_mapping, the nest aside; its
 capacity check computes the tile footprints counting reads, and it
 returns the real MAC count), `plan` (reuse.counting, the one lookup of
-the plan and its emitted code), `residencies` (the sweep over the nest's
+the count plan, its price program and their bound code), `residencies` (the sweep over the nest's
 loops), `count` (reuse.count aside from the stages it calls: the merge
 widths and evaluate's entry point, which counts and prices from
 validation's footprints and builds the AccessCounts), `result` (the rest
