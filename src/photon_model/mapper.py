@@ -40,11 +40,16 @@ chain.
 Both strategies walk one kind of state (_Walk): what the dims assigned so
 far leave, that is the spatial products, extent rows, loop-nest masks,
 step count and loop-order signature, moved to the next dim by one
-function. The draws keep a tree of the prefixes of picks they have drawn,
-each holding its state and its feasible list; a draw descends it with one
-pick per dim and runs limits, the filter and the state update only for a
-prefix not drawn before, so it draws what a walk that recomputed every
-step draws. Exhaustive visits each prefix once and keeps no tree.
+function. The draws keep a tree of the prefixes of picks they draw
+again, each node holding its state and its feasible list. The root holds
+a map of its children from the start; a new node goes into its parent's
+map only when the parent holds one, and a kept node gets a map of its own
+on its next draw. So no prefix below the depth where the seed's draws
+repeat is kept: the tree is bounded by what the draws revisit. A draw
+descends it with one pick per dim and runs limits, the filter and the
+state update only where it meets no kept prefix, so it draws what a walk
+that recomputed every step draws. Exhaustive visits each prefix once and
+keeps no tree.
 The loop orders come from one lookup per assignment: a table keyed by the
 levels where each picked chain iterates (_OrderTable) holds every level's
 legal orders. It reads only the level count and the refetch-forbidden
@@ -61,7 +66,9 @@ extents, its temporal and spatial factors, read from its table), looks up
 what the picked spatial rows fix, the instances and the merge widths, per
 tuple of rows (_SpatialRows), and each tiled level's footprints per
 column of extents (_Footprints), where evaluate takes them from
-validation; a miss computes them outside the emitted text. It passes the loops of the drawn orders to reuse.residencies, then
+validation; a miss computes them outside the emitted text. It sweeps
+the drawn orders level by level above the compute level, reading each
+dim's temporal row, as reuse.residencies sweeps a nest's loops, then
 counts and prices as evaluate's entry point of the same code does, in its
 order, so each objective is bit-identical to its evaluation's; under the
 delay objective it returns the cycles and prices no energy. The search
@@ -115,9 +122,10 @@ into random per pick; tests/test_mapper.py checks the rule against the
 running Python's random.
 
 What is kept, and for how long:
-* per search: the draw tree, each filter's masks and index lists, the
-  pricer's instances and merge widths per tuple of spatial rows and
-  footprints per level column, and its entry point bound to them;
+* per search: the draw tree (the prefixes drawn again, above), each
+  filter's masks and index lists, the pricer's instances and merge widths
+  per tuple of spatial rows and footprints per level column, and its
+  entry point bound to them;
 * per architecture (Architecture.derived), for every search on it: the
   chain tables per menu key, the order table per keep-override set, each
   search's result (below), and each capacity check's limits per dim and
@@ -241,7 +249,11 @@ class SearchConfig:
             raise ValueError("batch_size must be >= 1")
         if self.reduction_floor is not None and self.reduction_floor < 0:
             raise ValueError("reduction_floor must be >= 0")
-        for (level, d), f in self.fixed_spatial.items():
+        for key, f in self.fixed_spatial.items():
+            if type(key) is not tuple or len(key) != 2:
+                raise ValueError(f"fixed_spatial key {key!r} is not a "
+                                 "(level, dim) pair")
+            level, d = key
             if d not in DIMS:
                 raise ValueError(f"fixed_spatial pins unknown dim {d!r}")
             if type(level) is not int or level < 1:
@@ -474,13 +486,16 @@ class _CapacityCheck:
         fits with every other dim at its extent in `rows` (one row per dim,
         in DIMS order): spec_model's largest_extent. Each level's limit is
         kept per dim and column in its check's memo, as the same extents
-        recur at a level more often than whole rows do."""
+        recur at a level more often than whole rows do. A checked level's
+        column is read straight from the seven rows, and no other level's
+        is built."""
 
         d, layer = DIMS[di], self.layer
-        columns = tuple(zip(*rows))
+        n, k, c, p, q, r, s = rows
         out = []
         for (lvl, keeps, cap), memos in zip(self.checks, self.memos):
-            memo, column = memos[di], columns[lvl]
+            memo = memos[di]
+            column = (n[lvl], k[lvl], c[lvl], p[lvl], q[lvl], r[lvl], s[lvl])
             limit = memo.get(column)
             if limit is None:
                 limit = memo[column] = largest_extent(
@@ -727,14 +742,17 @@ class _Walk:
     spatial products of levels 1..M-1, one extent row per dim (its minimum
     row until assigned), the nest word of each forbidden keeper's (own,
     other) loop-nest masks (_MenuFilter.nest_words), the step count and
-    the loop-order signature."""
+    the loop-order signature.
+
+    The draws' tree holds each kept prefix of picks as a node (its state,
+    the next dim's feasible list, its children map): the map {pick: the
+    node one pick longer} is the root's from its first draw and a kept
+    node's from its second, None until then; a complete prefix holds
+    neither list nor map."""
 
     def __init__(self, filters: list[_MenuFilter], cap: _CapacityCheck):
         self.filters, self.cap = filters, cap
         self.root = ((1,) * len(filters[0].fanouts), cap.mins, 0, 1, 0)
-        # The draws' tree: each drawn prefix of picks as (its state, the
-        # next dim's feasible list, {pick: the prefix one pick longer});
-        # a complete prefix holds neither.
         self.tree = None
 
     def feasible(self, di: int, state: tuple) -> list[int]:
@@ -784,7 +802,7 @@ class _Walk:
 
     def draw(self, getrandbits, picks: list[int]) -> tuple | None:
         """One pruned_random draw: per dim, a pick of its feasible list,
-        down the tree of the prefixes drawn before. Fills `picks`; returns
+        down the tree of the prefixes drawn again. Fills `picks`; returns
         the complete state, or None at a dead end."""
 
         node = self.tree
@@ -799,8 +817,10 @@ class _Walk:
     def step(self, node: tuple, di: int, getrandbits,
              picks: list[int]) -> tuple | None:
         """A draw's filter step at the node of prefix picks[:di]: the node
-        one pick longer, built on its first draw, or None when the node's
-        feasible list is empty. The pick is the one Random.choice makes
+        one pick longer, or None when the node's feasible list is empty.
+        The node is read from the children map when kept there, and is
+        built otherwise, and kept only when the map is there (see the
+        class docstring). The pick is the one Random.choice makes
         from the same generator: getrandbits(n.bit_length()) for a list of
         n, drawn again until it is below n."""
 
@@ -813,12 +833,18 @@ class _Walk:
         while r >= n:
             r = getrandbits(k)
         pick = picks[di] = feasible[r]
-        nxt = below.get(pick)
-        if nxt is None:
-            state = self.child(di, state, pick)
-            nxt = below[pick] = ((state, self.feasible(di + 1, state), {})
-                                 if di + 1 < len(DIMS)
-                                 else (state, None, None))
+        if below is not None:
+            nxt = below.get(pick)
+            if nxt is not None:
+                # Drawn again: from now on it keeps its own children.
+                if nxt[2] is None and nxt[1] is not None:
+                    nxt = below[pick] = (nxt[0], nxt[1], {})
+                return nxt
+        state = self.child(di, state, pick)
+        nxt = ((state, self.feasible(di + 1, state), None)
+               if di + 1 < len(DIMS) else (state, None, None))
+        if below is not None:
+            below[pick] = nxt
         return nxt
 
 

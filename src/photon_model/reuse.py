@@ -53,9 +53,9 @@ program's values are one Counting, kept on the architecture per
 keep-override set (counting): the one lookup counting and pricing make.
 The code has two entry points. evaluate's (`count`) takes the tile
 footprints validate_mapping returns, how often each level's tiles change
-and how many distinct Outputs tiles it holds (residencies, one forward
-sweep over LoopNest.loops, as the loops at or above a level are a prefix
-of them), the instances, the merge widths at each edge (one suffix
+and how many distinct Outputs tiles it holds (residencies of
+LoopNest.loops, one forward sweep, as the loops at or above a level are a
+prefix of them), the instances, the merge widths at each edge (one suffix
 product per leg over the spatial factors, CountPlan.merge_widths, which
 reuse_factors reads too) and the MAC and step counts, and returns the
 AccessCounts, which it builds itself from dict literals over the plan's
@@ -64,11 +64,13 @@ which gives the footprints and the real MAC count, reads the rest from
 mapping.nest and runs that entry point; analyze returns its counts, and
 evaluator.evaluate's result holds them. The search's entry point, bound
 per search (mapper._Pricer), gathers the same arguments from a
-candidate's picked chains itself and returns only its objective. The
-oracle shares nothing with this module: not the legs, the plan or the
-emitted code. The count containers (AccessCounts, LevelCounts) are
-spec_model's, as every engine returns them; the emitted text and the
-oracle are the only code that builds them.
+candidate's picked chains itself, sweeping its drawn loop orders level
+by level in the text as residencies sweeps loops (over the same move
+table, _MOVES, and building no list of loops), and returns only its
+objective. The oracle shares nothing with this module: not the legs, the
+plan or the emitted code. The count containers (AccessCounts,
+LevelCounts) are spec_model's, as every engine returns them; the emitted
+text and the oracle are the only code that builds them.
 """
 
 from __future__ import annotations
@@ -418,12 +420,12 @@ class PriceProgram:
 # Every name emitted code can reach: its builtins are these and nothing
 # else, so no rule of spec_model is called from the text (tile_values and
 # validate_mapping stay with their callers, and the search's memos call
-# them on a miss), and evaluate's entry point builds the AccessCounts
-# itself, from the count containers.
+# them on a miss), evaluate's entry point builds the AccessCounts itself,
+# from the count containers, and the search's sweeps its loop orders over
+# residencies' move table.
 HANDED = {"AssertionError": AssertionError, "divmod": divmod, "sum": sum,
-          "float": float, "enumerate": enumerate, "ceil": math.ceil,
-          "residencies": residencies, "AccessCounts": AccessCounts,
-          "LevelCounts": LevelCounts}
+          "float": float, "ceil": math.ceil, "moves": _MOVES,
+          "AccessCounts": AccessCounts, "LevelCounts": LevelCounts}
 
 
 def emit(plan: CountPlan, program: PriceProgram) -> str:
@@ -440,8 +442,8 @@ def emit(plan: CountPlan, program: PriceProgram) -> str:
 
     `bind` returns two entry points. `count(footprints, resident,
     instances, widths, macs, steps, real)`, evaluate's, takes what
-    validate_mapping and the nest fix (resident is residencies of the
-    nest's loops, widths CountPlan.merge_widths) and returns the
+    validate_mapping and the nest fix (resident is residencies of
+    nest.loops, widths CountPlan.merge_widths) and returns the
     AccessCounts, cycles, latency and the energy in pJ per component
     name, in PriceProgram.names order. It builds both from dict literals
     over constant keys: the plan's, in level_keys, conversion_keys and
@@ -452,16 +454,24 @@ def emit(plan: CountPlan, program: PriceProgram) -> str:
     (instances, merge widths) per tuple of spatial rows, and returns
     `price(picks, perms, steps)`, the candidate's objective, and `gather`,
     which returns the arguments `count` takes for the same candidate.
+    Both sweep the drawn orders `perms` in the text, one loop per level
+    above compute over its dims' temporal factors there, as residencies
+    sweeps the loops those orders give; `gather` also records each
+    level's sweep as `resident`.
 
     Each keeper is the outer end of at most one leg per tensor and
     direction, and each converter bank converts at one edge in one
     direction, so one leg at most sets each counter: a counter is the
-    name of what that leg moves, or 0. A divmod checks the collapse only
-    at slots whose mesh merges: a slot outside every merge has width 1. A
-    refetch leg is counted whatever its refetch (none counts 0) and
-    recorded only when there is one: with nothing to refetch, its edges
-    are deleted from edge_crossings and edge_demand, which keeps the other
-    keys in edges order."""
+    name of what that leg moves, or 0. A 0 counter is left out of the
+    text: no product of it is emitted, nor a level term whose four
+    counters are all 0, nor a bandwidth bound over counters all 0 (it
+    would need 0 cycles). Every float sums as before, since every term is
+    finite and not negative. A divmod checks the collapse only at slots
+    whose mesh merges: a slot outside every merge has width 1. A refetch
+    leg is counted whatever its refetch (none counts 0) and recorded only
+    when there is one: with nothing to refetch, its edges are deleted
+    from edge_crossings and edge_demand, which keeps the other keys in
+    edges order."""
 
     compute = plan.compute
     merged = set()
@@ -575,25 +585,30 @@ def emit(plan: CountPlan, program: PriceProgram) -> str:
         lines = ["cycles = steps"]
         for k, (j, keys, _) in enumerate(program.transfers):
             actions = [n for key in keys for n in levels[key] if n != "0"]
-            lines += [f"need = ceil(({' + '.join(actions) or '0'}) "
-                      f"/ (bandwidth{k} * inst{j}))",
-                      "if need > cycles: cycles = need"]
+            if actions:
+                lines += [f"need = ceil(({' + '.join(actions)}) "
+                          f"/ (bandwidth{k} * inst{j}))",
+                          "if need > cycles: cycles = need"]
         for k, (keys, _) in enumerate(program.rates):
             actions = [conversions[key] for key in keys
                        if conversions[key] != "0"]
-            lines += [f"need = ceil(({' + '.join(actions) or '0'}) / rate{k})",
-                      "if need > cycles: cycles = need"]
+            if actions:
+                lines += [f"need = ceil(({' + '.join(actions)}) / rate{k})",
+                          "if need > cycles: cycles = need"]
         if search:
             lines += ["if delay:", "    return float(cycles)"]
         accumulators = [f"pj{a}" for a in range(len(program.names))]
         lines += ["latency = cycles / hz", f"{' = '.join(accumulators)} = 0.0"]
         for k, (a, key, _, _, _) in enumerate(program.levels):
             reads, fills, updates, drains = levels[key]
-            lines.append(
-                f"pj{a} += ({reads} * read{k} + {fills} * write{k}"
-                f" + {drains} * read{k} + {updates} * update{k})")
+            products = [f"{n} * {price}{k}" for n, price in (
+                (reads, "read"), (fills, "write"), (drains, "read"),
+                (updates, "update")) if n != "0"]
+            if products:
+                lines.append(f"pj{a} += ({' + '.join(products)})")
         for k, (a, key, _) in enumerate(program.conversions):
-            lines.append(f"pj{a} += {conversions[key]} * convert{k}")
+            if conversions[key] != "0":
+                lines.append(f"pj{a} += {conversions[key]} * convert{k}")
         lines.append(f"pj{program.compute[0]} += real * compute_pj")
         for k, (a, _) in enumerate(program.static):
             lines.append(f"pj{a} += static{k} * latency * 1e9")
@@ -604,10 +619,8 @@ def emit(plan: CountPlan, program: PriceProgram) -> str:
                 f"energies = {table(dict(zip(program.names, accumulators)))}")
         return lines
 
-    prologue = [f"{', '.join(f'tc_{t}{j}' for t in TENSORS)}, distinct{j} "
-                f"= resident[{j}]" for j, _ in plan.tiled]
-    prologue.append(f"{', '.join(f'inst{j}' for j in range(compute + 1))}, "
-                    "= instances")
+    instances = (f"{', '.join(f'inst{j}' for j in range(compute + 1))}, "
+                 "= instances")
     values = [*(f"{p}{k}" for k in range(len(program.levels))
                 for p in ("read", "write", "update")),
               *(f"convert{k}" for k in range(len(program.conversions))),
@@ -620,7 +633,9 @@ def emit(plan: CountPlan, program: PriceProgram) -> str:
     counting, level, conversion = body(True)
     evaluate = [f"foot_{t}{j} = footprints[{j}, {t!r}]"
                 for j, ts in plan.tiled for t in ts]
-    evaluate += prologue + counting + priced(level, conversion, False)
+    evaluate += [f"{', '.join(f'tc_{t}{j}' for t in TENSORS)}, distinct{j} "
+                 f"= resident[{j}]" for j, _ in plan.tiled]
+    evaluate += [instances] + counting + priced(level, conversion, False)
     evaluate.append("return counts, cycles, latency, energies")
 
     rows = range(len(DIMS))
@@ -634,17 +649,48 @@ def emit(plan: CountPlan, program: PriceProgram) -> str:
         gather.append(
             f"{', '.join(f'foot_{t}{j}' for t in ts)}, = "
             f"columns{i}[{', '.join(f'row{d}[{j}]' for d in rows)}]")
-    gather += [
-        "time = {" + ", ".join(f"{name!r}: temporals{d}[p{d}]"
-                               for d, name in enumerate(DIMS)) + "}",
-        "resident = residencies([(j, d, time[d][j]) for j, order in "
-        f"enumerate(perms) for d in order], {compute})"]
+    gather.append("time = {" + ", ".join(f"{name!r}: temporals{d}[p{d}]"
+                                         for d, name in enumerate(DIMS))
+                  + "}")
+
+    def sweep(record: bool) -> list[str]:
+        """residencies over the drawn orders, one loop per level above
+        compute, each reading its dims' temporal factors there: the tiled
+        levels' tile changes and distinct Outputs tiles as locals, and
+        with `record` every level's as the list `resident`."""
+
+        # One local per tensor, named for it, as in residencies.
+        lines = ["weights = inputs = outputs = distinct = span = 1"]
+        tiled = dict(plan.tiled)
+        for j in range(compute):
+            lines += [f"for d in perms[{j}]:",
+                      f"    e = time[d][{j}]",
+                      "    span *= e",
+                      "    moved = moves[d]",
+                      "    if moved & 1: weights = span",
+                      "    if moved & 2: inputs = span",
+                      "    if moved & 4:",
+                      "        outputs = span",
+                      "        distinct *= e"]
+            for t in tiled.get(j, ()):
+                lines.append(f"tc_{t}{j} = {t.lower()}")
+                if t == OUTPUTS:
+                    lines.append(f"distinct{j} = distinct")
+            if record:
+                lines.append(f"at{j} = weights, inputs, outputs, distinct")
+        if record:
+            lines.append("resident = ["
+                         f"{', '.join(f'at{j}' for j in range(compute))}]")
+        return lines
+
     counting, level, conversion = body(False)
-    price = gather + prologue + counting + priced(level, conversion, True)
+    price = (gather + sweep(False) + [instances] + counting
+             + priced(level, conversion, True))
     price += ["total = sum(energies)",
               "return total * latency if edp else total"]
     footprints = ", ".join(f"({j}, {t!r}): foot_{t}{j}"
                            for j, ts in plan.tiled for t in ts)
+    gather += sweep(True)
     gather.append(f"return {{{footprints}}}, resident, instances, widths, "
                   "macs, steps, real")
 

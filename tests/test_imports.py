@@ -202,6 +202,19 @@ def test_emitted_code_calls_only_the_names_it_was_handed():
         assert not called & defined, name
 
 
+def test_emitted_code_prices_no_literal_zero():
+    # A counter no leg sets is the literal 0: its products, a level term
+    # whose four counters are all 0, and a bandwidth bound over no
+    # counter are left out of the text: no operation has an operand 0.
+    # (A name may end in 0, as n0 * convert1 does, so the text is read
+    # as code, not searched for "0 *".)
+    for name, source in _emitted_sources().items():
+        assert not [node for node in ast.walk(ast.parse(source))
+                    if isinstance(node, ast.BinOp)
+                    and any(isinstance(x, ast.Constant) and x.value == 0
+                            for x in (node.left, node.right))], name
+
+
 def test_a_reader_that_validates_is_caught(tmp_path):
     path = tmp_path / "mod.py"
     path.write_text("class Layer:\n    def __post_init__(self):\n"

@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import math
@@ -680,10 +681,13 @@ def test_search_config_validation():
     {(3, "K"): 0},
     {(3, "K"): True},
     {(3, "K"): 2.0},
+    {3: 8},
+    {(1, "K", "x"): 2},
 ], ids=["unknown-dim", "level-0", "level-below-0", "zero-factor",
-        "bool-factor", "float-factor"])
+        "bool-factor", "float-factor", "bare-level", "three-part-key"])
 def test_search_config_rejects_bad_pins(pins):
-    # Each was silently ignored or crashed the menu build.
+    # Each was silently ignored, crashed the menu build, or (a key that is
+    # not a (level, dim) pair) raised TypeError or ValueError unpacking it.
     with pytest.raises(ValueError, match="fixed_spatial"):
         SearchConfig(fixed_spatial=pins)
 
@@ -895,12 +899,21 @@ def test_pruned_random_draws_are_frozen(case):
             res.pruned, res.invalid) == expected
 
 
+class _Kept(int):
+    """A pick standing for its kept child node, drawn before and holding a
+    children map: each item of it reads as itself, never None, so step
+    returns it as it is."""
+
+    def __getitem__(self, i):
+        return self
+
+
 class _Built(dict):
-    """A draw-tree node's children, every one built: a pick's child is
-    the pick itself."""
+    """A draw-tree node's children, every one built and drawn before: a
+    pick's child is the pick itself."""
 
     def get(self, pick):
-        return pick
+        return _Kept(pick)
 
 
 class _Offered(mapper._OrderTable):
@@ -933,31 +946,70 @@ def test_a_pick_is_the_one_random_choice_and_randrange_make():
 
 
 def test_draws_filter_each_drawn_prefix_once(monkeypatch):
-    # The draws descend a tree of the prefixes drawn before: the filter
-    # runs once per distinct prefix a draw steps from, and the search
-    # draws what the filter that ran at every step drew.
+    # The draws descend a tree of the prefixes drawn again: the root
+    # holds a children map, a new node is kept in its parent's map only
+    # when the parent holds one, and a kept node gets its own map on its
+    # next draw. A step runs the filter unless it reaches a kept prefix,
+    # and the search draws what the filter that ran at every step drew.
     workload, name, fields, expected = FROZEN_SEARCHES["vgg16-conv3_1-delay"]
     arch = albireo.architecture("aggressive")
     layer = next(l for l in load_workload(workload).layers if l.name == name)
-    prefixes, filtered = [], [0]
+    drawn, filtered, walks = [], [0], []
     step, feasible = mapper._Walk.step, mapper._MenuFilter.feasible
+    init = mapper._Walk.__init__
 
     def stepped(self, node, di, rng, picks):
-        prefixes.append(tuple(picks[:di]))
-        return step(self, node, di, rng, picks)
+        nxt = step(self, node, di, rng, picks)
+        if nxt is not None:
+            drawn.append(tuple(picks[:di + 1]))
+        return nxt
 
     def counted(self, *args):
         filtered[0] += 1
         return feasible(self, *args)
 
+    def recorded(self, *args):
+        init(self, *args)
+        walks.append(self)
+
     monkeypatch.setattr(mapper._Walk, "step", stepped)
     monkeypatch.setattr(mapper._MenuFilter, "feasible", counted)
+    monkeypatch.setattr(mapper._Walk, "__init__", recorded)
     res = mapper._search(arch, layer, SearchConfig(
         **{"budget": 200, "seed": 7, "pad_mode": "pad",
            "fixed_spatial": stencil_pins(layer, arch), **fields}))
-    assert filtered[0] == len(set(prefixes)) < len(prefixes)
+    # The rule replayed over the steps, in order: the filter runs for the
+    # root and for every incomplete prefix a step builds.
+    mapped, kept, runs, draws = {()}, set(), 1, collections.Counter()
+    for prefix in drawn:
+        draws[prefix] += 1
+        if prefix[:-1] in mapped and prefix in kept:
+            if len(prefix) < len(DIMS):
+                mapped.add(prefix)
+            continue
+        if prefix[:-1] in mapped:
+            kept.add(prefix)
+        if len(prefix) < len(DIMS):
+            runs += 1
+    assert filtered[0] == runs < len(drawn)
     assert (res.evaluation.mapping_digest, res.objective, res.visited,
             res.pruned, res.invalid) == expected
+    # The tree the search leaves is the replay's: no node drawn only once
+    # holds a children map.
+    nodes, held = set(), set()
+
+    def visit(prefix, node):
+        nodes.add(prefix)
+        if node[2] is not None:
+            held.add(prefix)
+            for pick, below in node[2].items():
+                visit(prefix + (pick,), below)
+
+    (walk,) = walks
+    visit((), walk.tree)
+    assert (nodes, held) == (kept | {()}, mapped)
+    assert all(draws[prefix] > 1 for prefix in held - {()})
+    assert len(held) > 1
 
 
 def _check_pricing(monkeypatch):
@@ -1005,6 +1057,43 @@ def test_search_prices_every_toy_candidate_as_evaluate_does(objective,
             objective=objective, strategy="exhaustive",
             keep_overrides=overrides))
     assert checked[0] > 0
+
+
+def test_the_emitted_sweep_gives_the_residencies_of_the_loops(monkeypatch):
+    # The search's entry point sweeps its drawn orders level by level from
+    # each dim's temporal row; what it gathers must be what
+    # reuse.residencies sweeps from the loops of the mapping the candidate
+    # builds. Sampled candidates of the bundled Albireo under the memory
+    # study's keep-override sets, then every toy candidate.
+    checked = [0]
+    objective = mapper._Pricer.objective
+
+    def swept(self, picks, perms, steps):
+        loops = self.mapping(picks, perms).nest.loops
+        assert self.gather(picks, perms, steps)[1] == reuse.residencies(
+            loops, len(self.arch.levels) - 1)
+        checked[0] += 1
+        return objective(self, picks, perms, steps)
+
+    monkeypatch.setattr(mapper._Pricer, "objective", swept)
+    arch = albireo.architecture("aggressive")
+    for layer, keep in itertools.product(
+            load_workload("vgg16").layers[::3]
+            + load_workload("alexnet").layers[::3], FUSED_OVERRIDES):
+        try:
+            mapper._search(arch, layer, SearchConfig(
+                budget=12, seed=11, pad_mode="pad", keep_overrides=keep,
+                fixed_spatial=stencil_pins(layer, arch)))
+        except NoValidMapping:
+            continue
+    shipped = checked[0]
+    for fanout, crossing, dims in TOY_CASES:
+        mapper._search(toy_arch(fanout, crossing), toy_layer(dims),
+                       SearchConfig(strategy="exhaustive"))
+    for bits, dims, overrides in KEEPER_CASES:
+        mapper._search(refetch_toy(bits), toy_layer(dims), SearchConfig(
+            strategy="exhaustive", keep_overrides=overrides))
+    assert 0 < shipped < checked[0]
 
 
 @pytest.mark.parametrize("workload", ["vgg16", "alexnet"])

@@ -48,6 +48,9 @@ def test_stage_split_calls_every_stage_and_restores_every_name():
     assert (out["draw_filter_steps"] == calls["draw_step"]
             == calls["feasible"] + out["tree_hits"])
     assert out["tree_hits"] > 0
+    # Each search's root holds a children map, and so does each prefix
+    # drawn again below one: fewer than the steps.
+    assert searches < out["tree_nodes"] < out["draw_filter_steps"]
     assert 0 < calls["order_table"] < calls["draw_step"]
 
 

@@ -13,7 +13,10 @@ per stage its inclusive seconds and calls; `search_self_s`, the time inside
 `mapper._search` spent outside every other stage (the per-search set-up,
 drawing loop orders and keeping the best); `draw_filter_steps`, the filter
 steps the draws take (`draw_step` calls), and `tree_hits`, those that
-reached a prefix drawn before and so called no `feasible`; and
+reached a kept prefix and so called no `feasible`;
+`tree_nodes`, the draw-tree nodes holding a children map when the passes
+end (each search's root, and each prefix drawn again below a node that
+holds one), summed over the passes' searches; and
 `limits_skipped`, the `feasible` calls that skipped `limits` because every
 chain of the dim sits at its minimum row (each `feasible` call comes with a
 `limits` call unless skipped; each `map_space_build` call calls `limits`
@@ -168,15 +171,30 @@ class StageTimer:
             setattr(owner, attr, original)
 
 
+def _held(node: tuple) -> int:
+    """The nodes at and below a draw-tree node that hold a children map."""
+
+    below = node[2]
+    return 0 if below is None else 1 + sum(map(_held, below.values()))
+
+
 def stage_split(experiment: str, seeds: list[int], budget: int) -> dict:
     timer = StageTimer()
     compiled = reuse._binder.cache_info().misses
+    walks, init = [], vars(mapper._Walk)["__init__"]
+
+    def kept(walk, *args):
+        init(walk, *args)
+        walks.append(walk)
+
     timer.install()
+    mapper._Walk.__init__ = kept
     try:
         for seed in seeds:
             experiments.run_experiment(experiments.ExperimentConfig(
                 experiment=experiment, budget=budget, seed=seed))
     finally:
+        mapper._Walk.__init__ = init
         timer.restore()
     calls = timer.calls
     return {
@@ -189,6 +207,8 @@ def stage_split(experiment: str, seeds: list[int], budget: int) -> dict:
         "draw_filter_steps": calls["draw_step"],
         # Every feasible call of a study's search is a draw's new prefix.
         "tree_hits": calls["draw_step"] - calls["feasible"],
+        "tree_nodes": sum(_held(walk.tree) for walk in walks
+                          if walk.tree is not None),
         "limits_skipped": (calls["feasible"] - calls["limits"]
                            + calls["map_space_build"]),
         "menus_per_pass": calls["map_space_build"] / len(seeds),
