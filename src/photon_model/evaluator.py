@@ -11,11 +11,13 @@ mapping uses.
 The prices, bandwidths and static powers are fixed per architecture. Over
 one set of AccessCounts keys they form a reuse.PriceProgram, each term
 keyed by the count it prices. A reuse.CountPlan's counting and its
-program's pricing run as code emitted from the two (reuse.emit), compiled
-once per layout and bound to the architecture's numbers; the plan, the
-program and the bound code are one lookup per keep-override set
-(reuse.counting). evaluate reaches it through reuse.count, which
-validates the mapping and runs the code's evaluate entry point; that
+program's pricing run as code emitted from the two (reuse.emit), one
+source per entry point, each compiled once per layout on its first use
+and bound to the architecture's numbers; the plan, the program and the
+bound code are one lookup per keep-override set (reuse.counting).
+evaluate reaches it through reuse.count, which validates the mapping and
+runs the code's evaluate entry point on what validation and the nest
+hold: the footprint tuple, the nest's loops and the mapping's levels. That
 entry point builds the AccessCounts the result holds. The mapper's search
 runs the same code's search entry point on each candidate. So the two
 price alike to the last bit: energy adds its terms in sorted key order,

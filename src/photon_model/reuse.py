@@ -51,26 +51,31 @@ with linecache, so a traceback shows its lines; it calls only the names
 HANDED gives it. The plan, the program and the code bound to the
 program's values are one Counting, kept on the architecture per
 keep-override set (counting): the one lookup counting and pricing make.
-The code has two entry points. evaluate's (`count`) takes the tile
-footprints validate_mapping returns, how often each level's tiles change
-and how many distinct Outputs tiles it holds (residencies of
-LoopNest.loops, one forward sweep, as the loops at or above a level are a
-prefix of them), the instances, the merge widths at each edge (one suffix
-product per leg over the spatial factors, CountPlan.merge_widths, which
-reuse_factors reads too) and the MAC and step counts, and returns the
-AccessCounts, which it builds itself from dict literals over the plan's
-keys, with the cycles, latency and energies. count validates a mapping,
-which gives the footprints and the real MAC count, reads the rest from
-mapping.nest and runs that entry point; analyze returns its counts, and
+The code has three entry points, each its own source, compiled when the
+Counting's entry is first read, so a process that only evaluates compiles
+no search code. evaluate's (`count`) reads what validate_mapping and the
+nest hold, in the form they hold it: the footprint tuple validation
+returns, unpacked by position in keep-table order (CountPlan.kept);
+LoopNest.loops, swept once in the text over the move table (_MOVES),
+setting how often each tiled level's tiles change and how many distinct
+Outputs tiles it holds where the loops leave that level (the loops at or
+above a level are a prefix of them); the mapping's levels, whose spatial
+factors it multiplies into each merging slot's width as
+CountPlan.merge_widths does; the instances and the MAC and step counts.
+It returns the AccessCounts, which it builds itself from dict literals
+over the plan's keys, with the cycles, latency and energies. count
+validates a mapping, which gives the footprints and the real MAC count,
+and runs that entry point; analyze returns its counts, and
 evaluator.evaluate's result holds them. The search's entry point, bound
 per search (mapper._Pricer), gathers the same arguments from a
-candidate's picked chains itself, sweeping its drawn loop orders level
-by level in the text as residencies sweeps loops (over the same move
-table, _MOVES, and building no list of loops), and returns only its
-objective. The oracle shares nothing with this module: not the legs, the
-plan or the emitted code. The count containers (AccessCounts,
-LevelCounts) are spec_model's, as every engine returns them; the emitted
-text and the oracle are the only code that builds them.
+candidate's picked chains itself, with its merge widths from
+CountPlan.merge_widths, sweeping its drawn loop orders level by level in
+the text over the same move table (building no list of loops), and
+returns only its objective; its gather, which only tests read, returns
+count's arguments for the candidate. The oracle shares nothing with this
+module: not the legs, the plan or the emitted code. The count containers
+(AccessCounts, LevelCounts) are spec_model's, as every engine returns
+them; the emitted text and the oracle are the only code that builds them.
 """
 
 from __future__ import annotations
@@ -99,6 +104,7 @@ from .spec_model import (
     Layer,
     LevelCounts,
     Mapping,
+    _lazy,
     merge_dims,
     override_key,
     validate_mapping,
@@ -129,42 +135,9 @@ class ReuseFactor:
 
 
 # Per dim, the bits of the tensors whose tile it moves: Weights, Inputs
-# and Outputs, in that order.
+# and Outputs, in that order. The emitted sweeps read it as `moves`.
 _MOVES = {d: sum(1 << k for k, t in enumerate((WEIGHTS, INPUTS, OUTPUTS))
                  if d in TENSOR_DIMS[t]) for d in DIMS}
-
-
-def residencies(loops: Sequence[tuple[int, str, int]],
-                levels: int) -> list[tuple[int, int, int, int]]:
-    """Per level below `levels`, in one forward sweep over the loops: the
-    times the Weights, Inputs and Outputs tiles there change over the walk,
-    counting the initial fill, and the distinct Outputs tiles. A tile
-    changes with the product of loop extents at or outside the innermost
-    loop at or above its level whose dim moves it (none when it never
-    changes), because any of them advancing resets or moves it; its
-    distinct tiles are the product of the extents of every such loop. The
-    loops run outermost level first, so those at or above a level are a
-    prefix of them."""
-
-    out = []
-    weights = inputs = outputs = distinct = span = 1
-    for level, d, e in loops:
-        if level >= levels:
-            break
-        while len(out) < level:
-            out.append((weights, inputs, outputs, distinct))
-        span *= e
-        moves = _MOVES[d]
-        if moves & 1:
-            weights = span
-        if moves & 2:
-            inputs = span
-        if moves & 4:
-            outputs = span
-            distinct *= e
-    while len(out) < levels:
-        out.append((weights, inputs, outputs, distinct))
-    return out
 
 
 class Crossing(NamedTuple):
@@ -209,15 +182,18 @@ class CountPlan:
     None where validation forbids a refetch into the hop's inner keeper
     (ValidationPlan.forbidden): every valid mapping refetches 0 there. A
     leg's inner level names the tile size its hop counts. leg_at maps each
-    edge key to (leg, position). tiled holds, per level whose tiles
-    counting reads, the tensors whose footprints it reads there: the keys
-    the emitted code looks up. merging holds, per leg with a crossing
+    edge key to (leg, position). kept names, as (level, tensor), each
+    position of the footprint tuple validate_mapping returns: the keep
+    table's rows, each row's tensors in its order. tiled holds, per level
+    whose tiles counting reads, the tensors whose footprints it reads
+    there. merging holds, per leg with a crossing
     whose mesh merges, its crossings innermost first as (edge slot, level,
     merged dims), which merge_widths reads.
     """
 
     compute: int
     level_keys: tuple[tuple[int, str], ...]
+    kept: tuple[tuple[int, str], ...]
     conversion_keys: tuple[tuple[str, str], ...]
     edges: tuple[tuple[int, str, str], ...]
     tiled: tuple[tuple[int, tuple[str, ...]], ...]
@@ -269,6 +245,8 @@ class CountPlan:
             compute=compute,
             level_keys=tuple((i, t) for i, kept, _, _ in keeps.capacity
                              for t in TENSORS if t in kept),
+            kept=tuple((i, t) for i, kept, _, _ in keeps.capacity
+                       for t in kept),
             conversion_keys=tuple((cv.name, t) for cv in arch.converters
                                   for t in cv.tensors),
             edges=tuple(c.key for lg in legs for c in lg.crossings),
@@ -421,43 +399,54 @@ class PriceProgram:
 # else, so no rule of spec_model is called from the text (tile_values and
 # validate_mapping stay with their callers, and the search's memos call
 # them on a miss), evaluate's entry point builds the AccessCounts itself,
-# from the count containers, and the search's sweeps its loop orders over
-# residencies' move table.
+# from the count containers, and every sweep of loops reads _MOVES.
 HANDED = {"AssertionError": AssertionError, "divmod": divmod, "sum": sum,
           "float": float, "ceil": math.ceil, "moves": _MOVES,
           "AccessCounts": AccessCounts, "LevelCounts": LevelCounts}
 
 
-def emit(plan: CountPlan, program: PriceProgram) -> str:
-    """The source of a plan's counting and pricing, straight-line: every
-    leg unrolled into locals, in one order (operands' legs innermost
-    first, the output stream, then each drain and its refetch), which
-    decides the collapse check that fails first, and cycles and each
-    accumulator's energy added in PriceProgram's term order, so every
-    float sums as PriceProgram.energy sums it. The text reads only the
-    plan's keys and edge slots and the program's terms, each naming the
-    counter it reads by its key; every price, bandwidth and the clock is a
-    name bound by `bind(values)` (PriceProgram.values), so architectures
-    that differ only in numbers share one source.
+def emit(plan: CountPlan, program: PriceProgram, entry: str) -> str:
+    """The source of one entry point of a plan's counting and pricing,
+    straight-line: every leg unrolled into locals, in one order (operands'
+    legs innermost first, the output stream, then each drain and its
+    refetch), which decides the collapse check that fails first, and
+    cycles and each accumulator's energy added in PriceProgram's term
+    order, so every float sums as PriceProgram.energy sums it. The text
+    reads only the plan's keys, footprint positions and edge slots and
+    the program's terms, each naming the counter it reads by its key;
+    every price, bandwidth and the clock is a name bound by `bind(values)`
+    (PriceProgram.values), so architectures that differ only in numbers
+    share one source. Each entry is its own source, so a process compiles
+    only the entries it reads (Counting).
 
-    `bind` returns two entry points. `count(footprints, resident,
-    instances, widths, macs, steps, real)`, evaluate's, takes what
-    validate_mapping and the nest fix (resident is residencies of
-    nest.loops, widths CountPlan.merge_widths) and returns the
-    AccessCounts, cycles, latency and the energy in pJ per component
-    name, in PriceProgram.names order. It builds both from dict literals
-    over constant keys: the plan's, in level_keys, conversion_keys and
-    edges order, and the component names. `search(tables, columns,
-    by_rows, objective)` binds the search's to one search's chain tables
-    (one per dim, in DIMS order), its footprint memo per tiled level (each
-    column of extents to the level's tensors' tile values) and its memo of
-    (instances, merge widths) per tuple of spatial rows, and returns
-    `price(picks, perms, steps)`, the candidate's objective, and `gather`,
-    which returns the arguments `count` takes for the same candidate.
-    Both sweep the drawn orders `perms` in the text, one loop per level
-    above compute over its dims' temporal factors there, as residencies
-    sweeps the loops those orders give; `gather` also records each
-    level's sweep as `resident`.
+    `bind` returns the entry:
+    * "count", evaluate's: `count(footprints, loops, levels, instances,
+      macs, steps, real)` takes what validate_mapping and the nest hold as
+      they hold them: the footprint tuple, unpacked by position
+      (CountPlan.kept); LoopNest.loops, swept once in the text, which sets
+      each tiled level's tile changes and distinct Outputs tiles as locals
+      where the loops leave that level and stops past the last tiled
+      level; and the mapping's levels, whose spatial factors, read by
+      membership and subscript, the text multiplies into each merging
+      slot's width as CountPlan.merge_widths does. It returns the
+      AccessCounts, cycles, latency and the energy in pJ per component
+      name, in PriceProgram.names order, building both from dict literals
+      over constant keys: the plan's, in level_keys, conversion_keys and
+      edges order, and the component names.
+    * "search": `search(tables, columns, by_rows, objective)` binds the
+      search's to one search's chain tables (one per dim, in DIMS order),
+      its footprint memo per tiled level (each column of extents to the
+      level's tensors' tile values) and its memo of (instances, merge
+      widths) per tuple of spatial rows, and returns `price(picks, perms,
+      steps)`, the candidate's objective. It sweeps the drawn orders
+      `perms` in the text, one loop per level above compute over its dims'
+      temporal factors there, as count sweeps the loops those orders give.
+    * "gather": `search(tables, columns, by_rows)` returns `gather(picks,
+      perms, steps)`, which runs price's sweep for the same candidate and
+      returns the arguments count takes (footprints count does not read
+      are None, and levels are the spatial factors per level as dicts)
+      with the sweep's per-level residencies: what tests check the search
+      against.
 
     Each keeper is the outer end of at most one leg per tensor and
     direction, and each converter bank converts at one edge in one
@@ -474,13 +463,27 @@ def emit(plan: CountPlan, program: PriceProgram) -> str:
     edges order."""
 
     compute = plan.compute
-    merged = set()
+    tiled = dict(plan.tiled)
+    # Per slot whose mesh merges, its width's name in count's text, and
+    # the lines there that multiply each from the mapping's levels'
+    # spatial factors as CountPlan.merge_widths does: the merged dims'
+    # factors at its edge and at every deeper edge of its leg.
+    merged: dict[int, str] = {}
+    multiplied: list[str] = []
     for crossings in plan.merging:
-        merging = False
-        for slot, _, dims in crossings:
-            merging = merging or bool(dims)
-            if merging:
-                merged.add(slot)
+        width = ""
+        for slot, j, dims in crossings:
+            if dims:
+                line = f"spatial{j} = levels[{j}].spatial"
+                if line not in multiplied:
+                    multiplied.append(line)
+                multiplied.append(f"w{slot} = " + " * ".join(
+                    ([width] if width else [])
+                    + [f"(spatial{j}[{d!r}] if {d!r} in spatial{j} else 1)"
+                       for d in dims]))
+                width = f"w{slot}"
+            if width:
+                merged[slot] = width
 
     def table(terms: dict) -> str:
         """A dict literal of each constant key to its term's name."""
@@ -488,11 +491,13 @@ def emit(plan: CountPlan, program: PriceProgram) -> str:
         return ("{" + ", ".join(f"{key!r}: {term}"
                                 for key, term in terms.items()) + "}")
 
-    def body(record: bool) -> tuple[list[str], dict, dict]:
-        """The counting lines, then the name of every level counter
-        (reads, fills, updates and drains, as LevelCounts orders them, per
-        level key) and every conversion counter, per conversion key; with
-        `record`, also the lines that build the AccessCounts, `counts`."""
+    def body(record: bool, width: Callable[[int], str]
+             ) -> tuple[list[str], dict, dict]:
+        """The counting lines, each merging slot's width named by
+        `width`, then the name of every level counter (reads, fills,
+        updates and drains, as LevelCounts orders them, per level key) and
+        every conversion counter, per conversion key; with `record`, also
+        the lines that build the AccessCounts, `counts`."""
 
         lines: list[str] = []
         levels = {key: ["0"] * 4 for key in plan.level_keys}
@@ -511,10 +516,10 @@ def emit(plan: CountPlan, program: PriceProgram) -> str:
             for slot, c in enumerate(leg.crossings, leg.first):
                 n = base
                 if slot in merged:
-                    n = f"n{slot}"
-                    lines.append(f"{n}, rest = divmod({base}, widths[{slot}])")
+                    n, w = f"n{slot}", width(slot)
+                    lines.append(f"{n}, rest = divmod({base}, {w})")
                     lines.append(f"if rest: raise AssertionError(f\"inexact "
-                                 f"collapse {{{base}}}/{{widths[{slot}]}}\")")
+                                 f"collapse {{{base}}}/{{{w}}}\")")
                 names.append(n)
                 if c.conversion is not None:
                     conversions[c.conversion] = n
@@ -619,8 +624,31 @@ def emit(plan: CountPlan, program: PriceProgram) -> str:
                 f"energies = {table(dict(zip(program.names, accumulators)))}")
         return lines
 
-    instances = (f"{', '.join(f'inst{j}' for j in range(compute + 1))}, "
-                 "= instances")
+    def captured(j: int) -> list[str]:
+        """Tiled level j's tile changes and distinct Outputs tiles, set
+        from the sweep's running locals, one per tensor, named for it."""
+
+        lines = [f"tc_{t}{j} = {t.lower()}" for t in tiled[j]]
+        if OUTPUTS in tiled[j]:
+            lines.append(f"distinct{j} = distinct")
+        return lines
+
+    # One loop's move of the sweep: a tile changes with the product of
+    # loop extents at or outside the innermost loop at or above its level
+    # whose dim moves it, and its distinct tiles are the product of the
+    # extents of every such loop.
+    moved = ["span *= e",
+             "moved = moves[d]",
+             "if moved & 1: weights = span",
+             "if moved & 2: inputs = span",
+             "if moved & 4:",
+             "    outputs = span",
+             "    distinct *= e"]
+    start = "weights = inputs = outputs = distinct = span = 1"
+
+    def block(lines: list[str], depth: int) -> str:
+        return "".join(f"{'    ' * depth}{line}\n" for line in lines)
+
     values = [*(f"{p}{k}" for k in range(len(program.levels))
                 for p in ("read", "write", "update")),
               *(f"convert{k}" for k in range(len(program.conversions))),
@@ -629,14 +657,43 @@ def emit(plan: CountPlan, program: PriceProgram) -> str:
               *(f"bandwidth{k}" for k in range(len(program.transfers))),
               *(f"rate{k}" for k in range(len(program.rates))),
               "hz"]
+    bound = f"def bind(values):\n    {', '.join(values)}, = values\n\n"
+    instances = (f"{', '.join(f'inst{j}' for j in range(compute + 1))}, "
+                 "= instances")
 
-    counting, level, conversion = body(True)
-    evaluate = [f"foot_{t}{j} = footprints[{j}, {t!r}]"
-                for j, ts in plan.tiled for t in ts]
-    evaluate += [f"{', '.join(f'tc_{t}{j}' for t in TENSORS)}, distinct{j} "
-                 f"= resident[{j}]" for j, _ in plan.tiled]
-    evaluate += [instances] + counting + priced(level, conversion, False)
-    evaluate.append("return counts, cycles, latency, energies")
+    # The footprints counting reads, by (level, tensor).
+    read = {(j, t) for j, ts in plan.tiled for t in ts}
+    if entry == "count":
+        lines = []
+        if plan.tiled:
+            lines.append(", ".join(f"foot_{t}{j}" if (j, t) in read else "_"
+                                   for j, t in plan.kept) + ", = footprints")
+            # The loops run outermost level first and `level` is the one
+            # the sweep is in: entering a deeper one sets every tiled level
+            # left on the way, and past the last tiled level nothing more
+            # is read. Levels the loops never leave are set at the end.
+            last = plan.tiled[-1][0]
+            lines += [start, "level = 0", "for j, d, e in loops:",
+                      "    if j > level:"]
+            for j in tiled:
+                lines.append(f"        if level <= {j} < j:")
+                lines += [f"            {line}" for line in captured(j)]
+            lines += [f"        if j > {last}: break", "        level = j"]
+            lines += [f"    {line}" for line in moved]
+            lines.append("else:")
+            for j in tiled:
+                if j == last:
+                    lines += [f"    {line}" for line in captured(j)]
+                else:
+                    lines.append(f"    if level <= {j}:")
+                    lines += [f"        {line}" for line in captured(j)]
+        lines += [instances, *multiplied]
+        counting, levels, conversions = body(True, merged.__getitem__)
+        lines += counting + priced(levels, conversions, False)
+        lines.append("return counts, cycles, latency, energies")
+        return (bound + "    def count(footprints, loops, levels, instances,"
+                " macs, steps, real):\n" + block(lines, 2)
+                + "\n    return count\n")
 
     rows = range(len(DIMS))
     gather = [f"{', '.join(f'p{d}' for d in rows)}, = picks",
@@ -654,28 +711,17 @@ def emit(plan: CountPlan, program: PriceProgram) -> str:
                   + "}")
 
     def sweep(record: bool) -> list[str]:
-        """residencies over the drawn orders, one loop per level above
+        """The sweep over the drawn orders, one loop per level above
         compute, each reading its dims' temporal factors there: the tiled
         levels' tile changes and distinct Outputs tiles as locals, and
         with `record` every level's as the list `resident`."""
 
-        # One local per tensor, named for it, as in residencies.
-        lines = ["weights = inputs = outputs = distinct = span = 1"]
-        tiled = dict(plan.tiled)
+        lines = [start]
         for j in range(compute):
-            lines += [f"for d in perms[{j}]:",
-                      f"    e = time[d][{j}]",
-                      "    span *= e",
-                      "    moved = moves[d]",
-                      "    if moved & 1: weights = span",
-                      "    if moved & 2: inputs = span",
-                      "    if moved & 4:",
-                      "        outputs = span",
-                      "        distinct *= e"]
-            for t in tiled.get(j, ()):
-                lines.append(f"tc_{t}{j} = {t.lower()}")
-                if t == OUTPUTS:
-                    lines.append(f"distinct{j} = distinct")
+            lines += [f"for d in perms[{j}]:", f"    e = time[d][{j}]"]
+            lines += [f"    {line}" for line in moved]
+            if j in tiled:
+                lines += captured(j)
             if record:
                 lines.append(f"at{j} = weights, inputs, outputs, distinct")
         if record:
@@ -683,42 +729,43 @@ def emit(plan: CountPlan, program: PriceProgram) -> str:
                          f"{', '.join(f'at{j}' for j in range(compute))}]")
         return lines
 
-    counting, level, conversion = body(False)
-    price = (gather + sweep(False) + [instances] + counting
-             + priced(level, conversion, True))
-    price += ["total = sum(energies)",
-              "return total * latency if edp else total"]
-    footprints = ", ".join(f"({j}, {t!r}): foot_{t}{j}"
-                           for j, ts in plan.tiled for t in ts)
-    gather += sweep(True)
-    gather.append(f"return {{{footprints}}}, resident, instances, widths, "
-                  "macs, steps, real")
-
-    def block(lines: list[str], depth: int) -> str:
-        return "".join(f"{'    ' * depth}{line}\n" for line in lines)
-
     tables = ", ".join(f"(extents{d}, spatials{d}, temporals{d}, reals{d})"
                        for d in rows)
     columns = ", ".join(f"columns{i}" for i in range(len(plan.tiled)))
-    return (
-        "def bind(values):\n"
-        f"    {', '.join(values)}, = values\n\n"
-        "    def count(footprints, resident, instances, widths, macs, steps,"
-        " real):\n"
-        + block(evaluate, 2) + "\n"
-        "    def search(tables, columns, by_rows, objective):\n"
-        f"        {tables}, = [\n"
-        "            (t.extents, t.spatial, t.temporal, t.real) "
-        "for t in tables]\n"
-        + (f"        {columns}, = columns\n" if plan.tiled else "")
-        + "        delay = objective == 'delay'\n"
-        "        edp = objective == 'energy_delay_product'\n\n"
-        "        def price(picks, perms, steps):\n"
-        + block(price, 3) + "\n"
-        "        def gather(picks, perms, steps):\n"
-        + block(gather, 3) + "\n"
-        "        return price, gather\n\n"
-        "    return count, search\n")
+    unpacked = (f"        {tables}, = [\n"
+                "            (t.extents, t.spatial, t.temporal, t.real) "
+                "for t in tables]\n"
+                + (f"        {columns}, = columns\n" if plan.tiled else ""))
+    if entry == "search":
+        counting, levels, conversions = body(False, "widths[{}]".format)
+        lines = (gather + sweep(False) + [instances] + counting
+                 + priced(levels, conversions, True))
+        lines += ["total = sum(energies)",
+                  "return total * latency if edp else total"]
+        return (bound + "    def search(tables, columns, by_rows, "
+                "objective):\n" + unpacked
+                + "        delay = objective == 'delay'\n"
+                "        edp = objective == 'energy_delay_product'\n\n"
+                "        def price(picks, perms, steps):\n"
+                + block(lines, 3) + "\n        return price\n\n"
+                "    return search\n")
+
+    assert entry == "gather", entry
+    footprints = "".join(f"foot_{t}{j}, " if (j, t) in read else "None, "
+                         for j, t in plan.kept)
+    loops = ", ".join(f"*(({j}, d, time[d][{j}]) for d in perms[{j}])"
+                      for j in range(compute + 1))
+    spatial = ", ".join(
+        "{" + ", ".join(f"{name!r}: spatials{d}[p{d}][{j - 1}]"
+                        for d, name in enumerate(DIMS)) + "}"
+        for j in range(1, compute + 1))
+    lines = gather + sweep(True) + [
+        f"return (({footprints}), ({loops},), ({{}}, {spatial}), "
+        "instances, macs, steps, real), resident"]
+    return ("def bind(values):\n\n    def search(tables, columns, by_rows):\n"
+            + unpacked + "\n        def gather(picks, perms, steps):\n"
+            + block(lines, 3) + "\n        return gather\n\n"
+            "    return search\n")
 
 
 @functools.cache
@@ -736,25 +783,40 @@ def _binder(source: str) -> Callable:
     return namespace["bind"]
 
 
-class Counting(NamedTuple):
+class Counting:
     """What counting and pricing read under one keep-override set of an
-    architecture (counting): the CountPlan, its PriceProgram, and the two
-    entry points of the code emitted from them (emit), bound to the
-    program's values: `count` is evaluate's and `search` binds the
-    search's."""
+    architecture (counting): the CountPlan, its PriceProgram, and the
+    three entry points of the code emitted from them (emit), each compiled
+    and bound to the program's values on its first read: `count` is
+    evaluate's, `search` binds the search's and `gather` the tests'. So a
+    process that only evaluates compiles no search code, and a search no
+    gather."""
 
-    plan: CountPlan
-    program: PriceProgram
-    count: Callable
-    search: Callable
+    def __init__(self, arch: Architecture,
+                 keep_overrides: dict[int, tuple[str, ...]]):
+        self.plan = plan = CountPlan.of(arch, keep_overrides)
+        self.program = PriceProgram.of(arch, plan.level_keys,
+                                       plan.conversion_keys)
+
+    @_lazy
+    def count(self) -> Callable:
+        return _counting(self, "count")
+
+    @_lazy
+    def search(self) -> Callable:
+        return _counting(self, "search")
+
+    @_lazy
+    def gather(self) -> Callable:
+        return _counting(self, "gather")
 
 
-def _counting(arch: Architecture,
-              keep_overrides: dict[int, tuple[str, ...]]) -> Counting:
-    plan = CountPlan.of(arch, keep_overrides)
-    program = PriceProgram.of(arch, plan.level_keys, plan.conversion_keys)
-    return Counting(plan, program,
-                    *_binder(emit(plan, program))(program.values()))
+def _counting(kept: Counting, entry: str) -> Callable:
+    """The entry point `entry` of a Counting's emitted code, bound to its
+    program's values."""
+
+    return _binder(emit(kept.plan, kept.program, entry))(
+        kept.program.values())
 
 
 def counting(arch: Architecture, keep_overrides: dict[int, tuple[str, ...]],
@@ -765,24 +827,22 @@ def counting(arch: Architecture, keep_overrides: dict[int, tuple[str, ...]],
 
     if key is None:
         key = override_key(keep_overrides)
-    return arch.derived(("counting", key), _counting, arch, keep_overrides)
+    return arch.derived(("counting", key), Counting, arch, keep_overrides)
 
 
 def count(arch: Architecture, layer: Layer, mapping: Mapping
           ) -> tuple[AccessCounts, int, float, dict[str, float]]:
     """Validate the mapping (validate_mapping), then run its plan's
-    emitted count (counting) on the nest, from the footprints and the
-    real MAC count validation returns: the AccessCounts, the cycles, the
-    latency, and the energy in pJ per component name, in sorted name
-    order."""
+    emitted count (counting) on what validation and the nest hold: the
+    footprints and the real MAC count validation returns, the nest's
+    loops and instances, and the mapping's levels. Returns the
+    AccessCounts, the cycles, the latency, and the energy in pJ per
+    component name, in sorted name order."""
 
     footprints, real = validate_mapping(mapping, layer, arch)
-    plan, _, entry, _ = counting(arch, mapping.keep_overrides,
-                                 mapping.keep_key)
     nest = mapping.nest
-    return entry(
-        footprints, residencies(nest.loops, plan.compute), nest.instances,
-        plan.merge_widths([lm.spatial for lm in mapping.levels]),
+    return counting(arch, mapping.keep_overrides, mapping.keep_key).count(
+        footprints, nest.loops, mapping.levels, nest.instances,
         nest.steps * nest.instances[-1], nest.steps, real)
 
 

@@ -860,18 +860,30 @@ def validation_plan(arch: Architecture,
     """The ValidationPlan of the architecture under the keep overrides,
     kept on the architecture per override set; `key` is their
     override_key, when the caller holds it (Mapping.keep_key). Building it
-    raises MappingError FactorMismatch unless each override names a level
-    and drops tensors it keeps, never adds one, and then (naming the
-    tensor) unless some storage level keeps each tensor. An override set
-    that fails raises on every call, as nothing is kept for it."""
+    raises MappingError FactorMismatch unless each override's key is a
+    level index (an int, not a bool) of the architecture and its value a
+    tuple or list of tensor names that drops tensors the level keeps,
+    never adds one, and then (naming the tensor) unless some storage level
+    keeps each tensor. An override set that fails raises on every call, as
+    nothing is kept for it."""
 
     def build():
         for i, ov in keep_overrides.items():
+            if type(i) is not int:
+                raise MappingError("FactorMismatch",
+                                   f"keep override key {i!r} is not a "
+                                   "level index")
             if not 0 <= i < len(arch.levels):
                 raise MappingError("FactorMismatch",
                                    f"keep override for level {i}; the "
                                    f"architecture has {len(arch.levels)} "
                                    "levels")
+            if (type(ov) not in (tuple, list)
+                    or not all(type(t) is str for t in ov)):
+                raise MappingError("FactorMismatch",
+                                   f"keep override at {arch.levels[i].name!r}"
+                                   f" is {ov!r}, not a list of tensor names",
+                                   level=arch.levels[i].name)
             if not set(ov) <= set(arch.levels[i].keeps):
                 raise MappingError("FactorMismatch",
                                    f"keep override at {arch.levels[i].name!r} "
@@ -924,7 +936,7 @@ def leads(order: Iterable[str], dims: frozenset) -> bool:
 
 
 def validate_mapping(mapping: Mapping, layer: Layer, arch: Architecture
-                     ) -> tuple[dict[tuple[int, str], int], int]:
+                     ) -> tuple[tuple[int, ...], int]:
     """Raise MappingError unless the mapping is valid for (layer, arch).
 
     Checks, in this order: the level count and batch size; every factor
@@ -935,10 +947,12 @@ def validate_mapping(mapping: Mapping, layer: Layer, arch: Architecture
     against kept-tile footprints; and, last, that the loops at or above
     each refetch-forbidden keeper (ValidationPlan.forbidden) lead (leads).
 
-    Returns the footprints the capacity check computed, the tile_values
-    of each (level, tensor) of the plan's capacity rows at the level's
-    LoopNest tile, and the real MAC count, the product of the bounds. The
-    counting reads both (reuse.count) instead of computing them again.
+    Returns the footprints the capacity check computed, as a tuple in
+    keep-table order: the tile_values of each tensor of each of the plan's
+    capacity rows, in the row's order, at the level's LoopNest tile
+    (CountPlan.kept names each position); and the real MAC count, the
+    product of the bounds. The counting reads both (reuse.count) instead
+    of computing them again.
     """
 
     levels = mapping.levels
@@ -999,15 +1013,17 @@ def validate_mapping(mapping: Mapping, layer: Layer, arch: Architecture
                     dim=d, tensor=t, level=arch.levels[origin].name)
 
     bits = layer.bits
-    footprints = {}
+    footprints = []
     for i, keeps, capacity, name in plan.capacity:
         tile = tiles[i]
         total = 0
         for t in keeps:
-            values = footprints[i, t] = tile_values(layer, tile, t)
+            values = tile_values(layer, tile, t)
+            footprints.append(values)
             total += values * bits[t]
         if total > capacity:
-            worst = max(keeps, key=lambda t: (footprints[i, t] * bits[t], t))
+            row = dict(zip(keeps, footprints[-len(keeps):]))
+            worst = max(keeps, key=lambda t: (row[t] * bits[t], t))
             raise MappingError(
                 "CapacityExceeded",
                 f"level {name!r} needs {total} bits for {sorted(keeps)}, "
@@ -1020,7 +1036,7 @@ def validate_mapping(mapping: Mapping, layer: Layer, arch: Architecture
                                f"{t} refetched into level {name!r} "
                                "with no descending converter",
                                tensor=t, level=name)
-    return footprints, math.prod(bounds.values())
+    return tuple(footprints), math.prod(bounds.values())
 
 
 # ============================================================================

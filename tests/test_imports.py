@@ -158,10 +158,10 @@ def test_one_kept_lookup_per_keep_override_set():
 
 
 def _emitted_sources() -> dict[str, str]:
-    """The source emitted for every shipped layout (both profiles, and
-    each reuse_sweep axis widened, under no override and the fused pairs'
-    keep overrides) and every toy plan (the refetch toy under the same
-    overrides), keyed by a name for each."""
+    """The source of each entry point emitted for every shipped layout
+    (both profiles, and each reuse_sweep axis widened, under no override
+    and the fused pairs' keep overrides) and every toy plan (the refetch
+    toy under the same overrides), keyed by a name for each."""
 
     shipped = {profile: albireo.architecture(profile)
                for profile in ("aggressive", "conservative")}
@@ -177,8 +177,10 @@ def _emitted_sources() -> dict[str, str]:
               for keep in fused]
     out = {}
     for name, arch, keep in plans:
-        plan, program, _, _ = reuse.counting(arch, keep)
-        out[name] = reuse.emit(plan, program)
+        kept = reuse.counting(arch, keep)
+        for entry in ("count", "search", "gather"):
+            out[f"{name} {entry}"] = reuse.emit(kept.plan, kept.program,
+                                                entry)
     return out
 
 

@@ -47,7 +47,7 @@ from photon_model.workloads import load_workload
 
 import toys
 from randgen import random_instance
-from toys import refetch_toy
+from toys import refetch_toy, residencies
 
 
 def test_divisors():
@@ -1027,7 +1027,7 @@ def _check_pricing(monkeypatch):
         value = objective(self, picks, perms, steps)
         mapping = self.mapping(picks, perms)
         counts = analyze(self.arch, self.layer, mapping)
-        gathered = self.gather(picks, perms, steps)
+        gathered, _ = self.gather(picks, perms, steps)
         assert reuse.counting(self.arch, self.cfg.keep_overrides).count(
             *gathered)[0] == counts
         ev = evaluate(self.arch, self.layer, mapping)
@@ -1061,16 +1061,16 @@ def test_search_prices_every_toy_candidate_as_evaluate_does(objective,
 
 def test_the_emitted_sweep_gives_the_residencies_of_the_loops(monkeypatch):
     # The search's entry point sweeps its drawn orders level by level from
-    # each dim's temporal row; what it gathers must be what
-    # reuse.residencies sweeps from the loops of the mapping the candidate
-    # builds. Sampled candidates of the bundled Albireo under the memory
-    # study's keep-override sets, then every toy candidate.
+    # each dim's temporal row; what its gather records must be what the
+    # reference residencies sweeps from the loops of the mapping the
+    # candidate builds. Sampled candidates of the bundled Albireo under
+    # the memory study's keep-override sets, then every toy candidate.
     checked = [0]
     objective = mapper._Pricer.objective
 
     def swept(self, picks, perms, steps):
         loops = self.mapping(picks, perms).nest.loops
-        assert self.gather(picks, perms, steps)[1] == reuse.residencies(
+        assert self.gather(picks, perms, steps)[1] == residencies(
             loops, len(self.arch.levels) - 1)
         checked[0] += 1
         return objective(self, picks, perms, steps)

@@ -110,6 +110,21 @@ FAULTS = {
     "override-past-the-levels": (
         _with(keep_overrides={3: (WEIGHTS,)}),
         ("FactorMismatch", None, None, None)),
+    # An override's key is a level index and its value a list of tensor
+    # names: a string, float or bool key, or a bare string value, is no
+    # override (a hand-built Mapping reaches validation unparsed).
+    "override-key-a-string": (
+        _with(keep_overrides={"0": (WEIGHTS, INPUTS)}),
+        ("FactorMismatch", None, None, None)),
+    "override-key-a-float": (
+        _with(keep_overrides={0.0: (WEIGHTS, INPUTS)}),
+        ("FactorMismatch", None, None, None)),
+    "override-key-a-bool": (
+        _with(keep_overrides={True: (WEIGHTS,)}),
+        ("FactorMismatch", None, None, None)),
+    "override-a-string": (
+        _with(keep_overrides={0: WEIGHTS}),
+        ("FactorMismatch", None, "store", None)),
     "override-leaves-a-tensor-unkept": (
         _with(keep_overrides={0: (WEIGHTS, INPUTS), 1: (WEIGHTS, INPUTS)}),
         ("FactorMismatch", None, None, OUTPUTS)),

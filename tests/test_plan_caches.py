@@ -125,14 +125,16 @@ def test_one_source_is_compiled_per_layout():
     # architecture's prices, bandwidths and clock as values: the bundled
     # Albireo, a reuse_sweep geometry point and a copy with scaled
     # energies share one source, and a fused pair's keep override lays
-    # out other counts. Compiles are counted through the emitter's cache.
+    # out other counts. Compiles are counted through the emitter's cache,
+    # one source per entry point read: a search compiles the search's,
+    # and evaluating its winner evaluate's.
     reuse._binder.cache_clear()
 
     def compiled():
         return reuse._binder.cache_info().misses
 
     a, mapping = _searched()
-    assert compiled() == 1
+    assert compiled() == 2
     point = albireo.architecture(ao_per_ae_weight=2)
     search(point, LAYER, SearchConfig(budget=20, seed=7, pad_mode="pad",
                                       fixed_spatial=stencil_pins(LAYER,
@@ -141,11 +143,36 @@ def test_one_source_is_compiled_per_layout():
     assert (evaluate(scaled, LAYER, mapping)
             == evaluate(_fresh(scaled), LAYER, mapping)
             != evaluate(a, LAYER, mapping))
-    assert compiled() == 1
+    assert compiled() == 2
     assert len({counting(arch, {}).count
                 for arch in (a, point, scaled)}) == 3
-    counting(a, {0: (WEIGHTS, INPUTS)})
-    assert compiled() == 2
+    counting(a, {0: (WEIGHTS, INPUTS)}).count
+    assert compiled() == 3
+
+
+def test_each_entry_point_is_compiled_on_first_read(monkeypatch):
+    # Evaluating a mapping emits and compiles evaluate's entry point
+    # alone; a search emits the search's and, for its winner, evaluate's,
+    # and never the tests' gather.
+    emitted = []
+    emit = reuse.emit
+
+    def recorded(plan, program, entry):
+        emitted.append(entry)
+        return emit(plan, program, entry)
+
+    monkeypatch.setattr(reuse, "emit", recorded)
+    _, mapping = _searched()
+    assert emitted == ["search", "count"]
+    reuse._binder.cache_clear()
+    emitted.clear()
+    arch = albireo.architecture("aggressive")
+    evaluate(arch, LAYER, mapping)
+    evaluate(arch, LAYER, mapping)
+    assert emitted == ["count"]
+    assert reuse._binder.cache_info().misses == 1
+    assert {"count", "search", "gather"} & set(vars(counting(arch, {}))) == {
+        "count"}
 
 
 @pytest.mark.parametrize("edit, moves", [

@@ -1,6 +1,7 @@
 """Analytical count checks. Golden constants were frozen from the
 loop-nest interpreter (simulate) running the same instances."""
 
+import itertools
 import sys
 import traceback
 from dataclasses import replace
@@ -9,13 +10,12 @@ import pytest
 
 from photon_model import albireo, spec_model
 from photon_model.evaluator import evaluate
-from photon_model.mapper import SearchConfig, search
+from photon_model.mapper import NoValidMapping, SearchConfig, search
 from photon_model.oracle import simulate
 from photon_model.reuse import (
     LevelCounts,
     analyze,
     counting,
-    residencies,
     reuse_factors,
 )
 from photon_model.spec_model import (
@@ -28,12 +28,14 @@ from photon_model.spec_model import (
     MappingError,
     Mesh,
     stencil_pins,
+    tile_values,
     validate_mapping,
     validation_plan,
 )
 from photon_model.workloads import load_workload
 
 import toys
+from toys import residencies
 
 
 def test_store_feeding_mac_directly():
@@ -88,19 +90,18 @@ def test_an_inexact_collapse_fails_at_its_emitted_line():
                                                "P": 4, "Q": 4}),
                         LevelMapping(spatial={"K": 4})))
     footprints, real = validate_mapping(m, layer, arch)
-    plan, _, entry, _ = counting(arch, {})
+    kept = counting(arch, {})
     nest = m.nest
-    widths = plan.merge_widths([lm.spatial for lm in m.levels])
-    slot = plan.edges.index((1, "Inputs", "down"))
-    assert widths[slot] == 4
-    args = (footprints, residencies(nest.loops, plan.compute),
-            nest.instances, widths, 1152, nest.steps, real)
-    assert entry(*args)[0].edge_crossings[(1, "Inputs", "down")] == 288
-    widths[slot] = 5
+    slot = kept.plan.edges.index((1, "Inputs", "down"))
+    assert kept.plan.merge_widths([lm.spatial for lm in m.levels])[slot] == 4
+    args = (footprints, nest.loops, m.levels, nest.instances, 1152,
+            nest.steps, real)
+    assert kept.count(*args)[0].edge_crossings[(1, "Inputs", "down")] == 288
+    five = replace(m, levels=(m.levels[0], LevelMapping(spatial={"K": 5})))
     with pytest.raises(AssertionError, match="inexact collapse 1152/5") as err:
-        entry(*args)
+        kept.count(*args[:2], five.levels, *args[3:])
     shown = "".join(traceback.format_exception(err.value))
-    assert f"{{widths[{slot}]}}" in shown and "<count plan " in shown
+    assert f"{{w{slot}}}" in shown and "<count plan " in shown
 
 
 def test_reuse_factor_invariant_on_k_fanout():
@@ -320,3 +321,75 @@ def test_evaluate_computes_each_footprint_once(monkeypatch):
     evaluate(arch, layer, mapping)
     rows = validation_plan(arch, mapping.keep_overrides).capacity
     assert len(calls) == sum(len(keeps) for _, keeps, _, _ in rows) == 9
+
+
+def test_validation_returns_the_footprints_in_keep_table_order():
+    # On searched mappings of the bundled Albireo under the memory study's
+    # keep-override sets: the tile_values of each capacity row's tensors at
+    # the row's tile, in the row's order, which the count plan names.
+    arch = albireo.architecture("aggressive")
+    layouts = ({}, {0: ("Weights", "Inputs")}, {0: ("Weights", "Outputs")})
+    checked = 0
+    for layer in (load_workload("vgg16").layers[::3]
+                  + load_workload("alexnet").layers[::3]):
+        for keep in layouts:
+            try:
+                mapping = search(arch, layer, SearchConfig(
+                    budget=12, seed=7, pad_mode="pad", keep_overrides=keep,
+                    fixed_spatial=stencil_pins(layer, arch))).mapping
+            except NoValidMapping:
+                continue
+            rows = validation_plan(arch, keep).capacity
+            tiles = mapping.nest.tiles
+            footprints, _ = validate_mapping(mapping, layer, arch)
+            assert footprints == tuple(tile_values(layer, tiles[i], t)
+                                       for i, kept, _, _ in rows
+                                       for t in kept)
+            assert counting(arch, keep).plan.kept == tuple(
+                (i, t) for i, kept, _, _ in rows for t in kept)
+            checked += 1
+    assert checked > 10
+
+
+def test_the_emitted_sweep_counts_loops_at_every_level():
+    # evaluate's entry point sweeps LoopNest.loops once, setting each tiled
+    # level's tile changes where the loops leave it and stopping past the
+    # last tiled level. Each placement of the temporal dims over the levels,
+    # with loops only at the backing store, only at the compute level and
+    # at a tiled level with none at another among them, must count as the
+    # oracle does; so must a keep override that reorders a tiled level's
+    # tensors, which reorders validation's footprints.
+    refetch, small = toys.refetch_toy(1 << 10), toys.fc_k2c3()
+    albireo_arch = albireo.architecture("aggressive")
+    tiny = Layer(name="small", kind="conv",
+                 dims={"N": 1, "K": 8, "C": 4, "R": 3, "S": 3, "P": 2,
+                       "Q": 7})
+    spatial = {"K": 8, "C": 4, "Q": 7, "R": 3}
+    cases = [(refetch, small, {}, {"K": 2, "C": 3}, {}),
+             (refetch, small, {1: ("Outputs", "Inputs", "Weights")},
+              {"K": 2, "C": 3}, {}),
+             (albireo_arch, tiny, {}, {"P": 2, "S": 3}, spatial)]
+    seen = set()
+    for arch, layer, keep, temporal, spread in cases:
+        compute = len(arch.levels) - 1
+        for at in itertools.product(range(compute + 1), repeat=len(temporal)):
+            levels = tuple(
+                LevelMapping(temporal={d: f for (d, f), j
+                                       in zip(temporal.items(), at) if j == i},
+                             spatial=spread if i == compute else {},
+                             permutation=tuple(temporal))
+                for i in range(compute + 1))
+            m = Mapping(levels=levels, pad=True, keep_overrides=keep)
+            try:
+                validate_mapping(m, layer, arch)
+            except MappingError:
+                continue
+            assert analyze(arch, layer, m) == simulate(arch, layer, m), at
+            seen.add((arch.name, bool(keep), frozenset(at)))
+    # Loops only at the store, only at compute, and at tiled level 2 with
+    # none at tiled level 1 (and the reverse) are among those counted.
+    name = albireo_arch.name
+    assert {(name, False, frozenset({0})), (name, False, frozenset({3})),
+            (name, False, frozenset({2})), (name, False, frozenset({1})),
+            (name, False, frozenset({0, 3})), ("refetch", True,
+                                               frozenset({0}))} <= seen

@@ -5,6 +5,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+from photon_model import mapper
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "stage_split.py"
 
 
@@ -43,15 +45,39 @@ def test_stage_split_calls_every_stage_and_restores_every_name():
     assert 0 < calls["chain_table"] <= calls["map_space_build"]
     assert (out["tables_per_pass"], out["menus_per_pass"]) == (
         calls["chain_table"], calls["map_space_build"])
-    # A draw's filter step calls feasible only for a prefix not drawn
-    # before; each level's legal loop orders are built once per live dims.
-    assert (out["draw_filter_steps"] == calls["draw_step"]
-            == calls["feasible"] + out["tree_hits"])
-    assert out["tree_hits"] > 0
+    # A draw's filter step builds a node (and calls feasible, unless the
+    # node is complete) only for a prefix it meets no kept node for; each
+    # level's legal loop orders are built once per live dims.
+    assert out["draw_filter_steps"] == calls["draw_step"] > calls["feasible"]
+    # A search never reads the tests' entry point of the emitted code.
+    assert out["compiles"]["gather"] == 0
     # Each search's root holds a children map, and so does each prefix
     # drawn again below one: fewer than the steps.
     assert searches < out["tree_nodes"] < out["draw_filter_steps"]
     assert 0 < calls["order_table"] < calls["draw_step"]
+
+
+def test_tree_hits_are_the_steps_that_return_a_kept_node(monkeypatch):
+    # Runs the study's searches again with each draw step classed by the
+    # tree it steps in: it returns a kept node when its node holds a
+    # children map that the step leaves the same size (a built node is
+    # added to it, and a dead end returns None).
+    tool = _load_tool()
+    step = mapper._Walk.step
+    hits, steps = [0], [0]
+
+    def classed(walk, node, di, getrandbits, picks):
+        below = node[2]
+        held = None if below is None else len(below)
+        nxt = step(walk, node, di, getrandbits, picks)
+        hits[0] += nxt is not None and held is not None and len(below) == held
+        steps[0] += 1
+        return nxt
+
+    monkeypatch.setattr(mapper._Walk, "step", classed)
+    out = tool.stage_split("memory", [7], 8)
+    assert out["draw_filter_steps"] == steps[0]
+    assert out["tree_hits"] == hits[0] > 0
 
 
 def test_evaluate_split_times_every_stage_and_restores_every_name():
@@ -67,8 +93,8 @@ def test_evaluate_split_times_every_stage_and_restores_every_name():
     # One call of each stage per valid document: the nest is built once.
     assert out["calls_per_pass"] == dict.fromkeys(tool.EVALUATE_STAGES, 20)
     split = out["us_per_document"]
-    assert list(split) == ["parse", "nest", "validate", "plan",
-                           "residencies", "count", "result", "sum"]
+    assert list(split) == ["parse", "nest", "validate", "plan", "count",
+                           "result", "sum"]
     assert all(v > 0 for v in split.values()), split
 
 

@@ -1,8 +1,14 @@
-"""Hand-sized architectures and layers shared by the unit tests."""
+"""Hand-sized architectures and layers shared by the unit tests, and the
+reference sweep of a nest's loops (residencies) that the emitted code's
+sweeps are checked against."""
 
 from __future__ import annotations
 
 from photon_model.spec_model import (
+    INPUTS,
+    OUTPUTS,
+    TENSOR_DIMS,
+    WEIGHTS,
     Architecture,
     ComponentSpec,
     Converter,
@@ -106,3 +112,34 @@ def conv_k4() -> Layer:
 def ones_layer() -> Layer:
     return Layer(name="one", kind="fully_connected",
                  dims={d: 1 for d in ("N", "K", "C", "P", "Q", "R", "S")})
+
+
+def residencies(loops, levels: int) -> list[tuple[int, int, int, int]]:
+    """Per level below `levels`, in one forward sweep over the loops
+    (LoopNest.loops): the times the Weights, Inputs and Outputs tiles
+    there change over the walk, counting the initial fill, and the
+    distinct Outputs tiles. A tile changes with the product of loop
+    extents at or outside the innermost loop at or above its level whose
+    dim moves it (none when it never changes), because any of them
+    advancing resets or moves it; its distinct tiles are the product of
+    the extents of every such loop. The loops run outermost level first,
+    so those at or above a level are a prefix of them."""
+
+    out = []
+    weights = inputs = outputs = distinct = span = 1
+    for level, d, e in loops:
+        if level >= levels:
+            break
+        while len(out) < level:
+            out.append((weights, inputs, outputs, distinct))
+        span *= e
+        if d in TENSOR_DIMS[WEIGHTS]:
+            weights = span
+        if d in TENSOR_DIMS[INPUTS]:
+            inputs = span
+        if d in TENSOR_DIMS[OUTPUTS]:
+            outputs = span
+            distinct *= e
+    while len(out) < levels:
+        out.append((weights, inputs, outputs, distinct))
+    return out

@@ -12,8 +12,11 @@ passes end, also when one fails. Prints one JSON object:
 per stage its inclusive seconds and calls; `search_self_s`, the time inside
 `mapper._search` spent outside every other stage (the per-search set-up,
 drawing loop orders and keeping the best); `draw_filter_steps`, the filter
-steps the draws take (`draw_step` calls), and `tree_hits`, those that
-reached a kept prefix and so called no `feasible`;
+steps the draws take (`draw_step` calls), `dead_ends`, those that met an
+empty feasible list, and `tree_hits`, those that returned a kept node: the
+steps less the dead ends and the steps that built their node
+(`draw_child`, `_Walk.child`, which a study's pruned_random searches call
+only from a draw's step);
 `tree_nodes`, the draw-tree nodes holding a children map when the passes
 end (each search's root, and each prefix drawn again below a node that
 holds one), summed over the passes' searches; and
@@ -37,10 +40,12 @@ validates, counts and prices it through `counting`, whose `validate` is
 `validate_mapping` and which spans evaluate's entry point of the emitted
 code). `counting` and `validate` also time the evaluations a study makes
 outside its searches (the memory study's batched leg). `compile` is
-reuse._binder, asked once per architecture and keep-override set (when
-reuse.counting builds its one kept entry) for the plan's emitted code,
-which it compiles on the first request for its source in the process; `compiles` counts the sources compiled during the
-passes (none that an earlier run in the same process compiled).
+reuse._binder, asked once per architecture, keep-override set and entry
+point, when the kept reuse.Counting's entry point is first read, for that
+entry's emitted source, which it compiles on the first request for the
+source in the process; `compiles` counts, per entry point (`count`,
+`search`, `gather`), the sources compiled during the passes (none that an
+earlier run in the same process compiled).
 Stages nest (`limits` runs inside `map_space_build` as well as in the
 draws), so inclusive seconds do not add up. Each wrapped call costs about a
 microsecond more, which dilutes every ratio taken from these numbers.
@@ -55,11 +60,12 @@ best of the passes: `parse` (parse_mapping), `nest` (LoopNest.of, the first
 read of mapping.nest), `validate` (validate_mapping, the nest aside; its
 capacity check computes the tile footprints counting reads, and it
 returns the real MAC count), `plan` (reuse.counting, the one lookup of
-the count plan, its price program and their bound code), `residencies` (the sweep over the nest's
-loops), `count` (reuse.count aside from the stages it calls: the merge
-widths and evaluate's entry point, which counts and prices from
-validation's footprints and builds the AccessCounts), `result` (the rest
-of evaluate: the EvaluationResult) and their `sum`.
+the count plan, its price program and their bound code), `count`
+(reuse.count aside from the stages it calls: evaluate's entry point,
+which sweeps the nest's loops, multiplies the merge widths from the
+mapping's levels, counts and prices from validation's footprints and
+builds the AccessCounts), `result` (the rest of evaluate: the
+EvaluationResult) and their `sum`.
 """
 
 from __future__ import annotations
@@ -96,6 +102,7 @@ STAGES = {
     "limits": (mapper._CapacityCheck, "limits"),
     "feasible": (mapper._MenuFilter, "feasible"),
     "draw_step": (mapper._Walk, "step"),
+    "draw_child": (mapper._Walk, "child"),
     "order_table": (mapper, "_valid_perms"),
     "candidate_pricing": (mapper._Pricer, "objective"),
     "offer": (mapper._Best, "offer"),
@@ -117,7 +124,6 @@ EVALUATE_STAGES = {
     "nest": (spec_model.LoopNest, "of"),
     "validate": (reuse, "validate_mapping"),
     "plan": (reuse, "counting"),
-    "residencies": (reuse, "residencies"),
     "count": (evaluator, "count"),
     "result": (evaluator, "evaluate"),
 }
@@ -180,23 +186,43 @@ def _held(node: tuple) -> int:
 
 def stage_split(experiment: str, seeds: list[int], budget: int) -> dict:
     timer = StageTimer()
-    compiled = reuse._binder.cache_info().misses
-    walks, init = [], vars(mapper._Walk)["__init__"]
+    binder = reuse._binder
+    compiled = binder.cache_info().misses
+    compiles = dict.fromkeys(("count", "search", "gather"), 0)
+    walks, dead_ends = [], [0]
+    init, bind = vars(mapper._Walk)["__init__"], reuse._counting
 
     def kept(walk, *args):
         init(walk, *args)
         walks.append(walk)
 
+    def entry_point(counting, entry):
+        misses = binder.cache_info().misses
+        try:
+            return bind(counting, entry)
+        finally:
+            compiles[entry] += binder.cache_info().misses - misses
+
     timer.install()
-    mapper._Walk.__init__ = kept
+    step = vars(mapper._Walk)["step"]
+
+    def stepped(*args):
+        node = step(*args)
+        dead_ends[0] += node is None
+        return node
+
+    mapper._Walk.__init__, mapper._Walk.step = kept, stepped
+    reuse._counting = entry_point
     try:
         for seed in seeds:
             experiments.run_experiment(experiments.ExperimentConfig(
                 experiment=experiment, budget=budget, seed=seed))
     finally:
-        mapper._Walk.__init__ = init
+        reuse._counting = bind
+        mapper._Walk.__init__, mapper._Walk.step = init, step
         timer.restore()
     calls = timer.calls
+    assert sum(compiles.values()) == binder.cache_info().misses - compiled
     return {
         "experiment": experiment,
         "seeds": seeds,
@@ -205,15 +231,15 @@ def stage_split(experiment: str, seeds: list[int], budget: int) -> dict:
                           "calls": calls[name]} for name in STAGES},
         "search_self_s": round(timer.self_seconds["search"], 4),
         "draw_filter_steps": calls["draw_step"],
-        # Every feasible call of a study's search is a draw's new prefix.
-        "tree_hits": calls["draw_step"] - calls["feasible"],
+        "dead_ends": dead_ends[0],
+        "tree_hits": calls["draw_step"] - dead_ends[0] - calls["draw_child"],
         "tree_nodes": sum(_held(walk.tree) for walk in walks
                           if walk.tree is not None),
         "limits_skipped": (calls["feasible"] - calls["limits"]
                            + calls["map_space_build"]),
         "menus_per_pass": calls["map_space_build"] / len(seeds),
         "tables_per_pass": calls["chain_table"] / len(seeds),
-        "compiles": reuse._binder.cache_info().misses - compiled,
+        "compiles": compiles,
     }
 
 
