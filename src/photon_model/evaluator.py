@@ -17,10 +17,11 @@ and bound to the architecture's numbers; the plan, the program and the
 bound code are one lookup per keep-override set (reuse.counting).
 evaluate reaches it through reuse.count, which validates the mapping and
 runs the code's evaluate entry point on what validation and the nest
-hold: the footprint tuple, the nest's loops and the mapping's levels. That
-entry point builds the AccessCounts the result holds. The mapper's search
-runs the same code's search entry point on each candidate. So the two
-price alike to the last bit: energy adds its terms in sorted key order,
+hold: the footprint tuple, the nest's loops per level and the mapping's
+levels. That entry point builds the AccessCounts the result holds. The
+mapper's search runs the same code's search entry point on each
+candidate, which sweeps its drawn loop orders with the same text. So the
+two price alike to the last bit: energy adds its terms in sorted key order,
 and a total adds the components in sorted name order. energy alone prices
 counts already in hand: PriceProgram.energy reads their per_level and
 conversions by key, on a program built afresh over their keys and kept

@@ -304,7 +304,7 @@ def _insert_batch_loop(mapping: Mapping, level: int, b: int) -> Mapping:
     lm = mapping.levels[level]
     temporal = dict(lm.temporal)
     temporal["N"] = lm.t("N") * b
-    order = [d for j, d, _ in mapping.nest.loops if j == level and d != "N"]
+    order = [d for d, _ in mapping.nest.loops[level] if d != "N"]
     cut = next((i for i, d in enumerate(order) if d in REDUCED_DIMS),
                len(order))
     perm = (*order[:cut], "N", *order[cut:])

@@ -67,9 +67,10 @@ what the picked spatial rows fix, the instances and the merge widths, per
 tuple of rows (_SpatialRows), and each tiled level's footprints per
 column of extents (_Footprints), where evaluate takes them from
 validation; a miss computes them outside the emitted text. It sweeps
-the drawn orders level by level above the compute level, reading each
-dim's temporal row, as evaluate's entry point sweeps a nest's loops, then
-counts and prices as that entry point of the same code does, in its
+the drawn orders level by level up to the last tiled level, reading each
+dim's temporal row, with the text evaluate's entry point sweeps each
+level of a nest's loops with (only each level's loop header differs),
+then counts and prices as that entry point of the same code does, in its
 order, so each objective is bit-identical to its evaluation's; under the
 delay objective it returns the cycles and prices no energy. The search
 compares only these priced objectives (_Best): it keeps the lowest with
@@ -169,7 +170,6 @@ import functools
 import itertools
 import math
 import random
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from operator import mul
 
@@ -186,7 +186,6 @@ from .spec_model import (
     LevelMapping,
     Mapping,
     MappingError,
-    _lazy,
     demand,
     effective_bounds,
     largest_extent,
@@ -893,35 +892,16 @@ class _Pricer:
     they build (`mapping`), without building it: the search's entry point
     of its CountPlan's emitted code (reuse.counting, reuse.emit), bound to
     the search's chain tables and memos, gathers what the picks fix and
-    counts and prices it (see the module docstring). `gather`, bound on
-    first read, returns for the same candidate the arguments evaluate's
-    entry point takes, and its sweep's residencies."""
+    counts and prices it (see the module docstring)."""
 
     def __init__(self, arch: Architecture, layer: Layer, cfg: SearchConfig,
                  tables: list[_ChainTable]):
         self.arch, self.layer, self.cfg, self.tables = arch, layer, cfg, tables
         kept = counting(arch, cfg.keep_overrides)
-        self.memos = ([_Footprints(layer, tensors)
-                       for _, tensors in kept.plan.tiled],
-                      _SpatialRows(kept.plan))
-        self.price = kept.search(tables, *self.memos, cfg.objective)
-
-    @_lazy
-    def gather(self) -> Callable:
-        """The emitted gather, its spatial factors per level handed on as
-        LevelMappings, which evaluate's entry point reads as it reads a
-        mapping's levels."""
-
-        gather = counting(self.arch, self.cfg.keep_overrides).gather(
-            self.tables, *self.memos)
-
-        def gathered(picks, perms, steps):
-            (footprints, loops, spatial, *rest), resident = gather(
-                picks, perms, steps)
-            levels = tuple(LevelMapping(spatial=s) for s in spatial)
-            return (footprints, loops, levels, *rest), resident
-
-        return gathered
+        self.price = kept.search(
+            tables, [_Footprints(layer, tensors)
+                     for _, tensors in kept.plan.tiled],
+            _SpatialRows(kept.plan), cfg.objective)
 
     def mapping(self, picks: list[int],
                 perms: list[tuple[str, ...]]) -> Mapping:

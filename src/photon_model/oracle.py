@@ -10,7 +10,9 @@ spec_model, never reuse: it pairs each tensor's keeper levels (read,
 with its level counters, from validation_plan's keep table) into hops
 itself, and no counting shortcut is reused; the two must agree exactly.
 It reads each level's permutation itself too, the one reading besides
-LoopNest.loops, so that each checks the other.
+LoopNest.loops, into one flat list of (level, dim, extent), outermost
+first: LoopNest.loops' levels laid end to end, so that each checks the
+other.
 """
 
 from __future__ import annotations
@@ -105,8 +107,9 @@ class _PaddedDim:
 
 def _read_loops(levels: tuple[LevelMapping, ...]
                 ) -> list[tuple[int, str, int]]:
-    """The temporal loops as LoopNest.loops lists them, read from each
-    level's permutation here, not from there (see the module docstring)."""
+    """The temporal loops as LoopNest.loops lists them, its levels laid
+    end to end, each loop tagged with its level: read from each level's
+    permutation here, not from there (see the module docstring)."""
 
     return [(j, d, lm.t(d)) for j, lm in enumerate(levels)
             for d in dict.fromkeys((*lm.permutation, *DIMS)) if lm.t(d) > 1]

@@ -51,31 +51,31 @@ with linecache, so a traceback shows its lines; it calls only the names
 HANDED gives it. The plan, the program and the code bound to the
 program's values are one Counting, kept on the architecture per
 keep-override set (counting): the one lookup counting and pricing make.
-The code has three entry points, each its own source, compiled when the
+The code has two entry points, each its own source, compiled when the
 Counting's entry is first read, so a process that only evaluates compiles
-no search code. evaluate's (`count`) reads what validate_mapping and the
-nest hold, in the form they hold it: the footprint tuple validation
-returns, unpacked by position in keep-table order (CountPlan.kept);
-LoopNest.loops, swept once in the text over the move table (_MOVES),
-setting how often each tiled level's tiles change and how many distinct
-Outputs tiles it holds where the loops leave that level (the loops at or
-above a level are a prefix of them); the mapping's levels, whose spatial
-factors it multiplies into each merging slot's width as
-CountPlan.merge_widths does; the instances and the MAC and step counts.
-It returns the AccessCounts, which it builds itself from dict literals
-over the plan's keys, with the cycles, latency and energies. count
-validates a mapping, which gives the footprints and the real MAC count,
-and runs that entry point; analyze returns its counts, and
-evaluator.evaluate's result holds them. The search's entry point, bound
-per search (mapper._Pricer), gathers the same arguments from a
+no search code. Both sweep the loops one level at a time, outermost
+first, up to the last tiled level, with one loop body over the move
+table (_MOVES), setting how often each tiled level's tiles change and how
+many distinct Outputs tiles it holds once its loops are swept; only each
+level's loop header differs. evaluate's (`count`) reads what
+validate_mapping and the nest hold, in the form they hold it: the
+footprint tuple validation returns, unpacked by position in keep-table
+order (CountPlan.kept); LoopNest.loops, whose levels it sweeps; the
+mapping's levels, whose spatial factors it multiplies into each merging
+slot's width as CountPlan.merge_widths does; the instances and the MAC
+and step counts. It returns the AccessCounts, which it builds itself
+from dict literals over the plan's keys, with the cycles, latency and
+energies. count validates a mapping, which gives the footprints and the
+real MAC count, and runs that entry point; analyze returns its counts,
+and evaluator.evaluate's result holds them. The search's entry point,
+bound per search (mapper._Pricer), gathers the same arguments from a
 candidate's picked chains itself, with its merge widths from
-CountPlan.merge_widths, sweeping its drawn loop orders level by level in
-the text over the same move table (building no list of loops), and
-returns only its objective; its gather, which only tests read, returns
-count's arguments for the candidate. The oracle shares nothing with this
-module: not the legs, the plan or the emitted code. The count containers
-(AccessCounts, LevelCounts) are spec_model's, as every engine returns
-them; the emitted text and the oracle are the only code that builds them.
+CountPlan.merge_widths, sweeping its drawn loop orders over each dim's
+temporal factors (building no list of loops), and returns only its
+objective. The oracle shares nothing with this module: not the legs, the
+plan or the emitted code. The count containers (AccessCounts,
+LevelCounts) are spec_model's, as every engine returns them; the emitted
+text and the oracle are the only code that builds them.
 """
 
 from __future__ import annotations
@@ -417,19 +417,20 @@ def emit(plan: CountPlan, program: PriceProgram, entry: str) -> str:
     every price, bandwidth and the clock is a name bound by `bind(values)`
     (PriceProgram.values), so architectures that differ only in numbers
     share one source. Each entry is its own source, so a process compiles
-    only the entries it reads (Counting).
+    only the entries it reads (Counting). Both sweep the loops in one
+    text (sweep): per level up to the last tiled one, the same loop body,
+    then at a tiled level its tile changes and distinct Outputs tiles as
+    locals; only each level's loop header differs.
 
     `bind` returns the entry:
     * "count", evaluate's: `count(footprints, loops, levels, instances,
       macs, steps, real)` takes what validate_mapping and the nest hold as
       they hold them: the footprint tuple, unpacked by position
-      (CountPlan.kept); LoopNest.loops, swept once in the text, which sets
-      each tiled level's tile changes and distinct Outputs tiles as locals
-      where the loops leave that level and stops past the last tiled
-      level; and the mapping's levels, whose spatial factors, read by
-      membership and subscript, the text multiplies into each merging
-      slot's width as CountPlan.merge_widths does. It returns the
-      AccessCounts, cycles, latency and the energy in pJ per component
+      (CountPlan.kept); LoopNest.loops, each level's loops swept as
+      `for d, e in loops[j]`; and the mapping's levels, whose spatial
+      factors, read by membership and subscript, the text multiplies into
+      each merging slot's width as CountPlan.merge_widths does. It returns
+      the AccessCounts, cycles, latency and the energy in pJ per component
       name, in PriceProgram.names order, building both from dict literals
       over constant keys: the plan's, in level_keys, conversion_keys and
       edges order, and the component names.
@@ -439,14 +440,8 @@ def emit(plan: CountPlan, program: PriceProgram, entry: str) -> str:
       level's tensors' tile values) and its memo of (instances, merge
       widths) per tuple of spatial rows, and returns `price(picks, perms,
       steps)`, the candidate's objective. It sweeps the drawn orders
-      `perms` in the text, one loop per level above compute over its dims'
-      temporal factors there, as count sweeps the loops those orders give.
-    * "gather": `search(tables, columns, by_rows)` returns `gather(picks,
-      perms, steps)`, which runs price's sweep for the same candidate and
-      returns the arguments count takes (footprints count does not read
-      are None, and levels are the spatial factors per level as dicts)
-      with the sweep's per-level residencies: what tests check the search
-      against.
+      `perms`, each level's as `for d in perms[j]` over its dims' temporal
+      factors there, which are the loops those orders give.
 
     Each keeper is the outer end of at most one leg per tensor and
     direction, and each converter bank converts at one edge in one
@@ -646,6 +641,23 @@ def emit(plan: CountPlan, program: PriceProgram, entry: str) -> str:
              "    distinct *= e"]
     start = "weights = inputs = outputs = distinct = span = 1"
 
+    def sweep(header: Callable[[int], list[str]]) -> list[str]:
+        """The sweep of the loops, outermost level first, up to the last
+        tiled level (none without one): per level its loop, whose
+        `header(j)` binds each loop's dim `d` and extent `e`, and at a
+        tiled level its captured locals. Only the headers differ between
+        the entry points."""
+
+        if not plan.tiled:
+            return []
+        lines = [start]
+        for j in range(plan.tiled[-1][0] + 1):
+            lines += header(j)
+            lines += [f"    {line}" for line in moved]
+            if j in tiled:
+                lines += captured(j)
+        return lines
+
     def block(lines: list[str], depth: int) -> str:
         return "".join(f"{'    ' * depth}{line}\n" for line in lines)
 
@@ -661,32 +673,14 @@ def emit(plan: CountPlan, program: PriceProgram, entry: str) -> str:
     instances = (f"{', '.join(f'inst{j}' for j in range(compute + 1))}, "
                  "= instances")
 
-    # The footprints counting reads, by (level, tensor).
-    read = {(j, t) for j, ts in plan.tiled for t in ts}
     if entry == "count":
         lines = []
         if plan.tiled:
+            # The footprints counting reads, by (level, tensor).
+            read = {(j, t) for j, ts in plan.tiled for t in ts}
             lines.append(", ".join(f"foot_{t}{j}" if (j, t) in read else "_"
                                    for j, t in plan.kept) + ", = footprints")
-            # The loops run outermost level first and `level` is the one
-            # the sweep is in: entering a deeper one sets every tiled level
-            # left on the way, and past the last tiled level nothing more
-            # is read. Levels the loops never leave are set at the end.
-            last = plan.tiled[-1][0]
-            lines += [start, "level = 0", "for j, d, e in loops:",
-                      "    if j > level:"]
-            for j in tiled:
-                lines.append(f"        if level <= {j} < j:")
-                lines += [f"            {line}" for line in captured(j)]
-            lines += [f"        if j > {last}: break", "        level = j"]
-            lines += [f"    {line}" for line in moved]
-            lines.append("else:")
-            for j in tiled:
-                if j == last:
-                    lines += [f"    {line}" for line in captured(j)]
-                else:
-                    lines.append(f"    if level <= {j}:")
-                    lines += [f"        {line}" for line in captured(j)]
+        lines += sweep(lambda j: [f"for d, e in loops[{j}]:"])
         lines += [instances, *multiplied]
         counting, levels, conversions = body(True, merged.__getitem__)
         lines += counting + priced(levels, conversions, False)
@@ -695,76 +689,39 @@ def emit(plan: CountPlan, program: PriceProgram, entry: str) -> str:
                 " macs, steps, real):\n" + block(lines, 2)
                 + "\n    return count\n")
 
+    assert entry == "search", entry
     rows = range(len(DIMS))
-    gather = [f"{', '.join(f'p{d}' for d in rows)}, = picks",
-              *(f"row{d} = extents{d}[p{d}]" for d in rows),
-              f"macs = {' * '.join(f'row{d}[0]' for d in rows)}",
-              f"real = {' * '.join(f'reals{d}[p{d}]' for d in rows)}",
-              "instances, widths = by_rows["
-              f"{', '.join(f'spatials{d}[p{d}]' for d in rows)}]"]
+    lines = [f"{', '.join(f'p{d}' for d in rows)}, = picks",
+             *(f"row{d} = extents{d}[p{d}]" for d in rows),
+             f"macs = {' * '.join(f'row{d}[0]' for d in rows)}",
+             f"real = {' * '.join(f'reals{d}[p{d}]' for d in rows)}",
+             "instances, widths = by_rows["
+             f"{', '.join(f'spatials{d}[p{d}]' for d in rows)}]"]
     for i, (j, ts) in enumerate(plan.tiled):
-        gather.append(
+        lines.append(
             f"{', '.join(f'foot_{t}{j}' for t in ts)}, = "
             f"columns{i}[{', '.join(f'row{d}[{j}]' for d in rows)}]")
-    gather.append("time = {" + ", ".join(f"{name!r}: temporals{d}[p{d}]"
-                                         for d, name in enumerate(DIMS))
-                  + "}")
-
-    def sweep(record: bool) -> list[str]:
-        """The sweep over the drawn orders, one loop per level above
-        compute, each reading its dims' temporal factors there: the tiled
-        levels' tile changes and distinct Outputs tiles as locals, and
-        with `record` every level's as the list `resident`."""
-
-        lines = [start]
-        for j in range(compute):
-            lines += [f"for d in perms[{j}]:", f"    e = time[d][{j}]"]
-            lines += [f"    {line}" for line in moved]
-            if j in tiled:
-                lines += captured(j)
-            if record:
-                lines.append(f"at{j} = weights, inputs, outputs, distinct")
-        if record:
-            lines.append("resident = ["
-                         f"{', '.join(f'at{j}' for j in range(compute))}]")
-        return lines
-
+    lines.append("time = {" + ", ".join(f"{name!r}: temporals{d}[p{d}]"
+                                        for d, name in enumerate(DIMS))
+                 + "}")
+    lines += sweep(lambda j: [f"for d in perms[{j}]:",
+                              f"    e = time[d][{j}]"])
+    counting, levels, conversions = body(False, "widths[{}]".format)
+    lines += [instances, *counting, *priced(levels, conversions, True),
+              "total = sum(energies)",
+              "return total * latency if edp else total"]
     tables = ", ".join(f"(extents{d}, spatials{d}, temporals{d}, reals{d})"
                        for d in rows)
     columns = ", ".join(f"columns{i}" for i in range(len(plan.tiled)))
-    unpacked = (f"        {tables}, = [\n"
-                "            (t.extents, t.spatial, t.temporal, t.real) "
-                "for t in tables]\n"
-                + (f"        {columns}, = columns\n" if plan.tiled else ""))
-    if entry == "search":
-        counting, levels, conversions = body(False, "widths[{}]".format)
-        lines = (gather + sweep(False) + [instances] + counting
-                 + priced(levels, conversions, True))
-        lines += ["total = sum(energies)",
-                  "return total * latency if edp else total"]
-        return (bound + "    def search(tables, columns, by_rows, "
-                "objective):\n" + unpacked
-                + "        delay = objective == 'delay'\n"
-                "        edp = objective == 'energy_delay_product'\n\n"
-                "        def price(picks, perms, steps):\n"
-                + block(lines, 3) + "\n        return price\n\n"
-                "    return search\n")
-
-    assert entry == "gather", entry
-    footprints = "".join(f"foot_{t}{j}, " if (j, t) in read else "None, "
-                         for j, t in plan.kept)
-    loops = ", ".join(f"*(({j}, d, time[d][{j}]) for d in perms[{j}])"
-                      for j in range(compute + 1))
-    spatial = ", ".join(
-        "{" + ", ".join(f"{name!r}: spatials{d}[p{d}][{j - 1}]"
-                        for d, name in enumerate(DIMS)) + "}"
-        for j in range(1, compute + 1))
-    lines = gather + sweep(True) + [
-        f"return (({footprints}), ({loops},), ({{}}, {spatial}), "
-        "instances, macs, steps, real), resident"]
-    return ("def bind(values):\n\n    def search(tables, columns, by_rows):\n"
-            + unpacked + "\n        def gather(picks, perms, steps):\n"
-            + block(lines, 3) + "\n        return gather\n\n"
+    return (bound + "    def search(tables, columns, by_rows, objective):\n"
+            f"        {tables}, = [\n"
+            "            (t.extents, t.spatial, t.temporal, t.real) "
+            "for t in tables]\n"
+            + (f"        {columns}, = columns\n" if plan.tiled else "")
+            + "        delay = objective == 'delay'\n"
+            "        edp = objective == 'energy_delay_product'\n\n"
+            "        def price(picks, perms, steps):\n"
+            + block(lines, 3) + "\n        return price\n\n"
             "    return search\n")
 
 
@@ -785,12 +742,11 @@ def _binder(source: str) -> Callable:
 
 class Counting:
     """What counting and pricing read under one keep-override set of an
-    architecture (counting): the CountPlan, its PriceProgram, and the
-    three entry points of the code emitted from them (emit), each compiled
-    and bound to the program's values on its first read: `count` is
-    evaluate's, `search` binds the search's and `gather` the tests'. So a
-    process that only evaluates compiles no search code, and a search no
-    gather."""
+    architecture (counting): the CountPlan, its PriceProgram, and the two
+    entry points of the code emitted from them (emit), each compiled and
+    bound to the program's values on its first read: `count` is
+    evaluate's and `search` binds the search's. So a process that only
+    evaluates compiles no search code."""
 
     def __init__(self, arch: Architecture,
                  keep_overrides: dict[int, tuple[str, ...]]):
@@ -805,10 +761,6 @@ class Counting:
     @_lazy
     def search(self) -> Callable:
         return _counting(self, "search")
-
-    @_lazy
-    def gather(self) -> Callable:
-        return _counting(self, "gather")
 
 
 def _counting(kept: Counting, entry: str) -> Callable:
@@ -835,7 +787,7 @@ def count(arch: Architecture, layer: Layer, mapping: Mapping
     """Validate the mapping (validate_mapping), then run its plan's
     emitted count (counting) on what validation and the nest hold: the
     footprints and the real MAC count validation returns, the nest's
-    loops and instances, and the mapping's levels. Returns the
+    loops, per level, and instances, and the mapping's levels. Returns the
     AccessCounts, the cycles, the latency, and the energy in pJ per
     component name, in sorted name order."""
 

@@ -15,9 +15,9 @@ A mapping assigns every level temporal and spatial factors per dim plus a
 loop order. This module also owns the loop-nest geometry that the counting
 engines, the evaluator and the mapper build on, so that "what a tile is"
 has exactly one definition: a mapping's LoopNest (padded bounds, per-level
-tile bounds, spatial copies, instance counts, step count and loops, the
-one reading of its permutations; built in one pass that checks every
-factor, cached as Mapping.nest), the tile footprint (tile_values), the
+tile bounds, spatial copies, instance counts, step count and each level's
+loops, the one reading of its permutations; built in one pass that checks
+every factor, cached as Mapping.nest), the tile footprint (tile_values), the
 capacity demand (demand) and the largest extent of a dim that meets it
 (largest_extent), what each storage level keeps under a keep-override
 set and the keeper chains read from that keep table (validation_plan),
@@ -50,7 +50,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import MISSING, dataclass, field, fields as dataclass_fields, replace
-from itertools import accumulate, chain
+from itertools import accumulate
 from operator import mul
 from types import MappingProxyType
 from typing import Callable, Iterable, NamedTuple, NoReturn, TypeVar, get_type_hints
@@ -347,7 +347,8 @@ class Workload:
 class LevelMapping:
     """Per-level loop factors. A dim missing from temporal or spatial has
     factor 1 there, and a factor of 1 written out changes nothing.
-    permutation orders this level's temporal loops (see LoopNest.loops)."""
+    permutation orders this level's temporal loops, outermost first; the
+    level's entry of LoopNest.loops is what it gives."""
 
     temporal: dict[str, int] = field(default_factory=dict)
     spatial: dict[str, int] = field(default_factory=dict)
@@ -417,7 +418,7 @@ def mapping_digest(m: Mapping) -> str:
     for i, lm in enumerate(m.levels):
         t = ",".join(f"{d}{lm.t(d)}" for d in DIMS if lm.t(d) > 1)
         s = ",".join(f"{d}{lm.s(d)}" for d in DIMS if lm.s(d) > 1)
-        perm = "".join(d for j, d, _ in m.nest.loops if j == i)
+        perm = "".join(d for d, _ in m.nest.loops[i])
         keep = ""
         if i in m.keep_overrides:
             keep = "|k:" + ",".join(sorted(m.keep_overrides[i]))
@@ -441,11 +442,13 @@ class LoopNest(NamedTuple):
     spatial[i] the spatial copies mapped at level i; instances[i] the
     mapped instances of level i (the product of spatial copies at or above
     it); steps the product of every temporal factor, each step issuing one
-    MAC per active compute instance; loops the temporal loops with extent
-    > 1, outermost first, as (level, dim, extent): per level, the dims its
-    permutation names, in that order, then the rest in DIMS order, a unit
-    factor making no loop. It is the package's one reading of a
-    permutation; only the oracle reads one itself, to check it.
+    MAC per active compute instance; loops[i] the temporal loops of level
+    i, the compute level included, outermost first, as (dim, extent): the
+    dims its permutation names, in that order, then the rest in DIMS
+    order, a unit factor making no loop. Read level by level, outermost
+    level first, they are the nest's loops. It is the package's one
+    reading of a permutation; only the oracle reads one itself, to check
+    it.
 
     The pass that builds it checks what it reads: every factor must be a
     positive int (not a bool) of a known dim, and every permutation a
@@ -460,7 +463,7 @@ class LoopNest(NamedTuple):
     spatial: tuple[int, ...]
     instances: tuple[int, ...]
     steps: int
-    loops: tuple[tuple[int, str, int], ...]
+    loops: tuple[tuple[tuple[str, int], ...], ...]
 
     @classmethod
     def of(cls, levels: tuple[LevelMapping, ...]) -> LoopNest:
@@ -468,7 +471,7 @@ class LoopNest(NamedTuple):
         m = len(levels)
         tiles = [run] * m
         spatial = [1] * m
-        blocks: list = [()] * m
+        loops: list = [()] * m
         steps = 1
         for i in range(m - 1, -1, -1):
             lm = levels[i]
@@ -499,14 +502,13 @@ class LoopNest(NamedTuple):
                 for d in perm:
                     f = t.get(d, 1)
                     if f > 1:
-                        block.append((i, d, f))
+                        block.append((d, f))
                 if len(block) < len(t):
-                    block += [(i, d, t[d]) for d in DIMS
+                    block += [(d, t[d]) for d in DIMS
                               if d not in perm and t.get(d, 1) > 1]
-                blocks[i] = block
+                loops[i] = tuple(block)
         return cls(run, tuple(tiles), tuple(spatial),
-                   tuple(accumulate(spatial, mul)), steps,
-                   tuple(chain.from_iterable(blocks)))
+                   tuple(accumulate(spatial, mul)), steps, tuple(loops))
 
 
 def _first_fault(levels: tuple[LevelMapping, ...]) -> MappingError:
@@ -579,10 +581,26 @@ def largest_extent(layer: Layer, tb: dict[str, int], keeps: tuple[str, ...],
 
 
 def override_key(keep_overrides: dict[int, tuple[str, ...]]) -> tuple:
-    """Keep overrides as a hashable key, equal for equal override sets."""
+    """Keep overrides as a hashable key, equal for equal override sets.
+    Only a set of the override type has one: each key a level index (an
+    int, not a bool) and each value a tuple or list of tensor names, each
+    a str. For any other it raises MappingError FactorMismatch at the
+    first entry that breaks the type, naming a value's level by index
+    (validate_mapping names it), so nothing is ever kept for such a set;
+    validation_plan checks the rest against the architecture."""
 
     if not keep_overrides:
         return ()
+    for i, ov in keep_overrides.items():
+        if type(i) is not int:
+            raise MappingError("FactorMismatch",
+                               f"keep override key {i!r} is not a level "
+                               "index")
+        if (type(ov) not in (tuple, list)
+                or not all(type(t) is str for t in ov)):
+            raise MappingError("FactorMismatch",
+                               f"keep override at level {i} is {ov!r}, not "
+                               "a list of tensor names", level=i)
     return tuple(sorted((i, tuple(ov)) for i, ov in keep_overrides.items()))
 
 
@@ -859,31 +877,21 @@ def validation_plan(arch: Architecture,
                     key: tuple | None = None) -> ValidationPlan:
     """The ValidationPlan of the architecture under the keep overrides,
     kept on the architecture per override set; `key` is their
-    override_key, when the caller holds it (Mapping.keep_key). Building it
-    raises MappingError FactorMismatch unless each override's key is a
-    level index (an int, not a bool) of the architecture and its value a
-    tuple or list of tensor names that drops tensors the level keeps,
-    never adds one, and then (naming the tensor) unless some storage level
-    keeps each tensor. An override set that fails raises on every call, as
-    nothing is kept for it."""
+    override_key, when the caller holds it (Mapping.keep_key). Making the
+    key raises MappingError FactorMismatch for overrides of the wrong type
+    (override_key); building the plan raises it unless each override's
+    key is a level of the architecture and its value drops tensors the
+    level keeps, never adds one, and then (naming the tensor) unless some
+    storage level keeps each tensor. An override set that fails raises on
+    every call, as nothing is kept for it."""
 
     def build():
         for i, ov in keep_overrides.items():
-            if type(i) is not int:
-                raise MappingError("FactorMismatch",
-                                   f"keep override key {i!r} is not a "
-                                   "level index")
             if not 0 <= i < len(arch.levels):
                 raise MappingError("FactorMismatch",
                                    f"keep override for level {i}; the "
                                    f"architecture has {len(arch.levels)} "
                                    "levels")
-            if (type(ov) not in (tuple, list)
-                    or not all(type(t) is str for t in ov)):
-                raise MappingError("FactorMismatch",
-                                   f"keep override at {arch.levels[i].name!r}"
-                                   f" is {ov!r}, not a list of tensor names",
-                                   level=arch.levels[i].name)
             if not set(ov) <= set(arch.levels[i].keeps):
                 raise MappingError("FactorMismatch",
                                    f"keep override at {arch.levels[i].name!r} "
@@ -942,10 +950,11 @@ def validate_mapping(mapping: Mapping, layer: Layer, arch: Architecture
     Checks, in this order: the level count and batch size; every factor
     and loop order (LoopNest.of, run by reading mapping.nest); factor
     coverage per dim (exact in strict mode, >= bound in pad mode);
-    per-level fanout budgets; the keep overrides (validation_plan); that
-    no tensor's dims factor outside its origin keeper; storage capacity
-    against kept-tile footprints; and, last, that the loops at or above
-    each refetch-forbidden keeper (ValidationPlan.forbidden) lead (leads).
+    per-level fanout budgets; the keep overrides (their type in
+    override_key, the rest in validation_plan); that no tensor's dims
+    factor outside its origin keeper; storage capacity against kept-tile
+    footprints; and, last, that the loops at or above each
+    refetch-forbidden keeper (ValidationPlan.forbidden) lead (leads).
 
     Returns the footprints the capacity check computed, as a tuple in
     keep-table order: the tile_values of each tensor of each of the plan's
@@ -994,7 +1003,13 @@ def validate_mapping(mapping: Mapping, layer: Layer, arch: Architecture
                                f"level {lv.name!r} maps {s} spatial copies, "
                                f"fanout is {lv.fanout}", level=lv.name)
 
-    plan = validation_plan(arch, mapping.keep_overrides, mapping.keep_key)
+    try:
+        key = mapping.keep_key
+    except MappingError as err:  # a level by index, if it names one
+        err.level = (arch.levels[err.level].name
+                     if err.level in range(len(arch.levels)) else None)
+        raise
+    plan = validation_plan(arch, mapping.keep_overrides, key)
 
     # A tensor whose outermost keeper is not the backing store (a fused
     # intermediate living in a buffer) has nowhere above to stage from:
@@ -1030,7 +1045,8 @@ def validate_mapping(mapping: Mapping, layer: Layer, arch: Architecture
                 f"capacity is {capacity}", level=name, tensor=worst)
 
     for b, t, k in plan.forbidden:
-        if not leads((d for j, d, _ in nest.loops if j <= b), TENSOR_DIMS[t]):
+        if not leads((d for level in nest.loops[:b + 1] for d, _ in level),
+                     TENSOR_DIMS[t]):
             name = arch.levels[k].name
             raise MappingError("ConverterMissing",
                                f"{t} refetched into level {name!r} "

@@ -5,10 +5,13 @@ rule and the counting engines compute tile footprints, only
 validation and the search's loop orders apply the refetch rule, only the
 oracle and the emitted text build count containers, only reuse's
 emitter compiles code, whose text calls only the names it was handed, so
-that the checks above see every rule, and reuse keeps one lookup per
-keep-override set."""
+that the checks above see every rule, and whose two entry points sweep
+the loops with one body; and reuse keeps one lookup per keep-override
+set."""
 
 import ast
+import re
+import textwrap
 from pathlib import Path
 
 import photon_model
@@ -178,7 +181,7 @@ def _emitted_sources() -> dict[str, str]:
     out = {}
     for name, arch, keep in plans:
         kept = reuse.counting(arch, keep)
-        for entry in ("count", "search", "gather"):
+        for entry in ("count", "search"):
             out[f"{name} {entry}"] = reuse.emit(kept.plan, kept.program,
                                                 entry)
     return out
@@ -202,6 +205,42 @@ def test_emitted_code_calls_only_the_names_it_was_handed():
                    if isinstance(node, ast.FunctionDef)}
         assert called <= handed, (name, called - handed)
         assert not called & defined, name
+
+
+# Each level's loop header in an entry point's sweep: evaluate's reads the
+# nest's loops, the search's its drawn orders and temporal rows.
+SWEEP_HEADERS = {
+    "count": re.compile(r"^for d, e in loops\[(\d+)\]:$", re.M),
+    "search": re.compile(r"^for d in perms\[(\d+)\]:\n"
+                         r"    e = time\[d\]\[\1\]$", re.M)}
+
+
+def _sweep(source: str, entry: str) -> str:
+    """An entry point's sweep of the loops, dedented, from its first line
+    to the unpacking of the instances that follows it, each level's
+    header replaced by the level's number; empty with no sweep."""
+
+    start = source.find("weights = inputs = outputs = distinct = span = 1")
+    if start < 0:
+        return ""
+    start = source.rindex("\n", 0, start) + 1
+    end = source.rindex("\n", start, source.index("= instances", start))
+    return SWEEP_HEADERS[entry].sub(r"level \1",
+                                    textwrap.dedent(source[start:end]))
+
+
+def test_both_entry_points_sweep_the_loops_alike():
+    # evaluate's entry point sweeps LoopNest.loops and the search's its
+    # drawn orders with one body: only each level's loop header differs.
+    sources = _emitted_sources()
+    swept = 0
+    for name, source in sources.items():
+        if name.endswith(" count"):
+            plan = name[:-len(" count")]
+            sweep = _sweep(source, "count")
+            assert sweep == _sweep(sources[f"{plan} search"], "search"), plan
+            swept += bool(sweep)
+    assert swept > len(sources) // 4
 
 
 def test_emitted_code_prices_no_literal_zero():

@@ -47,7 +47,7 @@ from photon_model.workloads import load_workload
 
 import toys
 from randgen import random_instance
-from toys import refetch_toy, residencies
+from toys import refetch_toy
 
 
 def test_divisors():
@@ -1015,10 +1015,8 @@ def test_draws_filter_each_drawn_prefix_once(monkeypatch):
 def _check_pricing(monkeypatch):
     """Make every search check each candidate it prices against the
     mapping the candidate builds: the objective must equal the one its
-    evaluation gives, bit for bit, and the counts evaluate's entry point
-    builds from what the search's emitted code gathers for it
-    (_Pricer.gather) analyze's counts. Returns a one-item list holding the
-    number of candidates checked."""
+    evaluation gives, bit for bit, and the evaluation's counts analyze's.
+    Returns a one-item list holding the number of candidates checked."""
 
     checked = [0]
     objective = mapper._Pricer.objective
@@ -1027,9 +1025,6 @@ def _check_pricing(monkeypatch):
         value = objective(self, picks, perms, steps)
         mapping = self.mapping(picks, perms)
         counts = analyze(self.arch, self.layer, mapping)
-        gathered, _ = self.gather(picks, perms, steps)
-        assert reuse.counting(self.arch, self.cfg.keep_overrides).count(
-            *gathered)[0] == counts
         ev = evaluate(self.arch, self.layer, mapping)
         assert ev.counts == counts
         assert value == {
@@ -1057,43 +1052,6 @@ def test_search_prices_every_toy_candidate_as_evaluate_does(objective,
             objective=objective, strategy="exhaustive",
             keep_overrides=overrides))
     assert checked[0] > 0
-
-
-def test_the_emitted_sweep_gives_the_residencies_of_the_loops(monkeypatch):
-    # The search's entry point sweeps its drawn orders level by level from
-    # each dim's temporal row; what its gather records must be what the
-    # reference residencies sweeps from the loops of the mapping the
-    # candidate builds. Sampled candidates of the bundled Albireo under
-    # the memory study's keep-override sets, then every toy candidate.
-    checked = [0]
-    objective = mapper._Pricer.objective
-
-    def swept(self, picks, perms, steps):
-        loops = self.mapping(picks, perms).nest.loops
-        assert self.gather(picks, perms, steps)[1] == residencies(
-            loops, len(self.arch.levels) - 1)
-        checked[0] += 1
-        return objective(self, picks, perms, steps)
-
-    monkeypatch.setattr(mapper._Pricer, "objective", swept)
-    arch = albireo.architecture("aggressive")
-    for layer, keep in itertools.product(
-            load_workload("vgg16").layers[::3]
-            + load_workload("alexnet").layers[::3], FUSED_OVERRIDES):
-        try:
-            mapper._search(arch, layer, SearchConfig(
-                budget=12, seed=11, pad_mode="pad", keep_overrides=keep,
-                fixed_spatial=stencil_pins(layer, arch)))
-        except NoValidMapping:
-            continue
-    shipped = checked[0]
-    for fanout, crossing, dims in TOY_CASES:
-        mapper._search(toy_arch(fanout, crossing), toy_layer(dims),
-                       SearchConfig(strategy="exhaustive"))
-    for bits, dims, overrides in KEEPER_CASES:
-        mapper._search(refetch_toy(bits), toy_layer(dims), SearchConfig(
-            strategy="exhaustive", keep_overrides=overrides))
-    assert 0 < shipped < checked[0]
 
 
 @pytest.mark.parametrize("workload", ["vgg16", "alexnet"])

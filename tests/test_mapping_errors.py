@@ -125,6 +125,14 @@ FAULTS = {
     "override-a-string": (
         _with(keep_overrides={0: WEIGHTS}),
         ("FactorMismatch", None, "store", None)),
+    # Keys of mixed types cannot be sorted, nor a list inside a value
+    # hashed: the type is checked before the set is keyed.
+    "override-keys-of-mixed-types": (
+        _with(keep_overrides={0: (WEIGHTS, INPUTS), "1": (WEIGHTS,)}),
+        ("FactorMismatch", None, None, None)),
+    "override-a-list-of-lists": (
+        _with(keep_overrides={0: [[WEIGHTS]]}),
+        ("FactorMismatch", None, "store", None)),
     "override-leaves-a-tensor-unkept": (
         _with(keep_overrides={0: (WEIGHTS, INPUTS), 1: (WEIGHTS, INPUTS)}),
         ("FactorMismatch", None, None, OUTPUTS)),

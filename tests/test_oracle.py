@@ -15,17 +15,25 @@ import toys
 from randgen import random_instance
 
 
+def _concatenated(loops) -> list:
+    """LoopNest.loops' levels, outermost first, as (level, dim, extent)."""
+
+    return [(j, d, e) for j, level in enumerate(loops) for d, e in level]
+
+
 def test_the_oracle_reads_each_permutation_as_the_loop_nest_does():
     rng = random.Random(42)
     for _ in range(60):
         _, _, mapping = random_instance(rng)
-        assert oracle._read_loops(mapping.levels) == list(mapping.nest.loops)
+        assert oracle._read_loops(mapping.levels) == _concatenated(
+            mapping.nest.loops)
         # The same factors under orders that leave live dims out and name
         # unit-factor ones.
         levels = tuple(replace(lm, permutation=tuple(
             rng.sample(DIMS, rng.randint(0, len(DIMS)))))
             for lm in mapping.levels)
-        assert oracle._read_loops(levels) == list(LoopNest.of(levels).loops)
+        assert oracle._read_loops(levels) == _concatenated(
+            LoopNest.of(levels).loops)
 
 
 def test_degenerate_single_iteration_nest():

@@ -152,8 +152,7 @@ def test_one_source_is_compiled_per_layout():
 
 def test_each_entry_point_is_compiled_on_first_read(monkeypatch):
     # Evaluating a mapping emits and compiles evaluate's entry point
-    # alone; a search emits the search's and, for its winner, evaluate's,
-    # and never the tests' gather.
+    # alone; a search emits the search's and, for its winner, evaluate's.
     emitted = []
     emit = reuse.emit
 
@@ -171,8 +170,7 @@ def test_each_entry_point_is_compiled_on_first_read(monkeypatch):
     evaluate(arch, LAYER, mapping)
     assert emitted == ["count"]
     assert reuse._binder.cache_info().misses == 1
-    assert {"count", "search", "gather"} & set(vars(counting(arch, {}))) == {
-        "count"}
+    assert {"count", "search"} & set(vars(counting(arch, {}))) == {"count"}
 
 
 @pytest.mark.parametrize("edit, moves", [

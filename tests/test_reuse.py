@@ -352,13 +352,13 @@ def test_validation_returns_the_footprints_in_keep_table_order():
 
 
 def test_the_emitted_sweep_counts_loops_at_every_level():
-    # evaluate's entry point sweeps LoopNest.loops once, setting each tiled
-    # level's tile changes where the loops leave it and stopping past the
-    # last tiled level. Each placement of the temporal dims over the levels,
-    # with loops only at the backing store, only at the compute level and
-    # at a tiled level with none at another among them, must count as the
-    # oracle does; so must a keep override that reorders a tiled level's
-    # tensors, which reorders validation's footprints.
+    # evaluate's entry point sweeps LoopNest.loops level by level up to
+    # the last tiled level, setting each tiled level's tile changes once
+    # its loops are swept. Each placement of the temporal dims over the
+    # levels, with loops only at the backing store, only at the compute
+    # level and at a tiled level with none at another among them, must
+    # count as the oracle does; so must a keep override that reorders a
+    # tiled level's tensors, which reorders validation's footprints.
     refetch, small = toys.refetch_toy(1 << 10), toys.fc_k2c3()
     albireo_arch = albireo.architecture("aggressive")
     tiny = Layer(name="small", kind="conv",

@@ -1182,9 +1182,10 @@ def _fc_k_c32(k):
                        "Q": 1})
 
 
-# LoopNest.loops per level, outermost first: the permutation's dims in its
-# order, then the unlisted live dims in DIMS order; a unit factor makes no
-# loop, even where the permutation names it.
+# LoopNest.loops holds one tuple per level, the compute level included,
+# each outermost first: the permutation's dims in its order, then the
+# unlisted live dims in DIMS order; a unit factor makes no loop, even where
+# the permutation names it.
 @pytest.mark.parametrize("level, loops", [
     (LevelMapping(temporal={"C": 2, "K": 3}, permutation=("C", "K")),
      (("C", 2), ("K", 3))),
@@ -1197,7 +1198,7 @@ def _fc_k_c32(k):
 ], ids=["listed-in-its-order", "unlisted-in-dims-order", "unit-dropped"])
 def test_the_loop_nest_reads_each_permutation(level, loops):
     nest = LoopNest.of((LevelMapping(), level))
-    assert nest.loops == tuple((1, d, e) for d, e in loops)
+    assert nest.loops == ((), loops)
 
 
 def test_backing_store_capacity_counts_its_own_loops():

@@ -49,8 +49,6 @@ def test_stage_split_calls_every_stage_and_restores_every_name():
     # node is complete) only for a prefix it meets no kept node for; each
     # level's legal loop orders are built once per live dims.
     assert out["draw_filter_steps"] == calls["draw_step"] > calls["feasible"]
-    # A search never reads the tests' entry point of the emitted code.
-    assert out["compiles"]["gather"] == 0
     # Each search's root holds a children map, and so does each prefix
     # drawn again below one: fewer than the steps.
     assert searches < out["tree_nodes"] < out["draw_filter_steps"]

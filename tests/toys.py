@@ -1,6 +1,6 @@
-"""Hand-sized architectures and layers shared by the unit tests, and the
-reference sweep of a nest's loops (residencies) that the emitted code's
-sweeps are checked against."""
+"""Hand-sized architectures and layers shared by the unit tests, and a
+reference sweep of a nest's loops (residencies): the tile changes and
+distinct Outputs tiles per level that the counting reads."""
 
 from __future__ import annotations
 
@@ -115,31 +115,26 @@ def ones_layer() -> Layer:
 
 
 def residencies(loops, levels: int) -> list[tuple[int, int, int, int]]:
-    """Per level below `levels`, in one forward sweep over the loops
-    (LoopNest.loops): the times the Weights, Inputs and Outputs tiles
-    there change over the walk, counting the initial fill, and the
-    distinct Outputs tiles. A tile changes with the product of loop
-    extents at or outside the innermost loop at or above its level whose
-    dim moves it (none when it never changes), because any of them
-    advancing resets or moves it; its distinct tiles are the product of
-    the extents of every such loop. The loops run outermost level first,
-    so those at or above a level are a prefix of them."""
+    """Per level below `levels`, in one forward sweep over each level's
+    loops (LoopNest.loops), outermost level first: the times the Weights,
+    Inputs and Outputs tiles there change over the walk, counting the
+    initial fill, and the distinct Outputs tiles. A tile changes with the
+    product of loop extents at or outside the innermost loop at or above
+    its level whose dim moves it (none when it never changes), because
+    any of them advancing resets or moves it; its distinct tiles are the
+    product of the extents of every such loop."""
 
     out = []
     weights = inputs = outputs = distinct = span = 1
-    for level, d, e in loops:
-        if level >= levels:
-            break
-        while len(out) < level:
-            out.append((weights, inputs, outputs, distinct))
-        span *= e
-        if d in TENSOR_DIMS[WEIGHTS]:
-            weights = span
-        if d in TENSOR_DIMS[INPUTS]:
-            inputs = span
-        if d in TENSOR_DIMS[OUTPUTS]:
-            outputs = span
-            distinct *= e
-    while len(out) < levels:
+    for level in loops[:levels]:
+        for d, e in level:
+            span *= e
+            if d in TENSOR_DIMS[WEIGHTS]:
+                weights = span
+            if d in TENSOR_DIMS[INPUTS]:
+                inputs = span
+            if d in TENSOR_DIMS[OUTPUTS]:
+                outputs = span
+                distinct *= e
         out.append((weights, inputs, outputs, distinct))
     return out

@@ -44,8 +44,8 @@ reuse._binder, asked once per architecture, keep-override set and entry
 point, when the kept reuse.Counting's entry point is first read, for that
 entry's emitted source, which it compiles on the first request for the
 source in the process; `compiles` counts, per entry point (`count`,
-`search`, `gather`), the sources compiled during the passes (none that an
-earlier run in the same process compiled).
+`search`), the sources compiled during the passes (none that an earlier
+run in the same process compiled).
 Stages nest (`limits` runs inside `map_space_build` as well as in the
 draws), so inclusive seconds do not add up. Each wrapped call costs about a
 microsecond more, which dilutes every ratio taken from these numbers.
@@ -62,8 +62,9 @@ capacity check computes the tile footprints counting reads, and it
 returns the real MAC count), `plan` (reuse.counting, the one lookup of
 the count plan, its price program and their bound code), `count`
 (reuse.count aside from the stages it calls: evaluate's entry point,
-which sweeps the nest's loops, multiplies the merge widths from the
-mapping's levels, counts and prices from validation's footprints and
+which sweeps the nest's loops level by level up to the last tiled level,
+as the search's sweeps its drawn orders, multiplies the merge widths from
+the mapping's levels, counts and prices from validation's footprints and
 builds the AccessCounts), `result` (the rest of evaluate: the
 EvaluationResult) and their `sum`.
 """
@@ -188,7 +189,7 @@ def stage_split(experiment: str, seeds: list[int], budget: int) -> dict:
     timer = StageTimer()
     binder = reuse._binder
     compiled = binder.cache_info().misses
-    compiles = dict.fromkeys(("count", "search", "gather"), 0)
+    compiles = dict.fromkeys(("count", "search"), 0)
     walks, dead_ends = [], [0]
     init, bind = vars(mapper._Walk)["__init__"], reuse._counting
 
